@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import core, oracle
 from .config import NumericsConfig
@@ -199,7 +199,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _figure_rows(spec: SweepSpec, cfg: NumericsConfig) -> list[tuple[float, float, float, float | None]]:
     rows = []
     for x in spec.grid():
-        v_hat, _ = core._v_hat(x, cfg)
+        v_hat, _ = core._route(x, cfg, "v")["v"]
         approx = math.sqrt(8.0 / (math.pi * x)) if x > _NONREL_MIN_X else None
         rows.append((x, 1.0 / x, v_hat, approx))
     return rows
@@ -283,22 +283,24 @@ def _cmd_figure_mean_speed(args: argparse.Namespace) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
+def _quad_values(x: float, quad: QuadratureConfig) -> dict[str, float]:
+    return {
+        "n_hat": oracle.quad_number_density(x, quad),
+        "v_hat": oracle.quad_mean_speed(x, quad),
+        "u_hat": oracle.quad_energy_density(x, quad),
+        "r_hat": oracle.quad_radiance(x, quad),
+    }
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _numerics_from_args(args)
-    halved = QuadratureConfig(rel_tol=0.5 * cfg.quadrature.rel_tol,
-                              max_depth=cfg.quadrature.max_depth,
-                              tail_cutoff=cfg.quadrature.tail_cutoff)
+    halved = replace(cfg.quadrature, rel_tol=0.5 * cfg.quadrature.rel_tol)
     residuals = {"n_hat": 0.0, "v_hat": 0.0, "u_hat": 0.0, "r_hat": 0.0}
     lines = ["closed-form vs quadrature validation",
              "x grid: " + " ".join(f"{x:g}" for x in VALIDATE_GRID)]
     eq18_line = None
     for x in VALIDATE_GRID:
-        quad_values = {
-            "n_hat": oracle.quad_number_density(x, cfg.quadrature),
-            "v_hat": oracle.quad_mean_speed(x, cfg.quadrature),
-            "u_hat": oracle.quad_energy_density(x, cfg.quadrature),
-            "r_hat": oracle.quad_radiance(x, cfg.quadrature),
-        }
+        quad_values = _quad_values(x, cfg.quadrature)
         if x >= cfg.x_switch:
             other = {
                 "n_hat": core.n_hat_series(x, cfg.series),
@@ -309,12 +311,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         else:
             # Below the switch there is no series route; check the quadrature
             # against itself under tolerance halving instead.
-            other = {
-                "n_hat": oracle.quad_number_density(x, halved),
-                "v_hat": oracle.quad_mean_speed(x, halved),
-                "u_hat": oracle.quad_energy_density(x, halved),
-                "r_hat": oracle.quad_radiance(x, halved),
-            }
+            other = _quad_values(x, halved)
         for key, reference in quad_values.items():
             residual = abs(other[key] / reference - 1.0)
             residuals[key] = max(residuals[key], residual)

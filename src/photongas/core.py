@@ -99,9 +99,23 @@ class RadiometryReport:
 # Reduced kernels.
 # ---------------------------------------------------------------------------
 
+def _n_hat_from(x: float, k2_sum: float) -> float:
+    # n_hat = x^2 e^-x S~/pi^2 from S~ = e^x sum_n K2(n x)/n.  e^-x S~ comes
+    # first, so a huge x gives an exact 0 rather than inf * 0.
+    return math.exp(-x) * k2_sum * x * x / math.pi**2
+
+
+def _v_hat_from(x: float, k2_sum: float, tol: specfun.SeriesTolerance) -> float:
+    # v_hat = 2 P~/(x^2 S~) with P~ = e^x [Li3 + x Li2](e^-x); the e^x
+    # factors cancel, so the ratio survives arbitrarily deep into the
+    # nonrelativistic regime.
+    return 2.0 * specfun._speed_sum_scaled(x, tol).value / (x * x * k2_sum)
+
+
 def n_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
     """(x^2/pi^2) sum_n K2(n x)/n; intended for x >= x_switch."""
-    return x * x / math.pi**2 * specfun.k2_weighted_sum(x, tol).value
+    tol = tol or specfun.SeriesTolerance()
+    return _n_hat_from(x, specfun._k2_sum_scaled(x, tol).value)
 
 
 def u_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
@@ -114,12 +128,9 @@ def u_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
 
 
 def v_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
-    """Polylog/Bessel ratio for vbar/c, evaluated in exponentially scaled
-    form so it survives arbitrarily deep into the nonrelativistic regime."""
+    """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n); x >= x_switch."""
     tol = tol or specfun.SeriesTolerance()
-    num = specfun._speed_polylog_sum_scaled(x, tol)
-    den = specfun._k2_weighted_sum_scaled(x, tol)
-    return 2.0 * num.value / (x * x * den.value)
+    return _v_hat_from(x, specfun._k2_sum_scaled(x, tol).value, tol)
 
 
 def r_hat_closed(x: float) -> float:
@@ -130,93 +141,88 @@ def r_hat_closed(x: float) -> float:
     return 1.5 / math.pi**2 * (li4 + x * li3 + x * x / 3.0 * li2)
 
 
-def _n_hat(x: float, cfg: NumericsConfig) -> tuple[float, str]:
-    if x == 0.0:
-        return 2.0 * specfun.zeta_value(3) / math.pi**2, SERIES
-    if x < cfg.x_switch:
-        return oracle.quad_number_density(x, cfg.quadrature), QUADRATURE
-    return n_hat_series(x, cfg.series), SERIES
+# Per kernel: the SI quantity it scales to, whose quadrature oracle is
+# oracle.quad_<quantity>, and its exact massless limit.
+_KERNELS = {
+    "n": ("number_density", 2.0 * specfun.zeta_value(3) / math.pi**2),
+    "u": ("energy_density", math.pi**2 / 15.0),
+    "v": ("mean_speed", 1.0),
+    "R": ("radiance", _R_HAT_MAX),
+}
 
 
-def _u_hat(x: float, cfg: NumericsConfig) -> tuple[float, str]:
-    # Quadrature is the primary route at every x > 0; the Bessel series
-    # above is kept for validation only.
-    if x == 0.0:
-        return math.pi**2 / 15.0, SERIES
-    return oracle.quad_energy_density(x, cfg.quadrature), QUADRATURE
+def _route(x: float, cfg: NumericsConfig, keys: str) -> dict[str, tuple[float, str]]:
+    """(value, method tag) of each kernel named in keys, a string over "nuvR".
 
-
-def _v_hat(x: float, cfg: NumericsConfig) -> tuple[float, str]:
-    if x == 0.0:
-        return 1.0, SERIES
-    if x < cfg.x_switch:
-        return oracle.quad_mean_speed(x, cfg.quadrature), QUADRATURE
-    return v_hat_series(x, cfg.series), SERIES
-
-
-def _r_hat(x: float, cfg: NumericsConfig) -> tuple[float, str]:
-    if x == 0.0:
-        return _R_HAT_MAX, SERIES
-    if x < cfg.x_switch:
-        return oracle.quad_radiance(x, cfg.quadrature), QUADRATURE
-    return r_hat_closed(x), SERIES
+    x = 0 takes the exact massless limit, x < x_switch quadrature of the
+    defining integral, and larger x the closed form, except that u_hat is
+    taken by quadrature at every x > 0 (its Bessel series is kept for
+    validation only).  n_hat and v_hat share one scaled K2 sum.  A
+    ConvergenceError is re-raised with the quantity named.
+    """
+    routed = {}
+    k2_sum = None
+    for key in keys:
+        quantity, limit = _KERNELS[key]
+        try:
+            if x == 0.0:
+                routed[key] = limit, SERIES
+            elif x < cfg.x_switch or key == "u":
+                quad = getattr(oracle, "quad_" + quantity)
+                routed[key] = quad(x, cfg.quadrature), QUADRATURE
+            elif key == "R":
+                routed[key] = r_hat_closed(x), SERIES
+            else:
+                if k2_sum is None:
+                    k2_sum = specfun._k2_sum_scaled(x, cfg.series).value
+                value = (_n_hat_from(x, k2_sum) if key == "n"
+                         else _v_hat_from(x, k2_sum, cfg.series))
+                routed[key] = value, SERIES
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"{quantity}: {exc}", value=exc.value, error=exc.error,
+                terms=exc.terms,
+            ) from exc
+    return routed
 
 
 def reduced_functions(x: float, cfg: NumericsConfig | None = None) -> ReducedFunctions:
     """Evaluate all four reduced kernels at x with method tags."""
-    cfg = cfg or DEFAULT_NUMERICS
-    nh, nm = _n_hat(x, cfg)
-    uh, um = _u_hat(x, cfg)
-    vh, vm = _v_hat(x, cfg)
-    rh, rm = _r_hat(x, cfg)
-    return ReducedFunctions(x=x, n_hat=nh, u_hat=uh, v_hat=vh, r_hat=rh,
-                            n_method=nm, u_method=um, v_method=vm, r_method=rm)
+    routed = _route(x, cfg or DEFAULT_NUMERICS, "nuvR")
+    return ReducedFunctions(x, *(routed[k][0] for k in "nuvR"),
+                            *(routed[k][1] for k in "nuvR"))
 
 
 # ---------------------------------------------------------------------------
 # SI wrappers.
 # ---------------------------------------------------------------------------
 
-def _named(quantity: str):
-    """Re-raise convergence failures with the physical quantity named."""
-    class _ctx:
-        def __enter__(self):
-            return None
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is ConvergenceError:
-                raise ConvergenceError(
-                    f"{quantity}: {exc}", value=exc.value, error=exc.error,
-                    terms=exc.terms,
-                ) from exc
-            return False
-
-    return _ctx()
+# Powers (k, j) of the SI prefactor (g/2) (kT)^k (kT/hbar c)^3 c^j per kernel.
+_SI_POWERS = {"n": (0, 0), "u": (1, 0), "R": (1, 1)}
 
 
-def _density_scale(params: GasParameters) -> float:
-    # (kT / hbar c)^3, the 1/volume scale of the gas.
+def _si_prefactor(params: GasParameters, key: str) -> float:
+    """SI value of one unit of a reduced kernel; c for the mean speed."""
+    if key == "v":
+        return SI.c
+    k, j = _SI_POWERS[key]
     kt = SI.k_B * params.temperature
-    return (kt / (SI.hbar * SI.c)) ** 3
+    return 0.5 * params.degeneracy * kt**k * (kt / (SI.hbar * SI.c)) ** 3 * SI.c**j
+
+
+def _si_value(key: str, params: GasParameters, cfg: NumericsConfig | None) -> float:
+    value, _ = _route(reduce(params).x, cfg or DEFAULT_NUMERICS, key)[key]
+    return value * _si_prefactor(params, key)
 
 
 def number_density(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
     """Photon number per unit volume, m^-3."""
-    cfg = cfg or DEFAULT_NUMERICS
-    x = reduce(params).x
-    with _named("number_density"):
-        nh, _ = _n_hat(x, cfg)
-    return 0.5 * params.degeneracy * _density_scale(params) * nh
+    return _si_value("n", params, cfg)
 
 
 def energy_density(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
     """Internal energy per unit volume, J/m^3."""
-    cfg = cfg or DEFAULT_NUMERICS
-    x = reduce(params).x
-    with _named("energy_density"):
-        uh, _ = _u_hat(x, cfg)
-    kt = SI.k_B * params.temperature
-    return 0.5 * params.degeneracy * kt * _density_scale(params) * uh
+    return _si_value("u", params, cfg)
 
 
 def mean_speed(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
@@ -224,11 +230,7 @@ def mean_speed(params: GasParameters, cfg: NumericsConfig | None = None) -> floa
 
     Independent of the degeneracy (it cancels in the ratio).
     """
-    cfg = cfg or DEFAULT_NUMERICS
-    x = reduce(params).x
-    with _named("mean_speed"):
-        vh, _ = _v_hat(x, cfg)
-    return SI.c * vh
+    return _si_value("v", params, cfg)
 
 
 def photon_speed(energy: float, mass: float) -> float:
@@ -266,7 +268,7 @@ def spectral_energy_density(omega: float, params: GasParameters) -> float:
     if params.mass > 0.0 and omega <= threshold:
         return 0.0
     y = SI.hbar * omega / (SI.k_B * params.temperature)
-    occ = 1.0 / math.expm1(y) if y < 40.0 else math.exp(-y)
+    occ = oracle._occupation(y)
     speed_factor = 1.0
     if params.mass > 0.0:
         ratio = threshold / omega
@@ -282,12 +284,7 @@ def radiance(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
     Stefan-Boltzmann law exactly at m = 0 and falls below the naive
     (c/4) U/V relation for any m > 0.
     """
-    cfg = cfg or DEFAULT_NUMERICS
-    x = reduce(params).x
-    with _named("radiance"):
-        rh, _ = _r_hat(x, cfg)
-    kt = SI.k_B * params.temperature
-    return 0.5 * params.degeneracy * kt * _density_scale(params) * SI.c * rh
+    return _si_value("R", params, cfg)
 
 
 def radiance_naive(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
@@ -306,8 +303,7 @@ def small_mass_radiance(params: GasParameters) -> float:
     evaluated as stated either way.
     """
     x = reduce(params).x
-    kt = SI.k_B * params.temperature
-    stefan = 0.5 * params.degeneracy * kt * _density_scale(params) * SI.c * _R_HAT_MAX
+    stefan = _si_prefactor(params, "R") * _R_HAT_MAX
     return stefan * (1.0 - 2.5 / math.pi**2 * x * x)
 
 
@@ -317,9 +313,7 @@ def low_temp_radiance(params: GasParameters) -> float:
     Meaningful for x > 1; the caller checks the regime.
     """
     x = reduce(params).x
-    kt = SI.k_B * params.temperature
-    scale = 0.5 * params.degeneracy * kt * _density_scale(params) * SI.c
-    return scale * x * x * math.exp(-x) / (2.0 * math.pi**2)
+    return _si_prefactor(params, "R") * x * x * math.exp(-x) / (2.0 * math.pi**2)
 
 
 def low_temp_mean_speed(params: GasParameters) -> float:
@@ -338,27 +332,16 @@ def low_temp_mean_speed(params: GasParameters) -> float:
 
 def evaluate(params: GasParameters, cfg: NumericsConfig | None = None) -> RadiometryReport:
     """Full radiometry report for one (m, T) point."""
-    cfg = cfg or DEFAULT_NUMERICS
-    x = reduce(params).x
-    with _named("number_density"):
-        nh, nm = _n_hat(x, cfg)
-    with _named("energy_density"):
-        uh, um = _u_hat(x, cfg)
-    with _named("mean_speed"):
-        vh, vm = _v_hat(x, cfg)
-    with _named("radiance"):
-        rh, rm = _r_hat(x, cfg)
-    g2 = 0.5 * params.degeneracy
-    kt = SI.k_B * params.temperature
-    scale = _density_scale(params)
-    u_si = g2 * kt * scale * uh
+    red = reduced_functions(reduce(params).x, cfg)
+    u_si = red.u_hat * _si_prefactor(params, "u")
     return RadiometryReport(
         params=params,
-        x=x,
-        number_density=g2 * scale * nh,
+        x=red.x,
+        number_density=red.n_hat * _si_prefactor(params, "n"),
         energy_density=u_si,
-        mean_speed=SI.c * vh,
-        radiance=g2 * kt * scale * SI.c * rh,
+        mean_speed=red.v_hat * _si_prefactor(params, "v"),
+        radiance=red.r_hat * _si_prefactor(params, "R"),
         radiance_naive=0.25 * SI.c * u_si,
-        methods={"n": nm, "u": um, "v": vm, "R": rm, "R_naive": um},
+        methods={"n": red.n_method, "u": red.u_method, "v": red.v_method,
+                 "R": red.r_method, "R_naive": red.u_method},
     )

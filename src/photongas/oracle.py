@@ -204,7 +204,11 @@ def _s_upper(x: float, cfg: QuadratureConfig) -> float:
 
 
 def _t_upper(x: float, cfg: QuadratureConfig) -> float:
-    return math.acosh(1.0 + (cfg.tail_cutoff + 10.0) / x)
+    # acosh(1 + d) written as log1p(d + sqrt(d(d + 2))): the acosh form loses
+    # d to rounding once d falls under the spacing of doubles near 1 and
+    # returns 0 for x beyond ~5.4e17.
+    d = (cfg.tail_cutoff + 10.0) / x
+    return math.log1p(d + math.sqrt(d * (d + 2.0)))
 
 
 def quad_number_density(x: float, cfg: QuadratureConfig | None = None) -> float:
@@ -287,7 +291,9 @@ def quad_energy_density(x: float, cfg: QuadratureConfig | None = None) -> float:
             return (sh * ch) ** 2 * _occupation(x * ch)
 
         res = integrate_adaptive(f, 0.0, _t_upper(x, cfg), cfg)
-        return res.value * x**4 / math.pi**2
+        # Multiplied in from the left, so an integral that underflowed to 0
+        # stays 0 where x**4 would overflow (x > 1.3e77).
+        return res.value * x * x * x * x / math.pi**2
 
     def f(s: float) -> float:
         if s == 0.0:

@@ -163,14 +163,24 @@ def _k_scaled_asymptotic(nu: int, z: float) -> float:
     return math.sqrt(math.pi / (2.0 * z)) * total
 
 
-def _k_scaled(nu: int, z: float) -> float:
-    """e^z K_nu(z), nu in {0, 1, 2}; safe for arbitrarily large z."""
+_K_SERIES = (_k0_series, _k1_series, _k2_series)
+
+
+def _bessel_k(nu: int, z: float, scaled: bool = False) -> float:
+    """K_nu(z) for nu in {0, 1, 2} and z > 0, or e^z K_nu(z) when scaled.
+
+    The scaled form stays finite for arbitrarily large z, where K_nu itself
+    underflows.
+    """
+    _check_positive(z, "z")
     if z <= _K_SERIES_MAX:
-        series = (_k0_series, _k1_series, _k2_series)[nu]
-        return math.exp(z) * series(z)
+        value = _K_SERIES[nu](z)
+        return math.exp(z) * value if scaled else value
     if z < _K_ASYMPTOTIC_MIN:
-        return _k_scaled_trapezoid(nu, z)
-    return _k_scaled_asymptotic(nu, z)
+        value = _k_scaled_trapezoid(nu, z)
+    else:
+        value = _k_scaled_asymptotic(nu, z)
+    return value if scaled else math.exp(-z) * value
 
 
 def bessel_k2(z: float) -> float:
@@ -180,27 +190,24 @@ def bessel_k2(z: float) -> float:
     z beyond ~700 the value drops under 1e-300 and degrades gracefully to
     zero instead of raising.
     """
-    _check_positive(z, "z")
-    if z <= _K_SERIES_MAX:
-        return _k2_series(z)
-    if z < _K_ASYMPTOTIC_MIN:
-        return math.exp(-z) * _k_scaled_trapezoid(2, z)
-    return math.exp(-z) * _k_scaled_asymptotic(2, z)
+    return _bessel_k(2, z)
 
 
 def _bessel_k0(z: float) -> float:
-    _check_positive(z, "z")
-    return math.exp(-z) * _k_scaled(0, z) if z > _K_SERIES_MAX else _k0_series(z)
+    return _bessel_k(0, z)
 
 
 def _bessel_k1(z: float) -> float:
-    _check_positive(z, "z")
-    return math.exp(-z) * _k_scaled(1, z) if z > _K_SERIES_MAX else _k1_series(z)
+    return _bessel_k(1, z)
 
 
-def _bessel_k2_scaled(z: float) -> float:
-    _check_positive(z, "z")
-    return _k_scaled(2, z)
+def _k2_scaled(z: float) -> float:
+    # e^z K2(z).  Below the asymptotic edge K2 is still a normal float, so
+    # the weighted sums take it from bessel_k2, looked up at call time, and
+    # every K2 value of the package goes through that one function there.
+    if z < _K_ASYMPTOTIC_MIN:
+        return math.exp(z) * bessel_k2(z)
+    return _bessel_k(2, z, scaled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +333,38 @@ def polylog(s: int, z: float) -> float:
 # Boltzmann-weighted Bessel sums.
 # ---------------------------------------------------------------------------
 
-def _weighted_sum(term_fn, x: float, tol: SeriesTolerance, label: str) -> WeightedSum:
-    # Truncate when the current term AND the geometric tail bound both fall
-    # under rel_tol times the partial sum.  The tail bound uses
-    # K_nu((n+1)x) <= e^-x K_nu(x n), which follows from (ln K_nu)' <= -1.
-    ratio = math.exp(-x)
-    tail_factor = ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+def _scaled_sum(term, x: float, tol: SeriesTolerance, label: str,
+                scale: float = 1.0) -> WeightedSum:
+    """scale * sum_{n>=1} e^{-(n-1)x} term(n), with the number of terms used.
+
+    term(n) is e^{nx} times the n-th term of a Boltzmann-weighted sum, so the
+    unscaled result is e^x times that sum, and every factor stays
+    representable however large x gets.  Truncation stops when the current
+    term AND the geometric tail bound both fall under rel_tol times the
+    partial sum.  The tail bound uses K_nu((n+1)x) <= e^-x K_nu(n x), which
+    follows from (ln K_nu)' <= -1; the polylog terms shrink faster still.
+    """
+    w = math.exp(-x)
+    tail_factor = w / (1.0 - w) if w < 1.0 else math.inf
     total = 0.0
+    pref = 1.0
     for n in range(1, tol.max_terms + 1):
-        term = term_fn(n)
-        total += term
-        bound = term * tail_factor
-        if term <= tol.rel_tol * total and bound <= tol.rel_tol * total:
-            return WeightedSum(total, n)
+        t = pref * term(n)
+        total += t
+        if t <= tol.rel_tol * total and t * tail_factor <= tol.rel_tol * total:
+            return WeightedSum(scale * total, n)
+        pref *= w
     raise ConvergenceError(
         f"{label} did not converge within {tol.max_terms} terms at x={x!r}",
-        value=total,
+        value=scale * total,
         terms=tol.max_terms,
     )
+
+
+def _k2_sum_scaled(x: float, tol: SeriesTolerance, label: str = "scaled K2 sum",
+                   scale: float = 1.0) -> WeightedSum:
+    # S~(x) = e^x sum_n K2(n x)/n, the one K2 sum behind n_hat and v_hat.
+    return _scaled_sum(lambda n: _k2_scaled(n * x) / n, x, tol, label, scale)
 
 
 def k2_weighted_sum(x: float, tol: SeriesTolerance | None = None) -> WeightedSum:
@@ -353,57 +374,20 @@ def k2_weighted_sum(x: float, tol: SeriesTolerance | None = None) -> WeightedSum
     use it as their series path (smaller x is served by quadrature).
     """
     _check_positive(x, "x")
-    tol = tol or SeriesTolerance()
-    return _weighted_sum(lambda n: bessel_k2(n * x) / n, x, tol, "k2_weighted_sum")
+    return _k2_sum_scaled(x, tol or SeriesTolerance(), "k2_weighted_sum", math.exp(-x))
 
 
 def energy_bessel_sum(x: float, tol: SeriesTolerance | None = None) -> WeightedSum:
     """sum_{n>=1} [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], the energy-density sum."""
     _check_positive(x, "x")
-    tol = tol or SeriesTolerance()
 
     def term(n: int) -> float:
         nx = n * x
-        return _bessel_k1(nx) / nx + 3.0 * bessel_k2(nx) / (nx * nx)
+        return _bessel_k(1, nx, scaled=True) / nx + 3.0 * _k2_scaled(nx) / (nx * nx)
 
-    return _weighted_sum(term, x, tol, "energy_bessel_sum")
-
-
-def _k2_weighted_sum_scaled(x: float, tol: SeriesTolerance) -> WeightedSum:
-    # e^x sum_n K2(n x)/n = sum_n e^{-(n-1)x} [e^{nx} K2(n x)]/n.
-    # Every factor stays representable however large x gets, which keeps the
-    # mean-speed ratio finite deep into the nonrelativistic regime.
-    w = math.exp(-x)
-    tail_factor = w / (1.0 - w) if w < 1.0 else math.inf
-    total = 0.0
-    pref = 1.0
-    for n in range(1, tol.max_terms + 1):
-        term = pref * _bessel_k2_scaled(n * x) / n
-        total += term
-        if term <= tol.rel_tol * total and term * tail_factor <= tol.rel_tol * total:
-            return WeightedSum(total, n)
-        pref *= w
-    raise ConvergenceError(
-        f"scaled K2 sum did not converge within {tol.max_terms} terms at x={x!r}",
-        value=total,
-        terms=tol.max_terms,
-    )
+    return _scaled_sum(term, x, tol or SeriesTolerance(), "energy_bessel_sum", math.exp(-x))
 
 
-def _speed_polylog_sum_scaled(x: float, tol: SeriesTolerance) -> WeightedSum:
-    # e^x [Li3(e^-x) + x Li2(e^-x)] = sum_n e^{-(n-1)x} (n^-3 + x n^-2).
-    w = math.exp(-x)
-    tail_factor = w / (1.0 - w) if w < 1.0 else math.inf
-    total = 0.0
-    pref = 1.0
-    for n in range(1, tol.max_terms + 1):
-        term = pref * (1.0 / n**3 + x / n**2)
-        total += term
-        if term <= tol.rel_tol * total and term * tail_factor <= tol.rel_tol * total:
-            return WeightedSum(total, n)
-        pref *= w
-    raise ConvergenceError(
-        f"scaled speed sum did not converge within {tol.max_terms} terms at x={x!r}",
-        value=total,
-        terms=tol.max_terms,
-    )
+def _speed_sum_scaled(x: float, tol: SeriesTolerance) -> WeightedSum:
+    # P~(x) = e^x [Li3(e^-x) + x Li2(e^-x)] = sum_n e^{-(n-1)x} (n^-3 + x n^-2).
+    return _scaled_sum(lambda n: 1.0 / n**3 + x / n**2, x, tol, "scaled speed sum")

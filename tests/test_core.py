@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photongas import (SI, DomainError, GasParameters, NumericsConfig,
-                       RegimeError, SeriesTolerance, energy_density, evaluate,
+from photongas import (SI, ConvergenceError, DomainError, GasParameters,
+                       NumericsConfig, RegimeError, SeriesTolerance,
+                       energy_density, evaluate,
                        low_temp_mean_speed, low_temp_radiance, mean_speed,
                        number_density, photon_speed, quad_energy_density,
                        quad_mean_speed, quad_number_density, quad_radiance,
                        radiance, radiance_naive, reduce, reduced_functions,
                        small_mass_radiance, spectral_energy_density,
                        zeta_value)
-from photongas.core import (n_hat_series, r_hat_closed, u_hat_series,
-                            v_hat_series)
+from photongas.core import (_si_prefactor, n_hat_series, r_hat_closed,
+                            u_hat_series, v_hat_series)
 from photongas.oracle import integrate_adaptive
 
 T_REF = 5800.0
@@ -327,3 +328,41 @@ def test_report_invariants_hold_everywhere(x, temperature, g):
     reduced = reduced_functions(x)
     assert reduced.v_hat <= 1.0
     assert reduced.r_hat <= math.pi**2 / 60 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.01, 0.5, 40.0])
+def test_si_values_are_reduced_kernels_times_one_prefactor(x):
+    params = params_for_x(x)
+    report = evaluate(params)
+    reduced = reduced_functions(reduce(params).x)
+    for key, kernel, quantity, wrapper in (
+            ("n", "n_hat", "number_density", number_density),
+            ("u", "u_hat", "energy_density", energy_density),
+            ("v", "v_hat", "mean_speed", mean_speed),
+            ("R", "r_hat", "radiance", radiance)):
+        expected = getattr(reduced, kernel) * _si_prefactor(params, key)
+        assert getattr(report, quantity) == expected
+        assert wrapper(params) == expected
+    assert report.radiance_naive == 0.25 * SI.c * report.energy_density
+
+
+def test_convergence_failure_names_the_quantity():
+    # x = 0.06 needs several hundred terms of the K2 sum; 100 are allowed.
+    cfg = NumericsConfig(series=SeriesTolerance(max_terms=100), x_switch=0.05)
+    for call in (lambda: reduced_functions(0.06, cfg),
+                 lambda: evaluate(params_for_x(0.06), cfg)):
+        with pytest.raises(ConvergenceError) as excinfo:
+            call()
+        assert str(excinfo.value).startswith("number_density")
+        assert excinfo.value.terms == 100
+
+
+@pytest.mark.parametrize("x", [6e17, 1e18, 1e20, 1e100])
+def test_evaluate_underflows_to_exact_zero_far_below_threshold(x):
+    # The thermal tail above the mass threshold is e^-x: every density
+    # underflows to an exact 0, while the mean speed stays a finite ratio.
+    report = evaluate(params_for_x(x))
+    assert report.number_density == 0.0
+    assert report.energy_density == 0.0
+    assert report.radiance == 0.0
+    assert 0.0 < report.mean_speed / SI.c < 1.0
