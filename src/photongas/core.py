@@ -108,8 +108,9 @@ def _n_hat_from(x: float, k2_sum: float) -> float:
 def _v_hat_from(x: float, k2_sum: float, tol: specfun.SeriesTolerance) -> float:
     # v_hat = 2 P~/(x^2 S~) with P~ = e^x [Li3 + x Li2](e^-x); the e^x
     # factors cancel, so the ratio survives arbitrarily deep into the
-    # nonrelativistic regime.
-    return 2.0 * specfun._speed_sum_scaled(x, tol).value / (x * x * k2_sum)
+    # nonrelativistic regime.  Dividing by x twice keeps x^2 from
+    # overflowing above x ~ 1.3e154.
+    return 2.0 * specfun._speed_sum_scaled(x, tol).value / x / (x * k2_sum)
 
 
 def n_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
@@ -138,7 +139,9 @@ def r_hat_closed(x: float) -> float:
     li4 = specfun._polylog_exp(4, x)
     li3 = specfun._polylog_exp(3, x)
     li2 = specfun._polylog_exp(2, x)
-    return 1.5 / math.pi**2 * (li4 + x * li3 + x * x / 3.0 * li2)
+    # x (x/3 Li2) rather than x^2/3 Li2: once Li2 underflows to 0 the
+    # product is 0, not inf * 0, however large x is.
+    return 1.5 / math.pi**2 * (li4 + x * li3 + x * (x / 3.0 * li2))
 
 
 # Per kernel: the SI quantity it scales to, whose quadrature oracle is
@@ -202,12 +205,24 @@ _SI_POWERS = {"n": (0, 0), "u": (1, 0), "R": (1, 1)}
 
 
 def _si_prefactor(params: GasParameters, key: str) -> float:
-    """SI value of one unit of a reduced kernel; c for the mean speed."""
+    """SI value of one unit of a reduced kernel; c for the mean speed.
+
+    Raises DomainError, naming the quantity, when the prefactor leaves the
+    double range: above about 4.8e78 K for the radiance, 6.3e80 K for the
+    energy density and 1.3e100 K for the number density.
+    """
     if key == "v":
         return SI.c
     k, j = _SI_POWERS[key]
     kt = SI.k_B * params.temperature
-    return 0.5 * params.degeneracy * kt**k * (kt / (SI.hbar * SI.c)) ** 3 * SI.c**j
+    try:
+        value = 0.5 * params.degeneracy * kt**k * (kt / (SI.hbar * SI.c)) ** 3 * SI.c**j
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{_KERNELS[key][0]}: SI prefactor overflows at "
+                          f"T={params.temperature!r} K")
+    return value
 
 
 def _si_value(key: str, params: GasParameters, cfg: NumericsConfig | None) -> float:

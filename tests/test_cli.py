@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import photongas
 from photongas import SI
 from photongas.cli import SweepSpec, main
 from photongas.errors import DomainError
@@ -260,3 +265,27 @@ def test_point_degeneracy_flag_scales_extensive_quantities(capsys, tmp_path):
 def test_point_negative_temperature_is_usage_error(capsys):
     code, _, err = run(capsys, "point", "--mass", "0kg", "--temp", "-5")
     assert code == 2
+
+
+def run_subprocess(*argv):
+    # A fresh interpreter, so an uncaught exception shows as a traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(photongas.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "photongas", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_point_deep_nonrelativistic_state_reports():
+    # x ~ 1.2e299: densities underflow to 0 and the mean speed stays finite.
+    proc = run_subprocess("point", "--mass", "1e-5eV", "--temp", "1e-300",
+                          "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["n_per_m3"] == 0.0 and report["R_W_per_m2"] == 0.0
+    assert 0.0 < report["vbar_m_per_s"] < SI.c
+
+
+def test_point_temperature_beyond_double_range_is_domain_error():
+    proc = run_subprocess("point", "--mass", "1e-40kg", "--temp", "1e300")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: energy_density")

@@ -357,7 +357,7 @@ def test_convergence_failure_names_the_quantity():
         assert excinfo.value.terms == 100
 
 
-@pytest.mark.parametrize("x", [6e17, 1e18, 1e20, 1e100])
+@pytest.mark.parametrize("x", [6e17, 1e18, 1e20, 1e100, 1e155, 1e300])
 def test_evaluate_underflows_to_exact_zero_far_below_threshold(x):
     # The thermal tail above the mass threshold is e^-x: every density
     # underflows to an exact 0, while the mean speed stays a finite ratio.
@@ -366,3 +366,23 @@ def test_evaluate_underflows_to_exact_zero_far_below_threshold(x):
     assert report.energy_density == 0.0
     assert report.radiance == 0.0
     assert 0.0 < report.mean_speed / SI.c < 1.0
+
+
+@pytest.mark.parametrize("temperature, wrapper", [
+    (1e100, energy_density), (1e100, radiance),
+    (1e300, number_density), (1e300, energy_density), (1e300, radiance)])
+def test_si_prefactor_out_of_double_range_is_a_named_domain_error(temperature, wrapper):
+    # (kT/hbar c)^3 kT^k overflows a double; the quantity must say so by name
+    # instead of returning inf or raising OverflowError.
+    params = GasParameters(mass=1e-40, temperature=temperature)
+    with pytest.raises(DomainError) as excinfo:
+        wrapper(params)
+    assert str(excinfo.value).startswith(wrapper.__name__)
+    with pytest.raises(DomainError):
+        evaluate(params)
+
+
+def test_si_prefactor_just_inside_double_range_stays_finite():
+    # At T = 1e100 K the number-density prefactor is 8.3e307, still a double.
+    value = number_density(GasParameters(mass=1e-40, temperature=1e100))
+    assert math.isfinite(value) and value > 1e307

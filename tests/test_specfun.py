@@ -1,7 +1,8 @@
 """Special-function tests against independent oracles.
 
 The K2 oracle is adaptive quadrature of the integral representation
-int_0^inf exp(-z cosh t) cosh(2 t) dt; the polylog and zeta oracles are
+int_0^inf exp(-z cosh t) cosh(2 t) dt, and mpmath's besselk, where installed,
+checks K0, K1 and K2 at 30 digits; the polylog and zeta oracles are
 long brute-force sums with explicit tail bounds.  None of them share code
 with the implementations under test beyond the quadrature driver itself.
 """
@@ -17,7 +18,7 @@ from photongas import (ConvergenceError, DivergenceError, DomainError,
                        integrate_adaptive, k2_weighted_sum, polylog,
                        zeta_value)
 from photongas.oracle import QuadratureConfig
-from photongas.specfun import _bessel_k0, _bessel_k1
+from photongas.specfun import _bessel_k, _bessel_k0, _bessel_k1
 
 TIGHT = QuadratureConfig(rel_tol=1e-13)
 
@@ -113,6 +114,31 @@ def test_k2_recurrence_against_internal_k0_k1():
         lhs = bessel_k2(z)
         rhs = _bessel_k0(z) + 2.0 / z * _bessel_k1(z)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+# Log-spaced over [1e-4, 1e3], plus both sides of the series/CF2 edge at z = 2.
+MPMATH_GRID = [1e-4 * 1e7 ** (i / 59) for i in range(60)] + [2.0 * (1 - 1e-15),
+                                                               2.0 * (1 + 1e-15)]
+
+
+@pytest.mark.parametrize("z", MPMATH_GRID)
+def test_k0_k1_k2_match_mpmath(z):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for nu, value in ((0, _bessel_k0), (1, _bessel_k1), (2, bessel_k2)):
+            ref = mp.besselk(nu, z)
+            if z < 700.0:  # K_nu itself is a normal double
+                assert value(z) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+            scaled_ref = float(mp.exp(z) * ref)
+            assert _bessel_k(nu, z, scaled=True) == pytest.approx(scaled_ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("z", [1e3, 1e6, 1e17, 1e308])
+def test_scaled_k2_matches_mpmath_far_past_underflow(z):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = float(mp.exp(z) * mp.besselk(2, z))
+    assert _bessel_k(2, z, scaled=True) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
