@@ -302,12 +302,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for x in VALIDATE_GRID:
         quad_values = _quad_values(x, cfg.quadrature)
         if x >= cfg.x_switch:
-            other = {
-                "n_hat": core.n_hat_series(x, cfg.series),
-                "v_hat": core.v_hat_series(x, cfg.series),
-                "u_hat": core.u_hat_series(x, cfg.series),
-                "r_hat": core.r_hat_closed(x),
-            }
+            # The values evaluate() reports, from the same route.
+            other = vars(core.reduced_functions(x, cfg))
         else:
             # Below the switch there is no series route; check the quadrature
             # against itself under tolerance halving instead.

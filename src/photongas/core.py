@@ -4,6 +4,7 @@ All physics is computed in the reduced variable x = mc^2/kT.  Each reduced
 kernel has two routes: a closed-form series route (Bessel sums and
 polylogarithms) used for x >= x_switch, and direct quadrature of the defining
 phase-space integral used below the switch and as the cross-check oracle.
+n_hat, u_hat and v_hat share one pass of the Bessel sums per evaluation.
 SI prefactors are applied exactly once, at the boundary, so no intermediate
 ever carries the ~1e-102 magnitudes of hbar^3.
 
@@ -99,39 +100,47 @@ class RadiometryReport:
 # Reduced kernels.
 # ---------------------------------------------------------------------------
 
-def _n_hat_from(x: float, k2_sum: float) -> float:
-    # n_hat = x^2 e^-x S~/pi^2 from S~ = e^x sum_n K2(n x)/n.  e^-x S~ comes
-    # first, so a huge x gives an exact 0 rather than inf * 0.
-    return math.exp(-x) * k2_sum * x * x / math.pi**2
+def _kernels(x: float, s: float, e: float, p: float) -> dict[str, float]:
+    """n_hat, u_hat and v_hat from the scaled sums S~, E~ and P~.
+
+    n_hat = x^2 e^-x S~/pi^2, u_hat = x^4 e^-x E~/pi^2 and
+    v_hat = 2 P~/(x^2 S~).  e^-x comes first, so a huge x gives an exact 0
+    rather than inf * 0.  In v_hat the e^x factors cancel, so the ratio
+    survives arbitrarily deep into the nonrelativistic regime; P~ ~ x there,
+    so dividing by x before doubling, and by x once more, keeps 2 P~ and x^2
+    from overflowing.
+    """
+    w = math.exp(-x)
+    return {"n": w * s * x * x / math.pi**2,
+            "u": w * e * x * x * x * x / math.pi**2,
+            "v": p / x * 2.0 / (x * s)}
 
 
-def _v_hat_from(x: float, k2_sum: float, tol: specfun.SeriesTolerance) -> float:
-    # v_hat = 2 P~/(x^2 S~) with P~ = e^x [Li3 + x Li2](e^-x); the e^x
-    # factors cancel, so the ratio survives arbitrarily deep into the
-    # nonrelativistic regime.  Dividing by x twice keeps x^2 from
-    # overflowing above x ~ 1.3e154.
-    return 2.0 * specfun._speed_sum_scaled(x, tol).value / x / (x * k2_sum)
+def _series(x: float, tol: specfun.SeriesTolerance, key: str) -> dict[str, float]:
+    """n_hat, u_hat and v_hat from one pass of specfun._scaled_sum.
+
+    A ConvergenceError carries the partial value of kernel ``key``.
+    """
+    try:
+        return _kernels(x, *specfun._scaled_sum(x, tol)[:3])
+    except ConvergenceError as exc:
+        raise ConvergenceError(str(exc), value=_kernels(x, *exc.value)[key],
+                               terms=exc.terms) from exc
 
 
 def n_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
     """(x^2/pi^2) sum_n K2(n x)/n; intended for x >= x_switch."""
-    tol = tol or specfun.SeriesTolerance()
-    return _n_hat_from(x, specfun._k2_sum_scaled(x, tol).value)
+    return _series(x, tol or specfun.SeriesTolerance(), "n")["n"]
 
 
 def u_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
-    """Bessel-series route for the reduced energy density, x >= x_switch.
-
-    This series is not part of the primary evaluation path; it exists as the
-    closed-form side of the mutual cross-check with quadrature.
-    """
-    return x**4 / math.pi**2 * specfun.energy_bessel_sum(x, tol).value
+    """(x^4/pi^2) sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2]; x >= x_switch."""
+    return _series(x, tol or specfun.SeriesTolerance(), "u")["u"]
 
 
 def v_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
     """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n); x >= x_switch."""
-    tol = tol or specfun.SeriesTolerance()
-    return _v_hat_from(x, specfun._k2_sum_scaled(x, tol).value, tol)
+    return _series(x, tol or specfun.SeriesTolerance(), "v")["v"]
 
 
 def r_hat_closed(x: float) -> float:
@@ -157,30 +166,27 @@ _KERNELS = {
 def _route(x: float, cfg: NumericsConfig, keys: str) -> dict[str, tuple[float, str]]:
     """(value, method tag) of each kernel named in keys, a string over "nuvR".
 
-    x = 0 takes the exact massless limit, x < x_switch quadrature of the
-    defining integral, and larger x the closed form, except that u_hat is
-    taken by quadrature at every x > 0 (its Bessel series is kept for
-    validation only).  n_hat and v_hat share one scaled K2 sum.  A
-    ConvergenceError is re-raised with the quantity named.
+    Every kernel follows one rule: x = 0 takes the exact massless limit,
+    x < x_switch quadrature of the defining integral, and larger x the
+    closed form (r_hat) or the Bessel series, where n_hat, u_hat and v_hat
+    share one pass.  A ConvergenceError is re-raised with the quantity named.
     """
     routed = {}
-    k2_sum = None
+    sums = None
     for key in keys:
         quantity, limit = _KERNELS[key]
         try:
             if x == 0.0:
                 routed[key] = limit, SERIES
-            elif x < cfg.x_switch or key == "u":
+            elif x < cfg.x_switch:
                 quad = getattr(oracle, "quad_" + quantity)
                 routed[key] = quad(x, cfg.quadrature), QUADRATURE
             elif key == "R":
                 routed[key] = r_hat_closed(x), SERIES
             else:
-                if k2_sum is None:
-                    k2_sum = specfun._k2_sum_scaled(x, cfg.series).value
-                value = (_n_hat_from(x, k2_sum) if key == "n"
-                         else _v_hat_from(x, k2_sum, cfg.series))
-                routed[key] = value, SERIES
+                if sums is None:
+                    sums = _series(x, cfg.series, key)
+                routed[key] = sums[key], SERIES
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"{quantity}: {exc}", value=exc.value, error=exc.error,

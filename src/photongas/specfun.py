@@ -141,29 +141,9 @@ def bessel_k2(z: float) -> float:
     return _bessel_k(2, z)
 
 
-def _bessel_k0(z: float) -> float:
-    return _bessel_k(0, z)
-
-
-def _bessel_k1(z: float) -> float:
-    return _bessel_k(1, z)
-
-
-def _k2_scaled(z: float) -> float:
-    # e^z K2(z).  Below z = 700 K2 is still a normal float (5e-306 at the
-    # edge), so the weighted sums take it from bessel_k2, looked up at call
-    # time, and every K2 value of the package goes through that one function.
-    if z < 700.0:
-        return math.exp(z) * bessel_k2(z)
-    return _bessel_k(2, z, scaled=True)
-
-
 # ---------------------------------------------------------------------------
 # Riemann zeta and polylogarithms.
 # ---------------------------------------------------------------------------
-
-_ZETA3_CACHE: float | None = None
-
 
 def _compute_zeta3() -> float:
     # Direct sum to N plus the Euler-Maclaurin tail of t^-3; the first
@@ -177,17 +157,17 @@ def _compute_zeta3() -> float:
     return partial + tail
 
 
+_ZETA3 = _compute_zeta3()
+
+
 def zeta_value(s: int) -> float:
     """zeta(s) for s in {2, 3, 4}; zeta(3) is computed, not hard-coded."""
-    global _ZETA3_CACHE
     if s == 2:
         return math.pi * math.pi / 6.0
     if s == 4:
         return math.pi**4 / 90.0
     if s == 3:
-        if _ZETA3_CACHE is None:
-            _ZETA3_CACHE = _compute_zeta3()
-        return _ZETA3_CACHE
+        return _ZETA3
     raise DomainError(f"zeta_value supports s in {{2, 3, 4}}, got {s!r}")
 
 
@@ -281,38 +261,64 @@ def polylog(s: int, z: float) -> float:
 # Boltzmann-weighted Bessel sums.
 # ---------------------------------------------------------------------------
 
-def _scaled_sum(term, x: float, tol: SeriesTolerance, label: str,
-                scale: float = 1.0) -> WeightedSum:
-    """scale * sum_{n>=1} e^{-(n-1)x} term(n), with the number of terms used.
+def _scaled_sum(x: float, tol: SeriesTolerance) -> tuple[float, float, float, int]:
+    """(S~, E~, P~, terms): three e^x-scaled sums from one K pair per term.
 
-    term(n) is e^{nx} times the n-th term of a Boltzmann-weighted sum, so the
-    unscaled result is e^x times that sum, and every factor stays
-    representable however large x gets.  Truncation stops when the current
-    term AND the geometric tail bound both fall under rel_tol times the
-    partial sum.  The tail bound uses K_nu((n+1)x) <= e^-x K_nu(n x), which
-    follows from (ln K_nu)' <= -1; the polylog terms shrink faster still.
+        S~ = e^x sum_n K2(n x)/n
+        E~ = e^x sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2]
+        P~ = e^x [Li3(e^-x) + x Li2(e^-x)] = sum_n e^{-(n-1)x} (n^-3 + x n^-2)
+
+    Term n is e^{-(n-1)x} times e^{nx} K_nu(n x), so every factor stays
+    representable however large x gets.  A sum has met the stop rule when
+    its current term AND the geometric tail bound both fall under rel_tol
+    times its partial sum.  The tail bound uses
+    K_nu((n+1)x) <= e^-x K_nu(n x), which follows from (ln K_nu)' <= -1; the
+    polylog terms shrink faster still.  S~ and E~ share the K pairs and stop
+    together, once both meet the rule.  P~ stops as soon as it meets the
+    rule itself: v_hat = 2 P~/(x^2 S~), and the truncation errors of P~ and
+    S~ largely cancel in that ratio when each sum is cut by its own rule.
+    Once e^{-(n-1)x} underflows to 0 every later term is exactly 0, and the
+    pass stops there.  terms counts the K pairs taken.  A ConvergenceError
+    carries the partial (S~, E~, P~) as its value.
     """
     w = math.exp(-x)
-    tail_factor = w / (1.0 - w) if w < 1.0 else math.inf
-    total = 0.0
+    # t <= r S and t w/(1-w) <= r S, as one comparison.
+    bound = max(1.0, w / (1.0 - w)) if w < 1.0 else math.inf
+    rel = tol.rel_tol
+    s = e = p = 0.0
+    p_open = True
     pref = 1.0
     for n in range(1, tol.max_terms + 1):
-        t = pref * term(n)
-        total += t
-        if t <= tol.rel_tol * total and t * tail_factor <= tol.rel_tol * total:
-            return WeightedSum(scale * total, n)
+        z = n * x
+        k0, k1 = _k01(z, scaled=True)
+        k2 = k0 + 2.0 * k1 / z
+        ts = pref * (k2 / n)
+        te = pref * (k1 / z + 3.0 * k2 / (z * z))
+        s += ts
+        e += te
+        if p_open:
+            tp = pref * (1.0 / n**3 + x / n**2)
+            p += tp
+            p_open = tp * bound > rel * p
         pref *= w
+        if pref == 0.0 or (not p_open and ts * bound <= rel * s and te * bound <= rel * e):
+            return s, e, p, n
     raise ConvergenceError(
-        f"{label} did not converge within {tol.max_terms} terms at x={x!r}",
-        value=scale * total,
+        f"scaled Bessel sums did not converge within {tol.max_terms} terms at x={x!r}",
+        value=(s, e, p),
         terms=tol.max_terms,
     )
 
 
-def _k2_sum_scaled(x: float, tol: SeriesTolerance, label: str = "scaled K2 sum",
-                   scale: float = 1.0) -> WeightedSum:
-    # S~(x) = e^x sum_n K2(n x)/n, the one K2 sum behind n_hat and v_hat.
-    return _scaled_sum(lambda n: _k2_scaled(n * x) / n, x, tol, label, scale)
+def _unscaled(x: float, tol: SeriesTolerance | None, index: int, name: str) -> WeightedSum:
+    # e^-x times sum number ``index`` of the pass, for the public views.
+    _check_positive(x, "x")
+    try:
+        *sums, terms = _scaled_sum(x, tol or SeriesTolerance())
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{name}: {exc}", value=math.exp(-x) * exc.value[index],
+                               terms=exc.terms) from exc
+    return WeightedSum(math.exp(-x) * sums[index], terms)
 
 
 def k2_weighted_sum(x: float, tol: SeriesTolerance | None = None) -> WeightedSum:
@@ -321,22 +327,9 @@ def k2_weighted_sum(x: float, tol: SeriesTolerance | None = None) -> WeightedSum
     Converges in O(1/x) terms; intended for x >= ~0.1, where the gas kernels
     use it as their series path (smaller x is served by quadrature).
     """
-    _check_positive(x, "x")
-    return _k2_sum_scaled(x, tol or SeriesTolerance(), "k2_weighted_sum", math.exp(-x))
+    return _unscaled(x, tol, 0, "k2_weighted_sum")
 
 
 def energy_bessel_sum(x: float, tol: SeriesTolerance | None = None) -> WeightedSum:
     """sum_{n>=1} [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], the energy-density sum."""
-    _check_positive(x, "x")
-
-    def term(n: int) -> float:
-        nx = n * x
-        k0, k1 = _k01(nx, scaled=True)
-        return k1 / nx + 3.0 * (k0 + 2.0 * k1 / nx) / (nx * nx)
-
-    return _scaled_sum(term, x, tol or SeriesTolerance(), "energy_bessel_sum", math.exp(-x))
-
-
-def _speed_sum_scaled(x: float, tol: SeriesTolerance) -> WeightedSum:
-    # P~(x) = e^x [Li3(e^-x) + x Li2(e^-x)] = sum_n e^{-(n-1)x} (n^-3 + x n^-2).
-    return _scaled_sum(lambda n: 1.0 / n**3 + x / n**2, x, tol, "scaled speed sum")
+    return _unscaled(x, tol, 1, "energy_bessel_sum")

@@ -275,13 +275,16 @@ def run_subprocess(*argv):
 
 
 def test_point_deep_nonrelativistic_state_reports():
-    # x ~ 1.2e299: densities underflow to 0 and the mean speed stays finite.
-    proc = run_subprocess("point", "--mass", "1e-5eV", "--temp", "1e-300",
-                          "--format", "json")
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["n_per_m3"] == 0.0 and report["R_W_per_m2"] == 0.0
-    assert 0.0 < report["vbar_m_per_s"] < SI.c
+    # x ~ 1.2e299 and x ~ 1.2e308 (where n x overflows for n >= 2): densities
+    # underflow to 0 and the mean speed stays finite.
+    for mass in ("1e-5eV", "2e-32kg"):
+        proc = run_subprocess("point", "--mass", mass, "--temp", "1e-300",
+                              "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["n_per_m3"] == 0.0 and report["R_W_per_m2"] == 0.0
+        assert report["u_J_per_m3"] == 0.0
+        assert 0.0 < report["vbar_m_per_s"] < SI.c
 
 
 def test_point_temperature_beyond_double_range_is_domain_error():

@@ -4,12 +4,12 @@ massless limits, asymptotic regimes, and report invariants."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photongas import (SI, ConvergenceError, DomainError, GasParameters,
                        NumericsConfig, RegimeError, SeriesTolerance,
-                       energy_density, evaluate,
+                       bessel_k2, energy_density, evaluate,
                        low_temp_mean_speed, low_temp_radiance, mean_speed,
                        number_density, photon_speed, quad_energy_density,
                        quad_mean_speed, quad_number_density, quad_radiance,
@@ -277,7 +277,8 @@ def test_method_tags_follow_the_regime_switch():
     assert above.methods["n"] == "series"
     assert above.methods["v"] == "series"
     assert above.methods["R"] == "series"
-    assert above.methods["u"] == "quadrature"  # quadrature is the primary route
+    assert above.methods["u"] == "series"
+    assert above.methods["R_naive"] == "series"
     massless = evaluate(GasParameters(mass=0.0, temperature=300.0))
     assert set(massless.methods.values()) == {"series"}
 
@@ -330,6 +331,81 @@ def test_report_invariants_hold_everywhere(x, temperature, g):
     assert reduced.r_hat <= math.pi**2 / 60 * (1 + 1e-9)
 
 
+QUANTITIES = ("number_density", "energy_density", "mean_speed", "radiance")
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_mass=st.floats(min_value=-300.0, max_value=300.0),
+       log_temperature=st.floats(min_value=-300.0, max_value=300.0))
+@example(log_mass=math.log10(2e-32), log_temperature=-300.0)  # x ~ 1.2e308
+def test_evaluate_over_the_whole_double_range_reports_or_names_the_error(
+        log_mass, log_temperature):
+    # Every (m, T) a double can hold ends in a report or in one of the two
+    # documented errors, never in another exception.  When x = mc^2/kT is a
+    # finite double, a DomainError names the quantity it is about; an x
+    # beyond the double range is refused by reduce.
+    params = GasParameters(mass=10.0**log_mass, temperature=10.0**log_temperature)
+    try:
+        reduce(params)
+    except DomainError:
+        return
+    try:
+        report = evaluate(params)
+    except DomainError as exc:
+        assert str(exc).startswith(QUANTITIES), exc
+        return
+    except ConvergenceError:
+        return
+    assert report.mean_speed <= SI.c
+    assert set(report.methods.values()) <= {"series", "quadrature"}
+
+
+def _mpmath_n_u_hat(mp, x: float) -> tuple:
+    """n_hat and u_hat from mpmath alone, at 30 digits: tanh-sinh quadrature
+    of the defining integrals (1/pi^2) int s^2 E^k/(e^E - 1) ds, k = 0, 1,
+    E = sqrt(s^2 + x^2), for x <= 31, and the mp.besselk sums above."""
+    if x > 31:
+        n = mp.fsum(mp.besselk(2, j * x) / j for j in range(1, 4))
+        u = mp.fsum(mp.besselk(1, j * x) / (j * x) + 3 * mp.besselk(2, j * x) / (j * x)**2
+                    for j in range(1, 4))
+        return x * x / mp.pi**2 * n, x**4 / mp.pi**2 * u
+
+    def integral(k):
+        def integrand(s):
+            energy = mp.sqrt(s * s + x * x)
+            return s * s * energy**k / mp.expm1(energy)
+
+        return mp.quad(integrand, [0, 1, 10, 40, mp.inf]) / mp.pi**2
+
+    return integral(0), integral(1)
+
+
+@pytest.mark.parametrize("x", [0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 30.0, 31.0, 100.0, 600.0])
+def test_energy_density_series_route_matches_mpmath(x):
+    mp = pytest.importorskip("mpmath")
+    reduced = reduced_functions(x)
+    assert reduced.u_method == "series"
+    with mp.workdps(30):
+        _, u_hat = _mpmath_n_u_hat(mp, mp.mpf(x))
+    assert reduced.u_hat == pytest.approx(float(u_hat), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 1.0, 2.0, 10.0, 100.0])
+def test_mean_speed_series_route_matches_mpmath(x):
+    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  It is a ratio of two
+    # truncated sums; cutting each by its own stop rule keeps it within
+    # 3.6e-13 of the reference.
+    mp = pytest.importorskip("mpmath")
+    reduced = reduced_functions(x)
+    assert reduced.v_method == "series"
+    with mp.workdps(30):
+        xm = mp.mpf(x)
+        n_hat, _ = _mpmath_n_u_hat(mp, xm)
+        w = mp.exp(-xm)
+        v_hat = 2 * (mp.polylog(3, w) + xm * mp.polylog(2, w)) / (mp.pi**2 * n_hat)
+    assert reduced.v_hat == pytest.approx(float(v_hat), rel=5e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("x", [0.0, 0.01, 0.5, 40.0])
 def test_si_values_are_reduced_kernels_times_one_prefactor(x):
     params = params_for_x(x)
@@ -355,6 +431,10 @@ def test_convergence_failure_names_the_quantity():
             call()
         assert str(excinfo.value).startswith("number_density")
         assert excinfo.value.terms == 100
+        # The partial n_hat of the first 100 terms, not a scaled sum.
+        partial = 0.06**2 / math.pi**2 * math.fsum(bessel_k2(0.06 * n) / n
+                                                   for n in range(1, 101))
+        assert excinfo.value.value == pytest.approx(partial, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("x", [6e17, 1e18, 1e20, 1e100, 1e155, 1e300])

@@ -18,7 +18,7 @@ from photongas import (ConvergenceError, DivergenceError, DomainError,
                        integrate_adaptive, k2_weighted_sum, polylog,
                        zeta_value)
 from photongas.oracle import QuadratureConfig
-from photongas.specfun import _bessel_k, _bessel_k0, _bessel_k1
+from photongas.specfun import _bessel_k
 
 TIGHT = QuadratureConfig(rel_tol=1e-13)
 
@@ -112,7 +112,7 @@ def test_k2_recurrence_against_internal_k0_k1():
     for i in range(40):
         z = 0.1 * (30.0 / 0.1) ** (i / 39)
         lhs = bessel_k2(z)
-        rhs = _bessel_k0(z) + 2.0 / z * _bessel_k1(z)
+        rhs = _bessel_k(0, z) + 2.0 / z * _bessel_k(1, z)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -125,10 +125,10 @@ MPMATH_GRID = [1e-4 * 1e7 ** (i / 59) for i in range(60)] + [2.0 * (1 - 1e-15),
 def test_k0_k1_k2_match_mpmath(z):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        for nu, value in ((0, _bessel_k0), (1, _bessel_k1), (2, bessel_k2)):
+        for nu in (0, 1, 2):
             ref = mp.besselk(nu, z)
             if z < 700.0:  # K_nu itself is a normal double
-                assert value(z) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+                assert _bessel_k(nu, z) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
             scaled_ref = float(mp.exp(z) * ref)
             assert _bessel_k(nu, z, scaled=True) == pytest.approx(scaled_ref, rel=1e-14, abs=0.0)
 
@@ -258,17 +258,31 @@ def test_k2_weighted_sum_stable_under_tolerance_refinement():
         assert abs(fine - coarse) < 1e-10 * abs(coarse)
 
 
-def test_k2_weighted_sum_reports_convergence_failure():
+def _check_convergence_failure(weighted_sum, term):
+    # The error names the function and carries the partial sum of the first
+    # max_terms terms, on the scale of the value the function returns.
+    x = 0.01
     with pytest.raises(ConvergenceError) as excinfo:
-        k2_weighted_sum(0.01, SeriesTolerance(rel_tol=1e-12, max_terms=100))
+        weighted_sum(x, SeriesTolerance(rel_tol=1e-12, max_terms=100))
     err = excinfo.value
+    assert str(err).startswith(weighted_sum.__name__)
     assert err.terms == 100
-    assert err.value is not None and err.value > 0
+    partial = math.fsum(term(n, n * x) for n in range(1, 101))
+    assert err.value == pytest.approx(partial, rel=1e-13, abs=0.0)
+
+
+def test_k2_weighted_sum_reports_convergence_failure():
+    _check_convergence_failure(k2_weighted_sum, lambda n, z: bessel_k2(z) / n)
+
+
+def test_energy_bessel_sum_reports_convergence_failure():
+    _check_convergence_failure(
+        energy_bessel_sum, lambda n, z: _bessel_k(1, z) / z + 3 * bessel_k2(z) / z**2)
 
 
 def test_energy_bessel_sum_matches_brute_force():
     x = 1.0
-    brute = sum(_bessel_k1(n * x) / (n * x) + 3 * bessel_k2(n * x) / (n * x) ** 2
+    brute = sum(_bessel_k(1, n * x) / (n * x) + 3 * bessel_k2(n * x) / (n * x) ** 2
                 for n in range(1, 200))
     assert energy_bessel_sum(x).value == pytest.approx(brute, rel=2e-12, abs=0.0)
 
