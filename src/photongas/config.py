@@ -15,8 +15,10 @@ class NumericsConfig:
     """Series/quadrature tolerances and the series-vs-quadrature boundary.
 
     Below ``x_switch`` every closed-form path delegates to quadrature of the
-    defining integral: the Bessel sums would need O(1/x) terms there, while
-    the integrands stay perfectly tame.
+    defining integral, because the Bessel sums would need O(1/x) terms
+    there.  The integrands are not tame at small x: they turn at s ~ x, a
+    scale that shrinks with x, which the oracle's substitution s = x sinh t
+    spreads over an O(1) range.
     """
 
     series: SeriesTolerance = SeriesTolerance()

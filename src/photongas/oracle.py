@@ -6,10 +6,11 @@ Bose-Einstein integrals, with no series expansion anywhere.  The closed-form
 kernels in :mod:`photongas.core` are required to reproduce them, which makes
 this module both the small-x evaluation path and the test oracle.
 
-Reduced variables: s = pc/kT for the momentum-space integrals, eps = E/kT for
-the radiance integral.  For x > 30 the integration variable is switched to
-t with eps = x cosh t so that the exponentially thin layer above threshold is
-sampled on an O(1) interval.
+All four kernels are moments of one Bose integrand,
+int_0^inf s^2 w(s, E) / (e^E - 1) ds with s = pc/kT, E = sqrt(s^2 + x^2) and
+w = 1 (number), E (energy), s/E (the mean-speed numerator) or s (radiance).
+Every moment is integrated in one variable t, s = x sinh t, at every x: no
+switch of variable and no regime edge.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ _GK_PAIRS = (
 _GK_CENTER_GAUSS = 0.417959183673469
 _GK_CENTER_KRONROD = 0.209482141084728
 
-# Switch to the eps = x cosh t parametrization beyond this x.
-_COSH_SWITCH = 30.0
+# Floor on the scale a of the substitution s = a sinh t.
+_A_FLOOR = 1e-60
 
 
 @dataclass(frozen=True)
@@ -192,45 +193,41 @@ def _check_x(x: float) -> float:
     return float(x)
 
 
-def _energy_peak(x: float) -> float:
-    # Upper bound for the reduced energy at which the s^2..s^3 family of
-    # integrands peaks; used to anchor the tail truncation.
-    return 0.5 * (3.0 + math.sqrt(9.0 + 4.0 * x * x))
+def _moment(x: float, p: int, q: int, cfg: QuadratureConfig | None) -> float:
+    """int_0^inf s^(2+p) E^q / (e^E - 1) ds with E = sqrt(s^2 + x^2).
 
+    Integrated in t with s = a sinh t, E = a hypot(sinh t, x/a), so the
+    thermal bulk, the turn at s ~ x and the thin layer above threshold at
+    large x all sit on an O(1) range of t.  a = x, floored where sinh t or
+    the powers of 1/a would overflow; below the floor the mass moves the
+    integral by O(x^2), under a double's precision.  The range ends where
+    E - x = tail_cutoff + 10, at sinh t = sqrt(d (d + 2x/a)) with
+    d = (tail_cutoff + 10)/a; unlike acosh(1 + d), its asinh does not round
+    to 0 when d is tiny.
+    """
+    x = _check_x(x)
+    cfg = cfg or QuadratureConfig()
+    a = max(x, _A_FLOOR)
+    r = x / a
 
-def _s_upper(x: float, cfg: QuadratureConfig) -> float:
-    e_max = _energy_peak(x) + cfg.tail_cutoff
-    return math.sqrt(e_max * e_max - x * x)
+    def f(t: float) -> float:
+        sh = math.sinh(t)
+        h = math.hypot(sh, r)
+        return sh ** (2 + p) * h**q * math.cosh(t) * _occupation(a * h)
 
-
-def _t_upper(x: float, cfg: QuadratureConfig) -> float:
-    # acosh(1 + d) written as log1p(d + sqrt(d(d + 2))): the acosh form loses
-    # d to rounding once d falls under the spacing of doubles near 1 and
-    # returns 0 for x beyond ~5.4e17.
-    d = (cfg.tail_cutoff + 10.0) / x
-    return math.log1p(d + math.sqrt(d * (d + 2.0)))
+    d = (cfg.tail_cutoff + 10.0) / a
+    t_upper = math.asinh(math.sqrt(d * (d + 2.0 * r)))
+    value = integrate_adaptive(f, 0.0, t_upper, cfg).value
+    # a^(3+p+q) multiplied in from the left: an integral that underflowed
+    # stays 0 where a power of a huge x would overflow.
+    for _ in range(3 + p + q):
+        value *= a
+    return value
 
 
 def quad_number_density(x: float, cfg: QuadratureConfig | None = None) -> float:
     """Reduced number density (1/pi^2) int_0^inf s^2/(e^sqrt(s^2+x^2) - 1) ds."""
-    x = _check_x(x)
-    cfg = cfg or QuadratureConfig()
-    if x > _COSH_SWITCH:
-        def f(t: float) -> float:
-            sh = math.sinh(t)
-            ch = math.cosh(t)
-            return sh * sh * ch * _occupation(x * ch)
-
-        res = integrate_adaptive(f, 0.0, _t_upper(x, cfg), cfg)
-        return res.value * x**3 / math.pi**2
-
-    def f(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        return s * s * _occupation(math.hypot(s, x))
-
-    res = integrate_adaptive(f, 0.0, _s_upper(x, cfg), cfg)
-    return res.value / math.pi**2
+    return _moment(x, 0, 0, cfg) / math.pi**2
 
 
 def quad_mean_speed(x: float, cfg: QuadratureConfig | None = None) -> float:
@@ -240,94 +237,30 @@ def quad_mean_speed(x: float, cfg: QuadratureConfig | None = None) -> float:
     int s^2/(e^sqrt(s^2+x^2)-1) ds.  At x = 0 both integrands coincide, so
     the ratio is returned as exactly 1.
     """
-    x = _check_x(x)
-    cfg = cfg or QuadratureConfig()
-    if x == 0.0:
+    if _check_x(x) == 0.0:
         return 1.0
-    if x > _COSH_SWITCH:
-        def f_num(t: float) -> float:
-            sh = math.sinh(t)
-            return sh**3 * _occupation(x * math.cosh(t))
-
-        def f_den(t: float) -> float:
-            sh = math.sinh(t)
-            ch = math.cosh(t)
-            return sh * sh * ch * _occupation(x * ch)
-
-        t_up = _t_upper(x, cfg)
-        num = integrate_adaptive(f_num, 0.0, t_up, cfg)
-        den = integrate_adaptive(f_den, 0.0, t_up, cfg)
-    else:
-        def f_num(s: float) -> float:
-            if s == 0.0:
-                return 0.0
-            e = math.hypot(s, x)
-            return s**3 * _occupation(e) / e
-
-        def f_den(s: float) -> float:
-            if s == 0.0:
-                return 0.0
-            return s * s * _occupation(math.hypot(s, x))
-
-        s_up = _s_upper(x, cfg)
-        num = integrate_adaptive(f_num, 0.0, s_up, cfg)
-        den = integrate_adaptive(f_den, 0.0, s_up, cfg)
-    if den.value <= 0.0:
+    den = _moment(x, 0, 0, cfg)
+    if den <= 0.0:
         raise ConvergenceError(
             f"occupation underflowed at x={x!r}; the mean-speed ratio is undefined",
             value=math.nan,
         )
-    return num.value / den.value
+    # v = pc/E <= c at every s, but two separately adapted quadratures can
+    # round their ratio past 1 where the mass is negligible.
+    return min(_moment(x, 1, -1, cfg) / den, 1.0)
 
 
 def quad_energy_density(x: float, cfg: QuadratureConfig | None = None) -> float:
     """Reduced energy density (1/pi^2) int s^2 sqrt(s^2+x^2)/(e^sqrt(..)-1) ds."""
-    x = _check_x(x)
-    cfg = cfg or QuadratureConfig()
-    if x > _COSH_SWITCH:
-        def f(t: float) -> float:
-            sh = math.sinh(t)
-            ch = math.cosh(t)
-            return (sh * ch) ** 2 * _occupation(x * ch)
-
-        res = integrate_adaptive(f, 0.0, _t_upper(x, cfg), cfg)
-        # Multiplied in from the left, so an integral that underflowed to 0
-        # stays 0 where x**4 would overflow (x > 1.3e77).
-        return res.value * x * x * x * x / math.pi**2
-
-    def f(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        e = math.hypot(s, x)
-        return s * s * e * _occupation(e)
-
-    res = integrate_adaptive(f, 0.0, _s_upper(x, cfg), cfg)
-    return res.value / math.pi**2
+    return _moment(x, 0, 1, cfg) / math.pi**2
 
 
 def quad_radiance(x: float, cfg: QuadratureConfig | None = None) -> float:
     """Reduced radiance (1/4pi^2) int_x^inf eps (eps^2 - x^2)/(e^eps - 1) deps.
 
     The integrand is the spectral energy density times the speed factor and
-    the one-hemisphere flux factor 1/4, written in reduced energy, so no
-    square root survives at the threshold.
+    the one-hemisphere flux factor 1/4.  With eps d eps = s ds it is the
+    moment (1/4pi^2) int s^3/(e^E - 1) ds, on the same substitution as the
+    other kernels.
     """
-    x = _check_x(x)
-    cfg = cfg or QuadratureConfig()
-    if x > _COSH_SWITCH:
-        def f(t: float) -> float:
-            sh = math.sinh(t)
-            ch = math.cosh(t)
-            return ch * sh**3 * _occupation(x * ch)
-
-        res = integrate_adaptive(f, 0.0, _t_upper(x, cfg), cfg)
-        return res.value * x**4 / (4.0 * math.pi**2)
-
-    def f(e: float) -> float:
-        if e == 0.0:
-            return 0.0
-        return e * (e * e - x * x) * _occupation(e)
-
-    upper = x + cfg.tail_cutoff + 15.0
-    res = integrate_adaptive(f, x, upper, cfg)
-    return res.value / (4.0 * math.pi**2)
+    return _moment(x, 1, 0, cfg) / (4.0 * math.pi**2)

@@ -287,6 +287,16 @@ def test_point_deep_nonrelativistic_state_reports():
         assert 0.0 < report["vbar_m_per_s"] < SI.c
 
 
+def test_point_on_the_quadrature_route_at_huge_x_names_the_quantity():
+    # x ~ 6.5e109 kept on the quadrature route: n, u and R underflow to 0,
+    # and the mean speed, a ratio of two underflowed integrals, is undefined.
+    proc = run_subprocess("point", "--mass", "1kg", "--temp", "1e-70",
+                          "--x-switch", "1e300")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: mean_speed")
+
+
 def test_point_temperature_beyond_double_range_is_domain_error():
     proc = run_subprocess("point", "--mass", "1e-40kg", "--temp", "1e300")
     assert proc.returncode == 2

@@ -68,6 +68,23 @@ def test_number_density_huge_x_underflows_without_overflow():
     assert 0.0 <= quad_number_density(1e4) < 1e-300
 
 
+@pytest.mark.parametrize("x", [1e200, 1e308])
+def test_densities_underflow_to_exact_zero_where_powers_of_x_overflow(x):
+    for quad in (quad_number_density, quad_energy_density, quad_radiance):
+        assert quad(x) == 0.0
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-200, 1e-61])
+def test_kernels_at_the_bottom_of_the_double_range_are_massless(x):
+    # The mass moves each kernel by O(x^2), far under a double's precision.
+    assert quad_number_density(x) == pytest.approx(
+        2 * zeta_value(3) / math.pi**2, rel=1e-13, abs=0.0)
+    assert quad_energy_density(x) == pytest.approx(math.pi**2 / 15, rel=1e-13, abs=0.0)
+    assert quad_radiance(x) == pytest.approx(math.pi**2 / 60, rel=1e-13, abs=0.0)
+    assert quad_mean_speed(x) == pytest.approx(1.0, rel=1e-13, abs=0.0)
+    assert quad_mean_speed(x) <= 1.0
+
+
 def test_mean_speed_massless_is_exactly_one():
     assert quad_mean_speed(0.0) == 1.0
 
@@ -124,7 +141,8 @@ def test_tail_cutoff_insensitivity(quad, x):
 
 
 def test_cosh_parametrization_joins_the_plain_one():
-    # the integration variable changes at x = 30; both sides must agree
+    # one parametrisation at every x: every kernel stays continuous across
+    # x = 30
     for quad in (quad_number_density, quad_mean_speed, quad_energy_density,
                  quad_radiance):
         below = quad(29.999)
