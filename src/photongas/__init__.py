@@ -37,4 +37,4 @@ __all__ = [
     "format_mass", "parse_mass", "reduce",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import core, oracle
-from .config import NumericsConfig
+from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      MassParseError, RegimeError)
 from .oracle import QuadratureConfig
@@ -199,7 +199,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _figure_rows(spec: SweepSpec, cfg: NumericsConfig) -> list[tuple[float, float, float, float | None]]:
     rows = []
     for x in spec.grid():
-        v_hat, _ = core._route(x, cfg, "v")["v"]
+        v_hat = core._route(x, cfg, "v")[0]["v"]
         approx = math.sqrt(8.0 / (math.pi * x)) if x > _NONREL_MIN_X else None
         rows.append((x, 1.0 / x, v_hat, approx))
     return rows
@@ -330,11 +330,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_numerics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--series-tol", type=float, default=1e-12,
+    parser.add_argument("--series-tol", type=float, default=DEFAULT_NUMERICS.series.rel_tol,
                         help="relative truncation tolerance of the Bessel sums")
-    parser.add_argument("--quad-tol", type=float, default=1e-10,
+    parser.add_argument("--quad-tol", type=float, default=DEFAULT_NUMERICS.quadrature.rel_tol,
                         help="relative tolerance of the adaptive quadrature")
-    parser.add_argument("--x-switch", type=float, default=0.1,
+    parser.add_argument("--x-switch", type=float, default=DEFAULT_NUMERICS.x_switch,
                         help="below this x the closed forms delegate to quadrature")
 
 

@@ -24,8 +24,7 @@ pi^2/60) and are taken on dedicated branches, never by limiting numerics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from . import oracle, specfun
 from .config import DEFAULT_NUMERICS, NumericsConfig
@@ -41,10 +40,10 @@ _SLACK = 1e-9  # relative slack for invariants that are exact only in real arith
 
 @dataclass(frozen=True)
 class ReducedFunctions:
-    """One evaluation of all four reduced kernels, with method tags.
+    """One evaluation of all four reduced kernels, with their one method tag.
 
-    Tags are "series" for the closed-form route (including the exact
-    massless limits) and "quadrature" for the integral route.
+    One rule routes all four at a given x: "series" is the closed-form route
+    (including the exact massless limits), "quadrature" the integral route.
     """
 
     x: float
@@ -52,10 +51,7 @@ class ReducedFunctions:
     u_hat: float
     v_hat: float
     r_hat: float
-    n_method: str
-    u_method: str
-    v_method: str
-    r_method: str
+    method: str
 
     def __post_init__(self):
         for name in ("n_hat", "u_hat", "v_hat", "r_hat"):
@@ -66,14 +62,16 @@ class ReducedFunctions:
             raise DomainError(f"v_hat must not exceed 1, got {self.v_hat!r}")
         if self.r_hat > _R_HAT_MAX * (1.0 + _SLACK):
             raise DomainError(f"r_hat must not exceed pi^2/60, got {self.r_hat!r}")
-        for name in ("n_method", "u_method", "v_method", "r_method"):
-            if getattr(self, name) not in (SERIES, QUADRATURE):
-                raise DomainError(f"{name} must be 'series' or 'quadrature'")
+        if self.method not in (SERIES, QUADRATURE):
+            raise DomainError(f"method must be 'series' or 'quadrature', got {self.method!r}")
 
 
 @dataclass(frozen=True)
 class RadiometryReport:
-    """One (m, T) evaluation in SI units with per-quantity method tags."""
+    """One (m, T) evaluation in SI units, with the method tag of its kernels.
+
+    ``methods`` repeats the tag per quantity: n, u, v, R and R_naive.
+    """
 
     params: GasParameters
     x: float
@@ -82,7 +80,11 @@ class RadiometryReport:
     mean_speed: float           # m/s
     radiance: float             # W/m^2
     radiance_naive: float       # W/m^2
-    methods: Mapping[str, str] = field(default_factory=dict)
+    method: str
+
+    @property
+    def methods(self) -> dict[str, str]:
+        return dict.fromkeys(("n", "u", "v", "R", "R_naive"), self.method)
 
     def __post_init__(self):
         for name in ("number_density", "energy_density", "mean_speed",
@@ -163,43 +165,42 @@ _KERNELS = {
 }
 
 
-def _route(x: float, cfg: NumericsConfig, keys: str) -> dict[str, tuple[float, str]]:
-    """(value, method tag) of each kernel named in keys, a string over "nuvR".
+def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], str]:
+    """The kernels named in keys, a string over "nuvR", and their method tag.
 
-    Every kernel follows one rule: x = 0 takes the exact massless limit,
-    x < x_switch quadrature of the defining integral, and larger x the
-    closed form (r_hat) or the Bessel series, where n_hat, u_hat and v_hat
-    share one pass.  A ConvergenceError is re-raised with the quantity named.
+    One rule picks the method for all of them: x = 0 takes the exact
+    massless limits, x < x_switch quadrature of the defining integrals, and
+    larger x the closed form (r_hat) or the Bessel series, where n_hat,
+    u_hat and v_hat share one pass.  A ConvergenceError names the quantity.
     """
-    routed = {}
+    method = QUADRATURE if x != 0.0 and x < cfg.x_switch else SERIES
+    values = {}
     sums = None
     for key in keys:
         quantity, limit = _KERNELS[key]
         try:
             if x == 0.0:
-                routed[key] = limit, SERIES
-            elif x < cfg.x_switch:
-                quad = getattr(oracle, "quad_" + quantity)
-                routed[key] = quad(x, cfg.quadrature), QUADRATURE
+                values[key] = limit
+            elif method == QUADRATURE:
+                values[key] = getattr(oracle, "quad_" + quantity)(x, cfg.quadrature)
             elif key == "R":
-                routed[key] = r_hat_closed(x), SERIES
+                values[key] = r_hat_closed(x)
             else:
                 if sums is None:
                     sums = _series(x, cfg.series, key)
-                routed[key] = sums[key], SERIES
+                values[key] = sums[key]
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"{quantity}: {exc}", value=exc.value, error=exc.error,
                 terms=exc.terms,
             ) from exc
-    return routed
+    return values, method
 
 
 def reduced_functions(x: float, cfg: NumericsConfig | None = None) -> ReducedFunctions:
-    """Evaluate all four reduced kernels at x with method tags."""
-    routed = _route(x, cfg or DEFAULT_NUMERICS, "nuvR")
-    return ReducedFunctions(x, *(routed[k][0] for k in "nuvR"),
-                            *(routed[k][1] for k in "nuvR"))
+    """Evaluate all four reduced kernels at x with their method tag."""
+    values, method = _route(x, cfg or DEFAULT_NUMERICS, "nuvR")
+    return ReducedFunctions(x, *(values[k] for k in "nuvR"), method)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +233,8 @@ def _si_prefactor(params: GasParameters, key: str) -> float:
 
 
 def _si_value(key: str, params: GasParameters, cfg: NumericsConfig | None) -> float:
-    value, _ = _route(reduce(params).x, cfg or DEFAULT_NUMERICS, key)[key]
-    return value * _si_prefactor(params, key)
+    values, _ = _route(reduce(params).x, cfg or DEFAULT_NUMERICS, key)
+    return values[key] * _si_prefactor(params, key)
 
 
 def number_density(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
@@ -363,6 +364,5 @@ def evaluate(params: GasParameters, cfg: NumericsConfig | None = None) -> Radiom
         mean_speed=red.v_hat * _si_prefactor(params, "v"),
         radiance=red.r_hat * _si_prefactor(params, "R"),
         radiance_naive=0.25 * SI.c * u_si,
-        methods={"n": red.n_method, "u": red.u_method, "v": red.v_method,
-                 "R": red.r_method, "R_naive": red.u_method},
+        method=red.method,
     )

@@ -10,7 +10,9 @@ All four kernels are moments of one Bose integrand,
 int_0^inf s^2 w(s, E) / (e^E - 1) ds with s = pc/kT, E = sqrt(s^2 + x^2) and
 w = 1 (number), E (energy), s/E (the mean-speed numerator) or s (radiance).
 Every moment is integrated in one variable t, s = x sinh t, at every x: no
-switch of variable and no regime edge.
+switch of variable and no regime edge.  The range in t is finite: it ends
+where E - x = _TAIL, past which the occupation e^-E is below e^-60 of its
+value at threshold, so the driver integrates finite intervals only.
 """
 
 from __future__ import annotations
@@ -40,21 +42,20 @@ _GK_CENTER_KRONROD = 0.209482141084728
 
 # Floor on the scale a of the substitution s = a sinh t.
 _A_FLOOR = 1e-60
+# Every moment's range ends where E - x reaches this.
+_TAIL = 60.0
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-10
     max_depth: int = 60
-    tail_cutoff: float = 50.0
 
     def __post_init__(self):
         if not (1e-14 <= self.rel_tol <= 1e-6):
             raise DomainError(f"rel_tol must be in [1e-14, 1e-6], got {self.rel_tol}")
         if self.max_depth < 20:
             raise DomainError(f"max_depth must be >= 20, got {self.max_depth}")
-        if not (math.isfinite(self.tail_cutoff) and self.tail_cutoff >= 40):
-            raise DomainError(f"tail_cutoff must be >= 40, got {self.tail_cutoff}")
 
 
 class QuadratureResult(NamedTuple):
@@ -95,44 +96,22 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
     return k15, err
 
 
-def _truncate_upper(f: Callable[[float], float], a: float, tail_cutoff: float) -> float:
-    """Find b with |f(b)| below e^-tail_cutoff of the sampled peak."""
-    cut = math.exp(-tail_cutoff)
-    peak = abs(f(a))
-    step = 0.25
-    for _ in range(80):
-        u = a + step
-        v = abs(f(u))
-        if v > peak:
-            peak = v
-        elif peak > 0.0 and v <= peak * cut:
-            return u
-        step *= 2.0
-    if peak == 0.0:
-        return a + 1.0
-    raise ConvergenceError(
-        "integrand does not decay below the tail cutoff on the searched range"
-    )
-
-
 def integrate_adaptive(
     f: Callable[[float], float],
     a: float,
     b: float,
     cfg: QuadratureConfig | None = None,
 ) -> QuadratureResult:
-    """Globally adaptive bisection with an embedded-rule error estimate.
+    """int_a^b f over a finite interval a < b, by globally adaptive bisection.
 
-    ``b`` may be ``math.inf``; the domain is then truncated where the
-    integrand has fallen by e^-tail_cutoff relative to its sampled peak.
-    Raises :class:`ConvergenceError` (carrying the best estimate and its
+    Each panel carries an embedded-rule error estimate.  Raises
+    :class:`DomainError`, naming both bounds, unless they are finite with
+    a < b, and :class:`ConvergenceError` (carrying the best estimate and its
     error bound) if the subdivision depth is exhausted first.
     """
     cfg = cfg or QuadratureConfig()
-    if math.isinf(b):
-        b = _truncate_upper(f, a, cfg.tail_cutoff)
-    if not (b > a):
-        raise DomainError(f"integration bounds must satisfy a < b, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise DomainError(f"integration bounds must be finite with a < b, got [{a}, {b}]")
 
     # Four starter panels so a peak between the nodes of a single panel
     # cannot masquerade as convergence.
@@ -201,12 +180,10 @@ def _moment(x: float, p: int, q: int, cfg: QuadratureConfig | None) -> float:
     large x all sit on an O(1) range of t.  a = x, floored where sinh t or
     the powers of 1/a would overflow; below the floor the mass moves the
     integral by O(x^2), under a double's precision.  The range ends where
-    E - x = tail_cutoff + 10, at sinh t = sqrt(d (d + 2x/a)) with
-    d = (tail_cutoff + 10)/a; unlike acosh(1 + d), its asinh does not round
-    to 0 when d is tiny.
+    E - x = _TAIL, at sinh t = sqrt(d (d + 2x/a)) with d = _TAIL/a; unlike
+    acosh(1 + d), its asinh does not round to 0 when d is tiny.
     """
     x = _check_x(x)
-    cfg = cfg or QuadratureConfig()
     a = max(x, _A_FLOOR)
     r = x / a
 
@@ -215,7 +192,7 @@ def _moment(x: float, p: int, q: int, cfg: QuadratureConfig | None) -> float:
         h = math.hypot(sh, r)
         return sh ** (2 + p) * h**q * math.cosh(t) * _occupation(a * h)
 
-    d = (cfg.tail_cutoff + 10.0) / a
+    d = _TAIL / a
     t_upper = math.asinh(math.sqrt(d * (d + 2.0 * r)))
     value = integrate_adaptive(f, 0.0, t_upper, cfg).value
     # a^(3+p+q) multiplied in from the left: an integral that underflowed

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import photongas
-from photongas import SI
-from photongas.cli import SweepSpec, main
+from photongas import DEFAULT_NUMERICS, SI
+from photongas.cli import SweepSpec, build_parser, main
 from photongas.errors import DomainError
 
 
@@ -297,8 +297,31 @@ def test_point_on_the_quadrature_route_at_huge_x_names_the_quantity():
     assert proc.stderr.startswith("error: mean_speed")
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="units.reduce refuses x = inf, though the densities "
+                          "are exactly 0 and vbar is a finite double")
+def test_point_at_an_x_beyond_the_double_range_reports(capsys):
+    code, out, err = run(capsys, "point", "--mass", "1kg", "--temp", "1e-300",
+                         "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["n_per_m3"] == 0.0 and report["R_W_per_m2"] == 0.0
+    assert report["u_J_per_m3"] == 0.0
+    assert 0.0 < report["vbar_m_per_s"] < SI.c
+
+
 def test_point_temperature_beyond_double_range_is_domain_error():
     proc = run_subprocess("point", "--mass", "1e-40kg", "--temp", "1e300")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: energy_density")
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--mass", "1eV", "--temp", "300"], ["sweep", "--mass", "1eV"],
+    ["figure", "mean-speed"], ["validate"]])
+def test_numerics_flag_defaults_are_the_library_defaults(argv):
+    args = build_parser().parse_args(argv)
+    assert args.series_tol == DEFAULT_NUMERICS.series.rel_tol
+    assert args.quad_tol == DEFAULT_NUMERICS.quadrature.rel_tol
+    assert args.x_switch == DEFAULT_NUMERICS.x_switch

@@ -1,6 +1,7 @@
 """Thermodynamic kernels: closed forms against the quadrature oracles, exact
 massless limits, asymptotic regimes, and report invariants."""
 
+import dataclasses
 import math
 
 import pytest
@@ -281,6 +282,12 @@ def test_method_tags_follow_the_regime_switch():
     assert above.methods["R_naive"] == "series"
     massless = evaluate(GasParameters(mass=0.0, temperature=300.0))
     assert set(massless.methods.values()) == {"series"}
+    # one tag per evaluation; methods spells it out and cannot be set
+    assert below.method == "quadrature" and above.method == "series"
+    with pytest.raises(AttributeError):
+        below.methods = {}
+    with pytest.raises(DomainError):
+        dataclasses.replace(reduced_functions(0.5), method="bessel")
 
 
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.4, 0.7, 1.0])
@@ -395,7 +402,7 @@ def _mpmath_kernels(mp, x: float) -> tuple:
 def test_energy_density_series_route_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x)
-    assert reduced.u_method == "series"
+    assert reduced.method == "series"
     with mp.workdps(30):
         u_hat = _mpmath_kernels(mp, mp.mpf(x))[1]
     assert reduced.u_hat == pytest.approx(float(u_hat), rel=1e-12, abs=0.0)
@@ -408,7 +415,7 @@ def test_mean_speed_series_route_matches_mpmath(x):
     # 3.6e-13 of the reference.
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x)
-    assert reduced.v_method == "series"
+    assert reduced.method == "series"
     with mp.workdps(30):
         xm = mp.mpf(x)
         n_hat = _mpmath_kernels(mp, xm)[0]
@@ -423,8 +430,8 @@ def test_quadrature_route_matches_mpmath(x):
     reduced = reduced_functions(x)
     with mp.workdps(30):
         reference = _mpmath_kernels(mp, mp.mpf(x))
+    assert reduced.method == "quadrature"
     for kernel, expected in zip("nuvr", reference):
-        assert getattr(reduced, kernel + "_method") == "quadrature"
         assert getattr(reduced, kernel + "_hat") == pytest.approx(
             float(expected), rel=1e-12, abs=0.0), kernel
 
@@ -442,9 +449,9 @@ def test_mpmath_quadrature_reference_matches_polylog_radiance():
 def test_kernels_are_continuous_at_x_switch():
     below = reduced_functions(math.nextafter(0.1, 0.0))
     above = reduced_functions(0.1)
+    assert below.method == "quadrature"
+    assert above.method == "series"
     for kernel in "nuvr":
-        assert getattr(below, kernel + "_method") == "quadrature"
-        assert getattr(above, kernel + "_method") == "series"
         assert getattr(below, kernel + "_hat") == pytest.approx(
             getattr(above, kernel + "_hat"), rel=2e-12, abs=0.0), kernel
 
@@ -503,6 +510,22 @@ def test_si_prefactor_out_of_double_range_is_a_named_domain_error(temperature, w
     assert str(excinfo.value).startswith(wrapper.__name__)
     with pytest.raises(DomainError):
         evaluate(params)
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError,
+                   reason="u_hat underflows before r_hat does, so R_naive "
+                          "rounds below R in the subnormal band")
+def test_subnormal_band_reports_radiance_below_naive():
+    report = evaluate(params_for_x(725.0, temperature=1.0, g=1.0))
+    assert report.radiance <= report.radiance_naive
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="the reduced e^-x underflows before the ~1e98 "
+                          "prefactor is applied")
+def test_number_density_survives_a_huge_prefactor():
+    # The true N/V at x = 800, T = 1e30 K is about 8.8e-247 m^-3.
+    assert evaluate(params_for_x(800.0, temperature=1e30)).number_density > 0.0
 
 
 def test_si_prefactor_just_inside_double_range_stays_finite():

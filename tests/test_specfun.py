@@ -32,7 +32,8 @@ def k2_oracle(z: float) -> float:
             return 0.0
         return math.exp(-expo) * math.cosh(2.0 * t)
 
-    return integrate_adaptive(f, 0.0, math.inf, TIGHT).value
+    # the cut above has zeroed the integrand beyond t = acosh(800/z + 1)
+    return integrate_adaptive(f, 0.0, math.acosh(800.0 / z + 1.0), TIGHT).value
 
 
 def polylog_oracle(s: int, z: float, cutoff: float = 1e-14) -> float:
