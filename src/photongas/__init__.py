@@ -4,19 +4,19 @@ Closed-form kernels (Bessel-K2 sums and polylogarithms) paired with
 independent quadrature oracles over the defining Bose-Einstein integrals.
 """
 
-from .config import DEFAULT_NUMERICS, NumericsConfig
-from .core import (RadiometryReport, ReducedFunctions, energy_density,
-                   evaluate, low_temp_mean_speed, low_temp_radiance,
-                   mean_speed, number_density, photon_speed, radiance,
-                   radiance_naive, reduced_functions, small_mass_radiance,
+from .core import (DEFAULT_NUMERICS, NumericsConfig, RadiometryReport,
+                   ReducedFunctions, energy_density, evaluate,
+                   low_temp_mean_speed, low_temp_radiance, mean_speed,
+                   number_density, photon_speed, radiance, radiance_naive,
+                   reduced_functions, small_mass_radiance,
                    spectral_energy_density)
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      MassParseError, RegimeError)
-from .oracle import (QuadratureConfig, QuadratureResult, integrate_adaptive,
+from .oracle import (QuadratureResult, integrate_adaptive,
                      quad_energy_density, quad_mean_speed,
                      quad_number_density, quad_radiance)
-from .specfun import (SeriesTolerance, WeightedSum, bessel_k2,
-                      energy_bessel_sum, k2_weighted_sum, polylog, zeta_value)
+from .specfun import (WeightedSum, bessel_k2, energy_bessel_sum,
+                      k2_weighted_sum, polylog, zeta_value)
 from .units import (SI, GasParameters, PhysicalConstants, ReducedState,
                     format_mass, parse_mass, reduce)
 
@@ -28,13 +28,13 @@ __all__ = [
     "reduced_functions", "small_mass_radiance", "spectral_energy_density",
     "ConvergenceError", "DivergenceError", "DomainError", "MassParseError",
     "RegimeError",
-    "QuadratureConfig", "QuadratureResult", "integrate_adaptive",
+    "QuadratureResult", "integrate_adaptive",
     "quad_energy_density", "quad_mean_speed", "quad_number_density",
     "quad_radiance",
-    "SeriesTolerance", "WeightedSum", "bessel_k2", "energy_bessel_sum",
+    "WeightedSum", "bessel_k2", "energy_bessel_sum",
     "k2_weighted_sum", "polylog", "zeta_value",
     "SI", "GasParameters", "PhysicalConstants", "ReducedState",
     "format_mass", "parse_mass", "reduce",
 ]
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import core, oracle
-from .config import DEFAULT_NUMERICS, NumericsConfig
+from .core import DEFAULT_NUMERICS, NumericsConfig
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      MassParseError, RegimeError)
-from .oracle import QuadratureConfig
-from .specfun import SeriesTolerance
 from .units import SI, GasParameters, parse_mass, reduce
 
 SWEEP_COLUMNS = ("index", "T_K", "x", "n_per_m3", "u_J_per_m3", "vbar_m_per_s",
@@ -100,11 +98,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _numerics_from_args(args: argparse.Namespace) -> NumericsConfig:
-    return NumericsConfig(
-        series=SeriesTolerance(rel_tol=args.series_tol),
-        quadrature=QuadratureConfig(rel_tol=args.quad_tol),
-        x_switch=args.x_switch,
-    )
+    return NumericsConfig(args.series_tol, args.quad_tol, args.x_switch)
 
 
 def _params_from_args(args: argparse.Namespace) -> GasParameters:
@@ -182,7 +176,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = [",".join(SWEEP_COLUMNS)]
     for index, value in enumerate(spec.grid()):
         if spec.variable == "x":
-            temperature = mass * SI.c * SI.c / (SI.k_B * value)
+            # Where k_B x underflows, T overflows: GasParameters refuses it.
+            kx = SI.k_B * value
+            temperature = mass * SI.c * SI.c / kx if kx else math.inf
         else:
             temperature = value
         params = GasParameters(mass=mass, temperature=temperature, degeneracy=args.g)
@@ -199,9 +195,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _figure_rows(spec: SweepSpec, cfg: NumericsConfig) -> list[tuple[float, float, float, float | None]]:
     rows = []
     for x in spec.grid():
+        kt_ratio = 1.0 / x
+        if kt_ratio == math.inf:
+            raise DomainError(f"kT/mc^2 = 1/x overflows at x={x!r}")
         v_hat = core._route(x, cfg, "v")[0]["v"]
-        approx = math.sqrt(8.0 / (math.pi * x)) if x > _NONREL_MIN_X else None
-        rows.append((x, 1.0 / x, v_hat, approx))
+        # 8/pi/x, not 8/(pi x): pi x overflows for x near the largest double.
+        approx = math.sqrt(8.0 / math.pi / x) if x > _NONREL_MIN_X else None
+        rows.append((x, kt_ratio, v_hat, approx))
     return rows
 
 
@@ -283,31 +283,30 @@ def _cmd_figure_mean_speed(args: argparse.Namespace) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _quad_values(x: float, quad: QuadratureConfig) -> dict[str, float]:
+def _quad_values(x: float, rel_tol: float) -> dict[str, float]:
     return {
-        "n_hat": oracle.quad_number_density(x, quad),
-        "v_hat": oracle.quad_mean_speed(x, quad),
-        "u_hat": oracle.quad_energy_density(x, quad),
-        "r_hat": oracle.quad_radiance(x, quad),
+        "n_hat": oracle.quad_number_density(x, rel_tol),
+        "v_hat": oracle.quad_mean_speed(x, rel_tol),
+        "u_hat": oracle.quad_energy_density(x, rel_tol),
+        "r_hat": oracle.quad_radiance(x, rel_tol),
     }
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _numerics_from_args(args)
-    halved = replace(cfg.quadrature, rel_tol=0.5 * cfg.quadrature.rel_tol)
     residuals = {"n_hat": 0.0, "v_hat": 0.0, "u_hat": 0.0, "r_hat": 0.0}
     lines = ["closed-form vs quadrature validation",
              "x grid: " + " ".join(f"{x:g}" for x in VALIDATE_GRID)]
     eq18_line = None
     for x in VALIDATE_GRID:
-        quad_values = _quad_values(x, cfg.quadrature)
+        quad_values = _quad_values(x, cfg.quad_tol)
         if x >= cfg.x_switch:
             # The values evaluate() reports, from the same route.
             other = vars(core.reduced_functions(x, cfg))
         else:
             # Below the switch there is no series route; check the quadrature
             # against itself under tolerance halving instead.
-            other = _quad_values(x, halved)
+            other = _quad_values(x, 0.5 * cfg.quad_tol)
         for key, reference in quad_values.items():
             residual = abs(other[key] / reference - 1.0)
             residuals[key] = max(residuals[key], residual)
@@ -330,9 +329,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_numerics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--series-tol", type=float, default=DEFAULT_NUMERICS.series.rel_tol,
+    parser.add_argument("--series-tol", type=float, default=DEFAULT_NUMERICS.series_tol,
                         help="relative truncation tolerance of the Bessel sums")
-    parser.add_argument("--quad-tol", type=float, default=DEFAULT_NUMERICS.quadrature.rel_tol,
+    parser.add_argument("--quad-tol", type=float, default=DEFAULT_NUMERICS.quad_tol,
                         help="relative tolerance of the adaptive quadrature")
     parser.add_argument("--x-switch", type=float, default=DEFAULT_NUMERICS.x_switch,
                         help="below this x the closed forms delegate to quadrature")

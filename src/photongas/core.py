@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 from . import oracle, specfun
-from .config import DEFAULT_NUMERICS, NumericsConfig
 from .errors import ConvergenceError, DomainError, RegimeError
 from .units import SI, GasParameters, reduce
 
@@ -36,6 +35,28 @@ QUADRATURE = "quadrature"
 
 _R_HAT_MAX = math.pi**2 / 60.0
 _SLACK = 1e-9  # relative slack for invariants that are exact only in real arithmetic
+
+
+@dataclass(frozen=True)
+class NumericsConfig:
+    """The series and quadrature tolerances and the boundary between routes.
+
+    Below ``x_switch`` every kernel is taken by quadrature of its defining
+    integral, because the Bessel sums would need O(1/x) terms there.
+    """
+
+    series_tol: float = specfun.SERIES_TOL
+    quad_tol: float = oracle.QUAD_TOL
+    x_switch: float = 0.1
+
+    def __post_init__(self):
+        specfun._check_series_tol(self.series_tol)
+        oracle._check_quad_tol(self.quad_tol)
+        if not (math.isfinite(self.x_switch) and self.x_switch > 0):
+            raise DomainError(f"x_switch must be finite and > 0, got {self.x_switch!r}")
+
+
+DEFAULT_NUMERICS = NumericsConfig()
 
 
 @dataclass(frozen=True)
@@ -118,31 +139,31 @@ def _kernels(x: float, s: float, e: float, p: float) -> dict[str, float]:
             "v": p / x * 2.0 / (x * s)}
 
 
-def _series(x: float, tol: specfun.SeriesTolerance, key: str) -> dict[str, float]:
+def _series(x: float, rel_tol: float, key: str) -> dict[str, float]:
     """n_hat, u_hat and v_hat from one pass of specfun._scaled_sum.
 
     A ConvergenceError carries the partial value of kernel ``key``.
     """
     try:
-        return _kernels(x, *specfun._scaled_sum(x, tol)[:3])
+        return _kernels(x, *specfun._scaled_sum(x, rel_tol)[:3])
     except ConvergenceError as exc:
         raise ConvergenceError(str(exc), value=_kernels(x, *exc.value)[key],
                                terms=exc.terms) from exc
 
 
-def n_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
+def n_hat_series(x: float, rel_tol: float = specfun.SERIES_TOL) -> float:
     """(x^2/pi^2) sum_n K2(n x)/n; intended for x >= x_switch."""
-    return _series(x, tol or specfun.SeriesTolerance(), "n")["n"]
+    return _series(x, rel_tol, "n")["n"]
 
 
-def u_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
+def u_hat_series(x: float, rel_tol: float = specfun.SERIES_TOL) -> float:
     """(x^4/pi^2) sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2]; x >= x_switch."""
-    return _series(x, tol or specfun.SeriesTolerance(), "u")["u"]
+    return _series(x, rel_tol, "u")["u"]
 
 
-def v_hat_series(x: float, tol: specfun.SeriesTolerance | None = None) -> float:
+def v_hat_series(x: float, rel_tol: float = specfun.SERIES_TOL) -> float:
     """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n); x >= x_switch."""
-    return _series(x, tol or specfun.SeriesTolerance(), "v")["v"]
+    return _series(x, rel_tol, "v")["v"]
 
 
 def r_hat_closed(x: float) -> float:
@@ -182,12 +203,12 @@ def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], 
             if x == 0.0:
                 values[key] = limit
             elif method == QUADRATURE:
-                values[key] = getattr(oracle, "quad_" + quantity)(x, cfg.quadrature)
+                values[key] = getattr(oracle, "quad_" + quantity)(x, cfg.quad_tol)
             elif key == "R":
                 values[key] = r_hat_closed(x)
             else:
                 if sums is None:
-                    sums = _series(x, cfg.series, key)
+                    sums = _series(x, cfg.series_tol, key)
                 values[key] = sums[key]
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -228,7 +249,7 @@ def _si_prefactor(params: GasParameters, key: str) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"{_KERNELS[key][0]}: SI prefactor overflows at "
-                          f"T={params.temperature!r} K")
+                          f"T={params.temperature!r} K, g={params.degeneracy!r}")
     return value
 
 
@@ -284,13 +305,14 @@ def spectral_energy_density(omega: float, params: GasParameters) -> float:
     """
     if not (math.isfinite(omega) and omega >= 0):
         raise DomainError(f"omega must be finite and >= 0 rad/s, got {omega!r}")
-    if omega == 0.0:
+    kt = SI.k_B * params.temperature
+    # Where k_B T underflows to 0 every mode is empty.
+    if omega == 0.0 or kt == 0.0:
         return 0.0
     threshold = params.mass * SI.c * SI.c / SI.hbar
     if params.mass > 0.0 and omega <= threshold:
         return 0.0
-    y = SI.hbar * omega / (SI.k_B * params.temperature)
-    occ = oracle._occupation(y)
+    occ = oracle._occupation(SI.hbar * omega / kt)
     speed_factor = 1.0
     if params.mass > 0.0:
         ratio = threshold / omega

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
@@ -44,18 +43,15 @@ _GK_CENTER_KRONROD = 0.209482141084728
 _A_FLOOR = 1e-60
 # Every moment's range ends where E - x reaches this.
 _TAIL = 60.0
+# Default relative tolerance of the adaptive quadrature, and its cap on the
+# bisection depth of a panel.
+QUAD_TOL = 1e-10
+_MAX_DEPTH = 60
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-10
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if not (1e-14 <= self.rel_tol <= 1e-6):
-            raise DomainError(f"rel_tol must be in [1e-14, 1e-6], got {self.rel_tol}")
-        if self.max_depth < 20:
-            raise DomainError(f"max_depth must be >= 20, got {self.max_depth}")
+def _check_quad_tol(rel_tol: float) -> None:
+    if not (1e-14 <= rel_tol <= 1e-6):
+        raise DomainError(f"quad_tol must be in [1e-14, 1e-6], got {rel_tol}")
 
 
 class QuadratureResult(NamedTuple):
@@ -96,20 +92,17 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
     return k15, err
 
 
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    cfg: QuadratureConfig | None = None,
-) -> QuadratureResult:
+def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
+                       rel_tol: float = QUAD_TOL) -> QuadratureResult:
     """int_a^b f over a finite interval a < b, by globally adaptive bisection.
 
     Each panel carries an embedded-rule error estimate.  Raises
-    :class:`DomainError`, naming both bounds, unless they are finite with
-    a < b, and :class:`ConvergenceError` (carrying the best estimate and its
-    error bound) if the subdivision depth is exhausted first.
+    :class:`DomainError`, naming quad_tol if rel_tol is out of range and
+    both bounds unless they are finite with a < b, and
+    :class:`ConvergenceError` (carrying the best estimate and its error
+    bound) if the subdivision depth is exhausted first.
     """
-    cfg = cfg or QuadratureConfig()
+    _check_quad_tol(rel_tol)
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise DomainError(f"integration bounds must be finite with a < b, got [{a}, {b}]")
 
@@ -130,12 +123,12 @@ def integrate_adaptive(
         total_err += err
 
     for _ in range(20000):
-        if total_err <= cfg.rel_tol * abs(total_val) or total_err == 0.0:
+        if total_err <= rel_tol * abs(total_val) or total_err == 0.0:
             return QuadratureResult(total_val, total_err)
         neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
-        if depth >= cfg.max_depth:
+        if depth >= _MAX_DEPTH:
             raise ConvergenceError(
-                f"adaptive quadrature exhausted depth {cfg.max_depth} "
+                f"adaptive quadrature exhausted depth {_MAX_DEPTH} "
                 f"(estimate {total_val!r}, error bound {total_err!r})",
                 value=total_val,
                 error=total_err,
@@ -172,7 +165,7 @@ def _check_x(x: float) -> float:
     return float(x)
 
 
-def _moment(x: float, p: int, q: int, cfg: QuadratureConfig | None) -> float:
+def _moment(x: float, p: int, q: int, rel_tol: float) -> float:
     """int_0^inf s^(2+p) E^q / (e^E - 1) ds with E = sqrt(s^2 + x^2).
 
     Integrated in t with s = a sinh t, E = a hypot(sinh t, x/a), so the
@@ -194,7 +187,7 @@ def _moment(x: float, p: int, q: int, cfg: QuadratureConfig | None) -> float:
 
     d = _TAIL / a
     t_upper = math.asinh(math.sqrt(d * (d + 2.0 * r)))
-    value = integrate_adaptive(f, 0.0, t_upper, cfg).value
+    value = integrate_adaptive(f, 0.0, t_upper, rel_tol).value
     # a^(3+p+q) multiplied in from the left: an integral that underflowed
     # stays 0 where a power of a huge x would overflow.
     for _ in range(3 + p + q):
@@ -202,12 +195,12 @@ def _moment(x: float, p: int, q: int, cfg: QuadratureConfig | None) -> float:
     return value
 
 
-def quad_number_density(x: float, cfg: QuadratureConfig | None = None) -> float:
+def quad_number_density(x: float, rel_tol: float = QUAD_TOL) -> float:
     """Reduced number density (1/pi^2) int_0^inf s^2/(e^sqrt(s^2+x^2) - 1) ds."""
-    return _moment(x, 0, 0, cfg) / math.pi**2
+    return _moment(x, 0, 0, rel_tol) / math.pi**2
 
 
-def quad_mean_speed(x: float, cfg: QuadratureConfig | None = None) -> float:
+def quad_mean_speed(x: float, rel_tol: float = QUAD_TOL) -> float:
     """Reduced mean speed: the phase-space average of v/c = pc/E.
 
     Ratio of int s^3/(sqrt(s^2+x^2)(e^sqrt(s^2+x^2)-1)) ds over
@@ -216,7 +209,7 @@ def quad_mean_speed(x: float, cfg: QuadratureConfig | None = None) -> float:
     """
     if _check_x(x) == 0.0:
         return 1.0
-    den = _moment(x, 0, 0, cfg)
+    den = _moment(x, 0, 0, rel_tol)
     if den <= 0.0:
         raise ConvergenceError(
             f"occupation underflowed at x={x!r}; the mean-speed ratio is undefined",
@@ -224,15 +217,15 @@ def quad_mean_speed(x: float, cfg: QuadratureConfig | None = None) -> float:
         )
     # v = pc/E <= c at every s, but two separately adapted quadratures can
     # round their ratio past 1 where the mass is negligible.
-    return min(_moment(x, 1, -1, cfg) / den, 1.0)
+    return min(_moment(x, 1, -1, rel_tol) / den, 1.0)
 
 
-def quad_energy_density(x: float, cfg: QuadratureConfig | None = None) -> float:
+def quad_energy_density(x: float, rel_tol: float = QUAD_TOL) -> float:
     """Reduced energy density (1/pi^2) int s^2 sqrt(s^2+x^2)/(e^sqrt(..)-1) ds."""
-    return _moment(x, 0, 1, cfg) / math.pi**2
+    return _moment(x, 0, 1, rel_tol) / math.pi**2
 
 
-def quad_radiance(x: float, cfg: QuadratureConfig | None = None) -> float:
+def quad_radiance(x: float, rel_tol: float = QUAD_TOL) -> float:
     """Reduced radiance (1/4pi^2) int_x^inf eps (eps^2 - x^2)/(e^eps - 1) deps.
 
     The integrand is the spectral energy density times the speed factor and
@@ -240,4 +233,4 @@ def quad_radiance(x: float, cfg: QuadratureConfig | None = None) -> float:
     moment (1/4pi^2) int s^3/(e^E - 1) ds, on the same substitution as the
     other kernels.
     """
-    return _moment(x, 1, 0, cfg) / (4.0 * math.pi**2)
+    return _moment(x, 1, 0, rel_tol) / (4.0 * math.pi**2)

@@ -14,7 +14,6 @@ remain an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DivergenceError, DomainError
@@ -25,19 +24,15 @@ _EULER_GAMMA = 0.5772156649015329
 # here, Steed's continued fraction above.
 _K_SERIES_MAX = 2.0
 
+# Default relative truncation tolerance of the Bessel sums, and their cap on
+# terms.
+SERIES_TOL = 1e-12
+_MAX_TERMS = 20000
 
-@dataclass(frozen=True)
-class SeriesTolerance:
-    """Truncation control for the weighted Bessel sums."""
 
-    rel_tol: float = 1e-12
-    max_terms: int = 20000
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-3):
-            raise DomainError(f"rel_tol must be in (0, 1e-3), got {self.rel_tol}")
-        if self.max_terms < 100:
-            raise DomainError(f"max_terms must be >= 100, got {self.max_terms}")
+def _check_series_tol(rel_tol: float) -> None:
+    if not (0.0 < rel_tol < 1e-3):
+        raise DomainError(f"series_tol must be in (0, 1e-3), got {rel_tol}")
 
 
 class WeightedSum(NamedTuple):
@@ -261,7 +256,7 @@ def polylog(s: int, z: float) -> float:
 # Boltzmann-weighted Bessel sums.
 # ---------------------------------------------------------------------------
 
-def _scaled_sum(x: float, tol: SeriesTolerance) -> tuple[float, float, float, int]:
+def _scaled_sum(x: float, rel_tol: float) -> tuple[float, float, float, int]:
     """(S~, E~, P~, terms): three e^x-scaled sums from one K pair per term.
 
         S~ = e^x sum_n K2(n x)/n
@@ -281,14 +276,14 @@ def _scaled_sum(x: float, tol: SeriesTolerance) -> tuple[float, float, float, in
     pass stops there.  terms counts the K pairs taken.  A ConvergenceError
     carries the partial (S~, E~, P~) as its value.
     """
+    _check_series_tol(rel_tol)
     w = math.exp(-x)
     # t <= r S and t w/(1-w) <= r S, as one comparison.
     bound = max(1.0, w / (1.0 - w)) if w < 1.0 else math.inf
-    rel = tol.rel_tol
     s = e = p = 0.0
     p_open = True
     pref = 1.0
-    for n in range(1, tol.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         z = n * x
         k0, k1 = _k01(z, scaled=True)
         k2 = k0 + 2.0 * k1 / z
@@ -299,37 +294,37 @@ def _scaled_sum(x: float, tol: SeriesTolerance) -> tuple[float, float, float, in
         if p_open:
             tp = pref * (1.0 / n**3 + x / n**2)
             p += tp
-            p_open = tp * bound > rel * p
+            p_open = tp * bound > rel_tol * p
         pref *= w
-        if pref == 0.0 or (not p_open and ts * bound <= rel * s and te * bound <= rel * e):
+        if pref == 0.0 or (not p_open and ts * bound <= rel_tol * s and te * bound <= rel_tol * e):
             return s, e, p, n
     raise ConvergenceError(
-        f"scaled Bessel sums did not converge within {tol.max_terms} terms at x={x!r}",
+        f"scaled Bessel sums did not converge within {_MAX_TERMS} terms at x={x!r}",
         value=(s, e, p),
-        terms=tol.max_terms,
+        terms=_MAX_TERMS,
     )
 
 
-def _unscaled(x: float, tol: SeriesTolerance | None, index: int, name: str) -> WeightedSum:
+def _unscaled(x: float, rel_tol: float, index: int, name: str) -> WeightedSum:
     # e^-x times sum number ``index`` of the pass, for the public views.
     _check_positive(x, "x")
     try:
-        *sums, terms = _scaled_sum(x, tol or SeriesTolerance())
+        *sums, terms = _scaled_sum(x, rel_tol)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{name}: {exc}", value=math.exp(-x) * exc.value[index],
                                terms=exc.terms) from exc
     return WeightedSum(math.exp(-x) * sums[index], terms)
 
 
-def k2_weighted_sum(x: float, tol: SeriesTolerance | None = None) -> WeightedSum:
+def k2_weighted_sum(x: float, rel_tol: float = SERIES_TOL) -> WeightedSum:
     """sum_{n>=1} K2(n x)/n with the number of terms actually used.
 
     Converges in O(1/x) terms; intended for x >= ~0.1, where the gas kernels
     use it as their series path (smaller x is served by quadrature).
     """
-    return _unscaled(x, tol, 0, "k2_weighted_sum")
+    return _unscaled(x, rel_tol, 0, "k2_weighted_sum")
 
 
-def energy_bessel_sum(x: float, tol: SeriesTolerance | None = None) -> WeightedSum:
+def energy_bessel_sum(x: float, rel_tol: float = SERIES_TOL) -> WeightedSum:
     """sum_{n>=1} [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], the energy-density sum."""
-    return _unscaled(x, tol, 1, "energy_bessel_sum")
+    return _unscaled(x, rel_tol, 1, "energy_bessel_sum")

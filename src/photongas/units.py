@@ -69,8 +69,13 @@ class ReducedState:
 
 
 def reduce(params: GasParameters) -> ReducedState:
-    """Map (m, T) to the reduced state x = m c^2 / (k_B T)."""
-    return ReducedState(params.mass * SI.c * SI.c / (SI.k_B * params.temperature))
+    """Map (m, T) to the reduced state x = m c^2 / (k_B T).
+
+    Where k_B T underflows to 0, x is 0 for m = 0 and overflows otherwise.
+    """
+    mc2 = params.mass * SI.c * SI.c
+    kt = SI.k_B * params.temperature
+    return ReducedState(mc2 / kt if kt else math.inf if mc2 else 0.0)
 
 
 def parse_mass(text: str) -> float:

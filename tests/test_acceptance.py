@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from photongas import (SI, GasParameters, QuadratureConfig, energy_density,
+from photongas import (SI, GasParameters, energy_density,
                        evaluate, integrate_adaptive, low_temp_radiance,
                        mean_speed, number_density, quad_energy_density,
                        quad_mean_speed, quad_number_density, quad_radiance,
@@ -72,11 +72,9 @@ def test_criterion_2_oracle_equivalence():
         ok &= abs(n_hat_series(x) / quad_number_density(x) - 1) <= 1e-7
         ok &= abs(v_hat_series(x) / quad_mean_speed(x) - 1) <= 1e-7
         ok &= abs(r_hat_closed(x) / quad_radiance(x) - 1) <= 1e-7
-    base = QuadratureConfig(rel_tol=1e-10)
-    fine = QuadratureConfig(rel_tol=5e-11)
     for x in (0.01, 0.05):
         for quad in (quad_number_density, quad_mean_speed, quad_radiance):
-            ok &= abs(quad(x, fine) / quad(x, base) - 1) <= 1e-8
+            ok &= abs(quad(x, 5e-11) / quad(x, 1e-10) - 1) <= 1e-8
     report(2, "series vs quadrature <= 1e-7; small-x self-consistency <= 1e-8", ok)
     assert ok
 
@@ -161,7 +159,7 @@ def test_criterion_9_special_function_spot_checks():
 
     # the cut above has zeroed the integrand beyond t = acosh(801)
     k2_ref = integrate_adaptive(k2_integrand, 0.0, math.acosh(801.0),
-                                QuadratureConfig(rel_tol=1e-13)).value
+                                1e-13).value
     li2_ref = 0.0
     zn = 1.0
     for n in range(1, 200):

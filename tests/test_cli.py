@@ -322,6 +322,72 @@ def test_point_temperature_beyond_double_range_is_domain_error():
     ["figure", "mean-speed"], ["validate"]])
 def test_numerics_flag_defaults_are_the_library_defaults(argv):
     args = build_parser().parse_args(argv)
-    assert args.series_tol == DEFAULT_NUMERICS.series.rel_tol
-    assert args.quad_tol == DEFAULT_NUMERICS.quadrature.rel_tol
+    assert args.series_tol == DEFAULT_NUMERICS.series_tol
+    assert args.quad_tol == DEFAULT_NUMERICS.quad_tol
     assert args.x_switch == DEFAULT_NUMERICS.x_switch
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--series-tol", "0", "series_tol"), ("--quad-tol", "1", "quad_tol"),
+    ("--x-switch", "0", "x_switch")])
+def test_out_of_range_numerics_flag_is_usage_error_naming_the_field(capsys, flag,
+                                                                    value, name):
+    # Checked when the config is built, so at x = 0, which runs neither
+    # route, too.
+    code, _, err = run(capsys, "point", "--mass", "0kg", "--temp", "300",
+                       flag, value)
+    assert code == 2
+    assert err.startswith(f"error: {name} must be")
+
+
+def test_point_where_k_b_t_underflows():
+    # At T = 5e-324 K, k_B T is 0: without mass every density is 0 and vbar
+    # is c; with mass x overflows, a usage error.
+    proc = run_subprocess("point", "--mass", "0kg", "--temp", "5e-324",
+                          "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["x"] == 0.0 and report["vbar_m_per_s"] == SI.c
+    assert report["n_per_m3"] == report["u_J_per_m3"] == report["R_W_per_m2"] == 0.0
+    proc = run_subprocess("point", "--mass", "1eV", "--temp", "5e-324")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_x_sweep_whose_temperature_overflows_names_it():
+    # k_B x underflows to 0 at x = 1e-320, so T = mc^2/(k_B x) overflows.
+    proc = run_subprocess("sweep", "--mass", "1eV", "--variable", "x",
+                          "--x-min", "1e-320", "--x-max", "1e-300", "--points", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: temperature must be finite")
+
+
+def test_point_si_prefactor_overflow_names_the_degeneracy():
+    proc = run_subprocess("point", "--mass", "1eV", "--temp", "300", "--g", "1e300")
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: number_density: SI prefactor overflows at "
+                           "T=300.0 K, g=1e+300\n")
+
+
+def test_figure_whose_kt_ratio_overflows_writes_nothing(tmp_path):
+    out_file = tmp_path / "fig.csv"
+    svg_file = tmp_path / "fig.svg"
+    proc = run_subprocess("figure", "mean-speed", "--x-min", "1e-320",
+                          "--x-max", "1", "--points", "3",
+                          "--out", str(out_file), "--svg", str(svg_file))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: kT/mc^2")
+    assert not out_file.exists() and not svg_file.exists()
+
+
+def test_figure_asymptote_at_the_top_of_the_double_range(capsys, tmp_path):
+    # At x = 1e308, pi x overflows; the asymptote must still track vbar/c.
+    svg_file = tmp_path / "fig.svg"
+    code, out, _ = run(capsys, "figure", "mean-speed", "--x-min", "1e307",
+                       "--x-max", "1e308", "--points", "2", "--svg", str(svg_file))
+    assert code == 0
+    for line in out.strip().split("\n")[1:]:
+        x, _, v_hat, approx = map(float, line.split(","))
+        assert approx == pytest.approx(v_hat, rel=1e-14, abs=0.0)
+        assert approx == pytest.approx(math.sqrt(8 / math.pi) / math.sqrt(x),
+                                       rel=1e-15, abs=0.0)

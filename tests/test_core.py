@@ -9,13 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photongas import (SI, ConvergenceError, DomainError, GasParameters,
-                       NumericsConfig, RegimeError, SeriesTolerance,
-                       bessel_k2, energy_density, evaluate,
-                       low_temp_mean_speed, low_temp_radiance, mean_speed,
-                       number_density, photon_speed, quad_energy_density,
-                       quad_mean_speed, quad_number_density, quad_radiance,
-                       radiance, radiance_naive, reduce, reduced_functions,
-                       small_mass_radiance, spectral_energy_density,
+                       NumericsConfig, RegimeError, bessel_k2,
+                       energy_density, evaluate, low_temp_mean_speed,
+                       low_temp_radiance, mean_speed, number_density,
+                       photon_speed, quad_energy_density, quad_mean_speed,
+                       quad_number_density, quad_radiance, radiance,
+                       radiance_naive, reduce, reduced_functions,
+                       small_mass_radiance, spectral_energy_density, specfun,
                        zeta_value)
 from photongas.core import (_si_prefactor, n_hat_series, r_hat_closed,
                             u_hat_series, v_hat_series)
@@ -123,6 +123,11 @@ def test_spectral_density_one_line_arithmetic_point():
     expected = (SI.hbar / (math.pi**2 * SI.c**3) * omega**3 / (math.e - 1.0)
                 * math.sqrt(3) / 2)
     assert spectral_energy_density(omega, params) == pytest.approx(expected, rel=1e-12)
+
+
+def test_spectral_density_is_zero_where_k_b_t_underflows():
+    params = GasParameters(mass=0.0, temperature=5e-324)
+    assert spectral_energy_density(1e3, params) == 0.0
 
 
 def test_spectral_density_rejects_negative_frequency():
@@ -472,9 +477,10 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
     assert report.radiance_naive == 0.25 * SI.c * report.energy_density
 
 
-def test_convergence_failure_names_the_quantity():
+def test_convergence_failure_names_the_quantity(monkeypatch):
     # x = 0.06 needs several hundred terms of the K2 sum; 100 are allowed.
-    cfg = NumericsConfig(series=SeriesTolerance(max_terms=100), x_switch=0.05)
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
+    cfg = NumericsConfig(x_switch=0.05)
     for call in (lambda: reduced_functions(0.06, cfg),
                  lambda: evaluate(params_for_x(0.06), cfg)):
         with pytest.raises(ConvergenceError) as excinfo:
@@ -526,6 +532,12 @@ def test_subnormal_band_reports_radiance_below_naive():
 def test_number_density_survives_a_huge_prefactor():
     # The true N/V at x = 800, T = 1e30 K is about 8.8e-247 m^-3.
     assert evaluate(params_for_x(800.0, temperature=1e30)).number_density > 0.0
+
+
+def test_si_prefactor_overflow_names_the_degeneracy():
+    # At T = 300 K only g = 1e300 pushes the prefactor past the double range.
+    with pytest.raises(DomainError, match=r"T=300\.0 K, g=1e\+300"):
+        number_density(GasParameters(mass=1e-36, temperature=300.0, degeneracy=1e300))
 
 
 def test_si_prefactor_just_inside_double_range_stays_finite():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from photongas import (ConvergenceError, DomainError, QuadratureConfig,
+from photongas import (ConvergenceError, DomainError, NumericsConfig,
                        integrate_adaptive, oracle, quad_energy_density,
                        quad_mean_speed, quad_number_density, quad_radiance,
                        zeta_value)
@@ -12,11 +12,14 @@ from photongas import (ConvergenceError, DomainError, QuadratureConfig,
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=1e-15)
+        NumericsConfig(quad_tol=1e-15)
     with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=1e-5)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_depth=5)
+        NumericsConfig(quad_tol=1e-5)
+
+
+def test_integrate_names_quad_tol_when_out_of_range():
+    with pytest.raises(DomainError, match="quad_tol"):
+        integrate_adaptive(lambda t: t, 0.0, 1.0, 1e-15)
 
 
 def test_integrate_gamma_three():
@@ -40,10 +43,10 @@ def test_integrate_quarter_circle():
     assert value == pytest.approx(math.pi / 4, rel=1e-10)
 
 
-def test_integrate_reports_depth_exhaustion_with_best_estimate():
-    cfg = QuadratureConfig(rel_tol=1e-14, max_depth=20)
+def test_integrate_reports_depth_exhaustion_with_best_estimate(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_DEPTH", 20)
     with pytest.raises(ConvergenceError) as excinfo:
-        integrate_adaptive(lambda t: math.sqrt(abs(1 - t * t)), 0.0, 1.0, cfg)
+        integrate_adaptive(lambda t: math.sqrt(abs(1 - t * t)), 0.0, 1.0, 1e-14)
     err = excinfo.value
     assert err.value == pytest.approx(math.pi / 4, rel=1e-6)
     assert err.error is not None and err.error > 0
@@ -123,9 +126,7 @@ def test_kernels_reject_bad_x(x):
                                   quad_energy_density, quad_radiance])
 @pytest.mark.parametrize("x", [0.05, 0.7, 12.0])
 def test_tolerance_refinement_changes_less_than_reported_bound(quad, x):
-    base = QuadratureConfig(rel_tol=1e-10)
-    fine = QuadratureConfig(rel_tol=5e-11)
-    v1, v2 = quad(x, base), quad(x, fine)
+    v1, v2 = quad(x, 1e-10), quad(x, 5e-11)
     # the returned error estimate is capped at rel_tol * |value|
     assert abs(v2 - v1) <= 1e-10 * abs(v1)
 
@@ -152,7 +153,7 @@ def test_cosh_parametrization_joins_the_plain_one():
         above = quad(30.001)
         # the kernels move by O(dx) themselves; compare against a midpoint fit
         assert below == pytest.approx(above, rel=2e-3)
-        tight_below = quad(29.999, QuadratureConfig(rel_tol=1e-12))
+        tight_below = quad(29.999, 1e-12)
         assert below == pytest.approx(tight_below, rel=1e-9)
 
 

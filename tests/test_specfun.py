@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photongas import (ConvergenceError, DivergenceError, DomainError,
-                       SeriesTolerance, bessel_k2, energy_bessel_sum,
+                       NumericsConfig, bessel_k2, energy_bessel_sum,
                        integrate_adaptive, k2_weighted_sum, polylog,
-                       zeta_value)
-from photongas.oracle import QuadratureConfig
+                       specfun, zeta_value)
 from photongas.specfun import _bessel_k
 
-TIGHT = QuadratureConfig(rel_tol=1e-13)
+TIGHT = 1e-13
 
 
 def k2_oracle(z: float) -> float:
@@ -254,17 +253,18 @@ def test_k2_weighted_sum_small_x_bracketed_by_massless_limit():
 
 def test_k2_weighted_sum_stable_under_tolerance_refinement():
     for x in (0.1, 1.0):
-        coarse = k2_weighted_sum(x, SeriesTolerance(rel_tol=1e-10)).value
-        fine = k2_weighted_sum(x, SeriesTolerance(rel_tol=5e-11)).value
+        coarse = k2_weighted_sum(x, 1e-10).value
+        fine = k2_weighted_sum(x, 5e-11).value
         assert abs(fine - coarse) < 1e-10 * abs(coarse)
 
 
-def _check_convergence_failure(weighted_sum, term):
+def _check_convergence_failure(weighted_sum, term, monkeypatch):
     # The error names the function and carries the partial sum of the first
-    # max_terms terms, on the scale of the value the function returns.
+    # _MAX_TERMS terms, on the scale of the value the function returns.
     x = 0.01
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
     with pytest.raises(ConvergenceError) as excinfo:
-        weighted_sum(x, SeriesTolerance(rel_tol=1e-12, max_terms=100))
+        weighted_sum(x, 1e-12)
     err = excinfo.value
     assert str(err).startswith(weighted_sum.__name__)
     assert err.terms == 100
@@ -272,13 +272,15 @@ def _check_convergence_failure(weighted_sum, term):
     assert err.value == pytest.approx(partial, rel=1e-13, abs=0.0)
 
 
-def test_k2_weighted_sum_reports_convergence_failure():
-    _check_convergence_failure(k2_weighted_sum, lambda n, z: bessel_k2(z) / n)
+def test_k2_weighted_sum_reports_convergence_failure(monkeypatch):
+    _check_convergence_failure(k2_weighted_sum, lambda n, z: bessel_k2(z) / n,
+                               monkeypatch)
 
 
-def test_energy_bessel_sum_reports_convergence_failure():
+def test_energy_bessel_sum_reports_convergence_failure(monkeypatch):
     _check_convergence_failure(
-        energy_bessel_sum, lambda n, z: _bessel_k(1, z) / z + 3 * bessel_k2(z) / z**2)
+        energy_bessel_sum, lambda n, z: _bessel_k(1, z) / z + 3 * bessel_k2(z) / z**2,
+        monkeypatch)
 
 
 def test_energy_bessel_sum_matches_brute_force():
@@ -290,11 +292,14 @@ def test_energy_bessel_sum_matches_brute_force():
 
 def test_series_tolerance_validation():
     with pytest.raises(DomainError):
-        SeriesTolerance(rel_tol=0.0)
+        NumericsConfig(series_tol=0.0)
     with pytest.raises(DomainError):
-        SeriesTolerance(rel_tol=1e-2)
-    with pytest.raises(DomainError):
-        SeriesTolerance(max_terms=10)
+        NumericsConfig(series_tol=1e-2)
+
+
+def test_weighted_sum_names_series_tol_when_out_of_range():
+    with pytest.raises(DomainError, match="series_tol"):
+        k2_weighted_sum(1.0, 0.0)
 
 
 @settings(max_examples=30)

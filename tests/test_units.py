@@ -41,6 +41,14 @@ def test_reduce_massless_is_zero():
     assert reduce(GasParameters(mass=0.0, temperature=123.0)).x == 0.0
 
 
+def test_reduce_where_k_b_t_underflows():
+    # k_B T underflows to 0 at T = 5e-324 K: x is 0 without mass and
+    # overflows, a DomainError, with it.
+    assert reduce(GasParameters(mass=0.0, temperature=5e-324)).x == 0.0
+    with pytest.raises(DomainError, match="inf"):
+        reduce(GasParameters(mass=1e-36, temperature=5e-324))
+
+
 def test_reduce_unit_mass_gives_x_of_one():
     temperature = 300.0
     mass = SI.k_B * temperature / (SI.c * SI.c)
