@@ -283,42 +283,35 @@ def _cmd_figure_mean_speed(args: argparse.Namespace) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _quad_values(x: float, rel_tol: float) -> dict[str, float]:
-    return {
-        "n_hat": oracle.quad_number_density(x, rel_tol),
-        "v_hat": oracle.quad_mean_speed(x, rel_tol),
-        "u_hat": oracle.quad_energy_density(x, rel_tol),
-        "r_hat": oracle.quad_radiance(x, rel_tol),
-    }
+_KERNEL_NAMES = ("n_hat", "u_hat", "v_hat", "r_hat")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _numerics_from_args(args)
-    residuals = {"n_hat": 0.0, "v_hat": 0.0, "u_hat": 0.0, "r_hat": 0.0}
+    worst = dict.fromkeys(_KERNEL_NAMES, (0.0, VALIDATE_GRID[0]))
     lines = ["closed-form vs quadrature validation",
              "x grid: " + " ".join(f"{x:g}" for x in VALIDATE_GRID)]
     eq18_line = None
     for x in VALIDATE_GRID:
-        quad_values = _quad_values(x, cfg.quad_tol)
-        if x >= cfg.x_switch:
-            # The values evaluate() reports, from the same route.
-            other = vars(core.reduced_functions(x, cfg))
-        else:
-            # Below the switch there is no series route; check the quadrature
-            # against itself under tolerance halving instead.
-            other = _quad_values(x, 0.5 * cfg.quad_tol)
-        for key, reference in quad_values.items():
-            residual = abs(other[key] / reference - 1.0)
-            residuals[key] = max(residuals[key], residual)
+        # Two routes that share nothing but arithmetic, at every grid x,
+        # whatever x_switch says: the trapezoid and the Bessel/polylog pass.
+        quad_values = oracle._moments(x, cfg.quad_tol)
+        sums = core._series(x, cfg.series_tol, "n")
+        closed_values = (sums["n"], sums["u"], sums["v"], core.r_hat_closed(x))
+        for key, quad, closed in zip(_KERNEL_NAMES, quad_values, closed_values):
+            residual = abs(closed / quad - 1.0)
+            if residual > worst[key][0]:
+                worst[key] = (residual, x)
         if x == 50.0:
             eq18 = x * x * math.exp(-x) / (2.0 * math.pi**2)
             eq18_line = (f"x = 50: r_hat / low-temperature asymptote = "
-                         f"{quad_values['r_hat'] / eq18:.6f} (expect ~ 1 + 3/x)")
+                         f"{quad_values[3] / eq18:.6f} (expect ~ 1 + 3/x)")
     for key in ("n_hat", "v_hat", "u_hat", "r_hat"):
-        lines.append(f"{key:6s} max relative residual = {residuals[key]:.3e}")
+        residual, x = worst[key]
+        lines.append(f"{key:6s} max relative residual = {residual:.3e} at x = {x:g}")
     if eq18_line:
         lines.append(eq18_line)
-    ok = all(value <= VALIDATE_LIMIT for value in residuals.values())
+    ok = all(residual <= VALIDATE_LIMIT for residual, _ in worst.values())
     lines.append(f"RESULT: {'PASS' if ok else 'FAIL'} (limit {VALIDATE_LIMIT:g})")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
@@ -332,7 +325,8 @@ def _add_numerics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--series-tol", type=float, default=DEFAULT_NUMERICS.series_tol,
                         help="relative truncation tolerance of the Bessel sums")
     parser.add_argument("--quad-tol", type=float, default=DEFAULT_NUMERICS.quad_tol,
-                        help="relative tolerance of the adaptive quadrature")
+                        help="relative tolerance of the quadrature: the trapezoid "
+                             "step is halved until every moment changes by less")
     parser.add_argument("--x-switch", type=float, default=DEFAULT_NUMERICS.x_switch,
                         help="below this x the closed forms delegate to quadrature")
 

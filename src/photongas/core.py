@@ -190,11 +190,13 @@ def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], 
     """The kernels named in keys, a string over "nuvR", and their method tag.
 
     One rule picks the method for all of them: x = 0 takes the exact
-    massless limits, x < x_switch quadrature of the defining integrals, and
+    massless limits, x < x_switch one trapezoid pass over the defining
+    integrals, which yields all four kernels whatever keys asks for, and
     larger x the closed form (r_hat) or the Bessel series, where n_hat,
     u_hat and v_hat share one pass.  A ConvergenceError names the quantity.
     """
-    method = QUADRATURE if x != 0.0 and x < cfg.x_switch else SERIES
+    if x != 0.0 and x < cfg.x_switch:
+        return dict(zip("nuvR", oracle._moments(x, cfg.quad_tol))), QUADRATURE
     values = {}
     sums = None
     for key in keys:
@@ -202,8 +204,6 @@ def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], 
         try:
             if x == 0.0:
                 values[key] = limit
-            elif method == QUADRATURE:
-                values[key] = getattr(oracle, "quad_" + quantity)(x, cfg.quad_tol)
             elif key == "R":
                 values[key] = r_hat_closed(x)
             else:
@@ -215,7 +215,7 @@ def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], 
                 f"{quantity}: {exc}", value=exc.value, error=exc.error,
                 terms=exc.terms,
             ) from exc
-    return values, method
+    return values, SERIES
 
 
 def reduced_functions(x: float, cfg: NumericsConfig | None = None) -> ReducedFunctions:

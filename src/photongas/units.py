@@ -91,7 +91,8 @@ def parse_mass(text: str) -> float:
     value = float(number)
     if value < 0:
         raise MassParseError(f"negative mass {number!r}")
-    return value * MASS_UNITS[unit]
+    # "-0" parses to -0.0, which passes the check above; the mass is +0.0.
+    return abs(value) * MASS_UNITS[unit]
 
 
 def format_mass(mass: float, unit: str) -> str:

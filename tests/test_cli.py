@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import photongas
-from photongas import DEFAULT_NUMERICS, SI
-from photongas.cli import SweepSpec, build_parser, main
+from photongas import DEFAULT_NUMERICS, SI, core, oracle
+from photongas.cli import VALIDATE_GRID, SweepSpec, build_parser, main
 from photongas.errors import DomainError
 
 
@@ -246,6 +247,26 @@ def test_validate_with_loose_quadrature_reports_and_exits_cleanly(capsys):
     assert "RESULT:" in out
 
 
+@pytest.mark.parametrize("quad_tol", ["1e-14", "1e-6"])
+def test_validate_compares_both_routes_at_every_grid_x(capsys, monkeypatch, quad_tol):
+    closed_at = []
+    series = core._series
+
+    def recorded(x, *args):
+        closed_at.append(x)
+        return series(x, *args)
+
+    monkeypatch.setattr(core, "_series", recorded)
+    code, out, err = run(capsys, "validate", "--quad-tol", quad_tol)
+    assert code == 0, err
+    assert tuple(closed_at) == VALIDATE_GRID
+    for quantity in ("n_hat", "v_hat", "u_hat", "r_hat"):
+        match = re.search(rf"^{quantity} +max relative residual = (\S+) at x = (\S+)$",
+                          out, re.M)
+        assert match, quantity
+        assert float(match[1]) <= 1e-7 and float(match[2]) in VALIDATE_GRID
+
+
 # ---------------------------------------------------------------------------
 # remaining flag surfaces
 # ---------------------------------------------------------------------------
@@ -287,14 +308,36 @@ def test_point_deep_nonrelativistic_state_reports():
         assert 0.0 < report["vbar_m_per_s"] < SI.c
 
 
-def test_point_on_the_quadrature_route_at_huge_x_names_the_quantity():
+def test_point_on_the_quadrature_route_names_the_quantity_that_did_not_converge(
+        capsys, monkeypatch):
+    # x ~ 0.0039: an exhausted trapezoid ladder is exit 3, the quantity named.
+    monkeypatch.setattr(oracle, "_HALVINGS", 1)
+    code, out, err = run(capsys, "point", "--mass", "1e-3eV", "--temp", "3000",
+                         "--quad-tol", "1e-14")
+    assert code == 3 and out == ""
+    assert re.match(r"error: (number_density|energy_density|mean_speed|radiance): "
+                    r"trapezoid ladder", err)
+
+
+def test_point_on_the_quadrature_route_at_huge_x_matches_the_series_route(capsys):
     # x ~ 6.5e109 kept on the quadrature route: n, u and R underflow to 0,
-    # and the mean speed, a ratio of two underflowed integrals, is undefined.
-    proc = run_subprocess("point", "--mass", "1kg", "--temp", "1e-70",
-                          "--x-switch", "1e300")
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: mean_speed")
+    # and the mean speed, a ratio of two e^x-scaled sums, stays finite.
+    argv = ("point", "--mass", "1kg", "--temp", "1e-70", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--x-switch", "1e300")
+    assert code == 0
+    quad = json.loads(out)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    series = json.loads(out)
+    assert quad["methods"]["v"] == "quadrature" and series["methods"]["v"] == "series"
+    assert quad["n_per_m3"] == quad["u_J_per_m3"] == quad["R_W_per_m2"] == 0.0
+    assert quad["vbar_m_per_s"] == pytest.approx(series["vbar_m_per_s"], rel=1e-13, abs=0.0)
+
+
+def test_point_negative_zero_mass_prints_no_negative_zero(capsys):
+    code, out, _ = run(capsys, "point", "--mass=-0kg", "--temp", "300", "--format", "csv")
+    assert code == 0
+    assert not any(cell.startswith("-0") for cell in out.splitlines()[1].split(","))
 
 
 @pytest.mark.xfail(strict=True,

@@ -21,6 +21,8 @@ from photongas.core import (_si_prefactor, n_hat_series, r_hat_closed,
                             u_hat_series, v_hat_series)
 from photongas.oracle import integrate_adaptive
 
+from mpmath_reference import mpmath_kernels
+
 T_REF = 5800.0
 
 
@@ -372,44 +374,13 @@ def test_evaluate_over_the_whole_double_range_reports_or_names_the_error(
     assert set(report.methods.values()) <= {"series", "quadrature"}
 
 
-def _mpmath_kernels(mp, x: float) -> tuple:
-    """n_hat, u_hat, v_hat and r_hat from mpmath alone, at 30 digits.
-
-    For x <= 31, tanh-sinh quadrature of the defining integrals
-    int s^2 w/(e^E - 1) ds, E = sqrt(s^2 + x^2), w = 1, E, s/E, s, with a
-    breakpoint at s = x, where the integrand turns; above, the mp.besselk
-    sums and the mp.polylog closed forms.
-    """
-    if x > 31:
-        w = mp.exp(-x)
-        n = mp.fsum(mp.besselk(2, j * x) / j for j in range(1, 4))
-        u = mp.fsum(mp.besselk(1, j * x) / (j * x) + 3 * mp.besselk(2, j * x) / (j * x)**2
-                    for j in range(1, 4))
-        n_hat = x * x / mp.pi**2 * n
-        v_hat = 2 * (mp.polylog(3, w) + x * mp.polylog(2, w)) / (mp.pi**2 * n_hat)
-        r_hat = 3 / (2 * mp.pi**2) * (mp.polylog(4, w) + x * mp.polylog(3, w)
-                                      + x * x / 3 * mp.polylog(2, w))
-        return n_hat, x**4 / mp.pi**2 * u, v_hat, r_hat
-
-    def integral(weight):
-        def integrand(s):
-            energy = mp.sqrt(s * s + x * x)
-            return s * s * weight(s, energy) / mp.expm1(energy)
-
-        return mp.quad(integrand, sorted([0, x, 1, 10, 40]) + [mp.inf])
-
-    n = integral(lambda s, e: 1)
-    return (n / mp.pi**2, integral(lambda s, e: e) / mp.pi**2,
-            integral(lambda s, e: s / e) / n, integral(lambda s, e: s) / (4 * mp.pi**2))
-
-
 @pytest.mark.parametrize("x", [0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 30.0, 31.0, 100.0, 600.0])
 def test_energy_density_series_route_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x)
     assert reduced.method == "series"
     with mp.workdps(30):
-        u_hat = _mpmath_kernels(mp, mp.mpf(x))[1]
+        u_hat = mpmath_kernels(mp, mp.mpf(x))[1]
     assert reduced.u_hat == pytest.approx(float(u_hat), rel=1e-12, abs=0.0)
 
 
@@ -423,7 +394,7 @@ def test_mean_speed_series_route_matches_mpmath(x):
     assert reduced.method == "series"
     with mp.workdps(30):
         xm = mp.mpf(x)
-        n_hat = _mpmath_kernels(mp, xm)[0]
+        n_hat = mpmath_kernels(mp, xm)[0]
         w = mp.exp(-xm)
         v_hat = 2 * (mp.polylog(3, w) + xm * mp.polylog(2, w)) / (mp.pi**2 * n_hat)
     assert reduced.v_hat == pytest.approx(float(v_hat), rel=5e-13, abs=0.0)
@@ -434,7 +405,7 @@ def test_quadrature_route_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x)
     with mp.workdps(30):
-        reference = _mpmath_kernels(mp, mp.mpf(x))
+        reference = mpmath_kernels(mp, mp.mpf(x))
     assert reduced.method == "quadrature"
     for kernel, expected in zip("nuvr", reference):
         assert getattr(reduced, kernel + "_hat") == pytest.approx(
@@ -448,7 +419,7 @@ def test_mpmath_quadrature_reference_matches_polylog_radiance():
         w = mp.exp(-x)
         closed = 3 / (2 * mp.pi**2) * (mp.polylog(4, w) + x * mp.polylog(3, w)
                                        + x * x / 3 * mp.polylog(2, w))
-        assert abs(_mpmath_kernels(mp, x)[3] / closed - 1) < mp.mpf(10)**-25
+        assert abs(mpmath_kernels(mp, x)[3] / closed - 1) < mp.mpf(10)**-25
 
 
 def test_kernels_are_continuous_at_x_switch():

@@ -3,11 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from photongas import (ConvergenceError, DomainError, NumericsConfig,
-                       integrate_adaptive, oracle, quad_energy_density,
-                       quad_mean_speed, quad_number_density, quad_radiance,
+from photongas import (ConvergenceError, DomainError, GasParameters,
+                       NumericsConfig, SI, evaluate, integrate_adaptive,
+                       oracle, quad_energy_density, quad_mean_speed,
+                       quad_number_density, quad_radiance, reduced_functions,
                        zeta_value)
+
+from mpmath_reference import mpmath_kernels
 
 
 def test_config_validation():
@@ -160,3 +165,62 @@ def test_cosh_parametrization_joins_the_plain_one():
 def test_integrate_rejects_infinite_bound():
     with pytest.raises(DomainError, match=r"\[0\.0, inf\]"):
         integrate_adaptive(lambda t: 1.0, 0.0, math.inf)
+
+
+# ---------------------------------------------------------------------------
+# the shared trapezoid pass
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x", [1e-8 * 6e10 ** (k / 11) for k in range(12)])
+def test_moments_match_mpmath(x):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        reference = mpmath_kernels(mp, mp.mpf(x))
+    for name, value, expected in zip(oracle._QUANTITIES, oracle._moments(x), reference):
+        assert value == pytest.approx(float(expected), rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize("rel_tol", [1e-14, 1e-6])
+@pytest.mark.parametrize("x", [0.0, 1e-8, 0.05, 1.0, 30.0, 600.0])
+def test_ladder_converges_at_the_ends_of_the_tolerance_range(x, rel_tol):
+    values = oracle._moments(x, rel_tol)
+    for value, default in zip(values, oracle._moments(x)):
+        assert value == pytest.approx(default, rel=max(rel_tol, 1e-13), abs=0.0)
+
+
+def test_exhausted_ladder_reports_the_quantity_and_its_estimate(monkeypatch):
+    converged = dict(zip(oracle._QUANTITIES, oracle._moments(0.05)))
+    monkeypatch.setattr(oracle, "_HALVINGS", 1)
+    with pytest.raises(ConvergenceError, match=r"^\w+: trapezoid ladder") as excinfo:
+        oracle._moments(0.05, 1e-14)
+    err = excinfo.value
+    quantity = str(err).split(":")[0]
+    assert math.isfinite(err.value)
+    assert err.value == pytest.approx(converged[quantity], rel=1e-5)
+    assert 0.0 < err.error <= 1e-5 * err.value
+    with pytest.raises(ConvergenceError, match=f"^{quantity}: trapezoid ladder"):
+        reduced_functions(0.05, NumericsConfig(quad_tol=1e-14))
+
+
+@given(st.floats(min_value=0.0, max_value=1e-2))
+def test_mean_speed_never_exceeds_one(x):
+    # Numerator and denominator share every node, and each numerator term is
+    # the denominator term times t/e <= 1, so no rounding lifts the ratio
+    # past 1.
+    assert quad_mean_speed(x) <= 1.0
+
+
+def test_evaluation_below_the_switch_takes_one_pass(monkeypatch):
+    calls = []
+    moments = oracle._moments
+
+    def counted(*args):
+        calls.append(args)
+        return moments(*args)
+
+    monkeypatch.setattr(oracle, "_moments", counted)
+    x = 0.01
+    mass = x * SI.k_B * 300.0 / (SI.c * SI.c)
+    report = evaluate(GasParameters(mass=mass, temperature=300.0))
+    assert report.method == "quadrature"
+    assert len(calls) == 1
