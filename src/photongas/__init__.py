@@ -37,4 +37,4 @@ __all__ = [
     "format_mass", "parse_mass", "reduce",
 ]
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

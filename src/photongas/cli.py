@@ -328,7 +328,9 @@ def _add_numerics_flags(parser: argparse.ArgumentParser) -> None:
                         help="relative tolerance of the quadrature: the trapezoid "
                              "step is halved until every moment changes by less")
     parser.add_argument("--x-switch", type=float, default=DEFAULT_NUMERICS.x_switch,
-                        help="below this x the closed forms delegate to quadrature")
+                        help="below this x every kernel comes from one trapezoid "
+                             "pass, at and above it from the Bessel sums and "
+                             "polylogs; the default is where their costs cross")
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser, default_points: int) -> None:

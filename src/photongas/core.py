@@ -2,8 +2,9 @@
 
 All physics is computed in the reduced variable x = mc^2/kT.  Each reduced
 kernel has two routes: a closed-form series route (Bessel sums and
-polylogarithms) used for x >= x_switch, and direct quadrature of the defining
-phase-space integral used below the switch and as the cross-check oracle.
+polylogarithms) used for x >= x_switch, and one trapezoid pass over the
+defining phase-space integrals used below the switch and as the cross-check
+oracle.  The default switch sits where the two routes' costs cross.
 n_hat, u_hat and v_hat share one pass of the Bessel sums per evaluation.
 SI prefactors are applied exactly once, at the boundary, so no intermediate
 ever carries the ~1e-102 magnitudes of hbar^3.
@@ -41,13 +42,16 @@ _SLACK = 1e-9  # relative slack for invariants that are exact only in real arith
 class NumericsConfig:
     """The series and quadrature tolerances and the boundary between routes.
 
-    Below ``x_switch`` every kernel is taken by quadrature of its defining
-    integral, because the Bessel sums would need O(1/x) terms there.
+    Below ``x_switch`` every kernel is taken from one trapezoid pass over
+    its defining integral, at and above it from the Bessel sums and
+    polylogs.  Cost sets the switch: the pass costs about the same at any x,
+    while the Bessel sums need O(1/x) terms, and the default 4.0 is where
+    the measured costs of the two routes cross.
     """
 
     series_tol: float = specfun.SERIES_TOL
     quad_tol: float = oracle.QUAD_TOL
-    x_switch: float = 0.1
+    x_switch: float = 4.0
 
     def __post_init__(self):
         specfun._check_series_tol(self.series_tol)

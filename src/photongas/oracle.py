@@ -4,7 +4,7 @@ These evaluate the reduced number density, mean speed, energy density, and
 radiance of the massive-photon gas by quadrature of the raw Bose-Einstein
 integrals, with no series expansion anywhere.  The closed-form kernels in
 :mod:`photongas.core` are required to reproduce them, which makes this module
-both the small-x evaluation path and the test oracle.
+both the evaluation path below x_switch and the test oracle.
 
 All four kernels are moments of one Bose integrand,
 int_0^inf s^2 w(s, E) / (e^E - 1) ds with s = pc/kT, E = sqrt(s^2 + x^2) and

@@ -319,8 +319,9 @@ def _unscaled(x: float, rel_tol: float, index: int, name: str) -> WeightedSum:
 def k2_weighted_sum(x: float, rel_tol: float = SERIES_TOL) -> WeightedSum:
     """sum_{n>=1} K2(n x)/n with the number of terms actually used.
 
-    Converges in O(1/x) terms; intended for x >= ~0.1, where the gas kernels
-    use it as their series path (smaller x is served by quadrature).
+    Converges in O(1/x) terms.  The gas kernels take it on their series
+    route, x >= x_switch (default 4.0); below that one trapezoid pass is
+    cheaper.
     """
     return _unscaled(x, rel_tol, 0, "k2_weighted_sum")
 

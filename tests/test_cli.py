@@ -334,6 +334,24 @@ def test_point_on_the_quadrature_route_at_huge_x_matches_the_series_route(capsys
     assert quad["vbar_m_per_s"] == pytest.approx(series["vbar_m_per_s"], rel=1e-13, abs=0.0)
 
 
+def test_point_below_the_default_switch_is_quadrature_and_x_switch_restores_series(capsys):
+    # x ~ 1 lies in [0.1, x_switch): the trapezoid by default, the Bessel
+    # pass with --x-switch 0.1; the five SI cells agree either way.
+    argv = ("point", "--mass", "1eV", "--temp", "11604.5", "--format", "csv")
+    rows = {}
+    for method, extra in (("quadrature", ()), ("series", ("--x-switch", "0.1"))):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        header, row = out.strip().split("\n")
+        rows[method] = dict(zip(header.split(","), row.split(",")))
+        flags = rows[method]["method_flags"].split(";")
+        assert {flag.split(":")[1] for flag in flags} == {method}
+    for column in ("n_per_m3", "u_J_per_m3", "vbar_m_per_s", "R_W_per_m2",
+                   "R_naive_W_per_m2"):
+        assert float(rows["quadrature"][column]) == pytest.approx(
+            float(rows["series"][column]), rel=1e-12, abs=0.0), column
+
+
 def test_point_negative_zero_mass_prints_no_negative_zero(capsys):
     code, out, _ = run(capsys, "point", "--mass=-0kg", "--temp", "300", "--format", "csv")
     assert code == 0

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photongas import (SI, ConvergenceError, DomainError, GasParameters,
-                       NumericsConfig, RegimeError, bessel_k2,
+from photongas import (DEFAULT_NUMERICS, SI, ConvergenceError, DomainError,
+                       GasParameters, NumericsConfig, RegimeError, bessel_k2,
                        energy_density, evaluate, low_temp_mean_speed,
                        low_temp_radiance, mean_speed, number_density,
                        photon_speed, quad_energy_density, quad_mean_speed,
@@ -281,7 +281,9 @@ def test_method_tags_follow_the_regime_switch():
     assert below.methods == {"n": "quadrature", "u": "quadrature",
                              "v": "quadrature", "R": "quadrature",
                              "R_naive": "quadrature"}
-    above = evaluate(params_for_x(0.5))
+    assert 0.5 < DEFAULT_NUMERICS.x_switch < 10.0
+    assert set(evaluate(params_for_x(0.5)).methods.values()) == {"quadrature"}
+    above = evaluate(params_for_x(10.0))
     assert above.methods["n"] == "series"
     assert above.methods["v"] == "series"
     assert above.methods["R"] == "series"
@@ -294,7 +296,7 @@ def test_method_tags_follow_the_regime_switch():
     with pytest.raises(AttributeError):
         below.methods = {}
     with pytest.raises(DomainError):
-        dataclasses.replace(reduced_functions(0.5), method="bessel")
+        dataclasses.replace(reduced_functions(10.0), method="bessel")
 
 
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.4, 0.7, 1.0])
@@ -376,8 +378,10 @@ def test_evaluate_over_the_whole_double_range_reports_or_names_the_error(
 
 @pytest.mark.parametrize("x", [0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 30.0, 31.0, 100.0, 600.0])
 def test_energy_density_series_route_matches_mpmath(x):
+    # x_switch = 0.1 keeps the whole list on the series route, which
+    # validate compares with the trapezoid at every x.
     mp = pytest.importorskip("mpmath")
-    reduced = reduced_functions(x)
+    reduced = reduced_functions(x, NumericsConfig(x_switch=0.1))
     assert reduced.method == "series"
     with mp.workdps(30):
         u_hat = mpmath_kernels(mp, mp.mpf(x))[1]
@@ -390,7 +394,7 @@ def test_mean_speed_series_route_matches_mpmath(x):
     # truncated sums; cutting each by its own stop rule keeps it within
     # 3.6e-13 of the reference.
     mp = pytest.importorskip("mpmath")
-    reduced = reduced_functions(x)
+    reduced = reduced_functions(x, NumericsConfig(x_switch=0.1))
     assert reduced.method == "series"
     with mp.workdps(30):
         xm = mp.mpf(x)
@@ -400,7 +404,8 @@ def test_mean_speed_series_route_matches_mpmath(x):
     assert reduced.v_hat == pytest.approx(float(v_hat), rel=5e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("x", [1e-6, 1.43e-4, 1.94e-4, 0.0165, 0.05])
+@pytest.mark.parametrize("x", [1e-6, 1.43e-4, 1.94e-4, 0.0165, 0.05, 0.1, 0.5, 1.0, 2.0,
+                               math.nextafter(DEFAULT_NUMERICS.x_switch, 0.0)])
 def test_quadrature_route_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x)
@@ -423,13 +428,16 @@ def test_mpmath_quadrature_reference_matches_polylog_radiance():
 
 
 def test_kernels_are_continuous_at_x_switch():
-    below = reduced_functions(math.nextafter(0.1, 0.0))
-    above = reduced_functions(0.1)
-    assert below.method == "quadrature"
-    assert above.method == "series"
-    for kernel in "nuvr":
-        assert getattr(below, kernel + "_hat") == pytest.approx(
-            getattr(above, kernel + "_hat"), rel=2e-12, abs=0.0), kernel
+    # At the default switch, and at 0.1, where the Bessel pass takes 181
+    # terms.
+    for cfg in (DEFAULT_NUMERICS, NumericsConfig(x_switch=0.1)):
+        below = reduced_functions(math.nextafter(cfg.x_switch, 0.0), cfg)
+        above = reduced_functions(cfg.x_switch, cfg)
+        assert below.method == "quadrature"
+        assert above.method == "series"
+        for kernel in "nuvr":
+            assert getattr(below, kernel + "_hat") == pytest.approx(
+                getattr(above, kernel + "_hat"), rel=2e-12, abs=0.0), (cfg, kernel)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.01, 0.5, 40.0])
