@@ -46,7 +46,11 @@ class NumericsConfig:
     its defining integral, at and above it from the Bessel sums and
     polylogs.  Cost sets the switch: the pass costs about the same at any x,
     while the Bessel sums need O(1/x) terms, and the default 4.0 is where
-    the measured costs of the two routes cross.
+    the measured costs of the two routes cross.  That crossover holds for
+    a full evaluation and for n, u or v alone.  The radiance alone needs
+    no Bessel sum: its closed form is cheaper than the pass at every
+    x >= 0.1, so a caller that asks only for it on [0.1, 4) is faster
+    with x_switch=0.1.
     """
 
     series_tol: float = specfun.SERIES_TOL
