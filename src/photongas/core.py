@@ -45,12 +45,14 @@ class NumericsConfig:
     Below ``x_switch`` every kernel is taken from one trapezoid pass over
     its defining integral, at and above it from the Bessel sums and
     polylogs.  Cost sets the switch: the pass costs about the same at any x,
-    while the Bessel sums need O(1/x) terms, and the default 4.0 is where
-    the measured costs of the two routes cross.  That crossover holds for
-    a full evaluation and for n, u or v alone.  The radiance alone needs
-    no Bessel sum: its closed form is cheaper than the pass at every
-    x >= 0.1, so a caller that asks only for it on [0.1, 4) is faster
-    with x_switch=0.1.
+    while the Bessel sums need O(1/x) terms.  The default 4.0 is where the
+    measured costs of the two routes crossed in 0.5.0 (BENCH_12.json).  The
+    cheaper pass that followed crosses near 6.8 (BENCH_13.json); the
+    default stays 4.0 until that move is measured on its own.  The
+    crossover holds for a full evaluation and for n, u or v alone.  The
+    radiance alone needs no Bessel sum: its closed form is cheaper than the
+    pass on [0.1, 4) except on about [0.15, 0.3], so a caller that asks
+    only for it on [0.4, 4) is faster with x_switch=0.1.
     """
 
     series_tol: float = specfun.SERIES_TOL

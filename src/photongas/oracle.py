@@ -14,11 +14,14 @@ the real axis and decays exponentially at the bottom and double-exponentially
 at the top, so a plain trapezoid sum converges geometrically in 1/h
 (Trefethen & Weideman, SIAM Rev. 56, 385 (2014); Takahasi & Mori, Publ.
 RIMS 9, 721 (1974)).  One set of nodes serves all four moments, with one
-occupation per node.  The step is halved from 0.48 down to 0.06, each level
+exp per node for the occupation; the abscissae come from one constant table
+on the finest grid.  The step is halved from 0.48 down to 0.06, each level
 adding only the midpoints, until every moment changes by less than quad_tol.
-The range in u is finite: it starts where the integrand is below about e^-40
-of its bulk and ends where E - x = _TAIL, past which the occupation is below
-e^-60 of its value at threshold.
+The range in u is finite.  It starts at the largest grid u where the lower
+tail it leaves out is under about 1e-17 of the bulk: u = ln(3e-17 x)/3 for
+5.5e-9 <= x <= 1, -20 below, and the x = 1 value, -12.74, above x = 1.  It
+ends where E - x = _TAIL, past which the occupation is below e^-60 of its
+value at threshold.
 
 The Gauss-Kronrod driver ``integrate_adaptive`` is kept as a general tool for
 the reference tests of the special functions.
@@ -57,6 +60,12 @@ _MAX_DEPTH = 60
 # The trapezoid ladder: the first step in u, and how often it is halved.
 _H0 = 0.48
 _HALVINGS = 3
+# The finest step, and the lowest start of the range any x takes.
+_H_MIN = _H0 / 2**_HALVINGS
+_U0 = -20.0
+# The range starts where the lost lower tail is about 1e-17 of the bulk:
+# at s^3 = _CUT x, where int s^3/max(s, x) du below it is s^3/(3x).
+_CUT = 3e-17
 # What each of the four moments measures, in the order _moments returns them.
 _QUANTITIES = ("number_density", "energy_density", "mean_speed", "radiance")
 
@@ -163,6 +172,22 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     )
 
 
+def _node_table(u0: float, size: int) -> tuple[float, ...]:
+    """Abscissae t_j = e^(u0 + j _H_MIN), j < size, on the finest grid.
+
+    u0 + j _H_MIN is summed in integers and rounded once, so a node near
+    u = 0, where the bulk lies, is off by an ulp of u and not of u0.
+    """
+    (n0, d0), (n, d) = u0.as_integer_ratio(), _H_MIN.as_integer_ratio()
+    return tuple(math.exp((n0 * d + j * n * d0) / (d0 * d)) for j in range(size))
+
+
+# Every ladder level's nodes, and its midpoints, are strided slices of this
+# one table.  It runs up to u = 6, above the top level-0 node,
+# 0.5 ln(_TAIL (_TAIL + 2)) + _H0 at most, for every x while _TAIL <= 240.
+_NODES = _node_table(_U0, math.ceil((6.0 - _U0) / _H_MIN) + 1)
+
+
 def _occupation(y: float) -> float:
     # 1/(e^y - 1); expm1 keeps small y accurate, the exp(-y) branch avoids
     # overflow and underflows cleanly to 0 for very large y.
@@ -177,26 +202,46 @@ def _check_x(x: float) -> float:
     return float(x)
 
 
-def _node_sums(u0: float, h: float, count: int, a: float, r: float):
-    """Sums over u = u0 + k h, k < count, of the four scaled integrands.
+def _first_node(x: float) -> int:
+    """Index in _NODES of the first node of the range at x.
 
-    With t = s/a and e = E/a: t^3 e^x B(E) times 1, e, t/e and t.  The
-    occupation is taken once per node as e^-(E-x) / (1 - e^-E), with
-    E - x = s^2/(E + x) = a t^2/(e + r), so no node overflows or loses E - x
-    to cancellation.  t/e <= 1 in floating point, so the mean-speed sum never
-    exceeds the number sum.
+    Below it the scaled integrand is at most t^3 e^x B(E).  For x <= 1,
+    B(E) <= 1/max(s, x) bounds the lost tail by int s^3/max(s, x) du, which
+    is s^3/(3x) while s <= x: the range starts at the largest grid u with
+    s^3 <= _CUT x, about 1e-17 of the bulk.  That cut lies below s = x only
+    for x^2 >= _CUT (x >= 5.5e-9); below that the tail is s^2/2 and the range
+    starts at _U0 = -20, 2e-18 of the bulk.  Above x = 1, e^x B(E) <=
+    1/(1 - e^-1) at small t and the bulk stays above sqrt(pi/2), so the
+    x = 1 start, u = -12.74 in t = s/a, keeps the tail near 1e-17 too.
     """
-    exp, hypot, expm1 = math.exp, math.hypot, math.expm1  # local names: the hot loop
+    if x * x < _CUT:
+        return 0
+    u = math.log(_CUT * min(x, 1.0)) / 3.0
+    return math.floor((u - _U0) / _H_MIN)
+
+
+def _node_sums(nodes: tuple[float, ...], a: float, r: float, w: float):
+    """Sums over the abscissae t = s/a in nodes of the four scaled integrands.
+
+    With e = E/a: t^3 e^x B(E) times 1, e, t/e and t.  The occupation takes
+    one exp per node, e^x B(E) = p / (1 - w p) with w = e^-x and
+    p = e^-(E-x), where E - x = s^2/(E + x) = a t^2/(e + r), so no node
+    overflows or loses E - x to cancellation.  1 - w p = 1 - e^-E is off by
+    a relative eps/E, which matters only where the node's weight is
+    proportional to s^2; t >= e^-20 keeps it far from 0.  t/e <= 1 in
+    floating point, so the mean-speed sum never exceeds the number sum.
+    """
+    exp, hypot = math.exp, math.hypot  # local names: the hot loop
     sn = su = sv = sr = 0.0
-    for k in range(count):
-        t = exp(u0 + k * h)
+    for t in nodes:
         e = hypot(t, r)
         t2 = t * t
-        w = t2 * t * exp(-a * t2 / (e + r)) / -expm1(-a * e)
-        sn += w
-        su += w * e
-        sv += w * (t / e)
-        sr += w * t
+        p = exp(-a * t2 / (e + r))
+        f = t2 * t * p / (1.0 - w * p)
+        sn += f
+        su += f * e
+        sv += f * (t / e)
+        sr += f * t
     return sn, su, sv, sr
 
 
@@ -208,32 +253,37 @@ def _moments(x: float, rel_tol: float = QUAD_TOL) -> tuple[float, float, float, 
     e^x-scaled and in units of a^(3+p+q); e^-x and the powers of a are
     applied after the sum, so x stays finite up to the largest double and a
     density whose e^-x underflows is an exact 0.  The range in u starts at
-    -20 for x <= 1, where the integrands fall as slowly as s^2 (x -> 0), and
-    at -14 above, where they fall as s^3.  Raises :class:`ConvergenceError`,
-    naming the quantity that changed most and carrying its last estimate, if
-    a moment still changes by more than rel_tol at the finest step.
+    the largest grid u where the lost lower tail is under about 1e-17 of the
+    bulk (``_first_node``): ln(3e-17 x)/3 for 5.5e-9 <= x <= 1, -20 below,
+    and the x = 1 value, -12.74, above; each rounded down to the grid.
+    It ends past E - x = _TAIL.  Raises :class:`ConvergenceError`, naming
+    the quantity that changed most and carrying its last estimate, if a
+    moment still changes by more than rel_tol at the finest step.
     """
     _check_quad_tol(rel_tol)
     x = _check_x(x)
     a = max(1.0, math.sqrt(x))
     r = x / a
     d = _TAIL / a
-    lo = -20.0 if x <= 1.0 else -14.0
+    w = math.exp(-x)
+    first = _first_node(x)
+    stride = round(_H0 / _H_MIN)
     h = _H0
-    # Nodes lo + k h, k < count, reach the u where E - x = _TAIL:
+    # Nodes first + k stride reach the u where E - x = _TAIL:
     # (s/a)^2 = d (d + 2x/a) with d = _TAIL/a.
-    count = math.ceil((0.5 * math.log(d * (d + 2.0 * r)) - lo) / h) + 1
-    sums = [h * s for s in _node_sums(lo, h, count, a, r)]
+    top = 0.5 * math.log(d * (d + 2.0 * r))
+    stop = first + stride * math.ceil((top - _U0 - first * _H_MIN) / h) + 1
+    sums = [h * s for s in _node_sums(_NODES[first:stop:stride], a, r, w)]
     for _ in range(_HALVINGS):
-        mids = _node_sums(lo + 0.5 * h, h, count - 1, a, r)
+        mids = _node_sums(_NODES[first + stride // 2:stop:stride], a, r, w)
+        stride //= 2
         h *= 0.5
-        count = 2 * count - 1
         last, sums = sums, [0.5 * s + h * m for s, m in zip(sums, mids)]
         changes = [abs(s / old - 1.0) for s, old in zip(sums, last)]
         if max(changes) <= rel_tol:
-            return _kernels(x, a, *sums)
+            return _kernels(w, a, *sums)
     worst = changes.index(max(changes))
-    value, previous = _kernels(x, a, *sums)[worst], _kernels(x, a, *last)[worst]
+    value, previous = _kernels(w, a, *sums)[worst], _kernels(w, a, *last)[worst]
     raise ConvergenceError(
         f"{_QUANTITIES[worst]}: trapezoid ladder ended at step {h!r} with a "
         f"relative change {changes[worst]:.3e} above quad_tol {rel_tol!r} at x={x!r}",
@@ -242,10 +292,9 @@ def _moments(x: float, rel_tol: float = QUAD_TOL) -> tuple[float, float, float, 
     )
 
 
-def _kernels(x: float, a: float, sn: float, su: float, sv: float, sr: float):
-    # e^-x last: in the band where it is subnormal it rounds only once.
+def _kernels(w: float, a: float, sn: float, su: float, sv: float, sr: float):
+    # e^-x = w last: in the band where it is subnormal it rounds only once.
     # Where it underflows, a^4 may overflow; the densities are an exact 0.
-    w = math.exp(-x)
     v = sv / sn
     if w == 0.0:
         return 0.0, 0.0, v, 0.0

@@ -149,6 +149,23 @@ def test_tail_cutoff_insensitivity(quad, x, monkeypatch):
     assert abs(high - low) <= 1e-12 * abs(high)
 
 
+@pytest.mark.parametrize("x", [1e-8, 1e-4, 0.05, 0.9, 1.1, 50.0])
+def test_lower_cutoff_insensitivity(x, monkeypatch):
+    # the range starts where the lost lower tail is about 1e-17 of the bulk;
+    # starting 34 grid steps (2.04 in u) lower, on a node table extended
+    # below oracle._U0, changes nothing a double can hold
+    default = oracle._moments(x)
+    steps = 34
+    u0 = oracle._U0 - steps * oracle._H_MIN
+    monkeypatch.setattr(oracle, "_NODES",
+                        oracle._node_table(u0, len(oracle._NODES) + steps))
+    monkeypatch.setattr(oracle, "_U0", u0)
+    first = oracle._first_node
+    monkeypatch.setattr(oracle, "_first_node", lambda y: first(y) - steps)
+    for name, lower, value in zip(oracle._QUANTITIES, oracle._moments(x), default):
+        assert lower == pytest.approx(value, rel=1e-14, abs=0.0), name
+
+
 def test_cosh_parametrization_joins_the_plain_one():
     # one parametrisation at every x: every kernel stays continuous across
     # x = 30
@@ -171,7 +188,10 @@ def test_integrate_rejects_infinite_bound():
 # the shared trapezoid pass
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("x", [1e-8 * 6e10 ** (k / 11) for k in range(12)])
+@pytest.mark.parametrize("x", [1e-8 * 6e10 ** (k / 11) for k in range(12)]
+                         # both sides of where the range start reaches -20,
+                         # and of x = 1, where it stops following x
+                         + [5.4e-9, 5.5e-9, 1.0, math.nextafter(1.0, 2.0)])
 def test_moments_match_mpmath(x):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
@@ -186,6 +206,40 @@ def test_ladder_converges_at_the_ends_of_the_tolerance_range(x, rel_tol):
     values = oracle._moments(x, rel_tol)
     for value, default in zip(values, oracle._moments(x)):
         assert value == pytest.approx(default, rel=max(rel_tol, 1e-13), abs=0.0)
+
+
+def _node_sums_calls(x, monkeypatch):
+    # (abscissae, a, r) of every oracle._node_sums call in one pass at x
+    calls = []
+    node_sums = oracle._node_sums
+
+    def traced(nodes, a, r, w):
+        calls.append((nodes, a, r))
+        return node_sums(nodes, a, r, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_node_sums", traced)
+        oracle._moments(x)
+    return calls
+
+
+@pytest.mark.parametrize("x, count", [(1e-6, 181), (0.01, 157), (0.5, 145),
+                                      (3.9, 137), (10.0, 133)])
+def test_nodes_per_pass(x, count, monkeypatch):
+    # a deterministic work count: the first level's nodes and every later
+    # level's midpoints, at the default quad_tol
+    assert sum(len(nodes) for nodes, _, _ in _node_sums_calls(x, monkeypatch)) == count
+
+
+@pytest.mark.parametrize("tail", [oracle._TAIL, 70.0, 240.0])
+@pytest.mark.parametrize("x", [0.0, 1.0, math.nextafter(1.0, 2.0), 1e300])
+def test_last_node_reaches_the_tail(x, tail, monkeypatch):
+    # the node table is long enough: no slice of it ends before E - x = _TAIL
+    monkeypatch.setattr(oracle, "_TAIL", tail)
+    calls = _node_sums_calls(x, monkeypatch)
+    _, a, r = calls[0]
+    t = max(max(nodes) for nodes, _, _ in calls)
+    assert a * t * t / (math.hypot(t, r) + r) >= tail
 
 
 def test_exhausted_ladder_reports_the_quantity_and_its_estimate(monkeypatch):
