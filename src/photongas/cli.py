@@ -182,7 +182,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             temperature = value
         params = GasParameters(mass=mass, temperature=temperature, degeneracy=args.g)
-        report = core.evaluate(params, cfg)
+        # An x sweep prints and routes by its grid x, not by mc^2/kT
+        # recomputed from the rounded T.
+        x = value if spec.variable == "x" else reduce(params).x
+        report = core._report(params, x, cfg)
         rows.append(",".join([str(index)] + _report_cells(report)))
     _write_output("\n".join(rows) + "\n", args.out)
     return 0

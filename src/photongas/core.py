@@ -47,12 +47,13 @@ class NumericsConfig:
     polylogs.  Cost sets the switch: the pass costs about the same at any x,
     while the Bessel sums need O(1/x) terms.  The default 4.0 is where the
     measured costs of the two routes crossed in 0.5.0 (BENCH_12.json).  The
-    cheaper pass that followed crosses near 6.8 (BENCH_13.json); the
-    default stays 4.0 until that move is measured on its own.  The
-    crossover holds for a full evaluation and for n, u or v alone.  The
-    radiance alone needs no Bessel sum: its closed form is cheaper than the
-    pass on [0.1, 4) except on about [0.15, 0.3], so a caller that asks
-    only for it on [0.4, 4) is faster with x_switch=0.1.
+    cheaper passes that followed cross near 6.8 (BENCH_13.json) and then
+    near 9 (BENCH_14.json); the default stays 4.0 until that move is
+    measured on its own.  The crossover holds for a full evaluation and
+    for n, u or v alone.  The radiance alone needs no Bessel sum: its
+    closed form is cheaper than the pass on [0.1, 4) except on about
+    [0.15, 0.4], so a caller that asks only for it on [0.5, 4) is faster
+    with x_switch=0.1.
     """
 
     series_tol: float = specfun.SERIES_TOL
@@ -386,7 +387,16 @@ def low_temp_mean_speed(params: GasParameters) -> float:
 
 def evaluate(params: GasParameters, cfg: NumericsConfig | None = None) -> RadiometryReport:
     """Full radiometry report for one (m, T) point."""
-    red = reduced_functions(reduce(params).x, cfg)
+    return _report(params, reduce(params).x, cfg)
+
+
+def _report(params: GasParameters, x: float, cfg: NumericsConfig | None) -> RadiometryReport:
+    """The report of params, with its kernels evaluated and routed at x.
+
+    x is mc^2/kT of params up to rounding; an x sweep passes its grid value,
+    so the printed x and the route are those of the grid.
+    """
+    red = reduced_functions(x, cfg)
     u_si = red.u_hat * _si_prefactor(params, "u")
     return RadiometryReport(
         params=params,

@@ -11,17 +11,19 @@ int_0^inf s^2 w(s, E) / (e^E - 1) ds with s = pc/kT, E = sqrt(s^2 + x^2) and
 w = 1 (number), E (energy), s/E (the mean-speed numerator) or s (radiance).
 In u = ln(s/a), a = max(1, sqrt(x)), each moment is analytic in a strip about
 the real axis and decays exponentially at the bottom and double-exponentially
-at the top, so a plain trapezoid sum converges geometrically in 1/h
-(Trefethen & Weideman, SIAM Rev. 56, 385 (2014); Takahasi & Mori, Publ.
-RIMS 9, 721 (1974)).  One set of nodes serves all four moments, with one
-exp per node for the occupation; the abscissae come from one constant table
-on the finest grid.  The step is halved from 0.48 down to 0.06, each level
-adding only the midpoints, until every moment changes by less than quad_tol.
-The range in u is finite.  It starts at the largest grid u where the lower
-tail it leaves out is under about 1e-17 of the bulk: u = ln(3e-17 x)/3 for
-5.5e-9 <= x <= 1, -20 below, and the x = 1 value, -12.74, above x = 1.  It
-ends where E - x = _TAIL, past which the occupation is below e^-60 of its
-value at threshold.
+at the top, so a trapezoid sum converges geometrically in 1/h (Trefethen &
+Weideman, SIAM Rev. 56, 385 (2014)).  The sum is taken in tau, where
+u = tau - e^(-5 - tau).  Above u = -3 a step in tau is the same step in u to
+within e^-2; below it the bottom tail falls double-exponentially too
+(Takahasi & Mori, Publ. RIMS 9, 721 (1974)), so it takes a few nodes where
+u itself took dozens.  One set of nodes serves all four moments, with one
+exp per node for the occupation; abscissae and weights come from one
+constant table on the finest grid.  The step is halved from 0.48 down to
+0.06, each level adding only the midpoints, until every moment changes by
+less than quad_tol.  The range is finite.  It starts at tau = -7.5
+(u = -19.68) for every x, where the lower tail it leaves out is under about
+1e-17 of the bulk, and ends where E - x = _TAIL, past which the occupation
+is below e^-60 of its value at threshold.
 
 The Gauss-Kronrod driver ``integrate_adaptive`` is kept as a general tool for
 the reference tests of the special functions.
@@ -57,15 +59,19 @@ _TAIL = 60.0
 QUAD_TOL = 1e-10
 # Cap on the bisection depth of a panel of integrate_adaptive.
 _MAX_DEPTH = 60
-# The trapezoid ladder: the first step in u, and how often it is halved.
+# The trapezoid ladder: the first step in tau, and how often it is halved.
 _H0 = 0.48
 _HALVINGS = 3
-# The finest step, and the lowest start of the range any x takes.
 _H_MIN = _H0 / 2**_HALVINGS
-_U0 = -20.0
-# The range starts where the lost lower tail is about 1e-17 of the bulk:
-# at s^3 = _CUT x, where int s^3/max(s, x) du below it is s^3/(3x).
-_CUT = 3e-17
+# The map u = phi(tau) = tau - e^(_TAU0 - tau): phi' = 1 + e^(_TAU0 - tau)
+# is 1 to within e^-2 above u = _TAU0 + 2 and grows double-exponentially
+# below.  A higher _TAU0 saves nodes but lets the bend into the bulk:
+# -4.5 saves 4 a pass and lifts v's worst error from 4.4e-16 to 8.9e-16.
+_TAU0 = -5.0
+# The range starts at the largest grid tau with phi(tau) <= -19.5:
+# phi(-7.5) = -19.68, so the lost lower tail, under t^2/2, is about 1e-17
+# of the bulk at every x.
+_START = -7.5
 # What each of the four moments measures, in the order _moments returns them.
 _QUANTITIES = ("number_density", "energy_density", "mean_speed", "radiance")
 
@@ -172,20 +178,28 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     )
 
 
-def _node_table(u0: float, size: int) -> tuple[float, ...]:
-    """Abscissae t_j = e^(u0 + j _H_MIN), j < size, on the finest grid.
+def _node_table(start: float, size: int) -> tuple[tuple[float, float], ...]:
+    """(t_j, t_j^3 phi'(tau_j)) at tau_j = start + j _H_MIN, j < size.
 
-    u0 + j _H_MIN is summed in integers and rounded once, so a node near
-    u = 0, where the bulk lies, is off by an ulp of u and not of u0.
+    t_j = e^phi(tau_j) is the abscissa s/a and the second entry its weight.
+    start + j _H_MIN is summed in integers and rounded once, so a node near
+    tau = 0, where the bulk lies, is off by an ulp of tau and not of start.
     """
-    (n0, d0), (n, d) = u0.as_integer_ratio(), _H_MIN.as_integer_ratio()
-    return tuple(math.exp((n0 * d + j * n * d0) / (d0 * d)) for j in range(size))
+    (n0, d0), (n, d) = start.as_integer_ratio(), _H_MIN.as_integer_ratio()
+    table = []
+    for j in range(size):
+        tau = (n0 * d + j * n * d0) / (d0 * d)
+        bend = math.exp(_TAU0 - tau)
+        t = math.exp(tau - bend)
+        table.append((t, t * t * t * (1.0 + bend)))
+    return tuple(table)
 
 
 # Every ladder level's nodes, and its midpoints, are strided slices of this
-# one table.  It runs up to u = 6, above the top level-0 node,
-# 0.5 ln(_TAIL (_TAIL + 2)) + _H0 at most, for every x while _TAIL <= 240.
-_NODES = _node_table(_U0, math.ceil((6.0 - _U0) / _H_MIN) + 1)
+# one table.  It runs up to tau = 6, above the top level-0 node,
+# 0.5 ln(_TAIL (_TAIL + 2)) + e^-10 + _H0 at most, for every x while
+# _TAIL <= 240.
+_NODES = _node_table(_START, math.ceil((6.0 - _START) / _H_MIN) + 1)
 
 
 def _occupation(y: float) -> float:
@@ -202,42 +216,23 @@ def _check_x(x: float) -> float:
     return float(x)
 
 
-def _first_node(x: float) -> int:
-    """Index in _NODES of the first node of the range at x.
+def _node_sums(nodes: tuple[tuple[float, float], ...], a: float, r: float, w: float):
+    """Sums over the (t, t^3 phi') pairs in nodes of the four scaled integrands.
 
-    Below it the scaled integrand is at most t^3 e^x B(E).  For x <= 1,
-    B(E) <= 1/max(s, x) bounds the lost tail by int s^3/max(s, x) du, which
-    is s^3/(3x) while s <= x: the range starts at the largest grid u with
-    s^3 <= _CUT x, about 1e-17 of the bulk.  That cut lies below s = x only
-    for x^2 >= _CUT (x >= 5.5e-9); below that the tail is s^2/2 and the range
-    starts at _U0 = -20, 2e-18 of the bulk.  Above x = 1, e^x B(E) <=
-    1/(1 - e^-1) at small t and the bulk stays above sqrt(pi/2), so the
-    x = 1 start, u = -12.74 in t = s/a, keeps the tail near 1e-17 too.
-    """
-    if x * x < _CUT:
-        return 0
-    u = math.log(_CUT * min(x, 1.0)) / 3.0
-    return math.floor((u - _U0) / _H_MIN)
-
-
-def _node_sums(nodes: tuple[float, ...], a: float, r: float, w: float):
-    """Sums over the abscissae t = s/a in nodes of the four scaled integrands.
-
-    With e = E/a: t^3 e^x B(E) times 1, e, t/e and t.  The occupation takes
-    one exp per node, e^x B(E) = p / (1 - w p) with w = e^-x and
-    p = e^-(E-x), where E - x = s^2/(E + x) = a t^2/(e + r), so no node
-    overflows or loses E - x to cancellation.  1 - w p = 1 - e^-E is off by
-    a relative eps/E, which matters only where the node's weight is
-    proportional to s^2; t >= e^-20 keeps it far from 0.  t/e <= 1 in
+    With t = s/a and e = E/a: t^3 phi' e^x B(E) times 1, e, t/e and t.  The
+    occupation takes one exp per node, e^x B(E) = p / (1 - w p) with
+    w = e^-x and p = e^-(E-x), where E - x = s^2/(E + x) = a t^2/(e + r),
+    so no node overflows or loses E - x to cancellation.  1 - w p = 1 - e^-E
+    is off by a relative eps/E, which matters only where the node's weight
+    is proportional to s^2; t >= e^-19.7 keeps it far from 0.  t/e <= 1 in
     floating point, so the mean-speed sum never exceeds the number sum.
     """
     exp, hypot = math.exp, math.hypot  # local names: the hot loop
     sn = su = sv = sr = 0.0
-    for t in nodes:
+    for t, g in nodes:
         e = hypot(t, r)
-        t2 = t * t
-        p = exp(-a * t2 / (e + r))
-        f = t2 * t * p / (1.0 - w * p)
+        p = exp(-a * (t * t) / (e + r))
+        f = g * p / (1.0 - w * p)
         sn += f
         su += f * e
         sv += f * (t / e)
@@ -249,14 +244,13 @@ def _moments(x: float, rel_tol: float = QUAD_TOL) -> tuple[float, float, float, 
     """(n_hat, u_hat, v_hat, r_hat) from one trapezoid pass over four moments.
 
     The moments are int s^(3+p) E^q B(E) du, (p, q) = (0, 0), (0, 1),
-    (1, -1) and (1, 0), with B = 1/(e^E - 1) and s = a e^u.  They are summed
-    e^x-scaled and in units of a^(3+p+q); e^-x and the powers of a are
-    applied after the sum, so x stays finite up to the largest double and a
-    density whose e^-x underflows is an exact 0.  The range in u starts at
-    the largest grid u where the lost lower tail is under about 1e-17 of the
-    bulk (``_first_node``): ln(3e-17 x)/3 for 5.5e-9 <= x <= 1, -20 below,
-    and the x = 1 value, -12.74, above; each rounded down to the grid.
-    It ends past E - x = _TAIL.  Raises :class:`ConvergenceError`, naming
+    (1, -1) and (1, 0), with B = 1/(e^E - 1) and s = a e^u, summed in tau,
+    u = phi(tau) = tau - e^(_TAU0 - tau).  They are summed e^x-scaled and in
+    units of a^(3+p+q); e^-x and the powers of a are applied after the sum,
+    so x stays finite up to the largest double and a density whose e^-x
+    underflows is an exact 0.  The range starts at tau = _START for every x,
+    u = -19.68, where the lost lower tail is under about 1e-17 of the bulk,
+    and ends past E - x = _TAIL.  Raises :class:`ConvergenceError`, naming
     the quantity that changed most and carrying its last estimate, if a
     moment still changes by more than rel_tol at the finest step.
     """
@@ -266,16 +260,16 @@ def _moments(x: float, rel_tol: float = QUAD_TOL) -> tuple[float, float, float, 
     r = x / a
     d = _TAIL / a
     w = math.exp(-x)
-    first = _first_node(x)
     stride = round(_H0 / _H_MIN)
     h = _H0
-    # Nodes first + k stride reach the u where E - x = _TAIL:
-    # (s/a)^2 = d (d + 2x/a) with d = _TAIL/a.
+    # E - x = _TAIL at u = top, (s/a)^2 = d (d + 2x/a) with d = _TAIL/a;
+    # phi(tau) < tau, and phi(top + e^(_TAU0 - top)) >= top.
     top = 0.5 * math.log(d * (d + 2.0 * r))
-    stop = first + stride * math.ceil((top - _U0 - first * _H_MIN) / h) + 1
-    sums = [h * s for s in _node_sums(_NODES[first:stop:stride], a, r, w)]
+    top += math.exp(_TAU0 - top)
+    stop = stride * math.ceil((top - _START) / h) + 1
+    sums = [h * s for s in _node_sums(_NODES[:stop:stride], a, r, w)]
     for _ in range(_HALVINGS):
-        mids = _node_sums(_NODES[first + stride // 2:stop:stride], a, r, w)
+        mids = _node_sums(_NODES[stride // 2:stop:stride], a, r, w)
         stride //= 2
         h *= 0.5
         last, sums = sums, [0.5 * s + h * m for s, m in zip(sums, mids)]

@@ -129,6 +129,20 @@ def test_x_sweep_temperature_column_solves_the_definition(capsys, tmp_path):
         assert mass * SI.c**2 / (SI.k_B * t_kelvin) == pytest.approx(x, rel=1e-14)
 
 
+def test_x_sweep_prints_and_routes_by_its_grid_x(capsys, tmp_path):
+    # T is solved from each grid x; mc^2/kT recomputed from it would read
+    # 0.1 as 9.9999999999999992e-02 and could cross x_switch
+    out_file = tmp_path / "sweep.csv"
+    args = ["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.1",
+            "--x-max", "3.99", "--points", "400", "--spacing", "log"]
+    assert main(args + ["--out", str(out_file)]) == 0
+    rows = [r.split(",") for r in out_file.read_text().strip().split("\n")[1:]]
+    assert float(rows[0][2]) == 0.1 and float(rows[-1][2]) == 3.99
+    assert main(args + ["--x-switch", "0.1", "--out", str(out_file)]) == 0
+    first = out_file.read_text().split("\n")[1].split(",")
+    assert first[-1] == "n:series;u:series;v:series;R:series;R_naive:series"
+
+
 def test_log_sweep_mean_speed_strictly_decreasing(capsys, tmp_path):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--mass", "1eV", "--variable", "x",

@@ -151,22 +151,21 @@ def test_tail_cutoff_insensitivity(quad, x, monkeypatch):
 
 @pytest.mark.parametrize("x", [1e-8, 1e-4, 0.05, 0.9, 1.1, 50.0])
 def test_lower_cutoff_insensitivity(x, monkeypatch):
-    # the range starts where the lost lower tail is about 1e-17 of the bulk;
-    # starting 34 grid steps (2.04 in u) lower, on a node table extended
-    # below oracle._U0, changes nothing a double can hold
+    # the range starts at tau = oracle._START, u = -19.68, where the lost
+    # lower tail is about 1e-17 of the bulk; starting 34 grid steps (2.04 in
+    # tau, to u = -103) lower, on a node table extended below it, changes
+    # nothing a double can hold
     default = oracle._moments(x)
     steps = 34
-    u0 = oracle._U0 - steps * oracle._H_MIN
+    start = oracle._START - steps * oracle._H_MIN
     monkeypatch.setattr(oracle, "_NODES",
-                        oracle._node_table(u0, len(oracle._NODES) + steps))
-    monkeypatch.setattr(oracle, "_U0", u0)
-    first = oracle._first_node
-    monkeypatch.setattr(oracle, "_first_node", lambda y: first(y) - steps)
+                        oracle._node_table(start, len(oracle._NODES) + steps))
+    monkeypatch.setattr(oracle, "_START", start)
     for name, lower, value in zip(oracle._QUANTITIES, oracle._moments(x), default):
         assert lower == pytest.approx(value, rel=1e-14, abs=0.0), name
 
 
-def test_cosh_parametrization_joins_the_plain_one():
+def test_kernels_are_continuous_across_x_30():
     # one parametrisation at every x: every kernel stays continuous across
     # x = 30
     for quad in (quad_number_density, quad_mean_speed, quad_energy_density,
@@ -189,9 +188,12 @@ def test_integrate_rejects_infinite_bound():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("x", [1e-8 * 6e10 ** (k / 11) for k in range(12)]
-                         # both sides of where the range start reaches -20,
-                         # and of x = 1, where it stops following x
-                         + [5.4e-9, 5.5e-9, 1.0, math.nextafter(1.0, 2.0)])
+                         # both sides of sqrt(3e-17) and of x = 1
+                         + [5.4e-9, 5.5e-9, 1.0, math.nextafter(1.0, 2.0)]
+                         # where the map bends, u = oracle._TAU0 +- 1, and
+                         # next to x = 0
+                         + [math.exp(-6.0), math.exp(-5.0), math.exp(-4.0),
+                            5e-324, 1e-300, 1e-20])
 def test_moments_match_mpmath(x):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
@@ -214,7 +216,7 @@ def _node_sums_calls(x, monkeypatch):
     node_sums = oracle._node_sums
 
     def traced(nodes, a, r, w):
-        calls.append((nodes, a, r))
+        calls.append(([t for t, _ in nodes], a, r))
         return node_sums(nodes, a, r, w)
 
     with monkeypatch.context() as patch:
@@ -223,8 +225,8 @@ def _node_sums_calls(x, monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("x, count", [(1e-6, 181), (0.01, 157), (0.5, 145),
-                                      (3.9, 137), (10.0, 133)])
+@pytest.mark.parametrize("x, count", [(1e-6, 101), (0.01, 101), (0.5, 101),
+                                      (3.9, 93), (10.0, 93)])
 def test_nodes_per_pass(x, count, monkeypatch):
     # a deterministic work count: the first level's nodes and every later
     # level's midpoints, at the default quad_tol
