@@ -45,15 +45,16 @@ class NumericsConfig:
     Below ``x_switch`` every kernel is taken from one trapezoid pass over
     its defining integral, at and above it from the Bessel sums and
     polylogs.  Cost sets the switch: the pass costs about the same at any x,
-    while the Bessel sums need O(1/x) terms.  The default 4.0 is where the
-    measured costs of the two routes crossed in 0.5.0 (BENCH_12.json).  The
-    cheaper passes that followed cross near 6.8 (BENCH_13.json) and then
-    near 9 (BENCH_14.json); the default stays 4.0 until that move is
-    measured on its own.  The crossover holds for a full evaluation and
-    for n, u or v alone.  The radiance alone needs no Bessel sum: its
-    closed form is cheaper than the pass on [0.1, 4) except on about
-    [0.15, 0.4], so a caller that asks only for it on [0.5, 4) is faster
-    with x_switch=0.1.
+    while the Bessel sums need O(1/x) terms from x = 1 up (at most 139
+    below, where their tails close by Euler-Maclaurin).  The default 4.0 is
+    where the measured costs of the two routes crossed in 0.5.0
+    (BENCH_12.json).  The cheaper passes that followed cross near 6.8
+    (BENCH_13.json) and then near 9 (BENCH_14.json); the default stays 4.0
+    until that move is measured on its own.  The crossover holds for a full
+    evaluation and for n, u or v alone.  The radiance alone needs no Bessel
+    sum: its closed form is cheaper than the pass on [0.1, 4) except on
+    about [0.15, 0.4], so a caller that asks only for it on [0.5, 4) is
+    faster with x_switch=0.1.
     """
 
     series_tol: float = specfun.SERIES_TOL

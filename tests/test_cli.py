@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import photongas
-from photongas import DEFAULT_NUMERICS, SI, core, oracle
+from photongas import DEFAULT_NUMERICS, SI, core, oracle, specfun
 from photongas.cli import VALIDATE_GRID, SweepSpec, build_parser, main
 from photongas.errors import DomainError
 
@@ -89,8 +89,10 @@ def test_point_bad_flag_is_usage_error(capsys):
     assert main(["point", "--mass", "0kg"]) == 2  # missing --temp
 
 
-def test_point_convergence_failure_names_the_quantity(capsys):
-    # forcing the series route at x ~ 1e-8 exhausts the term cap
+def test_point_convergence_failure_names_the_quantity(capsys, monkeypatch):
+    # forcing the series route at x ~ 1e-8, where the pass takes 139 K
+    # pairs, exhausts a term cap of 100
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
     code, _, err = run(capsys, "point", "--mass", "4.6e-46kg", "--temp", "300",
                        "--x-switch", "1e-9")
     assert code == 3
@@ -184,7 +186,9 @@ def test_x_sweep_with_zero_mass_is_usage_error(capsys):
     assert code == 2
 
 
-def test_failed_sweep_leaves_no_partial_file(capsys, tmp_path):
+def test_failed_sweep_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
+    # the series route at x ~ 1e-8 needs 139 K pairs; 100 are allowed
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
     out_file = tmp_path / "never.csv"
     code, _, _ = run(capsys, "sweep", "--mass", "4.6e-46kg", "--variable",
                      "temperature", "--t-min", "200", "--t-max", "400",
@@ -279,6 +283,33 @@ def test_validate_compares_both_routes_at_every_grid_x(capsys, monkeypatch, quad
                           out, re.M)
         assert match, quantity
         assert float(match[1]) <= 1e-7 and float(match[2]) in VALIDATE_GRID
+
+
+def test_validate_work_count(capsys, monkeypatch):
+    # K0/K1 pairs taken in one validate, a count that does not depend on the
+    # host.  The geometric stop rule alone took 1669, 1395 of them at
+    # x = 0.01; the Euler-Maclaurin closure below x = 1 takes 137 there.
+    pairs = []
+    pairs_at = {}
+    k01, series = specfun._k01, core._series
+
+    def counted(*args, **kwargs):
+        pairs.append(args[0])
+        return k01(*args, **kwargs)
+
+    def recorded(x, *args):
+        before = len(pairs)
+        result = series(x, *args)
+        pairs_at[x] = len(pairs) - before
+        return result
+
+    monkeypatch.setattr(specfun, "_k01", counted)
+    monkeypatch.setattr(core, "_series", recorded)
+    code, _, err = run(capsys, "validate")
+    assert code == 0, err
+    assert tuple(pairs_at) == VALIDATE_GRID
+    assert len(pairs) <= 400
+    assert pairs_at[0.01] <= 202
 
 
 # ---------------------------------------------------------------------------

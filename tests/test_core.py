@@ -17,8 +17,8 @@ from photongas import (DEFAULT_NUMERICS, SI, ConvergenceError, DomainError,
                        radiance_naive, reduce, reduced_functions,
                        small_mass_radiance, spectral_energy_density, specfun,
                        zeta_value)
-from photongas.core import (_si_prefactor, n_hat_series, r_hat_closed,
-                            u_hat_series, v_hat_series)
+from photongas.core import (_kernels, _si_prefactor, n_hat_series,
+                            r_hat_closed, u_hat_series, v_hat_series)
 from photongas.oracle import integrate_adaptive
 
 from mpmath_reference import mpmath_kernels
@@ -390,9 +390,10 @@ def test_energy_density_series_route_matches_mpmath(x):
 
 @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 1.0, 2.0, 10.0, 100.0])
 def test_mean_speed_series_route_matches_mpmath(x):
-    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  It is a ratio of two
-    # truncated sums; cutting each by its own stop rule keeps it within
-    # 3.6e-13 of the reference.
+    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  From x = 1 on it is a
+    # ratio of two truncated sums; cutting each by its own stop rule keeps it
+    # within 3.6e-13 of the reference.  Below x = 1 the K2 sum is closed by
+    # Euler-Maclaurin and the polylogs are the closed form.
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x, NumericsConfig(x_switch=0.1))
     assert reduced.method == "series"
@@ -428,8 +429,8 @@ def test_mpmath_quadrature_reference_matches_polylog_radiance():
 
 
 def test_kernels_are_continuous_at_x_switch():
-    # At the default switch, and at 0.1, where the Bessel pass takes 181
-    # terms.
+    # At the default switch, and at 0.1, where the Bessel pass takes 88
+    # K pairs.
     for cfg in (DEFAULT_NUMERICS, NumericsConfig(x_switch=0.1)):
         below = reduced_functions(math.nextafter(cfg.x_switch, 0.0), cfg)
         above = reduced_functions(cfg.x_switch, cfg)
@@ -457,7 +458,7 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
 
 
 def test_convergence_failure_names_the_quantity(monkeypatch):
-    # x = 0.06 needs several hundred terms of the K2 sum; 100 are allowed.
+    # x = 0.06 needs 108 K pairs before the closure is met; 100 are allowed.
     monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
     cfg = NumericsConfig(x_switch=0.05)
     for call in (lambda: reduced_functions(0.06, cfg),
@@ -470,6 +471,44 @@ def test_convergence_failure_names_the_quantity(monkeypatch):
         partial = 0.06**2 / math.pi**2 * math.fsum(bessel_k2(0.06 * n) / n
                                                    for n in range(1, 101))
         assert excinfo.value.value == pytest.approx(partial, rel=1e-13, abs=0.0)
+
+
+# Below x = 1 the Bessel pass closes S~ and E~ by Euler-Maclaurin and takes
+# P~ from the polylog closed form.
+CLOSURE_X = [1e-3 * 1000 ** (k / 30) for k in range(30)]
+
+
+@pytest.mark.parametrize("x", CLOSURE_X)
+def test_bessel_pass_below_one_matches_mpmath(x):
+    mp = pytest.importorskip("mpmath")
+    kernels = _kernels(x, *specfun._scaled_sum(x, specfun.SERIES_TOL)[:3])
+    with mp.workdps(20):
+        reference = mpmath_kernels(mp, mp.mpf(x))
+    for key, expected in zip("nuv", reference):
+        assert kernels[key] == pytest.approx(float(expected), rel=1e-13, abs=0.0), key
+
+
+def test_series_route_reaches_small_x():
+    # The closure takes at most 139 K pairs for any x from about 1e-45 to 1;
+    # the geometric rule alone ran out of _MAX_TERMS below about x = 4e-4.
+    x = 2e-4
+    reduced = reduced_functions(x, NumericsConfig(x_switch=1e-5))
+    assert reduced.method == "series"
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        reference = mpmath_kernels(mp, mp.mpf(x))
+    for kernel, expected in zip("nuvr", reference):
+        assert getattr(reduced, kernel + "_hat") == pytest.approx(
+            float(expected), rel=1e-13, abs=0.0), kernel
+
+
+def test_series_route_where_the_closure_overflows_names_the_quantity():
+    # Below about x = 1e-47 the closure's B4 terms overflow, so it is never
+    # met, and the pass runs to _MAX_TERMS.
+    with pytest.raises(ConvergenceError) as excinfo:
+        reduced_functions(1e-60, NumericsConfig(x_switch=1e-70))
+    assert str(excinfo.value).startswith("number_density")
+    assert excinfo.value.terms == specfun._MAX_TERMS
 
 
 @pytest.mark.parametrize("x", [6e17, 1e18, 1e20, 1e100, 1e155, 1e300])

@@ -7,6 +7,7 @@ long brute-force sums with explicit tail bounds.  None of them share code
 with the implementations under test beyond the quadrature driver itself.
 """
 
+import functools
 import math
 
 import pytest
@@ -288,6 +289,75 @@ def test_energy_bessel_sum_matches_brute_force():
     brute = sum(_bessel_k(1, n * x) / (n * x) + 3 * bessel_k2(n * x) / (n * x) ** 2
                 for n in range(1, 200))
     assert energy_bessel_sum(x).value == pytest.approx(brute, rel=2e-12, abs=0.0)
+
+
+# The Euler-Maclaurin closure of the Bessel pass below x = 1 rests on three
+# facts about g = K2(t)/t and h = K1/t + 3 K2/t^2, checked here with mpmath.
+CLOSURE_Z = [2.0, 3.7, 10.0]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_closure_derivatives(z):
+    # g, g', ..., g'''' and h, h', h''' at z by mp.diff of mp.besselk, at 20
+    # digits, with K1(z) and K2(z); mp.besselk takes milliseconds a call, so
+    # the tests share them.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        zm = mp.mpf(z)
+        g = [mp.diff(lambda t: mp.besselk(2, t) / t, zm, j) for j in range(5)]
+        h = [mp.diff(lambda t: mp.besselk(1, t) / t + 3 * mp.besselk(2, t) / t**2, zm, j)
+             for j in (0, 1, 3)]
+        return g, h, float(mp.besselk(1, zm)), float(mp.besselk(2, zm))
+
+
+@pytest.mark.parametrize("z", CLOSURE_Z)
+def test_closure_derivatives_match_mpmath(z):
+    # g and its first four derivatives in the (K1, K2) basis; h is -g', so
+    # h, h' and h''' are -g', -g'' and -g''''.
+    g, h, k1, k2 = _mp_closure_derivatives(z)
+    derivs = specfun._g_derivatives(z, k1, k2)
+    for j, value in enumerate(derivs):
+        assert value == pytest.approx(float(g[j]), rel=1e-14, abs=0.0), j
+    for expected, value in zip(h, (-derivs[1], -derivs[2], -derivs[4])):
+        assert value == pytest.approx(float(expected), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("z", CLOSURE_Z)
+def test_closure_tail_integrals_match_mpmath(z):
+    # int_z^inf g dt = K1(z)/z and int_z^inf h dt = K2(z)/z (DLMF 10.29.4).
+    # The integrals are mp.quad's; their integrands take the library's K
+    # pair, which test_k0_k1_k2_match_mpmath checks against mp.besselk.
+    # Past t = z + 60 both integrands have fallen by e^-60.
+    mp = pytest.importorskip("mpmath")
+
+    def integrand(weight):
+        def f(t):
+            t = float(t)
+            k0, k1 = specfun._k01(t)
+            return weight(t, k1, k0 + 2.0 * k1 / t)
+        return f
+
+    with mp.workdps(20):
+        edges = [z, z + 1, z + 4, z + 12, z + 30, z + 60]
+        int_g = mp.quad(integrand(lambda t, k1, k2: k2 / t), edges)
+        int_h = mp.quad(integrand(lambda t, k1, k2: k1 / t + 3.0 * k2 / (t * t)), edges)
+    k0, k1 = specfun._k01(z)
+    assert k1 / z == pytest.approx(float(int_g), rel=1e-14, abs=0.0)
+    assert (k0 + 2.0 * k1 / z) / z == pytest.approx(float(int_h), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("z", CLOSURE_Z)
+def test_closure_derivatives_alternate_in_sign(z):
+    # g is completely monotone, (-1)^j g^(j) > 0, so the Euler-Maclaurin
+    # remainder is bounded by the first omitted term.  Checked on mpmath's
+    # derivatives and on the closure's own, from mpmath's pair and from the
+    # e^z-scaled pair the pass takes.
+    g, _, k1, k2 = _mp_closure_derivatives(z)
+    assert all((-1) ** j * value > 0 for j, value in enumerate(g))
+    s0, s1 = specfun._k01(z, scaled=True)
+    for pair in ((k1, k2), (s1, s0 + 2.0 * s1 / z)):
+        derivs = specfun._g_derivatives(z, *pair)
+        assert all((-1) ** j * value > 0 for j, value in enumerate(derivs))
 
 
 def test_series_tolerance_validation():
