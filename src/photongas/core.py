@@ -48,13 +48,14 @@ class NumericsConfig:
     while the Bessel sums need O(1/x) terms from x = 1 up (at most 139
     below, where their tails close by Euler-Maclaurin).  The default 4.0 is
     where the measured costs of the two routes crossed in 0.5.0
-    (BENCH_12.json).  The cheaper passes that followed cross near 6.8
-    (BENCH_13.json) and then near 9 (BENCH_14.json); the default stays 4.0
-    until that move is measured on its own.  The crossover holds for a full
-    evaluation and for n, u or v alone.  The radiance alone needs no Bessel
-    sum: its closed form is cheaper than the pass on [0.1, 4) except on
-    about [0.15, 0.4], so a caller that asks only for it on [0.5, 4) is
-    faster with x_switch=0.1.
+    (BENCH_12.json).  After a cheaper trapezoid pass (a crossover near 9,
+    BENCH_14.json) and then a cheaper K pair for the Bessel sums, the routes
+    cross between 3 and 4 (BENCH_16.json); the default stays 4.0 until a
+    move is measured on its own.  The crossover holds for a full evaluation
+    and for n, u or v alone.  The radiance alone needs no Bessel sum: its
+    closed form costs 2.5 to 8 times less than the pass at every x in
+    [0.1, 4), so a caller that asks only for it there is faster with
+    x_switch=0.1.
     """
 
     series_tol: float = specfun.SERIES_TOL

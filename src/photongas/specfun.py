@@ -4,11 +4,14 @@ Provides the modified Bessel function K2 (with K0/K1 as internal helpers),
 polylogarithms Li_s on [0, 1] for s in {1, 2, 3, 4}, the Riemann zeta values
 zeta(2), zeta(3), zeta(4), and the Boltzmann-weighted Bessel sums that appear
 in the closed-form gas formulas.  Everything here is evaluated from scratch:
-K0 and K1 as one pair, by their ascending series up to z = 2 and by Steed's
-continued fraction CF2 above it, which yields e^z K0 and e^z K1 with no upper
-limit on z, and K2 = K0 + 2 K1/z at every z.  No third-party special-function
-library is involved, so the quadrature oracles elsewhere in the package
-remain an independent check.
+K0 and K1 as one pair, by their ascending series up to z = 2, above it as
+e^z K0 and e^z K1, by a 24-term Chebyshev series up to z = 25 and by the
+Hankel expansion, whose terms fall with z, from there on with no upper limit,
+and K2 = K0 + 2 K1/z at every z.  The polylogarithms come from their log
+expansion about z = 1 for -ln z < 1 and from the power series below.  The
+tables are literals, generated by tests/specfun_tables.py.  No third-party
+special-function library is involved, so the quadrature oracles elsewhere in
+the package remain an independent check.
 
 The Bessel sums come from one pass, _scaled_sum, with one K pair per term.
 Below x = 1 it closes their tails by Euler-Maclaurin from the current pair,
@@ -29,9 +32,12 @@ from .errors import ConvergenceError, DivergenceError, DomainError
 
 _EULER_GAMMA = 0.5772156649015329
 
-# The one regime edge of the K_nu evaluator: the ascending series up to
-# here, Steed's continued fraction above.
+# The regime edges of the K_nu evaluator: the ascending series up to
+# _K_SERIES_MAX, a Chebyshev series up to _K_HANKEL_MIN, where the Hankel
+# expansion's 17 terms cost less than the Chebyshev series' 24, and that
+# expansion from there on.
 _K_SERIES_MAX = 2.0
+_K_HANKEL_MIN = 25.0
 
 # Default relative truncation tolerance of the Bessel sums, and their cap on
 # terms.
@@ -81,35 +87,106 @@ def _k01_series(z: float) -> tuple[float, float]:
     return s0 - lg * i0, 1.0 / z + 0.5 * z * (lg * i1 - 0.5 * s1)
 
 
-def _k01_cf2(z: float) -> tuple[float, float]:
-    # (e^z K0, e^z K1) for z > 2 by Steed's method for Temme's continued
-    # fraction CF2 at nu = 0 (Temme, J. Comput. Phys. 19, 324 (1975);
-    # Numerical Recipes 6.7, bessik).  e^z K0 = sqrt(pi/2z)/s, and
-    # K1/K0 = (z + 1/2 - h/4)/z, with h the CF2 value.  The steps needed fall
-    # with z: 81 just above z = 2, 15 at z = 25, 2 from z = 1e17 on.  By
-    # z = 1e300, s = 1 and h/z = 0 in doubles; capping z there keeps b finite.
-    b = 2.0 * (1.0 + min(z, 1e300))
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    a = -0.25
-    q = c = 0.25
-    s = 1.0 + q * delh
-    for i in range(2, 1000):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        q1, q2 = q2, (q1 - b * q2) / a
-        q += c * q2
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh *= b * d - 1.0
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels) < 1e-16 * s:
+# Halved Chebyshev coefficients of sqrt(z) e^z K0(z) and sqrt(z) e^z K1(z)
+# in y = 4/z - 1 on z > 2, highest order first; tests/specfun_tables.py
+# generates them with mpmath.  The first omitted pair is below 3e-18.
+_K01_CHEBYSHEV = (
+    (-8.237902969921316e-18, 8.970255239431786e-18),
+    (2.6051958888217772e-17, -2.844731424596824e-17),
+    (-8.391155628774503e-17, 9.190467876215227e-17),
+    (2.7560279997021668e-16, -3.028523635321509e-16),
+    (-9.242966889604536e-16, 1.0193515831199305e-15),
+    (3.170038238138323e-15, -3.5099185446073842e-15),
+    (-1.1137566633731482e-14, 1.2385772121097994e-14),
+    (4.0164453875341873e-14, -4.488352591005073e-14),
+    (-1.4900484615740892e-13, 1.6742098330261216e-13),
+    (5.701702941036721e-13, -6.445869804749114e-13),
+    (-2.2572989416872596e-12, 2.5698198367411716e-12),
+    (9.279745574774632e-12, -1.0649839192138955e-11),
+    (-3.978744622238698e-11, 4.609157593802657e-11),
+    (1.7886986407001642e-10, -2.0951773796709627e-10),
+    (-8.487672546945307e-10, 1.0075248775985173e-09),
+    (4.287017008707113e-09, -5.172881232839048e-09),
+    (-2.330244948843974e-08, 2.8705420627250247e-08),
+    (1.3834068197225074e-07, -1.7509803015439063e-07),
+    (-9.158777613595598e-07, 1.2032424739186085e-06),
+    (6.97490685943825e-06, -9.680989870830415e-06),
+    (-6.424774790813901e-05, 9.760775923567581e-05),
+    (0.0007849419428650267, -0.0014289084298113896),
+    (-0.01572405065598225, 0.05196186828840862),
+    (1.2201515410329777, 1.3603130952422213),
+)
+
+
+def _k01_chebyshev(z: float) -> tuple[float, float]:
+    # (e^z K0, e^z K1) for 2 < z < _K_HANKEL_MIN: both Chebyshev series in
+    # one Clenshaw loop, as Cephes' k0e/k1e (Moshier 1989).
+    y2 = 8.0 / z - 2.0
+    b0 = b1 = b2 = d0 = d1 = d2 = 0.0
+    for c0, c1 in _K01_CHEBYSHEV:
+        b0, b1, b2 = y2 * b0 - b1 + c0, b0, b1
+        d0, d1, d2 = y2 * d0 - d1 + c1, d0, d1
+    r = math.sqrt(z)
+    return (b0 - b2) / r, (d0 - d2) / r
+
+
+# Ratios a_k/a_(k-1) = (4 nu^2 - (2k-1)^2)/(8k) of the Hankel expansion for
+# nu = 0 and 1, as generated by tests/specfun_tables.py.
+_HANKEL = (
+    (-0.125, 0.375),
+    (-0.5625, -0.3125),
+    (-1.0416666666666667, -0.875),
+    (-1.53125, -1.40625),
+    (-2.025, -1.925),
+    (-2.5208333333333335, -2.4375),
+    (-3.017857142857143, -2.9464285714285716),
+    (-3.515625, -3.453125),
+    (-4.013888888888889, -3.9583333333333335),
+    (-4.5125, -4.4625),
+    (-5.011363636363637, -4.965909090909091),
+    (-5.510416666666667, -5.46875),
+    (-6.009615384615385, -5.971153846153846),
+    (-6.508928571428571, -6.473214285714286),
+    (-7.008333333333334, -6.975),
+    (-7.5078125, -7.4765625),
+    (-8.007352941176471, -7.977941176470588),
+    (-8.506944444444445, -8.479166666666666),
+    (-9.006578947368421, -8.980263157894736),
+    (-9.50625, -9.48125),
+)
+
+
+def _k01_hankel(z: float) -> tuple[float, float]:
+    # (e^z K0, e^z K1) for z >= _K_HANKEL_MIN by the Hankel expansion
+    # e^z K_nu(z) ~ sqrt(pi/2z) sum_k a_k(nu)/z^k (DLMF 10.40.2).  For real
+    # z the remainder is smaller than the first omitted term (DLMF 10.40(ii)),
+    # and the K1 terms are the larger, so the sum stops once a K1 term falls
+    # under 1e-16: after 17 terms at z = 25, 6 at 1e3, 3 at 1e6, 2 at 1e12
+    # and 1 from about 4e15 on.  The terms are summed apart from the leading
+    # 1, and sqrt(pi/2z) is taken in one root: both halve the rounding.
+    w = 1.0 / z
+    t0 = t1 = 1.0
+    e0 = e1 = 0.0
+    for a0, a1 in _HANKEL:
+        t0 *= a0 * w
+        t1 *= a1 * w
+        e0 += t0
+        e1 += t1
+        if abs(t1) < 1e-16:
             break
-    k0 = math.sqrt(0.5 * math.pi / z) / s
-    return k0, k0 * (z + 0.5 - 0.25 * h) / z
+    r = math.sqrt(0.5 * math.pi / z)
+    return r + r * e0, r + r * e1
+
+
+def _k01_scaled(z: float) -> tuple[float, float]:
+    """(e^z K0(z), e^z K1(z)) for z > 0, unchecked; the Bessel pass's pair."""
+    if z <= _K_SERIES_MAX:
+        k0, k1 = _k01_series(z)
+        factor = math.exp(z)
+        return factor * k0, factor * k1
+    if z < _K_HANKEL_MIN:
+        return _k01_chebyshev(z)
+    return _k01_hankel(z)
 
 
 def _k01(z: float, scaled: bool = False) -> tuple[float, float]:
@@ -119,12 +196,12 @@ def _k01(z: float, scaled: bool = False) -> tuple[float, float]:
     underflows.
     """
     _check_positive(z, "z")
+    if scaled:
+        return _k01_scaled(z)
     if z <= _K_SERIES_MAX:
-        k0, k1 = _k01_series(z)
-        factor = math.exp(z) if scaled else 1.0
-    else:
-        k0, k1 = _k01_cf2(z)
-        factor = 1.0 if scaled else math.exp(-z)
+        return _k01_series(z)
+    k0, k1 = _k01_scaled(z)
+    factor = math.exp(-z)
     return factor * k0, factor * k1
 
 
@@ -137,8 +214,8 @@ def _bessel_k(nu: int, z: float, scaled: bool = False) -> float:
 def bessel_k2(z: float) -> float:
     """Modified Bessel function of the second kind K2(z) for z > 0.
 
-    Relative error is at most 1.8e-15 against mpmath across z in
-    [1e-4, 700] (4000 points, densest just above the z = 2 edge).  For z
+    Relative error is at most 6.1e-16 against mpmath across z in
+    [1e-4, 700] (4000 log-spaced points and 199 more in (2, 2.5]).  For z
     beyond ~700 the value drops under 1e-300 and degrades gracefully to
     zero instead of raising.
     """
@@ -175,42 +252,65 @@ def zeta_value(s: int) -> float:
     raise DomainError(f"zeta_value supports s in {{2, 3, 4}}, got {s!r}")
 
 
-# zeta at non-positive integers, needed by the log expansion of Li_s near
-# z = 1: zeta(0) = -1/2, zeta(-(2j-1)) = -B_2j/(2j), zeta(-2j) = 0.
-_ZETA_NONPOS = {
-    0: -0.5,
-    -1: -1.0 / 12.0,
-    -3: 1.0 / 120.0,
-    -5: -1.0 / 252.0,
-    -7: 1.0 / 240.0,
-    -9: -1.0 / 132.0,
-    -11: 691.0 / 32760.0,
-    -13: -1.0 / 12.0,
-}
+# zeta(1 - 2j) = -B_2j/(2j) for j = 1..20, from the Bernoulli numbers
+# B_2..B_40, as generated by tests/specfun_tables.py: the log expansion of
+# Li_s near z = 1 takes zeta at these arguments.
+_ZETA_NEG_ODD = (
+    -1 / 12,
+    1 / 120,
+    -1 / 252,
+    1 / 240,
+    -1 / 132,
+    691 / 32760,
+    -1 / 12,
+    3617 / 8160,
+    -43867 / 14364,
+    174611 / 6600,
+    -77683 / 276,
+    236364091 / 65520,
+    -657931 / 12,
+    3392780147 / 3480,
+    -1723168255201 / 85932,
+    7709321041217 / 16320,
+    -151628697551 / 12,
+    26315271553053477373 / 69090840,
+    -154210205991661 / 12,
+    261082718496449122051 / 541200,
+)
 
 _HARMONIC = {2: 1.0, 3: 1.5, 4: 11.0 / 6.0}
 
-# Branch boundary between the direct power series and the log expansion,
-# expressed in u = -ln z.  At u = 0.125 the direct series needs ~300 terms
-# and the log expansion ~14, both comfortably below 1e-14 truncation error.
-_U_SWITCH = 0.125
-
-
-def _zeta_at_int(n: int) -> float:
-    if n >= 2:
-        return zeta_value(n)
-    return _ZETA_NONPOS.get(n, 0.0)
+# Branch boundary between the log expansion and the direct power series,
+# in u = -ln z.  The log expansion converges for u < 2 pi, and below u = 1 it
+# needs at most 10 of the zeta(1 - 2j); from u = 1 up the direct series
+# needs at most 38 terms.
+_U_SWITCH = 1.0
 
 
 def _polylog_small_u(s: int, u: float) -> float:
     # Li_s(e^-u) = sum_{k != s-1} zeta(s-k) (-u)^k / k!
-    #              + (-u)^(s-1)/(s-1)! (H_{s-1} - ln u),  valid for u < 2 pi.
-    total = (-u) ** (s - 1) / math.factorial(s - 1) * (_HARMONIC[s] - math.log(u))
-    term = 1.0
-    for k in range(15):
-        if k != s - 1:
-            total += _zeta_at_int(s - k) * term
-        term *= -u / (k + 1.0)
+    #              + (-u)^(s-1)/(s-1)! (H_{s-1} - ln u),  valid for u < 2 pi
+    # (Wood, Kent TR 15-92, 1992).  Past k = s-1, zeta(s-k) is zeta(0) = -1/2
+    # at k = s, 0 at even negative arguments and zeta(1-2j) at k = s+2j-1,
+    # so the tail steps by u^2, each step smaller by about (u/2 pi)^2.
+    term = 1.0  # (-u)^k/k!
+    total = 0.0
+    for k in range(s - 1):
+        total += zeta_value(s - k) * term
+        term *= -u / (k + 1)
+    total += term * (_HARMONIC[s] - math.log(u))
+    term *= -u / s
+    total -= 0.5 * term
+    k = s + 1
+    term *= -u / k
+    u2 = u * u
+    for zeta in _ZETA_NEG_ODD:
+        step = zeta * term
+        total += step
+        if abs(step) < 1e-17 * total:
+            break
+        term *= u2 / ((k + 1) * (k + 2))
+        k += 2
     return total
 
 
@@ -321,7 +421,8 @@ def _scaled_sum(x: float, rel_tol: float) -> tuple[float, float, float, int]:
       default rel_tol for any x from about 1e-45 to 1.  P~ is the polylog closed form, from
       _polylog_exp, as r_hat takes it.  Where the closure is never met,
       because its B4 terms overflow (x below about 1e-47), the pass runs
-      to its cap.
+      to its cap; below about 1e-154, where the first term K2(x) ~ 2/x^2
+      overflows, it raises before taking a pair.
     * From x = 1 on, a sum has met the stop rule when its current term AND
       the geometric tail bound both fall under rel_tol times its partial
       sum.  The tail bound uses K_nu((n+1)x) <= e^-x K_nu(n x), which
@@ -346,13 +447,17 @@ def _scaled_sum(x: float, rel_tol: float) -> tuple[float, float, float, int]:
     closing = x < 1.0
     if closing:
         p = math.exp(x) * (_polylog_exp(3, x) + x * _polylog_exp(2, x))
+        if 2.0 / x / x == math.inf:
+            # The first term of S~, K2(x) ~ 2/x^2, is past the double range.
+            raise ConvergenceError(f"scaled Bessel sums overflow at x={x!r}",
+                                   value=(math.inf, math.inf, p), terms=0)
         x2 = x * x
         cut = 7.2 * rel_tol  # rel_tol/100, times the 720 of the B4 term
     p_open = True
     pref = 1.0
     for n in range(1, _MAX_TERMS + 1):
         z = n * x
-        k0, k1 = _k01(z, scaled=True)
+        k0, k1 = _k01_scaled(z)
         k2 = k0 + 2.0 * k1 / z
         ts = pref * (k2 / n)
         te = pref * (k1 / z + 3.0 * k2 / (z * z))

@@ -99,6 +99,16 @@ def test_point_convergence_failure_names_the_quantity(capsys, monkeypatch):
     assert "number_density" in err
 
 
+def test_point_where_the_first_bessel_term_overflows_names_the_quantity(capsys):
+    # At x = 2.2e-163 the pass's first term, K2(x) ~ 2/x^2, overflows a
+    # double and x^2 underflows to 0: a named error, not a traceback.
+    code, _, err = run(capsys, "point", "--mass", "1e-200kg", "--temp", "300",
+                       "--x-switch", "1e-300")
+    assert code == 3
+    assert err.startswith("error: number_density: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -291,7 +301,7 @@ def test_validate_work_count(capsys, monkeypatch):
     # x = 0.01; the Euler-Maclaurin closure below x = 1 takes 137 there.
     pairs = []
     pairs_at = {}
-    k01, series = specfun._k01, core._series
+    k01, series = specfun._k01_scaled, core._series
 
     def counted(*args, **kwargs):
         pairs.append(args[0])
@@ -303,12 +313,12 @@ def test_validate_work_count(capsys, monkeypatch):
         pairs_at[x] = len(pairs) - before
         return result
 
-    monkeypatch.setattr(specfun, "_k01", counted)
+    monkeypatch.setattr(specfun, "_k01_scaled", counted)
     monkeypatch.setattr(core, "_series", recorded)
     code, _, err = run(capsys, "validate")
     assert code == 0, err
     assert tuple(pairs_at) == VALIDATE_GRID
-    assert len(pairs) <= 400
+    assert 0 < len(pairs) <= 400
     assert pairs_at[0.01] <= 202
 
 

@@ -9,6 +9,10 @@ with the implementations under test beyond the quadrature driver itself.
 
 import functools
 import math
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,9 @@ from photongas import (ConvergenceError, DivergenceError, DomainError,
                        integrate_adaptive, k2_weighted_sum, polylog,
                        specfun, zeta_value)
 from photongas.specfun import _bessel_k
+
+import specfun_cost
+import specfun_tables
 
 TIGHT = 1e-13
 
@@ -117,9 +124,11 @@ def test_k2_recurrence_against_internal_k0_k1():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-# Log-spaced over [1e-4, 1e3], plus both sides of the series/CF2 edge at z = 2.
-MPMATH_GRID = [1e-4 * 1e7 ** (i / 59) for i in range(60)] + [2.0 * (1 - 1e-15),
-                                                               2.0 * (1 + 1e-15)]
+# Log-spaced over [1e-4, 1e3], plus both sides of the series/Chebyshev edge
+# at z = 2 and of the Chebyshev/Hankel edge.
+MPMATH_GRID = [1e-4 * 1e7 ** (i / 59) for i in range(60)] + [
+    edge * (1 + side) for edge in (specfun._K_SERIES_MAX, specfun._K_HANKEL_MIN)
+    for side in (-1e-15, 1e-15)]
 
 
 @pytest.mark.parametrize("z", MPMATH_GRID)
@@ -142,9 +151,88 @@ def test_scaled_k2_matches_mpmath_far_past_underflow(z):
     assert _bessel_k(2, z, scaled=True) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
+# 3000 log-spaced points over [2, 1e6], and two far past underflow.
+SCALED_PAIR_GRID = [2.0 * 5e5 ** (i / 2999) for i in range(3000)] + [1e17, 1e308]
+
+
+def test_scaled_k01_matches_mpmath_to_a_few_ulps():
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(25):
+        for z in SCALED_PAIR_GRID:
+            pair = specfun._k01(z, scaled=True)
+            for nu in (0, 1):
+                ref = mp.exp(z) * mp.besselk(nu, z)
+                worst = max(worst, float(abs(pair[nu] / ref - 1)))
+    assert worst <= 8e-16
+
+
+@pytest.mark.parametrize("edge", ["series", "hankel"])
+def test_scaled_k01_is_continuous_across_its_edges(edge):
+    # The two branches agree at the edge itself, and so do the pairs one
+    # double apart on either side of it, to within 4 ulps.
+    if edge == "series":
+        z = specfun._K_SERIES_MAX
+        below = tuple(math.exp(z) * k for k in specfun._k01_series(z))
+        above = specfun._k01_chebyshev(z)
+    else:
+        z = specfun._K_HANKEL_MIN
+        below = specfun._k01_chebyshev(z)
+        above = specfun._k01_hankel(z)
+    left = specfun._k01(math.nextafter(z, 0.0), scaled=True)
+    right = specfun._k01(math.nextafter(z, math.inf), scaled=True)
+    for a, b in (*zip(below, above), *zip(left, right)):
+        assert abs(a - b) <= 4 * math.ulp(b)
+
+
+def test_k01_work_per_pair_above_two():
+    # Chebyshev or Hankel terms per pair, a count that does not depend on the
+    # host: 24 below the Hankel edge, 17 at it, and fewer as z grows.
+    grid = [math.nextafter(2.0, 3.0)] + [2.0 * 1e300 ** (i / 999) for i in range(1, 1000)]
+    spots = (1e3, 1e6, 1e12, 1e17)
+    counts = specfun_cost.term_counts(specfun, grid + [specfun._K_HANKEL_MIN, *spots])
+    assert max(counts.values()) <= 25
+    # The Hankel sum stops on its own terms, before its table runs out.
+    assert counts[specfun._K_HANKEL_MIN] < len(specfun._HANKEL)
+    assert [counts[z] for z in spots] == [6, 3, 2, 1]
+
+
+def test_tables_match_their_generator():
+    # tests/specfun_tables.py prints the literal tables of specfun; each
+    # must appear in the module source exactly as printed.
+    pytest.importorskip("mpmath")
+    here = Path(__file__).resolve().parent
+    printed = subprocess.run([sys.executable, str(here / "specfun_tables.py")],
+                             check=True, capture_output=True, text=True).stdout
+    source = Path(specfun.__file__).read_text()
+    blocks = printed.split("\n)\n")
+    assert [block.split(" = ")[0] for block in blocks[:-1]] == [
+        "_K01_CHEBYSHEV", "_HANKEL", "_ZETA_NEG_ODD"]
+    for block in blocks[:-1]:
+        assert block + "\n)\n" in source, block.split(" = ")[0]
+
+
+def test_zeta_at_negative_odd_integers_from_bernoulli_numbers():
+    # zeta(1 - 2j) = -B_2j/(2j), regenerated in exact rational arithmetic;
+    # each literal is the correctly rounded double of that fraction.
+    exact = specfun_tables.zeta_negative_odd()
+    assert exact[:3] == (Fraction(-1, 12), Fraction(1, 120), Fraction(-1, 252))
+    assert specfun._ZETA_NEG_ODD == tuple(float(value) for value in exact)
+
+
 # ---------------------------------------------------------------------------
 # polylog
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_polylog_log_expansion_matches_mpmath_up_to_the_switch(s):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for i in range(60):
+            u = 1e-6 * (specfun._U_SWITCH / 1e-6) ** (i / 60)
+            ref = mp.polylog(s, mp.exp(-mp.mpf(u)))
+            assert specfun._polylog_exp(s, u) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_polylog_vanishes_at_zero(s):
@@ -171,7 +259,7 @@ def test_polylog_near_one_matches_long_direct_series(s, z):
 
 
 def test_polylog_branches_join_smoothly():
-    u = 0.125
+    u = specfun._U_SWITCH
     for s in (2, 3, 4):
         below = polylog(s, math.exp(-(u * (1 + 1e-9))))
         above = polylog(s, math.exp(-(u * (1 - 1e-9))))
