@@ -10,13 +10,13 @@ from .core import (DEFAULT_NUMERICS, NumericsConfig, RadiometryReport,
                    number_density, photon_speed, radiance, radiance_naive,
                    reduced_functions, small_mass_radiance,
                    spectral_energy_density)
-from .errors import (ConvergenceError, DivergenceError, DomainError,
-                     MassParseError, RegimeError)
+from .errors import (ConvergenceError, DomainError, MassParseError,
+                     RegimeError)
 from .oracle import (QuadratureResult, integrate_adaptive,
                      quad_energy_density, quad_mean_speed,
                      quad_number_density, quad_radiance)
 from .specfun import (WeightedSum, bessel_k2, energy_bessel_sum,
-                      k2_weighted_sum, polylog, zeta_value)
+                      k2_weighted_sum, zeta_value)
 from .units import (SI, GasParameters, PhysicalConstants, ReducedState,
                     format_mass, parse_mass, reduce)
 
@@ -26,15 +26,14 @@ __all__ = [
     "low_temp_mean_speed", "low_temp_radiance", "mean_speed",
     "number_density", "photon_speed", "radiance", "radiance_naive",
     "reduced_functions", "small_mass_radiance", "spectral_energy_density",
-    "ConvergenceError", "DivergenceError", "DomainError", "MassParseError",
-    "RegimeError",
+    "ConvergenceError", "DomainError", "MassParseError", "RegimeError",
     "QuadratureResult", "integrate_adaptive",
     "quad_energy_density", "quad_mean_speed", "quad_number_density",
     "quad_radiance",
     "WeightedSum", "bessel_k2", "energy_bessel_sum",
-    "k2_weighted_sum", "polylog", "zeta_value",
+    "k2_weighted_sum", "zeta_value",
     "SI", "GasParameters", "PhysicalConstants", "ReducedState",
     "format_mass", "parse_mass", "reduce",
 ]
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

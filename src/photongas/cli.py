@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from . import core, oracle
 from .core import DEFAULT_NUMERICS, NumericsConfig
-from .errors import (ConvergenceError, DivergenceError, DomainError,
-                     MassParseError, RegimeError)
+from .errors import ConvergenceError, DomainError, MassParseError, RegimeError
 from .units import SI, GasParameters, parse_mass, reduce
 
 SWEEP_COLUMNS = ("index", "T_K", "x", "n_per_m3", "u_J_per_m3", "vbar_m_per_s",
@@ -299,10 +298,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         # Two routes that share nothing but arithmetic, at every grid x,
         # whatever x_switch says: the trapezoid and the Bessel/polylog pass.
         quad_values = oracle._moments(x, cfg.quad_tol)
-        sums = core._series(x, cfg.series_tol, "n")
-        closed_values = (sums["n"], sums["u"], sums["v"], core.r_hat_closed(x))
-        for key, quad, closed in zip(_KERNEL_NAMES, quad_values, closed_values):
-            residual = abs(closed / quad - 1.0)
+        closed = core._series(x, cfg.series_tol, "nuvR")
+        for key, quad, kernel in zip(_KERNEL_NAMES, quad_values, "nuvR"):
+            residual = abs(closed[kernel] / quad - 1.0)
             if residual > worst[key][0]:
                 worst[key] = (residual, x)
         if x == 50.0:
@@ -407,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code in (0, None) else int(code)
     try:
         return args.func(args)
-    except (MassParseError, DomainError, DivergenceError, RegimeError) as exc:
+    except (MassParseError, DomainError, RegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

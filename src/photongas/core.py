@@ -53,9 +53,9 @@ class NumericsConfig:
     cross between 3 and 4 (BENCH_16.json); the default stays 4.0 until a
     move is measured on its own.  The crossover holds for a full evaluation
     and for n, u or v alone.  The radiance alone needs no Bessel sum: its
-    closed form costs 2.5 to 8 times less than the pass at every x in
-    [0.1, 4), so a caller that asks only for it there is faster with
-    x_switch=0.1.
+    closed form, one polylog pass, costs 8 to 22 times less than the
+    trapezoid pass at every x in [0.1, 4), so a caller that asks only for it
+    there is faster with x_switch=0.1.
     """
 
     series_tol: float = specfun.SERIES_TOL
@@ -152,16 +152,24 @@ def _kernels(x: float, s: float, e: float, p: float) -> dict[str, float]:
             "v": p / x * 2.0 / (x * s)}
 
 
-def _series(x: float, rel_tol: float, key: str) -> dict[str, float]:
-    """n_hat, u_hat and v_hat from one pass of specfun._scaled_sum.
+def _series(x: float, rel_tol: float, keys: str) -> dict[str, float]:
+    """The kernels named in keys, a string over "nuvR", by the series route.
 
-    A ConvergenceError carries the partial value of kernel ``key``.
+    At most one polylog pass, for r_hat and for the Bessel pass's P~ below
+    x = 1, and at most one pass of specfun._scaled_sum, which yields n_hat,
+    u_hat and v_hat if any of them is asked for.  A ConvergenceError names
+    the first of those asked for and carries its partial value.
     """
-    try:
-        return _kernels(x, *specfun._scaled_sum(x, rel_tol)[:3])
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), value=_kernels(x, *exc.value)[key],
-                               terms=exc.terms) from exc
+    polylogs = specfun._polylogs(x) if "R" in keys else None
+    values = {"R": r_hat_closed(x, polylogs)} if polylogs else {}
+    key = keys.replace("R", "")[:1]
+    if key:
+        try:
+            values.update(_kernels(x, *specfun._scaled_sum(x, rel_tol, polylogs)[:3]))
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{_KERNELS[key][0]}: {exc}",
+                                   value=_kernels(x, *exc.value)[key], terms=exc.terms) from exc
+    return values
 
 
 def n_hat_series(x: float, rel_tol: float = specfun.SERIES_TOL) -> float:
@@ -169,21 +177,17 @@ def n_hat_series(x: float, rel_tol: float = specfun.SERIES_TOL) -> float:
     return _series(x, rel_tol, "n")["n"]
 
 
-def u_hat_series(x: float, rel_tol: float = specfun.SERIES_TOL) -> float:
-    """(x^4/pi^2) sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2]; x >= x_switch."""
-    return _series(x, rel_tol, "u")["u"]
-
-
 def v_hat_series(x: float, rel_tol: float = specfun.SERIES_TOL) -> float:
     """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n); x >= x_switch."""
     return _series(x, rel_tol, "v")["v"]
 
 
-def r_hat_closed(x: float) -> float:
-    """(3/2pi^2) [Li4(w) + x Li3(w) + (x^2/3) Li2(w)], w = e^-x."""
-    li4 = specfun._polylog_exp(4, x)
-    li3 = specfun._polylog_exp(3, x)
-    li2 = specfun._polylog_exp(2, x)
+def r_hat_closed(x: float, polylogs: tuple[float, float, float] | None = None) -> float:
+    """(3/2pi^2) [Li4(w) + x Li3(w) + (x^2/3) Li2(w)], w = e^-x.
+
+    polylogs is specfun._polylogs(x) where the caller has it already.
+    """
+    li2, li3, li4 = polylogs or specfun._polylogs(x)
     # x (x/3 Li2) rather than x^2/3 Li2: once Li2 underflows to 0 the
     # product is 0, not inf * 0, however large x is.
     return 1.5 / math.pi**2 * (li4 + x * li3 + x * (x / 3.0 * li2))
@@ -205,30 +209,13 @@ def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], 
     One rule picks the method for all of them: x = 0 takes the exact
     massless limits, x < x_switch one trapezoid pass over the defining
     integrals, which yields all four kernels whatever keys asks for, and
-    larger x the closed form (r_hat) or the Bessel series, where n_hat,
-    u_hat and v_hat share one pass.  A ConvergenceError names the quantity.
+    larger x the series route, _series.
     """
     if x != 0.0 and x < cfg.x_switch:
         return dict(zip("nuvR", oracle._moments(x, cfg.quad_tol))), QUADRATURE
-    values = {}
-    sums = None
-    for key in keys:
-        quantity, limit = _KERNELS[key]
-        try:
-            if x == 0.0:
-                values[key] = limit
-            elif key == "R":
-                values[key] = r_hat_closed(x)
-            else:
-                if sums is None:
-                    sums = _series(x, cfg.series_tol, key)
-                values[key] = sums[key]
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"{quantity}: {exc}", value=exc.value, error=exc.error,
-                terms=exc.terms,
-            ) from exc
-    return values, SERIES
+    if x == 0.0:
+        return {key: _KERNELS[key][1] for key in keys}, SERIES
+    return _series(x, cfg.series_tol, keys), SERIES
 
 
 def reduced_functions(x: float, cfg: NumericsConfig | None = None) -> ReducedFunctions:

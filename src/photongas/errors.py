@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Argument lies outside the mathematical domain of an operation."""
 
 
-class DivergenceError(ValueError):
-    """The requested quantity is a divergent limit (e.g. Li_1 at z = 1)."""
-
-
 class MassParseError(ValueError):
     """A mass string could not be parsed."""
 

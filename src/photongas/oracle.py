@@ -25,8 +25,9 @@ less than quad_tol.  The range is finite.  It starts at tau = -7.5
 1e-17 of the bulk, and ends where E - x = _TAIL, past which the occupation
 is below e^-60 of its value at threshold.
 
-The Gauss-Kronrod driver ``integrate_adaptive`` is kept as a general tool for
-the reference tests of the special functions.
+``integrate_adaptive`` and the ``quad_*`` views are on no route; they stay
+because perfbench/tracing.py binds them by name, until the tracer reads
+library-owned work counts (ROADMAP item 1) and item 6 retires them.
 """
 
 from __future__ import annotations

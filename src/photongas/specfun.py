@@ -1,17 +1,18 @@
 """Self-contained special functions for the photon-gas kernels.
 
 Provides the modified Bessel function K2 (with K0/K1 as internal helpers),
-polylogarithms Li_s on [0, 1] for s in {1, 2, 3, 4}, the Riemann zeta values
-zeta(2), zeta(3), zeta(4), and the Boltzmann-weighted Bessel sums that appear
-in the closed-form gas formulas.  Everything here is evaluated from scratch:
-K0 and K1 as one pair, by their ascending series up to z = 2, above it as
-e^z K0 and e^z K1, by a 24-term Chebyshev series up to z = 25 and by the
-Hankel expansion, whose terms fall with z, from there on with no upper limit,
-and K2 = K0 + 2 K1/z at every z.  The polylogarithms come from their log
-expansion about z = 1 for -ln z < 1 and from the power series below.  The
-tables are literals, generated by tests/specfun_tables.py.  No third-party
-special-function library is involved, so the quadrature oracles elsewhere in
-the package remain an independent check.
+the polylogarithms Li2, Li3 and Li4 of e^-x for x >= 0, the Riemann zeta
+values zeta(2), zeta(3), zeta(4), and the Boltzmann-weighted Bessel sums that
+appear in the closed-form gas formulas.  Everything here is evaluated from
+scratch: K0 and K1 as one pair, by their ascending series up to z = 2, above
+it as e^z K0 and e^z K1, by a 24-term Chebyshev series up to z = 25 and by
+the Hankel expansion, whose terms fall with z, from there on with no upper
+limit, and K2 = K0 + 2 K1/z at every z.  The three polylogarithms come from
+one loop, _polylogs: their log expansion about e^-x = 1 for x < 1, and the
+power series in e^-x from there on.  The tables are literals, generated by
+tests/specfun_tables.py.  No third-party special-function library is
+involved, so the quadrature oracles elsewhere in the package remain an
+independent check.
 
 The Bessel sums come from one pass, _scaled_sum, with one K pair per term.
 Below x = 1 it closes their tails by Euler-Maclaurin from the current pair,
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DivergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -205,21 +206,16 @@ def _k01(z: float, scaled: bool = False) -> tuple[float, float]:
     return factor * k0, factor * k1
 
 
-def _bessel_k(nu: int, z: float, scaled: bool = False) -> float:
-    """K_nu(z) for nu in {0, 1, 2}, or e^z K_nu(z) when scaled; K2 = K0 + 2 K1/z."""
-    k0, k1 = _k01(z, scaled)
-    return (k0, k1, k0 + 2.0 * k1 / z)[nu]
-
-
 def bessel_k2(z: float) -> float:
-    """Modified Bessel function of the second kind K2(z) for z > 0.
+    """Modified Bessel function of the second kind K2(z) = K0 + 2 K1/z, z > 0.
 
     Relative error is at most 6.1e-16 against mpmath across z in
     [1e-4, 700] (4000 log-spaced points and 199 more in (2, 2.5]).  For z
     beyond ~700 the value drops under 1e-300 and degrades gracefully to
     zero instead of raising.
     """
-    return _bessel_k(2, z)
+    k0, k1 = _k01(z)
+    return k0 + 2.0 * k1 / z
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +234,15 @@ def _compute_zeta3() -> float:
     return partial + tail
 
 
-_ZETA3 = _compute_zeta3()
+# zeta(2), zeta(3), zeta(4): also Li2, Li3, Li4 at e^-0 = 1.
+_ZETA = (math.pi * math.pi / 6.0, _compute_zeta3(), math.pi**4 / 90.0)
 
 
 def zeta_value(s: int) -> float:
     """zeta(s) for s in {2, 3, 4}; zeta(3) is computed, not hard-coded."""
-    if s == 2:
-        return math.pi * math.pi / 6.0
-    if s == 4:
-        return math.pi**4 / 90.0
-    if s == 3:
-        return _ZETA3
-    raise DomainError(f"zeta_value supports s in {{2, 3, 4}}, got {s!r}")
+    if s not in (2, 3, 4):
+        raise DomainError(f"zeta_value supports s in {{2, 3, 4}}, got {s!r}")
+    return _ZETA[int(s) - 2]
 
 
 # zeta(1 - 2j) = -B_2j/(2j) for j = 1..20, from the Bernoulli numbers
@@ -278,87 +271,65 @@ _ZETA_NEG_ODD = (
     261082718496449122051 / 541200,
 )
 
-_HARMONIC = {2: 1.0, 3: 1.5, 4: 11.0 / 6.0}
-
-# Branch boundary between the log expansion and the direct power series,
-# in u = -ln z.  The log expansion converges for u < 2 pi, and below u = 1 it
-# needs at most 10 of the zeta(1 - 2j); from u = 1 up the direct series
+# Branch boundary between the log expansion and the power series, in
+# u = -ln z = x.  The log expansion converges for u < 2 pi, and below u = 1
+# it needs at most 10 of the zeta(1 - 2j); from u = 1 up the power series
 # needs at most 38 terms.
 _U_SWITCH = 1.0
 
-
-def _polylog_small_u(s: int, u: float) -> float:
-    # Li_s(e^-u) = sum_{k != s-1} zeta(s-k) (-u)^k / k!
-    #              + (-u)^(s-1)/(s-1)! (H_{s-1} - ln u),  valid for u < 2 pi
-    # (Wood, Kent TR 15-92, 1992).  Past k = s-1, zeta(s-k) is zeta(0) = -1/2
-    # at k = s, 0 at even negative arguments and zeta(1-2j) at k = s+2j-1,
-    # so the tail steps by u^2, each step smaller by about (u/2 pi)^2.
-    term = 1.0  # (-u)^k/k!
-    total = 0.0
-    for k in range(s - 1):
-        total += zeta_value(s - k) * term
-        term *= -u / (k + 1)
-    total += term * (_HARMONIC[s] - math.log(u))
-    term *= -u / s
-    total -= 0.5 * term
-    k = s + 1
-    term *= -u / k
-    u2 = u * u
-    for zeta in _ZETA_NEG_ODD:
-        step = zeta * term
-        total += step
-        if abs(step) < 1e-17 * total:
-            break
-        term *= u2 / ((k + 1) * (k + 2))
-        k += 2
-    return total
+# (n^2, n^3, n^4) of the power series, as exact floats.
+_POWERS = tuple((float(n * n), float(n**3), float(n**4)) for n in range(1, 64))
 
 
-def _polylog_direct(s: int, z: float) -> float:
-    # Plain power series with a geometric tail bound; z is bounded away from
-    # 1 by the branch switch, so a few hundred terms always suffice.
-    total = 0.0
-    zn = 1.0
-    one_minus = 1.0 - z
-    for n in range(1, 100000):
-        zn *= z
-        total += zn / n**s
-        if zn * z <= one_minus * 1e-16 * total:
-            break
-    return total
+def _polylogs(x: float) -> tuple[float, float, float]:
+    """(Li2, Li3, Li4) of e^-x for x >= 0, from one loop.
 
+    Below _U_SWITCH, the log expansion, valid for x < 2 pi (Wood, Kent
+    TR 15-92, 1992), with m_k = (-x)^k/k!:
 
-def _polylog_exp(s: int, x: float) -> float:
-    """Li_s(e^-x) for x >= 0, branch chosen on x directly."""
-    if x == 0.0:
-        return zeta_value(s)
-    if x < _U_SWITCH:
-        return _polylog_small_u(s, x)
-    return _polylog_direct(s, math.exp(-x))
+        Li_s(e^-x) = sum_{k != s-1} zeta(s-k) m_k + m_(s-1) (H_{s-1} - ln x)
 
-
-def polylog(s: int, z: float) -> float:
-    """Polylogarithm Li_s(z) = sum_n z^n / n^s for z in [0, 1], s in {1,..,4}.
-
-    Li_s(1) = zeta(s) for s >= 2; Li_1(1) diverges and raises.
+    Past k = s, zeta(s-k) is 0 except zeta(1-2j) at k = s+2j-1, so the
+    three tails take m_(2j+1), m_(2j+2) and m_(2j+3) from one chain, each j
+    smaller by about (x/2 pi)^2, and stop on Li2's, the largest relative
+    step.  Above, the power series in e^-x, cut by Li4's tail bound.
     """
-    if s not in (1, 2, 3, 4):
-        raise DomainError(f"polylog order must be in {{1, 2, 3, 4}}, got {s!r}")
-    if not (isinstance(z, (int, float)) and 0.0 <= z <= 1.0):
-        raise DomainError(f"polylog argument must lie in [0, 1], got {z!r}")
-    z = float(z)
-    if z == 0.0:
-        return 0.0
-    if z == 1.0:
-        if s == 1:
-            raise DivergenceError("Li_1(1) is the divergent harmonic series")
-        return zeta_value(s)
-    if s == 1:
-        return -math.log1p(-z)
-    u = -math.log(z)
-    if u < _U_SWITCH:
-        return _polylog_small_u(s, u)
-    return _polylog_direct(s, z)
+    if x == 0.0:
+        return _ZETA
+    if x < _U_SWITCH:
+        zeta2, zeta3, zeta4 = _ZETA
+        m1 = -x
+        m2 = m1 * (-x / 2)
+        m3 = m2 * (-x / 3)
+        m4 = m3 * (-x / 4)
+        lg = math.log(x)
+        li2 = zeta2 + m1 * (1.0 - lg) - 0.5 * m2
+        li3 = zeta3 + zeta2 * m1 + m2 * (1.5 - lg) - 0.5 * m3
+        li4 = zeta4 + zeta3 * m1 + zeta2 * m2 + m3 * (11.0 / 6.0 - lg) - 0.5 * m4
+        m, k = m3, 3
+        for zeta in _ZETA_NEG_ODD:
+            step = zeta * m
+            li2 += step
+            m *= -x / (k + 1)
+            li3 += zeta * m
+            k += 2
+            m *= -x / k
+            li4 += zeta * m
+            if abs(step) < 1e-17 * li2:
+                break
+        return li2, li3, li4
+    w = math.exp(-x)
+    cut = (1.0 - w) * 1e-16
+    li2 = li3 = li4 = 0.0
+    wn = 1.0
+    for n2, n3, n4 in _POWERS:
+        wn *= w
+        li2 += wn / n2
+        li3 += wn / n3
+        li4 += wn / n4
+        if wn * w <= cut * li4:
+            break
+    return li2, li3, li4
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +363,8 @@ def _g_derivatives(t: float, k1: float, k2: float) -> tuple[float, float, float,
             g + r * (6.0 * a + r * (39.0 * g + r * (90.0 * a + 360.0 * gr))))
 
 
-def _scaled_sum(x: float, rel_tol: float) -> tuple[float, float, float, int]:
+def _scaled_sum(x: float, rel_tol: float,
+                polylogs: tuple[float, float, float] | None = None) -> tuple[float, float, float, int]:
     """(S~, E~, P~, terms): three e^x-scaled sums from one K pair per term.
 
         S~ = e^x sum_n K2(n x)/n
@@ -418,11 +390,11 @@ def _scaled_sum(x: float, rel_tol: float) -> tuple[float, float, float, int]:
       and in practice near the B6 term.  The pass closes both sums at the
       first pair where both B4 terms fall under rel_tol/100 of their
       partial sums, with no extra K evaluation: 22 to 139 pairs at the
-      default rel_tol for any x from about 1e-45 to 1.  P~ is the polylog closed form, from
-      _polylog_exp, as r_hat takes it.  Where the closure is never met,
-      because its B4 terms overflow (x below about 1e-47), the pass runs
-      to its cap; below about 1e-154, where the first term K2(x) ~ 2/x^2
-      overflows, it raises before taking a pair.
+      default rel_tol for any x from about 1e-45 to 1.  P~ is the closed
+      form, from polylogs = _polylogs(x), which the caller may pass.  The
+      B4 terms fall as z grows; where they still overflow at z = _MAX_TERMS
+      x (x below about 1.2e-48), the closure can never be met, and the pass
+      raises before its first pair, with nan for S~ and E~.
     * From x = 1 on, a sum has met the stop rule when its current term AND
       the geometric tail bound both fall under rel_tol times its partial
       sum.  The tail bound uses K_nu((n+1)x) <= e^-x K_nu(n x), which
@@ -446,13 +418,20 @@ def _scaled_sum(x: float, rel_tol: float) -> tuple[float, float, float, int]:
     # Below it p_open stays True, which keeps that rule off.
     closing = x < 1.0
     if closing:
-        p = math.exp(x) * (_polylog_exp(3, x) + x * _polylog_exp(2, x))
-        if 2.0 / x / x == math.inf:
-            # The first term of S~, K2(x) ~ 2/x^2, is past the double range.
-            raise ConvergenceError(f"scaled Bessel sums overflow at x={x!r}",
-                                   value=(math.inf, math.inf, p), terms=0)
+        li2, li3, _ = polylogs or _polylogs(x)
+        p = math.exp(x) * (li3 + x * li2)
         x2 = x * x
         cut = 7.2 * rel_tol  # rel_tol/100, times the 720 of the B4 term
+        if w == 1.0:
+            # pref stays 1, so the B4 terms of the last pair allowed are
+            # the smallest the pass can reach.
+            z = _MAX_TERMS * x
+            k0, k1 = _k01_scaled(z)
+            g3, g4 = _g_derivatives(z, k1, k0 + 2.0 * k1 / z)[3:]
+            if not math.isfinite(-x2 * x2 * g3 + x2 * x * g4):
+                raise ConvergenceError(f"scaled Bessel sums cannot converge within {_MAX_TERMS} "
+                                       f"terms at x={x!r}: the closure overflows",
+                                       value=(math.nan, math.nan, p), terms=0)
     p_open = True
     pref = 1.0
     for n in range(1, _MAX_TERMS + 1):

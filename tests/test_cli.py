@@ -507,3 +507,21 @@ def test_figure_asymptote_at_the_top_of_the_double_range(capsys, tmp_path):
         assert approx == pytest.approx(v_hat, rel=1e-14, abs=0.0)
         assert approx == pytest.approx(math.sqrt(8 / math.pi) / math.sqrt(x),
                                        rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer
+# ---------------------------------------------------------------------------
+
+def test_every_name_the_benchmark_tracer_binds_is_a_library_callable():
+    # perfbench/tracing.py swaps each (module, attribute) of its PATCHES for
+    # a timing wrapper by getattr, so a retired name breaks the traced run.
+    # The file is compiled from its text, so nothing is written beside it.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    namespace = {"__name__": "tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    modules = {"cli": photongas.cli, "core": core, "oracle": oracle, "specfun": specfun}
+    patches = namespace["PATCHES"]
+    assert patches
+    for module, attr, *_ in patches:
+        assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"

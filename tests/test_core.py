@@ -3,6 +3,7 @@ massless limits, asymptotic regimes, and report invariants."""
 
 import dataclasses
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +18,8 @@ from photongas import (DEFAULT_NUMERICS, SI, ConvergenceError, DomainError,
                        radiance_naive, reduce, reduced_functions,
                        small_mass_radiance, spectral_energy_density, specfun,
                        zeta_value)
-from photongas.core import (_kernels, _si_prefactor, n_hat_series,
-                            r_hat_closed, u_hat_series, v_hat_series)
+from photongas.core import (_kernels, _series, _si_prefactor, n_hat_series,
+                            r_hat_closed, v_hat_series)
 from photongas.oracle import integrate_adaptive
 
 from mpmath_reference import mpmath_kernels
@@ -157,7 +158,8 @@ def test_energy_per_photon_is_at_least_rest_energy(x):
 
 
 def test_energy_series_matches_quadrature_at_x_2():
-    assert u_hat_series(2.0) == pytest.approx(quad_energy_density(2.0), rel=1e-9)
+    u_hat = _series(2.0, specfun.SERIES_TOL, "u")["u"]
+    assert u_hat == pytest.approx(quad_energy_density(2.0), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +505,26 @@ def test_series_route_reaches_small_x():
 
 
 def test_series_route_where_the_closure_overflows_names_the_quantity():
-    # Below about x = 1e-47 the closure's B4 terms overflow, so it is never
-    # met, and the pass runs to _MAX_TERMS.
+    # Below about x = 1.2e-48 the closure's B4 terms overflow even at the
+    # last pair allowed, z = _MAX_TERMS x, so it can never be met, and the
+    # pass raises before its first pair instead of running to _MAX_TERMS.
+    start = time.thread_time()
     with pytest.raises(ConvergenceError) as excinfo:
         reduced_functions(1e-60, NumericsConfig(x_switch=1e-70))
+    assert time.thread_time() - start < 0.01
     assert str(excinfo.value).startswith("number_density")
-    assert excinfo.value.terms == specfun._MAX_TERMS
+    assert excinfo.value.terms == 0
+
+
+@pytest.mark.parametrize("x", [2e-48, 1e-47, 1e-45])
+def test_bessel_pass_closes_wherever_the_closure_is_within_reach(x):
+    # Where the B4 terms come into the double range before _MAX_TERMS,
+    # the pass runs on until the closure is met: 11770 pairs at x = 2e-48,
+    # 2354 at 1e-47 and at most 139 from about 1e-45 up.
+    s, e, p, terms = specfun._scaled_sum(x, specfun.SERIES_TOL)
+    assert terms < specfun._MAX_TERMS
+    limit = 2.0 * zeta_value(3)  # x^2 S~ tends to 2 zeta(3) as x -> 0
+    assert x * x * s == pytest.approx(limit, rel=1e-13)
 
 
 @pytest.mark.parametrize("x", [6e17, 1e18, 1e20, 1e100, 1e155, 1e300])

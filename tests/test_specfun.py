@@ -18,11 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photongas import (ConvergenceError, DivergenceError, DomainError,
-                       NumericsConfig, bessel_k2, energy_bessel_sum,
-                       integrate_adaptive, k2_weighted_sum, polylog,
-                       specfun, zeta_value)
-from photongas.specfun import _bessel_k
+from photongas import (ConvergenceError, DomainError, NumericsConfig,
+                       bessel_k2, energy_bessel_sum, integrate_adaptive,
+                       k2_weighted_sum, specfun, zeta_value)
 
 import specfun_cost
 import specfun_tables
@@ -115,12 +113,19 @@ def test_k2_positive_and_strictly_decreasing():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def k012(z: float, scaled: bool = False) -> tuple[float, float, float]:
+    """(K0, K1, K2) from the library's pair, or e^z times each when scaled."""
+    k0, k1 = specfun._k01(z, scaled)
+    return k0, k1, k0 + 2.0 * k1 / z
+
+
 def test_k2_recurrence_against_internal_k0_k1():
     # K2(z) = K0(z) + (2/z) K1(z)
     for i in range(40):
         z = 0.1 * (30.0 / 0.1) ** (i / 39)
         lhs = bessel_k2(z)
-        rhs = _bessel_k(0, z) + 2.0 / z * _bessel_k(1, z)
+        k0, k1 = specfun._k01(z)
+        rhs = k0 + 2.0 / z * k1
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -138,9 +143,9 @@ def test_k0_k1_k2_match_mpmath(z):
         for nu in (0, 1, 2):
             ref = mp.besselk(nu, z)
             if z < 700.0:  # K_nu itself is a normal double
-                assert _bessel_k(nu, z) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+                assert k012(z)[nu] == pytest.approx(float(ref), rel=1e-14, abs=0.0)
             scaled_ref = float(mp.exp(z) * ref)
-            assert _bessel_k(nu, z, scaled=True) == pytest.approx(scaled_ref, rel=1e-14, abs=0.0)
+            assert k012(z, scaled=True)[nu] == pytest.approx(scaled_ref, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("z", [1e3, 1e6, 1e17, 1e308])
@@ -148,7 +153,7 @@ def test_scaled_k2_matches_mpmath_far_past_underflow(z):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         ref = float(mp.exp(z) * mp.besselk(2, z))
-    assert _bessel_k(2, z, scaled=True) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert k012(z, scaled=True)[2] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 # 3000 log-spaced points over [2, 1e6], and two far past underflow.
@@ -221,8 +226,18 @@ def test_zeta_at_negative_odd_integers_from_bernoulli_numbers():
 
 
 # ---------------------------------------------------------------------------
-# polylog
+# polylogs: (Li2, Li3, Li4) of e^-x from specfun._polylogs
 # ---------------------------------------------------------------------------
+
+def li1(z: float) -> float:
+    """Li_1(z) = -ln(1 - z), the order below the ones _polylogs returns."""
+    return -math.log1p(-z)
+
+
+def li(s: int, z: float) -> float:
+    """Li_s(z) for s in {1, 2, 3, 4} and z in (0, 1), through x = -ln z."""
+    return li1(z) if s == 1 else specfun._polylogs(-math.log(z))[s - 2]
+
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_polylog_log_expansion_matches_mpmath_up_to_the_switch(s):
@@ -231,57 +246,80 @@ def test_polylog_log_expansion_matches_mpmath_up_to_the_switch(s):
         for i in range(60):
             u = 1e-6 * (specfun._U_SWITCH / 1e-6) ** (i / 60)
             ref = mp.polylog(s, mp.exp(-mp.mpf(u)))
-            assert specfun._polylog_exp(s, u) == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+            assert specfun._polylogs(u)[s - 2] == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_polylog_power_series_matches_mpmath_from_the_switch(s):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for i in range(61):
+            u = specfun._U_SWITCH * (40 / specfun._U_SWITCH) ** (i / 60)
+            ref = mp.polylog(s, mp.exp(-mp.mpf(u)))
+            assert specfun._polylogs(u)[s - 2] == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
 def test_polylog_vanishes_at_zero(s):
-    assert polylog(s, 0.0) == 0.0
+    # e^-x underflows to 0 from x of about 745.13 on; at 745 it is the
+    # smallest subnormal, which is then every Li_s to the last bit.
+    assert math.exp(-745.0) == 5e-324
+    assert specfun._polylogs(745.0)[s - 2] == 5e-324
+    for x in (746.0, 800.0, 1e300):
+        assert specfun._polylogs(x)[s - 2] == 0.0
 
 
 def test_polylog_at_one_is_zeta():
-    assert polylog(3, 1.0) == zeta_value(3)
-    assert polylog(2, 1.0) == zeta_value(2)
-    assert polylog(4, 1.0) == zeta_value(4)
+    assert specfun._polylogs(0.0) == (zeta_value(2), zeta_value(3), zeta_value(4))
 
 
 def test_polylog_half_matches_direct_series():
     oracle = polylog_oracle(2, 0.5)
     assert oracle == pytest.approx(0.58224052, abs=1e-8)
-    assert polylog(2, 0.5) == pytest.approx(oracle, rel=1e-12)
+    assert li(2, 0.5) == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 @pytest.mark.parametrize("z", [0.9, 0.95, 0.99, 0.999])
 def test_polylog_near_one_matches_long_direct_series(s, z):
     # crosses the internal branch switch; the oracle needs ~40k terms at worst
-    assert polylog(s, z) == pytest.approx(polylog_oracle(s, z, 1e-16), rel=1e-12)
+    assert li(s, z) == pytest.approx(polylog_oracle(s, z, 1e-16), rel=1e-12)
+
+
+def test_polylog_power_series_stops_within_its_table(monkeypatch):
+    # 38 terms at the switch, where e^-x is largest, and fewer above it.
+    table = specfun_cost._Counted(specfun._POWERS)
+    monkeypatch.setattr(specfun, "_POWERS", table)
+    specfun._polylogs(specfun._U_SWITCH)
+    assert table.reads == 38 < len(table.table)
 
 
 def test_polylog_branches_join_smoothly():
     u = specfun._U_SWITCH
-    for s in (2, 3, 4):
-        below = polylog(s, math.exp(-(u * (1 + 1e-9))))
-        above = polylog(s, math.exp(-(u * (1 - 1e-9))))
-        assert below == pytest.approx(above, rel=1e-8)
+    below = specfun._polylogs(u * (1 - 1e-9))
+    above = specfun._polylogs(u * (1 + 1e-9))
+    for a, b in zip(below, above):
+        assert a == pytest.approx(b, rel=1e-8)
 
 
-def test_polylog_domain_errors():
-    with pytest.raises(DomainError):
-        polylog(2, -0.1)
-    with pytest.raises(DomainError):
-        polylog(2, 1.1)
-    with pytest.raises(DomainError):
-        polylog(5, 0.5)
-    with pytest.raises(DivergenceError):
-        polylog(1, 1.0)
+def test_polylog_branches_agree_to_a_few_ulps_at_the_switch(monkeypatch):
+    # The two doubles either side of the switch, and both branches at the
+    # switch itself (moving the switch puts x = 1 on the log expansion).
+    u = specfun._U_SWITCH
+    below = specfun._polylogs(math.nextafter(u, 0.0))
+    above = specfun._polylogs(u)
+    monkeypatch.setattr(specfun, "_U_SWITCH", 2.0 * u)
+    log_expansion = specfun._polylogs(u)
+    for a, b, c in zip(below, above, log_expansion):
+        assert abs(a - b) <= 4 * math.ulp(b)
+        assert abs(c - b) <= 4 * math.ulp(b)
 
 
 @given(z=st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
        s=st.sampled_from([2, 3, 4]))
 def test_polylog_decreases_with_order(z, s):
-    lower = polylog(s - 1, z)
-    assert polylog(s, z) <= lower * (1 + 1e-14)
+    lower = li(s - 1, z)
+    assert li(s, z) <= lower * (1 + 1e-14)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
@@ -289,8 +327,8 @@ def test_polylog_decreases_with_order(z, s):
 def test_polylog_derivative_identity(s, x):
     # d/dx Li_s(e^-x) = -Li_{s-1}(e^-x), checked by central differences
     h = 1e-5
-    numeric = (polylog(s, math.exp(-(x + h))) - polylog(s, math.exp(-(x - h)))) / (2 * h)
-    assert numeric == pytest.approx(-polylog(s - 1, math.exp(-x)), rel=1e-6)
+    numeric = (specfun._polylogs(x + h)[s - 2] - specfun._polylogs(x - h)[s - 2]) / (2 * h)
+    assert numeric == pytest.approx(-li(s - 1, math.exp(-x)), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +406,13 @@ def test_k2_weighted_sum_reports_convergence_failure(monkeypatch):
 
 def test_energy_bessel_sum_reports_convergence_failure(monkeypatch):
     _check_convergence_failure(
-        energy_bessel_sum, lambda n, z: _bessel_k(1, z) / z + 3 * bessel_k2(z) / z**2,
+        energy_bessel_sum, lambda n, z: specfun._k01(z)[1] / z + 3 * bessel_k2(z) / z**2,
         monkeypatch)
 
 
 def test_energy_bessel_sum_matches_brute_force():
     x = 1.0
-    brute = sum(_bessel_k(1, n * x) / (n * x) + 3 * bessel_k2(n * x) / (n * x) ** 2
+    brute = sum(specfun._k01(n * x)[1] / (n * x) + 3 * bessel_k2(n * x) / (n * x) ** 2
                 for n in range(1, 200))
     assert energy_bessel_sum(x).value == pytest.approx(brute, rel=2e-12, abs=0.0)
 
