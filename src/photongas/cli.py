@@ -11,15 +11,23 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from . import core, oracle
 from .core import DEFAULT_NUMERICS, NumericsConfig
 from .errors import ConvergenceError, DomainError, MassParseError, RegimeError
 from .units import SI, GasParameters, parse_mass, reduce
 
-SWEEP_COLUMNS = ("index", "T_K", "x", "n_per_m3", "u_J_per_m3", "vbar_m_per_s",
-                 "R_W_per_m2", "R_naive_W_per_m2", "method_flags")
+# One row per report quantity, in the order of RadiometryReport.methods:
+# (column, RadiometryReport attribute, text label, unit).
+_QUANTITIES = (
+    ("n_per_m3", "number_density", "N/V", "m^-3"),
+    ("u_J_per_m3", "energy_density", "U/V", "J/m^3"),
+    ("vbar_m_per_s", "mean_speed", "vbar", "m/s"),
+    ("R_W_per_m2", "radiance", "R", "W/m^2"),
+    ("R_naive_W_per_m2", "radiance_naive", "R_naive", "W/m^2"),
+)
+
+SWEEP_COLUMNS = ("index", "T_K", "x", *(row[0] for row in _QUANTITIES), "method_flags")
 POINT_COLUMNS = ("mass_kg",) + SWEEP_COLUMNS[1:]
 FIGURE_COLUMNS = ("x", "kT_over_mc2", "vbar_over_c", "nonrel_approx")
 
@@ -29,61 +37,32 @@ VALIDATE_LIMIT = 1e-7
 _NONREL_MIN_X = 8.0 / math.pi
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid over temperature (K) or the reduced variable x."""
-
-    variable: str
-    minimum: float
-    maximum: float
-    points: int
-    spacing: str = "linear"
-
-    def __post_init__(self):
-        if self.variable not in ("temperature", "x"):
-            raise DomainError(f"sweep variable must be 'temperature' or 'x', got {self.variable!r}")
-        if self.spacing not in ("linear", "log"):
-            raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if not (math.isfinite(self.minimum) and self.minimum > 0):
-            raise DomainError(f"sweep minimum must be finite and > 0, got {self.minimum!r}")
-        if not (math.isfinite(self.maximum) and self.maximum > self.minimum):
-            raise DomainError("sweep needs minimum < maximum")
-        if self.points < 2:
-            raise DomainError(f"sweep needs at least 2 points, got {self.points}")
-
-    def grid(self) -> list[float]:
-        n = self.points
-        if self.spacing == "log":
-            lo, hi = math.log(self.minimum), math.log(self.maximum)
-            values = [math.exp(lo + i * (hi - lo) / (n - 1)) for i in range(n)]
-        else:
-            values = [self.minimum + i * (self.maximum - self.minimum) / (n - 1)
-                      for i in range(n)]
-        values[0] = self.minimum
-        values[-1] = self.maximum
-        return values
+def _grid(minimum: float, maximum: float, points: int, spacing: str) -> list[float]:
+    """points values from minimum to maximum, linear or log, ends exact."""
+    if not (math.isfinite(minimum) and minimum > 0):
+        raise DomainError(f"sweep minimum must be finite and > 0, got {minimum!r}")
+    if not (math.isfinite(maximum) and maximum > minimum):
+        raise DomainError("sweep needs minimum < maximum")
+    if points < 2:
+        raise DomainError(f"sweep needs at least 2 points, got {points}")
+    if spacing == "log":
+        lo, hi = math.log(minimum), math.log(maximum)
+        values = [math.exp(lo + i * (hi - lo) / (points - 1)) for i in range(points)]
+    else:
+        values = [minimum + i * (maximum - minimum) / (points - 1) for i in range(points)]
+    values[0] = minimum
+    values[-1] = maximum
+    return values
 
 
 def _fmt(value: float) -> str:
     return f"{value:.16e}"
 
 
-def _method_flags(report: core.RadiometryReport) -> str:
-    order = ("n", "u", "v", "R", "R_naive")
-    return ";".join(f"{key}:{report.methods[key]}" for key in order)
-
-
 def _report_cells(report: core.RadiometryReport) -> list[str]:
-    return [
-        _fmt(report.params.temperature),
-        _fmt(report.x),
-        _fmt(report.number_density),
-        _fmt(report.energy_density),
-        _fmt(report.mean_speed),
-        _fmt(report.radiance),
-        _fmt(report.radiance_naive),
-        _method_flags(report),
-    ]
+    flags = ";".join(f"{key}:{method}" for key, method in report.methods.items())
+    return ([_fmt(report.params.temperature), _fmt(report.x)]
+            + [_fmt(getattr(report, attr)) for _, attr, _, _ in _QUANTITIES] + [flags])
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -100,11 +79,6 @@ def _numerics_from_args(args: argparse.Namespace) -> NumericsConfig:
     return NumericsConfig(args.series_tol, args.quad_tol, args.x_switch)
 
 
-def _params_from_args(args: argparse.Namespace) -> GasParameters:
-    return GasParameters(mass=parse_mass(args.mass), temperature=args.temp,
-                         degeneracy=args.g)
-
-
 # ---------------------------------------------------------------------------
 # point
 # ---------------------------------------------------------------------------
@@ -115,38 +89,29 @@ def _render_point_text(report: core.RadiometryReport) -> str:
         f"temperature = {_fmt(report.params.temperature)} K",
         f"degeneracy  = {_fmt(report.params.degeneracy)}",
         f"x = mc^2/kT = {_fmt(report.x)}",
-        f"N/V     = {_fmt(report.number_density)} m^-3  [{report.methods['n']}]",
-        f"U/V     = {_fmt(report.energy_density)} J/m^3  [{report.methods['u']}]",
-        f"vbar    = {_fmt(report.mean_speed)} m/s  [{report.methods['v']}]",
-        f"R       = {_fmt(report.radiance)} W/m^2  [{report.methods['R']}]",
-        f"R_naive = {_fmt(report.radiance_naive)} W/m^2  [{report.methods['R_naive']}]",
     ]
+    for (_, attr, label, unit), method in zip(_QUANTITIES, report.methods.values()):
+        lines.append(f"{label:7s} = {_fmt(getattr(report, attr))} {unit}  [{method}]")
     return "\n".join(lines) + "\n"
 
 
 def _render_point_json(report: core.RadiometryReport) -> str:
-    methods = ",".join(
-        f'"{key}":"{report.methods[key]}"' for key in ("n", "u", "v", "R", "R_naive")
-    )
     fields = [
         f'"mass_kg":{_fmt(report.params.mass)}',
         f'"T_K":{_fmt(report.params.temperature)}',
         f'"degeneracy":{_fmt(report.params.degeneracy)}',
         f'"x":{_fmt(report.x)}',
-        f'"n_per_m3":{_fmt(report.number_density)}',
-        f'"u_J_per_m3":{_fmt(report.energy_density)}',
-        f'"vbar_m_per_s":{_fmt(report.mean_speed)}',
-        f'"R_W_per_m2":{_fmt(report.radiance)}',
-        f'"R_naive_W_per_m2":{_fmt(report.radiance_naive)}',
-        '"methods":{%s}' % methods,
+        *(f'"{column}":{_fmt(getattr(report, attr))}' for column, attr, _, _ in _QUANTITIES),
+        '"methods":{%s}' % ",".join(f'"{key}":"{method}"'
+                                    for key, method in report.methods.items()),
     ]
     return "{" + ",".join(fields) + "}\n"
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    cfg = _numerics_from_args(args)
-    params = _params_from_args(args)
-    report = core.evaluate(params, cfg)
+    params = GasParameters(mass=parse_mass(args.mass), temperature=args.temp,
+                           degeneracy=args.g)
+    report = core.evaluate(params, _numerics_from_args(args))
     if args.format == "text":
         text = _render_point_text(report)
     elif args.format == "json":
@@ -165,16 +130,14 @@ def _cmd_point(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _numerics_from_args(args)
     mass = parse_mass(args.mass)
-    if args.variable == "x":
-        if mass <= 0:
-            raise DomainError("an x sweep needs a positive mass to fix T = mc^2/(k_B x)")
-        spec = SweepSpec("x", args.x_min, args.x_max, args.points, args.spacing)
-    else:
-        spec = SweepSpec("temperature", args.t_min, args.t_max, args.points, args.spacing)
+    by_x = args.variable == "x"
+    if by_x and mass <= 0:
+        raise DomainError("an x sweep needs a positive mass to fix T = mc^2/(k_B x)")
+    lo, hi = (args.x_min, args.x_max) if by_x else (args.t_min, args.t_max)
 
     rows = [",".join(SWEEP_COLUMNS)]
-    for index, value in enumerate(spec.grid()):
-        if spec.variable == "x":
+    for index, value in enumerate(_grid(lo, hi, args.points, args.spacing)):
+        if by_x:
             # Where k_B x underflows, T overflows: GasParameters refuses it.
             kx = SI.k_B * value
             temperature = mass * SI.c * SI.c / kx if kx else math.inf
@@ -183,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         params = GasParameters(mass=mass, temperature=temperature, degeneracy=args.g)
         # An x sweep prints and routes by its grid x, not by mc^2/kT
         # recomputed from the rounded T.
-        x = value if spec.variable == "x" else reduce(params).x
+        x = value if by_x else reduce(params).x
         report = core._report(params, x, cfg)
         rows.append(",".join([str(index)] + _report_cells(report)))
     _write_output("\n".join(rows) + "\n", args.out)
@@ -194,9 +157,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # figure mean-speed
 # ---------------------------------------------------------------------------
 
-def _figure_rows(spec: SweepSpec, cfg: NumericsConfig) -> list[tuple[float, float, float, float | None]]:
+def _figure_rows(grid: list[float], cfg: NumericsConfig) -> list[tuple[float, float, float, float | None]]:
     rows = []
-    for x in spec.grid():
+    for x in grid:
         kt_ratio = 1.0 / x
         if kt_ratio == math.inf:
             raise DomainError(f"kT/mc^2 = 1/x overflows at x={x!r}")
@@ -273,8 +236,7 @@ def _figure_svg(rows) -> str:
 
 def _cmd_figure_mean_speed(args: argparse.Namespace) -> int:
     cfg = _numerics_from_args(args)
-    spec = SweepSpec("x", args.x_min, args.x_max, args.points, args.spacing)
-    rows = _figure_rows(spec, cfg)
+    rows = _figure_rows(_grid(args.x_min, args.x_max, args.points, args.spacing), cfg)
     _write_output(_figure_csv(rows), args.out)
     if args.svg is not None:
         _write_output(_figure_svg(rows), args.svg)

@@ -45,10 +45,10 @@ class NumericsConfig:
     Below ``x_switch`` every kernel is taken from one trapezoid pass over
     its defining integral, at and above it from the Bessel sums and
     polylogs.  Cost sets the switch: the pass costs about the same at any x,
-    while the Bessel sums need O(1/x) terms from x = 1 up (at most 139
-    below, where their tails close by Euler-Maclaurin).  The default 4.0 is
-    where the measured costs of the two routes crossed in 0.5.0
-    (BENCH_12.json).  After a cheaper trapezoid pass (a crossover near 9,
+    while the Bessel sums need O(1/x) terms from x = 1 up (22 at x = 1, and
+    at most 139 below; below x = 4 their tails close by Euler-Maclaurin).
+    The default 4.0 is where the measured costs of the two routes crossed
+    in 0.5.0 (BENCH_12.json).  After a cheaper trapezoid pass (a crossover near 9,
     BENCH_14.json) and then a cheaper K pair for the Bessel sums, the routes
     cross between 3 and 4 (BENCH_16.json); the default stays 4.0 until a
     move is measured on its own.  The crossover holds for a full evaluation
@@ -156,7 +156,7 @@ def _series(x: float, rel_tol: float, keys: str) -> dict[str, float]:
     """The kernels named in keys, a string over "nuvR", by the series route.
 
     At most one polylog pass, for r_hat and for the Bessel pass's P~ below
-    x = 1, and at most one pass of specfun._scaled_sum, which yields n_hat,
+    x = 4, and at most one pass of specfun._scaled_sum, which yields n_hat,
     u_hat and v_hat if any of them is asked for.  A ConvergenceError names
     the first of those asked for and carries its partial value.
     """

@@ -15,13 +15,13 @@ involved, so the quadrature oracles elsewhere in the package remain an
 independent check.
 
 The Bessel sums come from one pass, _scaled_sum, with one K pair per term.
-Below x = 1 it closes their tails by Euler-Maclaurin from the current pair,
+Below x = 4 it closes their tails by Euler-Maclaurin from the current pair,
 as soon as the B4 term that bounds the remainder falls under series_tol/100
 of each partial sum (at most 139 pairs at the default tolerance for x above
-about 1e-45), and takes the polylog sum from its closed form.  From x = 1 on
-it stops once each term and a geometric bound on the rest fall under
-series_tol.  Its term count is the number of K pairs taken, the closing pair
-included.
+about 1e-45, 22 at x = 1), and takes the polylog sum from its closed form.
+From x = 4 on it stops once each term and a geometric bound on the rest fall
+under series_tol.  Its term count is the number of K pairs taken, the
+closing pair included.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ _K_HANKEL_MIN = 25.0
 # terms.
 SERIES_TOL = 1e-12
 _MAX_TERMS = 20000
+
+# Below this x the Bessel pass closes its sums by Euler-Maclaurin, from it on
+# it cuts them by a geometric tail bound: each rule is the better on its side.
+_CLOSE_BELOW = 4.0
 
 
 def _check_series_tol(rel_tol: float) -> None:
@@ -190,15 +194,9 @@ def _k01_scaled(z: float) -> tuple[float, float]:
     return _k01_hankel(z)
 
 
-def _k01(z: float, scaled: bool = False) -> tuple[float, float]:
-    """(K0(z), K1(z)) for z > 0, or (e^z K0(z), e^z K1(z)) when scaled.
-
-    The scaled pair stays finite for arbitrarily large z, where K_nu itself
-    underflows.
-    """
+def _k01(z: float) -> tuple[float, float]:
+    """(K0(z), K1(z)) for z > 0; past z of about 700 both underflow to 0."""
     _check_positive(z, "z")
-    if scaled:
-        return _k01_scaled(z)
     if z <= _K_SERIES_MAX:
         return _k01_series(z)
     k0, k1 = _k01_scaled(z)
@@ -375,8 +373,9 @@ def _scaled_sum(x: float, rel_tol: float,
     representable however large x gets.  terms counts the K pairs taken,
     the closing pair included.  Two stop rules:
 
-    * Below x = 1, the tails of S~ and E~ from term N on are closed by
-      Euler-Maclaurin with z = N x, g = K2/t and h = -g' (DLMF 2.10.1):
+    * Below x = _CLOSE_BELOW = 4, the tails of S~ and E~ from term N on are
+      closed by Euler-Maclaurin with z = N x, g = K2/t and h = -g' (DLMF
+      2.10.1):
 
           sum_{n>=N} K2(n x)/n = K1(z)/z + K2(z)/(2N) - x^2 g'(z)/12
                                  + x^4 g'''(z)/720 + R_S
@@ -389,13 +388,14 @@ def _scaled_sum(x: float, rel_tol: float,
       2.10(i)).  With the B4 term added, |R| is still at most that term,
       and in practice near the B6 term.  The pass closes both sums at the
       first pair where both B4 terms fall under rel_tol/100 of their
-      partial sums, with no extra K evaluation: 22 to 139 pairs at the
-      default rel_tol for any x from about 1e-45 to 1.  P~ is the closed
-      form, from polylogs = _polylogs(x), which the caller may pass.  The
-      B4 terms fall as z grows; where they still overflow at z = _MAX_TERMS
-      x (x below about 1.2e-48), the closure can never be met, and the pass
-      raises before its first pair, with nan for S~ and E~.
-    * From x = 1 on, a sum has met the stop rule when its current term AND
+      partial sums, with no extra K evaluation: 8 to 139 pairs at the
+      default rel_tol for any x from about 1e-45 to 4, 22 at x = 1.  P~ is
+      the closed form, from polylogs = _polylogs(x), which the caller may
+      pass.  The B4 terms fall as z grows; where they still overflow at
+      z = _MAX_TERMS x (x below about 1.2e-48), the closure can never be
+      met, and the pass raises before its first pair, with nan for S~ and
+      E~.  Above x = 2 pi the closure's Bernoulli series diverges.
+    * From x = 4 on, a sum has met the stop rule when its current term AND
       the geometric tail bound both fall under rel_tol times its partial
       sum.  The tail bound uses K_nu((n+1)x) <= e^-x K_nu(n x), which
       follows from (ln K_nu)' <= -1; the polylog terms shrink faster still.
@@ -414,9 +414,9 @@ def _scaled_sum(x: float, rel_tol: float,
     # t <= r S and t w/(1-w) <= r S, as one comparison.
     bound = max(1.0, w / (1.0 - w)) if w < 1.0 else math.inf
     s = e = p = 0.0
-    # From x = 1 on the geometric rule stops the pass within 25 pairs.
-    # Below it p_open stays True, which keeps that rule off.
-    closing = x < 1.0
+    # From _CLOSE_BELOW on the geometric rule stops the pass within 8 pairs
+    # at the default rel_tol.  Below it p_open stays True, keeping it off.
+    closing = x < _CLOSE_BELOW
     if closing:
         li2, li3, _ = polylogs or _polylogs(x)
         p = math.exp(x) * (li3 + x * li2)
@@ -480,7 +480,7 @@ def k2_weighted_sum(x: float, rel_tol: float = SERIES_TOL) -> WeightedSum:
 
     A view of _scaled_sum, which the gas kernels take on their series route
     (x >= x_switch, default 4.0).  Takes at most 139 terms at the default
-    rel_tol below x = 1, and O(1/x) above it (23 at x = 1, 8 at x = 4).
+    rel_tol, and O(1/x) from x = 1 up (22 at x = 1, 8 at x = 4).
     """
     return _unscaled(x, rel_tol, 0, "k2_weighted_sum")
 

@@ -2,11 +2,11 @@
 
     python tests/specfun_cost.py [--src DIR] [--routes]
 
-times ``specfun._k01(z, scaled=True)`` on a fixed z grid in thread CPU time,
-the median of 7 runs of 40 calls each, in microseconds, for the photongas
+times ``specfun._k01_scaled(z)`` on a fixed z grid in thread CPU time, the
+median of 7 runs of 40 calls each, in microseconds, for the photongas
 package under DIR (default: this checkout's src).  Pointing --src at another
-checkout's src gives its table on the same host, so two trees can be
-compared.  Where the module has the Chebyshev and Hankel tables, it also
+checkout's src, one whose specfun has ``_k01_scaled``, gives its table on the
+same host, so two trees can be compared.  Where the module has the Chebyshev and Hankel tables, it also
 counts the terms each pair takes, a number that does not depend on the host.
 --routes adds the same timing of ``core.reduced_functions`` with each route
 forced (x_switch = 1e300 for the trapezoid pass, 5e-324 for the Bessel
@@ -69,7 +69,7 @@ def term_counts(specfun, zs) -> dict[float, int] | None:
             setattr(specfun, name, table)
         for z in zs:
             before = sum(t.reads for t in tables.values())
-            specfun._k01(z, scaled=True)
+            specfun._k01_scaled(z)
             counts[z] = sum(t.reads for t in tables.values()) - before
     finally:
         for name, table in tables.items():
@@ -86,8 +86,7 @@ def main() -> None:
     from photongas import core, specfun
 
     result = {
-        "k01_scaled_us": {repr(z): cost_us(lambda z: specfun._k01(z, scaled=True), z)
-                          for z in Z_GRID},
+        "k01_scaled_us": {repr(z): cost_us(specfun._k01_scaled, z) for z in Z_GRID},
         "k01_terms": None,
     }
     counts = term_counts(specfun, [z for z in Z_GRID if z > 2.0])

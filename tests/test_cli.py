@@ -12,7 +12,7 @@ import pytest
 
 import photongas
 from photongas import DEFAULT_NUMERICS, SI, core, oracle, specfun
-from photongas.cli import VALIDATE_GRID, SweepSpec, build_parser, main
+from photongas.cli import VALIDATE_GRID, _grid, build_parser, main
 from photongas.errors import DomainError
 
 
@@ -23,23 +23,22 @@ def run(capsys, *argv):
 
 
 # ---------------------------------------------------------------------------
-# sweep spec
+# sweep grid
 # ---------------------------------------------------------------------------
 
-def test_sweep_spec_validation():
+def test_sweep_grid_validation(capsys):
     with pytest.raises(DomainError):
-        SweepSpec("x", 2.0, 1.0, 5)
+        _grid(2.0, 1.0, 5, "linear")
     with pytest.raises(DomainError):
-        SweepSpec("x", 1.0, 2.0, 1)
+        _grid(1.0, 2.0, 1, "linear")
     with pytest.raises(DomainError):
-        SweepSpec("x", -1.0, 2.0, 5, "log")
-    with pytest.raises(DomainError):
-        SweepSpec("pressure", 1.0, 2.0, 5)
+        _grid(-1.0, 2.0, 5, "log")
+    code, _, err = run(capsys, "sweep", "--mass", "1eV", "--variable", "pressure")
+    assert code == 2 and "invalid choice" in err
 
 
-def test_sweep_spec_grid_hits_both_endpoints():
-    spec = SweepSpec("x", 0.3, 7.0, 9, "log")
-    grid = spec.grid()
+def test_sweep_grid_hits_both_endpoints():
+    grid = _grid(0.3, 7.0, 9, "log")
     assert grid[0] == 0.3 and grid[-1] == 7.0
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
@@ -77,6 +76,49 @@ def test_point_csv_has_17_significant_digits(capsys):
     assert header.startswith("mass_kg,T_K,x,")
     t_cell = row.split(",")[1]
     assert t_cell == "3.0000000000000000e+02"
+
+
+QUANTITY_LINES = (("N/V", "n_per_m3", "m^-3"), ("U/V", "u_J_per_m3", "J/m^3"),
+                  ("vbar", "vbar_m_per_s", "m/s"), ("R", "R_W_per_m2", "W/m^2"),
+                  ("R_naive", "R_naive_W_per_m2", "W/m^2"))
+QUANTITY_COLUMNS = [column for _, column, _ in QUANTITY_LINES]
+METHOD_KEYS = ("n", "u", "v", "R", "R_naive")
+CELL = r"-?\d\.\d{16}e[+-]\d{2,3}"
+
+
+@pytest.mark.parametrize("mass, method", [("0kg", "series"), ("1eV", "quadrature")])
+def test_point_formats_print_the_same_cells(capsys, mass, method):
+    outs = {}
+    for fmt in ("text", "csv", "json"):
+        code, outs[fmt], _ = run(capsys, "point", "--mass", mass, "--temp", "5800",
+                                 "--format", fmt)
+        assert code == 0
+    # text: four state lines, then one line per quantity with its label,
+    # unit and method tag
+    lines = outs["text"].splitlines()
+    assert len(lines) == 9
+    state = dict(re.fullmatch(rf"(\w+) .*= ({CELL})(?: \w+)?", line).groups()
+                 for line in lines[:4])
+    text = {"mass_kg": state["mass"], "T_K": state["temperature"],
+            "degeneracy": state["degeneracy"], "x": state["x"]}
+    for line, (label, column, unit) in zip(lines[4:], QUANTITY_LINES):
+        text[column] = re.fullmatch(
+            rf"{re.escape(label)} *= ({CELL}) {re.escape(unit)}  \[{method}\]", line).group(1)
+    # json: the key order, and its number tokens as printed
+    keys = ["mass_kg", "T_K", "degeneracy", "x", *QUANTITY_COLUMNS]
+    data = json.loads(outs["json"])
+    assert list(data) == keys + ["methods"]
+    assert list(data["methods"].items()) == [(key, method) for key in METHOD_KEYS]
+    tokens = dict(re.findall(rf'"(\w+)":({CELL})', outs["json"]))
+    assert list(tokens) == keys
+    # csv: the column order, and the method flags in the same key order
+    header, row = (line.split(",") for line in outs["csv"].splitlines())
+    assert header == ["mass_kg", "T_K", "x", *QUANTITY_COLUMNS, "method_flags"]
+    assert row[-1] == ";".join(f"{key}:{method}" for key in METHOD_KEYS)
+    csv = dict(zip(header, row))
+    for column, cell in tokens.items():
+        assert text[column] == cell
+        assert csv.get(column, cell) == cell  # csv has no degeneracy column
 
 
 def test_point_unknown_unit_is_usage_error(capsys):

@@ -392,9 +392,9 @@ def test_energy_density_series_route_matches_mpmath(x):
 
 @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 1.0, 2.0, 10.0, 100.0])
 def test_mean_speed_series_route_matches_mpmath(x):
-    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  From x = 1 on it is a
+    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  From x = 4 on it is a
     # ratio of two truncated sums; cutting each by its own stop rule keeps it
-    # within 3.6e-13 of the reference.  Below x = 1 the K2 sum is closed by
+    # within 3.6e-13 of the reference.  Below x = 4 the K2 sum is closed by
     # Euler-Maclaurin and the polylogs are the closed form.
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x, NumericsConfig(x_switch=0.1))
@@ -475,7 +475,7 @@ def test_convergence_failure_names_the_quantity(monkeypatch):
         assert excinfo.value.value == pytest.approx(partial, rel=1e-13, abs=0.0)
 
 
-# Below x = 1 the Bessel pass closes S~ and E~ by Euler-Maclaurin and takes
+# Below x = 4 the Bessel pass closes S~ and E~ by Euler-Maclaurin and takes
 # P~ from the polylog closed form.
 CLOSURE_X = [1e-3 * 1000 ** (k / 30) for k in range(30)]
 
@@ -488,6 +488,18 @@ def test_bessel_pass_below_one_matches_mpmath(x):
         reference = mpmath_kernels(mp, mp.mpf(x))
     for key, expected in zip("nuv", reference):
         assert kernels[key] == pytest.approx(float(expected), rel=1e-13, abs=0.0), key
+
+
+# From x = 1 up to 4 the closure holds the pass to a few ulps; the
+# geometric cut it replaced there was off by up to 3.7e-13.
+@pytest.mark.parametrize("x", [4.0 ** (k / 12) for k in range(12)])
+def test_series_route_from_one_to_four_matches_mpmath(x):
+    mp = pytest.importorskip("mpmath")
+    values = _series(x, specfun.SERIES_TOL, "nuvR")
+    with mp.workdps(20):
+        reference = mpmath_kernels(mp, mp.mpf(x))
+    for key, expected in zip("nuvR", reference):
+        assert values[key] == pytest.approx(float(expected), rel=5e-15, abs=0.0), key
 
 
 def test_series_route_reaches_small_x():

@@ -115,18 +115,26 @@ def test_k2_positive_and_strictly_decreasing():
 
 def k012(z: float, scaled: bool = False) -> tuple[float, float, float]:
     """(K0, K1, K2) from the library's pair, or e^z times each when scaled."""
-    k0, k1 = specfun._k01(z, scaled)
+    k0, k1 = specfun._k01_scaled(z) if scaled else specfun._k01(z)
     return k0, k1, k0 + 2.0 * k1 / z
 
 
-def test_k2_recurrence_against_internal_k0_k1():
-    # K2(z) = K0(z) + (2/z) K1(z)
+def test_k01_pair_satisfies_its_derivative_identities():
+    # K0' = -K1 and (z K1)' = -z K0 (DLMF 10.29.3), both sides from the
+    # library's pair, the derivatives by a 4th-order central difference.  The
+    # grid crosses both branch edges, z = 2 and z = 25.
+    def derivative(f, z):
+        h = 1e-3 * z
+        return (f(z - 2 * h) - 8 * f(z - h) + 8 * f(z + h) - f(z + 2 * h)) / (12 * h)
+
+    worst = 0.0
     for i in range(40):
         z = 0.1 * (30.0 / 0.1) ** (i / 39)
-        lhs = bessel_k2(z)
         k0, k1 = specfun._k01(z)
-        rhs = k0 + 2.0 / z * k1
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        dk0 = derivative(lambda t: specfun._k01(t)[0], z)
+        dzk1 = derivative(lambda t: t * specfun._k01(t)[1], z)
+        worst = max(worst, abs(dk0 / -k1 - 1), abs(dzk1 / (-z * k0) - 1))
+    assert worst <= 1e-7
 
 
 # Log-spaced over [1e-4, 1e3], plus both sides of the series/Chebyshev edge
@@ -165,7 +173,7 @@ def test_scaled_k01_matches_mpmath_to_a_few_ulps():
     worst = 0.0
     with mp.workdps(25):
         for z in SCALED_PAIR_GRID:
-            pair = specfun._k01(z, scaled=True)
+            pair = specfun._k01_scaled(z)
             for nu in (0, 1):
                 ref = mp.exp(z) * mp.besselk(nu, z)
                 worst = max(worst, float(abs(pair[nu] / ref - 1)))
@@ -184,8 +192,8 @@ def test_scaled_k01_is_continuous_across_its_edges(edge):
         z = specfun._K_HANKEL_MIN
         below = specfun._k01_chebyshev(z)
         above = specfun._k01_hankel(z)
-    left = specfun._k01(math.nextafter(z, 0.0), scaled=True)
-    right = specfun._k01(math.nextafter(z, math.inf), scaled=True)
+    left = specfun._k01_scaled(math.nextafter(z, 0.0))
+    right = specfun._k01_scaled(math.nextafter(z, math.inf))
     for a, b in (*zip(below, above), *zip(left, right)):
         assert abs(a - b) <= 4 * math.ulp(b)
 
@@ -417,7 +425,7 @@ def test_energy_bessel_sum_matches_brute_force():
     assert energy_bessel_sum(x).value == pytest.approx(brute, rel=2e-12, abs=0.0)
 
 
-# The Euler-Maclaurin closure of the Bessel pass below x = 1 rests on three
+# The Euler-Maclaurin closure of the Bessel pass below x = 4 rests on three
 # facts about g = K2(t)/t and h = K1/t + 3 K2/t^2, checked here with mpmath.
 CLOSURE_Z = [2.0, 3.7, 10.0]
 
@@ -480,7 +488,7 @@ def test_closure_derivatives_alternate_in_sign(z):
     # e^z-scaled pair the pass takes.
     g, _, k1, k2 = _mp_closure_derivatives(z)
     assert all((-1) ** j * value > 0 for j, value in enumerate(g))
-    s0, s1 = specfun._k01(z, scaled=True)
+    s0, s1 = specfun._k01_scaled(z)
     for pair in ((k1, k2), (s1, s0 + 2.0 * s1 / z)):
         derivs = specfun._g_derivatives(z, *pair)
         assert all((-1) ** j * value > 0 for j, value in enumerate(derivs))
