@@ -9,6 +9,7 @@ runs are byte-identical and every cell round-trips through float parsing.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -186,6 +187,8 @@ def _figure_svg(rows) -> str:
     ratios = [r[1] for r in rows]
     lo = math.log10(min(ratios))
     hi = math.log10(max(ratios))
+    if hi == lo:  # adjacent ratios whose logs round together: one decade
+        lo, hi = lo - 0.5, hi + 0.5
 
     def px(ratio: float) -> float:
         return left + (math.log10(ratio) - lo) / (hi - lo) * (width - left - right)
@@ -237,9 +240,11 @@ def _figure_svg(rows) -> str:
 def _cmd_figure_mean_speed(args: argparse.Namespace) -> int:
     cfg = _numerics_from_args(args)
     rows = _figure_rows(_grid(args.x_min, args.x_max, args.points, args.spacing), cfg)
-    _write_output(_figure_csv(rows), args.out)
-    if args.svg is not None:
-        _write_output(_figure_svg(rows), args.svg)
+    csv = _figure_csv(rows)
+    svg = None if args.svg is None else _figure_svg(rows)
+    _write_output(csv, args.out)
+    if svg is not None:
+        _write_output(svg, args.svg)
     return 0
 
 
@@ -303,7 +308,10 @@ def _add_sweep_flags(parser: argparse.ArgumentParser, default_points: int) -> No
     parser.add_argument("--spacing", choices=("linear", "log"), default="log")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one (``main`` calls this once per invocation); callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="photongas",
         description="Thermodynamics and radiometry of a blackbody photon gas "

@@ -551,6 +551,81 @@ def test_figure_asymptote_at_the_top_of_the_double_range(capsys, tmp_path):
                                        rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("x_min", [1e10, 1e300])
+def test_figure_whose_kt_ratios_share_one_log_draws_a_decade(capsys, tmp_path, x_min):
+    # Above x ~ 1e10 the log10 of two adjacent kT/mc^2 values can round to
+    # one double; the axis must not collapse to zero width.
+    out_file = tmp_path / "fig.csv"
+    svg_file = tmp_path / "fig.svg"
+    code, _, err = run(capsys, "figure", "mean-speed", "--x-min", repr(x_min),
+                       "--x-max", repr(math.nextafter(x_min, math.inf)),
+                       "--points", "2", "--out", str(out_file), "--svg", str(svg_file))
+    assert code == 0, err
+    assert len(out_file.read_text().strip().split("\n")) == 3
+    svg = svg_file.read_text()
+    assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
+    assert "nan" not in svg and "inf" not in svg
+
+
+# ---------------------------------------------------------------------------
+# the shared parser
+# ---------------------------------------------------------------------------
+
+def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    # One process, one parser: a mixed sequence run forward and then
+    # reversed must print and write the same bytes at every step.
+    steps = [
+        (["point", "--mass", "1eV", "--temp", "300"], None),
+        (["point", "--mass", "1eV", "--temp", "300", "--format", "csv"], None),
+        (["point", "--mass", "0kg", "--temp", "5800", "--format", "json"], None),
+        (["sweep", "--mass", "1eV", "--points", "5", "--out", "sweep.csv"], None),
+        (["figure", "mean-speed", "--points", "7", "--out", "fig.csv",
+          "--svg", "fig.svg"], None),
+        (["validate"], None),
+        (["point", "--mass", "0kg"], None),
+        (["point", "--mass", "0kg", "--temp", "300", "--quad-tol", "1"], None),
+        (["--help"], None),
+        (["point", "--mass", "4.6e-46kg", "--temp", "300", "--x-switch", "1e-9"], 100),
+    ]
+
+    def outcome(argv, max_terms):
+        with monkeypatch.context() as patch:
+            if max_terms is not None:
+                patch.setattr(specfun, "_MAX_TERMS", max_terms)
+            code = main([str(tmp_path / arg) if arg.endswith((".csv", ".svg")) else arg
+                         for arg in argv])
+        captured = capsys.readouterr()
+        files = {}
+        for path in sorted(tmp_path.iterdir()):
+            files[path.name] = path.read_bytes()
+            path.unlink()
+        return code, captured.out, captured.err, files
+
+    forward = [outcome(*step) for step in steps]
+    backward = [outcome(*step) for step in reversed(steps)][::-1]
+    assert [result[0] for result in forward] == [0, 0, 0, 0, 0, 0, 2, 2, 0, 3]
+    assert forward == backward
+    assert build_parser() is build_parser()
+
+
+def test_main_calls_build_parser_once_per_call(monkeypatch):
+    # perfbench/tracing.py counts cli.build_parser calls and its self-test
+    # expects one per cli.main call, usage errors and --help included.
+    calls = []
+    shared = photongas.cli.build_parser
+
+    def counted():
+        calls.append(None)
+        return shared()
+
+    monkeypatch.setattr(photongas.cli, "build_parser", counted)
+    argvs = [["point", "--mass", "0kg", "--temp", "300"], ["point", "--mass", "0kg"],
+             ["point", "--temp", "x"], ["--help"], ["validate"]]
+    for number, argv in enumerate(argvs, 1):
+        main(argv)
+        assert len(calls) == number
+
+
 # ---------------------------------------------------------------------------
 # the benchmark's tracer
 # ---------------------------------------------------------------------------
