@@ -2,10 +2,12 @@
 
 All physics is computed in the reduced variable x = mc^2/kT.  Each reduced
 kernel has two routes: a closed-form series route (Bessel sums and
-polylogarithms) used for x >= x_switch, and one trapezoid pass over the
-defining phase-space integrals used below the switch and as the cross-check
-oracle.  The default switch sits where the two routes' costs cross.
-n_hat, u_hat and v_hat share one pass of the Bessel sums per evaluation.
+polylogarithms), and one trapezoid pass over the defining phase-space
+integrals, used on [2, x_switch) and as the cross-check oracle.  The series
+route serves every other x: below x = 2 it takes the Bessel sums of n_hat
+and u_hat from their expansions about x = 0, from x_switch up from one pass
+of the Bessel sums, which n_hat, u_hat and v_hat share.  The default switch
+sits where the costs of the trapezoid pass and the Bessel pass cross.
 SI prefactors are applied exactly once, at the boundary, so no intermediate
 ever carries the ~1e-102 magnitudes of hbar^3.
 
@@ -42,20 +44,25 @@ _SLACK = 1e-9  # relative slack for invariants that are exact only in real arith
 class NumericsConfig:
     """The series and quadrature tolerances and the boundary between routes.
 
-    Below ``x_switch`` every kernel is taken from one trapezoid pass over
-    its defining integral, at and above it from the Bessel sums and
-    polylogs.  Cost sets the switch: the pass costs about the same at any x,
-    while the Bessel sums need O(1/x) terms from x = 1 up (22 at x = 1, and
-    at most 139 below; below x = 4 their tails close by Euler-Maclaurin).
-    The default 4.0 is where the measured costs of the two routes crossed
-    in 0.5.0 (BENCH_12.json).  After a cheaper trapezoid pass (a crossover near 9,
-    BENCH_14.json) and then a cheaper K pair for the Bessel sums, the routes
-    cross between 3 and 4 (BENCH_16.json); the default stays 4.0 until a
-    move is measured on its own.  The crossover holds for a full evaluation
-    and for n, u or v alone.  The radiance alone needs no Bessel sum: its
-    closed form, one polylog pass, costs 8 to 22 times less than the
-    trapezoid pass at every x in [0.1, 4), so a caller that asks only for it
-    there is faster with x_switch=0.1.
+    On [2, ``x_switch``) every kernel is taken from one trapezoid pass over
+    its defining integral, at and above ``x_switch`` from the Bessel sums and
+    polylogs.  Below x = 2 every kernel is taken from the expansions of the
+    Bessel sums about x = 0 and the polylogs, whatever ``x_switch`` is; a
+    switch at or below 2 only moves the Bessel pass down to 2.
+    ``series_tol`` cuts the Bessel sums alone: the expansions and the
+    polylogs stop at double precision.  Cost sets the switch: the pass
+    costs about the same at any x, while the Bessel sums need O(1/x) terms
+    from x = 1 up (13 at x = 2, 8 at x = 4; below x = 4 their tails close by
+    Euler-Maclaurin).  The default 4.0 is where the measured costs of the
+    two routes crossed in 0.5.0 (BENCH_12.json).  After a cheaper trapezoid
+    pass (a crossover near 9, BENCH_14.json) and then a cheaper K pair for
+    the Bessel sums, the routes cross between 3 and 4 (BENCH_16.json); the
+    default stays 4.0 until a move is measured on its own.  The crossover
+    holds for a full evaluation and for n, u or v alone.  The radiance alone
+    needs no Bessel sum: its closed form, one polylog pass, costs 8 to 22
+    times less than the trapezoid pass at every x in [0.1, 4), and it is all
+    that radiance() takes below x = 2, so a caller that asks only for it on
+    [2, 4) is faster with x_switch=2.
     """
 
     series_tol: float = specfun.SERIES_TOL
@@ -155,15 +162,27 @@ def _kernels(x: float, s: float, e: float, p: float) -> dict[str, float]:
 def _series(x: float, rel_tol: float, keys: str) -> dict[str, float]:
     """The kernels named in keys, a string over "nuvR", by the series route.
 
-    At most one polylog pass, for r_hat and for the Bessel pass's P~ below
-    x = 4, and at most one pass of specfun._scaled_sum, which yields n_hat,
-    u_hat and v_hat if any of them is asked for.  A ConvergenceError names
-    the first of those asked for and carries its partial value.
+    At most one polylog pass, for r_hat, for v_hat below x = 2 and for the
+    Bessel pass's P~ below x = 4.  Below specfun._EXPAND_BELOW = 2, n_hat
+    and u_hat come from their expansions about x = 0, if any of n, u and v
+    is asked for, and v_hat = 2 [Li3 + x Li2]/(pi^2 n_hat); none of these
+    depends on rel_tol.  From 2 on, at most one pass of specfun._scaled_sum
+    yields n_hat, u_hat and v_hat if any of them is asked for; a
+    ConvergenceError names the first of those asked for and carries its
+    partial value.
     """
-    polylogs = specfun._polylogs(x) if "R" in keys else None
-    values = {"R": r_hat_closed(x, polylogs)} if polylogs else {}
+    expand = x < specfun._EXPAND_BELOW
+    polylogs = specfun._polylogs(x) if "R" in keys or (expand and "v" in keys) else None
+    values = {"R": r_hat_closed(x, polylogs)} if "R" in keys else {}
     key = keys.replace("R", "")[:1]
-    if key:
+    if key and expand:
+        s, e = specfun._expansions(x)
+        values["n"] = s / math.pi**2
+        values["u"] = e / math.pi**2
+        if "v" in keys:
+            li2, li3, _ = polylogs
+            values["v"] = 2.0 * (li3 + x * li2) / s
+    elif key:
         try:
             values.update(_kernels(x, *specfun._scaled_sum(x, rel_tol, polylogs)[:3]))
         except ConvergenceError as exc:
@@ -207,11 +226,13 @@ def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], 
     """The kernels named in keys, a string over "nuvR", and their method tag.
 
     One rule picks the method for all of them: x = 0 takes the exact
-    massless limits, x < x_switch one trapezoid pass over the defining
-    integrals, which yields all four kernels whatever keys asks for, and
-    larger x the series route, _series.
+    massless limits, x in [2, x_switch) one trapezoid pass over the
+    defining integrals, which yields all four kernels whatever keys asks
+    for, and every other x the series route, _series, which below x = 2
+    takes n_hat and u_hat from their expansions about x = 0.  A negative x
+    goes to the pass, which refuses it.
     """
-    if x != 0.0 and x < cfg.x_switch:
+    if x < cfg.x_switch and not 0.0 <= x < specfun._EXPAND_BELOW:
         return dict(zip("nuvR", oracle._moments(x, cfg.quad_tol))), QUADRATURE
     if x == 0.0:
         return {key: _KERNELS[key][1] for key in keys}, SERIES

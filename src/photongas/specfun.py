@@ -14,7 +14,14 @@ tests/specfun_tables.py.  No third-party special-function library is
 involved, so the quadrature oracles elsewhere in the package remain an
 independent check.
 
-The Bessel sums come from one pass, _scaled_sum, with one K pair per term.
+Below x = _EXPAND_BELOW = 2 the gas kernels take the Bessel sums
+x^2 sum_n K2(n x)/n and x^4 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2] from
+their expansions about x = 0, _expansions: one loop of at most 18 terms
+over two literal tables, which tests/specfun_tables.py generates from the
+residues of the sums' Mellin transforms.
+
+Elsewhere the Bessel sums come from one pass, _scaled_sum, with one K pair
+per term.
 Below x = 4 it closes their tails by Euler-Maclaurin from the current pair,
 as soon as the B4 term that bounds the remainder falls under series_tol/100
 of each partial sum (at most 139 pairs at the default tolerance for x above
@@ -331,6 +338,101 @@ def _polylogs(x: float) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
+# The gas kernels' Bessel sums about x = 0.
+# ---------------------------------------------------------------------------
+
+# Below this x the series route takes x^2 sum_n K2(n x)/n and the energy
+# sum from their expansions about x = 0, which need at most 18 terms there.
+# From it on the Bessel pass is the more accurate: the expansions' terms
+# cancel more as x grows, to 6.9e-15 near x = 4.
+_EXPAND_BELOW = 2.0
+
+# Coefficients of the expansions about x = 0 (see _expansions): (a_j, b_j)
+# of x^2 sum_n K2(n x)/n and c_j of the energy sum, for j = 1, 2, ...; as
+# generated by tests/specfun_tables.py.
+_K2_SUM_EXPANSION = (
+    (-0.5965735902799727, 0.5),
+    (-0.029697762917331495, 0.010416666666666666),
+    (0.0001890648737203121, -8.680555555555556e-05),
+    (-2.6506575641419882e-06, 1.2917493386243386e-06),
+    (4.519745112109212e-08, -2.2605613425925925e-08),
+    (-8.431803899664349e-10, 4.2813661791526375e-10),
+    (1.6598406212420198e-11, -8.514564188314808e-12),
+    (-3.389968797349112e-13, 1.7520471715282372e-13),
+    (7.114205137537646e-15, -3.698152789109263e-15),
+    (-1.5246923684371607e-16, 7.962309592747284e-17),
+    (3.322927854819893e-18, -1.7418429689875224e-18),
+    (-7.341953199010248e-20, 3.8606195481775336e-20),
+    (1.6408130409432902e-21, -8.650708521083696e-22),
+    (-3.7025327331181446e-23, 1.9564731864189592e-23),
+    (8.4242430004105e-25, -4.460223977932017e-25),
+    (-1.9305239647505574e-26, 1.0238703104100993e-26),
+    (4.451866657807344e-28, -2.364656104346069e-28),
+    (-1.0323118997683937e-29, 5.490598560277992e-30),
+    (2.405549521463798e-31, -1.2809860575842e-31),
+    (-5.630244557262817e-33, 3.0014174203417623e-33),
+)
+_ENERGY_SUM_EXPANSION = (
+    -0.8224670334241132,
+    0.10648803637923487,
+    0.0009515142830747897,
+    -1.2994484782338255e-05,
+    2.2405769316738044e-07,
+    -4.2298187182628614e-09,
+    8.40562244070322e-11,
+    -1.7293075267158889e-12,
+    3.649986369227605e-14,
+    -7.858514598486483e-16,
+    1.7191317437520905e-17,
+    -3.810279677046989e-19,
+    8.537907598182327e-21,
+    -1.9309616659044787e-22,
+    4.402064636643566e-24,
+    -1.0105194931179539e-25,
+    2.3338220299950658e-27,
+    -5.419003571828885e-29,
+    1.2642825631851106e-30,
+    -2.9622802581419094e-32,
+)
+
+
+# The massless limits of x^2 S and x^4 E below: 2 zeta(3), and pi^4/15
+# correctly rounded (math.pi**4/15 is an ulp low).
+_MASSLESS_SUMS = (2.0 * _ZETA[1], 6.493939402266829)
+_LN_2PI = math.log(2.0 * math.pi)
+
+
+def _expansions(x: float) -> tuple[float, float]:
+    """(x^2 S, x^4 E) for 0 < x < _EXPAND_BELOW, from one loop, with
+
+        S = sum_n K2(n x)/n,  E = sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2],
+
+    so pi^2 n_hat and pi^2 u_hat, by their expansions about x = 0:
+
+        x^2 S = 2 zeta(3) + sum_j x^2j (a_j + b_j ln x)
+        x^4 E = pi^4/15 - x^4 ln(x)/16 + sum_j c_j x^2j
+
+    the sums of the residues of their Mellin transforms, which converge for
+    x < 2 pi (tests/specfun_tables.py derives them).  Term j falls about
+    as (x/2 pi)^2j, so the loop takes the first n terms, with
+    (x/2 pi)^2n <= 1e-17: 1 at x = 1e-8, 5 at 0.1, 11 at 1 and 18 below 2.
+    The first term left out is then under 1e-18 of its sum.  The loop sums
+    them by Horner's rule from the smallest up, which rounds about half as
+    much as summing from the largest.  Where x^2 underflows every term is
+    0, and the sums are the massless limits 2 zeta(3) and pi^4/15.
+    """
+    x2 = x * x
+    lg = math.log(x)
+    n = math.ceil(19.6 / (_LN_2PI - lg))  # 19.6 > ln(1e17)/2
+    s = e = 0.0
+    for (a, b), c in zip(_K2_SUM_EXPANSION[n - 1::-1], _ENERGY_SUM_EXPANSION[n - 1::-1]):
+        s = x2 * (s + (a + b * lg))
+        e = x2 * (e + c)
+    s0, e0 = _MASSLESS_SUMS
+    return s0 + s, e0 + (e - x2 * x2 * lg / 16.0)
+
+
+# ---------------------------------------------------------------------------
 # Boltzmann-weighted Bessel sums.
 # ---------------------------------------------------------------------------
 
@@ -479,8 +581,9 @@ def k2_weighted_sum(x: float, rel_tol: float = SERIES_TOL) -> WeightedSum:
     """sum_{n>=1} K2(n x)/n with the number of terms actually used.
 
     A view of _scaled_sum, which the gas kernels take on their series route
-    (x >= x_switch, default 4.0).  Takes at most 139 terms at the default
-    rel_tol, and O(1/x) from x = 1 up (22 at x = 1, 8 at x = 4).
+    from x = 2 up (x >= x_switch, default 4.0; below 2 they take
+    _expansions).  Takes at most 139 terms at the default rel_tol for x
+    above about 1e-45, and O(1/x) from x = 1 up (22 at x = 1, 8 at x = 4).
     """
     return _unscaled(x, rel_tol, 0, "k2_weighted_sum")
 

@@ -8,9 +8,11 @@ package under DIR (default: this checkout's src).  Pointing --src at another
 checkout's src, one whose specfun has ``_k01_scaled``, gives its table on the
 same host, so two trees can be compared.  Where the module has the Chebyshev and Hankel tables, it also
 counts the terms each pair takes, a number that does not depend on the host.
---routes adds the same timing of ``core.reduced_functions`` with each route
-forced (x_switch = 1e300 for the trapezoid pass, 5e-324 for the Bessel
-pass), and of ``core.r_hat_closed``, on a fixed x grid.
+--routes adds the same timing, on a fixed x grid, of all four kernels by
+each route: the trapezoid pass ``oracle._moments``, the Bessel pass with its
+polylog pass, as the series route takes them from x = 2 on, and, below
+x = 2, the expansions about x = 0 with the polylog pass, as ``core._series``
+takes them there; and of ``core.r_hat_closed`` alone.
 """
 
 from __future__ import annotations
@@ -77,13 +79,20 @@ def term_counts(specfun, zs) -> dict[float, int] | None:
     return counts
 
 
+def bessel_route(core, specfun, x: float):
+    """All four kernels from one polylog pass and one Bessel pass."""
+    polylogs = specfun._polylogs(x)
+    core.r_hat_closed(x, polylogs)
+    return core._kernels(x, *specfun._scaled_sum(x, specfun.SERIES_TOL, polylogs)[:3])
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     parser.add_argument("--routes", action="store_true")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    from photongas import core, specfun
+    from photongas import core, oracle, specfun
 
     result = {
         "k01_scaled_us": {repr(z): cost_us(specfun._k01_scaled, z) for z in Z_GRID},
@@ -93,11 +102,14 @@ def main() -> None:
     if counts is not None:
         result["k01_terms"] = {repr(z): n for z, n in counts.items()}
     if args.routes:
-        routes = {"trapezoid": core.NumericsConfig(x_switch=1e300),
-                  "bessel": core.NumericsConfig(x_switch=5e-324)}
+        routes = {"trapezoid": (oracle._moments, X_GRID),
+                  "bessel": (lambda x: bessel_route(core, specfun, x), X_GRID)}
+        if hasattr(specfun, "_expansions"):
+            routes["expansions"] = (lambda x: core._series(x, specfun.SERIES_TOL, "nuvR"),
+                                    [x for x in X_GRID if x < specfun._EXPAND_BELOW])
         result["reduced_functions_us"] = {
-            name: {repr(x): cost_us(lambda x: core.reduced_functions(x, cfg), x) for x in X_GRID}
-            for name, cfg in routes.items()}
+            name: {repr(x): cost_us(route, x) for x in grid}
+            for name, (route, grid) in routes.items()}
         result["r_hat_closed_us"] = {repr(x): cost_us(core.r_hat_closed, x) for x in X_GRID}
     print(json.dumps(result, indent=1))
 

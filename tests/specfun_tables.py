@@ -2,7 +2,7 @@
 
     python tests/specfun_tables.py
 
-prints the three tables as Python source, ready to paste into specfun.py:
+prints the five tables as Python source, ready to paste into specfun.py:
 
 * _K01_CHEBYSHEV, the Chebyshev coefficients of sqrt(z) e^z K0(z) and
   sqrt(z) e^z K1(z) in y = 4/z - 1 on z > 2 (the form of Cephes'
@@ -16,6 +16,10 @@ prints the three tables as Python source, ready to paste into specfun.py:
 * _ZETA_NEG_ODD, zeta(1 - 2j) = -B_2j/(2j) for j = 1..20, from the
   Bernoulli numbers B_2..B_40 in exact rational arithmetic, written as
   integer ratios.
+* _K2_SUM_EXPANSION and _ENERGY_SUM_EXPANSION, the coefficients of the
+  expansions about x = 0 of x^2 sum_n K2(n x)/n and of
+  x^4 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], from the residues of their
+  Mellin transforms at EXPANSION_DPS digits (see small_x_expansions).
 
 tests/test_specfun.py runs the same functions and compares with the module.
 """
@@ -30,6 +34,8 @@ CHEBYSHEV_NODES = 64
 CHEBYSHEV_DPS = 40
 HANKEL_TERMS = 20
 ZETA_TERMS = 20
+EXPANSION_TERMS = 20
+EXPANSION_DPS = 40
 
 
 def chebyshev_k01() -> tuple[tuple[float, float], ...]:
@@ -71,6 +77,50 @@ def zeta_negative_odd() -> tuple[Fraction, ...]:
     return tuple(-b[2 * j] / (2 * j) for j in range(1, ZETA_TERMS + 1))
 
 
+def small_x_expansions() -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
+    """Rows (a_j, b_j) and c_j, j = 1..EXPANSION_TERMS, of the expansions
+
+        x^2 sum_n K2(n x)/n = 2 zeta(3) + sum_j x^2j (a_j + b_j ln x)
+        x^4 sum_n h(n x)    = pi^4/15 - x^4 ln(x)/16 + sum_j c_j x^2j
+
+    with h(t) = K1(t)/t + 3 K2(t)/t^2, convergent for x < 2 pi (Flajolet,
+    Gourdon & Dumas, Theor. Comput. Sci. 144, 3 (1995)).  From
+    int_0^inf t^(s-1) K_nu(t) dt = 2^(s-2) Gamma((s-nu)/2) Gamma((s+nu)/2)
+    (DLMF 10.43.19) the two sums have the Mellin transforms
+
+        2^(s-2) Gamma(s/2 - 1) Gamma(s/2 + 1) zeta(s + 1)
+        2^(s-4) (s - 1) Gamma(s/2) Gamma(s/2 - 2) zeta(s)
+
+    and each term is a residue at a pole s = 2 - 2j, or s = 4 - 2j, of the
+    transform times x^-s.  The first has double poles from s = 0 down, so a
+    log at every order; in the second zeta(s) vanishes at s = -2, -4, ...,
+    which leaves the double pole at s = 0 the only log term, and its pole at
+    s = 1 cancels against s - 1.  With psi the digamma and k = j - 1 or
+    k = j - 2:
+
+        a_1 = -ln(2)/2 - 1/4, b_1 = 1/2
+        a_j = C_k [zeta(1-2k) ((psi(k) + psi(k+2))/2 + ln 2) + zeta'(1-2k)]
+        b_j = -C_k zeta(1-2k), C_k = 4^-k/((k+1)! (k-1)!)
+        c_1 = -pi^2/12, c_2 = (ln(4 pi) - 1/4 - gamma)/16
+        c_j = -(2k+1) 4^-(k+1) zeta'(-2k)/(k! (k+2)!)
+    """
+    import mpmath as mp
+
+    with mp.workdps(EXPANSION_DPS):
+        ab = [(-mp.log(2) / 2 - mp.mpf(1) / 4, mp.mpf(1) / 2)]
+        c = [-mp.pi**2 / 12, (mp.log(4 * mp.pi) - mp.mpf(1) / 4 - mp.euler) / 16]
+        for k in range(1, EXPANSION_TERMS):
+            scale = mp.mpf(4)**-k / (mp.factorial(k + 1) * mp.factorial(k - 1))
+            zeta = mp.zeta(1 - 2 * k)
+            ab.append((scale * (zeta * ((mp.digamma(k) + mp.digamma(k + 2)) / 2 + mp.log(2))
+                                + mp.zeta(1 - 2 * k, 1, 1)),
+                       -scale * zeta))
+        for k in range(1, EXPANSION_TERMS - 1):
+            c.append(-(2 * k + 1) * mp.mpf(4)**-(k + 1) * mp.zeta(-2 * k, 1, 1)
+                     / (mp.factorial(k) * mp.factorial(k + 2)))
+        return (tuple((float(a), float(b)) for a, b in ab), tuple(float(value) for value in c))
+
+
 def main() -> None:
     print("_K01_CHEBYSHEV = (")
     for c0, c1 in chebyshev_k01():
@@ -83,6 +133,15 @@ def main() -> None:
     print("_ZETA_NEG_ODD = (")
     for value in zeta_negative_odd():
         print(f"    {value.numerator} / {value.denominator},")
+    print(")")
+    k2_sum, energy_sum = small_x_expansions()
+    print("_K2_SUM_EXPANSION = (")
+    for a, b in k2_sum:
+        print(f"    ({a!r}, {b!r}),")
+    print(")")
+    print("_ENERGY_SUM_EXPANSION = (")
+    for value in energy_sum:
+        print(f"    {value!r},")
     print(")")
 
 

@@ -132,23 +132,29 @@ def test_point_bad_flag_is_usage_error(capsys):
 
 
 def test_point_convergence_failure_names_the_quantity(capsys, monkeypatch):
-    # forcing the series route at x ~ 1e-8, where the pass takes 139 K
-    # pairs, exhausts a term cap of 100
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
-    code, _, err = run(capsys, "point", "--mass", "4.6e-46kg", "--temp", "300",
-                       "--x-switch", "1e-9")
+    # forcing the Bessel pass at x ~ 3.1, where it takes 10 K pairs,
+    # exhausts a term cap of 5
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+    code, _, err = run(capsys, "point", "--mass", "0.08eV", "--temp", "300",
+                       "--x-switch", "2")
     assert code == 3
     assert "number_density" in err
 
 
-def test_point_where_the_first_bessel_term_overflows_names_the_quantity(capsys):
-    # At x = 2.2e-163 the pass's first term, K2(x) ~ 2/x^2, overflows a
-    # double and x^2 underflows to 0: a named error, not a traceback.
-    code, _, err = run(capsys, "point", "--mass", "1e-200kg", "--temp", "300",
-                       "--x-switch", "1e-300")
-    assert code == 3
-    assert err.startswith("error: number_density: ")
-    assert "Traceback" not in err
+def test_point_where_the_first_bessel_term_would_overflow_reports_the_massless_limits(capsys):
+    # At x = 2.2e-163 the Bessel pass's first term, K2(x) ~ 2/x^2, would
+    # overflow a double; the expansions about x = 0 serve every x below 2
+    # whatever x_switch says, and give the m = 0 cells.
+    code, out, err = run(capsys, "point", "--mass", "1e-200kg", "--temp", "300",
+                         "--x-switch", "1e-300", "--format", "json")
+    assert code == 0 and err == ""
+    tiny = json.loads(out)
+    code, out, _ = run(capsys, "point", "--mass", "0kg", "--temp", "300", "--format", "json")
+    assert code == 0
+    massless = json.loads(out)
+    assert tiny["methods"] == massless["methods"]
+    for column in QUANTITY_COLUMNS:
+        assert tiny[column] == pytest.approx(massless[column], rel=1e-15, abs=0.0), column
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +245,12 @@ def test_x_sweep_with_zero_mass_is_usage_error(capsys):
 
 
 def test_failed_sweep_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
-    # the series route at x ~ 1e-8 needs 139 K pairs; 100 are allowed
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
+    # the Bessel pass at x ~ 2.3 to 4.6 needs 7 to 12 K pairs; 5 are allowed
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
     out_file = tmp_path / "never.csv"
-    code, _, _ = run(capsys, "sweep", "--mass", "4.6e-46kg", "--variable",
+    code, _, _ = run(capsys, "sweep", "--mass", "0.08eV", "--variable",
                      "temperature", "--t-min", "200", "--t-max", "400",
-                     "--points", "3", "--x-switch", "1e-9",
+                     "--points", "3", "--x-switch", "2",
                      "--out", str(out_file))
     assert code == 3
     assert not out_file.exists()
@@ -340,7 +346,8 @@ def test_validate_compares_both_routes_at_every_grid_x(capsys, monkeypatch, quad
 def test_validate_work_count(capsys, monkeypatch):
     # K0/K1 pairs taken in one validate, a count that does not depend on the
     # host.  The geometric stop rule alone took 1669, 1395 of them at
-    # x = 0.01; the Euler-Maclaurin closure below x = 1 takes 137 there.
+    # x = 0.01; the Euler-Maclaurin closure took 310, 137 there.  Below
+    # x = 2 the expansions about x = 0 take none.
     pairs = []
     pairs_at = {}
     k01, series = specfun._k01_scaled, core._series
@@ -360,8 +367,9 @@ def test_validate_work_count(capsys, monkeypatch):
     code, _, err = run(capsys, "validate")
     assert code == 0, err
     assert tuple(pairs_at) == VALIDATE_GRID
-    assert 0 < len(pairs) <= 400
-    assert pairs_at[0.01] <= 202
+    assert len(pairs) == 28
+    assert pairs_at == {0.01: 0, 0.1: 0, 0.5: 0, 1.0: 0, 2.0: 13, 5.0: 6, 10.0: 4,
+                        20.0: 3, 50.0: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +415,9 @@ def test_point_deep_nonrelativistic_state_reports():
 
 def test_point_on_the_quadrature_route_names_the_quantity_that_did_not_converge(
         capsys, monkeypatch):
-    # x ~ 0.0039: an exhausted trapezoid ladder is exit 3, the quantity named.
+    # x ~ 3.1: an exhausted trapezoid ladder is exit 3, the quantity named.
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
-    code, out, err = run(capsys, "point", "--mass", "1e-3eV", "--temp", "3000",
+    code, out, err = run(capsys, "point", "--mass", "0.08eV", "--temp", "300",
                          "--quad-tol", "1e-14")
     assert code == 3 and out == ""
     assert re.match(r"error: (number_density|energy_density|mean_speed|radiance): "
@@ -432,11 +440,11 @@ def test_point_on_the_quadrature_route_at_huge_x_matches_the_series_route(capsys
 
 
 def test_point_below_the_default_switch_is_quadrature_and_x_switch_restores_series(capsys):
-    # x ~ 1 lies in [0.1, x_switch): the trapezoid by default, the Bessel
-    # pass with --x-switch 0.1; the five SI cells agree either way.
-    argv = ("point", "--mass", "1eV", "--temp", "11604.5", "--format", "csv")
+    # x ~ 3 lies in [2, x_switch): the trapezoid by default, the Bessel
+    # pass with --x-switch 2; the five SI cells agree either way.
+    argv = ("point", "--mass", "1eV", "--temp", "3868.2", "--format", "csv")
     rows = {}
-    for method, extra in (("quadrature", ()), ("series", ("--x-switch", "0.1"))):
+    for method, extra in (("quadrature", ()), ("series", ("--x-switch", "2"))):
         code, out, _ = run(capsys, *argv, *extra)
         assert code == 0
         header, row = out.strip().split("\n")
@@ -585,7 +593,7 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypa
         (["point", "--mass", "0kg"], None),
         (["point", "--mass", "0kg", "--temp", "300", "--quad-tol", "1"], None),
         (["--help"], None),
-        (["point", "--mass", "4.6e-46kg", "--temp", "300", "--x-switch", "1e-9"], 100),
+        (["point", "--mass", "0.08eV", "--temp", "300", "--x-switch", "2"], 5),
     ]
 
     def outcome(argv, max_terms):

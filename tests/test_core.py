@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from photongas import (DEFAULT_NUMERICS, SI, ConvergenceError, DomainError,
                        GasParameters, NumericsConfig, RegimeError, bessel_k2,
                        energy_density, evaluate, low_temp_mean_speed,
-                       low_temp_radiance, mean_speed, number_density,
+                       low_temp_radiance, mean_speed, number_density, oracle,
                        photon_speed, quad_energy_density, quad_mean_speed,
                        quad_number_density, quad_radiance, radiance,
                        radiance_naive, reduce, reduced_functions,
@@ -22,7 +22,7 @@ from photongas.core import (_kernels, _series, _si_prefactor, n_hat_series,
                             r_hat_closed, v_hat_series)
 from photongas.oracle import integrate_adaptive
 
-from mpmath_reference import mpmath_kernels
+from mpmath_reference import REFERENCE_X, mpmath_kernels
 
 T_REF = 5800.0
 
@@ -279,12 +279,16 @@ def test_joint_mass_temperature_scaling(lam):
 
 
 def test_method_tags_follow_the_regime_switch():
-    below = evaluate(params_for_x(0.05))
+    # The trapezoid pass serves [2, x_switch); below x = 2 the series route
+    # takes the expansions about x = 0.
+    below = evaluate(params_for_x(3.0))
     assert below.methods == {"n": "quadrature", "u": "quadrature",
                              "v": "quadrature", "R": "quadrature",
                              "R_naive": "quadrature"}
     assert 0.5 < DEFAULT_NUMERICS.x_switch < 10.0
-    assert set(evaluate(params_for_x(0.5)).methods.values()) == {"quadrature"}
+    assert set(evaluate(params_for_x(2.5)).methods.values()) == {"quadrature"}
+    for x in (0.05, 0.5, 1.9):
+        assert set(evaluate(params_for_x(x)).methods.values()) == {"series"}
     above = evaluate(params_for_x(10.0))
     assert above.methods["n"] == "series"
     assert above.methods["v"] == "series"
@@ -410,14 +414,19 @@ def test_mean_speed_series_route_matches_mpmath(x):
 @pytest.mark.parametrize("x", [1e-6, 1.43e-4, 1.94e-4, 0.0165, 0.05, 0.1, 0.5, 1.0, 2.0,
                                math.nextafter(DEFAULT_NUMERICS.x_switch, 0.0)])
 def test_quadrature_route_matches_mpmath(x):
+    # The route's trapezoid pass, which from x = 2 up to x_switch is the
+    # default; below 2, where the expansions serve the default route, the
+    # same pass is taken directly.
     mp = pytest.importorskip("mpmath")
-    reduced = reduced_functions(x)
+    values = oracle._moments(x, DEFAULT_NUMERICS.quad_tol)
+    if x >= specfun._EXPAND_BELOW:
+        reduced = reduced_functions(x)
+        assert reduced.method == "quadrature"
+        assert (reduced.n_hat, reduced.u_hat, reduced.v_hat, reduced.r_hat) == values
     with mp.workdps(30):
         reference = mpmath_kernels(mp, mp.mpf(x))
-    assert reduced.method == "quadrature"
-    for kernel, expected in zip("nuvr", reference):
-        assert getattr(reduced, kernel + "_hat") == pytest.approx(
-            float(expected), rel=1e-12, abs=0.0), kernel
+    for kernel, value, expected in zip("nuvr", values, reference):
+        assert value == pytest.approx(float(expected), rel=1e-12, abs=0.0), kernel
 
 
 def test_mpmath_quadrature_reference_matches_polylog_radiance():
@@ -431,9 +440,9 @@ def test_mpmath_quadrature_reference_matches_polylog_radiance():
 
 
 def test_kernels_are_continuous_at_x_switch():
-    # At the default switch, and at 0.1, where the Bessel pass takes 88
+    # At the default switch, and at 2.5, where the Bessel pass takes 11
     # K pairs.
-    for cfg in (DEFAULT_NUMERICS, NumericsConfig(x_switch=0.1)):
+    for cfg in (DEFAULT_NUMERICS, NumericsConfig(x_switch=2.5)):
         below = reduced_functions(math.nextafter(cfg.x_switch, 0.0), cfg)
         above = reduced_functions(cfg.x_switch, cfg)
         assert below.method == "quadrature"
@@ -441,6 +450,74 @@ def test_kernels_are_continuous_at_x_switch():
         for kernel in "nuvr":
             assert getattr(below, kernel + "_hat") == pytest.approx(
                 getattr(above, kernel + "_hat"), rel=2e-12, abs=0.0), (cfg, kernel)
+
+
+def test_kernels_are_continuous_where_the_expansions_end():
+    # x = 2 is the top of the expansions' band and the bottom of the
+    # trapezoid's, or of the Bessel pass's with x_switch = 2.
+    edge = specfun._EXPAND_BELOW
+    below = reduced_functions(math.nextafter(edge, 0.0))
+    assert below.method == "series"
+    for cfg, method in ((DEFAULT_NUMERICS, "quadrature"),
+                        (NumericsConfig(x_switch=2.0), "series")):
+        above = reduced_functions(edge, cfg)
+        assert above.method == method
+        for kernel in "nuvr":
+            assert getattr(below, kernel + "_hat") == pytest.approx(
+                getattr(above, kernel + "_hat"), rel=2e-15, abs=0.0), (method, kernel)
+
+
+@pytest.mark.parametrize("x", REFERENCE_X)
+def test_default_route_matches_mpmath(x):
+    # On whatever route the default numerics pick at each x.
+    mp = pytest.importorskip("mpmath")
+    reduced = reduced_functions(x)
+    with mp.workdps(30):
+        reference = mpmath_kernels(mp, mp.mpf(x))
+    for kernel, expected in zip("nuvr", reference):
+        assert getattr(reduced, kernel + "_hat") == pytest.approx(
+            float(expected), rel=1e-13, abs=0.0), kernel
+
+
+@given(st.floats(min_value=5e-324, max_value=2.0, exclude_max=True))
+def test_mean_speed_below_the_trapezoid_band_never_exceeds_one(x):
+    assert reduced_functions(x).v_hat <= 1.0
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 2.2e-163, 2e-48, 1e-47])
+@pytest.mark.parametrize("x_switch", [DEFAULT_NUMERICS.x_switch, 5e-324])
+def test_states_at_tiny_x_report_the_massless_limits(x, x_switch):
+    # Where the Bessel pass raised (x below about 1.2e-48) or took up to
+    # 11770 K pairs, the expansions give the massless limits at once.
+    cfg = NumericsConfig(x_switch=x_switch)
+    start = time.thread_time()
+    reduced = reduced_functions(x, cfg)
+    assert time.thread_time() - start < 1e-3
+    assert reduced.method == "series"
+    limits = (2.0 * zeta_value(3) / math.pi**2, math.pi**2 / 15, 1.0, math.pi**2 / 60)
+    for kernel, limit in zip("nuvr", limits):
+        assert getattr(reduced, kernel + "_hat") == pytest.approx(limit, rel=1e-15, abs=0.0)
+
+
+def test_radiance_alone_below_two_takes_one_polylog_pass(monkeypatch):
+    # R needs neither the trapezoid pass nor the expansions nor the Bessel
+    # pass: its closed form is one polylog pass.
+    calls = []
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((specfun, "_polylogs"), (specfun, "_expansions"),
+                         (specfun, "_scaled_sum"), (oracle, "_moments")):
+        counted(module, name)
+    radiance(params_for_x(0.5))
+    assert calls == ["_polylogs"]
 
 
 @pytest.mark.parametrize("x", [0.0, 0.01, 0.5, 40.0])
@@ -460,18 +537,18 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
 
 
 def test_convergence_failure_names_the_quantity(monkeypatch):
-    # x = 0.06 needs 108 K pairs before the closure is met; 100 are allowed.
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
-    cfg = NumericsConfig(x_switch=0.05)
-    for call in (lambda: reduced_functions(0.06, cfg),
-                 lambda: evaluate(params_for_x(0.06), cfg)):
+    # x = 2.5 needs 11 K pairs before the closure is met; 8 are allowed.
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 8)
+    cfg = NumericsConfig(x_switch=2.0)
+    for call in (lambda: reduced_functions(2.5, cfg),
+                 lambda: evaluate(params_for_x(2.5), cfg)):
         with pytest.raises(ConvergenceError) as excinfo:
             call()
         assert str(excinfo.value).startswith("number_density")
-        assert excinfo.value.terms == 100
-        # The partial n_hat of the first 100 terms, not a scaled sum.
-        partial = 0.06**2 / math.pi**2 * math.fsum(bessel_k2(0.06 * n) / n
-                                                   for n in range(1, 101))
+        assert excinfo.value.terms == 8
+        # The partial n_hat of the first 8 terms, not a scaled sum.
+        partial = 2.5**2 / math.pi**2 * math.fsum(bessel_k2(2.5 * n) / n
+                                                  for n in range(1, 9))
         assert excinfo.value.value == pytest.approx(partial, rel=1e-13, abs=0.0)
 
 
@@ -520,11 +597,16 @@ def test_series_route_where_the_closure_overflows_names_the_quantity():
     # Below about x = 1.2e-48 the closure's B4 terms overflow even at the
     # last pair allowed, z = _MAX_TERMS x, so it can never be met, and the
     # pass raises before its first pair instead of running to _MAX_TERMS.
+    # The gas kernels take the expansions there; the pass is still reached
+    # directly and through the weighted-sum views, which name themselves.
     start = time.thread_time()
     with pytest.raises(ConvergenceError) as excinfo:
-        reduced_functions(1e-60, NumericsConfig(x_switch=1e-70))
+        specfun._scaled_sum(1e-60, specfun.SERIES_TOL)
     assert time.thread_time() - start < 0.01
-    assert str(excinfo.value).startswith("number_density")
+    assert excinfo.value.terms == 0
+    with pytest.raises(ConvergenceError) as excinfo:
+        specfun.k2_weighted_sum(1e-60)
+    assert str(excinfo.value).startswith("k2_weighted_sum")
     assert excinfo.value.terms == 0
 
 

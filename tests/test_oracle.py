@@ -12,7 +12,7 @@ from photongas import (ConvergenceError, DomainError, GasParameters,
                        quad_number_density, quad_radiance, reduced_functions,
                        zeta_value)
 
-from mpmath_reference import mpmath_kernels
+from mpmath_reference import REFERENCE_X, mpmath_kernels
 
 
 def test_config_validation():
@@ -187,13 +187,7 @@ def test_integrate_rejects_infinite_bound():
 # the shared trapezoid pass
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("x", [1e-8 * 6e10 ** (k / 11) for k in range(12)]
-                         # both sides of sqrt(3e-17) and of x = 1
-                         + [5.4e-9, 5.5e-9, 1.0, math.nextafter(1.0, 2.0)]
-                         # where the map bends, u = oracle._TAU0 +- 1, and
-                         # next to x = 0
-                         + [math.exp(-6.0), math.exp(-5.0), math.exp(-4.0),
-                            5e-324, 1e-300, 1e-20])
+@pytest.mark.parametrize("x", REFERENCE_X)
 def test_moments_match_mpmath(x):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
@@ -245,17 +239,18 @@ def test_last_node_reaches_the_tail(x, tail, monkeypatch):
 
 
 def test_exhausted_ladder_reports_the_quantity_and_its_estimate(monkeypatch):
-    converged = dict(zip(oracle._QUANTITIES, oracle._moments(0.05)))
+    # x = 2.5 lies in [2, x_switch), where the default route takes the pass.
+    converged = dict(zip(oracle._QUANTITIES, oracle._moments(2.5)))
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
     with pytest.raises(ConvergenceError, match=r"^\w+: trapezoid ladder") as excinfo:
-        oracle._moments(0.05, 1e-14)
+        oracle._moments(2.5, 1e-14)
     err = excinfo.value
     quantity = str(err).split(":")[0]
     assert math.isfinite(err.value)
     assert err.value == pytest.approx(converged[quantity], rel=1e-5)
     assert 0.0 < err.error <= 1e-5 * err.value
     with pytest.raises(ConvergenceError, match=f"^{quantity}: trapezoid ladder"):
-        reduced_functions(0.05, NumericsConfig(quad_tol=1e-14))
+        reduced_functions(2.5, NumericsConfig(quad_tol=1e-14))
 
 
 @given(st.floats(min_value=0.0, max_value=1e-2))
@@ -275,7 +270,7 @@ def test_evaluation_below_the_switch_takes_one_pass(monkeypatch):
         return moments(*args)
 
     monkeypatch.setattr(oracle, "_moments", counted)
-    x = 0.01
+    x = 3.0
     mass = x * SI.k_B * 300.0 / (SI.c * SI.c)
     report = evaluate(GasParameters(mass=mass, temperature=300.0))
     assert report.method == "quadrature"

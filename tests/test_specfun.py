@@ -24,6 +24,7 @@ from photongas import (ConvergenceError, DomainError, NumericsConfig,
 
 import specfun_cost
 import specfun_tables
+from mpmath_reference import mpmath_kernels
 
 TIGHT = 1e-13
 
@@ -220,7 +221,8 @@ def test_tables_match_their_generator():
     source = Path(specfun.__file__).read_text()
     blocks = printed.split("\n)\n")
     assert [block.split(" = ")[0] for block in blocks[:-1]] == [
-        "_K01_CHEBYSHEV", "_HANKEL", "_ZETA_NEG_ODD"]
+        "_K01_CHEBYSHEV", "_HANKEL", "_ZETA_NEG_ODD", "_K2_SUM_EXPANSION",
+        "_ENERGY_SUM_EXPANSION"]
     for block in blocks[:-1]:
         assert block + "\n)\n" in source, block.split(" = ")[0]
 
@@ -359,6 +361,63 @@ def test_zeta_rejects_unsupported_order():
         zeta_value(5)
     with pytest.raises(DomainError):
         zeta_value(1)
+
+
+# ---------------------------------------------------------------------------
+# the Bessel sums' expansions about x = 0, from specfun._expansions
+# ---------------------------------------------------------------------------
+
+def test_expansion_tables_start_with_their_closed_forms():
+    # test_tables_match_their_generator checks every row against the
+    # residues at 40 digits; the first rows also have closed forms.
+    k2_sum, energy_sum = specfun._K2_SUM_EXPANSION, specfun._ENERGY_SUM_EXPANSION
+    assert k2_sum[0] == pytest.approx((-0.5 * math.log(2.0) - 0.25, 0.5), rel=2e-16)
+    assert [b for _, b in k2_sum[1:3]] == [1 / 96, -1 / 11520]
+    euler_gamma = 0.5772156649015329
+    assert energy_sum[:2] == pytest.approx(
+        (-math.pi**2 / 12, (math.log(4.0 * math.pi) - 0.25 - euler_gamma) / 16), rel=2e-16)
+
+
+def expansion_terms(x: float, monkeypatch) -> int:
+    """Rows of the expansion tables that _expansions(x) reads: the fewest
+    leading rows that leave its sums finite when every later row is nan."""
+    tables = {name: getattr(specfun, name)
+              for name in ("_K2_SUM_EXPANSION", "_ENERGY_SUM_EXPANSION")}
+    for rows in range(len(specfun._K2_SUM_EXPANSION) + 1):
+        with monkeypatch.context() as patch:
+            for name, table in tables.items():
+                nan = (math.nan,) * len(table[0]) if isinstance(table[0], tuple) else math.nan
+                patch.setattr(specfun, name, table[:rows] + (nan,) * (len(table) - rows))
+            if all(map(math.isfinite, specfun._expansions(x))):
+                return rows
+    raise AssertionError(f"no row count leaves _expansions({x!r}) finite")
+
+
+def test_expansions_take_their_terms_within_the_tables(monkeypatch):
+    # A count that does not depend on the host; up to the edge at x = 2 the
+    # loop needs fewer rows than the tables hold.
+    edge = math.nextafter(specfun._EXPAND_BELOW, 0.0)
+    counts = [expansion_terms(x, monkeypatch) for x in (5e-324, 1e-8, 0.1, 1.0, edge)]
+    assert counts == [1, 1, 5, 11, 18]
+    assert counts[-1] < len(specfun._K2_SUM_EXPANSION) == len(specfun._ENERGY_SUM_EXPANSION)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 2.2e-163, 1e-160])
+def test_expansions_are_the_massless_sums_where_x_squared_underflows(x):
+    # 2 zeta(3), and pi^4/15 correctly rounded
+    assert specfun._expansions(x) == (2.0 * zeta_value(3), 6.493939402266829)
+
+
+@pytest.mark.parametrize("x", [1e-4 * 2e4 ** (i / 11) for i in range(11)]
+                         + [math.nextafter(2.0, 0.0)])
+def test_expansions_match_mpmath(x):
+    # pi^2 n_hat and pi^2 u_hat from mpmath's quadrature of the defining
+    # integrals at 30 digits.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        reference = [mp.pi**2 * kernel for kernel in mpmath_kernels(mp, mp.mpf(x))[:2]]
+    for value, expected in zip(specfun._expansions(x), reference):
+        assert value == pytest.approx(float(expected), rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
