@@ -77,7 +77,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _numerics_from_args(args: argparse.Namespace) -> NumericsConfig:
-    return NumericsConfig(args.series_tol, args.quad_tol, args.x_switch)
+    return NumericsConfig(args.quad_tol, args.x_switch)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         # whatever x_switch says: the trapezoid and the series route, whose
         # Bessel sums come from their expansions below x = 2.
         quad_values = oracle._moments(x, cfg.quad_tol)
-        closed = core._series(x, cfg.series_tol, "nuvR")
+        closed = core._series(x, "nuvR")
         for key, quad, kernel in zip(_KERNEL_NAMES, quad_values, "nuvR"):
             residual = abs(closed[kernel] / quad - 1.0)
             if residual > worst[key][0]:
@@ -291,20 +291,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_numerics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--series-tol", type=float, default=DEFAULT_NUMERICS.series_tol,
-                        help="relative truncation tolerance of the Bessel sums, "
-                             "which the series route takes from x = 2 up; below "
-                             "2 their expansions, and the polylogs, stop at "
-                             "double precision")
     parser.add_argument("--quad-tol", type=float, default=DEFAULT_NUMERICS.quad_tol,
                         help="relative tolerance of the quadrature: the trapezoid "
                              "step is halved until every moment changes by less")
     parser.add_argument("--x-switch", type=float, default=DEFAULT_NUMERICS.x_switch,
                         help="on [2, x_switch) every kernel comes from one "
-                             "trapezoid pass, at and above x_switch from the "
-                             "Bessel sums and polylogs, and below 2 from the "
-                             "Bessel sums' expansions about x = 0; the default "
-                             "is where the costs of the pass and the sums cross")
+                             "trapezoid pass, at and above x_switch from one "
+                             "pass of the Bessel sums and the polylogs, and "
+                             "below 2 from the Bessel sums' expansions about "
+                             "x = 0; the series route stops at double "
+                             "precision and has no tolerance")
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser, default_points: int) -> None:

@@ -6,8 +6,8 @@ polylogarithms), and one trapezoid pass over the defining phase-space
 integrals, used on [2, x_switch) and as the cross-check oracle.  The series
 route serves every other x: below x = 2 it takes the Bessel sums of n_hat
 and u_hat from their expansions about x = 0, from x_switch up from one pass
-of the Bessel sums, which n_hat, u_hat and v_hat share.  The default switch
-sits where the costs of the trapezoid pass and the Bessel pass cross.
+of the Bessel sums, which n_hat, u_hat and v_hat share; both stop at double
+precision.  The switch sits where the costs of the two passes crossed.
 SI prefactors are applied exactly once, at the boundary, so no intermediate
 ever carries the ~1e-102 magnitudes of hbar^3.
 
@@ -30,47 +30,41 @@ import math
 from dataclasses import dataclass
 
 from . import oracle, specfun
-from .errors import ConvergenceError, DomainError, RegimeError
+from .errors import DomainError, RegimeError
 from .units import SI, GasParameters, reduce
 
 SERIES = "series"
 QUADRATURE = "quadrature"
 
-_R_HAT_MAX = math.pi**2 / 60.0
+_R_HAT_MAX = specfun._PI_POWERS[3]  # pi^2/60
 _SLACK = 1e-9  # relative slack for invariants that are exact only in real arithmetic
 
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """The series and quadrature tolerances and the boundary between routes.
+    """The quadrature tolerance and the boundary between routes.
 
     On [2, ``x_switch``) every kernel is taken from one trapezoid pass over
-    its defining integral, at and above ``x_switch`` from the Bessel sums and
-    polylogs.  Below x = 2 every kernel is taken from the expansions of the
-    Bessel sums about x = 0 and the polylogs, whatever ``x_switch`` is; a
-    switch at or below 2 only moves the Bessel pass down to 2.
-    ``series_tol`` cuts the Bessel sums alone: the expansions and the
-    polylogs stop at double precision.  Cost sets the switch: the pass
-    costs about the same at any x, while the Bessel sums need O(1/x) terms
-    from x = 1 up (13 at x = 2, 8 at x = 4; below x = 4 their tails close by
-    Euler-Maclaurin).  The default 4.0 is where the measured costs of the
-    two routes crossed in 0.5.0 (BENCH_12.json).  After a cheaper trapezoid
-    pass (a crossover near 9, BENCH_14.json) and then a cheaper K pair for
-    the Bessel sums, the routes cross between 3 and 4 (BENCH_16.json); the
-    default stays 4.0 until a move is measured on its own.  The crossover
-    holds for a full evaluation and for n, u or v alone.  The radiance alone
-    needs no Bessel sum: its closed form, one polylog pass, costs 8 to 22
-    times less than the trapezoid pass at every x in [0.1, 4), and it is all
-    that radiance() takes below x = 2, so a caller that asks only for it on
-    [2, 4) is faster with x_switch=2.
+    its defining integral, to ``quad_tol``, at and above ``x_switch`` from
+    the Bessel sums and polylogs.  Below x = 2 every kernel is taken from
+    the expansions of the Bessel sums about x = 0 and the polylogs, whatever
+    ``x_switch`` is; a switch at or below 2 only moves the Bessel pass down
+    to 2.  The series route has no setting: the expansions, the Bessel pass
+    and the polylogs all stop at double precision.  Cost sets the switch:
+    the trapezoid pass costs about the same at any x, while the Bessel pass
+    needs O(1/x) K pairs (17 at x = 2, 10 at x = 4).  The default 4.0 is
+    where the measured costs of the two routes crossed in 0.5.0
+    (BENCH_12.json); they crossed between 3 and 4 in 0.6.0 (BENCH_16.json),
+    and the default stays until a move is measured on its own.  The radiance
+    alone needs no Bessel sum: its closed form, one polylog pass, costs 8 to
+    22 times less than the trapezoid pass on [0.1, 4), so a caller that asks
+    only for it on [2, 4) is faster with x_switch=2.
     """
 
-    series_tol: float = specfun.SERIES_TOL
     quad_tol: float = oracle.QUAD_TOL
     x_switch: float = 4.0
 
     def __post_init__(self):
-        specfun._check_series_tol(self.series_tol)
         oracle._check_quad_tol(self.quad_tol)
         if not (math.isfinite(self.x_switch) and self.x_switch > 0):
             raise DomainError(f"x_switch must be finite and > 0, got {self.x_switch!r}")
@@ -159,46 +153,45 @@ def _kernels(x: float, s: float, e: float, p: float) -> dict[str, float]:
             "v": p / x * 2.0 / (x * s)}
 
 
-def _series(x: float, rel_tol: float, keys: str) -> dict[str, float]:
+def _series(x: float, keys: str) -> dict[str, float]:
     """The kernels named in keys, a string over "nuvR", by the series route.
 
-    At most one polylog pass, for r_hat, for v_hat below x = 2 and for the
-    Bessel pass's P~ below x = 4.  Below specfun._EXPAND_BELOW = 2, n_hat
-    and u_hat come from their expansions about x = 0, if any of n, u and v
-    is asked for, and v_hat = 2 [Li3 + x Li2]/(pi^2 n_hat); none of these
-    depends on rel_tol.  From 2 on, at most one pass of specfun._scaled_sum
-    yields n_hat, u_hat and v_hat if any of them is asked for; a
-    ConvergenceError names the first of those asked for and carries its
-    partial value.
+    Checks x, and takes the exact massless limits at x = 0.  At most one
+    polylog pass, for r_hat and for v_hat below x = 2.  Below
+    specfun._EXPAND_BELOW = 2, n_hat and u_hat come from their expansions
+    about x = 0, if any of n, u and v is asked for, and
+    v_hat = 2 [Li3 + x Li2]/(pi^2 n_hat).  From 2 on, one pass of
+    specfun._scaled_sum yields n_hat, u_hat and v_hat if any of them is
+    asked for.
     """
+    x = oracle._check_x(x)
+    if x == 0.0:
+        return {key: _KERNELS[key][1] for key in keys}
     expand = x < specfun._EXPAND_BELOW
     polylogs = specfun._polylogs(x) if "R" in keys or (expand and "v" in keys) else None
     values = {"R": r_hat_closed(x, polylogs)} if "R" in keys else {}
-    key = keys.replace("R", "")[:1]
-    if key and expand:
-        s, e = specfun._expansions(x)
+    if keys == "R":
+        return values
+    if expand:
+        s, e, _ = specfun._expansions(x)
         values["n"] = s / math.pi**2
         values["u"] = e / math.pi**2
         if "v" in keys:
             li2, li3, _ = polylogs
             values["v"] = 2.0 * (li3 + x * li2) / s
-    elif key:
-        try:
-            values.update(_kernels(x, *specfun._scaled_sum(x, rel_tol, polylogs)[:3]))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{_KERNELS[key][0]}: {exc}",
-                                   value=_kernels(x, *exc.value)[key], terms=exc.terms) from exc
+    else:
+        values.update(_kernels(x, *specfun._scaled_sum(x)[:3]))
     return values
 
 
-def n_hat_series(x: float, rel_tol: float = specfun.SERIES_TOL) -> float:
+def n_hat_series(x: float) -> float:
     """(x^2/pi^2) sum_n K2(n x)/n; intended for x >= x_switch."""
-    return _series(x, rel_tol, "n")["n"]
+    return _series(x, "n")["n"]
 
 
-def v_hat_series(x: float, rel_tol: float = specfun.SERIES_TOL) -> float:
+def v_hat_series(x: float) -> float:
     """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n); x >= x_switch."""
-    return _series(x, rel_tol, "v")["v"]
+    return _series(x, "v")["v"]
 
 
 def r_hat_closed(x: float, polylogs: tuple[float, float, float] | None = None) -> float:
@@ -216,7 +209,7 @@ def r_hat_closed(x: float, polylogs: tuple[float, float, float] | None = None) -
 # oracle.quad_<quantity>, and its exact massless limit.
 _KERNELS = {
     "n": ("number_density", 2.0 * specfun.zeta_value(3) / math.pi**2),
-    "u": ("energy_density", math.pi**2 / 15.0),
+    "u": ("energy_density", specfun._PI_POWERS[2]),  # pi^2/15
     "v": ("mean_speed", 1.0),
     "R": ("radiance", _R_HAT_MAX),
 }
@@ -225,18 +218,16 @@ _KERNELS = {
 def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], str]:
     """The kernels named in keys, a string over "nuvR", and their method tag.
 
-    One rule picks the method for all of them: x = 0 takes the exact
-    massless limits, x in [2, x_switch) one trapezoid pass over the
-    defining integrals, which yields all four kernels whatever keys asks
-    for, and every other x the series route, _series, which below x = 2
-    takes n_hat and u_hat from their expansions about x = 0.  A negative x
-    goes to the pass, which refuses it.
+    One rule picks the method for all of them: x in [2, x_switch) takes
+    one trapezoid pass over the defining integrals, which yields all four
+    kernels whatever keys asks for, and every other x the series route,
+    _series, which takes the exact massless limits at x = 0 and, below
+    x = 2, n_hat and u_hat from their expansions about x = 0.  Either route
+    refuses an x that is not a finite number >= 0 before any work.
     """
-    if x < cfg.x_switch and not 0.0 <= x < specfun._EXPAND_BELOW:
+    if specfun._EXPAND_BELOW <= x < cfg.x_switch:
         return dict(zip("nuvR", oracle._moments(x, cfg.quad_tol))), QUADRATURE
-    if x == 0.0:
-        return {key: _KERNELS[key][1] for key in keys}, SERIES
-    return _series(x, cfg.series_tol, keys), SERIES
+    return _series(x, keys), SERIES
 
 
 def reduced_functions(x: float, cfg: NumericsConfig | None = None) -> ReducedFunctions:

@@ -14,14 +14,13 @@ class RegimeError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A series or quadrature did not reach the requested tolerance.
+    """A quadrature did not reach the requested tolerance.
 
-    Carries the best available estimate so callers can inspect how far the
-    computation got before giving up.
+    Carries the best available estimate and its error so callers can
+    inspect how far the computation got before giving up.
     """
 
-    def __init__(self, message, value=None, error=None, terms=None):
+    def __init__(self, message, value=None, error=None):
         super().__init__(message)
         self.value = value
         self.error = error
-        self.terms = terms

@@ -20,23 +20,20 @@ their expansions about x = 0, _expansions: one loop of at most 18 terms
 over two literal tables, which tests/specfun_tables.py generates from the
 residues of the sums' Mellin transforms.
 
-Elsewhere the Bessel sums come from one pass, _scaled_sum, with one K pair
-per term.
-Below x = 4 it closes their tails by Euler-Maclaurin from the current pair,
-as soon as the B4 term that bounds the remainder falls under series_tol/100
-of each partial sum (at most 139 pairs at the default tolerance for x above
-about 1e-45, 22 at x = 1), and takes the polylog sum from its closed form.
-From x = 4 on it stops once each term and a geometric bound on the rest fall
-under series_tol.  Its term count is the number of K pairs taken, the
-closing pair included.
+From x = 2 on the Bessel sums come from one pass, _scaled_sum, with one K
+pair per term.  Each sum stops once its term is at most 2^-53 of its partial
+sum, which leaves out less than 0.16 of that term, so the pass has no
+tolerance: 10 to 17 K pairs on [2, 4), 2 to 4 on [16, 40].  Its term count
+is the number of K pairs taken.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -47,19 +44,9 @@ _EULER_GAMMA = 0.5772156649015329
 _K_SERIES_MAX = 2.0
 _K_HANKEL_MIN = 25.0
 
-# Default relative truncation tolerance of the Bessel sums, and their cap on
-# terms.
-SERIES_TOL = 1e-12
-_MAX_TERMS = 20000
-
-# Below this x the Bessel pass closes its sums by Euler-Maclaurin, from it on
-# it cuts them by a geometric tail bound: each rule is the better on its side.
-_CLOSE_BELOW = 4.0
-
-
-def _check_series_tol(rel_tol: float) -> None:
-    if not (0.0 < rel_tol < 1e-3):
-        raise DomainError(f"series_tol must be in (0, 1e-3), got {rel_tol}")
+# Each sum of the Bessel pass stops once its term is at most this fraction
+# of its partial sum.
+_HALF_ULP = 2.0**-53
 
 
 class WeightedSum(NamedTuple):
@@ -239,8 +226,18 @@ def _compute_zeta3() -> float:
     return partial + tail
 
 
+# pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60, correctly rounded, as
+# generated by tests/specfun_tables.py; the math.pi expression of each is an
+# ulp low.
+_PI_POWERS = (
+    1.0823232337111381,
+    6.493939402266829,
+    0.6579736267392906,
+    0.16449340668482265,
+)
+
 # zeta(2), zeta(3), zeta(4): also Li2, Li3, Li4 at e^-0 = 1.
-_ZETA = (math.pi * math.pi / 6.0, _compute_zeta3(), math.pi**4 / 90.0)
+_ZETA = (math.pi * math.pi / 6.0, _compute_zeta3(), _PI_POWERS[0])
 
 
 def zeta_value(s: int) -> float:
@@ -396,14 +393,13 @@ _ENERGY_SUM_EXPANSION = (
 )
 
 
-# The massless limits of x^2 S and x^4 E below: 2 zeta(3), and pi^4/15
-# correctly rounded (math.pi**4/15 is an ulp low).
-_MASSLESS_SUMS = (2.0 * _ZETA[1], 6.493939402266829)
+# The massless limits of x^2 S and x^4 E below: 2 zeta(3) and pi^4/15.
+_MASSLESS_SUMS = (2.0 * _ZETA[1], _PI_POWERS[1])
 _LN_2PI = math.log(2.0 * math.pi)
 
 
-def _expansions(x: float) -> tuple[float, float]:
-    """(x^2 S, x^4 E) for 0 < x < _EXPAND_BELOW, from one loop, with
+def _expansions(x: float) -> tuple[float, float, int]:
+    """(x^2 S, x^4 E, terms) for 0 < x < _EXPAND_BELOW, from one loop, with
 
         S = sum_n K2(n x)/n,  E = sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2],
 
@@ -419,7 +415,8 @@ def _expansions(x: float) -> tuple[float, float]:
     The first term left out is then under 1e-18 of its sum.  The loop sums
     them by Horner's rule from the smallest up, which rounds about half as
     much as summing from the largest.  Where x^2 underflows every term is
-    0, and the sums are the massless limits 2 zeta(3) and pi^4/15.
+    0, and the sums are the massless limits 2 zeta(3) and pi^4/15.  terms
+    is n.
     """
     x2 = x * x
     lg = math.log(x)
@@ -429,165 +426,90 @@ def _expansions(x: float) -> tuple[float, float]:
         s = x2 * (s + (a + b * lg))
         e = x2 * (e + c)
     s0, e0 = _MASSLESS_SUMS
-    return s0 + s, e0 + (e - x2 * x2 * lg / 16.0)
+    return s0 + s, e0 + (e - x2 * x2 * lg / 16.0), n
 
 
 # ---------------------------------------------------------------------------
 # Boltzmann-weighted Bessel sums.
 # ---------------------------------------------------------------------------
 
-def _g_derivatives(t: float, k1: float, k2: float) -> tuple[float, float, float, float, float]:
-    """g = K2(t)/t and its first four derivatives, from K1(t) and K2(t).
-
-    From (K_nu/t^nu)' = -K_{nu+1}/t^nu and K_{nu+1} = K_{nu-1} + 2 nu K_nu/t
-    (DLMF 10.29), written in the pair (K1, K2), K2 = K0 + 2 K1/t:
-
-        g'    = -K1/t - 3 K2/t^2
-        g''   =  K2/t + 3 K1/t^2 + 12 K2/t^3
-        g'''  = -K1/t - 6 K2/t^2 - 15 K1/t^3 - 60 K2/t^4
-        g'''' =  K2/t + 6 K1/t^2 + 39 K2/t^3 + 90 K1/t^4 + 360 K2/t^5
-
-    The energy sum's h = K1/t + 3 K2/t^2 is -g', so h' = -g'' and
-    h''' = -g''''.  Every term is some K_nu/t^k, which is completely
-    monotone, so the signs alternate: (-1)^j g^(j) > 0.  Linear in the
-    pair, so an e^t-scaled pair gives e^t times each value.
-    """
-    r = 1.0 / t
-    a = k1 * r
-    g = k2 * r
-    gr = g * r
-    return (g,
-            -a - 3.0 * gr,
-            g + 3.0 * a * r + 12.0 * gr * r,
-            -a - r * (6.0 * g + r * (15.0 * a + 60.0 * gr)),
-            g + r * (6.0 * a + r * (39.0 * g + r * (90.0 * a + 360.0 * gr))))
-
-
-def _scaled_sum(x: float, rel_tol: float,
-                polylogs: tuple[float, float, float] | None = None) -> tuple[float, float, float, int]:
-    """(S~, E~, P~, terms): three e^x-scaled sums from one K pair per term.
+def _scaled_sum(x: float) -> tuple[float, float, float, int]:
+    """(S~, E~, P~, terms) for x >= _EXPAND_BELOW, from one K pair per term.
 
         S~ = e^x sum_n K2(n x)/n
         E~ = e^x sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2]
         P~ = e^x [Li3(e^-x) + x Li2(e^-x)] = sum_n e^{-(n-1)x} (n^-3 + x n^-2)
 
     Term n is e^{-(n-1)x} times e^{nx} K_nu(n x), so every factor stays
-    representable however large x gets.  terms counts the K pairs taken,
-    the closing pair included.  Two stop rules:
+    representable however large x gets.  terms counts the K pairs taken.
 
-    * Below x = _CLOSE_BELOW = 4, the tails of S~ and E~ from term N on are
-      closed by Euler-Maclaurin with z = N x, g = K2/t and h = -g' (DLMF
-      2.10.1):
-
-          sum_{n>=N} K2(n x)/n = K1(z)/z + K2(z)/(2N) - x^2 g'(z)/12
-                                 + x^4 g'''(z)/720 + R_S
-          sum_{n>=N} h(n x)    = K2(z)/(x z) + h(z)/2 + x g''(z)/12
-                                 - x^3 g''''(z)/720 + R_E
-
-      using int_z^inf g dt = K1(z)/z and int_z^inf h dt = K2(z)/z
-      (DLMF 10.29.4).  g and h are completely monotone, so the remainder
-      after the B2 term has the sign of the B4 term and is no larger (DLMF
-      2.10(i)).  With the B4 term added, |R| is still at most that term,
-      and in practice near the B6 term.  The pass closes both sums at the
-      first pair where both B4 terms fall under rel_tol/100 of their
-      partial sums, with no extra K evaluation: 8 to 139 pairs at the
-      default rel_tol for any x from about 1e-45 to 4, 22 at x = 1.  P~ is
-      the closed form, from polylogs = _polylogs(x), which the caller may
-      pass.  The B4 terms fall as z grows; where they still overflow at
-      z = _MAX_TERMS x (x below about 1.2e-48), the closure can never be
-      met, and the pass raises before its first pair, with nan for S~ and
-      E~.  Above x = 2 pi the closure's Bernoulli series diverges.
-    * From x = 4 on, a sum has met the stop rule when its current term AND
-      the geometric tail bound both fall under rel_tol times its partial
-      sum.  The tail bound uses K_nu((n+1)x) <= e^-x K_nu(n x), which
-      follows from (ln K_nu)' <= -1; the polylog terms shrink faster still.
-      S~ and E~ share the K pairs and stop together, once both meet the
-      rule.  P~ is summed alongside and stops as soon as it meets the rule
-      itself: v_hat = 2 P~/(x^2 S~), and the truncation errors of P~ and S~
-      largely cancel in that ratio when each sum is cut by its own rule.
-
-    Under either rule, once e^{-(n-1)x} underflows to 0 every later term is
-    exactly 0, and the pass stops there.
-
-    A ConvergenceError carries the partial (S~, E~, P~) as its value.
+    A sum stops once its term is at most 2^-53 of its partial sum.  Each
+    term is at most w = e^-x times the one before, since
+    K_nu((n+1)x) <= e^-x K_nu(n x) follows from (ln K_nu)' <= -1, and the
+    polylog terms shrink faster still.  With w <= e^-2 the rest of the sum
+    is then under w/(1 - w) < 0.16 of that term.  S~ and E~ share the K
+    pairs and stop together, once both terms meet the rule.  P~ is summed
+    alongside and stops as soon as its own term meets it: v_hat =
+    2 P~/(x^2 S~), and the truncation errors of P~ and S~ largely cancel in
+    that ratio when each sum is cut by its own rule.  Once e^{-(n-1)x}
+    underflows to 0 every later term is exactly 0, and the pass stops there.
+    x must be a number, or the pass never stops.  The terms from n = 2 on
+    are summed apart from the first, which they join last: on [2, 4) that
+    cuts the rounding of S~ and P~ from up to 6e-16 to 2e-16.
     """
-    _check_series_tol(rel_tol)
     w = math.exp(-x)
-    # t <= r S and t w/(1-w) <= r S, as one comparison.
-    bound = max(1.0, w / (1.0 - w)) if w < 1.0 else math.inf
-    s = e = p = 0.0
-    # From _CLOSE_BELOW on the geometric rule stops the pass within 8 pairs
-    # at the default rel_tol.  Below it p_open stays True, keeping it off.
-    closing = x < _CLOSE_BELOW
-    if closing:
-        li2, li3, _ = polylogs or _polylogs(x)
-        p = math.exp(x) * (li3 + x * li2)
-        x2 = x * x
-        cut = 7.2 * rel_tol  # rel_tol/100, times the 720 of the B4 term
-        if w == 1.0:
-            # pref stays 1, so the B4 terms of the last pair allowed are
-            # the smallest the pass can reach.
-            z = _MAX_TERMS * x
-            k0, k1 = _k01_scaled(z)
-            g3, g4 = _g_derivatives(z, k1, k0 + 2.0 * k1 / z)[3:]
-            if not math.isfinite(-x2 * x2 * g3 + x2 * x * g4):
-                raise ConvergenceError(f"scaled Bessel sums cannot converge within {_MAX_TERMS} "
-                                       f"terms at x={x!r}: the closure overflows",
-                                       value=(math.nan, math.nan, p), terms=0)
+    s = e = p = 0.0  # the terms from n = 2 on
     p_open = True
     pref = 1.0
-    for n in range(1, _MAX_TERMS + 1):
+    for n in itertools.count(1):
         z = n * x
         k0, k1 = _k01_scaled(z)
         k2 = k0 + 2.0 * k1 / z
         ts = pref * (k2 / n)
         te = pref * (k1 / z + 3.0 * k2 / (z * z))
-        s += ts
-        e += te
-        if closing:
-            g, g1, g2, g3, g4 = _g_derivatives(z, k1, k2)
-            # 720 times the B4 terms, which bound the remainders.
-            b4s = -pref * x2 * x2 * g3
-            b4e = pref * x2 * x * g4
-            if b4s <= cut * s and b4e <= cut * e:
-                return (s - 0.5 * ts + pref * (k1 / z - x2 * g1 / 12.0) - b4s / 720.0,
-                        e - 0.5 * te + pref * (g / x + x * g2 / 12.0) - b4e / 720.0, p, n)
-        elif p_open:
-            tp = pref * (1.0 / n**3 + x / n**2)
-            p += tp
-            p_open = tp * bound > rel_tol * p
+        tp = pref * (1.0 / n**3 + x / n**2) if p_open else 0.0
+        if n == 1:
+            s1, e1, p1 = ts, te, tp
+        else:
+            s, e, p = s + ts, e + te, p + tp
+        p_open = tp > _HALF_ULP * (p1 + p)
         pref *= w
-        if pref == 0.0 or (not p_open and ts * bound <= rel_tol * s and te * bound <= rel_tol * e):
-            return s, e, p, n
-    raise ConvergenceError(
-        f"scaled Bessel sums did not converge within {_MAX_TERMS} terms at x={x!r}",
-        value=(s, e, p),
-        terms=_MAX_TERMS,
-    )
+        if pref == 0.0 or (not p_open and ts <= _HALF_ULP * (s1 + s)
+                           and te <= _HALF_ULP * (e1 + e)):
+            return s1 + s, e1 + e, p1 + p, n
 
 
-def _unscaled(x: float, rel_tol: float, index: int, name: str) -> WeightedSum:
-    # e^-x times sum number ``index`` of the pass, for the public views.
+def _view(x: float, index: int, name: str) -> WeightedSum:
+    # Sum number ``index`` of the pass, S or E, for the public views: below
+    # _EXPAND_BELOW the expansion over x^2 or x^4, from it on e^-x times
+    # the scaled sum.
     _check_positive(x, "x")
-    try:
-        *sums, terms = _scaled_sum(x, rel_tol)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{name}: {exc}", value=math.exp(-x) * exc.value[index],
-                               terms=exc.terms) from exc
+    if x < _EXPAND_BELOW:
+        *sums, terms = _expansions(x)
+        scale = (x * x) ** (index + 1)
+        value = sums[index] / scale if scale else math.inf
+        if value == math.inf:
+            raise DomainError(f"{name}: the sum overflows a double at x={x!r}")
+        return WeightedSum(value, terms)
+    *sums, terms = _scaled_sum(x)
     return WeightedSum(math.exp(-x) * sums[index], terms)
 
 
-def k2_weighted_sum(x: float, rel_tol: float = SERIES_TOL) -> WeightedSum:
+def k2_weighted_sum(x: float) -> WeightedSum:
     """sum_{n>=1} K2(n x)/n with the number of terms actually used.
 
-    A view of _scaled_sum, which the gas kernels take on their series route
-    from x = 2 up (x >= x_switch, default 4.0; below 2 they take
-    _expansions).  Takes at most 139 terms at the default rel_tol for x
-    above about 1e-45, and O(1/x) from x = 1 up (22 at x = 1, 8 at x = 4).
+    Below x = 2 from the expansions about x = 0 that the gas kernels take
+    there (1 to 18 terms), from 2 on from the Bessel pass that they take
+    from x_switch up (17 K pairs at x = 2, at most 4 from x = 16 on).  Raises
+    DomainError where the sum overflows a double, below x of about 1.2e-154.
     """
-    return _unscaled(x, rel_tol, 0, "k2_weighted_sum")
+    return _view(x, 0, "k2_weighted_sum")
 
 
-def energy_bessel_sum(x: float, rel_tol: float = SERIES_TOL) -> WeightedSum:
-    """sum_{n>=1} [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], the energy-density sum."""
-    return _unscaled(x, rel_tol, 1, "energy_bessel_sum")
+def energy_bessel_sum(x: float) -> WeightedSum:
+    """sum_{n>=1} [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], the energy-density sum.
+
+    From the same two routes as k2_weighted_sum; raises DomainError where
+    the sum overflows a double, below x of about 1.4e-77.
+    """
+    return _view(x, 1, "energy_bessel_sum")

@@ -9,10 +9,11 @@ checkout's src, one whose specfun has ``_k01_scaled``, gives its table on the
 same host, so two trees can be compared.  Where the module has the Chebyshev and Hankel tables, it also
 counts the terms each pair takes, a number that does not depend on the host.
 --routes adds the same timing, on a fixed x grid, of all four kernels by
-each route: the trapezoid pass ``oracle._moments``, the Bessel pass with its
-polylog pass, as the series route takes them from x = 2 on, and, below
-x = 2, the expansions about x = 0 with the polylog pass, as ``core._series``
-takes them there; and of ``core.r_hat_closed`` alone.
+each route: the trapezoid pass ``oracle._moments``, and, as the series route
+takes them, from x = 2 on the Bessel pass with the polylog pass and below
+x = 2 the expansions about x = 0 with the polylog pass; and of
+``core.r_hat_closed`` alone.  The routes are timed as this checkout's
+package calls them, so --routes needs a src of the same version.
 """
 
 from __future__ import annotations
@@ -81,9 +82,8 @@ def term_counts(specfun, zs) -> dict[float, int] | None:
 
 def bessel_route(core, specfun, x: float):
     """All four kernels from one polylog pass and one Bessel pass."""
-    polylogs = specfun._polylogs(x)
-    core.r_hat_closed(x, polylogs)
-    return core._kernels(x, *specfun._scaled_sum(x, specfun.SERIES_TOL, polylogs)[:3])
+    core.r_hat_closed(x)
+    return core._kernels(x, *specfun._scaled_sum(x)[:3])
 
 
 def main() -> None:
@@ -102,11 +102,12 @@ def main() -> None:
     if counts is not None:
         result["k01_terms"] = {repr(z): n for z, n in counts.items()}
     if args.routes:
+        edge = specfun._EXPAND_BELOW
         routes = {"trapezoid": (oracle._moments, X_GRID),
-                  "bessel": (lambda x: bessel_route(core, specfun, x), X_GRID)}
-        if hasattr(specfun, "_expansions"):
-            routes["expansions"] = (lambda x: core._series(x, specfun.SERIES_TOL, "nuvR"),
-                                    [x for x in X_GRID if x < specfun._EXPAND_BELOW])
+                  "bessel": (lambda x: bessel_route(core, specfun, x),
+                             [x for x in X_GRID if x >= edge]),
+                  "expansions": (lambda x: core._series(x, "nuvR"),
+                                 [x for x in X_GRID if x < edge])}
         result["reduced_functions_us"] = {
             name: {repr(x): cost_us(route, x) for x in grid}
             for name, (route, grid) in routes.items()}

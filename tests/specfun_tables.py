@@ -2,7 +2,7 @@
 
     python tests/specfun_tables.py
 
-prints the five tables as Python source, ready to paste into specfun.py:
+prints the six tables as Python source, ready to paste into specfun.py:
 
 * _K01_CHEBYSHEV, the Chebyshev coefficients of sqrt(z) e^z K0(z) and
   sqrt(z) e^z K1(z) in y = 4/z - 1 on z > 2 (the form of Cephes'
@@ -13,6 +13,8 @@ prints the five tables as Python source, ready to paste into specfun.py:
 * _HANKEL, the ratios a_k(nu)/a_(k-1)(nu) = (4 nu^2 - (2k - 1)^2)/(8k) of
   the Hankel expansion e^z K_nu(z) ~ sqrt(pi/2z) sum_k a_k(nu)/z^k
   (DLMF 10.40.2), for nu = 0 and 1.
+* _PI_POWERS, pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60 correctly
+  rounded: the massless limits of the gas kernels and their sums.
 * _ZETA_NEG_ODD, zeta(1 - 2j) = -B_2j/(2j) for j = 1..20, from the
   Bernoulli numbers B_2..B_40 in exact rational arithmetic, written as
   integer ratios.
@@ -61,6 +63,14 @@ def hankel_ratios() -> tuple[tuple[float, float], ...]:
     return tuple((float(Fraction(-(2 * k - 1) ** 2, 8 * k)),
                   float(Fraction(4 - (2 * k - 1) ** 2, 8 * k)))
                  for k in range(1, HANKEL_TERMS + 1))
+
+
+def pi_powers() -> tuple[float, ...]:
+    """pi^4/90, pi^4/15, pi^2/15 and pi^2/60, each correctly rounded."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return tuple(float(mp.pi**k / d) for k, d in ((4, 90), (4, 15), (2, 15), (2, 60)))
 
 
 def bernoulli(n: int) -> list[Fraction]:
@@ -129,6 +139,10 @@ def main() -> None:
     print("_HANKEL = (")
     for a0, a1 in hankel_ratios():
         print(f"    ({a0!r}, {a1!r}),")
+    print(")")
+    print("_PI_POWERS = (")
+    for value in pi_powers():
+        print(f"    {value!r},")
     print(")")
     print("_ZETA_NEG_ODD = (")
     for value in zeta_negative_odd():

@@ -132,13 +132,12 @@ def test_point_bad_flag_is_usage_error(capsys):
 
 
 def test_point_convergence_failure_names_the_quantity(capsys, monkeypatch):
-    # forcing the Bessel pass at x ~ 3.1, where it takes 10 K pairs,
-    # exhausts a term cap of 5
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
-    code, _, err = run(capsys, "point", "--mass", "0.08eV", "--temp", "300",
-                       "--x-switch", "2")
+    # x ~ 3.1 takes the trapezoid pass by default; one halving of its step
+    # leaves the radiance changing by 2e-5, above quad_tol
+    monkeypatch.setattr(oracle, "_HALVINGS", 1)
+    code, _, err = run(capsys, "point", "--mass", "0.08eV", "--temp", "300")
     assert code == 3
-    assert "number_density" in err
+    assert err.startswith("error: radiance: trapezoid ladder")
 
 
 def test_point_where_the_first_bessel_term_would_overflow_reports_the_massless_limits(capsys):
@@ -245,14 +244,15 @@ def test_x_sweep_with_zero_mass_is_usage_error(capsys):
 
 
 def test_failed_sweep_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
-    # the Bessel pass at x ~ 2.3 to 4.6 needs 7 to 12 K pairs; 5 are allowed
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+    # x ~ 4.6 takes the Bessel pass, which cannot fail; x ~ 3.1 and 2.3 the
+    # trapezoid pass, which one halving of its step leaves unconverged
+    monkeypatch.setattr(oracle, "_HALVINGS", 1)
     out_file = tmp_path / "never.csv"
-    code, _, _ = run(capsys, "sweep", "--mass", "0.08eV", "--variable",
-                     "temperature", "--t-min", "200", "--t-max", "400",
-                     "--points", "3", "--x-switch", "2",
-                     "--out", str(out_file))
+    code, _, err = run(capsys, "sweep", "--mass", "0.08eV", "--variable",
+                       "temperature", "--t-min", "200", "--t-max", "400",
+                       "--points", "3", "--out", str(out_file))
     assert code == 3
+    assert err.startswith("error: radiance: trapezoid ladder")
     assert not out_file.exists()
 
 
@@ -347,7 +347,8 @@ def test_validate_work_count(capsys, monkeypatch):
     # K0/K1 pairs taken in one validate, a count that does not depend on the
     # host.  The geometric stop rule alone took 1669, 1395 of them at
     # x = 0.01; the Euler-Maclaurin closure took 310, 137 there.  Below
-    # x = 2 the expansions about x = 0 take none.
+    # x = 2 the expansions about x = 0 take none; from 2 on the Bessel pass
+    # stops each sum at a term of 2^-53 of it.
     pairs = []
     pairs_at = {}
     k01, series = specfun._k01_scaled, core._series
@@ -367,8 +368,8 @@ def test_validate_work_count(capsys, monkeypatch):
     code, _, err = run(capsys, "validate")
     assert code == 0, err
     assert tuple(pairs_at) == VALIDATE_GRID
-    assert len(pairs) == 28
-    assert pairs_at == {0.01: 0, 0.1: 0, 0.5: 0, 1.0: 0, 2.0: 13, 5.0: 6, 10.0: 4,
+    assert len(pairs) == 35
+    assert pairs_at == {0.01: 0, 0.1: 0, 0.5: 0, 1.0: 0, 2.0: 17, 5.0: 8, 10.0: 5,
                         20.0: 3, 50.0: 2}
 
 
@@ -488,14 +489,12 @@ def test_point_temperature_beyond_double_range_is_domain_error():
     ["figure", "mean-speed"], ["validate"]])
 def test_numerics_flag_defaults_are_the_library_defaults(argv):
     args = build_parser().parse_args(argv)
-    assert args.series_tol == DEFAULT_NUMERICS.series_tol
     assert args.quad_tol == DEFAULT_NUMERICS.quad_tol
     assert args.x_switch == DEFAULT_NUMERICS.x_switch
 
 
 @pytest.mark.parametrize("flag, value, name", [
-    ("--series-tol", "0", "series_tol"), ("--quad-tol", "1", "quad_tol"),
-    ("--x-switch", "0", "x_switch")])
+    ("--quad-tol", "1", "quad_tol"), ("--x-switch", "0", "x_switch")])
 def test_out_of_range_numerics_flag_is_usage_error_naming_the_field(capsys, flag,
                                                                     value, name):
     # Checked when the config is built, so at x = 0, which runs neither
@@ -504,6 +503,29 @@ def test_out_of_range_numerics_flag_is_usage_error_naming_the_field(capsys, flag
                        flag, value)
     assert code == 2
     assert err.startswith(f"error: {name} must be")
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--mass", "1eV", "--temp", "300"], ["sweep", "--mass", "1eV"],
+    ["figure", "mean-speed"], ["validate"]])
+def test_series_tol_flag_is_gone(capsys, argv):
+    # The series route stops at double precision and takes no tolerance.
+    code, _, err = run(capsys, *argv, "--series-tol", "1e-12")
+    assert code == 2
+    assert "unrecognized arguments: --series-tol" in err
+
+
+def test_massless_and_smallest_mass_print_the_same_radiance(capsys):
+    # m = 0 takes the exact limit pi^2/60, x = 2.2e-163 the polylogs with
+    # zeta(4) = pi^4/90: both correctly rounded, so the R cells agree.
+    rows = []
+    for mass in ("0kg", "1e-200kg"):
+        code, out, err = run(capsys, "point", "--mass", mass, "--temp", "300",
+                             "--format", "csv")
+        assert code == 0, err
+        header, row = out.splitlines()
+        rows.append(dict(zip(header.split(","), row.split(","))))
+    assert rows[0]["R_W_per_m2"] == rows[1]["R_W_per_m2"]
 
 
 def test_point_where_k_b_t_underflows():
@@ -593,13 +615,13 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypa
         (["point", "--mass", "0kg"], None),
         (["point", "--mass", "0kg", "--temp", "300", "--quad-tol", "1"], None),
         (["--help"], None),
-        (["point", "--mass", "0.08eV", "--temp", "300", "--x-switch", "2"], 5),
+        (["point", "--mass", "0.08eV", "--temp", "300"], 1),
     ]
 
-    def outcome(argv, max_terms):
+    def outcome(argv, halvings):
         with monkeypatch.context() as patch:
-            if max_terms is not None:
-                patch.setattr(specfun, "_MAX_TERMS", max_terms)
+            if halvings is not None:
+                patch.setattr(oracle, "_HALVINGS", halvings)
             code = main([str(tmp_path / arg) if arg.endswith((".csv", ".svg")) else arg
                          for arg in argv])
         captured = capsys.readouterr()

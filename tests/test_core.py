@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photongas import (DEFAULT_NUMERICS, SI, ConvergenceError, DomainError,
-                       GasParameters, NumericsConfig, RegimeError, bessel_k2,
+                       GasParameters, NumericsConfig, RegimeError,
                        energy_density, evaluate, low_temp_mean_speed,
                        low_temp_radiance, mean_speed, number_density, oracle,
                        photon_speed, quad_energy_density, quad_mean_speed,
@@ -158,7 +158,7 @@ def test_energy_per_photon_is_at_least_rest_energy(x):
 
 
 def test_energy_series_matches_quadrature_at_x_2():
-    u_hat = _series(2.0, specfun.SERIES_TOL, "u")["u"]
+    u_hat = _series(2.0, "u")["u"]
     assert u_hat == pytest.approx(quad_energy_density(2.0), rel=1e-9)
 
 
@@ -396,10 +396,10 @@ def test_energy_density_series_route_matches_mpmath(x):
 
 @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 1.0, 2.0, 10.0, 100.0])
 def test_mean_speed_series_route_matches_mpmath(x):
-    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  From x = 4 on it is a
-    # ratio of two truncated sums; cutting each by its own stop rule keeps it
-    # within 3.6e-13 of the reference.  Below x = 4 the K2 sum is closed by
-    # Euler-Maclaurin and the polylogs are the closed form.
+    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  From x = 2 on it is a
+    # ratio of two sums of the Bessel pass, each stopped by its own rule.
+    # Below x = 2 the K2 sum is its expansion about x = 0 and the polylogs
+    # are the closed form.
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x, NumericsConfig(x_switch=0.1))
     assert reduced.method == "series"
@@ -537,42 +537,40 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
 
 
 def test_convergence_failure_names_the_quantity(monkeypatch):
-    # x = 2.5 needs 11 K pairs before the closure is met; 8 are allowed.
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 8)
-    cfg = NumericsConfig(x_switch=2.0)
-    for call in (lambda: reduced_functions(2.5, cfg),
-                 lambda: evaluate(params_for_x(2.5), cfg)):
+    # x ~ 3.1 takes the trapezoid pass by default; after one halving of its
+    # step the radiance still changes by 2e-5, above quad_tol.
+    x = 3.0945381657466884
+    converged = reduced_functions(x).r_hat
+    monkeypatch.setattr(oracle, "_HALVINGS", 1)
+    for call in (lambda: reduced_functions(x),
+                 lambda: evaluate(params_for_x(x))):
         with pytest.raises(ConvergenceError) as excinfo:
             call()
-        assert str(excinfo.value).startswith("number_density")
-        assert excinfo.value.terms == 8
-        # The partial n_hat of the first 8 terms, not a scaled sum.
-        partial = 2.5**2 / math.pi**2 * math.fsum(bessel_k2(2.5 * n) / n
-                                                  for n in range(1, 9))
-        assert excinfo.value.value == pytest.approx(partial, rel=1e-13, abs=0.0)
+        assert str(excinfo.value).startswith("radiance")
+        # The last estimate of r_hat, not a scaled moment, off the converged
+        # value by less than the last change of the ladder.
+        value = excinfo.value.value
+        assert 0.0 < abs(value - converged) <= excinfo.value.error
 
 
-# Below x = 4 the Bessel pass closes S~ and E~ by Euler-Maclaurin and takes
-# P~ from the polylog closed form.
-CLOSURE_X = [1e-3 * 1000 ** (k / 30) for k in range(30)]
-
-
-@pytest.mark.parametrize("x", CLOSURE_X)
-def test_bessel_pass_below_one_matches_mpmath(x):
+# From x = 2 up the Bessel pass serves the series route, to a few ulps.  At
+# 20 digits the reference itself is off by up to 5.5e-15 near x = 30.
+@pytest.mark.parametrize("x", [2.0 * 20 ** (k / 29) for k in range(30)])
+def test_bessel_pass_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
-    kernels = _kernels(x, *specfun._scaled_sum(x, specfun.SERIES_TOL)[:3])
-    with mp.workdps(20):
+    kernels = _kernels(x, *specfun._scaled_sum(x)[:3])
+    with mp.workdps(30):
         reference = mpmath_kernels(mp, mp.mpf(x))
     for key, expected in zip("nuv", reference):
-        assert kernels[key] == pytest.approx(float(expected), rel=1e-13, abs=0.0), key
+        assert kernels[key] == pytest.approx(float(expected), rel=1e-15, abs=0.0), key
 
 
-# From x = 1 up to 4 the closure holds the pass to a few ulps; the
-# geometric cut it replaced there was off by up to 3.7e-13.
+# Below x = 2 the series route takes the expansions about x = 0, from 2 on
+# the Bessel pass: both hold it to a few ulps.
 @pytest.mark.parametrize("x", [4.0 ** (k / 12) for k in range(12)])
 def test_series_route_from_one_to_four_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
-    values = _series(x, specfun.SERIES_TOL, "nuvR")
+    values = _series(x, "nuvR")
     with mp.workdps(20):
         reference = mpmath_kernels(mp, mp.mpf(x))
     for key, expected in zip("nuvR", reference):
@@ -580,8 +578,7 @@ def test_series_route_from_one_to_four_matches_mpmath(x):
 
 
 def test_series_route_reaches_small_x():
-    # The closure takes at most 139 K pairs for any x from about 1e-45 to 1;
-    # the geometric rule alone ran out of _MAX_TERMS below about x = 4e-4.
+    # Whatever x_switch says, the expansions about x = 0 serve x < 2.
     x = 2e-4
     reduced = reduced_functions(x, NumericsConfig(x_switch=1e-5))
     assert reduced.method == "series"
@@ -593,32 +590,23 @@ def test_series_route_reaches_small_x():
             float(expected), rel=1e-13, abs=0.0), kernel
 
 
-def test_series_route_where_the_closure_overflows_names_the_quantity():
-    # Below about x = 1.2e-48 the closure's B4 terms overflow even at the
-    # last pair allowed, z = _MAX_TERMS x, so it can never be met, and the
-    # pass raises before its first pair instead of running to _MAX_TERMS.
-    # The gas kernels take the expansions there; the pass is still reached
-    # directly and through the weighted-sum views, which name themselves.
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("x_switch", [4.0, 1e-5])
+def test_an_x_that_is_not_a_finite_number_at_least_0_is_refused_at_once(x, x_switch):
+    # The Bessel pass has no term cap, so a nan x must never reach it.
+    cfg = NumericsConfig(x_switch=x_switch)
     start = time.thread_time()
-    with pytest.raises(ConvergenceError) as excinfo:
-        specfun._scaled_sum(1e-60, specfun.SERIES_TOL)
-    assert time.thread_time() - start < 0.01
-    assert excinfo.value.terms == 0
-    with pytest.raises(ConvergenceError) as excinfo:
-        specfun.k2_weighted_sum(1e-60)
-    assert str(excinfo.value).startswith("k2_weighted_sum")
-    assert excinfo.value.terms == 0
+    with pytest.raises(DomainError, match=r"^reduced x must be finite and >= 0"):
+        reduced_functions(x, cfg)
+    assert time.thread_time() - start < 1e-3
+    for series in (n_hat_series, v_hat_series):
+        with pytest.raises(DomainError, match=r"^reduced x must be finite and >= 0"):
+            series(x)
 
 
-@pytest.mark.parametrize("x", [2e-48, 1e-47, 1e-45])
-def test_bessel_pass_closes_wherever_the_closure_is_within_reach(x):
-    # Where the B4 terms come into the double range before _MAX_TERMS,
-    # the pass runs on until the closure is met: 11770 pairs at x = 2e-48,
-    # 2354 at 1e-47 and at most 139 from about 1e-45 up.
-    s, e, p, terms = specfun._scaled_sum(x, specfun.SERIES_TOL)
-    assert terms < specfun._MAX_TERMS
-    limit = 2.0 * zeta_value(3)  # x^2 S~ tends to 2 zeta(3) as x -> 0
-    assert x * x * s == pytest.approx(limit, rel=1e-13)
+def test_series_views_take_the_massless_limits_at_zero():
+    assert n_hat_series(0.0) == 2.0 * zeta_value(3) / math.pi**2
+    assert v_hat_series(0.0) == 1.0
 
 
 @pytest.mark.parametrize("x", [6e17, 1e18, 1e20, 1e100, 1e155, 1e300])

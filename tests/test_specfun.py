@@ -7,7 +7,6 @@ long brute-force sums with explicit tail bounds.  None of them share code
 with the implementations under test beyond the quadrature driver itself.
 """
 
-import functools
 import math
 import subprocess
 import sys
@@ -18,9 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photongas import (ConvergenceError, DomainError, NumericsConfig,
-                       bessel_k2, energy_bessel_sum, integrate_adaptive,
-                       k2_weighted_sum, specfun, zeta_value)
+from photongas import (DomainError, bessel_k2, energy_bessel_sum,
+                       integrate_adaptive, k2_weighted_sum, specfun, zeta_value)
 
 import specfun_cost
 import specfun_tables
@@ -221,8 +219,8 @@ def test_tables_match_their_generator():
     source = Path(specfun.__file__).read_text()
     blocks = printed.split("\n)\n")
     assert [block.split(" = ")[0] for block in blocks[:-1]] == [
-        "_K01_CHEBYSHEV", "_HANKEL", "_ZETA_NEG_ODD", "_K2_SUM_EXPANSION",
-        "_ENERGY_SUM_EXPANSION"]
+        "_K01_CHEBYSHEV", "_HANKEL", "_PI_POWERS", "_ZETA_NEG_ODD",
+        "_K2_SUM_EXPANSION", "_ENERGY_SUM_EXPANSION"]
     for block in blocks[:-1]:
         assert block + "\n)\n" in source, block.split(" = ")[0]
 
@@ -395,17 +393,20 @@ def expansion_terms(x: float, monkeypatch) -> int:
 
 def test_expansions_take_their_terms_within_the_tables(monkeypatch):
     # A count that does not depend on the host; up to the edge at x = 2 the
-    # loop needs fewer rows than the tables hold.
+    # loop needs fewer rows than the tables hold.  It is the count that the
+    # expansions report as their terms.
     edge = math.nextafter(specfun._EXPAND_BELOW, 0.0)
-    counts = [expansion_terms(x, monkeypatch) for x in (5e-324, 1e-8, 0.1, 1.0, edge)]
+    grid = (5e-324, 1e-8, 0.1, 1.0, edge)
+    counts = [expansion_terms(x, monkeypatch) for x in grid]
     assert counts == [1, 1, 5, 11, 18]
+    assert [specfun._expansions(x)[2] for x in grid] == counts
     assert counts[-1] < len(specfun._K2_SUM_EXPANSION) == len(specfun._ENERGY_SUM_EXPANSION)
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 2.2e-163, 1e-160])
 def test_expansions_are_the_massless_sums_where_x_squared_underflows(x):
-    # 2 zeta(3), and pi^4/15 correctly rounded
-    assert specfun._expansions(x) == (2.0 * zeta_value(3), 6.493939402266829)
+    # 2 zeta(3), and pi^4/15 correctly rounded, from the first row alone
+    assert specfun._expansions(x) == (2.0 * zeta_value(3), 6.493939402266829, 1)
 
 
 @pytest.mark.parametrize("x", [1e-4 * 2e4 ** (i / 11) for i in range(11)]
@@ -445,36 +446,14 @@ def test_k2_weighted_sum_small_x_bracketed_by_massless_limit():
     assert 0.8 * limit < scaled < limit
 
 
-def test_k2_weighted_sum_stable_under_tolerance_refinement():
-    for x in (0.1, 1.0):
-        coarse = k2_weighted_sum(x, 1e-10).value
-        fine = k2_weighted_sum(x, 5e-11).value
-        assert abs(fine - coarse) < 1e-10 * abs(coarse)
-
-
-def _check_convergence_failure(weighted_sum, term, monkeypatch):
-    # The error names the function and carries the partial sum of the first
-    # _MAX_TERMS terms, on the scale of the value the function returns.
-    x = 0.01
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 100)
-    with pytest.raises(ConvergenceError) as excinfo:
-        weighted_sum(x, 1e-12)
-    err = excinfo.value
-    assert str(err).startswith(weighted_sum.__name__)
-    assert err.terms == 100
-    partial = math.fsum(term(n, n * x) for n in range(1, 101))
-    assert err.value == pytest.approx(partial, rel=1e-13, abs=0.0)
-
-
-def test_k2_weighted_sum_reports_convergence_failure(monkeypatch):
-    _check_convergence_failure(k2_weighted_sum, lambda n, z: bessel_k2(z) / n,
-                               monkeypatch)
-
-
-def test_energy_bessel_sum_reports_convergence_failure(monkeypatch):
-    _check_convergence_failure(
-        energy_bessel_sum, lambda n, z: specfun._k01(z)[1] / z + 3 * bessel_k2(z) / z**2,
-        monkeypatch)
+@pytest.mark.parametrize("view, x", [
+    (k2_weighted_sum, 1.1e-154), (k2_weighted_sum, 5e-324),
+    (energy_bessel_sum, 1.3e-77), (energy_bessel_sum, 1e-160)])
+def test_weighted_sums_name_themselves_where_they_overflow(view, x):
+    # x^2 S and x^4 E are about 2 zeta(3) and pi^4/15 there, so S and E
+    # leave the double range: below x of about 1.2e-154 and 1.4e-77.
+    with pytest.raises(DomainError, match=f"^{view.__name__}: the sum overflows"):
+        view(x)
 
 
 def test_energy_bessel_sum_matches_brute_force():
@@ -484,85 +463,17 @@ def test_energy_bessel_sum_matches_brute_force():
     assert energy_bessel_sum(x).value == pytest.approx(brute, rel=2e-12, abs=0.0)
 
 
-# The Euler-Maclaurin closure of the Bessel pass below x = 4 rests on three
-# facts about g = K2(t)/t and h = K1/t + 3 K2/t^2, checked here with mpmath.
-CLOSURE_Z = [2.0, 3.7, 10.0]
-
-
-@functools.lru_cache(maxsize=None)
-def _mp_closure_derivatives(z):
-    # g, g', ..., g'''' and h, h', h''' at z by mp.diff of mp.besselk, at 20
-    # digits, with K1(z) and K2(z); mp.besselk takes milliseconds a call, so
-    # the tests share them.
+@pytest.mark.parametrize("x", [1e-8 * 4e9 ** (k / 39) for k in range(40)])
+def test_weighted_sums_match_mpmath(x):
+    # Below x = 2 the views divide the expansions by x^2 and x^4, from 2 on
+    # they scale the Bessel pass by e^-x.  The reference is pi^2 n_hat/x^2
+    # and pi^2 u_hat/x^4 by mpmath's quadrature of the defining integrals.
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(20):
-        zm = mp.mpf(z)
-        g = [mp.diff(lambda t: mp.besselk(2, t) / t, zm, j) for j in range(5)]
-        h = [mp.diff(lambda t: mp.besselk(1, t) / t + 3 * mp.besselk(2, t) / t**2, zm, j)
-             for j in (0, 1, 3)]
-        return g, h, float(mp.besselk(1, zm)), float(mp.besselk(2, zm))
-
-
-@pytest.mark.parametrize("z", CLOSURE_Z)
-def test_closure_derivatives_match_mpmath(z):
-    # g and its first four derivatives in the (K1, K2) basis; h is -g', so
-    # h, h' and h''' are -g', -g'' and -g''''.
-    g, h, k1, k2 = _mp_closure_derivatives(z)
-    derivs = specfun._g_derivatives(z, k1, k2)
-    for j, value in enumerate(derivs):
-        assert value == pytest.approx(float(g[j]), rel=1e-14, abs=0.0), j
-    for expected, value in zip(h, (-derivs[1], -derivs[2], -derivs[4])):
-        assert value == pytest.approx(float(expected), rel=1e-14, abs=0.0)
-
-
-@pytest.mark.parametrize("z", CLOSURE_Z)
-def test_closure_tail_integrals_match_mpmath(z):
-    # int_z^inf g dt = K1(z)/z and int_z^inf h dt = K2(z)/z (DLMF 10.29.4).
-    # The integrals are mp.quad's; their integrands take the library's K
-    # pair, which test_k0_k1_k2_match_mpmath checks against mp.besselk.
-    # Past t = z + 60 both integrands have fallen by e^-60.
-    mp = pytest.importorskip("mpmath")
-
-    def integrand(weight):
-        def f(t):
-            t = float(t)
-            k0, k1 = specfun._k01(t)
-            return weight(t, k1, k0 + 2.0 * k1 / t)
-        return f
-
-    with mp.workdps(20):
-        edges = [z, z + 1, z + 4, z + 12, z + 30, z + 60]
-        int_g = mp.quad(integrand(lambda t, k1, k2: k2 / t), edges)
-        int_h = mp.quad(integrand(lambda t, k1, k2: k1 / t + 3.0 * k2 / (t * t)), edges)
-    k0, k1 = specfun._k01(z)
-    assert k1 / z == pytest.approx(float(int_g), rel=1e-14, abs=0.0)
-    assert (k0 + 2.0 * k1 / z) / z == pytest.approx(float(int_h), rel=1e-14, abs=0.0)
-
-
-@pytest.mark.parametrize("z", CLOSURE_Z)
-def test_closure_derivatives_alternate_in_sign(z):
-    # g is completely monotone, (-1)^j g^(j) > 0, so the Euler-Maclaurin
-    # remainder is bounded by the first omitted term.  Checked on mpmath's
-    # derivatives and on the closure's own, from mpmath's pair and from the
-    # e^z-scaled pair the pass takes.
-    g, _, k1, k2 = _mp_closure_derivatives(z)
-    assert all((-1) ** j * value > 0 for j, value in enumerate(g))
-    s0, s1 = specfun._k01_scaled(z)
-    for pair in ((k1, k2), (s1, s0 + 2.0 * s1 / z)):
-        derivs = specfun._g_derivatives(z, *pair)
-        assert all((-1) ** j * value > 0 for j, value in enumerate(derivs))
-
-
-def test_series_tolerance_validation():
-    with pytest.raises(DomainError):
-        NumericsConfig(series_tol=0.0)
-    with pytest.raises(DomainError):
-        NumericsConfig(series_tol=1e-2)
-
-
-def test_weighted_sum_names_series_tol_when_out_of_range():
-    with pytest.raises(DomainError, match="series_tol"):
-        k2_weighted_sum(1.0, 0.0)
+    with mp.workdps(30):
+        n_hat, u_hat = mpmath_kernels(mp, mp.mpf(x))[:2]
+        expected = (mp.pi**2 * n_hat / x**2, mp.pi**2 * u_hat / x**4)
+    for view, reference in zip((k2_weighted_sum, energy_bessel_sum), expected):
+        assert view(x).value == pytest.approx(float(reference), rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=30)
