@@ -263,8 +263,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     eq18_line = None
     for x in VALIDATE_GRID:
         # Two routes that share nothing but arithmetic, at every grid x,
-        # whatever x_switch says: the trapezoid and the series route, whose
-        # Bessel sums come from their expansions below x = 2.
+        # whatever x_switch says: the trapezoid and the series route, which
+        # takes every kernel from the expansions about x = 0 below x = 2.
         quad_values = oracle._moments(x, cfg.quad_tol)
         closed = core._series(x, "nuvR")
         for key, quad, kernel in zip(_KERNEL_NAMES, quad_values, "nuvR"):
@@ -298,7 +298,7 @@ def _add_numerics_flags(parser: argparse.ArgumentParser) -> None:
                         help="on [2, x_switch) every kernel comes from one "
                              "trapezoid pass, at and above x_switch from one "
                              "pass of the Bessel sums and the polylogs, and "
-                             "below 2 from the Bessel sums' expansions about "
+                             "below 2 from the expansions of both about "
                              "x = 0; the series route stops at double "
                              "precision and has no tolerance")
 

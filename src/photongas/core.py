@@ -4,10 +4,11 @@ All physics is computed in the reduced variable x = mc^2/kT.  Each reduced
 kernel has two routes: a closed-form series route (Bessel sums and
 polylogarithms), and one trapezoid pass over the defining phase-space
 integrals, used on [2, x_switch) and as the cross-check oracle.  The series
-route serves every other x: below x = 2 it takes the Bessel sums of n_hat
-and u_hat from their expansions about x = 0, from x_switch up from one pass
-of the Bessel sums, which n_hat, u_hat and v_hat share; both stop at double
-precision.  The switch sits where the costs of the two passes crossed.
+route serves every other x: below x = 2 it takes all four kernels from one
+loop over their expansions about x = 0, from x_switch up from one pass of
+the Bessel sums, which n_hat, u_hat and v_hat share, and one polylog pass
+for r_hat; all stop at double precision.  The switch sits where the costs
+of the trapezoid and Bessel passes crossed.
 SI prefactors are applied exactly once, at the boundary, so no intermediate
 ever carries the ~1e-102 magnitudes of hbar^3.
 
@@ -47,18 +48,19 @@ class NumericsConfig:
     On [2, ``x_switch``) every kernel is taken from one trapezoid pass over
     its defining integral, to ``quad_tol``, at and above ``x_switch`` from
     the Bessel sums and polylogs.  Below x = 2 every kernel is taken from
-    the expansions of the Bessel sums about x = 0 and the polylogs, whatever
-    ``x_switch`` is; a switch at or below 2 only moves the Bessel pass down
-    to 2.  The series route has no setting: the expansions, the Bessel pass
-    and the polylogs all stop at double precision.  Cost sets the switch:
-    the trapezoid pass costs about the same at any x, while the Bessel pass
-    needs O(1/x) K pairs (17 at x = 2, 10 at x = 4).  The default 4.0 is
-    where the measured costs of the two routes crossed in 0.5.0
-    (BENCH_12.json); they crossed between 3 and 4 in 0.6.0 (BENCH_16.json),
-    and the default stays until a move is measured on its own.  The radiance
-    alone needs no Bessel sum: its closed form, one polylog pass, costs 8 to
-    22 times less than the trapezoid pass on [0.1, 4), so a caller that asks
-    only for it on [2, 4) is faster with x_switch=2.
+    one loop over the expansions of the Bessel sums and polylogs about
+    x = 0, whatever ``x_switch`` is; a switch at or below 2 only moves the
+    Bessel pass down to 2.  The series route has no setting: the
+    expansions, the Bessel pass and the polylogs all stop at double
+    precision.  Cost sets the switch: the trapezoid pass costs about the
+    same at any x, while the Bessel pass needs O(1/x) K pairs (17 at x = 2,
+    10 at x = 4).  The default 4.0 is where the measured costs of the two
+    routes crossed in 0.5.0 (BENCH_12.json); they crossed between 3 and 4
+    in 0.6.0 (BENCH_16.json), and the default stays until a move is
+    measured on its own.  The radiance alone needs no Bessel sum: from 2 on
+    its closed form is one polylog pass, many times cheaper than the
+    trapezoid, so a caller that asks only for it on [2, 4) is faster with
+    x_switch=2.
     """
 
     quad_tol: float = oracle.QUAD_TOL
@@ -156,30 +158,27 @@ def _kernels(x: float, s: float, e: float, p: float) -> dict[str, float]:
 def _series(x: float, keys: str) -> dict[str, float]:
     """The kernels named in keys, a string over "nuvR", by the series route.
 
-    Checks x, and takes the exact massless limits at x = 0.  At most one
-    polylog pass, for r_hat and for v_hat below x = 2.  Below
-    specfun._EXPAND_BELOW = 2, n_hat and u_hat come from their expansions
-    about x = 0, if any of n, u and v is asked for, and
-    v_hat = 2 [Li3 + x Li2]/(pi^2 n_hat).  From 2 on, one pass of
-    specfun._scaled_sum yields n_hat, u_hat and v_hat if any of them is
-    asked for.
+    Checks x, and takes the exact massless limits at x = 0.  Below
+    specfun._EXPAND_BELOW = 2 one call of specfun._expansions yields all
+    four kernels, whatever keys asks for: n_hat = x^2 S/pi^2,
+    u_hat = x^4 E/pi^2, v_hat = 2 P/(x^2 S) and r_hat = (3/2 pi^2) Q.  From
+    2 on, one polylog pass yields r_hat if R is asked for, and one pass of
+    specfun._scaled_sum n_hat, u_hat and v_hat if any of them is.
     """
     x = oracle._check_x(x)
     if x == 0.0:
         return {key: _KERNELS[key][1] for key in keys}
-    expand = x < specfun._EXPAND_BELOW
-    polylogs = specfun._polylogs(x) if "R" in keys or (expand and "v" in keys) else None
-    values = {"R": r_hat_closed(x, polylogs)} if "R" in keys else {}
-    if keys == "R":
-        return values
-    if expand:
-        s, e, _ = specfun._expansions(x)
-        values["n"] = s / math.pi**2
-        values["u"] = e / math.pi**2
-        if "v" in keys:
-            li2, li3, _ = polylogs
-            values["v"] = 2.0 * (li3 + x * li2) / s
-    else:
+    if x < specfun._EXPAND_BELOW:
+        s, e, p, q, _ = specfun._expansions(x)
+        return {"n": s / math.pi**2, "u": e / math.pi**2, "v": 2.0 * p / s,
+                "R": 1.5 / math.pi**2 * q}
+    values = {}
+    if "R" in keys:
+        li2, li3, li4 = specfun._polylogs(x)
+        # x (x/3 Li2) rather than x^2/3 Li2: once Li2 underflows to 0 the
+        # product is 0, not inf * 0, however large x is.
+        values["R"] = 1.5 / math.pi**2 * (li4 + x * li3 + x * (x / 3.0 * li2))
+    if keys != "R":
         values.update(_kernels(x, *specfun._scaled_sum(x)[:3]))
     return values
 
@@ -194,15 +193,9 @@ def v_hat_series(x: float) -> float:
     return _series(x, "v")["v"]
 
 
-def r_hat_closed(x: float, polylogs: tuple[float, float, float] | None = None) -> float:
-    """(3/2pi^2) [Li4(w) + x Li3(w) + (x^2/3) Li2(w)], w = e^-x.
-
-    polylogs is specfun._polylogs(x) where the caller has it already.
-    """
-    li2, li3, li4 = polylogs or specfun._polylogs(x)
-    # x (x/3 Li2) rather than x^2/3 Li2: once Li2 underflows to 0 the
-    # product is 0, not inf * 0, however large x is.
-    return 1.5 / math.pi**2 * (li4 + x * li3 + x * (x / 3.0 * li2))
+def r_hat_closed(x: float) -> float:
+    """(3/2pi^2) [Li4(w) + x Li3(w) + (x^2/3) Li2(w)], w = e^-x."""
+    return _series(x, "R")["R"]
 
 
 # Per kernel: the SI quantity it scales to, whose quadrature oracle is
@@ -222,7 +215,7 @@ def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], 
     one trapezoid pass over the defining integrals, which yields all four
     kernels whatever keys asks for, and every other x the series route,
     _series, which takes the exact massless limits at x = 0 and, below
-    x = 2, n_hat and u_hat from their expansions about x = 0.  Either route
+    x = 2, every kernel from the expansions about x = 0.  Either route
     refuses an x that is not a finite number >= 0 before any work.
     """
     if specfun._EXPAND_BELOW <= x < cfg.x_switch:
@@ -330,7 +323,17 @@ def spectral_energy_density(omega: float, params: GasParameters) -> float:
         ratio = threshold / omega
         speed_factor = math.sqrt(1.0 - ratio * ratio)
     prefactor = 0.5 * params.degeneracy * SI.hbar / (math.pi**2 * SI.c**3)
-    return prefactor * omega**3 * occ * speed_factor
+    # Taken over the factors' frexp parts: omega^3 alone overflows from omega
+    # of about 5.6e102, where the product may not.  An empty mode gives 0.
+    mantissa, exponent = 1.0, 0
+    for factor, power in ((prefactor, 1), (omega, 3), (occ, 1), (speed_factor, 1)):
+        m, e = math.frexp(factor)
+        mantissa, exponent = mantissa * m**power, exponent + e * power
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        raise DomainError(f"spectral_energy_density overflows at omega={omega!r} rad/s, "
+                          f"T={params.temperature!r} K") from None
 
 
 def radiance(params: GasParameters, cfg: NumericsConfig | None = None) -> float:

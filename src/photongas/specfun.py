@@ -1,24 +1,25 @@
 """Self-contained special functions for the photon-gas kernels.
 
 Provides the modified Bessel function K2 (with K0/K1 as internal helpers),
-the polylogarithms Li2, Li3 and Li4 of e^-x for x >= 0, the Riemann zeta
+the polylogarithms Li2, Li3 and Li4 of e^-x for x >= ln 2, the Riemann zeta
 values zeta(2), zeta(3), zeta(4), and the Boltzmann-weighted Bessel sums that
 appear in the closed-form gas formulas.  Everything here is evaluated from
 scratch: K0 and K1 as one pair, by their ascending series up to z = 2, above
 it as e^z K0 and e^z K1, by a 24-term Chebyshev series up to z = 25 and by
 the Hankel expansion, whose terms fall with z, from there on with no upper
 limit, and K2 = K0 + 2 K1/z at every z.  The three polylogarithms come from
-one loop, _polylogs: their log expansion about e^-x = 1 for x < 1, and the
-power series in e^-x from there on.  The tables are literals, generated by
-tests/specfun_tables.py.  No third-party special-function library is
-involved, so the quadrature oracles elsewhere in the package remain an
-independent check.
+one loop over their power series in e^-x, _polylogs.  The tables are
+literals, generated by tests/specfun_tables.py.  No third-party
+special-function library is involved, so the quadrature oracles elsewhere
+in the package remain an independent check.
 
-Below x = _EXPAND_BELOW = 2 the gas kernels take the Bessel sums
-x^2 sum_n K2(n x)/n and x^4 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2] from
-their expansions about x = 0, _expansions: one loop of at most 18 terms
-over two literal tables, which tests/specfun_tables.py generates from the
-residues of the sums' Mellin transforms.
+Below x = _EXPAND_BELOW = 2 the gas kernels take all they need from one
+loop, _expansions, of at most 18 terms over two literal tables: the Bessel
+sums x^2 sum_n K2(n x)/n and x^4 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2]
+and the polylog combinations Li3 + x Li2 and Li4 + x Li3 + (x^2/3) Li2 of
+e^-x, by their expansions about x = 0.  tests/specfun_tables.py generates
+the tables from the residues of the sums' Mellin transforms and, in exact
+rational arithmetic, from the Bernoulli numbers.
 
 From x = 2 on the Bessel sums come from one pass, _scaled_sum, with one K
 pair per term.  Each sum stops once its term is at most 2^-53 of its partial
@@ -247,79 +248,15 @@ def zeta_value(s: int) -> float:
     return _ZETA[int(s) - 2]
 
 
-# zeta(1 - 2j) = -B_2j/(2j) for j = 1..20, from the Bernoulli numbers
-# B_2..B_40, as generated by tests/specfun_tables.py: the log expansion of
-# Li_s near z = 1 takes zeta at these arguments.
-_ZETA_NEG_ODD = (
-    -1 / 12,
-    1 / 120,
-    -1 / 252,
-    1 / 240,
-    -1 / 132,
-    691 / 32760,
-    -1 / 12,
-    3617 / 8160,
-    -43867 / 14364,
-    174611 / 6600,
-    -77683 / 276,
-    236364091 / 65520,
-    -657931 / 12,
-    3392780147 / 3480,
-    -1723168255201 / 85932,
-    7709321041217 / 16320,
-    -151628697551 / 12,
-    26315271553053477373 / 69090840,
-    -154210205991661 / 12,
-    261082718496449122051 / 541200,
-)
-
-# Branch boundary between the log expansion and the power series, in
-# u = -ln z = x.  The log expansion converges for u < 2 pi, and below u = 1
-# it needs at most 10 of the zeta(1 - 2j); from u = 1 up the power series
-# needs at most 38 terms.
-_U_SWITCH = 1.0
-
 # (n^2, n^3, n^4) of the power series, as exact floats.
 _POWERS = tuple((float(n * n), float(n**3), float(n**4)) for n in range(1, 64))
 
 
 def _polylogs(x: float) -> tuple[float, float, float]:
-    """(Li2, Li3, Li4) of e^-x for x >= 0, from one loop.
-
-    Below _U_SWITCH, the log expansion, valid for x < 2 pi (Wood, Kent
-    TR 15-92, 1992), with m_k = (-x)^k/k!:
-
-        Li_s(e^-x) = sum_{k != s-1} zeta(s-k) m_k + m_(s-1) (H_{s-1} - ln x)
-
-    Past k = s, zeta(s-k) is 0 except zeta(1-2j) at k = s+2j-1, so the
-    three tails take m_(2j+1), m_(2j+2) and m_(2j+3) from one chain, each j
-    smaller by about (x/2 pi)^2, and stop on Li2's, the largest relative
-    step.  Above, the power series in e^-x, cut by Li4's tail bound.
-    """
-    if x == 0.0:
-        return _ZETA
-    if x < _U_SWITCH:
-        zeta2, zeta3, zeta4 = _ZETA
-        m1 = -x
-        m2 = m1 * (-x / 2)
-        m3 = m2 * (-x / 3)
-        m4 = m3 * (-x / 4)
-        lg = math.log(x)
-        li2 = zeta2 + m1 * (1.0 - lg) - 0.5 * m2
-        li3 = zeta3 + zeta2 * m1 + m2 * (1.5 - lg) - 0.5 * m3
-        li4 = zeta4 + zeta3 * m1 + zeta2 * m2 + m3 * (11.0 / 6.0 - lg) - 0.5 * m4
-        m, k = m3, 3
-        for zeta in _ZETA_NEG_ODD:
-            step = zeta * m
-            li2 += step
-            m *= -x / (k + 1)
-            li3 += zeta * m
-            k += 2
-            m *= -x / k
-            li4 += zeta * m
-            if abs(step) < 1e-17 * li2:
-                break
-        return li2, li3, li4
+    """(Li2, Li3, Li4) of w = e^-x for w <= 1/2, that is x >= ln 2, from one
+    loop over their power series in w, cut by Li4's tail bound: at most 55
+    terms, at w = 1/2, and 19 at x = 2.  Below x = 2 the gas kernels take
+    their polylog combinations from _expansions instead."""
     w = math.exp(-x)
     cut = (1.0 - w) * 1e-16
     li2 = li3 = li4 = 0.0
@@ -338,15 +275,16 @@ def _polylogs(x: float) -> tuple[float, float, float]:
 # The gas kernels' Bessel sums about x = 0.
 # ---------------------------------------------------------------------------
 
-# Below this x the series route takes x^2 sum_n K2(n x)/n and the energy
-# sum from their expansions about x = 0, which need at most 18 terms there.
-# From it on the Bessel pass is the more accurate: the expansions' terms
-# cancel more as x grows, to 6.9e-15 near x = 4.
+# Below this x the series route takes every kernel from the expansions
+# about x = 0, which need at most 18 terms there.  From it on the Bessel
+# pass is the more accurate: the expansions' terms cancel more as x grows,
+# to 6.9e-15 near x = 4.
 _EXPAND_BELOW = 2.0
 
 # Coefficients of the expansions about x = 0 (see _expansions): (a_j, b_j)
-# of x^2 sum_n K2(n x)/n and c_j of the energy sum, for j = 1, 2, ...; as
-# generated by tests/specfun_tables.py.
+# of x^2 sum_n K2(n x)/n, and c_j of the energy sum with p_j and q_j of the
+# two polylog combinations, for j = 1, 2, ...; as generated by
+# tests/specfun_tables.py.
 _K2_SUM_EXPANSION = (
     (-0.5965735902799727, 0.5),
     (-0.029697762917331495, 0.010416666666666666),
@@ -370,63 +308,71 @@ _K2_SUM_EXPANSION = (
     (-5.630244557262817e-33, 3.0014174203417623e-33),
 )
 _ENERGY_SUM_EXPANSION = (
-    -0.8224670334241132,
-    0.10648803637923487,
-    0.0009515142830747897,
-    -1.2994484782338255e-05,
-    2.2405769316738044e-07,
-    -4.2298187182628614e-09,
-    8.40562244070322e-11,
-    -1.7293075267158889e-12,
-    3.649986369227605e-14,
-    -7.858514598486483e-16,
-    1.7191317437520905e-17,
-    -3.810279677046989e-19,
-    8.537907598182327e-21,
-    -1.9309616659044787e-22,
-    4.402064636643566e-24,
-    -1.0105194931179539e-25,
-    2.3338220299950658e-27,
-    -5.419003571828885e-29,
-    1.2642825631851106e-30,
-    -2.9622802581419094e-32,
+    (-0.8224670334241132, 0.010416666666666666, 0.001851851851851852),
+    (0.10648803637923487, -5.787037037037037e-05, -1.3227513227513228e-05),
+    (0.0009515142830747897, 6.889329805996473e-07, 1.749671061840374e-07),
+    (-1.2994484782338255e-05, -1.0333994708994709e-08, -2.7835675983824134e-09),
+    (2.2405769316738044e-07, 1.7397297489890083e-10, 4.8663769202489744e-11),
+    (-4.2298187182628614e-09, -3.1453512730282697e-12, -9.032803655876057e-13),
+    (8.40562244070322e-11, 5.974346665484231e-14, 1.7493511804816575e-14),
+    (-1.7293075267158889e-12, -1.1769723251120078e-15, -3.4981220808282587e-16),
+    (3.649986369227605e-14, 2.3850172378549568e-17, 7.17298417399987e-18),
+    (-7.858514598486483e-16, -4.942883405813777e-19, -1.500944581475543e-19),
+    (1.7191317437520905e-17, 1.043371747795498e-20, 3.1936248280349156e-21),
+    (-3.810279677046989e-19, -2.236292417598161e-22, -6.891093672006184e-23),
+    (8.537907598182327e-21, 4.85536681267784e-24, 1.5047709832394498e-24),
+    (-1.9309616659044787e-22, -1.065894931790184e-25, -3.3198062391685377e-26),
+    (4.402064636643566e-24, 2.3624504711850864e-27, 7.389874396668892e-28),
+    (-1.0105194931179539e-25, -5.280138482419303e-29, -1.6579482449847626e-29),
+    (2.3338220299950658e-27, 1.1888664016461314e-30, 3.74561769785036e-31),
+    (-5.419003571828885e-29, -2.6944407461003727e-32, -8.514656827593694e-33),
+    (1.2642825631851106e-30, 6.142588327036213e-34, 1.946369451135094e-34),
+    (-2.9622802581419094e-32, -1.4077514379170418e-35, -4.4715870971840234e-36),
 )
 
 
-# The massless limits of x^2 S and x^4 E below: 2 zeta(3) and pi^4/15.
-_MASSLESS_SUMS = (2.0 * _ZETA[1], _PI_POWERS[1])
 _LN_2PI = math.log(2.0 * math.pi)
 
 
-def _expansions(x: float) -> tuple[float, float, int]:
-    """(x^2 S, x^4 E, terms) for 0 < x < _EXPAND_BELOW, from one loop, with
+def _expansions(x: float) -> tuple[float, float, float, float, int]:
+    """(x^2 S, x^4 E, P, Q, terms) for 0 < x < _EXPAND_BELOW, from one loop:
 
-        S = sum_n K2(n x)/n,  E = sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2],
+        S = sum_n K2(n x)/n,  E = sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2]
+        P = Li3(w) + x Li2(w),  Q = Li4(w) + x Li3(w) + (x^2/3) Li2(w),  w = e^-x
 
-    so pi^2 n_hat and pi^2 u_hat, by their expansions about x = 0:
+    so pi^2 n_hat, pi^2 u_hat, and the polylogs of v_hat = 2 P/(x^2 S) and
+    r_hat = (3/2 pi^2) Q, by their expansions about x = 0:
 
         x^2 S = 2 zeta(3) + sum_j x^2j (a_j + b_j ln x)
         x^4 E = pi^4/15 - x^4 ln(x)/16 + sum_j c_j x^2j
+        P     = zeta(3) + x^2 (ln(x)/2 - 1/4) - x^3/6 + sum_j p_j x^(2j+2)
+        Q     = zeta(4) - zeta(2) x^2/6 + x^3/9 - x^4/48 + sum_j q_j x^(2j+3)
 
-    the sums of the residues of their Mellin transforms, which converge for
+    The first two are the sums of the residues of their Mellin transforms,
+    the last two the log expansions of the polylogs about w = 1 (Wood, Kent
+    TR 15-92, 1992), whose ln x terms cancel in Q; all four converge for
     x < 2 pi (tests/specfun_tables.py derives them).  Term j falls about
     as (x/2 pi)^2j, so the loop takes the first n terms, with
     (x/2 pi)^2n <= 1e-17: 1 at x = 1e-8, 5 at 0.1, 11 at 1 and 18 below 2.
     The first term left out is then under 1e-18 of its sum.  The loop sums
     them by Horner's rule from the smallest up, which rounds about half as
     much as summing from the largest.  Where x^2 underflows every term is
-    0, and the sums are the massless limits 2 zeta(3) and pi^4/15.  terms
-    is n.
+    0, and the sums are the massless limits 2 zeta(3), pi^4/15, zeta(3)
+    and zeta(4).  terms is n.
     """
     x2 = x * x
     lg = math.log(x)
     n = math.ceil(19.6 / (_LN_2PI - lg))  # 19.6 > ln(1e17)/2
-    s = e = 0.0
-    for (a, b), c in zip(_K2_SUM_EXPANSION[n - 1::-1], _ENERGY_SUM_EXPANSION[n - 1::-1]):
+    s = e = p = q = 0.0
+    for (a, b), (c, pj, qj) in zip(_K2_SUM_EXPANSION[n - 1::-1], _ENERGY_SUM_EXPANSION[n - 1::-1]):
         s = x2 * (s + (a + b * lg))
         e = x2 * (e + c)
-    s0, e0 = _MASSLESS_SUMS
-    return s0 + s, e0 + (e - x2 * x2 * lg / 16.0), n
+        p = x2 * (p + pj)
+        q = x2 * (q + qj)
+    zeta2, zeta3, zeta4 = _ZETA
+    return (2.0 * zeta3 + s, _PI_POWERS[1] + (e - x2 * x2 * lg / 16.0),
+            zeta3 + x2 * ((0.5 * lg - 0.25) - x / 6.0 + p),
+            zeta4 + x2 * (-zeta2 / 6.0 + x / 9.0 - x2 / 48.0 + x * q), n)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +431,14 @@ def _view(x: float, index: int, name: str) -> WeightedSum:
     # the scaled sum.
     _check_positive(x, "x")
     if x < _EXPAND_BELOW:
-        *sums, terms = _expansions(x)
+        sums = _expansions(x)
         scale = (x * x) ** (index + 1)
         value = sums[index] / scale if scale else math.inf
         if value == math.inf:
             raise DomainError(f"{name}: the sum overflows a double at x={x!r}")
-        return WeightedSum(value, terms)
-    *sums, terms = _scaled_sum(x)
-    return WeightedSum(math.exp(-x) * sums[index], terms)
+        return WeightedSum(value, sums[-1])
+    sums = _scaled_sum(x)
+    return WeightedSum(math.exp(-x) * sums[index], sums[-1])
 
 
 def k2_weighted_sum(x: float) -> WeightedSum:

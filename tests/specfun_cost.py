@@ -11,7 +11,7 @@ counts the terms each pair takes, a number that does not depend on the host.
 --routes adds the same timing, on a fixed x grid, of all four kernels by
 each route: the trapezoid pass ``oracle._moments``, and, as the series route
 takes them, from x = 2 on the Bessel pass with the polylog pass and below
-x = 2 the expansions about x = 0 with the polylog pass; and of
+x = 2 the one loop over the expansions about x = 0; and of
 ``core.r_hat_closed`` alone.  The routes are timed as this checkout's
 package calls them, so --routes needs a src of the same version.
 """

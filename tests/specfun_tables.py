@@ -2,7 +2,7 @@
 
     python tests/specfun_tables.py
 
-prints the six tables as Python source, ready to paste into specfun.py:
+prints the five tables as Python source, ready to paste into specfun.py:
 
 * _K01_CHEBYSHEV, the Chebyshev coefficients of sqrt(z) e^z K0(z) and
   sqrt(z) e^z K1(z) in y = 4/z - 1 on z > 2 (the form of Cephes'
@@ -15,13 +15,13 @@ prints the six tables as Python source, ready to paste into specfun.py:
   (DLMF 10.40.2), for nu = 0 and 1.
 * _PI_POWERS, pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60 correctly
   rounded: the massless limits of the gas kernels and their sums.
-* _ZETA_NEG_ODD, zeta(1 - 2j) = -B_2j/(2j) for j = 1..20, from the
-  Bernoulli numbers B_2..B_40 in exact rational arithmetic, written as
-  integer ratios.
 * _K2_SUM_EXPANSION and _ENERGY_SUM_EXPANSION, the coefficients of the
   expansions about x = 0 of x^2 sum_n K2(n x)/n and of
   x^4 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], from the residues of their
-  Mellin transforms at EXPANSION_DPS digits (see small_x_expansions).
+  Mellin transforms at EXPANSION_DPS digits (see small_x_expansions), and,
+  beside the second, those of Li3 + x Li2 and Li4 + x Li3 + (x^2/3) Li2 of
+  e^-x: the correctly rounded doubles of rationals from the Bernoulli
+  numbers, with no mpmath (see polylog_expansions).
 
 tests/test_specfun.py runs the same functions and compares with the module.
 """
@@ -29,13 +29,12 @@ tests/test_specfun.py runs the same functions and compares with the module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 CHEBYSHEV_TERMS = 24
 CHEBYSHEV_NODES = 64
 CHEBYSHEV_DPS = 40
 HANKEL_TERMS = 20
-ZETA_TERMS = 20
 EXPANSION_TERMS = 20
 EXPANSION_DPS = 40
 
@@ -81,10 +80,32 @@ def bernoulli(n: int) -> list[Fraction]:
     return b
 
 
-def zeta_negative_odd() -> tuple[Fraction, ...]:
-    """zeta(1 - 2j) = -B_2j/(2j) for j = 1..ZETA_TERMS, exactly."""
-    b = bernoulli(2 * ZETA_TERMS)
-    return tuple(-b[2 * j] / (2 * j) for j in range(1, ZETA_TERMS + 1))
+def polylog_expansions() -> tuple[tuple[Fraction, Fraction], ...]:
+    """Rows (p_j, q_j), j = 1..EXPANSION_TERMS, exactly, of the expansions
+
+        Li3(w) + x Li2(w) = zeta(3) + x^2 (ln(x)/2 - 1/4) - x^3/6
+                            + sum_j p_j x^(2j+2)
+        Li4(w) + x Li3(w) + (x^2/3) Li2(w)
+            = zeta(4) - zeta(2) x^2/6 + x^3/9 - x^4/48 + sum_j q_j x^(2j+3)
+
+    with w = e^-x, convergent for x < 2 pi.  Each follows from the log
+    expansion Li_s(e^-x) = sum_(k != s-1) zeta(s-k) (-x)^k/k!
+    + (-x)^(s-1) (H_(s-1) - ln x)/(s-1)! (Wood, Kent TR 15-92, 1992), in
+    which zeta(s-k) vanishes past k = s but at the odd k - s, and
+    zeta(1 - 2j) = -B_2j/(2j):
+
+        p_j = -(2j+1) zeta(1-2j)/(2j+2)!
+        q_j = -4j(j+1) zeta(1-2j)/(3 (2j+3)!)
+
+    The ln x terms cancel in the second.
+    """
+    b = bernoulli(2 * EXPANSION_TERMS)
+    rows = []
+    for j in range(1, EXPANSION_TERMS + 1):
+        zeta = -b[2 * j] / (2 * j)
+        rows.append((-(2 * j + 1) * zeta / factorial(2 * j + 2),
+                     -4 * j * (j + 1) * zeta / (3 * factorial(2 * j + 3))))
+    return tuple(rows)
 
 
 def small_x_expansions() -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
@@ -144,18 +165,14 @@ def main() -> None:
     for value in pi_powers():
         print(f"    {value!r},")
     print(")")
-    print("_ZETA_NEG_ODD = (")
-    for value in zeta_negative_odd():
-        print(f"    {value.numerator} / {value.denominator},")
-    print(")")
     k2_sum, energy_sum = small_x_expansions()
     print("_K2_SUM_EXPANSION = (")
     for a, b in k2_sum:
         print(f"    ({a!r}, {b!r}),")
     print(")")
     print("_ENERGY_SUM_EXPANSION = (")
-    for value in energy_sum:
-        print(f"    {value!r},")
+    for c, (p, q) in zip(energy_sum, polylog_expansions()):
+        print(f"    ({c!r}, {float(p)!r}, {float(q)!r}),")
     print(")")
 
 

@@ -516,8 +516,9 @@ def test_series_tol_flag_is_gone(capsys, argv):
 
 
 def test_massless_and_smallest_mass_print_the_same_radiance(capsys):
-    # m = 0 takes the exact limit pi^2/60, x = 2.2e-163 the polylogs with
-    # zeta(4) = pi^4/90: both correctly rounded, so the R cells agree.
+    # m = 0 takes the exact limit pi^2/60, x = 2.2e-163 the expansions,
+    # whose Q is zeta(4) = pi^4/90 there: both correctly rounded, so the R
+    # cells agree.
     rows = []
     for mass in ("0kg", "1e-200kg"):
         code, out, err = run(capsys, "point", "--mass", mass, "--temp", "300",

@@ -2,6 +2,7 @@
 massless limits, asymptotic regimes, and report invariants."""
 
 import dataclasses
+import itertools
 import math
 import time
 
@@ -133,6 +134,27 @@ def test_spectral_density_is_zero_where_k_b_t_underflows():
     assert spectral_energy_density(1e3, params) == 0.0
 
 
+def test_spectral_density_is_zero_where_the_mode_is_empty():
+    # omega^3 alone overflows a double here, but the occupation is 0.
+    assert spectral_energy_density(1e103, GasParameters(mass=0.0, temperature=300.0)) == 0.0
+
+
+def test_spectral_density_past_omega_cubed_overflow_is_the_product():
+    # omega^3 overflows, the product does not: it is the Planck law, whose
+    # occupation e^-76.0 is far from 0.
+    params = GasParameters(mass=0.0, temperature=1e90)
+    omega = 1e103
+    y = SI.hbar * omega / (SI.k_B * params.temperature)
+    expected = math.exp(3 * math.log(omega) - y) * SI.hbar / (math.pi**2 * SI.c**3)
+    assert spectral_energy_density(omega, params) == pytest.approx(expected, rel=1e-12)
+
+
+def test_spectral_density_overflow_is_domain_error_naming_it():
+    params = GasParameters(mass=0.0, temperature=1e300)
+    with pytest.raises(DomainError, match="^spectral_energy_density overflows"):
+        spectral_energy_density(1e300, params)
+
+
 def test_spectral_density_rejects_negative_frequency():
     with pytest.raises(DomainError):
         spectral_energy_density(-1.0, GasParameters(mass=0.0, temperature=300.0))
@@ -218,6 +240,16 @@ def test_small_mass_coefficient_value():
 def test_small_mass_radiance_agrees_with_full_form_at_x_005():
     params = params_for_x(0.05)
     assert small_mass_radiance(params) == pytest.approx(radiance(params), rel=1e-4)
+
+
+def test_small_mass_radiance_next_orders():
+    # r_hat = (3/2 pi^2) [zeta(4) - zeta(2) x^2/6 + x^3/9 - x^4/48 + O(x^5)],
+    # so (1 - r_hat/(pi^2/60))/x^2 = 5/(2 pi^2) - (10/pi^4) x
+    # + x^2/(48 zeta(4)) + O(x^3): the orders after small_mass_radiance's.
+    x = 1e-3
+    deficit = (1.0 - reduced_functions(x).r_hat / (math.pi**2 / 60)) / (x * x)
+    expected = 2.5 / math.pi**2 - 10.0 / math.pi**4 * x + x * x / (48 * zeta_value(4))
+    assert deficit == pytest.approx(expected, rel=1e-8)
 
 
 def test_low_temp_radiance_expansion_ratio():
@@ -398,8 +430,8 @@ def test_energy_density_series_route_matches_mpmath(x):
 def test_mean_speed_series_route_matches_mpmath(x):
     # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  From x = 2 on it is a
     # ratio of two sums of the Bessel pass, each stopped by its own rule.
-    # Below x = 2 the K2 sum is its expansion about x = 0 and the polylogs
-    # are the closed form.
+    # Below x = 2 both the K2 sum and Li3 + x Li2 are their expansions about
+    # x = 0.
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x, NumericsConfig(x_switch=0.1))
     assert reduced.method == "series"
@@ -499,9 +531,8 @@ def test_states_at_tiny_x_report_the_massless_limits(x, x_switch):
         assert getattr(reduced, kernel + "_hat") == pytest.approx(limit, rel=1e-15, abs=0.0)
 
 
-def test_radiance_alone_below_two_takes_one_polylog_pass(monkeypatch):
-    # R needs neither the trapezoid pass nor the expansions nor the Bessel
-    # pass: its closed form is one polylog pass.
+def counted_passes(monkeypatch) -> list[str]:
+    """The names of the passes called from now on, in call order."""
     calls = []
 
     def counted(module, name):
@@ -516,8 +547,35 @@ def test_radiance_alone_below_two_takes_one_polylog_pass(monkeypatch):
     for module, name in ((specfun, "_polylogs"), (specfun, "_expansions"),
                          (specfun, "_scaled_sum"), (oracle, "_moments")):
         counted(module, name)
+    return calls
+
+
+def test_radiance_alone_below_two_takes_one_expansions_call(monkeypatch):
+    # Below x = 2 one call of the expansions yields every kernel, and the
+    # radiance alone needs nothing else.
+    calls = counted_passes(monkeypatch)
     radiance(params_for_x(0.5))
-    assert calls == ["_polylogs"]
+    assert calls == ["_expansions"]
+
+
+def test_radiance_alone_from_two_takes_one_polylog_pass(monkeypatch):
+    # From x = 2 on the series route, R needs neither the trapezoid pass nor
+    # the Bessel pass: its closed form is one polylog pass.
+    calls = counted_passes(monkeypatch)
+    radiance(params_for_x(2.0), NumericsConfig(x_switch=2.0))
+    radiance(params_for_x(5.0))
+    assert calls == ["_polylogs", "_polylogs"]
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-8, 0.5, 1.0, math.nextafter(2.0, 0.0)])
+def test_series_below_two_is_one_expansions_call_for_every_keys_string(monkeypatch, x):
+    calls = counted_passes(monkeypatch)
+    for size in range(1, 5):
+        for keys in itertools.combinations("nuvR", size):
+            del calls[:]
+            values = _series(x, "".join(keys))
+            assert calls == ["_expansions"], keys
+            assert set(keys) <= set(values)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.01, 0.5, 40.0])

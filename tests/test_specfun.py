@@ -40,15 +40,15 @@ def k2_oracle(z: float) -> float:
     return integrate_adaptive(f, 0.0, math.acosh(800.0 / z + 1.0), TIGHT).value
 
 
-def polylog_oracle(s: int, z: float, cutoff: float = 1e-14) -> float:
-    """Plain term-by-term summation down to an absolute term cutoff."""
+def polylog_oracle(s: int, z: float) -> float:
+    """Plain term-by-term summation down to a relative term cutoff of 1e-14."""
     total = 0.0
     zn = 1.0
     for n in range(1, 2_000_000):
         zn *= z
         term = zn / n**s
         total += term
-        if term < cutoff * total and n > 10:
+        if term < 1e-14 * total and n > 10:
             return total
     raise AssertionError("oracle did not converge")
 
@@ -219,23 +219,29 @@ def test_tables_match_their_generator():
     source = Path(specfun.__file__).read_text()
     blocks = printed.split("\n)\n")
     assert [block.split(" = ")[0] for block in blocks[:-1]] == [
-        "_K01_CHEBYSHEV", "_HANKEL", "_PI_POWERS", "_ZETA_NEG_ODD",
-        "_K2_SUM_EXPANSION", "_ENERGY_SUM_EXPANSION"]
+        "_K01_CHEBYSHEV", "_HANKEL", "_PI_POWERS", "_K2_SUM_EXPANSION",
+        "_ENERGY_SUM_EXPANSION"]
     for block in blocks[:-1]:
         assert block + "\n)\n" in source, block.split(" = ")[0]
 
 
-def test_zeta_at_negative_odd_integers_from_bernoulli_numbers():
-    # zeta(1 - 2j) = -B_2j/(2j), regenerated in exact rational arithmetic;
-    # each literal is the correctly rounded double of that fraction.
-    exact = specfun_tables.zeta_negative_odd()
-    assert exact[:3] == (Fraction(-1, 12), Fraction(1, 120), Fraction(-1, 252))
-    assert specfun._ZETA_NEG_ODD == tuple(float(value) for value in exact)
+def test_polylog_expansion_columns_are_exact_rationals():
+    # p_j and q_j, regenerated from the Bernoulli numbers in exact rational
+    # arithmetic; each literal is the correctly rounded double of its
+    # fraction.  Needs no mpmath.
+    exact = specfun_tables.polylog_expansions()
+    assert exact[:2] == ((Fraction(1, 96), Fraction(1, 540)),
+                         (Fraction(-1, 17280), Fraction(-1, 75600)))
+    assert [(p, q) for _, p, q in specfun._ENERGY_SUM_EXPANSION] == [
+        (float(p), float(q)) for p, q in exact]
 
 
 # ---------------------------------------------------------------------------
-# polylogs: (Li2, Li3, Li4) of e^-x from specfun._polylogs
+# polylogs: (Li2, Li3, Li4) of e^-x, x >= ln 2, from specfun._polylogs
 # ---------------------------------------------------------------------------
+
+LN_2 = math.log(2.0)
+
 
 def li1(z: float) -> float:
     """Li_1(z) = -ln(1 - z), the order below the ones _polylogs returns."""
@@ -243,26 +249,18 @@ def li1(z: float) -> float:
 
 
 def li(s: int, z: float) -> float:
-    """Li_s(z) for s in {1, 2, 3, 4} and z in (0, 1), through x = -ln z."""
+    """Li_s(z) for s in {1, 2, 3, 4} and z in (0, 1/2], through x = -ln z."""
     return li1(z) if s == 1 else specfun._polylogs(-math.log(z))[s - 2]
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
-def test_polylog_log_expansion_matches_mpmath_up_to_the_switch(s):
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        for i in range(60):
-            u = 1e-6 * (specfun._U_SWITCH / 1e-6) ** (i / 60)
-            ref = mp.polylog(s, mp.exp(-mp.mpf(u)))
-            assert specfun._polylogs(u)[s - 2] == pytest.approx(float(ref), rel=1e-15, abs=0.0)
-
-
-@pytest.mark.parametrize("s", [2, 3, 4])
 def test_polylog_power_series_matches_mpmath_from_the_switch(s):
+    # From x = ln 2, the bottom of its domain, past the switch at x = 2 from
+    # which the radiance takes it, to x = 40.
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         for i in range(61):
-            u = specfun._U_SWITCH * (40 / specfun._U_SWITCH) ** (i / 60)
+            u = LN_2 * (40 / LN_2) ** (i / 60)
             ref = mp.polylog(s, mp.exp(-mp.mpf(u)))
             assert specfun._polylogs(u)[s - 2] == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
@@ -277,60 +275,31 @@ def test_polylog_vanishes_at_zero(s):
         assert specfun._polylogs(x)[s - 2] == 0.0
 
 
-def test_polylog_at_one_is_zeta():
-    assert specfun._polylogs(0.0) == (zeta_value(2), zeta_value(3), zeta_value(4))
-
-
 def test_polylog_half_matches_direct_series():
     oracle = polylog_oracle(2, 0.5)
     assert oracle == pytest.approx(0.58224052, abs=1e-8)
     assert li(2, 0.5) == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.parametrize("s", [2, 3, 4])
-@pytest.mark.parametrize("z", [0.9, 0.95, 0.99, 0.999])
-def test_polylog_near_one_matches_long_direct_series(s, z):
-    # crosses the internal branch switch; the oracle needs ~40k terms at worst
-    assert li(s, z) == pytest.approx(polylog_oracle(s, z, 1e-16), rel=1e-12)
-
-
 def test_polylog_power_series_stops_within_its_table(monkeypatch):
-    # 38 terms at the switch, where e^-x is largest, and fewer above it.
-    table = specfun_cost._Counted(specfun._POWERS)
-    monkeypatch.setattr(specfun, "_POWERS", table)
-    specfun._polylogs(specfun._U_SWITCH)
-    assert table.reads == 38 < len(table.table)
+    # 55 terms at x = ln 2, where e^-x is largest, 38 at x = 1, and fewer
+    # above.
+    powers = specfun._POWERS
+    for x, reads in ((LN_2, 55), (1.0, 38)):
+        table = specfun_cost._Counted(powers)
+        monkeypatch.setattr(specfun, "_POWERS", table)
+        specfun._polylogs(x)
+        assert table.reads == reads < len(powers)
 
 
-def test_polylog_branches_join_smoothly():
-    u = specfun._U_SWITCH
-    below = specfun._polylogs(u * (1 - 1e-9))
-    above = specfun._polylogs(u * (1 + 1e-9))
-    for a, b in zip(below, above):
-        assert a == pytest.approx(b, rel=1e-8)
-
-
-def test_polylog_branches_agree_to_a_few_ulps_at_the_switch(monkeypatch):
-    # The two doubles either side of the switch, and both branches at the
-    # switch itself (moving the switch puts x = 1 on the log expansion).
-    u = specfun._U_SWITCH
-    below = specfun._polylogs(math.nextafter(u, 0.0))
-    above = specfun._polylogs(u)
-    monkeypatch.setattr(specfun, "_U_SWITCH", 2.0 * u)
-    log_expansion = specfun._polylogs(u)
-    for a, b, c in zip(below, above, log_expansion):
-        assert abs(a - b) <= 4 * math.ulp(b)
-        assert abs(c - b) <= 4 * math.ulp(b)
-
-
-@given(z=st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
+@given(z=st.floats(min_value=1e-6, max_value=0.5),
        s=st.sampled_from([2, 3, 4]))
 def test_polylog_decreases_with_order(z, s):
     lower = li(s - 1, z)
     assert li(s, z) <= lower * (1 + 1e-14)
 
 
-@pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("x", [0.7, 1.0, 2.0])
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_polylog_derivative_identity(s, x):
     # d/dx Li_s(e^-x) = -Li_{s-1}(e^-x), checked by central differences
@@ -372,8 +341,10 @@ def test_expansion_tables_start_with_their_closed_forms():
     assert k2_sum[0] == pytest.approx((-0.5 * math.log(2.0) - 0.25, 0.5), rel=2e-16)
     assert [b for _, b in k2_sum[1:3]] == [1 / 96, -1 / 11520]
     euler_gamma = 0.5772156649015329
-    assert energy_sum[:2] == pytest.approx(
+    assert [c for c, _, _ in energy_sum[:2]] == pytest.approx(
         (-math.pi**2 / 12, (math.log(4.0 * math.pi) - 0.25 - euler_gamma) / 16), rel=2e-16)
+    # p_1 = -3 zeta(-1)/4! and q_1 = -8 zeta(-1)/(3 5!), zeta(-1) = -1/12
+    assert energy_sum[0][1:] == (1 / 96, 1 / 540)
 
 
 def expansion_terms(x: float, monkeypatch) -> int:
@@ -399,25 +370,33 @@ def test_expansions_take_their_terms_within_the_tables(monkeypatch):
     grid = (5e-324, 1e-8, 0.1, 1.0, edge)
     counts = [expansion_terms(x, monkeypatch) for x in grid]
     assert counts == [1, 1, 5, 11, 18]
-    assert [specfun._expansions(x)[2] for x in grid] == counts
+    assert [specfun._expansions(x)[-1] for x in grid] == counts
     assert counts[-1] < len(specfun._K2_SUM_EXPANSION) == len(specfun._ENERGY_SUM_EXPANSION)
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 2.2e-163, 1e-160])
 def test_expansions_are_the_massless_sums_where_x_squared_underflows(x):
-    # 2 zeta(3), and pi^4/15 correctly rounded, from the first row alone
-    assert specfun._expansions(x) == (2.0 * zeta_value(3), 6.493939402266829, 1)
+    # 2 zeta(3), pi^4/15 correctly rounded, zeta(3) and zeta(4), from the
+    # first row alone
+    assert specfun._expansions(x) == (2.0 * zeta_value(3), 6.493939402266829,
+                                      zeta_value(3), zeta_value(4), 1)
 
 
 @pytest.mark.parametrize("x", [1e-4 * 2e4 ** (i / 11) for i in range(11)]
                          + [math.nextafter(2.0, 0.0)])
 def test_expansions_match_mpmath(x):
     # pi^2 n_hat and pi^2 u_hat from mpmath's quadrature of the defining
-    # integrals at 30 digits.
+    # integrals, and P = Li3 + x Li2 and Q = Li4 + x Li3 + (x^2/3) Li2 of
+    # e^-x from mp.polylog, at 30 digits.
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        reference = [mp.pi**2 * kernel for kernel in mpmath_kernels(mp, mp.mpf(x))[:2]]
-    for value, expected in zip(specfun._expansions(x), reference):
+        xm = mp.mpf(x)
+        reference = [mp.pi**2 * kernel for kernel in mpmath_kernels(mp, xm)[:2]]
+        li2, li3, li4 = (mp.polylog(s, mp.exp(-xm)) for s in (2, 3, 4))
+        reference += [li3 + xm * li2, li4 + xm * li3 + xm * xm / 3 * li2]
+    values = specfun._expansions(x)
+    assert len(values) == len(reference) + 1
+    for value, expected in zip(values, reference):
         assert value == pytest.approx(float(expected), rel=1e-15, abs=0.0)
 
 
