@@ -36,4 +36,4 @@ __all__ = [
     "format_mass", "parse_mass", "reduce",
 ]
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

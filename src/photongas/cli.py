@@ -296,11 +296,11 @@ def _add_numerics_flags(parser: argparse.ArgumentParser) -> None:
                              "step is halved until every moment changes by less")
     parser.add_argument("--x-switch", type=float, default=DEFAULT_NUMERICS.x_switch,
                         help="on [2, x_switch) every kernel comes from one "
-                             "trapezoid pass, at and above x_switch from one "
-                             "pass of the Bessel sums and the polylogs, and "
-                             "below 2 from the expansions of both about "
-                             "x = 0; the series route stops at double "
-                             "precision and has no tolerance")
+                             "trapezoid pass; everywhere else from the series "
+                             "route: below 2 the expansions about x = 0, from "
+                             "2 on Chebyshev tables up to 40, one K pair from "
+                             "there and one polylog pass, with no tolerance; "
+                             "the default 2 takes the series route everywhere")
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser, default_points: int) -> None:

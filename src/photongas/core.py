@@ -3,12 +3,12 @@
 All physics is computed in the reduced variable x = mc^2/kT.  Each reduced
 kernel has two routes: a closed-form series route (Bessel sums and
 polylogarithms), and one trapezoid pass over the defining phase-space
-integrals, used on [2, x_switch) and as the cross-check oracle.  The series
-route serves every other x: below x = 2 it takes all four kernels from one
-loop over their expansions about x = 0, from x_switch up from one pass of
-the Bessel sums, which n_hat, u_hat and v_hat share, and one polylog pass
-for r_hat; all stop at double precision.  The switch sits where the costs
-of the trapezoid and Bessel passes crossed.
+integrals, the cross-check oracle, which also serves [2, x_switch) when a
+caller sets x_switch above its default of 2.  The series route serves every
+other x: below x = 2 it takes all four kernels from one loop over their
+expansions about x = 0; from 2 up to 40 n_hat, u_hat and v_hat from one
+loop over Chebyshev tables in ln x, and from 40 on from one K pair; and
+from 2 on r_hat from one polylog pass.  None of them has a tolerance.
 SI prefactors are applied exactly once, at the boundary, so no intermediate
 ever carries the ~1e-102 magnitudes of hbar^3.
 
@@ -28,6 +28,7 @@ pi^2/60) and are taken on dedicated branches, never by limiting numerics.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import oracle, specfun
@@ -46,25 +47,20 @@ class NumericsConfig:
     """The quadrature tolerance and the boundary between routes.
 
     On [2, ``x_switch``) every kernel is taken from one trapezoid pass over
-    its defining integral, to ``quad_tol``, at and above ``x_switch`` from
-    the Bessel sums and polylogs.  Below x = 2 every kernel is taken from
-    one loop over the expansions of the Bessel sums and polylogs about
-    x = 0, whatever ``x_switch`` is; a switch at or below 2 only moves the
-    Bessel pass down to 2.  The series route has no setting: the
-    expansions, the Bessel pass and the polylogs all stop at double
-    precision.  Cost sets the switch: the trapezoid pass costs about the
-    same at any x, while the Bessel pass needs O(1/x) K pairs (17 at x = 2,
-    10 at x = 4).  The default 4.0 is where the measured costs of the two
-    routes crossed in 0.5.0 (BENCH_12.json); they crossed between 3 and 4
-    in 0.6.0 (BENCH_16.json), and the default stays until a move is
-    measured on its own.  The radiance alone needs no Bessel sum: from 2 on
-    its closed form is one polylog pass, many times cheaper than the
-    trapezoid, so a caller that asks only for it on [2, 4) is faster with
-    x_switch=2.
+    its defining integral, to ``quad_tol``, everywhere else from the series
+    route: below x = 2 one loop over the expansions of the Bessel sums and
+    polylogs about x = 0, whatever ``x_switch`` is, and from 2 on the
+    Chebyshev tables up to x = 40, one K pair from there and one polylog
+    pass for the radiance.  The series route has no setting and no
+    tolerance.  The default 2.0 leaves the trapezoid to callers that ask
+    for it: since 0.10.0 the tables cost a fraction of the trapezoid pass
+    at every x from 2 up, where the Bessel pass they replace cost about as
+    much as the trapezoid below x = 4, the old default.  A switch at or
+    below 2 changes nothing.
     """
 
     quad_tol: float = oracle.QUAD_TOL
-    x_switch: float = 4.0
+    x_switch: float = 2.0
 
     def __post_init__(self):
         oracle._check_quad_tol(self.quad_tol)
@@ -139,31 +135,27 @@ class RadiometryReport:
 # Reduced kernels.
 # ---------------------------------------------------------------------------
 
-def _kernels(x: float, s: float, e: float, p: float) -> dict[str, float]:
-    """n_hat, u_hat and v_hat from the scaled sums S~, E~ and P~.
-
-    n_hat = x^2 e^-x S~/pi^2, u_hat = x^4 e^-x E~/pi^2 and
-    v_hat = 2 P~/(x^2 S~).  e^-x comes first, so a huge x gives an exact 0
-    rather than inf * 0.  In v_hat the e^x factors cancel, so the ratio
-    survives arbitrarily deep into the nonrelativistic regime; P~ ~ x there,
-    so dividing by x before doubling, and by x once more, keeps 2 P~ and x^2
-    from overflowing.
-    """
-    w = math.exp(-x)
-    return {"n": w * s * x * x / math.pi**2,
-            "u": w * e * x * x * x * x / math.pi**2,
-            "v": p / x * 2.0 / (x * s)}
-
-
 def _series(x: float, keys: str) -> dict[str, float]:
     """The kernels named in keys, a string over "nuvR", by the series route.
 
     Checks x, and takes the exact massless limits at x = 0.  Below
     specfun._EXPAND_BELOW = 2 one call of specfun._expansions yields all
     four kernels, whatever keys asks for: n_hat = x^2 S/pi^2,
-    u_hat = x^4 E/pi^2, v_hat = 2 P/(x^2 S) and r_hat = (3/2 pi^2) Q.  From
-    2 on, one polylog pass yields r_hat if R is asked for, and one pass of
-    specfun._scaled_sum n_hat, u_hat and v_hat if any of them is.
+    u_hat = x^4 E/pi^2, v_hat = 2 P/(x^2 S) and r_hat = (3/2 pi^2) Q.  Up
+    to specfun._ONE_TERM_FROM = 40, one polylog pass yields r_hat if R is
+    asked for, and one loop over the Chebyshev tables n_hat = a x^1.5
+    e^-x/pi^2, u_hat = b x^2.5 e^-x/pi^2 and v_hat = c/sqrt(x) if any of
+    them is.  From 40 on every sum is its first term to double precision:
+    n_hat = x^2 e^-x S~/pi^2, u_hat = x^4 e^-x E~/pi^2 and
+    v_hat = 2 P~/(x^2 S~) from specfun._one_term, and
+    r_hat = (3/2 pi^2) e^-x (1 + x + x^2/3), as Li_s(e^-x) = e^-x there.
+    e^-x enters as two factors h = e^(-x/2), the first one first: a huge x
+    gives an exact 0 rather than inf * 0, and where e^-x alone would be
+    subnormal, from x of about 708, a product that is not keeps its
+    digits.  In v_hat the e^x factors cancel, so the ratio survives
+    arbitrarily deep into the nonrelativistic regime; P~ ~ x there, so
+    dividing by x before doubling, and by x once more, keeps 2 P~ and x^2
+    from overflowing.
     """
     x = oracle._check_x(x)
     if x == 0.0:
@@ -173,13 +165,24 @@ def _series(x: float, keys: str) -> dict[str, float]:
         return {"n": s / math.pi**2, "u": e / math.pi**2, "v": 2.0 * p / s,
                 "R": 1.5 / math.pi**2 * q}
     values = {}
+    if x < specfun._ONE_TERM_FROM:
+        if "R" in keys:
+            li2, li3, li4 = specfun._polylogs(x)
+            values["R"] = 1.5 / math.pi**2 * (li4 + x * li3 + x * (x / 3.0 * li2))
+        if keys != "R":
+            a, b, c, _ = specfun._sum_chebyshev(x)
+            root = math.sqrt(x)
+            scale = math.exp(-x) * x * root / math.pi**2
+            values.update(n=a * scale, u=b * scale * x, v=c / root)
+        return values
+    h = math.exp(-0.5 * x)
     if "R" in keys:
-        li2, li3, li4 = specfun._polylogs(x)
-        # x (x/3 Li2) rather than x^2/3 Li2: once Li2 underflows to 0 the
-        # product is 0, not inf * 0, however large x is.
-        values["R"] = 1.5 / math.pi**2 * (li4 + x * li3 + x * (x / 3.0 * li2))
+        values["R"] = 1.5 / math.pi**2 * (h + x * h + x * (x / 3.0 * h)) * h
     if keys != "R":
-        values.update(_kernels(x, *specfun._scaled_sum(x)[:3]))
+        s, e, p = specfun._one_term(x)
+        values.update(n=h * s * x * x / math.pi**2 * h,
+                      u=h * e * x * x * x * x / math.pi**2 * h,
+                      v=p / x * 2.0 / (x * s))
     return values
 
 
@@ -317,7 +320,15 @@ def spectral_energy_density(omega: float, params: GasParameters) -> float:
     threshold = params.mass * SI.c * SI.c / SI.hbar
     if params.mass > 0.0 and omega <= threshold:
         return 0.0
-    occ = oracle._occupation(SI.hbar * omega / kt)
+    y = SI.hbar * omega / kt
+    # The occupation 1/(e^y - 1); where y is below the normal range it is
+    # kT/(hbar omega) to double precision, and 1/y would lose digits,
+    # overflow or divide by 0, so kT and hbar omega enter the product
+    # instead, hbar and omega apart, as hbar omega may underflow.
+    if y >= sys.float_info.min:
+        occupation = ((oracle._occupation(y), 1),)
+    else:
+        occupation = ((kt, 1), (SI.hbar, -1), (omega, -1))
     speed_factor = 1.0
     if params.mass > 0.0:
         ratio = threshold / omega
@@ -326,7 +337,7 @@ def spectral_energy_density(omega: float, params: GasParameters) -> float:
     # Taken over the factors' frexp parts: omega^3 alone overflows from omega
     # of about 5.6e102, where the product may not.  An empty mode gives 0.
     mantissa, exponent = 1.0, 0
-    for factor, power in ((prefactor, 1), (omega, 3), (occ, 1), (speed_factor, 1)):
+    for factor, power in ((prefactor, 1), (omega, 3), *occupation, (speed_factor, 1)):
         m, e = math.frexp(factor)
         mantissa, exponent = mantissa * m**power, exponent + e * power
     try:

@@ -21,16 +21,17 @@ e^-x, by their expansions about x = 0.  tests/specfun_tables.py generates
 the tables from the residues of the sums' Mellin transforms and, in exact
 rational arithmetic, from the Bernoulli numbers.
 
-From x = 2 on the Bessel sums come from one pass, _scaled_sum, with one K
-pair per term.  Each sum stops once its term is at most 2^-53 of its partial
-sum, which leaves out less than 0.16 of that term, so the pass has no
-tolerance: 10 to 17 K pairs on [2, 4), 2 to 4 on [16, 40].  Its term count
-is the number of K pairs taken.
+From x = 2 up to x = _ONE_TERM_FROM = 40 they take the Bessel sums, and
+v_hat with them, from one Clenshaw loop, _sum_chebyshev, over literal
+Chebyshev tables in ln x on four pieces, 16 to 19 rows, which
+tests/specfun_tables.py generates from a quadrature of the defining
+integrals.  From 40 on all later terms of the sums are below e^-40 of the
+first, so one K pair, _one_term, gives them.  Neither form loops to
+convergence or has a tolerance; the polylog pass serves the radiance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -44,10 +45,6 @@ _EULER_GAMMA = 0.5772156649015329
 # expansion from there on.
 _K_SERIES_MAX = 2.0
 _K_HANKEL_MIN = 25.0
-
-# Each sum of the Bessel pass stops once its term is at most this fraction
-# of its partial sum.
-_HALF_ULP = 2.0**-53
 
 
 class WeightedSum(NamedTuple):
@@ -179,7 +176,7 @@ def _k01_hankel(z: float) -> tuple[float, float]:
 
 
 def _k01_scaled(z: float) -> tuple[float, float]:
-    """(e^z K0(z), e^z K1(z)) for z > 0, unchecked; the Bessel pass's pair."""
+    """(e^z K0(z), e^z K1(z)) for z > 0, unchecked."""
     if z <= _K_SERIES_MAX:
         k0, k1 = _k01_series(z)
         factor = math.exp(z)
@@ -276,9 +273,9 @@ def _polylogs(x: float) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 # Below this x the series route takes every kernel from the expansions
-# about x = 0, which need at most 18 terms there.  From it on the Bessel
-# pass is the more accurate: the expansions' terms cancel more as x grows,
-# to 6.9e-15 near x = 4.
+# about x = 0, which need at most 18 terms there.  From it on the tables
+# of _sum_chebyshev are the more accurate: the expansions' terms cancel
+# more as x grows, to 6.9e-15 near x = 4.
 _EXPAND_BELOW = 2.0
 
 # Coefficients of the expansions about x = 0 (see _expansions): (a_j, b_j)
@@ -376,59 +373,148 @@ def _expansions(x: float) -> tuple[float, float, float, float, int]:
 
 
 # ---------------------------------------------------------------------------
-# Boltzmann-weighted Bessel sums.
+# The gas kernels' Bessel sums from x = 2 up.
 # ---------------------------------------------------------------------------
 
-def _scaled_sum(x: float) -> tuple[float, float, float, int]:
-    """(S~, E~, P~, terms) for x >= _EXPAND_BELOW, from one K pair per term.
+# From this x on every term of the Bessel sums and of P~ past the first is
+# below e^-x < 4.3e-18 of it, so the first alone is the sum to double
+# precision.
+_ONE_TERM_FROM = 40.0
 
-        S~ = e^x sum_n K2(n x)/n
-        E~ = e^x sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2]
-        P~ = e^x [Li3(e^-x) + x Li2(e^-x)] = sum_n e^{-(n-1)x} (n^-3 + x n^-2)
+# Per piece [2, 4), [4, 8), [8, 16) and [16, 40): its top, mid and scale
+# of the map y = (ln x - mid) scale/2 onto [-1, 1), and the halved
+# Chebyshev coefficients (a_k, b_k, c_k) in y, highest order first, of
+# a = e^x sqrt(x) S, b = e^x x^1.5 E and c = sqrt(x) v_hat (see
+# _sum_chebyshev); as generated by tests/specfun_tables.py.  The first
+# omitted row is below 2e-18 of the leading one.
+_SUM_CHEBYSHEV = (
+    (4.0, 1.0397207708399179, 5.7707801635558535, (
+        (-2.2072124420317785e-17, -1.9306034380143705e-17, 1.3299415816014825e-17),
+        (-4.570517848898548e-16, -3.944906209237006e-16, 1.6594601955405554e-16),
+        (-1.851507083965976e-15, -3.680090223328478e-15, -2.0438443527810697e-17),
+        (3.448120163860517e-14, 7.395759356243098e-14, -2.0419318368674825e-14),
+        (5.273842561456613e-13, -7.306380595347214e-13, -1.8835260576643033e-13),
+        (1.2404387250097468e-12, 3.363190003295138e-11, 8.194416257762687e-13),
+        (-5.8113030745355006e-11, -7.92737728176035e-10, 3.135931442387963e-11),
+        (-3.0400985727043484e-10, 1.5302007737243153e-08, 1.5731173051679484e-10),
+        (-7.31149444184049e-09, -3.027278281386719e-07, -3.1763875312738366e-09),
+        (2.9164145283760257e-07, 5.208230943659119e-06, -4.42687962262572e-08),
+        (-4.600591061359841e-06, -7.649760914161891e-05, 3.1130398522351505e-07),
+        (9.535282264163751e-05, 0.000997613242627499, 8.572378696506264e-06),
+        (-0.0017934762384473751, -0.0111794598123386, -7.469724426366708e-05),
+        (0.023350470958565805, 0.10113221233660451, -0.0018690371979027823),
+        (-0.20787129487163614, -0.6837813951628595, 0.047613647084171075),
+        (2.282830655557143, 3.986470677709136, 1.2227154653339083),
+    )),
+    (8.0, 1.7328679513998633, 5.7707801635558535, (
+        (1.4907907793864948e-17, 1.6313815163178803e-17, -1.4051468898317124e-18),
+        (-1.814876984580729e-16, -1.6276326793728543e-16, 8.689296737190553e-17),
+        (-1.830404961544053e-15, -1.920353136694183e-15, 3.305146174876065e-16),
+        (1.2685146423002487e-14, 1.0306046370607662e-14, -7.568547886257992e-15),
+        (1.9373457526318524e-13, 2.0654252260827702e-13, -4.545289513228729e-14),
+        (-7.16948168329716e-13, -7.242891348068294e-13, 6.09696268436174e-13),
+        (-1.7948200282224973e-11, -1.2300871936126155e-11, 4.800872530405824e-12),
+        (2.8693416693351062e-11, -1.2497230600397851e-10, -4.96439236371504e-11),
+        (1.6231816193241132e-09, 4.435616192291248e-09, -4.0681346981773925e-10),
+        (-4.287568918456688e-09, -5.689805558127036e-08, 4.736239206722444e-09),
+        (-4.814504386845273e-08, 8.927094027079153e-07, 2.0679539997774142e-08),
+        (-1.6069572826096758e-06, -1.6035098169277217e-05, -5.52180887623483e-07),
+        (4.7943560660119424e-05, 0.00023552044324067362, 3.31080588551686e-06),
+        (-0.0007247702600421982, -0.0028071503771735203, 4.557714947096414e-05),
+        (0.00891155588994481, 0.028213606380728024, -0.001956907077513073),
+        (-0.08621494639105234, -0.22332152952794093, 0.03143787263258416),
+        (1.718582566098652, 2.2914758718217993, 1.3809459200364977),
+    )),
+    (16.0, 2.4260151319598084, 5.7707801635558535, (
+        (2.130071352019756e-17, 2.2246363492611234e-17, -4.991834728576405e-18),
+        (-1.5342724316933972e-16, -1.3731409718327502e-16, 7.879964111493783e-17),
+        (-1.5256979104394215e-15, -1.6567209851431298e-15, 2.39218724294555e-16),
+        (1.632503408221063e-14, 1.525123715479373e-14, -6.790616815381631e-15),
+        (6.84398481752658e-14, 8.508445452806667e-14, 4.523544651297178e-15),
+        (-1.445723763485987e-12, -1.464325030846206e-12, 4.564559844305221e-13),
+        (1.1545857924781654e-12, 8.330645463666183e-13, -2.327702116816207e-12),
+        (9.183388734228789e-11, 7.327540737291507e-11, -1.6149716483253943e-11),
+        (-5.542016205471507e-10, 4.90291487783092e-11, 2.2489309345815749e-10),
+        (-3.240973622237113e-09, -1.4801217458055831e-08, -7.002008401315815e-10),
+        (8.284212497951066e-08, 2.740890760226684e-07, -1.8230964475298085e-09),
+        (-1.0288548329156077e-06, -3.982069907829497e-06, -3.947337368148713e-09),
+        (1.4484065415320236e-05, 5.642667672391391e-05, -6.82765150658255e-07),
+        (-0.0002414125327676934, -0.0007724101207613434, 5.0961788674932194e-05),
+        (0.003637407775276589, 0.009369595156366746, -0.0013226953284092098),
+        (-0.03938366226227666, -0.08689134553174559, 0.018300275190601567),
+        (1.476062654324144, 1.701898278833694, 1.4793537966451862),
+    )),
+    (40.0, 3.2307340881768587, 4.365426671749166, (
+        (4.76954635816482e-18, 4.978056534593887e-18, -1.3398255152628117e-18),
+        (-2.3515416351913603e-17, -2.2908425764200028e-17, 9.029976760791257e-18),
+        (-2.8292793764242886e-17, -4.013092218640763e-17, -7.176694494128009e-18),
+        (9.537807441248047e-16, 1.0129692876986092e-15, -2.4326864120441938e-16),
+        (-5.297194968986931e-15, -5.2913834316186485e-15, 1.772382846688261e-15),
+        (6.6179019365988705e-15, 4.17523530840129e-15, -4.750645536225571e-15),
+        (1.161119229527206e-13, 1.4148218513023132e-13, -1.7127296498925347e-14),
+        (-1.1466297454722506e-12, -1.3745566998227901e-12, 2.6610554526867656e-13),
+        (6.609100770456125e-12, 9.341127541262866e-12, -1.7120189303535537e-12),
+        (-3.070213994144529e-11, -7.37284917463786e-11, 7.207406175975674e-12),
+        (1.7062496550666657e-10, 8.880069405665347e-10, -6.615974599568834e-13),
+        (-2.00077845672105e-09, -1.3407930688985161e-08, -5.421185683063766e-10),
+        (3.7707328245274285e-08, 2.057444054523473e-07, 7.583350059330795e-09),
+        (-7.45869153032302e-07, -3.023230066721892e-06, 8.978140309792964e-09),
+        (1.363309344786536e-05, 4.195807950583708e-05, -3.017990031255992e-06),
+        (-0.0002143688209900171, -0.000533123315892518, 8.066304249588529e-05),
+        (0.002654716660339266, 0.005730468463483317, -0.0012578465911385834),
+        (-0.02263849776549562, -0.04496103210292635, 0.011983671962350378),
+        (1.3530703847294874, 1.4428757152407208, 1.540059902786181),
+    )),
+)
 
-    Term n is e^{-(n-1)x} times e^{nx} K_nu(n x), so every factor stays
-    representable however large x gets.  terms counts the K pairs taken.
 
-    A sum stops once its term is at most 2^-53 of its partial sum.  Each
-    term is at most w = e^-x times the one before, since
-    K_nu((n+1)x) <= e^-x K_nu(n x) follows from (ln K_nu)' <= -1, and the
-    polylog terms shrink faster still.  With w <= e^-2 the rest of the sum
-    is then under w/(1 - w) < 0.16 of that term.  S~ and E~ share the K
-    pairs and stop together, once both terms meet the rule.  P~ is summed
-    alongside and stops as soon as its own term meets it: v_hat =
-    2 P~/(x^2 S~), and the truncation errors of P~ and S~ largely cancel in
-    that ratio when each sum is cut by its own rule.  Once e^{-(n-1)x}
-    underflows to 0 every later term is exactly 0, and the pass stops there.
-    x must be a number, or the pass never stops.  The terms from n = 2 on
-    are summed apart from the first, which they join last: on [2, 4) that
-    cuts the rounding of S~ and P~ from up to 6e-16 to 2e-16.
+def _sum_chebyshev(x: float) -> tuple[float, float, float, int]:
+    """(a, b, c, rows) for _EXPAND_BELOW <= x < _ONE_TERM_FROM:
+
+        a = e^x sqrt(x) S = pi^2 e^x n_hat/x^1.5
+        b = e^x x^1.5 E   = pi^2 e^x u_hat/x^2.5
+        c = sqrt(x) v_hat
+
+    with S and E the Bessel sums of _expansions, so n_hat, u_hat and v_hat
+    from x = 2 up to the one-term form.  All three are smooth in ln x and
+    tend to constants as x grows, and their Chebyshev series in ln x over
+    the piece of _SUM_CHEBYSHEV that holds x are summed in one Clenshaw
+    loop, as _k01_chebyshev sums its pair: 16 rows on [2, 4), 17 on
+    [4, 16), 19 on [16, 40).  rows is that count.
     """
-    w = math.exp(-x)
-    s = e = p = 0.0  # the terms from n = 2 on
-    p_open = True
-    pref = 1.0
-    for n in itertools.count(1):
-        z = n * x
-        k0, k1 = _k01_scaled(z)
-        k2 = k0 + 2.0 * k1 / z
-        ts = pref * (k2 / n)
-        te = pref * (k1 / z + 3.0 * k2 / (z * z))
-        tp = pref * (1.0 / n**3 + x / n**2) if p_open else 0.0
-        if n == 1:
-            s1, e1, p1 = ts, te, tp
-        else:
-            s, e, p = s + ts, e + te, p + tp
-        p_open = tp > _HALF_ULP * (p1 + p)
-        pref *= w
-        if pref == 0.0 or (not p_open and ts <= _HALF_ULP * (s1 + s)
-                           and te <= _HALF_ULP * (e1 + e)):
-            return s1 + s, e1 + e, p1 + p, n
+    for top, mid, scale, rows in _SUM_CHEBYSHEV:
+        if x < top:
+            break
+    y2 = (math.log(x) - mid) * scale
+    a0 = a1 = a2 = b0 = b1 = b2 = c0 = c1 = c2 = 0.0
+    for ca, cb, cc in rows:
+        a0, a1, a2 = y2 * a0 - a1 + ca, a0, a1
+        b0, b1, b2 = y2 * b0 - b1 + cb, b0, b1
+        c0, c1, c2 = y2 * c0 - c1 + cc, c0, c1
+    return a0 - a2, b0 - b2, c0 - c2, len(rows)
+
+
+def _one_term(x: float) -> tuple[float, float, float]:
+    """(S~, E~, P~) for x >= _ONE_TERM_FROM, from one K pair:
+
+        S~ = e^x K2(x),  E~ = e^x [K1(x)/x + 3 K2(x)/x^2],  P~ = 1 + x
+
+    the first terms of e^x S, e^x E and e^x [Li3(e^-x) + x Li2(e^-x)].
+    Each later term is at most e^-x times the one before, since
+    K_nu((n+1) x) <= e^-x K_nu(n x), so all of them together are under
+    4.3e-18 of the first.  Every factor stays representable however large
+    x gets: past x of about 1e154, x^2 overflows and E~ is its first part.
+    """
+    k0, k1 = _k01_hankel(x)
+    k2 = k0 + 2.0 * k1 / x
+    return k2, k1 / x + 3.0 * k2 / (x * x), 1.0 + x
 
 
 def _view(x: float, index: int, name: str) -> WeightedSum:
-    # Sum number ``index`` of the pass, S or E, for the public views: below
-    # _EXPAND_BELOW the expansion over x^2 or x^4, from it on e^-x times
-    # the scaled sum.
+    # Sum number ``index``, S or E, for the public views: below
+    # _EXPAND_BELOW the expansion over x^2 or x^4, up to _ONE_TERM_FROM
+    # e^-x a/sqrt(x) or e^-x b/x^1.5 from the tables, from there on e^-x
+    # times the first term.
     _check_positive(x, "x")
     if x < _EXPAND_BELOW:
         sums = _expansions(x)
@@ -437,17 +523,20 @@ def _view(x: float, index: int, name: str) -> WeightedSum:
         if value == math.inf:
             raise DomainError(f"{name}: the sum overflows a double at x={x!r}")
         return WeightedSum(value, sums[-1])
-    sums = _scaled_sum(x)
-    return WeightedSum(math.exp(-x) * sums[index], sums[-1])
+    if x < _ONE_TERM_FROM:
+        sums = _sum_chebyshev(x)
+        root = math.sqrt(x)
+        return WeightedSum(math.exp(-x) * sums[index] / (root * x**index), sums[-1])
+    return WeightedSum(math.exp(-x) * _one_term(x)[index], 1)
 
 
 def k2_weighted_sum(x: float) -> WeightedSum:
     """sum_{n>=1} K2(n x)/n with the number of terms actually used.
 
-    Below x = 2 from the expansions about x = 0 that the gas kernels take
-    there (1 to 18 terms), from 2 on from the Bessel pass that they take
-    from x_switch up (17 K pairs at x = 2, at most 4 from x = 16 on).  Raises
-    DomainError where the sum overflows a double, below x of about 1.2e-154.
+    From the forms the gas kernels take: below x = 2 the expansions about
+    x = 0 (1 to 18 terms), up to x = 40 the Chebyshev tables in ln x (16 to
+    19 rows), from 40 on the first term alone (1).  Raises DomainError
+    where the sum overflows a double, below x of about 1.2e-154.
     """
     return _view(x, 0, "k2_weighted_sum")
 
@@ -455,7 +544,7 @@ def k2_weighted_sum(x: float) -> WeightedSum:
 def energy_bessel_sum(x: float) -> WeightedSum:
     """sum_{n>=1} [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], the energy-density sum.
 
-    From the same two routes as k2_weighted_sum; raises DomainError where
+    From the same three forms as k2_weighted_sum; raises DomainError where
     the sum overflows a double, below x of about 1.4e-77.
     """
     return _view(x, 1, "energy_bessel_sum")

@@ -9,11 +9,13 @@ checkout's src, one whose specfun has ``_k01_scaled``, gives its table on the
 same host, so two trees can be compared.  Where the module has the Chebyshev and Hankel tables, it also
 counts the terms each pair takes, a number that does not depend on the host.
 --routes adds the same timing, on a fixed x grid, of all four kernels by
-each route: the trapezoid pass ``oracle._moments``, and, as the series route
-takes them, from x = 2 on the Bessel pass with the polylog pass and below
-x = 2 the one loop over the expansions about x = 0; and of
-``core.r_hat_closed`` alone.  The routes are timed as this checkout's
-package calls them, so --routes needs a src of the same version.
+each route: the trapezoid pass ``oracle._moments``, and the series route
+``core._series`` in each of its bands, below x = 2 the one loop over the
+expansions about x = 0, from 2 up to 40 the Chebyshev tables with the
+polylog pass, and from 40 on one K pair; of ``core.reduced_functions`` on
+the default route, which wraps them; and of ``core.r_hat_closed`` alone.
+The routes are timed as this checkout's package calls them, so --routes
+needs a src of the same version.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 Z_GRID = (1.0, 1.9, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 20.0, 24.0, 25.0, 30.0,
           40.0, 60.0, 100.0, 300.0, 1e3, 1e4, 1e6, 1e12, 1e17, 1e100, 1e300)
 X_GRID = (0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0,
-          6.0, 8.0, 10.0, 15.0, 20.0, 30.0)
+          6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 40.0, 100.0, 1e3)
 RUNS, CALLS = 7, 40
 
 
@@ -80,12 +82,6 @@ def term_counts(specfun, zs) -> dict[float, int] | None:
     return counts
 
 
-def bessel_route(core, specfun, x: float):
-    """All four kernels from one polylog pass and one Bessel pass."""
-    core.r_hat_closed(x)
-    return core._kernels(x, *specfun._scaled_sum(x)[:3])
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -102,15 +98,18 @@ def main() -> None:
     if counts is not None:
         result["k01_terms"] = {repr(z): n for z, n in counts.items()}
     if args.routes:
-        edge = specfun._EXPAND_BELOW
-        routes = {"trapezoid": (oracle._moments, X_GRID),
-                  "bessel": (lambda x: bessel_route(core, specfun, x),
-                             [x for x in X_GRID if x >= edge]),
-                  "expansions": (lambda x: core._series(x, "nuvR"),
-                                 [x for x in X_GRID if x < edge])}
+        bands = {"expansions": (0.0, specfun._EXPAND_BELOW),
+                 "tables": (specfun._EXPAND_BELOW, specfun._ONE_TERM_FROM),
+                 "one_term": (specfun._ONE_TERM_FROM, float("inf"))}
+        routes = {"trapezoid": (oracle._moments, X_GRID)}
+        for name, (low, high) in bands.items():
+            routes[name] = (lambda x: core._series(x, "nuvR"),
+                            [x for x in X_GRID if low <= x < high])
         result["reduced_functions_us"] = {
             name: {repr(x): cost_us(route, x) for x in grid}
             for name, (route, grid) in routes.items()}
+        result["default_route_us"] = {repr(x): cost_us(core.reduced_functions, x)
+                                      for x in X_GRID}
         result["r_hat_closed_us"] = {repr(x): cost_us(core.r_hat_closed, x) for x in X_GRID}
     print(json.dumps(result, indent=1))
 

@@ -2,7 +2,7 @@
 
     python tests/specfun_tables.py
 
-prints the five tables as Python source, ready to paste into specfun.py:
+prints the six tables as Python source, ready to paste into specfun.py:
 
 * _K01_CHEBYSHEV, the Chebyshev coefficients of sqrt(z) e^z K0(z) and
   sqrt(z) e^z K1(z) in y = 4/z - 1 on z > 2 (the form of Cephes'
@@ -22,14 +22,23 @@ prints the five tables as Python source, ready to paste into specfun.py:
   beside the second, those of Li3 + x Li2 and Li4 + x Li3 + (x^2/3) Li2 of
   e^-x: the correctly rounded doubles of rationals from the Bernoulli
   numbers, with no mpmath (see polylog_expansions).
+* _SUM_CHEBYSHEV, per piece [2, 4), [4, 8), [8, 16) and [16, 40) of the
+  band between the expansions and the one-term form, the Chebyshev
+  coefficients in ln x of a = e^x sqrt(x) sum_n K2(n x)/n,
+  b = e^x x^1.5 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2] and
+  c = sqrt(x) v_hat (see sum_chebyshev).  The values at the nodes come
+  from perfbench/reference.py, whose quadrature of the defining integrals
+  takes about 50 ms per x.
 
 tests/test_specfun.py runs the same functions and compares with the module.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 CHEBYSHEV_TERMS = 24
 CHEBYSHEV_NODES = 64
@@ -37,6 +46,9 @@ CHEBYSHEV_DPS = 40
 HANKEL_TERMS = 20
 EXPANSION_TERMS = 20
 EXPANSION_DPS = 40
+SUM_EDGES = (2, 4, 8, 16, 40)
+SUM_NODES = 32
+SUM_CUTOFF = 2e-18
 
 
 def chebyshev_k01() -> tuple[tuple[float, float], ...]:
@@ -152,6 +164,53 @@ def small_x_expansions() -> tuple[tuple[tuple[float, float], ...], tuple[float, 
         return (tuple((float(a), float(b)) for a, b in ab), tuple(float(value) for value in c))
 
 
+def sum_chebyshev() -> tuple[tuple[float, float, float, tuple], ...]:
+    """Per piece [x0, x1) of SUM_EDGES: (x1, mid, scale, rows).
+
+    mid = ln(x0 x1)/2 and scale = 4/ln(x1/x0), so that y = (ln x - mid)
+    scale/2 maps the piece onto [-1, 1), and rows are the halved Chebyshev
+    coefficients (a_k, b_k, c_k) in y, highest order first, of
+
+        a = e^x sqrt(x) S = pi^2 e^x n_hat/x^1.5
+        b = e^x x^1.5 E   = pi^2 e^x u_hat/x^2.5
+        c = sqrt(x) v_hat
+
+    with S and E the Bessel sums of specfun._expansions.  Each is smooth in
+    ln x and tends to a constant as x grows.  The coefficients are the
+    discrete cosine transform of the three at SUM_NODES Chebyshev points,
+    from perfbench/reference.py at its 24 digits; they fall off like those
+    of a function analytic in an ellipse about the piece (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013, ch. 8).
+    A piece keeps its rows up to the last with a coefficient above
+    SUM_CUTOFF of its leading one: 16, 17, 17 and 19 rows.
+    """
+    import mpmath as mp
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import reference
+
+    pieces = []
+    with mp.workdps(reference.DPS):
+        nodes = [mp.pi * (j + mp.mpf(0.5)) / SUM_NODES for j in range(SUM_NODES)]
+        for x0, x1 in zip(SUM_EDGES, SUM_EDGES[1:]):
+            mid = (mp.log(x0) + mp.log(x1)) / 2
+            half = (mp.log(x1) - mp.log(x0)) / 2
+            values = []
+            for theta in nodes:
+                x = mp.exp(mid + half * mp.cos(theta))
+                kernels = reference.reduced(x)
+                scale = mp.pi**2 * mp.exp(x) / mp.sqrt(x)
+                values.append((kernels["n"] * scale / x, kernels["u"] * scale / x**2,
+                               kernels["v"] * mp.sqrt(x)))
+            rows = [[mp.fsum(v[i] * mp.cos(k * t) for v, t in zip(values, nodes)) / SUM_NODES
+                     for i in range(3)] for k in range(SUM_NODES)]
+            kept = 1 + max(k for k, row in enumerate(rows)
+                           if any(abs(c / c0) > SUM_CUTOFF for c, c0 in zip(row, rows[0])))
+            pieces.append((float(x1), float(mid), float(2 / half),
+                           tuple(tuple(float(c) for c in row) for row in reversed(rows[:kept]))))
+    return tuple(pieces)
+
+
 def main() -> None:
     print("_K01_CHEBYSHEV = (")
     for c0, c1 in chebyshev_k01():
@@ -173,6 +232,13 @@ def main() -> None:
     print("_ENERGY_SUM_EXPANSION = (")
     for c, (p, q) in zip(energy_sum, polylog_expansions()):
         print(f"    ({c!r}, {float(p)!r}, {float(q)!r}),")
+    print(")")
+    print("_SUM_CHEBYSHEV = (")
+    for top, mid, scale, rows in sum_chebyshev():
+        print(f"    ({top!r}, {mid!r}, {scale!r}, (")
+        for a, b, c in rows:
+            print(f"        ({a!r}, {b!r}, {c!r}),")
+        print("    )),")
     print(")")
 
 

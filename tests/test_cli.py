@@ -88,10 +88,11 @@ CELL = r"-?\d\.\d{16}e[+-]\d{2,3}"
 
 @pytest.mark.parametrize("mass, method", [("0kg", "series"), ("1eV", "quadrature")])
 def test_point_formats_print_the_same_cells(capsys, mass, method):
+    # 1 eV at 5800 K is x ~ 2.0, on the trapezoid with --x-switch 4.
     outs = {}
     for fmt in ("text", "csv", "json"):
         code, outs[fmt], _ = run(capsys, "point", "--mass", mass, "--temp", "5800",
-                                 "--format", fmt)
+                                 "--format", fmt, "--x-switch", "4")
         assert code == 0
     # text: four state lines, then one line per quantity with its label,
     # unit and method tag
@@ -132,10 +133,11 @@ def test_point_bad_flag_is_usage_error(capsys):
 
 
 def test_point_convergence_failure_names_the_quantity(capsys, monkeypatch):
-    # x ~ 3.1 takes the trapezoid pass by default; one halving of its step
-    # leaves the radiance changing by 2e-5, above quad_tol
+    # x ~ 3.1 takes the trapezoid pass with --x-switch 4; one halving of its
+    # step leaves the radiance changing by 2e-5, above quad_tol
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
-    code, _, err = run(capsys, "point", "--mass", "0.08eV", "--temp", "300")
+    code, _, err = run(capsys, "point", "--mass", "0.08eV", "--temp", "300",
+                       "--x-switch", "4")
     assert code == 3
     assert err.startswith("error: radiance: trapezoid ladder")
 
@@ -244,13 +246,14 @@ def test_x_sweep_with_zero_mass_is_usage_error(capsys):
 
 
 def test_failed_sweep_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
-    # x ~ 4.6 takes the Bessel pass, which cannot fail; x ~ 3.1 and 2.3 the
-    # trapezoid pass, which one halving of its step leaves unconverged
+    # With --x-switch 4, x ~ 4.6 takes the series route, which cannot fail;
+    # x ~ 3.1 and 2.3 the trapezoid pass, which one halving of its step
+    # leaves unconverged
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
     out_file = tmp_path / "never.csv"
     code, _, err = run(capsys, "sweep", "--mass", "0.08eV", "--variable",
                        "temperature", "--t-min", "200", "--t-max", "400",
-                       "--points", "3", "--out", str(out_file))
+                       "--points", "3", "--out", str(out_file), "--x-switch", "4")
     assert code == 3
     assert err.startswith("error: radiance: trapezoid ladder")
     assert not out_file.exists()
@@ -344,33 +347,33 @@ def test_validate_compares_both_routes_at_every_grid_x(capsys, monkeypatch, quad
 
 
 def test_validate_work_count(capsys, monkeypatch):
-    # K0/K1 pairs taken in one validate, a count that does not depend on the
-    # host.  The geometric stop rule alone took 1669, 1395 of them at
-    # x = 0.01; the Euler-Maclaurin closure took 310, 137 there.  Below
-    # x = 2 the expansions about x = 0 take none; from 2 on the Bessel pass
-    # stops each sum at a term of 2^-53 of it.
-    pairs = []
-    pairs_at = {}
-    k01, series = specfun._k01_scaled, core._series
+    # The series route's work in one validate, counts that do not depend on
+    # the host: at each grid x the expansion terms below x = 2, the table
+    # rows up to 40 and the one K pair from there on.  In 0.9.0 the Bessel
+    # pass took 35 K pairs here, 17 of them at x = 2; the geometric stop
+    # rule alone took 1669, 1395 of them at x = 0.01.
+    work = []
 
-    def counted(*args, **kwargs):
-        pairs.append(args[0])
-        return k01(*args, **kwargs)
+    def counted(name):
+        function = getattr(specfun, name)
 
-    def recorded(x, *args):
-        before = len(pairs)
-        result = series(x, *args)
-        pairs_at[x] = len(pairs) - before
-        return result
+        def wrapper(x):
+            result = function(x)
+            work.append((name, x, 1 if name == "_k01_hankel" else result[-1]))
+            return result
 
-    monkeypatch.setattr(specfun, "_k01_scaled", counted)
-    monkeypatch.setattr(core, "_series", recorded)
+        monkeypatch.setattr(specfun, name, wrapper)
+
+    for name in ("_expansions", "_sum_chebyshev", "_k01_hankel"):
+        counted(name)
     code, _, err = run(capsys, "validate")
     assert code == 0, err
-    assert tuple(pairs_at) == VALIDATE_GRID
-    assert len(pairs) == 35
-    assert pairs_at == {0.01: 0, 0.1: 0, 0.5: 0, 1.0: 0, 2.0: 17, 5.0: 8, 10.0: 5,
-                        20.0: 3, 50.0: 2}
+    assert [x for _, x, _ in work] == list(VALIDATE_GRID)
+    assert work == [("_expansions", 0.01, 4), ("_expansions", 0.1, 5),
+                    ("_expansions", 0.5, 8), ("_expansions", 1.0, 11),
+                    ("_sum_chebyshev", 2.0, 16), ("_sum_chebyshev", 5.0, 17),
+                    ("_sum_chebyshev", 10.0, 17), ("_sum_chebyshev", 20.0, 19),
+                    ("_k01_hankel", 50.0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +419,11 @@ def test_point_deep_nonrelativistic_state_reports():
 
 def test_point_on_the_quadrature_route_names_the_quantity_that_did_not_converge(
         capsys, monkeypatch):
-    # x ~ 3.1: an exhausted trapezoid ladder is exit 3, the quantity named.
+    # x ~ 3.1 with --x-switch 4: an exhausted trapezoid ladder is exit 3,
+    # the quantity named.
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
     code, out, err = run(capsys, "point", "--mass", "0.08eV", "--temp", "300",
-                         "--quad-tol", "1e-14")
+                         "--quad-tol", "1e-14", "--x-switch", "4")
     assert code == 3 and out == ""
     assert re.match(r"error: (number_density|energy_density|mean_speed|radiance): "
                     r"trapezoid ladder", err)
@@ -441,11 +445,12 @@ def test_point_on_the_quadrature_route_at_huge_x_matches_the_series_route(capsys
 
 
 def test_point_below_the_default_switch_is_quadrature_and_x_switch_restores_series(capsys):
-    # x ~ 3 lies in [2, x_switch): the trapezoid by default, the Bessel
-    # pass with --x-switch 2; the five SI cells agree either way.
+    # x ~ 3 lies in [2, x_switch) with --x-switch 4, the default before
+    # 0.10.0: the trapezoid there, the tables by default; the five SI cells
+    # agree either way.
     argv = ("point", "--mass", "1eV", "--temp", "3868.2", "--format", "csv")
     rows = {}
-    for method, extra in (("quadrature", ()), ("series", ("--x-switch", "2"))):
+    for method, extra in (("quadrature", ("--x-switch", "4")), ("series", ())):
         code, out, _ = run(capsys, *argv, *extra)
         assert code == 0
         header, row = out.strip().split("\n")
@@ -616,7 +621,7 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypa
         (["point", "--mass", "0kg"], None),
         (["point", "--mass", "0kg", "--temp", "300", "--quad-tol", "1"], None),
         (["--help"], None),
-        (["point", "--mass", "0.08eV", "--temp", "300"], 1),
+        (["point", "--mass", "0.08eV", "--temp", "300", "--x-switch", "4"], 1),
     ]
 
     def outcome(argv, halvings):

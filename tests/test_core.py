@@ -19,7 +19,7 @@ from photongas import (DEFAULT_NUMERICS, SI, ConvergenceError, DomainError,
                        radiance_naive, reduce, reduced_functions,
                        small_mass_radiance, spectral_energy_density, specfun,
                        zeta_value)
-from photongas.core import (_kernels, _series, _si_prefactor, n_hat_series,
+from photongas.core import (_series, _si_prefactor, n_hat_series,
                             r_hat_closed, v_hat_series)
 from photongas.oracle import integrate_adaptive
 
@@ -153,6 +153,22 @@ def test_spectral_density_overflow_is_domain_error_naming_it():
     params = GasParameters(mass=0.0, temperature=1e300)
     with pytest.raises(DomainError, match="^spectral_energy_density overflows"):
         spectral_energy_density(1e300, params)
+
+
+@pytest.mark.parametrize("omega", [1e-10, 1e-20, 1e-6])
+def test_spectral_density_in_the_rayleigh_jeans_corner_is_omega_squared_kt(omega):
+    # At T = 1e300 K, y = hbar omega/kT is a subnormal 7.6e-318 at
+    # omega = 1e-6 and 7.7e-322 at 1e-10, where 1/y overflows, and 0 at
+    # 1e-20, where it divides by 0.  The value is omega^2 kT/(pi^2 c^3),
+    # about 5.19e230 at omega = 1e-10.
+    params = GasParameters(mass=0.0, temperature=1e300)
+    expected = omega * omega * (SI.k_B * params.temperature) / (math.pi**2 * SI.c**3)
+    assert spectral_energy_density(omega, params) == pytest.approx(expected, rel=1e-15)
+
+
+def test_spectral_density_in_the_rayleigh_jeans_corner_underflows_to_0():
+    # omega^2 kT/(pi^2 c^3) is about 5e-350 at omega = 1e-300, T = 1e300 K.
+    assert spectral_energy_density(1e-300, GasParameters(mass=0.0, temperature=1e300)) == 0.0
 
 
 def test_spectral_density_rejects_negative_frequency():
@@ -311,17 +327,18 @@ def test_joint_mass_temperature_scaling(lam):
 
 
 def test_method_tags_follow_the_regime_switch():
-    # The trapezoid pass serves [2, x_switch); below x = 2 the series route
-    # takes the expansions about x = 0.
-    below = evaluate(params_for_x(3.0))
+    # The trapezoid pass serves [2, x_switch), here with x_switch = 4; below
+    # x = 2 the series route takes the expansions about x = 0.
+    cfg = NumericsConfig(x_switch=4.0)
+    below = evaluate(params_for_x(3.0), cfg)
     assert below.methods == {"n": "quadrature", "u": "quadrature",
                              "v": "quadrature", "R": "quadrature",
                              "R_naive": "quadrature"}
-    assert 0.5 < DEFAULT_NUMERICS.x_switch < 10.0
-    assert set(evaluate(params_for_x(2.5)).methods.values()) == {"quadrature"}
+    assert 0.5 < cfg.x_switch < 10.0
+    assert set(evaluate(params_for_x(2.5), cfg).methods.values()) == {"quadrature"}
     for x in (0.05, 0.5, 1.9):
-        assert set(evaluate(params_for_x(x)).methods.values()) == {"series"}
-    above = evaluate(params_for_x(10.0))
+        assert set(evaluate(params_for_x(x), cfg).methods.values()) == {"series"}
+    above = evaluate(params_for_x(10.0), cfg)
     assert above.methods["n"] == "series"
     assert above.methods["v"] == "series"
     assert above.methods["R"] == "series"
@@ -428,10 +445,10 @@ def test_energy_density_series_route_matches_mpmath(x):
 
 @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 1.0, 2.0, 10.0, 100.0])
 def test_mean_speed_series_route_matches_mpmath(x):
-    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  From x = 2 on it is a
-    # ratio of two sums of the Bessel pass, each stopped by its own rule.
-    # Below x = 2 both the K2 sum and Li3 + x Li2 are their expansions about
-    # x = 0.
+    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  Below x = 2 both the K2
+    # sum and Li3 + x Li2 are their expansions about x = 0, up to 40 v_hat
+    # is a Chebyshev series in ln x, and from 40 on it is 2 (1 + x) over
+    # x^2 e^x K2(x).
     mp = pytest.importorskip("mpmath")
     reduced = reduced_functions(x, NumericsConfig(x_switch=0.1))
     assert reduced.method == "series"
@@ -444,15 +461,15 @@ def test_mean_speed_series_route_matches_mpmath(x):
 
 
 @pytest.mark.parametrize("x", [1e-6, 1.43e-4, 1.94e-4, 0.0165, 0.05, 0.1, 0.5, 1.0, 2.0,
-                               math.nextafter(DEFAULT_NUMERICS.x_switch, 0.0)])
+                               math.nextafter(4.0, 0.0)])
 def test_quadrature_route_matches_mpmath(x):
-    # The route's trapezoid pass, which from x = 2 up to x_switch is the
-    # default; below 2, where the expansions serve the default route, the
-    # same pass is taken directly.
+    # The route's trapezoid pass, which serves x from 2 up to x_switch = 4;
+    # below 2, where the expansions serve every route, the same pass is
+    # taken directly.
     mp = pytest.importorskip("mpmath")
     values = oracle._moments(x, DEFAULT_NUMERICS.quad_tol)
     if x >= specfun._EXPAND_BELOW:
-        reduced = reduced_functions(x)
+        reduced = reduced_functions(x, NumericsConfig(x_switch=4.0))
         assert reduced.method == "quadrature"
         assert (reduced.n_hat, reduced.u_hat, reduced.v_hat, reduced.r_hat) == values
     with mp.workdps(30):
@@ -472,9 +489,9 @@ def test_mpmath_quadrature_reference_matches_polylog_radiance():
 
 
 def test_kernels_are_continuous_at_x_switch():
-    # At the default switch, and at 2.5, where the Bessel pass takes 11
-    # K pairs.
-    for cfg in (DEFAULT_NUMERICS, NumericsConfig(x_switch=2.5)):
+    # At x_switch = 4, the old default, and at 2.5, both inside the tables'
+    # first piece.
+    for cfg in (NumericsConfig(x_switch=4.0), NumericsConfig(x_switch=2.5)):
         below = reduced_functions(math.nextafter(cfg.x_switch, 0.0), cfg)
         above = reduced_functions(cfg.x_switch, cfg)
         assert below.method == "quadrature"
@@ -486,17 +503,35 @@ def test_kernels_are_continuous_at_x_switch():
 
 def test_kernels_are_continuous_where_the_expansions_end():
     # x = 2 is the top of the expansions' band and the bottom of the
-    # trapezoid's, or of the Bessel pass's with x_switch = 2.
+    # trapezoid's with x_switch = 4, or of the tables' by default.
     edge = specfun._EXPAND_BELOW
     below = reduced_functions(math.nextafter(edge, 0.0))
     assert below.method == "series"
-    for cfg, method in ((DEFAULT_NUMERICS, "quadrature"),
-                        (NumericsConfig(x_switch=2.0), "series")):
+    for cfg, method in ((NumericsConfig(x_switch=4.0), "quadrature"),
+                        (DEFAULT_NUMERICS, "series")):
         above = reduced_functions(edge, cfg)
         assert above.method == method
         for kernel in "nuvr":
             assert getattr(below, kernel + "_hat") == pytest.approx(
                 getattr(above, kernel + "_hat"), rel=2e-15, abs=0.0), (method, kernel)
+
+
+@pytest.mark.parametrize("edge", [2.0, 4.0, 8.0, 16.0, 40.0])
+def test_kernels_jump_by_at_most_2e15_at_the_band_and_piece_edges(edge):
+    # The expansions end at 2, the tables' pieces at 4, 8, 16 and 40, where
+    # the one-term form begins.  Each edge against the double just below
+    # it, net of the kernels' own change over that step, which mpmath gives:
+    # at 40 the step is 7.1e-15 and n_hat falls by 6.8e-15 of itself.
+    mp = pytest.importorskip("mpmath")
+    left = math.nextafter(edge, 0.0)
+    below, above = reduced_functions(left), reduced_functions(edge)
+    assert below.method == above.method == "series"
+    with mp.workdps(30):
+        changes = [a / b for a, b in zip(mpmath_kernels(mp, mp.mpf(left)),
+                                         mpmath_kernels(mp, mp.mpf(edge)))]
+        for kernel, change in zip("nuvr", changes):
+            ratio = mp.mpf(getattr(below, kernel + "_hat")) / getattr(above, kernel + "_hat")
+            assert abs(ratio / change - 1) <= 2e-15, kernel
 
 
 @pytest.mark.parametrize("x", REFERENCE_X)
@@ -517,7 +552,7 @@ def test_mean_speed_below_the_trapezoid_band_never_exceeds_one(x):
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 2.2e-163, 2e-48, 1e-47])
-@pytest.mark.parametrize("x_switch", [DEFAULT_NUMERICS.x_switch, 5e-324])
+@pytest.mark.parametrize("x_switch", [4.0, 5e-324])
 def test_states_at_tiny_x_report_the_massless_limits(x, x_switch):
     # Where the Bessel pass raised (x below about 1.2e-48) or took up to
     # 11770 K pairs, the expansions give the massless limits at once.
@@ -545,7 +580,8 @@ def counted_passes(monkeypatch) -> list[str]:
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((specfun, "_polylogs"), (specfun, "_expansions"),
-                         (specfun, "_scaled_sum"), (oracle, "_moments")):
+                         (specfun, "_sum_chebyshev"), (specfun, "_one_term"),
+                         (oracle, "_moments")):
         counted(module, name)
     return calls
 
@@ -559,12 +595,33 @@ def test_radiance_alone_below_two_takes_one_expansions_call(monkeypatch):
 
 
 def test_radiance_alone_from_two_takes_one_polylog_pass(monkeypatch):
-    # From x = 2 on the series route, R needs neither the trapezoid pass nor
-    # the Bessel pass: its closed form is one polylog pass.
+    # Anywhere on [2, 40), with the default numerics, R needs neither the
+    # trapezoid pass nor the tables: its closed form is one polylog pass.
     calls = counted_passes(monkeypatch)
-    radiance(params_for_x(2.0), NumericsConfig(x_switch=2.0))
-    radiance(params_for_x(5.0))
-    assert calls == ["_polylogs", "_polylogs"]
+    grid = (2.0, 2.5, math.nextafter(4.0, 0.0), 4.0, 5.0, 10.0, 25.0,
+            math.nextafter(40.0, 0.0))
+    for x in grid:
+        radiance(params_for_x(x))
+    assert calls == ["_polylogs"] * len(grid)
+
+
+@pytest.mark.parametrize("x", [2.0, 3.0, 39.5, 40.0, 1e3, 1e300])
+def test_series_from_two_takes_only_the_passes_its_keys_need(monkeypatch, x):
+    # Up to 40 the radiance takes one polylog pass and n, u and v one table
+    # loop; from 40 on the radiance takes neither, and n, u and v one K pair.
+    calls = counted_passes(monkeypatch)
+    sums = "_sum_chebyshev" if x < 40.0 else "_one_term"
+    for size in range(1, 5):
+        for keys in itertools.combinations("nuvR", size):
+            del calls[:]
+            values = _series(x, "".join(keys))
+            expected = []
+            if "R" in keys and x < 40.0:
+                expected.append("_polylogs")
+            if keys != ("R",):
+                expected.append(sums)
+            assert calls == expected, keys
+            assert set(keys) <= set(values)
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-8, 0.5, 1.0, math.nextafter(2.0, 0.0)])
@@ -595,13 +652,14 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
 
 
 def test_convergence_failure_names_the_quantity(monkeypatch):
-    # x ~ 3.1 takes the trapezoid pass by default; after one halving of its
-    # step the radiance still changes by 2e-5, above quad_tol.
+    # x ~ 3.1 takes the trapezoid pass with x_switch = 4; after one halving
+    # of its step the radiance still changes by 2e-5, above quad_tol.
     x = 3.0945381657466884
-    converged = reduced_functions(x).r_hat
+    cfg = NumericsConfig(x_switch=4.0)
+    converged = reduced_functions(x, cfg).r_hat
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
-    for call in (lambda: reduced_functions(x),
-                 lambda: evaluate(params_for_x(x))):
+    for call in (lambda: reduced_functions(x, cfg),
+                 lambda: evaluate(params_for_x(x), cfg)):
         with pytest.raises(ConvergenceError) as excinfo:
             call()
         assert str(excinfo.value).startswith("radiance")
@@ -611,12 +669,15 @@ def test_convergence_failure_names_the_quantity(monkeypatch):
         assert 0.0 < abs(value - converged) <= excinfo.value.error
 
 
-# From x = 2 up the Bessel pass serves the series route, to a few ulps.  At
-# 20 digits the reference itself is off by up to 5.5e-15 near x = 30.
+# From x = 2 up the kernels of the Bessel sums, n_hat, u_hat and v_hat, come
+# from the Chebyshev tables and at 40 from the one-term form, to a few ulps.
+# The tables are generated from perfbench/reference.py; this reference is
+# mpmath's tanh-sinh quadrature, which shares no algorithm with it.  At 20
+# digits the reference itself is off by up to 5.5e-15 near x = 30.
 @pytest.mark.parametrize("x", [2.0 * 20 ** (k / 29) for k in range(30)])
 def test_bessel_pass_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
-    kernels = _kernels(x, *specfun._scaled_sum(x)[:3])
+    kernels = _series(x, "nuv")
     with mp.workdps(30):
         reference = mpmath_kernels(mp, mp.mpf(x))
     for key, expected in zip("nuv", reference):
@@ -624,7 +685,7 @@ def test_bessel_pass_matches_mpmath(x):
 
 
 # Below x = 2 the series route takes the expansions about x = 0, from 2 on
-# the Bessel pass: both hold it to a few ulps.
+# the tables and the polylog pass: both hold it to a few ulps.
 @pytest.mark.parametrize("x", [4.0 ** (k / 12) for k in range(12)])
 def test_series_route_from_one_to_four_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
@@ -651,7 +712,8 @@ def test_series_route_reaches_small_x():
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0])
 @pytest.mark.parametrize("x_switch", [4.0, 1e-5])
 def test_an_x_that_is_not_a_finite_number_at_least_0_is_refused_at_once(x, x_switch):
-    # The Bessel pass has no term cap, so a nan x must never reach it.
+    # The series route checks x before any work: a nan x would fall
+    # through every band edge.
     cfg = NumericsConfig(x_switch=x_switch)
     start = time.thread_time()
     with pytest.raises(DomainError, match=r"^reduced x must be finite and >= 0"):

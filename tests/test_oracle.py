@@ -239,7 +239,8 @@ def test_last_node_reaches_the_tail(x, tail, monkeypatch):
 
 
 def test_exhausted_ladder_reports_the_quantity_and_its_estimate(monkeypatch):
-    # x = 2.5 lies in [2, x_switch), where the default route takes the pass.
+    # x = 2.5 lies in [2, x_switch) with x_switch = 4, where the route takes
+    # the pass.
     converged = dict(zip(oracle._QUANTITIES, oracle._moments(2.5)))
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
     with pytest.raises(ConvergenceError, match=r"^\w+: trapezoid ladder") as excinfo:
@@ -250,7 +251,7 @@ def test_exhausted_ladder_reports_the_quantity_and_its_estimate(monkeypatch):
     assert err.value == pytest.approx(converged[quantity], rel=1e-5)
     assert 0.0 < err.error <= 1e-5 * err.value
     with pytest.raises(ConvergenceError, match=f"^{quantity}: trapezoid ladder"):
-        reduced_functions(2.5, NumericsConfig(quad_tol=1e-14))
+        reduced_functions(2.5, NumericsConfig(quad_tol=1e-14, x_switch=4.0))
 
 
 @given(st.floats(min_value=0.0, max_value=1e-2))
@@ -262,6 +263,7 @@ def test_mean_speed_never_exceeds_one(x):
 
 
 def test_evaluation_below_the_switch_takes_one_pass(monkeypatch):
+    # x = 3 lies in [2, x_switch) with x_switch = 4.
     calls = []
     moments = oracle._moments
 
@@ -272,6 +274,6 @@ def test_evaluation_below_the_switch_takes_one_pass(monkeypatch):
     monkeypatch.setattr(oracle, "_moments", counted)
     x = 3.0
     mass = x * SI.k_B * 300.0 / (SI.c * SI.c)
-    report = evaluate(GasParameters(mass=mass, temperature=300.0))
+    report = evaluate(GasParameters(mass=mass, temperature=300.0), NumericsConfig(x_switch=4.0))
     assert report.method == "quadrature"
     assert len(calls) == 1

@@ -220,9 +220,40 @@ def test_tables_match_their_generator():
     blocks = printed.split("\n)\n")
     assert [block.split(" = ")[0] for block in blocks[:-1]] == [
         "_K01_CHEBYSHEV", "_HANKEL", "_PI_POWERS", "_K2_SUM_EXPANSION",
-        "_ENERGY_SUM_EXPANSION"]
+        "_ENERGY_SUM_EXPANSION", "_SUM_CHEBYSHEV"]
     for block in blocks[:-1]:
         assert block + "\n)\n" in source, block.split(" = ")[0]
+
+
+_PIECE_EDGES = (2.0, 4.0, 8.0, 16.0, 40.0)
+
+
+@pytest.mark.parametrize("x", [math.nextafter(edge, 0.0) for edge in _PIECE_EDGES[1:]]
+                         + list(_PIECE_EDGES[:-1]) + [3.0, 5.7, 11.0, 25.0])
+def test_sum_tables_match_mpmath(x):
+    # a = pi^2 e^x n_hat/x^1.5, b = pi^2 e^x u_hat/x^2.5 and c = sqrt(x) v_hat
+    # at every piece edge, its left neighbour and inside each piece, against
+    # mpmath's tanh-sinh quadrature of the defining integrals at 30 digits
+    # (tests/mpmath_reference.py), which shares no algorithm with the
+    # tables' generator.  The worst of the three there is 1.6e-16.
+    mp = pytest.importorskip("mpmath")
+    values = specfun._sum_chebyshev(x)
+    with mp.workdps(30):
+        xm = mp.mpf(x)
+        n_hat, u_hat, v_hat, _ = mpmath_kernels(mp, xm)
+        scale = mp.pi**2 * mp.exp(xm) / mp.sqrt(xm)
+        reference = (scale * n_hat / xm, scale * u_hat / xm**2, mp.sqrt(xm) * v_hat)
+    for value, expected in zip(values, reference):
+        assert value == pytest.approx(float(expected), rel=2.5e-16, abs=0.0)
+
+
+def test_sum_tables_take_their_rows_by_piece():
+    # 16 rows on [2, 4), 17 on [4, 16), 19 on [16, 40); the public views
+    # report them as their terms, and 1 from x = 40 on.
+    counts = [specfun._sum_chebyshev(x)[-1] for x in _PIECE_EDGES[:-1]]
+    assert counts == [16, 17, 17, 19] == [len(rows) for *_, rows in specfun._SUM_CHEBYSHEV]
+    assert [top for top, *_ in specfun._SUM_CHEBYSHEV] == list(_PIECE_EDGES[1:])
+    assert [k2_weighted_sum(x).terms for x in (2.0, 39.9, 40.0, 1e300)] == [16, 19, 1, 1]
 
 
 def test_polylog_expansion_columns_are_exact_rationals():
@@ -405,9 +436,10 @@ def test_expansions_match_mpmath(x):
 # ---------------------------------------------------------------------------
 
 def test_k2_weighted_sum_large_x_single_term():
-    result = k2_weighted_sum(20.0)
-    assert result.value == pytest.approx(bessel_k2(20.0), rel=math.exp(-20.0) * 10)
-    assert result.terms <= 4
+    # From x = 40 on the sum is its first term to double precision.
+    result = k2_weighted_sum(40.0)
+    assert result.value == pytest.approx(bessel_k2(40.0), rel=1e-15)
+    assert result.terms == 1
 
 
 def test_k2_weighted_sum_matches_brute_force():
@@ -444,8 +476,9 @@ def test_energy_bessel_sum_matches_brute_force():
 
 @pytest.mark.parametrize("x", [1e-8 * 4e9 ** (k / 39) for k in range(40)])
 def test_weighted_sums_match_mpmath(x):
-    # Below x = 2 the views divide the expansions by x^2 and x^4, from 2 on
-    # they scale the Bessel pass by e^-x.  The reference is pi^2 n_hat/x^2
+    # Below x = 2 the views divide the expansions by x^2 and x^4, up to 40
+    # they take the tables' a/sqrt(x) and b/x^1.5 times e^-x, from there on
+    # the first term times e^-x.  The reference is pi^2 n_hat/x^2
     # and pi^2 u_hat/x^4 by mpmath's quadrature of the defining integrals.
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
