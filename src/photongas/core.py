@@ -38,6 +38,7 @@ from .units import SI, GasParameters, reduce
 SERIES = "series"
 QUADRATURE = "quadrature"
 
+_PI2 = math.pi**2
 _R_HAT_MAX = specfun._PI_POWERS[3]  # pi^2/60
 _SLACK = 1e-9  # relative slack for invariants that are exact only in real arithmetic
 
@@ -77,6 +78,7 @@ class ReducedFunctions:
 
     One rule routes all four at a given x: "series" is the closed-form route
     (including the exact massless limits), "quadrature" the integral route.
+    evaluate builds none: it checks its kernels with _check_kernels alone.
     """
 
     x: float
@@ -87,14 +89,7 @@ class ReducedFunctions:
     method: str
 
     def __post_init__(self):
-        for name in ("n_hat", "u_hat", "v_hat", "r_hat"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.v_hat > 1.0 + _SLACK:
-            raise DomainError(f"v_hat must not exceed 1, got {self.v_hat!r}")
-        if self.r_hat > _R_HAT_MAX * (1.0 + _SLACK):
-            raise DomainError(f"r_hat must not exceed pi^2/60, got {self.r_hat!r}")
+        _check_kernels(self.n_hat, self.u_hat, self.v_hat, self.r_hat)
         if self.method not in (SERIES, QUADRATURE):
             raise DomainError(f"method must be 'series' or 'quadrature', got {self.method!r}")
 
@@ -120,6 +115,11 @@ class RadiometryReport:
         return dict.fromkeys(("n", "u", "v", "R", "R_naive"), self.method)
 
     def __post_init__(self):
+        r, r_naive = self.radiance, self.radiance_naive
+        if (0.0 <= self.number_density < math.inf and 0.0 <= self.energy_density < math.inf
+                and 0.0 <= self.mean_speed <= SI.c * (1.0 + _SLACK)
+                and 0.0 <= r < math.inf and r <= r_naive * (1.0 + _SLACK) and r_naive < math.inf):
+            return
         for name in ("number_density", "energy_density", "mean_speed",
                      "radiance", "radiance_naive"):
             value = getattr(self, name)
@@ -129,6 +129,20 @@ class RadiometryReport:
             raise DomainError(f"mean_speed must not exceed c, got {self.mean_speed!r}")
         if self.radiance > self.radiance_naive * (1.0 + _SLACK):
             raise DomainError("radiance must not exceed the naive c/4 value")
+
+
+def _check_kernels(n: float, u: float, v: float, r: float) -> None:
+    """Refuse kernels that are not finite and >= 0, a v_hat above 1 or an
+    r_hat above pi^2/60, naming the first such kernel in that order."""
+    if (0.0 <= n < math.inf and 0.0 <= u < math.inf and 0.0 <= v <= 1.0 + _SLACK
+            and 0.0 <= r <= _R_HAT_MAX * (1.0 + _SLACK)):
+        return
+    for name, value in (("n_hat", n), ("u_hat", u), ("v_hat", v), ("r_hat", r)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+    if v > 1.0 + _SLACK:
+        raise DomainError(f"v_hat must not exceed 1, got {v!r}")
+    raise DomainError(f"r_hat must not exceed pi^2/60, got {r!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,26 +176,25 @@ def _series(x: float, keys: str) -> dict[str, float]:
         return {key: _KERNELS[key][1] for key in keys}
     if x < specfun._EXPAND_BELOW:
         s, e, p, q, _ = specfun._expansions(x)
-        return {"n": s / math.pi**2, "u": e / math.pi**2, "v": 2.0 * p / s,
-                "R": 1.5 / math.pi**2 * q}
+        return {"n": s / _PI2, "u": e / _PI2, "v": 2.0 * p / s, "R": 1.5 / _PI2 * q}
     values = {}
     if x < specfun._ONE_TERM_FROM:
         if "R" in keys:
             li2, li3, li4 = specfun._polylogs(x)
-            values["R"] = 1.5 / math.pi**2 * (li4 + x * li3 + x * (x / 3.0 * li2))
+            values["R"] = 1.5 / _PI2 * (li4 + x * li3 + x * (x / 3.0 * li2))
         if keys != "R":
             a, b, c, _ = specfun._sum_chebyshev(x)
             root = math.sqrt(x)
-            scale = math.exp(-x) * x * root / math.pi**2
+            scale = math.exp(-x) * x * root / _PI2
             values.update(n=a * scale, u=b * scale * x, v=c / root)
         return values
     h = math.exp(-0.5 * x)
     if "R" in keys:
-        values["R"] = 1.5 / math.pi**2 * (h + x * h + x * (x / 3.0 * h)) * h
+        values["R"] = 1.5 / _PI2 * (h + x * h + x * (x / 3.0 * h)) * h
     if keys != "R":
         s, e, p = specfun._one_term(x)
-        values.update(n=h * s * x * x / math.pi**2 * h,
-                      u=h * e * x * x * x * x / math.pi**2 * h,
+        values.update(n=h * s * x * x / _PI2 * h,
+                      u=h * e * x * x * x * x / _PI2 * h,
                       v=p / x * 2.0 / (x * s))
     return values
 
@@ -204,7 +217,7 @@ def r_hat_closed(x: float) -> float:
 # Per kernel: the SI quantity it scales to, whose quadrature oracle is
 # oracle.quad_<quantity>, and its exact massless limit.
 _KERNELS = {
-    "n": ("number_density", 2.0 * specfun.zeta_value(3) / math.pi**2),
+    "n": ("number_density", 2.0 * specfun.zeta_value(3) / _PI2),
     "u": ("energy_density", specfun._PI_POWERS[2]),  # pi^2/15
     "v": ("mean_speed", 1.0),
     "R": ("radiance", _R_HAT_MAX),
@@ -236,34 +249,34 @@ def reduced_functions(x: float, cfg: NumericsConfig | None = None) -> ReducedFun
 # SI wrappers.
 # ---------------------------------------------------------------------------
 
-# Powers (k, j) of the SI prefactor (g/2) (kT)^k (kT/hbar c)^3 c^j per kernel.
-_SI_POWERS = {"n": (0, 0), "u": (1, 0), "R": (1, 1)}
+def _si_prefactors(params: GasParameters, keys: str) -> dict[str, float]:
+    """SI value of one unit of each kernel, from one kT, keyed like _series.
 
-
-def _si_prefactor(params: GasParameters, key: str) -> float:
-    """SI value of one unit of a reduced kernel; c for the mean speed.
-
-    Raises DomainError, naming the quantity, when the prefactor leaves the
-    double range: above about 4.8e78 K for the radiance, 6.3e80 K for the
-    energy density and 1.3e100 K for the number density.
+    n is (g/2) (kT/hbar c)^3, u that times kT, R u times c, and v is c.
+    Those named in keys, a string over "nuvR", are checked each on its own,
+    in the order of keys: the first out of the double range raises
+    DomainError naming its quantity.  For g = 2 that is R above about
+    4.8e78 K, u above 6.3e80 K and n above 1.3e100 K; a huge g can push
+    n out alone.
     """
-    if key == "v":
-        return SI.c
-    k, j = _SI_POWERS[key]
     kt = SI.k_B * params.temperature
+    half_g = 0.5 * params.degeneracy
     try:
-        value = 0.5 * params.degeneracy * kt**k * (kt / (SI.hbar * SI.c)) ** 3 * SI.c**j
+        cube = (kt / (SI.hbar * SI.c)) ** 3
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"{_KERNELS[key][0]}: SI prefactor overflows at "
-                          f"T={params.temperature!r} K, g={params.degeneracy!r}")
-    return value
+        cube = math.inf
+    u = half_g * kt * cube
+    values = {"n": half_g * cube, "u": u, "v": SI.c, "R": u * SI.c}
+    for key in keys:
+        if not values[key] < math.inf:
+            raise DomainError(f"{_KERNELS[key][0]}: SI prefactor overflows at "
+                              f"T={params.temperature!r} K, g={params.degeneracy!r}")
+    return values
 
 
 def _si_value(key: str, params: GasParameters, cfg: NumericsConfig | None) -> float:
     values, _ = _route(reduce(params).x, cfg or DEFAULT_NUMERICS, key)
-    return values[key] * _si_prefactor(params, key)
+    return values[key] * _si_prefactors(params, key)[key]
 
 
 def number_density(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
@@ -333,7 +346,7 @@ def spectral_energy_density(omega: float, params: GasParameters) -> float:
     if params.mass > 0.0:
         ratio = threshold / omega
         speed_factor = math.sqrt(1.0 - ratio * ratio)
-    prefactor = 0.5 * params.degeneracy * SI.hbar / (math.pi**2 * SI.c**3)
+    prefactor = 0.5 * params.degeneracy * SI.hbar / (_PI2 * SI.c**3)
     # Taken over the factors' frexp parts: omega^3 alone overflows from omega
     # of about 5.6e102, where the product may not.  An empty mode gives 0.
     mantissa, exponent = 1.0, 0
@@ -373,8 +386,8 @@ def small_mass_radiance(params: GasParameters) -> float:
     evaluated as stated either way.
     """
     x = reduce(params).x
-    stefan = _si_prefactor(params, "R") * _R_HAT_MAX
-    return stefan * (1.0 - 2.5 / math.pi**2 * x * x)
+    stefan = _si_prefactors(params, "R")["R"] * _R_HAT_MAX
+    return stefan * (1.0 - 2.5 / _PI2 * x * x)
 
 
 def low_temp_radiance(params: GasParameters) -> float:
@@ -383,7 +396,7 @@ def low_temp_radiance(params: GasParameters) -> float:
     Meaningful for x > 1; the caller checks the regime.
     """
     x = reduce(params).x
-    return _si_prefactor(params, "R") * x * x * math.exp(-x) / (2.0 * math.pi**2)
+    return _si_prefactors(params, "R")["R"] * x * x * math.exp(-x) / (2.0 * _PI2)
 
 
 def low_temp_mean_speed(params: GasParameters) -> float:
@@ -409,17 +422,13 @@ def _report(params: GasParameters, x: float, cfg: NumericsConfig | None) -> Radi
     """The report of params, with its kernels evaluated and routed at x.
 
     x is mc^2/kT of params up to rounding; an x sweep passes its grid value,
-    so the printed x and the route are those of the grid.
+    so the printed x and the route are those of the grid.  The kernels come
+    from _route, checked once, and scale by the prefactors of one kT.
     """
-    red = reduced_functions(x, cfg)
-    u_si = red.u_hat * _si_prefactor(params, "u")
-    return RadiometryReport(
-        params=params,
-        x=red.x,
-        number_density=red.n_hat * _si_prefactor(params, "n"),
-        energy_density=u_si,
-        mean_speed=red.v_hat * _si_prefactor(params, "v"),
-        radiance=red.r_hat * _si_prefactor(params, "R"),
-        radiance_naive=0.25 * SI.c * u_si,
-        method=red.method,
-    )
+    values, method = _route(x, cfg or DEFAULT_NUMERICS, "nuvR")
+    n, u, v, r = values["n"], values["u"], values["v"], values["R"]
+    _check_kernels(n, u, v, r)
+    si = _si_prefactors(params, "unvR")
+    u_si = u * si["u"]
+    return RadiometryReport(params, x, n * si["n"], u_si, v * si["v"], r * si["R"],
+                            0.25 * SI.c * u_si, method)

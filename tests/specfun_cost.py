@@ -13,7 +13,10 @@ each route: the trapezoid pass ``oracle._moments``, and the series route
 ``core._series`` in each of its bands, below x = 2 the one loop over the
 expansions about x = 0, from 2 up to 40 the Chebyshev tables with the
 polylog pass, and from 40 on one K pair; of ``core.reduced_functions`` on
-the default route, which wraps them; and of ``core.r_hat_closed`` alone.
+the default route, which wraps them; of ``core.r_hat_closed`` alone; and,
+as ``evaluate_us``, of ``core.evaluate`` on a mass of 1 eV at T = mc^2/(k_B x),
+the whole SI report, whose excess over ``default_route_us`` is the cost of
+the report on top of the kernels.
 The routes are timed as this checkout's package calls them, so --routes
 needs a src of the same version.
 """
@@ -88,7 +91,7 @@ def main() -> None:
     parser.add_argument("--routes", action="store_true")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    from photongas import core, oracle, specfun
+    from photongas import core, oracle, specfun, units
 
     result = {
         "k01_scaled_us": {repr(z): cost_us(specfun._k01_scaled, z) for z in Z_GRID},
@@ -111,6 +114,10 @@ def main() -> None:
         result["default_route_us"] = {repr(x): cost_us(core.reduced_functions, x)
                                       for x in X_GRID}
         result["r_hat_closed_us"] = {repr(x): cost_us(core.r_hat_closed, x) for x in X_GRID}
+        mass, si = units.parse_mass("1eV"), units.SI
+        result["evaluate_us"] = {
+            repr(x): cost_us(core.evaluate, units.GasParameters(mass, mass * si.c**2 / (si.k_B * x)))
+            for x in X_GRID}
     print(json.dumps(result, indent=1))
 
 

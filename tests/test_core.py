@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photongas import (DEFAULT_NUMERICS, SI, ConvergenceError, DomainError,
-                       GasParameters, NumericsConfig, RegimeError,
+                       GasParameters, NumericsConfig, RadiometryReport, RegimeError, cli, core,
                        energy_density, evaluate, low_temp_mean_speed,
                        low_temp_radiance, mean_speed, number_density, oracle,
                        photon_speed, quad_energy_density, quad_mean_speed,
@@ -19,7 +19,7 @@ from photongas import (DEFAULT_NUMERICS, SI, ConvergenceError, DomainError,
                        radiance_naive, reduce, reduced_functions,
                        small_mass_radiance, spectral_energy_density, specfun,
                        zeta_value)
-from photongas.core import (_series, _si_prefactor, n_hat_series,
+from photongas.core import (_series, _si_prefactors, n_hat_series,
                             r_hat_closed, v_hat_series)
 from photongas.oracle import integrate_adaptive
 
@@ -645,7 +645,7 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
             ("u", "u_hat", "energy_density", energy_density),
             ("v", "v_hat", "mean_speed", mean_speed),
             ("R", "r_hat", "radiance", radiance)):
-        expected = getattr(reduced, kernel) * _si_prefactor(params, key)
+        expected = getattr(reduced, kernel) * _si_prefactors(params, key)[key]
         assert getattr(report, quantity) == expected
         assert wrapper(params) == expected
     assert report.radiance_naive == 0.25 * SI.c * report.energy_density
@@ -780,3 +780,100 @@ def test_si_prefactor_just_inside_double_range_stays_finite():
     # At T = 1e100 K the number-density prefactor is 8.3e307, still a double.
     value = number_density(GasParameters(mass=1e-40, temperature=1e100))
     assert math.isfinite(value) and value > 1e307
+
+
+@pytest.mark.parametrize("g", [5e-324, 1.0, 2.0, 3.0, 1e200, 1e300])
+def test_si_prefactors_are_the_one_prefactor_expression_bit_for_bit(g):
+    # (g/2) (kT)^k (kT/hbar c)^3 c^j, with (k, j) = (0, 0) for n, (1, 0) for
+    # u and (1, 1) for R, each as one expression; c for v.
+    powers = {"n": (0, 0), "u": (1, 0), "R": (1, 1)}
+    for i in range(400):
+        temperature = 10.0 ** (-300 + 401 * i / 399)
+        params = GasParameters(mass=0.0, temperature=temperature, degeneracy=g)
+        kt = SI.k_B * temperature
+        expected = {"v": SI.c}
+        for key, (k, j) in powers.items():
+            try:
+                expected[key] = 0.5 * g * kt**k * (kt / (SI.hbar * SI.c)) ** 3 * SI.c**j
+            except OverflowError:
+                expected[key] = math.inf
+        if all(map(math.isfinite, expected.values())):
+            assert _si_prefactors(params, "nuvR") == expected, temperature
+        for key, value in expected.items():
+            if math.isfinite(value):
+                assert _si_prefactors(params, key)[key] == value, (key, temperature)
+            else:
+                with pytest.raises(DomainError, match=rf"^{core._KERNELS[key][0]}: SI "):
+                    _si_prefactors(params, key)
+
+
+@pytest.mark.parametrize("temperature, g, quantity", [
+    (300.0, 1e300, "number_density"), (1e79, 2.0, "radiance"),
+    (1e81, 2.0, "energy_density")])
+def test_evaluate_names_the_first_prefactor_that_overflows(temperature, g, quantity):
+    # The report checks the prefactors in the order u, n, R, each on its own:
+    # at 300 K only n's overflows, at 1e79 K only R's, at 1e81 K u's and R's.
+    params = GasParameters(mass=1e-36, temperature=temperature, degeneracy=g)
+    with pytest.raises(DomainError) as excinfo:
+        evaluate(params)
+    assert str(excinfo.value) == (f"{quantity}: SI prefactor overflows at "
+                                  f"T={temperature!r} K, g={g!r}")
+
+
+def test_number_density_alone_is_finite_where_the_other_prefactors_overflow():
+    params = GasParameters(mass=1e-40, temperature=1e90)
+    assert 0.0 < number_density(params) < math.inf
+    with pytest.raises(DomainError, match="^energy_density: SI prefactor overflows"):
+        evaluate(params)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", math.nan, "n_hat must be finite and >= 0, got nan"),
+    ("v", 1.01, "v_hat must not exceed 1, got 1.01"),
+    ("R", 0.1645 * 1.01, f"r_hat must not exceed pi^2/60, got {0.1645 * 1.01!r}")])
+def test_every_path_refuses_a_broken_kernel_by_name(monkeypatch, capsys, key, value, message):
+    series = core._series
+
+    def broken(x, keys):
+        values = series(x, keys)
+        values[key] = value
+        return values
+
+    monkeypatch.setattr(core, "_series", broken)
+    for call in (lambda: evaluate(params_for_x(0.5)), lambda: reduced_functions(0.5)):
+        with pytest.raises(DomainError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+    code = cli.main(["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.5",
+                     "--x-max", "1", "--points", "2"])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
+def test_evaluate_builds_no_reduced_functions(monkeypatch):
+    def refused(*args):
+        raise AssertionError("evaluate built a ReducedFunctions")
+
+    states = [params_for_x(x) for x in (0.0, 0.5, 3.0, 100.0)]
+    reports = [evaluate(params) for params in states]
+    monkeypatch.setattr(core, "ReducedFunctions", refused)
+    with pytest.raises(AssertionError):
+        reduced_functions(0.5)
+    assert [evaluate(params) for params in states] == reports
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("number_density", math.nan, "number_density must be finite and >= 0, got nan"),
+    ("energy_density", math.inf, "energy_density must be finite and >= 0, got inf"),
+    ("mean_speed", -1.0, "mean_speed must be finite and >= 0, got -1.0"),
+    ("mean_speed", 3e8, "mean_speed must not exceed c, got 300000000.0"),
+    ("radiance", math.inf, "radiance must be finite and >= 0, got inf"),
+    ("radiance", 2.0, "radiance must not exceed the naive c/4 value"),
+    ("radiance_naive", math.nan, "radiance_naive must be finite and >= 0, got nan"),
+])
+def test_report_names_the_first_broken_field(field, value, message):
+    fields = dict(params=params_for_x(1.0), x=1.0, number_density=1.0, energy_density=1.0,
+                  mean_speed=1.0, radiance=1.0, radiance_naive=1.0, method="series")
+    RadiometryReport(**fields)
+    with pytest.raises(DomainError) as excinfo:
+        RadiometryReport(**{**fields, field: value})
+    assert str(excinfo.value) == message
