@@ -4,11 +4,10 @@ Closed-form kernels (Bessel-K2 sums and polylogarithms) paired with
 independent quadrature oracles over the defining Bose-Einstein integrals.
 """
 
-from .core import (DEFAULT_NUMERICS, NumericsConfig, RadiometryReport,
-                   ReducedFunctions, energy_density, evaluate,
-                   low_temp_mean_speed, low_temp_radiance, mean_speed,
-                   number_density, photon_speed, radiance, radiance_naive,
-                   reduced_functions, small_mass_radiance,
+from .core import (RadiometryReport, ReducedFunctions, energy_density,
+                   evaluate, low_temp_mean_speed, low_temp_radiance,
+                   mean_speed, number_density, photon_speed, radiance,
+                   radiance_naive, reduced_functions, small_mass_radiance,
                    spectral_energy_density)
 from .errors import (ConvergenceError, DomainError, MassParseError,
                      RegimeError)
@@ -21,7 +20,6 @@ from .units import (SI, GasParameters, PhysicalConstants, ReducedState,
                     format_mass, parse_mass, reduce)
 
 __all__ = [
-    "DEFAULT_NUMERICS", "NumericsConfig",
     "RadiometryReport", "ReducedFunctions", "energy_density", "evaluate",
     "low_temp_mean_speed", "low_temp_radiance", "mean_speed",
     "number_density", "photon_speed", "radiance", "radiance_naive",
@@ -36,4 +34,4 @@ __all__ = [
     "format_mass", "parse_mass", "reduce",
 ]
 
-__version__ = "0.10.1"
+__version__ = "0.11.0"

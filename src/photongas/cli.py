@@ -1,9 +1,12 @@
 """Command-line front end: point reports, sweeps, the mean-speed figure, and
 the series-vs-quadrature validation gate.
 
-Exit codes: 0 ok, 1 validation failure, 2 usage error, 3 numerical
-non-convergence.  All numeric output uses 17 significant digits so repeated
-runs are byte-identical and every cell round-trips through float parsing.
+point, sweep and figure take the series route at every x and have no
+numerics flag; only validate takes one, --quad-tol, the tolerance of its
+trapezoid oracle.  Exit codes: 0 ok, 1 validation failure, 2 usage error,
+3 numerical non-convergence (of validate's oracle).  All numeric output uses
+17 significant digits so repeated runs are byte-identical and every cell
+round-trips through float parsing.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 import sys
 
 from . import core, oracle
-from .core import DEFAULT_NUMERICS, NumericsConfig
 from .errors import ConvergenceError, DomainError, MassParseError, RegimeError
 from .units import SI, GasParameters, parse_mass, reduce
 
@@ -76,10 +78,6 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _numerics_from_args(args: argparse.Namespace) -> NumericsConfig:
-    return NumericsConfig(args.quad_tol, args.x_switch)
-
-
 # ---------------------------------------------------------------------------
 # point
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ def _render_point_json(report: core.RadiometryReport) -> str:
 def _cmd_point(args: argparse.Namespace) -> int:
     params = GasParameters(mass=parse_mass(args.mass), temperature=args.temp,
                            degeneracy=args.g)
-    report = core.evaluate(params, _numerics_from_args(args))
+    report = core.evaluate(params)
     if args.format == "text":
         text = _render_point_text(report)
     elif args.format == "json":
@@ -129,7 +127,6 @@ def _cmd_point(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _numerics_from_args(args)
     mass = parse_mass(args.mass)
     by_x = args.variable == "x"
     if by_x and mass <= 0:
@@ -145,10 +142,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             temperature = value
         params = GasParameters(mass=mass, temperature=temperature, degeneracy=args.g)
-        # An x sweep prints and routes by its grid x, not by mc^2/kT
+        # An x sweep prints and evaluates at its grid x, not at mc^2/kT
         # recomputed from the rounded T.
         x = value if by_x else reduce(params).x
-        report = core._report(params, x, cfg)
+        report = core._report(params, x)
         rows.append(",".join([str(index)] + _report_cells(report)))
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
@@ -158,13 +155,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # figure mean-speed
 # ---------------------------------------------------------------------------
 
-def _figure_rows(grid: list[float], cfg: NumericsConfig) -> list[tuple[float, float, float, float | None]]:
+def _figure_rows(grid: list[float]) -> list[tuple[float, float, float, float | None]]:
     rows = []
     for x in grid:
         kt_ratio = 1.0 / x
         if kt_ratio == math.inf:
             raise DomainError(f"kT/mc^2 = 1/x overflows at x={x!r}")
-        v_hat = core._route(x, cfg, "v")[0]["v"]
+        v_hat = core._series(x, "v")["v"]
         # 8/pi/x, not 8/(pi x): pi x overflows for x near the largest double.
         approx = math.sqrt(8.0 / math.pi / x) if x > _NONREL_MIN_X else None
         rows.append((x, kt_ratio, v_hat, approx))
@@ -238,8 +235,7 @@ def _figure_svg(rows) -> str:
 
 
 def _cmd_figure_mean_speed(args: argparse.Namespace) -> int:
-    cfg = _numerics_from_args(args)
-    rows = _figure_rows(_grid(args.x_min, args.x_max, args.points, args.spacing), cfg)
+    rows = _figure_rows(_grid(args.x_min, args.x_max, args.points, args.spacing))
     csv = _figure_csv(rows)
     svg = None if args.svg is None else _figure_svg(rows)
     _write_output(csv, args.out)
@@ -256,16 +252,15 @@ _KERNEL_NAMES = ("n_hat", "u_hat", "v_hat", "r_hat")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _numerics_from_args(args)
     worst = dict.fromkeys(_KERNEL_NAMES, (0.0, VALIDATE_GRID[0]))
     lines = ["closed-form vs quadrature validation",
              "x grid: " + " ".join(f"{x:g}" for x in VALIDATE_GRID)]
     eq18_line = None
     for x in VALIDATE_GRID:
-        # Two routes that share nothing but arithmetic, at every grid x,
-        # whatever x_switch says: the trapezoid and the series route, which
-        # takes every kernel from the expansions about x = 0 below x = 2.
-        quad_values = oracle._moments(x, cfg.quad_tol)
+        # Two routes that share nothing but arithmetic, at every grid x: the
+        # trapezoid oracle and the series route, the one every public
+        # kernel takes.
+        quad_values = oracle._moments(x, args.quad_tol)
         closed = core._series(x, "nuvR")
         for key, quad, kernel in zip(_KERNEL_NAMES, quad_values, "nuvR"):
             residual = abs(closed[kernel] / quad - 1.0)
@@ -289,19 +284,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser / entry point
 # ---------------------------------------------------------------------------
-
-def _add_numerics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--quad-tol", type=float, default=DEFAULT_NUMERICS.quad_tol,
-                        help="relative tolerance of the quadrature: the trapezoid "
-                             "step is halved until every moment changes by less")
-    parser.add_argument("--x-switch", type=float, default=DEFAULT_NUMERICS.x_switch,
-                        help="on [2, x_switch) every kernel comes from one "
-                             "trapezoid pass; everywhere else from the series "
-                             "route: below 2 the expansions about x = 0, from "
-                             "2 on Chebyshev tables up to 40, one K pair from "
-                             "there and one polylog pass, with no tolerance; "
-                             "the default 2 takes the series route everywhere")
-
 
 def _add_sweep_flags(parser: argparse.ArgumentParser, default_points: int) -> None:
     parser.add_argument("--x-min", type=float, default=0.01)
@@ -331,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "longitudinal state is assumed unthermalized)")
     point.add_argument("--format", choices=("text", "csv", "json"), default="text")
     point.add_argument("--out", default=None, help="write output to this path")
-    _add_numerics_flags(point)
     point.set_defaults(func=_cmd_point)
 
     sweep = sub.add_parser("sweep", help="tabulate a grid over T or x as CSV")
@@ -344,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="highest temperature in K (temperature sweeps)")
     sweep.add_argument("--g", type=float, default=2.0)
     sweep.add_argument("--out", default=None)
-    _add_numerics_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     figure = sub.add_parser("figure", help="reproduce reference figures")
@@ -357,13 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(mean_speed, default_points=50)
     mean_speed.add_argument("--out", default=None, help="CSV output path")
     mean_speed.add_argument("--svg", default=None, help="also emit an SVG plot")
-    _add_numerics_flags(mean_speed)
     mean_speed.set_defaults(func=_cmd_figure_mean_speed)
 
     validate = sub.add_parser(
         "validate", help="compare closed forms against the quadrature oracle"
     )
-    _add_numerics_flags(validate)
+    validate.add_argument("--quad-tol", type=float, default=oracle.QUAD_TOL,
+                          help="relative tolerance of the quadrature oracle: the "
+                               "trapezoid step is halved until every moment "
+                               "changes by less")
     validate.set_defaults(func=_cmd_validate)
     return parser
 

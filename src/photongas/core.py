@@ -1,14 +1,14 @@
 """Thermodynamic kernels of the massive-photon gas and their SI wrappers.
 
-All physics is computed in the reduced variable x = mc^2/kT.  Each reduced
-kernel has two routes: a closed-form series route (Bessel sums and
-polylogarithms), and one trapezoid pass over the defining phase-space
-integrals, the cross-check oracle, which also serves [2, x_switch) when a
-caller sets x_switch above its default of 2.  The series route serves every
-other x: below x = 2 it takes all four kernels from one loop over their
-expansions about x = 0; from 2 up to 40 n_hat, u_hat and v_hat from one
-loop over Chebyshev tables in ln x, and from 40 on from one K pair; and
-from 2 on r_hat from one polylog pass.  None of them has a tolerance.
+All physics is computed in the reduced variable x = mc^2/kT.  Every public
+kernel takes one route at every x, the closed-form series route (Bessel sums
+and polylogarithms): below x = 2 it takes all four kernels from one loop over
+their expansions about x = 0; from 2 up to 40 n_hat, u_hat and v_hat from
+one loop over Chebyshev tables in ln x, and from 40 on from one K pair; and
+from 2 on r_hat from one polylog pass.  None of them has a tolerance.  The
+trapezoid pass over the defining phase-space integrals, in
+:mod:`photongas.oracle`, is the cross-check that ``photongas validate``
+holds the series route to; no public kernel takes it.
 SI prefactors are applied exactly once, at the boundary, so no intermediate
 ever carries the ~1e-102 magnitudes of hbar^3.
 
@@ -44,41 +44,13 @@ _SLACK = 1e-9  # relative slack for invariants that are exact only in real arith
 
 
 @dataclass(frozen=True)
-class NumericsConfig:
-    """The quadrature tolerance and the boundary between routes.
-
-    On [2, ``x_switch``) every kernel is taken from one trapezoid pass over
-    its defining integral, to ``quad_tol``, everywhere else from the series
-    route: below x = 2 one loop over the expansions of the Bessel sums and
-    polylogs about x = 0, whatever ``x_switch`` is, and from 2 on the
-    Chebyshev tables up to x = 40, one K pair from there and one polylog
-    pass for the radiance.  The series route has no setting and no
-    tolerance.  The default 2.0 leaves the trapezoid to callers that ask
-    for it: since 0.10.0 the tables cost a fraction of the trapezoid pass
-    at every x from 2 up, where the Bessel pass they replace cost about as
-    much as the trapezoid below x = 4, the old default.  A switch at or
-    below 2 changes nothing.
-    """
-
-    quad_tol: float = oracle.QUAD_TOL
-    x_switch: float = 2.0
-
-    def __post_init__(self):
-        oracle._check_quad_tol(self.quad_tol)
-        if not (math.isfinite(self.x_switch) and self.x_switch > 0):
-            raise DomainError(f"x_switch must be finite and > 0, got {self.x_switch!r}")
-
-
-DEFAULT_NUMERICS = NumericsConfig()
-
-
-@dataclass(frozen=True)
 class ReducedFunctions:
     """One evaluation of all four reduced kernels, with their one method tag.
 
-    One rule routes all four at a given x: "series" is the closed-form route
-    (including the exact massless limits), "quadrature" the integral route.
-    evaluate builds none: it checks its kernels with _check_kernels alone.
+    Every public route tags it "series", the closed-form route with the
+    exact massless limits; "quadrature", the oracle's tag, is the one other
+    tag it accepts.  evaluate builds none: it checks its kernels with
+    _check_kernels alone.
     """
 
     x: float
@@ -200,12 +172,12 @@ def _series(x: float, keys: str) -> dict[str, float]:
 
 
 def n_hat_series(x: float) -> float:
-    """(x^2/pi^2) sum_n K2(n x)/n; intended for x >= x_switch."""
+    """(x^2/pi^2) sum_n K2(n x)/n, by the series route."""
     return _series(x, "n")["n"]
 
 
 def v_hat_series(x: float) -> float:
-    """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n); x >= x_switch."""
+    """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n), by the series route."""
     return _series(x, "v")["v"]
 
 
@@ -224,25 +196,10 @@ _KERNELS = {
 }
 
 
-def _route(x: float, cfg: NumericsConfig, keys: str) -> tuple[dict[str, float], str]:
-    """The kernels named in keys, a string over "nuvR", and their method tag.
-
-    One rule picks the method for all of them: x in [2, x_switch) takes
-    one trapezoid pass over the defining integrals, which yields all four
-    kernels whatever keys asks for, and every other x the series route,
-    _series, which takes the exact massless limits at x = 0 and, below
-    x = 2, every kernel from the expansions about x = 0.  Either route
-    refuses an x that is not a finite number >= 0 before any work.
-    """
-    if specfun._EXPAND_BELOW <= x < cfg.x_switch:
-        return dict(zip("nuvR", oracle._moments(x, cfg.quad_tol))), QUADRATURE
-    return _series(x, keys), SERIES
-
-
-def reduced_functions(x: float, cfg: NumericsConfig | None = None) -> ReducedFunctions:
-    """Evaluate all four reduced kernels at x with their method tag."""
-    values, method = _route(x, cfg or DEFAULT_NUMERICS, "nuvR")
-    return ReducedFunctions(x, *(values[k] for k in "nuvR"), method)
+def reduced_functions(x: float) -> ReducedFunctions:
+    """Evaluate all four reduced kernels at x by the series route."""
+    values = _series(x, "nuvR")
+    return ReducedFunctions(x, *(values[k] for k in "nuvR"), SERIES)
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +231,26 @@ def _si_prefactors(params: GasParameters, keys: str) -> dict[str, float]:
     return values
 
 
-def _si_value(key: str, params: GasParameters, cfg: NumericsConfig | None) -> float:
-    values, _ = _route(reduce(params).x, cfg or DEFAULT_NUMERICS, key)
-    return values[key] * _si_prefactors(params, key)[key]
+def _si_value(key: str, params: GasParameters) -> float:
+    return _series(reduce(params).x, key)[key] * _si_prefactors(params, key)[key]
 
 
-def number_density(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
+def number_density(params: GasParameters) -> float:
     """Photon number per unit volume, m^-3."""
-    return _si_value("n", params, cfg)
+    return _si_value("n", params)
 
 
-def energy_density(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
+def energy_density(params: GasParameters) -> float:
     """Internal energy per unit volume, J/m^3."""
-    return _si_value("u", params, cfg)
+    return _si_value("u", params)
 
 
-def mean_speed(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
+def mean_speed(params: GasParameters) -> float:
     """Phase-space mean photon speed, m/s; exactly c for m = 0.
 
     Independent of the degeneracy (it cancels in the ratio).
     """
-    return _si_value("v", params, cfg)
+    return _si_value("v", params)
 
 
 def photon_speed(energy: float, mass: float) -> float:
@@ -360,23 +316,23 @@ def spectral_energy_density(omega: float, params: GasParameters) -> float:
                           f"T={params.temperature!r} K") from None
 
 
-def radiance(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
+def radiance(params: GasParameters) -> float:
     """Power radiated per unit area of a small opening, W/m^2.
 
     Uses the flux of u v/4 over one hemisphere, which reduces to the
     Stefan-Boltzmann law exactly at m = 0 and falls below the naive
     (c/4) U/V relation for any m > 0.
     """
-    return _si_value("R", params, cfg)
+    return _si_value("R", params)
 
 
-def radiance_naive(params: GasParameters, cfg: NumericsConfig | None = None) -> float:
+def radiance_naive(params: GasParameters) -> float:
     """The massless-photon relation R = (c/4) U/V, kept as a comparator.
 
     Correct only at m = 0; for m > 0 it overestimates the radiance because
     massive photons leave the cavity at v < c.
     """
-    return 0.25 * SI.c * energy_density(params, cfg)
+    return 0.25 * SI.c * energy_density(params)
 
 
 def small_mass_radiance(params: GasParameters) -> float:
@@ -413,22 +369,22 @@ def low_temp_mean_speed(params: GasParameters) -> float:
     return math.sqrt(8.0 * SI.k_B * params.temperature / (math.pi * params.mass))
 
 
-def evaluate(params: GasParameters, cfg: NumericsConfig | None = None) -> RadiometryReport:
+def evaluate(params: GasParameters) -> RadiometryReport:
     """Full radiometry report for one (m, T) point."""
-    return _report(params, reduce(params).x, cfg)
+    return _report(params, reduce(params).x)
 
 
-def _report(params: GasParameters, x: float, cfg: NumericsConfig | None) -> RadiometryReport:
-    """The report of params, with its kernels evaluated and routed at x.
+def _report(params: GasParameters, x: float) -> RadiometryReport:
+    """The report of params, with its kernels evaluated at x.
 
     x is mc^2/kT of params up to rounding; an x sweep passes its grid value,
-    so the printed x and the route are those of the grid.  The kernels come
-    from _route, checked once, and scale by the prefactors of one kT.
+    so the printed x and the band are those of the grid.  The kernels come
+    from _series, checked once, and scale by the prefactors of one kT.
     """
-    values, method = _route(x, cfg or DEFAULT_NUMERICS, "nuvR")
+    values = _series(x, "nuvR")
     n, u, v, r = values["n"], values["u"], values["v"], values["R"]
     _check_kernels(n, u, v, r)
     si = _si_prefactors(params, "unvR")
     u_si = u * si["u"]
     return RadiometryReport(params, x, n * si["n"], u_si, v * si["v"], r * si["R"],
-                            0.25 * SI.c * u_si, method)
+                            0.25 * SI.c * u_si, SERIES)

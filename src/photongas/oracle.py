@@ -3,8 +3,9 @@
 These evaluate the reduced number density, mean speed, energy density, and
 radiance of the massive-photon gas by quadrature of the raw Bose-Einstein
 integrals, with no series expansion anywhere.  The closed-form kernels in
-:mod:`photongas.core` are required to reproduce them, which makes this module
-both the evaluation path on [2, x_switch) and the test oracle.
+:mod:`photongas.core` are required to reproduce them: this module is the
+oracle of the tests and of ``photongas validate``, and no public kernel
+takes it.
 
 All four kernels are moments of one Bose integrand,
 int_0^inf s^2 w(s, E) / (e^E - 1) ds with s = pc/kT, E = sqrt(s^2 + x^2) and

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import photongas
-from photongas import DEFAULT_NUMERICS, SI, core, oracle, specfun
+from photongas import SI, core, oracle, specfun
 from photongas.cli import VALIDATE_GRID, _grid, build_parser, main
 from photongas.errors import DomainError
 
@@ -86,13 +86,13 @@ METHOD_KEYS = ("n", "u", "v", "R", "R_naive")
 CELL = r"-?\d\.\d{16}e[+-]\d{2,3}"
 
 
-@pytest.mark.parametrize("mass, method", [("0kg", "series"), ("1eV", "quadrature")])
+@pytest.mark.parametrize("mass, method", [("0kg", "series"), ("1eV", "series")])
 def test_point_formats_print_the_same_cells(capsys, mass, method):
-    # 1 eV at 5800 K is x ~ 2.0, on the trapezoid with --x-switch 4.
+    # 1 eV at 5800 K is x ~ 2.0, on the Chebyshev tables.
     outs = {}
     for fmt in ("text", "csv", "json"):
         code, outs[fmt], _ = run(capsys, "point", "--mass", mass, "--temp", "5800",
-                                 "--format", fmt, "--x-switch", "4")
+                                 "--format", fmt)
         assert code == 0
     # text: four state lines, then one line per quantity with its label,
     # unit and method tag
@@ -132,22 +132,24 @@ def test_point_bad_flag_is_usage_error(capsys):
     assert main(["point", "--mass", "0kg"]) == 2  # missing --temp
 
 
-def test_point_convergence_failure_names_the_quantity(capsys, monkeypatch):
-    # x ~ 3.1 takes the trapezoid pass with --x-switch 4; one halving of its
-    # step leaves the radiance changing by 2e-5, above quad_tol
+@pytest.mark.parametrize("quad_tol", [(), ("--quad-tol", "1e-14")], ids=["default", "1e-14"])
+def test_validate_convergence_failure_names_the_quantity(capsys, monkeypatch, quad_tol):
+    # Only validate's oracle can fail to converge: one halving of its step
+    # leaves the radiance at x = 0.01 changing by 2.4e-6, above quad_tol.
+    # Exit 3, the quantity named, and no partial report.
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
-    code, _, err = run(capsys, "point", "--mass", "0.08eV", "--temp", "300",
-                       "--x-switch", "4")
-    assert code == 3
-    assert err.startswith("error: radiance: trapezoid ladder")
+    code, out, err = run(capsys, "validate", *quad_tol)
+    assert code == 3 and out == ""
+    assert err.startswith("error: radiance: trapezoid ladder ended at step 0.24 ")
+    assert err.endswith(" at x=0.01\n")
 
 
 def test_point_where_the_first_bessel_term_would_overflow_reports_the_massless_limits(capsys):
     # At x = 2.2e-163 the Bessel pass's first term, K2(x) ~ 2/x^2, would
     # overflow a double; the expansions about x = 0 serve every x below 2
-    # whatever x_switch says, and give the m = 0 cells.
+    # and give the m = 0 cells.
     code, out, err = run(capsys, "point", "--mass", "1e-200kg", "--temp", "300",
-                         "--x-switch", "1e-300", "--format", "json")
+                         "--format", "json")
     assert code == 0 and err == ""
     tiny = json.loads(out)
     code, out, _ = run(capsys, "point", "--mass", "0kg", "--temp", "300", "--format", "json")
@@ -190,18 +192,25 @@ def test_x_sweep_temperature_column_solves_the_definition(capsys, tmp_path):
         assert mass * SI.c**2 / (SI.k_B * t_kelvin) == pytest.approx(x, rel=1e-14)
 
 
-def test_x_sweep_prints_and_routes_by_its_grid_x(capsys, tmp_path):
+def test_x_sweep_prints_and_routes_by_its_grid_x(capsys, tmp_path, monkeypatch):
     # T is solved from each grid x; mc^2/kT recomputed from it would read
-    # 0.1 as 9.9999999999999992e-02 and could cross x_switch
+    # 0.1 as 9.9999999999999992e-02 and could cross a band edge
+    evaluated_at = []
+    series = core._series
+
+    def recorded(x, keys):
+        evaluated_at.append(x)
+        return series(x, keys)
+
+    monkeypatch.setattr(core, "_series", recorded)
     out_file = tmp_path / "sweep.csv"
-    args = ["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.1",
-            "--x-max", "3.99", "--points", "400", "--spacing", "log"]
-    assert main(args + ["--out", str(out_file)]) == 0
+    assert main(["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.1",
+                 "--x-max", "3.99", "--points", "400", "--spacing", "log",
+                 "--out", str(out_file)]) == 0
     rows = [r.split(",") for r in out_file.read_text().strip().split("\n")[1:]]
     assert float(rows[0][2]) == 0.1 and float(rows[-1][2]) == 3.99
-    assert main(args + ["--x-switch", "0.1", "--out", str(out_file)]) == 0
-    first = out_file.read_text().split("\n")[1].split(",")
-    assert first[-1] == "n:series;u:series;v:series;R:series;R_naive:series"
+    assert evaluated_at == _grid(0.1, 3.99, 400, "log")
+    assert [float(row[2]) for row in rows] == evaluated_at
 
 
 def test_log_sweep_mean_speed_strictly_decreasing(capsys, tmp_path):
@@ -245,17 +254,15 @@ def test_x_sweep_with_zero_mass_is_usage_error(capsys):
     assert code == 2
 
 
-def test_failed_sweep_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
-    # With --x-switch 4, x ~ 4.6 takes the series route, which cannot fail;
-    # x ~ 3.1 and 2.3 the trapezoid pass, which one halving of its step
-    # leaves unconverged
-    monkeypatch.setattr(oracle, "_HALVINGS", 1)
+def test_failed_sweep_leaves_no_partial_file(capsys, tmp_path):
+    # The first row, at 1e78 K, reports; the second, at 5.5e78 K, does not:
+    # the radiance's SI prefactor overflows above about 4.8e78 K.
     out_file = tmp_path / "never.csv"
-    code, _, err = run(capsys, "sweep", "--mass", "0.08eV", "--variable",
-                       "temperature", "--t-min", "200", "--t-max", "400",
-                       "--points", "3", "--out", str(out_file), "--x-switch", "4")
-    assert code == 3
-    assert err.startswith("error: radiance: trapezoid ladder")
+    code, _, err = run(capsys, "sweep", "--mass", "0kg", "--variable",
+                       "temperature", "--t-min", "1e78", "--t-max", "1e79",
+                       "--points", "3", "--spacing", "linear", "--out", str(out_file))
+    assert code == 2
+    assert err.startswith("error: radiance: SI prefactor overflows at T=5.5e+78 K")
     assert not out_file.exists()
 
 
@@ -417,50 +424,17 @@ def test_point_deep_nonrelativistic_state_reports():
         assert 0.0 < report["vbar_m_per_s"] < SI.c
 
 
-def test_point_on_the_quadrature_route_names_the_quantity_that_did_not_converge(
-        capsys, monkeypatch):
-    # x ~ 3.1 with --x-switch 4: an exhausted trapezoid ladder is exit 3,
-    # the quantity named.
-    monkeypatch.setattr(oracle, "_HALVINGS", 1)
-    code, out, err = run(capsys, "point", "--mass", "0.08eV", "--temp", "300",
-                         "--quad-tol", "1e-14", "--x-switch", "4")
-    assert code == 3 and out == ""
-    assert re.match(r"error: (number_density|energy_density|mean_speed|radiance): "
-                    r"trapezoid ladder", err)
-
-
-def test_point_on_the_quadrature_route_at_huge_x_matches_the_series_route(capsys):
-    # x ~ 6.5e109 kept on the quadrature route: n, u and R underflow to 0,
-    # and the mean speed, a ratio of two e^x-scaled sums, stays finite.
-    argv = ("point", "--mass", "1kg", "--temp", "1e-70", "--format", "json")
-    code, out, _ = run(capsys, *argv, "--x-switch", "1e300")
-    assert code == 0
-    quad = json.loads(out)
-    code, out, _ = run(capsys, *argv)
+def test_point_at_huge_x_matches_the_trapezoid_oracle(capsys):
+    # x ~ 6.5e109: on either route n, u and R underflow to 0, and the mean
+    # speed, a ratio of two e^x-scaled sums, stays finite.
+    code, out, _ = run(capsys, "point", "--mass", "1kg", "--temp", "1e-70",
+                       "--format", "json")
     assert code == 0
     series = json.loads(out)
-    assert quad["methods"]["v"] == "quadrature" and series["methods"]["v"] == "series"
-    assert quad["n_per_m3"] == quad["u_J_per_m3"] == quad["R_W_per_m2"] == 0.0
-    assert quad["vbar_m_per_s"] == pytest.approx(series["vbar_m_per_s"], rel=1e-13, abs=0.0)
-
-
-def test_point_below_the_default_switch_is_quadrature_and_x_switch_restores_series(capsys):
-    # x ~ 3 lies in [2, x_switch) with --x-switch 4, the default before
-    # 0.10.0: the trapezoid there, the tables by default; the five SI cells
-    # agree either way.
-    argv = ("point", "--mass", "1eV", "--temp", "3868.2", "--format", "csv")
-    rows = {}
-    for method, extra in (("quadrature", ("--x-switch", "4")), ("series", ())):
-        code, out, _ = run(capsys, *argv, *extra)
-        assert code == 0
-        header, row = out.strip().split("\n")
-        rows[method] = dict(zip(header.split(","), row.split(",")))
-        flags = rows[method]["method_flags"].split(";")
-        assert {flag.split(":")[1] for flag in flags} == {method}
-    for column in ("n_per_m3", "u_J_per_m3", "vbar_m_per_s", "R_W_per_m2",
-                   "R_naive_W_per_m2"):
-        assert float(rows["quadrature"][column]) == pytest.approx(
-            float(rows["series"][column]), rel=1e-12, abs=0.0), column
+    quad = oracle._moments(series["x"])
+    assert quad[0] == quad[1] == quad[3] == 0.0
+    assert series["n_per_m3"] == series["u_J_per_m3"] == series["R_W_per_m2"] == 0.0
+    assert series["vbar_m_per_s"] == pytest.approx(quad[2] * SI.c, rel=1e-13, abs=0.0)
 
 
 def test_point_negative_zero_mass_prints_no_negative_zero(capsys):
@@ -493,21 +467,39 @@ def test_point_temperature_beyond_double_range_is_domain_error():
     ["point", "--mass", "1eV", "--temp", "300"], ["sweep", "--mass", "1eV"],
     ["figure", "mean-speed"], ["validate"]])
 def test_numerics_flag_defaults_are_the_library_defaults(argv):
-    args = build_parser().parse_args(argv)
-    assert args.quad_tol == DEFAULT_NUMERICS.quad_tol
-    assert args.x_switch == DEFAULT_NUMERICS.x_switch
+    # validate's --quad-tol is the one numerics flag; the other subcommands
+    # carry no numerics setting at all.
+    args = vars(build_parser().parse_args(argv))
+    assert "x_switch" not in args
+    if argv == ["validate"]:
+        assert args["quad_tol"] == oracle.QUAD_TOL
+    else:
+        assert "quad_tol" not in args
 
 
-@pytest.mark.parametrize("flag, value, name", [
-    ("--quad-tol", "1", "quad_tol"), ("--x-switch", "0", "x_switch")])
+@pytest.mark.parametrize("flag, value, name", [("--quad-tol", "1", "quad_tol")])
 def test_out_of_range_numerics_flag_is_usage_error_naming_the_field(capsys, flag,
                                                                     value, name):
-    # Checked when the config is built, so at x = 0, which runs neither
-    # route, too.
-    code, _, err = run(capsys, "point", "--mass", "0kg", "--temp", "300",
-                       flag, value)
-    assert code == 2
-    assert err.startswith(f"error: {name} must be")
+    # The oracle checks its tolerance before any work, and validate prints
+    # nothing before its last grid x.
+    code, out, err = run(capsys, "validate", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be in [1e-14, 1e-6], got 1.0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    [*command, "--x-switch", "4"] for command in (
+        ["point", "--mass", "1eV", "--temp", "300"], ["sweep", "--mass", "1eV"],
+        ["figure", "mean-speed"], ["validate"])] + [
+    [*command, "--quad-tol", "1e-9"] for command in (
+        ["point", "--mass", "1eV", "--temp", "300"], ["sweep", "--mass", "1eV"],
+        ["figure", "mean-speed"])])
+def test_retired_numerics_flags_are_usage_errors(capsys, argv):
+    # Every public kernel takes the series route, so there is no switch to
+    # move, and the quadrature tolerance reaches validate's oracle alone.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -619,9 +611,9 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypa
           "--svg", "fig.svg"], None),
         (["validate"], None),
         (["point", "--mass", "0kg"], None),
-        (["point", "--mass", "0kg", "--temp", "300", "--quad-tol", "1"], None),
+        (["validate", "--quad-tol", "1"], None),
         (["--help"], None),
-        (["point", "--mass", "0.08eV", "--temp", "300", "--x-switch", "4"], 1),
+        (["validate"], 1),
     ]
 
     def outcome(argv, halvings):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photongas import (DEFAULT_NUMERICS, SI, ConvergenceError, DomainError,
-                       GasParameters, NumericsConfig, RadiometryReport, RegimeError, cli, core,
+from photongas import (SI, ConvergenceError, DomainError, GasParameters,
+                       RadiometryReport, RegimeError, cli, core,
                        energy_density, evaluate, low_temp_mean_speed,
                        low_temp_radiance, mean_speed, number_density, oracle,
                        photon_speed, quad_energy_density, quad_mean_speed,
@@ -326,34 +326,6 @@ def test_joint_mass_temperature_scaling(lam):
     assert scaled.mean_speed == pytest.approx(base.mean_speed, rel=1e-10)
 
 
-def test_method_tags_follow_the_regime_switch():
-    # The trapezoid pass serves [2, x_switch), here with x_switch = 4; below
-    # x = 2 the series route takes the expansions about x = 0.
-    cfg = NumericsConfig(x_switch=4.0)
-    below = evaluate(params_for_x(3.0), cfg)
-    assert below.methods == {"n": "quadrature", "u": "quadrature",
-                             "v": "quadrature", "R": "quadrature",
-                             "R_naive": "quadrature"}
-    assert 0.5 < cfg.x_switch < 10.0
-    assert set(evaluate(params_for_x(2.5), cfg).methods.values()) == {"quadrature"}
-    for x in (0.05, 0.5, 1.9):
-        assert set(evaluate(params_for_x(x), cfg).methods.values()) == {"series"}
-    above = evaluate(params_for_x(10.0), cfg)
-    assert above.methods["n"] == "series"
-    assert above.methods["v"] == "series"
-    assert above.methods["R"] == "series"
-    assert above.methods["u"] == "series"
-    assert above.methods["R_naive"] == "series"
-    massless = evaluate(GasParameters(mass=0.0, temperature=300.0))
-    assert set(massless.methods.values()) == {"series"}
-    # one tag per evaluation; methods spells it out and cannot be set
-    assert below.method == "quadrature" and above.method == "series"
-    with pytest.raises(AttributeError):
-        below.methods = {}
-    with pytest.raises(DomainError):
-        dataclasses.replace(reduced_functions(10.0), method="bessel")
-
-
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.4, 0.7, 1.0])
 def test_series_and_quadrature_paths_agree_in_the_overlap(x):
     assert n_hat_series(x) == pytest.approx(quad_number_density(x), rel=1e-8)
@@ -362,16 +334,14 @@ def test_series_and_quadrature_paths_agree_in_the_overlap(x):
 
 def test_mean_speed_strictly_decreasing_on_log_grid():
     grid = [10 ** (-2 + 4 * i / 49) for i in range(50)]
-    cfg = NumericsConfig()
-    values = [reduced_functions(x, cfg).v_hat for x in grid]
+    values = [reduced_functions(x).v_hat for x in grid]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(0.0 < v < 1.0 for v in values)
 
 
 def test_radiance_kernel_strictly_decreasing_on_log_grid():
     grid = [10 ** (-2 + 4 * i / 49) for i in range(50)]
-    cfg = NumericsConfig()
-    values = [reduced_functions(x, cfg).r_hat for x in grid]
+    values = [reduced_functions(x).r_hat for x in grid]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[0] < math.pi**2 / 60
 
@@ -396,7 +366,7 @@ def test_report_invariants_hold_everywhere(x, temperature, g):
     report = evaluate(params)  # the dataclass validates its own invariants
     assert report.mean_speed <= SI.c
     assert report.radiance <= report.radiance_naive * (1 + 1e-9)
-    assert set(report.methods.values()) <= {"series", "quadrature"}
+    assert set(report.methods.values()) == {"series"}
     reduced = reduced_functions(x)
     assert reduced.v_hat <= 1.0
     assert reduced.r_hat <= math.pi**2 / 60 * (1 + 1e-9)
@@ -428,15 +398,14 @@ def test_evaluate_over_the_whole_double_range_reports_or_names_the_error(
     except ConvergenceError:
         return
     assert report.mean_speed <= SI.c
-    assert set(report.methods.values()) <= {"series", "quadrature"}
+    assert set(report.methods.values()) == {"series"}
 
 
 @pytest.mark.parametrize("x", [0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 30.0, 31.0, 100.0, 600.0])
 def test_energy_density_series_route_matches_mpmath(x):
-    # x_switch = 0.1 keeps the whole list on the series route, which
-    # validate compares with the trapezoid at every x.
+    # The series route, which validate compares with the trapezoid at every x.
     mp = pytest.importorskip("mpmath")
-    reduced = reduced_functions(x, NumericsConfig(x_switch=0.1))
+    reduced = reduced_functions(x)
     assert reduced.method == "series"
     with mp.workdps(30):
         u_hat = mpmath_kernels(mp, mp.mpf(x))[1]
@@ -450,7 +419,7 @@ def test_mean_speed_series_route_matches_mpmath(x):
     # is a Chebyshev series in ln x, and from 40 on it is 2 (1 + x) over
     # x^2 e^x K2(x).
     mp = pytest.importorskip("mpmath")
-    reduced = reduced_functions(x, NumericsConfig(x_switch=0.1))
+    reduced = reduced_functions(x)
     assert reduced.method == "series"
     with mp.workdps(30):
         xm = mp.mpf(x)
@@ -463,15 +432,9 @@ def test_mean_speed_series_route_matches_mpmath(x):
 @pytest.mark.parametrize("x", [1e-6, 1.43e-4, 1.94e-4, 0.0165, 0.05, 0.1, 0.5, 1.0, 2.0,
                                math.nextafter(4.0, 0.0)])
 def test_quadrature_route_matches_mpmath(x):
-    # The route's trapezoid pass, which serves x from 2 up to x_switch = 4;
-    # below 2, where the expansions serve every route, the same pass is
-    # taken directly.
+    # The oracle's trapezoid pass, at its default tolerance.
     mp = pytest.importorskip("mpmath")
-    values = oracle._moments(x, DEFAULT_NUMERICS.quad_tol)
-    if x >= specfun._EXPAND_BELOW:
-        reduced = reduced_functions(x, NumericsConfig(x_switch=4.0))
-        assert reduced.method == "quadrature"
-        assert (reduced.n_hat, reduced.u_hat, reduced.v_hat, reduced.r_hat) == values
+    values = oracle._moments(x, oracle.QUAD_TOL)
     with mp.workdps(30):
         reference = mpmath_kernels(mp, mp.mpf(x))
     for kernel, value, expected in zip("nuvr", values, reference):
@@ -488,32 +451,18 @@ def test_mpmath_quadrature_reference_matches_polylog_radiance():
         assert abs(mpmath_kernels(mp, x)[3] / closed - 1) < mp.mpf(10)**-25
 
 
-def test_kernels_are_continuous_at_x_switch():
-    # At x_switch = 4, the old default, and at 2.5, both inside the tables'
-    # first piece.
-    for cfg in (NumericsConfig(x_switch=4.0), NumericsConfig(x_switch=2.5)):
-        below = reduced_functions(math.nextafter(cfg.x_switch, 0.0), cfg)
-        above = reduced_functions(cfg.x_switch, cfg)
-        assert below.method == "quadrature"
-        assert above.method == "series"
-        for kernel in "nuvr":
-            assert getattr(below, kernel + "_hat") == pytest.approx(
-                getattr(above, kernel + "_hat"), rel=2e-12, abs=0.0), (cfg, kernel)
-
-
 def test_kernels_are_continuous_where_the_expansions_end():
     # x = 2 is the top of the expansions' band and the bottom of the
-    # trapezoid's with x_switch = 4, or of the tables' by default.
+    # tables'; the trapezoid at 2 is an independent comparator.
     edge = specfun._EXPAND_BELOW
     below = reduced_functions(math.nextafter(edge, 0.0))
-    assert below.method == "series"
-    for cfg, method in ((NumericsConfig(x_switch=4.0), "quadrature"),
-                        (DEFAULT_NUMERICS, "series")):
-        above = reduced_functions(edge, cfg)
-        assert above.method == method
-        for kernel in "nuvr":
+    above = reduced_functions(edge)
+    expected = {"tables": (above.n_hat, above.u_hat, above.v_hat, above.r_hat),
+                "quadrature": oracle._moments(edge)}
+    for route, values in expected.items():
+        for kernel, value in zip("nuvr", values):
             assert getattr(below, kernel + "_hat") == pytest.approx(
-                getattr(above, kernel + "_hat"), rel=2e-15, abs=0.0), (method, kernel)
+                value, rel=2e-15, abs=0.0), (route, kernel)
 
 
 @pytest.mark.parametrize("edge", [2.0, 4.0, 8.0, 16.0, 40.0])
@@ -552,13 +501,11 @@ def test_mean_speed_below_the_trapezoid_band_never_exceeds_one(x):
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 2.2e-163, 2e-48, 1e-47])
-@pytest.mark.parametrize("x_switch", [4.0, 5e-324])
-def test_states_at_tiny_x_report_the_massless_limits(x, x_switch):
+def test_states_at_tiny_x_report_the_massless_limits(x):
     # Where the Bessel pass raised (x below about 1.2e-48) or took up to
     # 11770 K pairs, the expansions give the massless limits at once.
-    cfg = NumericsConfig(x_switch=x_switch)
     start = time.thread_time()
-    reduced = reduced_functions(x, cfg)
+    reduced = reduced_functions(x)
     assert time.thread_time() - start < 1e-3
     assert reduced.method == "series"
     limits = (2.0 * zeta_value(3) / math.pi**2, math.pi**2 / 15, 1.0, math.pi**2 / 60)
@@ -595,8 +542,8 @@ def test_radiance_alone_below_two_takes_one_expansions_call(monkeypatch):
 
 
 def test_radiance_alone_from_two_takes_one_polylog_pass(monkeypatch):
-    # Anywhere on [2, 40), with the default numerics, R needs neither the
-    # trapezoid pass nor the tables: its closed form is one polylog pass.
+    # Anywhere on [2, 40) R needs neither the trapezoid pass nor the
+    # tables: its closed form is one polylog pass.
     calls = counted_passes(monkeypatch)
     grid = (2.0, 2.5, math.nextafter(4.0, 0.0), 4.0, 5.0, 10.0, 25.0,
             math.nextafter(40.0, 0.0))
@@ -652,21 +599,18 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
 
 
 def test_convergence_failure_names_the_quantity(monkeypatch):
-    # x ~ 3.1 takes the trapezoid pass with x_switch = 4; after one halving
-    # of its step the radiance still changes by 2e-5, above quad_tol.
+    # At x ~ 3.1, after one halving of the trapezoid's step, the radiance
+    # still changes by 2e-5, above quad_tol.
     x = 3.0945381657466884
-    cfg = NumericsConfig(x_switch=4.0)
-    converged = reduced_functions(x, cfg).r_hat
+    converged = oracle._moments(x)[3]
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
-    for call in (lambda: reduced_functions(x, cfg),
-                 lambda: evaluate(params_for_x(x), cfg)):
-        with pytest.raises(ConvergenceError) as excinfo:
-            call()
-        assert str(excinfo.value).startswith("radiance")
-        # The last estimate of r_hat, not a scaled moment, off the converged
-        # value by less than the last change of the ladder.
-        value = excinfo.value.value
-        assert 0.0 < abs(value - converged) <= excinfo.value.error
+    with pytest.raises(ConvergenceError) as excinfo:
+        oracle._moments(x)
+    assert str(excinfo.value).startswith("radiance")
+    # The last estimate of r_hat, not a scaled moment, off the converged
+    # value by less than the last change of the ladder.
+    value = excinfo.value.value
+    assert 0.0 < abs(value - converged) <= excinfo.value.error
 
 
 # From x = 2 up the kernels of the Bessel sums, n_hat, u_hat and v_hat, come
@@ -697,9 +641,9 @@ def test_series_route_from_one_to_four_matches_mpmath(x):
 
 
 def test_series_route_reaches_small_x():
-    # Whatever x_switch says, the expansions about x = 0 serve x < 2.
+    # The expansions about x = 0 serve x < 2.
     x = 2e-4
-    reduced = reduced_functions(x, NumericsConfig(x_switch=1e-5))
+    reduced = reduced_functions(x)
     assert reduced.method == "series"
     mp = pytest.importorskip("mpmath")
     with mp.workdps(20):
@@ -710,18 +654,16 @@ def test_series_route_reaches_small_x():
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0])
-@pytest.mark.parametrize("x_switch", [4.0, 1e-5])
-def test_an_x_that_is_not_a_finite_number_at_least_0_is_refused_at_once(x, x_switch):
+def test_an_x_that_is_not_a_finite_number_at_least_0_is_refused_at_once(x):
     # The series route checks x before any work: a nan x would fall
-    # through every band edge.
-    cfg = NumericsConfig(x_switch=x_switch)
+    # through every band edge.  So does the trapezoid oracle.
     start = time.thread_time()
     with pytest.raises(DomainError, match=r"^reduced x must be finite and >= 0"):
-        reduced_functions(x, cfg)
+        reduced_functions(x)
     assert time.thread_time() - start < 1e-3
-    for series in (n_hat_series, v_hat_series):
+    for function in (n_hat_series, v_hat_series, oracle._moments):
         with pytest.raises(DomainError, match=r"^reduced x must be finite and >= 0"):
-            series(x)
+            function(x)
 
 
 def test_series_views_take_the_massless_limits_at_zero():
@@ -859,6 +801,41 @@ def test_evaluate_builds_no_reduced_functions(monkeypatch):
     with pytest.raises(AssertionError):
         reduced_functions(0.5)
     assert [evaluate(params) for params in states] == reports
+
+
+def test_no_public_route_takes_the_trapezoid(monkeypatch, capsys):
+    # The trapezoid is validate's oracle and nothing else's: with it
+    # refused, every public kernel, SI wrapper and CLI report still runs,
+    # and every tag reads "series".
+    def refused(*args):
+        raise AssertionError("a public route took the trapezoid")
+
+    monkeypatch.setattr(oracle, "_moments", refused)
+    wrappers = (number_density, energy_density, mean_speed, radiance, radiance_naive)
+    for x in (0.05, 3.0, 30.0, 100.0):
+        params = params_for_x(x)
+        assert evaluate(params).methods == dict.fromkeys(("n", "u", "v", "R", "R_naive"),
+                                                         "series")
+        assert reduced_functions(x).method == "series"
+        for wrapper in wrappers:
+            assert 0.0 < wrapper(params) < math.inf, (x, wrapper.__name__)
+        mass, grid = f"{params.mass!r}kg", ["--x-min", repr(x), "--x-max", repr(2 * x)]
+        for argv in (["point", "--mass", mass, "--temp", repr(T_REF), "--format", "csv"],
+                     ["sweep", "--mass", mass, *grid, "--points", "3"],
+                     ["figure", "mean-speed", *grid, "--points", "3"]):
+            assert cli.main(argv) == 0, argv
+            out, err = capsys.readouterr()
+            assert err == "" and "quadrature" not in out, argv
+    with pytest.raises(AssertionError, match="took the trapezoid"):
+        cli.main(["validate"])
+    # one tag per evaluation; methods spells it out and cannot be set, and
+    # the tag check refuses any other name
+    report = evaluate(GasParameters(mass=0.0, temperature=300.0))
+    assert report.method == "series"
+    with pytest.raises(AttributeError):
+        report.methods = {}
+    with pytest.raises(DomainError):
+        dataclasses.replace(reduced_functions(10.0), method="bessel")
 
 
 @pytest.mark.parametrize("field, value, message", [

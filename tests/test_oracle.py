@@ -6,20 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from photongas import (ConvergenceError, DomainError, GasParameters,
-                       NumericsConfig, SI, evaluate, integrate_adaptive,
+from photongas import (ConvergenceError, DomainError, integrate_adaptive,
                        oracle, quad_energy_density, quad_mean_speed,
-                       quad_number_density, quad_radiance, reduced_functions,
-                       zeta_value)
+                       quad_number_density, quad_radiance, zeta_value)
 
 from mpmath_reference import REFERENCE_X, mpmath_kernels
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        NumericsConfig(quad_tol=1e-15)
-    with pytest.raises(DomainError):
-        NumericsConfig(quad_tol=1e-5)
+    with pytest.raises(DomainError, match="quad_tol"):
+        oracle._moments(1.0, 1e-15)
+    with pytest.raises(DomainError, match="quad_tol"):
+        oracle._moments(1.0, 1e-5)
 
 
 def test_integrate_names_quad_tol_when_out_of_range():
@@ -239,8 +237,6 @@ def test_last_node_reaches_the_tail(x, tail, monkeypatch):
 
 
 def test_exhausted_ladder_reports_the_quantity_and_its_estimate(monkeypatch):
-    # x = 2.5 lies in [2, x_switch) with x_switch = 4, where the route takes
-    # the pass.
     converged = dict(zip(oracle._QUANTITIES, oracle._moments(2.5)))
     monkeypatch.setattr(oracle, "_HALVINGS", 1)
     with pytest.raises(ConvergenceError, match=r"^\w+: trapezoid ladder") as excinfo:
@@ -250,8 +246,6 @@ def test_exhausted_ladder_reports_the_quantity_and_its_estimate(monkeypatch):
     assert math.isfinite(err.value)
     assert err.value == pytest.approx(converged[quantity], rel=1e-5)
     assert 0.0 < err.error <= 1e-5 * err.value
-    with pytest.raises(ConvergenceError, match=f"^{quantity}: trapezoid ladder"):
-        reduced_functions(2.5, NumericsConfig(quad_tol=1e-14, x_switch=4.0))
 
 
 @given(st.floats(min_value=0.0, max_value=1e-2))
@@ -261,19 +255,3 @@ def test_mean_speed_never_exceeds_one(x):
     # past 1.
     assert quad_mean_speed(x) <= 1.0
 
-
-def test_evaluation_below_the_switch_takes_one_pass(monkeypatch):
-    # x = 3 lies in [2, x_switch) with x_switch = 4.
-    calls = []
-    moments = oracle._moments
-
-    def counted(*args):
-        calls.append(args)
-        return moments(*args)
-
-    monkeypatch.setattr(oracle, "_moments", counted)
-    x = 3.0
-    mass = x * SI.k_B * 300.0 / (SI.c * SI.c)
-    report = evaluate(GasParameters(mass=mass, temperature=300.0), NumericsConfig(x_switch=4.0))
-    assert report.method == "quadrature"
-    assert len(calls) == 1
