@@ -437,6 +437,25 @@ def test_point_at_huge_x_matches_the_trapezoid_oracle(capsys):
     assert series["vbar_m_per_s"] == pytest.approx(quad[2] * SI.c, rel=1e-13, abs=0.0)
 
 
+def test_point_below_four_matches_the_trapezoid_oracle(capsys):
+    # x ~ 3 lies where the trapezoid served before 0.10.0; the tables serve
+    # it now, and the five SI cells agree with the oracle's kernels.
+    code, out, _ = run(capsys, "point", "--mass", "1eV", "--temp", "3868.2",
+                       "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert set(row["methods"].values()) == {"series"}
+    n, u, v, r = oracle._moments(row["x"])
+    params = photongas.GasParameters(mass=row["mass_kg"], temperature=row["T_K"],
+                                     degeneracy=row["degeneracy"])
+    si = core._si_prefactors(params, "nuvR")
+    expected = {"n_per_m3": n * si["n"], "u_J_per_m3": u * si["u"],
+                "vbar_m_per_s": v * si["v"], "R_W_per_m2": r * si["R"],
+                "R_naive_W_per_m2": 0.25 * SI.c * u * si["u"]}
+    for column, value in expected.items():
+        assert row[column] == pytest.approx(value, rel=1e-12, abs=0.0), column
+
+
 def test_point_negative_zero_mass_prints_no_negative_zero(capsys):
     code, out, _ = run(capsys, "point", "--mass=-0kg", "--temp", "300", "--format", "csv")
     assert code == 0

@@ -326,6 +326,26 @@ def test_joint_mass_temperature_scaling(lam):
     assert scaled.mean_speed == pytest.approx(base.mean_speed, rel=1e-10)
 
 
+def test_method_tags_follow_the_regime_switch():
+    # The series route switches from the expansions to the tables at x = 2
+    # and to one K pair at x = 40; the tag is "series" on either side of
+    # each switch, and at the massless limit.
+    edges = (specfun._EXPAND_BELOW, specfun._ONE_TERM_FROM)
+    for x in (0.05, 0.5, *(math.nextafter(edge, 0.0) for edge in edges), *edges, 100.0):
+        assert evaluate(params_for_x(x)).methods == dict.fromkeys(
+            ("n", "u", "v", "R", "R_naive"), "series"), x
+        assert reduced_functions(x).method == "series", x
+    massless = evaluate(GasParameters(mass=0.0, temperature=300.0))
+    assert set(massless.methods.values()) == {"series"}
+    # one tag per evaluation; methods spells it out and cannot be set, and
+    # the tag check refuses any other name
+    assert massless.method == "series"
+    with pytest.raises(AttributeError):
+        massless.methods = {}
+    with pytest.raises(DomainError):
+        dataclasses.replace(reduced_functions(10.0), method="bessel")
+
+
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.4, 0.7, 1.0])
 def test_series_and_quadrature_paths_agree_in_the_overlap(x):
     assert n_hat_series(x) == pytest.approx(quad_number_density(x), rel=1e-8)
@@ -501,9 +521,12 @@ def test_mean_speed_below_the_trapezoid_band_never_exceeds_one(x):
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 2.2e-163, 2e-48, 1e-47])
-def test_states_at_tiny_x_report_the_massless_limits(x):
+@pytest.mark.parametrize("temperature", [4.0, 5e-324])
+def test_states_at_tiny_x_report_the_massless_limits(x, temperature):
     # Where the Bessel pass raised (x below about 1.2e-48) or took up to
-    # 11770 K pairs, the expansions give the massless limits at once.
+    # 11770 K pairs, the expansions give the massless limits at once.  The
+    # report at the grid x, as an x sweep builds it, is then the massless
+    # report, at 4 K and at a temperature whose k_B T underflows to 0.
     start = time.thread_time()
     reduced = reduced_functions(x)
     assert time.thread_time() - start < 1e-3
@@ -511,6 +534,12 @@ def test_states_at_tiny_x_report_the_massless_limits(x):
     limits = (2.0 * zeta_value(3) / math.pi**2, math.pi**2 / 15, 1.0, math.pi**2 / 60)
     for kernel, limit in zip("nuvr", limits):
         assert getattr(reduced, kernel + "_hat") == pytest.approx(limit, rel=1e-15, abs=0.0)
+    report = core._report(params_for_x(x, temperature), x)
+    massless = evaluate(GasParameters(mass=0.0, temperature=temperature))
+    for field in ("number_density", "energy_density", "mean_speed", "radiance",
+                  "radiance_naive"):
+        assert getattr(report, field) == pytest.approx(
+            getattr(massless, field), rel=1e-15, abs=0.0), field
 
 
 def counted_passes(monkeypatch) -> list[str]:
@@ -654,14 +683,18 @@ def test_series_route_reaches_small_x():
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0])
-def test_an_x_that_is_not_a_finite_number_at_least_0_is_refused_at_once(x):
+@pytest.mark.parametrize("params_x", [4.0, 1e-5])
+def test_an_x_that_is_not_a_finite_number_at_least_0_is_refused_at_once(x, params_x):
     # The series route checks x before any work: a nan x would fall
-    # through every band edge.  So does the trapezoid oracle.
+    # through every band edge.  So does the trapezoid oracle, and so does
+    # the report an x sweep builds at its grid x, whatever band the x of
+    # its params lies in.
     start = time.thread_time()
     with pytest.raises(DomainError, match=r"^reduced x must be finite and >= 0"):
         reduced_functions(x)
     assert time.thread_time() - start < 1e-3
-    for function in (n_hat_series, v_hat_series, oracle._moments):
+    for function in (n_hat_series, v_hat_series, oracle._moments,
+                     lambda x: core._report(params_for_x(params_x), x)):
         with pytest.raises(DomainError, match=r"^reduced x must be finite and >= 0"):
             function(x)
 
@@ -828,14 +861,6 @@ def test_no_public_route_takes_the_trapezoid(monkeypatch, capsys):
             assert err == "" and "quadrature" not in out, argv
     with pytest.raises(AssertionError, match="took the trapezoid"):
         cli.main(["validate"])
-    # one tag per evaluation; methods spells it out and cannot be set, and
-    # the tag check refuses any other name
-    report = evaluate(GasParameters(mass=0.0, temperature=300.0))
-    assert report.method == "series"
-    with pytest.raises(AttributeError):
-        report.methods = {}
-    with pytest.raises(DomainError):
-        dataclasses.replace(reduced_functions(10.0), method="bessel")
 
 
 @pytest.mark.parametrize("field, value, message", [

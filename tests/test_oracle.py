@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from photongas import (ConvergenceError, DomainError, integrate_adaptive,
-                       oracle, quad_energy_density, quad_mean_speed,
-                       quad_number_density, quad_radiance, zeta_value)
+from photongas import (ConvergenceError, DomainError, GasParameters, SI,
+                       evaluate, integrate_adaptive, oracle,
+                       quad_energy_density, quad_mean_speed,
+                       quad_number_density, quad_radiance, specfun, zeta_value)
 
 from mpmath_reference import REFERENCE_X, mpmath_kernels
 
@@ -255,3 +256,26 @@ def test_mean_speed_never_exceeds_one(x):
     # past 1.
     assert quad_mean_speed(x) <= 1.0
 
+
+def test_evaluation_below_the_switch_takes_one_pass(monkeypatch):
+    # Below x = 2, where the series route switches from the expansions to
+    # the tables, an evaluation takes one call of the expansions and no
+    # trapezoid pass: the trapezoid is validate's oracle alone.
+    calls = []
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(oracle, "_moments")
+    counted(specfun, "_expansions")
+    x = 1.5
+    mass = x * SI.k_B * 300.0 / (SI.c * SI.c)
+    report = evaluate(GasParameters(mass=mass, temperature=300.0))
+    assert report.method == "series"
+    assert calls == ["_expansions"]
