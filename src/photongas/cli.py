@@ -161,7 +161,7 @@ def _figure_rows(grid: list[float]) -> list[tuple[float, float, float, float | N
         kt_ratio = 1.0 / x
         if kt_ratio == math.inf:
             raise DomainError(f"kT/mc^2 = 1/x overflows at x={x!r}")
-        v_hat = core._series(x, "v")["v"]
+        v_hat = core._series(x)[2]
         # 8/pi/x, not 8/(pi x): pi x overflows for x near the largest double.
         approx = math.sqrt(8.0 / math.pi / x) if x > _NONREL_MIN_X else None
         rows.append((x, kt_ratio, v_hat, approx))
@@ -261,9 +261,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         # trapezoid oracle and the series route, the one every public
         # kernel takes.
         quad_values = oracle._moments(x, args.quad_tol)
-        closed = core._series(x, "nuvR")
-        for key, quad, kernel in zip(_KERNEL_NAMES, quad_values, "nuvR"):
-            residual = abs(closed[kernel] / quad - 1.0)
+        for key, quad, closed in zip(_KERNEL_NAMES, quad_values, core._series(x)):
+            residual = abs(closed / quad - 1.0)
             if residual > worst[key][0]:
                 worst[key] = (residual, x)
         if x == 50.0:

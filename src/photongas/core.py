@@ -2,13 +2,12 @@
 
 All physics is computed in the reduced variable x = mc^2/kT.  Every public
 kernel takes one route at every x, the closed-form series route (Bessel sums
-and polylogarithms): below x = 2 it takes all four kernels from one loop over
-their expansions about x = 0; from 2 up to 40 n_hat, u_hat and v_hat from
-one loop over Chebyshev tables in ln x, and from 40 on from one K pair; and
-from 2 on r_hat from one polylog pass.  None of them has a tolerance.  The
-trapezoid pass over the defining phase-space integrals, in
-:mod:`photongas.oracle`, is the cross-check that ``photongas validate``
-holds the series route to; no public kernel takes it.
+and polylogarithms), and every band of it yields all four kernels from one
+loop: below x = 2 the expansions about x = 0, from 2 up to 40 the Chebyshev
+tables in ln x, and from 40 on one K pair beside the radiance's first term.
+None of them has a tolerance.  The trapezoid pass over the defining
+phase-space integrals, in :mod:`photongas.oracle`, is the cross-check that
+``photongas validate`` holds the series route to; no public kernel takes it.
 SI prefactors are applied exactly once, at the boundary, so no intermediate
 ever carries the ~1e-102 magnitudes of hbar^3.
 
@@ -36,21 +35,20 @@ from .errors import DomainError, RegimeError
 from .units import SI, GasParameters, reduce
 
 SERIES = "series"
-QUADRATURE = "quadrature"
 
 _PI2 = math.pi**2
-_R_HAT_MAX = specfun._PI_POWERS[3]  # pi^2/60
+_R_SCALE = 1.5 / _PI2  # r_hat = (3/2 pi^2) Q
+_R_HAT_MAX = specfun._PI_RATIOS[3]  # pi^2/60
 _SLACK = 1e-9  # relative slack for invariants that are exact only in real arithmetic
 
 
 @dataclass(frozen=True)
 class ReducedFunctions:
-    """One evaluation of all four reduced kernels, with their one method tag.
+    """One evaluation of all four reduced kernels, with their method tag.
 
-    Every public route tags it "series", the closed-form route with the
-    exact massless limits; "quadrature", the oracle's tag, is the one other
-    tag it accepts.  evaluate builds none: it checks its kernels with
-    _check_kernels alone.
+    The tag is "series", the closed-form route with the exact massless
+    limits that every public kernel takes, and the only tag it accepts.
+    evaluate builds none: it checks its kernels with _check_kernels alone.
     """
 
     x: float
@@ -62,8 +60,8 @@ class ReducedFunctions:
 
     def __post_init__(self):
         _check_kernels(self.n_hat, self.u_hat, self.v_hat, self.r_hat)
-        if self.method not in (SERIES, QUADRATURE):
-            raise DomainError(f"method must be 'series' or 'quadrature', got {self.method!r}")
+        if self.method != SERIES:
+            raise DomainError(f"method must be 'series', got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -121,20 +119,20 @@ def _check_kernels(n: float, u: float, v: float, r: float) -> None:
 # Reduced kernels.
 # ---------------------------------------------------------------------------
 
-def _series(x: float, keys: str) -> dict[str, float]:
-    """The kernels named in keys, a string over "nuvR", by the series route.
+def _series(x: float) -> tuple[float, float, float, float]:
+    """(n_hat, u_hat, v_hat, r_hat) at x by the series route, one loop per band.
 
     Checks x, and takes the exact massless limits at x = 0.  Below
-    specfun._EXPAND_BELOW = 2 one call of specfun._expansions yields all
-    four kernels, whatever keys asks for: n_hat = x^2 S/pi^2,
-    u_hat = x^4 E/pi^2, v_hat = 2 P/(x^2 S) and r_hat = (3/2 pi^2) Q.  Up
-    to specfun._ONE_TERM_FROM = 40, one polylog pass yields r_hat if R is
-    asked for, and one loop over the Chebyshev tables n_hat = a x^1.5
-    e^-x/pi^2, u_hat = b x^2.5 e^-x/pi^2 and v_hat = c/sqrt(x) if any of
-    them is.  From 40 on every sum is its first term to double precision:
-    n_hat = x^2 e^-x S~/pi^2, u_hat = x^4 e^-x E~/pi^2 and
-    v_hat = 2 P~/(x^2 S~) from specfun._one_term, and
-    r_hat = (3/2 pi^2) e^-x (1 + x + x^2/3), as Li_s(e^-x) = e^-x there.
+    specfun._EXPAND_BELOW = 2 one call of specfun._expansions yields
+    n_hat = x^2 S/pi^2, u_hat = x^4 E/pi^2, v_hat = 2 P/(x^2 S) and
+    r_hat = (3/2 pi^2) Q.  Up to specfun._ONE_TERM_FROM = 40 one loop over
+    the Chebyshev tables, specfun._sum_chebyshev, yields n_hat =
+    a x^1.5 e^-x/pi^2, u_hat = b x^2.5 e^-x/pi^2, v_hat = c/sqrt(x) and
+    r_hat = (3/2 pi^2) (1 + x + x^2/3) d e^-x.  From 40 on every sum is its
+    first term to double precision: n_hat = x^2 e^-x S~/pi^2,
+    u_hat = x^4 e^-x E~/pi^2 and v_hat = 2 P~/(x^2 S~) from
+    specfun._one_term, and r_hat = (3/2 pi^2) e^-x (1 + x + x^2/3), the
+    same polynomial with d = 1, as Li_s(e^-x) = e^-x there.
     e^-x enters as two factors h = e^(-x/2), the first one first: a huge x
     gives an exact 0 rather than inf * 0, and where e^-x alone would be
     subnormal, from x of about 708, a product that is not keeps its
@@ -145,61 +143,52 @@ def _series(x: float, keys: str) -> dict[str, float]:
     """
     x = oracle._check_x(x)
     if x == 0.0:
-        return {key: _KERNELS[key][1] for key in keys}
+        return _MASSLESS
     if x < specfun._EXPAND_BELOW:
         s, e, p, q, _ = specfun._expansions(x)
-        return {"n": s / _PI2, "u": e / _PI2, "v": 2.0 * p / s, "R": 1.5 / _PI2 * q}
-    values = {}
+        return s / _PI2, e / _PI2, 2.0 * p / s, _R_SCALE * q
     if x < specfun._ONE_TERM_FROM:
-        if "R" in keys:
-            li2, li3, li4 = specfun._polylogs(x)
-            values["R"] = 1.5 / _PI2 * (li4 + x * li3 + x * (x / 3.0 * li2))
-        if keys != "R":
-            a, b, c, _ = specfun._sum_chebyshev(x)
-            root = math.sqrt(x)
-            scale = math.exp(-x) * x * root / _PI2
-            values.update(n=a * scale, u=b * scale * x, v=c / root)
-        return values
+        a, b, c, d, _ = specfun._sum_chebyshev(x)
+        root = math.sqrt(x)
+        damp = math.exp(-x)
+        scale = damp * x * root / _PI2
+        return (a * scale, b * scale * x, c / root,
+                _R_SCALE * (1.0 + x + x * (x / 3.0)) * d * damp)
     h = math.exp(-0.5 * x)
-    if "R" in keys:
-        values["R"] = 1.5 / _PI2 * (h + x * h + x * (x / 3.0 * h)) * h
-    if keys != "R":
-        s, e, p = specfun._one_term(x)
-        values.update(n=h * s * x * x / _PI2 * h,
-                      u=h * e * x * x * x * x / _PI2 * h,
-                      v=p / x * 2.0 / (x * s))
-    return values
+    s, e, p = specfun._one_term(x)
+    return (h * s * x * x / _PI2 * h, h * e * x * x * x * x / _PI2 * h,
+            p / x * 2.0 / (x * s), _R_SCALE * (h + x * h + x * (x / 3.0 * h)) * h)
 
 
 def n_hat_series(x: float) -> float:
     """(x^2/pi^2) sum_n K2(n x)/n, by the series route."""
-    return _series(x, "n")["n"]
+    return _series(x)[0]
 
 
 def v_hat_series(x: float) -> float:
     """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n), by the series route."""
-    return _series(x, "v")["v"]
+    return _series(x)[2]
 
 
 def r_hat_closed(x: float) -> float:
     """(3/2pi^2) [Li4(w) + x Li3(w) + (x^2/3) Li2(w)], w = e^-x."""
-    return _series(x, "R")["R"]
+    return _series(x)[3]
 
 
 # Per kernel: the SI quantity it scales to, whose quadrature oracle is
 # oracle.quad_<quantity>, and its exact massless limit.
 _KERNELS = {
     "n": ("number_density", 2.0 * specfun.zeta_value(3) / _PI2),
-    "u": ("energy_density", specfun._PI_POWERS[2]),  # pi^2/15
+    "u": ("energy_density", specfun._PI_RATIOS[2]),  # pi^2/15
     "v": ("mean_speed", 1.0),
     "R": ("radiance", _R_HAT_MAX),
 }
+_MASSLESS = tuple(limit for _, limit in _KERNELS.values())
 
 
 def reduced_functions(x: float) -> ReducedFunctions:
     """Evaluate all four reduced kernels at x by the series route."""
-    values = _series(x, "nuvR")
-    return ReducedFunctions(x, *(values[k] for k in "nuvR"), SERIES)
+    return ReducedFunctions(x, *_series(x), SERIES)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +221,7 @@ def _si_prefactors(params: GasParameters, keys: str) -> dict[str, float]:
 
 
 def _si_value(key: str, params: GasParameters) -> float:
-    return _series(reduce(params).x, key)[key] * _si_prefactors(params, key)[key]
+    return _series(reduce(params).x)["nuvR".index(key)] * _si_prefactors(params, key)[key]
 
 
 def number_density(params: GasParameters) -> float:
@@ -381,8 +370,7 @@ def _report(params: GasParameters, x: float) -> RadiometryReport:
     so the printed x and the band are those of the grid.  The kernels come
     from _series, checked once, and scale by the prefactors of one kT.
     """
-    values = _series(x, "nuvR")
-    n, u, v, r = values["n"], values["u"], values["v"], values["R"]
+    n, u, v, r = _series(x)
     _check_kernels(n, u, v, r)
     si = _si_prefactors(params, "unvR")
     u_si = u * si["u"]

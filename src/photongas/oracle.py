@@ -28,7 +28,7 @@ is below e^-60 of its value at threshold.
 
 ``integrate_adaptive`` and the ``quad_*`` views are on no route; they stay
 because perfbench/tracing.py binds them by name, until the tracer reads
-library-owned work counts (ROADMAP item 1) and item 6 retires them.
+library-owned work counts (ROADMAP item 1) and ROADMAP item 4 retires them.
 """
 
 from __future__ import annotations
@@ -213,9 +213,9 @@ def _occupation(y: float) -> float:
 
 
 def _check_x(x: float) -> float:
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0):
-        raise DomainError(f"reduced x must be finite and >= 0, got {x!r}")
-    return float(x)
+    if isinstance(x, (int, float)) and 0.0 <= x < math.inf:
+        return float(x)
+    raise DomainError(f"reduced x must be finite and >= 0, got {x!r}")
 
 
 def _node_sums(nodes: tuple[tuple[float, float], ...], a: float, r: float, w: float):

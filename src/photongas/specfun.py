@@ -1,17 +1,15 @@
 """Self-contained special functions for the photon-gas kernels.
 
 Provides the modified Bessel function K2 (with K0/K1 as internal helpers),
-the polylogarithms Li2, Li3 and Li4 of e^-x for x >= ln 2, the Riemann zeta
-values zeta(2), zeta(3), zeta(4), and the Boltzmann-weighted Bessel sums that
-appear in the closed-form gas formulas.  Everything here is evaluated from
-scratch: K0 and K1 as one pair, by their ascending series up to z = 2, above
-it as e^z K0 and e^z K1, by a 24-term Chebyshev series up to z = 25 and by
-the Hankel expansion, whose terms fall with z, from there on with no upper
-limit, and K2 = K0 + 2 K1/z at every z.  The three polylogarithms come from
-one loop over their power series in e^-x, _polylogs.  The tables are
-literals, generated by tests/specfun_tables.py.  No third-party
-special-function library is involved, so the quadrature oracles elsewhere
-in the package remain an independent check.
+the Riemann zeta values zeta(2), zeta(3), zeta(4), and the Boltzmann-weighted
+Bessel sums and polylog combinations that appear in the closed-form gas
+formulas.  Everything here is evaluated from scratch: K0 and K1 as one pair,
+by their ascending series up to z = 2, above it as e^z K0 and e^z K1, by a
+24-term Chebyshev series up to z = 25 and by the Hankel expansion, whose
+terms fall with z, from there on with no upper limit, and K2 = K0 + 2 K1/z
+at every z.  The tables are literals, generated by tests/specfun_tables.py.
+No third-party special-function library is involved, so the quadrature
+oracles elsewhere in the package remain an independent check.
 
 Below x = _EXPAND_BELOW = 2 the gas kernels take all they need from one
 loop, _expansions, of at most 18 terms over two literal tables: the Bessel
@@ -21,13 +19,13 @@ e^-x, by their expansions about x = 0.  tests/specfun_tables.py generates
 the tables from the residues of the sums' Mellin transforms and, in exact
 rational arithmetic, from the Bernoulli numbers.
 
-From x = 2 up to x = _ONE_TERM_FROM = 40 they take the Bessel sums, and
-v_hat with them, from one Clenshaw loop, _sum_chebyshev, over literal
-Chebyshev tables in ln x on four pieces, 16 to 19 rows, which
-tests/specfun_tables.py generates from a quadrature of the defining
-integrals.  From 40 on all later terms of the sums are below e^-40 of the
-first, so one K pair, _one_term, gives them.  Neither form loops to
-convergence or has a tolerance; the polylog pass serves the radiance.
+From x = 2 up to x = _ONE_TERM_FROM = 40 they take the Bessel sums, v_hat
+and the radiance's polylog combination from one Clenshaw loop,
+_sum_chebyshev, over literal Chebyshev tables in ln x on four pieces, 16 to
+19 rows, which tests/specfun_tables.py generates from a quadrature of the
+defining integrals.  From 40 on all later terms of the sums are below e^-40
+of the first, so one K pair, _one_term, gives them, and each Li_s(e^-x) is
+e^-x.  Neither form loops to convergence or has a tolerance.
 """
 
 from __future__ import annotations
@@ -209,7 +207,7 @@ def bessel_k2(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Riemann zeta and polylogarithms.
+# Riemann zeta.
 # ---------------------------------------------------------------------------
 
 def _compute_zeta3() -> float:
@@ -227,7 +225,7 @@ def _compute_zeta3() -> float:
 # pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60, correctly rounded, as
 # generated by tests/specfun_tables.py; the math.pi expression of each is an
 # ulp low.
-_PI_POWERS = (
+_PI_RATIOS = (
     1.0823232337111381,
     6.493939402266829,
     0.6579736267392906,
@@ -235,7 +233,7 @@ _PI_POWERS = (
 )
 
 # zeta(2), zeta(3), zeta(4): also Li2, Li3, Li4 at e^-0 = 1.
-_ZETA = (math.pi * math.pi / 6.0, _compute_zeta3(), _PI_POWERS[0])
+_ZETA = (math.pi * math.pi / 6.0, _compute_zeta3(), _PI_RATIOS[0])
 
 
 def zeta_value(s: int) -> float:
@@ -243,29 +241,6 @@ def zeta_value(s: int) -> float:
     if s not in (2, 3, 4):
         raise DomainError(f"zeta_value supports s in {{2, 3, 4}}, got {s!r}")
     return _ZETA[int(s) - 2]
-
-
-# (n^2, n^3, n^4) of the power series, as exact floats.
-_POWERS = tuple((float(n * n), float(n**3), float(n**4)) for n in range(1, 64))
-
-
-def _polylogs(x: float) -> tuple[float, float, float]:
-    """(Li2, Li3, Li4) of w = e^-x for w <= 1/2, that is x >= ln 2, from one
-    loop over their power series in w, cut by Li4's tail bound: at most 55
-    terms, at w = 1/2, and 19 at x = 2.  Below x = 2 the gas kernels take
-    their polylog combinations from _expansions instead."""
-    w = math.exp(-x)
-    cut = (1.0 - w) * 1e-16
-    li2 = li3 = li4 = 0.0
-    wn = 1.0
-    for n2, n3, n4 in _POWERS:
-        wn *= w
-        li2 += wn / n2
-        li3 += wn / n3
-        li4 += wn / n4
-        if wn * w <= cut * li4:
-            break
-    return li2, li3, li4
 
 
 # ---------------------------------------------------------------------------
@@ -367,131 +342,139 @@ def _expansions(x: float) -> tuple[float, float, float, float, int]:
         p = x2 * (p + pj)
         q = x2 * (q + qj)
     zeta2, zeta3, zeta4 = _ZETA
-    return (2.0 * zeta3 + s, _PI_POWERS[1] + (e - x2 * x2 * lg / 16.0),
+    return (2.0 * zeta3 + s, _PI_RATIOS[1] + (e - x2 * x2 * lg / 16.0),
             zeta3 + x2 * ((0.5 * lg - 0.25) - x / 6.0 + p),
             zeta4 + x2 * (-zeta2 / 6.0 + x / 9.0 - x2 / 48.0 + x * q), n)
 
 
 # ---------------------------------------------------------------------------
-# The gas kernels' Bessel sums from x = 2 up.
+# The gas kernels' sums from x = 2 up.
 # ---------------------------------------------------------------------------
 
-# From this x on every term of the Bessel sums and of P~ past the first is
-# below e^-x < 4.3e-18 of it, so the first alone is the sum to double
-# precision.
+# From this x on every term of the Bessel sums and of the polylog
+# combinations past the first is below e^-x < 4.3e-18 of it, so the first
+# alone is the sum to double precision.
 _ONE_TERM_FROM = 40.0
 
 # Per piece [2, 4), [4, 8), [8, 16) and [16, 40): its top, mid and scale
 # of the map y = (ln x - mid) scale/2 onto [-1, 1), and the halved
-# Chebyshev coefficients (a_k, b_k, c_k) in y, highest order first, of
-# a = e^x sqrt(x) S, b = e^x x^1.5 E and c = sqrt(x) v_hat (see
-# _sum_chebyshev); as generated by tests/specfun_tables.py.  The first
-# omitted row is below 2e-18 of the leading one.
+# Chebyshev coefficients (a_k, b_k, c_k, d_k) in y, highest order first, of
+# a = e^x sqrt(x) S, b = e^x x^1.5 E, c = sqrt(x) v_hat and
+# d = e^x Q/(1 + x + x^2/3) (see _sum_chebyshev); as generated by
+# tests/specfun_tables.py.  The first omitted row is below 2e-18 of the
+# leading one.
 _SUM_CHEBYSHEV = (
     (4.0, 1.0397207708399179, 5.7707801635558535, (
-        (-2.2072124420317785e-17, -1.9306034380143705e-17, 1.3299415816014825e-17),
-        (-4.570517848898548e-16, -3.944906209237006e-16, 1.6594601955405554e-16),
-        (-1.851507083965976e-15, -3.680090223328478e-15, -2.0438443527810697e-17),
-        (3.448120163860517e-14, 7.395759356243098e-14, -2.0419318368674825e-14),
-        (5.273842561456613e-13, -7.306380595347214e-13, -1.8835260576643033e-13),
-        (1.2404387250097468e-12, 3.363190003295138e-11, 8.194416257762687e-13),
-        (-5.8113030745355006e-11, -7.92737728176035e-10, 3.135931442387963e-11),
-        (-3.0400985727043484e-10, 1.5302007737243153e-08, 1.5731173051679484e-10),
-        (-7.31149444184049e-09, -3.027278281386719e-07, -3.1763875312738366e-09),
-        (2.9164145283760257e-07, 5.208230943659119e-06, -4.42687962262572e-08),
-        (-4.600591061359841e-06, -7.649760914161891e-05, 3.1130398522351505e-07),
-        (9.535282264163751e-05, 0.000997613242627499, 8.572378696506264e-06),
-        (-0.0017934762384473751, -0.0111794598123386, -7.469724426366708e-05),
-        (0.023350470958565805, 0.10113221233660451, -0.0018690371979027823),
-        (-0.20787129487163614, -0.6837813951628595, 0.047613647084171075),
-        (2.282830655557143, 3.986470677709136, 1.2227154653339083),
+        (-2.2072124420317785e-17, -1.9306034380143705e-17, 1.3299415816014825e-17, -1.6224046544163822e-17),
+        (-4.570517848898548e-16, -3.944906209237006e-16, 1.6594601955405554e-16, -2.2191347434491556e-16),
+        (-1.851507083965976e-15, -3.680090223328478e-15, -2.0438443527810697e-17, -3.0770833624433413e-16),
+        (3.448120163860517e-14, 7.395759356243098e-14, -2.0419318368674825e-14, 2.220566491470993e-14),
+        (5.273842561456613e-13, -7.306380595347214e-13, -1.8835260576643033e-13, 2.680221506890408e-13),
+        (1.2404387250097468e-12, 3.363190003295138e-11, 8.194416257762687e-13, -6.547865471451052e-15),
+        (-5.8113030745355006e-11, -7.92737728176035e-10, 3.135931442387963e-11, -3.720425064733465e-11),
+        (-3.0400985727043484e-10, 1.5302007737243153e-08, 1.5731173051679484e-10, -3.2709469571757384e-10),
+        (-7.31149444184049e-09, -3.027278281386719e-07, -3.1763875312738366e-09, 2.8999375487905766e-09),
+        (2.9164145283760257e-07, 5.208230943659119e-06, -4.42687962262572e-08, 5.782362607905078e-08),
+        (-4.600591061359841e-06, -7.649760914161891e-05, 3.1130398522351505e-07, -1.5456014782224186e-07),
+        (9.535282264163751e-05, 0.000997613242627499, 8.572378696506264e-06, -6.55026556580068e-06),
+        (-0.0017934762384473751, -0.0111794598123386, -7.469724426366708e-05, 1.565429336132408e-05),
+        (0.023350470958565805, 0.10113221233660451, -0.0018690371979027823, 0.000556933526092077),
+        (-0.20787129487163614, -0.6837813951628595, 0.047613647084171075, -0.004478103897507601),
+        (2.282830655557143, 3.986470677709136, 1.2227154653339083, 1.011209338698048),
     )),
     (8.0, 1.7328679513998633, 5.7707801635558535, (
-        (1.4907907793864948e-17, 1.6313815163178803e-17, -1.4051468898317124e-18),
-        (-1.814876984580729e-16, -1.6276326793728543e-16, 8.689296737190553e-17),
-        (-1.830404961544053e-15, -1.920353136694183e-15, 3.305146174876065e-16),
-        (1.2685146423002487e-14, 1.0306046370607662e-14, -7.568547886257992e-15),
-        (1.9373457526318524e-13, 2.0654252260827702e-13, -4.545289513228729e-14),
-        (-7.16948168329716e-13, -7.242891348068294e-13, 6.09696268436174e-13),
-        (-1.7948200282224973e-11, -1.2300871936126155e-11, 4.800872530405824e-12),
-        (2.8693416693351062e-11, -1.2497230600397851e-10, -4.96439236371504e-11),
-        (1.6231816193241132e-09, 4.435616192291248e-09, -4.0681346981773925e-10),
-        (-4.287568918456688e-09, -5.689805558127036e-08, 4.736239206722444e-09),
-        (-4.814504386845273e-08, 8.927094027079153e-07, 2.0679539997774142e-08),
-        (-1.6069572826096758e-06, -1.6035098169277217e-05, -5.52180887623483e-07),
-        (4.7943560660119424e-05, 0.00023552044324067362, 3.31080588551686e-06),
-        (-0.0007247702600421982, -0.0028071503771735203, 4.557714947096414e-05),
-        (0.00891155588994481, 0.028213606380728024, -0.001956907077513073),
-        (-0.08621494639105234, -0.22332152952794093, 0.03143787263258416),
-        (1.718582566098652, 2.2914758718217993, 1.3809459200364977),
+        (1.4907907793864948e-17, 1.6313815163178803e-17, -1.4051468898317124e-18, 3.576895199670672e-18),
+        (-1.814876984580729e-16, -1.6276326793728543e-16, 8.689296737190553e-17, -1.185708218731523e-16),
+        (-1.830404961544053e-15, -1.920353136694183e-15, 3.305146174876065e-16, -6.398150564616397e-16),
+        (1.2685146423002487e-14, 1.0306046370607662e-14, -7.568547886257992e-15, 9.62143932118911e-15),
+        (1.9373457526318524e-13, 2.0654252260827702e-13, -4.545289513228729e-14, 8.111158756745597e-14),
+        (-7.16948168329716e-13, -7.242891348068294e-13, 6.09696268436174e-13, -6.991333788402924e-13),
+        (-1.7948200282224973e-11, -1.2300871936126155e-11, 4.800872530405824e-12, -8.401086764198875e-12),
+        (2.8693416693351062e-11, -1.2497230600397851e-10, -4.96439236371504e-11, 5.043600106237179e-11),
+        (1.6231816193241132e-09, 4.435616192291248e-09, -4.0681346981773925e-10, 7.442389984071312e-10),
+        (-4.287568918456688e-09, -5.689805558127036e-08, 4.736239206722444e-09, -4.436025012617287e-09),
+        (-4.814504386845273e-08, 8.927094027079153e-07, 2.0679539997774142e-08, -5.302917380273797e-08),
+        (-1.6069572826096758e-06, -1.6035098169277217e-05, -5.52180887623483e-07, 4.809907011352128e-07),
+        (4.7943560660119424e-05, 0.00023552044324067362, 3.31080588551686e-06, 1.7251766243494563e-06),
+        (-0.0007247702600421982, -0.0028071503771735203, 4.557714947096414e-05, -4.23550429240922e-05),
+        (0.00891155588994481, 0.028213606380728024, -0.001956907077513073, 0.0002585336860093519),
+        (-0.08621494639105234, -0.22332152952794093, 0.03143787263258416, -0.0007866902666809558),
+        (1.718582566098652, 2.2914758718217993, 1.3809459200364977, 1.0012074670604865),
     )),
     (16.0, 2.4260151319598084, 5.7707801635558535, (
-        (2.130071352019756e-17, 2.2246363492611234e-17, -4.991834728576405e-18),
-        (-1.5342724316933972e-16, -1.3731409718327502e-16, 7.879964111493783e-17),
-        (-1.5256979104394215e-15, -1.6567209851431298e-15, 2.39218724294555e-16),
-        (1.632503408221063e-14, 1.525123715479373e-14, -6.790616815381631e-15),
-        (6.84398481752658e-14, 8.508445452806667e-14, 4.523544651297178e-15),
-        (-1.445723763485987e-12, -1.464325030846206e-12, 4.564559844305221e-13),
-        (1.1545857924781654e-12, 8.330645463666183e-13, -2.327702116816207e-12),
-        (9.183388734228789e-11, 7.327540737291507e-11, -1.6149716483253943e-11),
-        (-5.542016205471507e-10, 4.90291487783092e-11, 2.2489309345815749e-10),
-        (-3.240973622237113e-09, -1.4801217458055831e-08, -7.002008401315815e-10),
-        (8.284212497951066e-08, 2.740890760226684e-07, -1.8230964475298085e-09),
-        (-1.0288548329156077e-06, -3.982069907829497e-06, -3.947337368148713e-09),
-        (1.4484065415320236e-05, 5.642667672391391e-05, -6.82765150658255e-07),
-        (-0.0002414125327676934, -0.0007724101207613434, 5.0961788674932194e-05),
-        (0.003637407775276589, 0.009369595156366746, -0.0013226953284092098),
-        (-0.03938366226227666, -0.08689134553174559, 0.018300275190601567),
-        (1.476062654324144, 1.701898278833694, 1.4793537966451862),
+        (2.130071352019756e-17, 2.2246363492611234e-17, -4.991834728576405e-18, 9.213878800288598e-18),
+        (-1.5342724316933972e-16, -1.3731409718327502e-16, 7.879964111493783e-17, -1.09946964272454e-16),
+        (-1.5256979104394215e-15, -1.6567209851431298e-15, 2.39218724294555e-16, -5.384635324100969e-16),
+        (1.632503408221063e-14, 1.525123715479373e-14, -6.790616815381631e-15, 1.0044929657273671e-14),
+        (6.84398481752658e-14, 8.508445452806667e-14, 4.523544651297178e-15, 9.131713892547415e-15),
+        (-1.445723763485987e-12, -1.464325030846206e-12, 4.564559844305221e-13, -7.492602210005479e-13),
+        (1.1545857924781654e-12, 8.330645463666183e-13, -2.327702116816207e-12, 2.57609348435535e-12),
+        (9.183388734228789e-11, 7.327540737291507e-11, -1.6149716483253943e-11, 3.574466890407818e-11),
+        (-5.542016205471507e-10, 4.90291487783092e-11, 2.2489309345815749e-10, -3.630583694256242e-10),
+        (-3.240973622237113e-09, -1.4801217458055831e-08, -7.002008401315815e-10, 3.0571214011718434e-10),
+        (8.284212497951066e-08, 2.740890760226684e-07, -1.8230964475298085e-09, 1.7811735777933292e-08),
+        (-1.0288548329156077e-06, -3.982069907829497e-06, -3.947337368148713e-09, -1.741253051684744e-07),
+        (1.4484065415320236e-05, 5.642667672391391e-05, -6.82765150658255e-07, 9.267702182243631e-07),
+        (-0.0002414125327676934, -0.0007724101207613434, 5.0961788674932194e-05, -3.2867641505413326e-06),
+        (0.003637407775276589, 0.009369595156366746, -0.0013226953284092098, 8.154354152835239e-06),
+        (-0.03938366226227666, -0.08689134553174559, 0.018300275190601567, -1.4218716426715617e-05),
+        (1.476062654324144, 1.701898278833694, 1.4793537966451862, 1.0000171871072816),
     )),
     (40.0, 3.2307340881768587, 4.365426671749166, (
-        (4.76954635816482e-18, 4.978056534593887e-18, -1.3398255152628117e-18),
-        (-2.3515416351913603e-17, -2.2908425764200028e-17, 9.029976760791257e-18),
-        (-2.8292793764242886e-17, -4.013092218640763e-17, -7.176694494128009e-18),
-        (9.537807441248047e-16, 1.0129692876986092e-15, -2.4326864120441938e-16),
-        (-5.297194968986931e-15, -5.2913834316186485e-15, 1.772382846688261e-15),
-        (6.6179019365988705e-15, 4.17523530840129e-15, -4.750645536225571e-15),
-        (1.161119229527206e-13, 1.4148218513023132e-13, -1.7127296498925347e-14),
-        (-1.1466297454722506e-12, -1.3745566998227901e-12, 2.6610554526867656e-13),
-        (6.609100770456125e-12, 9.341127541262866e-12, -1.7120189303535537e-12),
-        (-3.070213994144529e-11, -7.37284917463786e-11, 7.207406175975674e-12),
-        (1.7062496550666657e-10, 8.880069405665347e-10, -6.615974599568834e-13),
-        (-2.00077845672105e-09, -1.3407930688985161e-08, -5.421185683063766e-10),
-        (3.7707328245274285e-08, 2.057444054523473e-07, 7.583350059330795e-09),
-        (-7.45869153032302e-07, -3.023230066721892e-06, 8.978140309792964e-09),
-        (1.363309344786536e-05, 4.195807950583708e-05, -3.017990031255992e-06),
-        (-0.0002143688209900171, -0.000533123315892518, 8.066304249588529e-05),
-        (0.002654716660339266, 0.005730468463483317, -0.0012578465911385834),
-        (-0.02263849776549562, -0.04496103210292635, 0.011983671962350378),
-        (1.3530703847294874, 1.4428757152407208, 1.540059902786181),
+        (4.76954635816482e-18, 4.978056534593887e-18, -1.3398255152628117e-18, 2.2697454111929402e-18),
+        (-2.3515416351913603e-17, -2.2908425764200028e-17, 9.029976760791257e-18, -1.364970171071803e-17),
+        (-2.8292793764242886e-17, -4.013092218640763e-17, -7.176694494128009e-18, 2.0026545400624867e-18),
+        (9.537807441248047e-16, 1.0129692876986092e-15, -2.4326864120441938e-16, 4.2820249686103695e-16),
+        (-5.297194968986931e-15, -5.2913834316186485e-15, 1.772382846688261e-15, -2.8150763463363776e-15),
+        (6.6179019365988705e-15, 4.17523530840129e-15, -4.750645536225571e-15, 6.207459173255251e-15),
+        (1.161119229527206e-13, 1.4148218513023132e-13, -1.7127296498925347e-14, 3.8220135846775635e-14),
+        (-1.1466297454722506e-12, -1.3745566998227901e-12, 2.6610554526867656e-13, -4.764299879864438e-13),
+        (6.609100770456125e-12, 9.341127541262866e-12, -1.7120189303535537e-12, 2.8887112973712794e-12),
+        (-3.070213994144529e-11, -7.37284917463786e-11, 7.207406175975674e-12, -1.2709573379224044e-11),
+        (1.7062496550666657e-10, 8.880069405665347e-10, -6.615974599568834e-13, 4.468345595226559e-11),
+        (-2.00077845672105e-09, -1.3407930688985161e-08, -5.421185683063766e-10, -1.3068650833528543e-10),
+        (3.7707328245274285e-08, 2.057444054523473e-07, 7.583350059330795e-09, 3.2465113989025084e-10),
+        (-7.45869153032302e-07, -3.023230066721892e-06, 8.978140309792964e-09, -6.932435378806205e-10),
+        (1.363309344786536e-05, 4.195807950583708e-05, -3.017990031255992e-06, 1.2816152773098689e-09),
+        (-0.0002143688209900171, -0.000533123315892518, 8.066304249588529e-05, -2.060340600065229e-09),
+        (0.002654716660339266, 0.005730468463483317, -0.0012578465911385834, 2.887882071909622e-09),
+        (-0.02263849776549562, -0.04496103210292635, 0.011983671962350378, -3.5346044988869383e-09),
+        (1.3530703847294874, 1.4428757152407208, 1.540059902786181, 1.000000003780597),
     )),
 )
 
 
-def _sum_chebyshev(x: float) -> tuple[float, float, float, int]:
-    """(a, b, c, rows) for _EXPAND_BELOW <= x < _ONE_TERM_FROM:
+def _sum_chebyshev(x: float) -> tuple[float, float, float, float, int]:
+    """(a, b, c, d, rows) for _EXPAND_BELOW <= x < _ONE_TERM_FROM:
 
-        a = e^x sqrt(x) S = pi^2 e^x n_hat/x^1.5
-        b = e^x x^1.5 E   = pi^2 e^x u_hat/x^2.5
+        a = e^x sqrt(x) S          = pi^2 e^x n_hat/x^1.5
+        b = e^x x^1.5 E            = pi^2 e^x u_hat/x^2.5
         c = sqrt(x) v_hat
+        d = e^x Q/(1 + x + x^2/3)  = (2 pi^2/3) e^x r_hat/(1 + x + x^2/3)
 
-    with S and E the Bessel sums of _expansions, so n_hat, u_hat and v_hat
-    from x = 2 up to the one-term form.  All three are smooth in ln x and
-    tend to constants as x grows, and their Chebyshev series in ln x over
-    the piece of _SUM_CHEBYSHEV that holds x are summed in one Clenshaw
-    loop, as _k01_chebyshev sums its pair: 16 rows on [2, 4), 17 on
-    [4, 16), 19 on [16, 40).  rows is that count.
+    with S, E and Q the Bessel sums and the polylog combination of
+    _expansions, so all four kernels from x = 2 up to the one-term form.
+    All four are smooth in ln x and tend to constants as x grows, d to 1,
+    and their Chebyshev series in ln x over the piece of _SUM_CHEBYSHEV
+    that holds x are summed in one Clenshaw loop, as _k01_chebyshev sums
+    its pair: 16 rows on [2, 4), 17 on [4, 16), 19 on [16, 40).  rows is
+    that count.  The recurrence beta_k = y2 beta_(k+1) - beta_(k+2) + c_k
+    runs one row short, to beta_1 and beta_2 of each series (a1 and a2 for
+    a), and the last row gives beta_0 and the sum beta_0 - beta_2.
     """
     for top, mid, scale, rows in _SUM_CHEBYSHEV:
         if x < top:
             break
     y2 = (math.log(x) - mid) * scale
-    a0 = a1 = a2 = b0 = b1 = b2 = c0 = c1 = c2 = 0.0
-    for ca, cb, cc in rows:
-        a0, a1, a2 = y2 * a0 - a1 + ca, a0, a1
-        b0, b1, b2 = y2 * b0 - b1 + cb, b0, b1
-        c0, c1, c2 = y2 * c0 - c1 + cc, c0, c1
-    return a0 - a2, b0 - b2, c0 - c2, len(rows)
+    a1 = a2 = b1 = b2 = c1 = c2 = d1 = d2 = 0.0
+    for ca, cb, cc, cd in rows[:-1]:
+        a1, a2 = y2 * a1 - a2 + ca, a1
+        b1, b2 = y2 * b1 - b2 + cb, b1
+        c1, c2 = y2 * c1 - c2 + cc, c1
+        d1, d2 = y2 * d1 - d2 + cd, d1
+    ca, cb, cc, cd = rows[-1]
+    return (y2 * a1 - a2 + ca - a2, y2 * b1 - b2 + cb - b2, y2 * c1 - c2 + cc - c2,
+            y2 * d1 - d2 + cd - d2, len(rows))
 
 
 def _one_term(x: float) -> tuple[float, float, float]:

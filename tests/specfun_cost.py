@@ -3,7 +3,7 @@
     python tests/specfun_cost.py [--src DIR] [--routes]
 
 times ``specfun._k01_scaled(z)`` on a fixed z grid in thread CPU time, the
-median of 7 runs of 40 calls each, in microseconds, for the photongas
+fastest of 7 runs of 40 calls each, in microseconds, for the photongas
 package under DIR (default: this checkout's src).  Pointing --src at another
 checkout's src, one whose specfun has ``_k01_scaled``, gives its table on the
 same host, so two trees can be compared.  Where the module has the Chebyshev and Hankel tables, it also
@@ -11,8 +11,8 @@ counts the terms each pair takes, a number that does not depend on the host.
 --routes adds the same timing, on a fixed x grid, of all four kernels by
 each route: the trapezoid pass ``oracle._moments``, and the series route
 ``core._series`` in each of its bands, below x = 2 the one loop over the
-expansions about x = 0, from 2 up to 40 the Chebyshev tables with the
-polylog pass, and from 40 on one K pair; of ``core.reduced_functions`` on
+expansions about x = 0, from 2 up to 40 the one loop over the Chebyshev
+tables, and from 40 on one K pair; of ``core.reduced_functions`` on
 the default route, which wraps them; of ``core.r_hat_closed`` alone; and,
 as ``evaluate_us``, of ``core.evaluate`` on a mass of 1 eV at T = mc^2/(k_B x),
 the whole SI report, whose excess over ``default_route_us`` is the cost of
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -38,7 +37,11 @@ RUNS, CALLS = 7, 40
 
 
 def cost_us(fn, arg) -> float:
-    """Median over RUNS of the thread CPU time per call of CALLS calls, in us."""
+    """Fastest over RUNS of the thread CPU time per call of CALLS calls, in us.
+
+    The fastest run is the one the rest of the host disturbed least: on a
+    shared host the medians of two processes differed by up to 1.7x.
+    """
     fn(arg)
     runs = []
     for _ in range(RUNS):
@@ -46,7 +49,7 @@ def cost_us(fn, arg) -> float:
         for _ in range(CALLS):
             fn(arg)
         runs.append((time.thread_time_ns() - start) / CALLS / 1e3)
-    return round(statistics.median(runs), 2)
+    return round(min(runs), 2)
 
 
 class _Counted:
@@ -106,8 +109,7 @@ def main() -> None:
                  "one_term": (specfun._ONE_TERM_FROM, float("inf"))}
         routes = {"trapezoid": (oracle._moments, X_GRID)}
         for name, (low, high) in bands.items():
-            routes[name] = (lambda x: core._series(x, "nuvR"),
-                            [x for x in X_GRID if low <= x < high])
+            routes[name] = (core._series, [x for x in X_GRID if low <= x < high])
         result["reduced_functions_us"] = {
             name: {repr(x): cost_us(route, x) for x in grid}
             for name, (route, grid) in routes.items()}

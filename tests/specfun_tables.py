@@ -13,7 +13,7 @@ prints the six tables as Python source, ready to paste into specfun.py:
 * _HANKEL, the ratios a_k(nu)/a_(k-1)(nu) = (4 nu^2 - (2k - 1)^2)/(8k) of
   the Hankel expansion e^z K_nu(z) ~ sqrt(pi/2z) sum_k a_k(nu)/z^k
   (DLMF 10.40.2), for nu = 0 and 1.
-* _PI_POWERS, pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60 correctly
+* _PI_RATIOS, pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60 correctly
   rounded: the massless limits of the gas kernels and their sums.
 * _K2_SUM_EXPANSION and _ENERGY_SUM_EXPANSION, the coefficients of the
   expansions about x = 0 of x^2 sum_n K2(n x)/n and of
@@ -25,10 +25,11 @@ prints the six tables as Python source, ready to paste into specfun.py:
 * _SUM_CHEBYSHEV, per piece [2, 4), [4, 8), [8, 16) and [16, 40) of the
   band between the expansions and the one-term form, the Chebyshev
   coefficients in ln x of a = e^x sqrt(x) sum_n K2(n x)/n,
-  b = e^x x^1.5 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2] and
-  c = sqrt(x) v_hat (see sum_chebyshev).  The values at the nodes come
-  from perfbench/reference.py, whose quadrature of the defining integrals
-  takes about 50 ms per x.
+  b = e^x x^1.5 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], c = sqrt(x) v_hat
+  and d = e^x Q/(1 + x + x^2/3), Q = Li4 + x Li3 + (x^2/3) Li2 of e^-x
+  (see sum_chebyshev).  The values at the nodes come from
+  perfbench/reference.py, whose quadrature of the defining integrals takes
+  about 50 ms per x.
 
 tests/test_specfun.py runs the same functions and compares with the module.
 """
@@ -76,7 +77,7 @@ def hankel_ratios() -> tuple[tuple[float, float], ...]:
                  for k in range(1, HANKEL_TERMS + 1))
 
 
-def pi_powers() -> tuple[float, ...]:
+def pi_ratios() -> tuple[float, ...]:
     """pi^4/90, pi^4/15, pi^2/15 and pi^2/60, each correctly rounded."""
     import mpmath as mp
 
@@ -169,16 +170,18 @@ def sum_chebyshev() -> tuple[tuple[float, float, float, tuple], ...]:
 
     mid = ln(x0 x1)/2 and scale = 4/ln(x1/x0), so that y = (ln x - mid)
     scale/2 maps the piece onto [-1, 1), and rows are the halved Chebyshev
-    coefficients (a_k, b_k, c_k) in y, highest order first, of
+    coefficients (a_k, b_k, c_k, d_k) in y, highest order first, of
 
         a = e^x sqrt(x) S = pi^2 e^x n_hat/x^1.5
         b = e^x x^1.5 E   = pi^2 e^x u_hat/x^2.5
         c = sqrt(x) v_hat
+        d = e^x Q/(1 + x + x^2/3) = (2 pi^2/3) e^x r_hat/(1 + x + x^2/3)
 
-    with S and E the Bessel sums of specfun._expansions.  Each is smooth in
-    ln x and tends to a constant as x grows.  The coefficients are the
-    discrete cosine transform of the three at SUM_NODES Chebyshev points,
-    from perfbench/reference.py at its 24 digits; they fall off like those
+    with S, E and Q the Bessel sums and the polylog combination of
+    specfun._expansions.  Each is smooth in ln x and tends to a constant as
+    x grows, d to 1.  The coefficients are the discrete cosine transform of
+    the four at SUM_NODES Chebyshev points, from perfbench/reference.py at
+    its 24 digits, d from its r_hat; they fall off like those
     of a function analytic in an ellipse about the piece (Trefethen,
     Approximation Theory and Approximation Practice, SIAM 2013, ch. 8).
     A piece keeps its rows up to the last with a coefficient above
@@ -201,9 +204,10 @@ def sum_chebyshev() -> tuple[tuple[float, float, float, tuple], ...]:
                 kernels = reference.reduced(x)
                 scale = mp.pi**2 * mp.exp(x) / mp.sqrt(x)
                 values.append((kernels["n"] * scale / x, kernels["u"] * scale / x**2,
-                               kernels["v"] * mp.sqrt(x)))
+                               kernels["v"] * mp.sqrt(x),
+                               kernels["r"] * 2 * mp.pi**2 / 3 * mp.exp(x) / (1 + x + x * x / 3)))
             rows = [[mp.fsum(v[i] * mp.cos(k * t) for v, t in zip(values, nodes)) / SUM_NODES
-                     for i in range(3)] for k in range(SUM_NODES)]
+                     for i in range(4)] for k in range(SUM_NODES)]
             kept = 1 + max(k for k, row in enumerate(rows)
                            if any(abs(c / c0) > SUM_CUTOFF for c, c0 in zip(row, rows[0])))
             pieces.append((float(x1), float(mid), float(2 / half),
@@ -220,8 +224,8 @@ def main() -> None:
     for a0, a1 in hankel_ratios():
         print(f"    ({a0!r}, {a1!r}),")
     print(")")
-    print("_PI_POWERS = (")
-    for value in pi_powers():
+    print("_PI_RATIOS = (")
+    for value in pi_ratios():
         print(f"    {value!r},")
     print(")")
     k2_sum, energy_sum = small_x_expansions()
@@ -236,8 +240,8 @@ def main() -> None:
     print("_SUM_CHEBYSHEV = (")
     for top, mid, scale, rows in sum_chebyshev():
         print(f"    ({top!r}, {mid!r}, {scale!r}, (")
-        for a, b, c in rows:
-            print(f"        ({a!r}, {b!r}, {c!r}),")
+        for a, b, c, d in rows:
+            print(f"        ({a!r}, {b!r}, {c!r}, {d!r}),")
         print("    )),")
     print(")")
 

@@ -19,7 +19,7 @@ from photongas import (SI, GasParameters, energy_density,
 from photongas.cli import main
 from photongas.core import n_hat_series, r_hat_closed, v_hat_series
 from photongas.oracle import _occupation
-from photongas.specfun import _polylogs, bessel_k2, zeta_value
+from photongas.specfun import bessel_k2, zeta_value
 
 T_REF = 5800.0
 
@@ -160,19 +160,26 @@ def test_criterion_9_special_function_spot_checks():
     # the cut above has zeroed the integrand beyond t = acosh(801)
     k2_ref = integrate_adaptive(k2_integrand, 0.0, math.acosh(801.0),
                                 1e-13).value
-    li2_ref = 0.0
+    # r_hat at x = 3, inside the Chebyshev tables, against its closed form
+    # (3/2 pi^2) (Li4 + x Li3 + (x^2/3) Li2) of w = e^-3, each Li_s by
+    # brute-force summation of its power series
+    x = 3.0
+    w = math.exp(-x)
+    li_ref = [0.0, 0.0, 0.0]
     zn = 1.0
     for n in range(1, 200):
-        zn *= 0.5
-        li2_ref += zn / (n * n)
+        zn *= w
+        for s in range(3):
+            li_ref[s] += zn / n ** (s + 2)
+    r_hat_ref = 1.5 / math.pi**2 * (li_ref[2] + x * li_ref[1] + x * x / 3.0 * li_ref[0])
     zeta3_ref = brute_zeta3()
     checks = [
         abs(bessel_k2(1.0) / k2_ref - 1) <= 1e-10,
-        abs(_polylogs(math.log(2.0))[0] / li2_ref - 1) <= 1e-10,
+        abs(r_hat_closed(x) / r_hat_ref - 1) <= 1e-10,
         abs(zeta_value(3) / zeta3_ref - 1) <= 1e-10,
     ]
-    report(9, "K2(1), Li2(0.5), zeta(3) vs independent oracles to 1e-10",
-           all(checks))
+    report(9, "K2(1), r_hat(3) from Li2, Li3 and Li4 of e^-3, zeta(3) vs "
+              "independent oracles to 1e-10", all(checks))
     assert all(checks)
 
 

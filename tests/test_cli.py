@@ -198,9 +198,9 @@ def test_x_sweep_prints_and_routes_by_its_grid_x(capsys, tmp_path, monkeypatch):
     evaluated_at = []
     series = core._series
 
-    def recorded(x, keys):
+    def recorded(x):
         evaluated_at.append(x)
-        return series(x, keys)
+        return series(x)
 
     monkeypatch.setattr(core, "_series", recorded)
     out_file = tmp_path / "sweep.csv"
@@ -338,9 +338,9 @@ def test_validate_compares_both_routes_at_every_grid_x(capsys, monkeypatch, quad
     closed_at = []
     series = core._series
 
-    def recorded(x, *args):
+    def recorded(x):
         closed_at.append(x)
-        return series(x, *args)
+        return series(x)
 
     monkeypatch.setattr(core, "_series", recorded)
     code, out, err = run(capsys, "validate", "--quad-tol", quad_tol)

@@ -2,7 +2,6 @@
 massless limits, asymptotic regimes, and report invariants."""
 
 import dataclasses
-import itertools
 import math
 import time
 
@@ -196,7 +195,7 @@ def test_energy_per_photon_is_at_least_rest_energy(x):
 
 
 def test_energy_series_matches_quadrature_at_x_2():
-    u_hat = _series(2.0, "u")["u"]
+    u_hat = _series(2.0)[1]
     assert u_hat == pytest.approx(quad_energy_density(2.0), rel=1e-9)
 
 
@@ -342,8 +341,9 @@ def test_method_tags_follow_the_regime_switch():
     assert massless.method == "series"
     with pytest.raises(AttributeError):
         massless.methods = {}
-    with pytest.raises(DomainError):
-        dataclasses.replace(reduced_functions(10.0), method="bessel")
+    for retired in ("bessel", "quadrature"):
+        with pytest.raises(DomainError, match=f"^method must be 'series', got '{retired}'$"):
+            dataclasses.replace(reduced_functions(10.0), method=retired)
 
 
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.4, 0.7, 1.0])
@@ -555,9 +555,8 @@ def counted_passes(monkeypatch) -> list[str]:
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((specfun, "_polylogs"), (specfun, "_expansions"),
-                         (specfun, "_sum_chebyshev"), (specfun, "_one_term"),
-                         (oracle, "_moments")):
+    for module, name in ((specfun, "_expansions"), (specfun, "_sum_chebyshev"),
+                         (specfun, "_one_term"), (oracle, "_moments")):
         counted(module, name)
     return calls
 
@@ -570,45 +569,49 @@ def test_radiance_alone_below_two_takes_one_expansions_call(monkeypatch):
     assert calls == ["_expansions"]
 
 
-def test_radiance_alone_from_two_takes_one_polylog_pass(monkeypatch):
-    # Anywhere on [2, 40) R needs neither the trapezoid pass nor the
-    # tables: its closed form is one polylog pass.
+def test_radiance_alone_from_two_takes_one_table_pass(monkeypatch):
+    # Anywhere on [2, 40) R needs no trapezoid pass: its polylog
+    # combination is the fourth column of the one loop over the tables.
     calls = counted_passes(monkeypatch)
     grid = (2.0, 2.5, math.nextafter(4.0, 0.0), 4.0, 5.0, 10.0, 25.0,
             math.nextafter(40.0, 0.0))
     for x in grid:
         radiance(params_for_x(x))
-    assert calls == ["_polylogs"] * len(grid)
+    assert calls == ["_sum_chebyshev"] * len(grid)
 
 
 @pytest.mark.parametrize("x", [2.0, 3.0, 39.5, 40.0, 1e3, 1e300])
 def test_series_from_two_takes_only_the_passes_its_keys_need(monkeypatch, x):
-    # Up to 40 the radiance takes one polylog pass and n, u and v one table
-    # loop; from 40 on the radiance takes neither, and n, u and v one K pair.
+    # _series takes no keys: from 2 on it yields all four kernels from one
+    # pass per x, one table loop up to 40 and one K pair from there on,
+    # and each SI wrapper takes the same one pass.
     calls = counted_passes(monkeypatch)
     sums = "_sum_chebyshev" if x < 40.0 else "_one_term"
-    for size in range(1, 5):
-        for keys in itertools.combinations("nuvR", size):
-            del calls[:]
-            values = _series(x, "".join(keys))
-            expected = []
-            if "R" in keys and x < 40.0:
-                expected.append("_polylogs")
-            if keys != ("R",):
-                expected.append(sums)
-            assert calls == expected, keys
-            assert set(keys) <= set(values)
+    values = _series(x)
+    assert calls == [sums]
+    assert len(values) == 4
+    del calls[:]
+    params = params_for_x(x)
+    for wrapper in (number_density, energy_density, mean_speed, radiance):
+        wrapper(params)
+    assert calls == [sums] * 4
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-8, 0.5, 1.0, math.nextafter(2.0, 0.0)])
 def test_series_below_two_is_one_expansions_call_for_every_keys_string(monkeypatch, x):
+    # _series takes no keys: below 2 it yields all four kernels from one
+    # call of the expansions, as does each SI wrapper.
     calls = counted_passes(monkeypatch)
-    for size in range(1, 5):
-        for keys in itertools.combinations("nuvR", size):
-            del calls[:]
-            values = _series(x, "".join(keys))
-            assert calls == ["_expansions"], keys
-            assert set(keys) <= set(values)
+    values = _series(x)
+    assert calls == ["_expansions"]
+    assert len(values) == 4 and all(v > 0.0 for v in values)
+    del calls[:]
+    params = params_for_x(x)
+    for wrapper in (number_density, energy_density, mean_speed, radiance):
+        wrapper(params)
+    # at x = 5e-324 the params' own x is 0, the massless limit, which takes
+    # no pass
+    assert calls == ["_expansions"] * (4 if reduce(params).x > 0.0 else 0)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.01, 0.5, 40.0])
@@ -650,23 +653,23 @@ def test_convergence_failure_names_the_quantity(monkeypatch):
 @pytest.mark.parametrize("x", [2.0 * 20 ** (k / 29) for k in range(30)])
 def test_bessel_pass_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
-    kernels = _series(x, "nuv")
+    kernels = _series(x)
     with mp.workdps(30):
         reference = mpmath_kernels(mp, mp.mpf(x))
-    for key, expected in zip("nuv", reference):
-        assert kernels[key] == pytest.approx(float(expected), rel=1e-15, abs=0.0), key
+    for key, value, expected in zip("nuv", kernels, reference):
+        assert value == pytest.approx(float(expected), rel=1e-15, abs=0.0), key
 
 
 # Below x = 2 the series route takes the expansions about x = 0, from 2 on
-# the tables and the polylog pass: both hold it to a few ulps.
+# the tables: both hold it to a few ulps.
 @pytest.mark.parametrize("x", [4.0 ** (k / 12) for k in range(12)])
 def test_series_route_from_one_to_four_matches_mpmath(x):
     mp = pytest.importorskip("mpmath")
-    values = _series(x, "nuvR")
+    values = _series(x)
     with mp.workdps(20):
         reference = mpmath_kernels(mp, mp.mpf(x))
-    for key, expected in zip("nuvR", reference):
-        assert values[key] == pytest.approx(float(expected), rel=5e-15, abs=0.0), key
+    for key, value, expected in zip("nuvR", values, reference):
+        assert value == pytest.approx(float(expected), rel=5e-15, abs=0.0), key
 
 
 def test_series_route_reaches_small_x():
@@ -809,10 +812,10 @@ def test_number_density_alone_is_finite_where_the_other_prefactors_overflow():
 def test_every_path_refuses_a_broken_kernel_by_name(monkeypatch, capsys, key, value, message):
     series = core._series
 
-    def broken(x, keys):
-        values = series(x, keys)
-        values[key] = value
-        return values
+    def broken(x):
+        values = list(series(x))
+        values["nuvR".index(key)] = value
+        return tuple(values)
 
     monkeypatch.setattr(core, "_series", broken)
     for call in (lambda: evaluate(params_for_x(0.5)), lambda: reduced_functions(0.5)):

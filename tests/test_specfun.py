@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photongas import (DomainError, bessel_k2, energy_bessel_sum,
+from photongas import (DomainError, bessel_k2, core, energy_bessel_sum,
                        integrate_adaptive, k2_weighted_sum, specfun, zeta_value)
 
 import specfun_cost
@@ -219,7 +219,7 @@ def test_tables_match_their_generator():
     source = Path(specfun.__file__).read_text()
     blocks = printed.split("\n)\n")
     assert [block.split(" = ")[0] for block in blocks[:-1]] == [
-        "_K01_CHEBYSHEV", "_HANKEL", "_PI_POWERS", "_K2_SUM_EXPANSION",
+        "_K01_CHEBYSHEV", "_HANKEL", "_PI_RATIOS", "_K2_SUM_EXPANSION",
         "_ENERGY_SUM_EXPANSION", "_SUM_CHEBYSHEV"]
     for block in blocks[:-1]:
         assert block + "\n)\n" in source, block.split(" = ")[0]
@@ -234,15 +234,21 @@ def test_sum_tables_match_mpmath(x):
     # a = pi^2 e^x n_hat/x^1.5, b = pi^2 e^x u_hat/x^2.5 and c = sqrt(x) v_hat
     # at every piece edge, its left neighbour and inside each piece, against
     # mpmath's tanh-sinh quadrature of the defining integrals at 30 digits
-    # (tests/mpmath_reference.py), which shares no algorithm with the
-    # tables' generator.  The worst of the three there is 1.6e-16.
+    # (tests/mpmath_reference.py), and d = e^x Q/(1 + x + x^2/3) against
+    # the closed form Q = Li4 + x Li3 + (x^2/3) Li2 of e^-x by mp.polylog;
+    # neither shares an algorithm with the tables' generator.  The worst of
+    # the four there is 1.6e-16.
     mp = pytest.importorskip("mpmath")
     values = specfun._sum_chebyshev(x)
     with mp.workdps(30):
         xm = mp.mpf(x)
         n_hat, u_hat, v_hat, _ = mpmath_kernels(mp, xm)
         scale = mp.pi**2 * mp.exp(xm) / mp.sqrt(xm)
-        reference = (scale * n_hat / xm, scale * u_hat / xm**2, mp.sqrt(xm) * v_hat)
+        w = mp.exp(-xm)
+        q = mp.polylog(4, w) + xm * mp.polylog(3, w) + xm * xm / 3 * mp.polylog(2, w)
+        reference = (scale * n_hat / xm, scale * u_hat / xm**2, mp.sqrt(xm) * v_hat,
+                     q / (w * (1 + xm + xm * xm / 3)))
+    assert len(values) == 5
     for value, expected in zip(values, reference):
         assert value == pytest.approx(float(expected), rel=2.5e-16, abs=0.0)
 
@@ -268,75 +274,100 @@ def test_polylog_expansion_columns_are_exact_rationals():
 
 
 # ---------------------------------------------------------------------------
-# polylogs: (Li2, Li3, Li4) of e^-x, x >= ln 2, from specfun._polylogs
+# polylogs: the combinations P = Li3 + x Li2 and Q = Li4 + x Li3 + (x^2/3) Li2
+# of w = e^-x, which the kernels take from the expansions below x = 2, from
+# the tables' fourth column up to 40 and from the first terms from there on
 # ---------------------------------------------------------------------------
 
 LN_2 = math.log(2.0)
 
 
 def li1(z: float) -> float:
-    """Li_1(z) = -ln(1 - z), the order below the ones _polylogs returns."""
+    """Li_1(z) = -ln(1 - z)."""
     return -math.log1p(-z)
 
 
 def li(s: int, z: float) -> float:
-    """Li_s(z) for s in {1, 2, 3, 4} and z in (0, 1/2], through x = -ln z."""
-    return li1(z) if s == 1 else specfun._polylogs(-math.log(z))[s - 2]
+    """Li_s(z) for s in {1, 2, 3, 4} and z in (0, 1/2]: the closed form of
+    Li_1, or the brute-force sum."""
+    return li1(z) if s == 1 else polylog_oracle(s, z)
 
 
-@pytest.mark.parametrize("s", [2, 3, 4])
-def test_polylog_power_series_matches_mpmath_from_the_switch(s):
-    # From x = ln 2, the bottom of its domain, past the switch at x = 2 from
-    # which the radiance takes it, to x = 40.
+def polylog_combinations(x: float) -> tuple[float, float]:
+    """The library's (P, Q) at x: P = pi^2 n_hat v_hat/2, Q = (2 pi^2/3) r_hat."""
+    n_hat, _, v_hat, r_hat = core._series(x)
+    return math.pi**2 * n_hat * v_hat / 2, 2 * math.pi**2 / 3 * r_hat
+
+
+@pytest.mark.parametrize("low, high", zip(_PIECE_EDGES, _PIECE_EDGES[1:]))
+def test_radiance_from_two_matches_the_polylog_closed_form(low, high):
+    # On each piece of the tables, 16 log-spaced points from its bottom
+    # and the double below its top: r_hat against (3/2 pi^2) Q by
+    # mp.polylog, which shares nothing with the tables' generator.
     mp = pytest.importorskip("mpmath")
+    grid = [low * (high / low) ** (i / 16) for i in range(16)] + [math.nextafter(high, 0.0)]
     with mp.workdps(30):
-        for i in range(61):
-            u = LN_2 * (40 / LN_2) ** (i / 60)
-            ref = mp.polylog(s, mp.exp(-mp.mpf(u)))
-            assert specfun._polylogs(u)[s - 2] == pytest.approx(float(ref), rel=1e-15, abs=0.0)
+        for x in grid:
+            xm = mp.mpf(x)
+            w = mp.exp(-xm)
+            ref = 3 / (2 * mp.pi**2) * (mp.polylog(4, w) + xm * mp.polylog(3, w)
+                                        + xm * xm / 3 * mp.polylog(2, w))
+            assert core._series(x)[3] == pytest.approx(float(ref), rel=1e-15, abs=0.0), x
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_polylog_vanishes_at_zero(s):
-    # e^-x underflows to 0 from x of about 745.13 on; at 745 it is the
-    # smallest subnormal, which is then every Li_s to the last bit.
+    # From x = 40 on the radiance takes every Li_s(e^-x) as e^-x, its first
+    # term: the second is 2^-s e^-x < 1.1e-18 of it, so the sum rounds to
+    # e^-x.  e^-x underflows to 0 from x of about 745.13 on; at 745 it is
+    # the smallest subnormal.  The radiance, its polynomial times e^-x, is 0
+    # from x of about 755 on.
+    for x in (40.0, 100.0, 700.0):
+        w = math.exp(-x)
+        assert li(s, w) == w
     assert math.exp(-745.0) == 5e-324
-    assert specfun._polylogs(745.0)[s - 2] == 5e-324
-    for x in (746.0, 800.0, 1e300):
-        assert specfun._polylogs(x)[s - 2] == 0.0
+    for x in (760.0, 800.0, 1e300):
+        assert core._series(x)[3] == 0.0
 
 
 def test_polylog_half_matches_direct_series():
+    # At w = 1/2, x = ln 2, the expansions' P and Q against direct sums of
+    # the power series.
     oracle = polylog_oracle(2, 0.5)
     assert oracle == pytest.approx(0.58224052, abs=1e-8)
-    assert li(2, 0.5) == pytest.approx(oracle, rel=1e-12)
+    p, q = polylog_combinations(LN_2)
+    assert p == pytest.approx(li(3, 0.5) + LN_2 * oracle, rel=1e-12)
+    assert q == pytest.approx(li(4, 0.5) + LN_2 * li(3, 0.5) + LN_2**2 / 3 * oracle,
+                              rel=1e-12)
 
 
-def test_polylog_power_series_stops_within_its_table(monkeypatch):
-    # 55 terms at x = ln 2, where e^-x is largest, 38 at x = 1, and fewer
-    # above.
-    powers = specfun._POWERS
-    for x, reads in ((LN_2, 55), (1.0, 38)):
-        table = specfun_cost._Counted(powers)
-        monkeypatch.setattr(specfun, "_POWERS", table)
-        specfun._polylogs(x)
-        assert table.reads == reads < len(powers)
-
-
-@given(z=st.floats(min_value=1e-6, max_value=0.5),
-       s=st.sampled_from([2, 3, 4]))
-def test_polylog_decreases_with_order(z, s):
-    lower = li(s - 1, z)
-    assert li(s, z) <= lower * (1 + 1e-14)
+@given(z=st.floats(min_value=1e-6, max_value=0.5))
+def test_polylog_decreases_with_order(z):
+    # Li4 <= Li3 <= Li2 of w = e^-x bound the library's combinations:
+    # (1 + x) Li3 <= P <= (1 + x) Li2 and
+    # (1 + x + x^2/3) Li4 <= Q <= (1 + x + x^2/3) Li2.
+    x = -math.log(z)
+    p, q = polylog_combinations(x)
+    assert (1 + x) * li(3, z) <= p * (1 + 1e-14)
+    assert p <= (1 + x) * li(2, z) * (1 + 1e-14)
+    poly = 1 + x + x * x / 3
+    assert poly * li(4, z) <= q * (1 + 1e-14)
+    assert q <= poly * li(2, z) * (1 + 1e-14)
 
 
 @pytest.mark.parametrize("x", [0.7, 1.0, 2.0])
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_polylog_derivative_identity(s, x):
-    # d/dx Li_s(e^-x) = -Li_{s-1}(e^-x), checked by central differences
+    # d/dx Li_s(e^-x) = -Li_(s-1)(e^-x) gives P' = -x Li1 and
+    # Q' = -(x/3) (Li2 + x Li1), so the library's P and Q yield
+    # Li1 = -P'/x, Li2 = P' - 3 Q'/x and Li3 = P - x Li2; checked by
+    # central differences against -ln(1 - w) and the brute-force sums.
     h = 1e-5
-    numeric = (specfun._polylogs(x + h)[s - 2] - specfun._polylogs(x - h)[s - 2]) / (2 * h)
-    assert numeric == pytest.approx(-li(s - 1, math.exp(-x)), rel=1e-6)
+    (p_hi, q_hi), (p_lo, q_lo) = polylog_combinations(x + h), polylog_combinations(x - h)
+    dp, dq = (p_hi - p_lo) / (2 * h), (q_hi - q_lo) / (2 * h)
+    li2 = dp - 3 * dq / x
+    recovered = {2: -dp / x, 3: li2, 4: polylog_combinations(x)[0] - x * li2}
+    assert recovered[s] == pytest.approx(li(s - 1, math.exp(-x)), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
