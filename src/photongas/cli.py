@@ -1,9 +1,9 @@
 """Command-line front end: point reports, sweeps, the mean-speed figure, and
 the series-vs-quadrature validation gate.
 
-point, sweep and figure take the series route at every x and have no
-numerics flag; only validate takes one, --quad-tol, the tolerance of its
-trapezoid oracle.  Exit codes: 0 ok, 1 validation failure, 2 usage error,
+point, sweep and figure take the series route at every x, and validate
+checks it against a trapezoid oracle at a fixed step; no command has a
+numerics flag.  Exit codes: 0 ok, 1 validation failure, 2 usage error,
 3 numerical non-convergence (of validate's oracle).  All numeric output uses
 17 significant digits so repeated runs are byte-identical and every cell
 round-trips through float parsing.
@@ -260,7 +260,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         # Two routes that share nothing but arithmetic, at every grid x: the
         # trapezoid oracle and the series route, the one every public
         # kernel takes.
-        quad_values = oracle._moments(x, args.quad_tol)
+        quad_values = oracle._moments(x)
         for key, quad, closed in zip(_KERNEL_NAMES, quad_values, core._series(x)):
             residual = abs(closed / quad - 1.0)
             if residual > worst[key][0]:
@@ -341,10 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="compare closed forms against the quadrature oracle"
     )
-    validate.add_argument("--quad-tol", type=float, default=oracle.QUAD_TOL,
-                          help="relative tolerance of the quadrature oracle: the "
-                               "trapezoid step is halved until every moment "
-                               "changes by less")
     validate.set_defaults(func=_cmd_validate)
     return parser
 

@@ -3,7 +3,8 @@
     python tests/specfun_cost.py [--src DIR] [--routes]
 
 times ``specfun._k01_scaled(z)`` on a fixed z grid in thread CPU time, the
-fastest of 7 runs of 40 calls each, in microseconds, for the photongas
+fastest of 7 runs, each of as many calls as last at least 2 ms, in
+microseconds, for the photongas
 package under DIR (default: this checkout's src).  Pointing --src at another
 checkout's src, one whose specfun has ``_k01_scaled``, gives its table on the
 same host, so two trees can be compared.  Where the module has the Chebyshev and Hankel tables, it also
@@ -33,22 +34,32 @@ Z_GRID = (1.0, 1.9, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 20.0, 24.0, 25.0, 30.0,
           40.0, 60.0, 100.0, 300.0, 1e3, 1e4, 1e6, 1e12, 1e17, 1e100, 1e300)
 X_GRID = (0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0,
           6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 40.0, 100.0, 1e3)
-RUNS, CALLS = 7, 40
+RUNS, MIN_RUN_NS = 7, 2_000_000
 
 
 def cost_us(fn, arg) -> float:
-    """Fastest over RUNS of the thread CPU time per call of CALLS calls, in us.
+    """Fastest over RUNS of the thread CPU time per call, in us.
 
-    The fastest run is the one the rest of the host disturbed least: on a
-    shared host the medians of two processes differed by up to 1.7x.
+    Each run makes as many calls as the first batch, doubled from one call,
+    that lasts at least MIN_RUN_NS, so a 2 us call and a 100 us one are
+    timed over runs of the same length.  The fastest run is the one the
+    rest of the host disturbed least: on a shared host the medians of two
+    processes differed by up to 1.7x.
     """
-    fn(arg)
+    calls = 1
+    while True:
+        start = time.thread_time_ns()
+        for _ in range(calls):
+            fn(arg)
+        if time.thread_time_ns() - start >= MIN_RUN_NS:
+            break
+        calls *= 2
     runs = []
     for _ in range(RUNS):
         start = time.thread_time_ns()
-        for _ in range(CALLS):
+        for _ in range(calls):
             fn(arg)
-        runs.append((time.thread_time_ns() - start) / CALLS / 1e3)
+        runs.append((time.thread_time_ns() - start) / calls / 1e3)
     return round(min(runs), 2)
 
 

@@ -18,6 +18,7 @@ from photongas import (SI, GasParameters, energy_density,
                        spectral_energy_density)
 from photongas.cli import main
 from photongas.core import n_hat_series, r_hat_closed, v_hat_series
+from photongas import oracle
 from photongas.oracle import _occupation
 from photongas.specfun import bessel_k2, zeta_value
 
@@ -66,15 +67,22 @@ def test_criterion_1_massless_limits():
     assert all(checks)
 
 
-def test_criterion_2_oracle_equivalence():
+def test_criterion_2_oracle_equivalence(monkeypatch):
     ok = True
     for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
         ok &= abs(n_hat_series(x) / quad_number_density(x) - 1) <= 1e-7
         ok &= abs(v_hat_series(x) / quad_mean_speed(x) - 1) <= 1e-7
         ok &= abs(r_hat_closed(x) / quad_radiance(x) - 1) <= 1e-7
-    for x in (0.01, 0.05):
-        for quad in (quad_number_density, quad_mean_speed, quad_radiance):
-            ok &= abs(quad(x, 5e-11) / quad(x, 1e-10) - 1) <= 1e-8
+    # self-consistency: the oracle's fixed step against half that step
+    small_x = (0.01, 0.05)
+    quads = (quad_number_density, quad_mean_speed, quad_radiance)
+    at_step = [quad(x) for x in small_x for quad in quads]
+    monkeypatch.setattr(oracle, "_H", oracle._H / 2)
+    monkeypatch.setattr(oracle, "_NODES",
+                        oracle._node_table(oracle._START, 2 * len(oracle._NODES) - 1))
+    at_half_step = [quad(x) for x in small_x for quad in quads]
+    for coarse, fine in zip(at_step, at_half_step):
+        ok &= abs(fine / coarse - 1) <= 1e-8
     report(2, "series vs quadrature <= 1e-7; small-x self-consistency <= 1e-8", ok)
     assert ok
 

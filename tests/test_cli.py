@@ -132,16 +132,16 @@ def test_point_bad_flag_is_usage_error(capsys):
     assert main(["point", "--mass", "0kg"]) == 2  # missing --temp
 
 
-@pytest.mark.parametrize("quad_tol", [(), ("--quad-tol", "1e-14")], ids=["default", "1e-14"])
-def test_validate_convergence_failure_names_the_quantity(capsys, monkeypatch, quad_tol):
-    # Only validate's oracle can fail to converge: one halving of its step
-    # leaves the radiance at x = 0.01 changing by 2.4e-6, above quad_tol.
-    # Exit 3, the quantity named, and no partial report.
-    monkeypatch.setattr(oracle, "_HALVINGS", 1)
-    code, out, err = run(capsys, "validate", *quad_tol)
+def test_validate_convergence_failure_names_the_quantity(capsys, monkeypatch):
+    # Only validate's oracle can fail to converge: at x = 0.01 the radiance
+    # changes by 1.0e-13 from the trapezoid sum at step 0.24 to the one at
+    # 0.12, the most of the four, above a check lowered to 1e-14.  Exit 3,
+    # the quantity named, and no partial report.
+    monkeypatch.setattr(oracle, "_MAX_CHANGE", 1e-14)
+    code, out, err = run(capsys, "validate")
     assert code == 3 and out == ""
-    assert err.startswith("error: radiance: trapezoid ladder ended at step 0.24 ")
-    assert err.endswith(" at x=0.01\n")
+    assert err.startswith("error: radiance: trapezoid sums at steps 0.24 and 0.12 differ by ")
+    assert err.endswith(", above 1e-14, at x=0.01\n")
 
 
 def test_point_where_the_first_bessel_term_would_overflow_reports_the_massless_limits(capsys):
@@ -327,14 +327,7 @@ def test_validate_passes_on_defaults(capsys):
     assert "x = 50" in out
 
 
-def test_validate_with_loose_quadrature_reports_and_exits_cleanly(capsys):
-    code, out, _ = run(capsys, "validate", "--quad-tol", "1e-6")
-    assert code in (0, 1)
-    assert "RESULT:" in out
-
-
-@pytest.mark.parametrize("quad_tol", ["1e-14", "1e-6"])
-def test_validate_compares_both_routes_at_every_grid_x(capsys, monkeypatch, quad_tol):
+def test_validate_compares_both_routes_at_every_grid_x(capsys, monkeypatch):
     closed_at = []
     series = core._series
 
@@ -343,7 +336,7 @@ def test_validate_compares_both_routes_at_every_grid_x(capsys, monkeypatch, quad
         return series(x)
 
     monkeypatch.setattr(core, "_series", recorded)
-    code, out, err = run(capsys, "validate", "--quad-tol", quad_tol)
+    code, out, err = run(capsys, "validate")
     assert code == 0, err
     assert tuple(closed_at) == VALIDATE_GRID
     for quantity in ("n_hat", "v_hat", "u_hat", "r_hat"):
@@ -486,24 +479,11 @@ def test_point_temperature_beyond_double_range_is_domain_error():
     ["point", "--mass", "1eV", "--temp", "300"], ["sweep", "--mass", "1eV"],
     ["figure", "mean-speed"], ["validate"]])
 def test_numerics_flag_defaults_are_the_library_defaults(argv):
-    # validate's --quad-tol is the one numerics flag; the other subcommands
-    # carry no numerics setting at all.
+    # No subcommand carries a numerics setting: the series route has none,
+    # and validate's oracle takes a fixed step.
     args = vars(build_parser().parse_args(argv))
     assert "x_switch" not in args
-    if argv == ["validate"]:
-        assert args["quad_tol"] == oracle.QUAD_TOL
-    else:
-        assert "quad_tol" not in args
-
-
-@pytest.mark.parametrize("flag, value, name", [("--quad-tol", "1", "quad_tol")])
-def test_out_of_range_numerics_flag_is_usage_error_naming_the_field(capsys, flag,
-                                                                    value, name):
-    # The oracle checks its tolerance before any work, and validate prints
-    # nothing before its last grid x.
-    code, out, err = run(capsys, "validate", flag, value)
-    assert code == 2 and out == ""
-    assert err == f"error: {name} must be in [1e-14, 1e-6], got 1.0\n"
+    assert "quad_tol" not in args
 
 
 @pytest.mark.parametrize("argv", [
@@ -512,10 +492,11 @@ def test_out_of_range_numerics_flag_is_usage_error_naming_the_field(capsys, flag
         ["figure", "mean-speed"], ["validate"])] + [
     [*command, "--quad-tol", "1e-9"] for command in (
         ["point", "--mass", "1eV", "--temp", "300"], ["sweep", "--mass", "1eV"],
-        ["figure", "mean-speed"])])
+        ["figure", "mean-speed"], ["validate"])])
 def test_retired_numerics_flags_are_usage_errors(capsys, argv):
     # Every public kernel takes the series route, so there is no switch to
-    # move, and the quadrature tolerance reaches validate's oracle alone.
+    # move, and validate's oracle takes a fixed step, so there is no
+    # tolerance to set.
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
@@ -630,15 +611,15 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypa
           "--svg", "fig.svg"], None),
         (["validate"], None),
         (["point", "--mass", "0kg"], None),
-        (["validate", "--quad-tol", "1"], None),
+        (["validate", "--quad-tol", "1e-10"], None),
         (["--help"], None),
-        (["validate"], 1),
+        (["validate"], 1e-14),
     ]
 
-    def outcome(argv, halvings):
+    def outcome(argv, max_change):
         with monkeypatch.context() as patch:
-            if halvings is not None:
-                patch.setattr(oracle, "_HALVINGS", halvings)
+            if max_change is not None:
+                patch.setattr(oracle, "_MAX_CHANGE", max_change)
             code = main([str(tmp_path / arg) if arg.endswith((".csv", ".svg")) else arg
                          for arg in argv])
         captured = capsys.readouterr()

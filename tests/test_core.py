@@ -452,9 +452,9 @@ def test_mean_speed_series_route_matches_mpmath(x):
 @pytest.mark.parametrize("x", [1e-6, 1.43e-4, 1.94e-4, 0.0165, 0.05, 0.1, 0.5, 1.0, 2.0,
                                math.nextafter(4.0, 0.0)])
 def test_quadrature_route_matches_mpmath(x):
-    # The oracle's trapezoid pass, at its default tolerance.
+    # The oracle's trapezoid pass, at its fixed step.
     mp = pytest.importorskip("mpmath")
-    values = oracle._moments(x, oracle.QUAD_TOL)
+    values = oracle._moments(x)
     with mp.workdps(30):
         reference = mpmath_kernels(mp, mp.mpf(x))
     for kernel, value, expected in zip("nuvr", values, reference):
@@ -631,18 +631,19 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
 
 
 def test_convergence_failure_names_the_quantity(monkeypatch):
-    # At x ~ 3.1, after one halving of the trapezoid's step, the radiance
-    # still changes by 2e-5, above quad_tol.
+    # At x ~ 3.1 the radiance changes by 8.4e-14 from the trapezoid sum at
+    # step 2h to the one at h, the most of the four, above a check lowered
+    # to 1e-14.
     x = 3.0945381657466884
     converged = oracle._moments(x)[3]
-    monkeypatch.setattr(oracle, "_HALVINGS", 1)
+    monkeypatch.setattr(oracle, "_MAX_CHANGE", 1e-14)
     with pytest.raises(ConvergenceError) as excinfo:
         oracle._moments(x)
     assert str(excinfo.value).startswith("radiance")
-    # The last estimate of r_hat, not a scaled moment, off the converged
-    # value by less than the last change of the ladder.
-    value = excinfo.value.value
-    assert 0.0 < abs(value - converged) <= excinfo.value.error
+    # r_hat at step h, not a scaled moment: the value a passing check
+    # returns, with its distance from r_hat at step 2h.
+    assert excinfo.value.value == converged
+    assert 0.0 < excinfo.value.error <= 1e-13 * converged
 
 
 # From x = 2 up the kernels of the Bessel sums, n_hat, u_hat and v_hat, come

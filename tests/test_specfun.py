@@ -41,14 +41,15 @@ def k2_oracle(z: float) -> float:
 
 
 def polylog_oracle(s: int, z: float) -> float:
-    """Plain term-by-term summation down to a relative term cutoff of 1e-14."""
+    """Plain term-by-term summation down to a relative term cutoff of 1e-14,
+    or to the first term that underflows to 0."""
     total = 0.0
     zn = 1.0
     for n in range(1, 2_000_000):
         zn *= z
         term = zn / n**s
         total += term
-        if term < 1e-14 * total and n > 10:
+        if term == 0.0 or (term < 1e-14 * total and n > 10):
             return total
     raise AssertionError("oracle did not converge")
 
@@ -320,9 +321,9 @@ def test_polylog_vanishes_at_zero(s):
     # From x = 40 on the radiance takes every Li_s(e^-x) as e^-x, its first
     # term: the second is 2^-s e^-x < 1.1e-18 of it, so the sum rounds to
     # e^-x.  e^-x underflows to 0 from x of about 745.13 on; at 745 it is
-    # the smallest subnormal.  The radiance, its polynomial times e^-x, is 0
-    # from x of about 755 on.
-    for x in (40.0, 100.0, 700.0):
+    # the smallest subnormal, whose square is an exact 0.  The radiance, its
+    # polynomial times e^-x, is 0 from x of about 755 on.
+    for x in (40.0, 100.0, 700.0, 745.0):
         w = math.exp(-x)
         assert li(s, w) == w
     assert math.exp(-745.0) == 5e-324
