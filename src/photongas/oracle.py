@@ -126,13 +126,13 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     """int_a^b f over a finite interval a < b, by globally adaptive bisection.
 
     Each panel carries an embedded-rule error estimate.  Raises
-    :class:`DomainError`, naming quad_tol if rel_tol is out of range and
+    :class:`DomainError`, naming rel_tol if it is out of range and
     both bounds unless they are finite with a < b, and
     :class:`ConvergenceError` (carrying the best estimate and its error
     bound) if the subdivision depth is exhausted first.
     """
     if not (1e-14 <= rel_tol <= 1e-6):
-        raise DomainError(f"quad_tol must be in [1e-14, 1e-6], got {rel_tol}")
+        raise DomainError(f"rel_tol must be in [1e-14, 1e-6], got {rel_tol}")
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise DomainError(f"integration bounds must be finite with a < b, got [{a}, {b}]")
 

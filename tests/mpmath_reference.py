@@ -1,14 +1,6 @@
-"""The four reduced kernels from mpmath alone, for the reference tests."""
-
-import math
-
-# x at which the trapezoid pass and the default route are compared with
-# mpmath_kernels: log-spaced over [1e-8, 600], both sides of sqrt(3e-17)
-# and of x = 1, where the trapezoid's map bends (u = oracle._TAU0 +- 1),
-# and next to x = 0.
-REFERENCE_X = ([1e-8 * 6e10 ** (k / 11) for k in range(12)]
-               + [5.4e-9, 5.5e-9, 1.0, math.nextafter(1.0, 2.0)]
-               + [math.exp(-6.0), math.exp(-5.0), math.exp(-4.0), 5e-324, 1e-300, 1e-20])
+"""The four reduced kernels from mpmath alone, sharing no algorithm with
+perfbench/reference.py: the independent check of the committed table's rows
+on [2, 40] (tests/kernel_reference.py) and of the specfun tables."""
 
 
 def mpmath_kernels(mp, x: float) -> tuple:

@@ -4,6 +4,7 @@ massless limits, asymptotic regimes, and report invariants."""
 import dataclasses
 import math
 import time
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,8 @@ from photongas.core import (_series, _si_prefactors, n_hat_series,
                             r_hat_closed, v_hat_series)
 from photongas.oracle import integrate_adaptive
 
-from mpmath_reference import REFERENCE_X, mpmath_kernels
+import kernel_reference
+from mpmath_reference import mpmath_kernels
 
 T_REF = 5800.0
 
@@ -421,44 +423,25 @@ def test_evaluate_over_the_whole_double_range_reports_or_names_the_error(
     assert set(report.methods.values()) == {"series"}
 
 
-@pytest.mark.parametrize("x", [0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 30.0, 31.0, 100.0, 600.0])
-def test_energy_density_series_route_matches_mpmath(x):
-    # The series route, which validate compares with the trapezoid at every x.
-    mp = pytest.importorskip("mpmath")
-    reduced = reduced_functions(x)
-    assert reduced.method == "series"
-    with mp.workdps(30):
-        u_hat = mpmath_kernels(mp, mp.mpf(x))[1]
-    assert reduced.u_hat == pytest.approx(float(u_hat), rel=1e-12, abs=0.0)
+# The series route against the committed table (tests/kernel_reference.py),
+# all four kernels to 1e-15 at every x of a grid; its "series" grid is 1130 x
+# over [1e-8, 1e3], with every band and piece edge and the double below it.
+
+def test_series_route_matches_the_table():
+    kernel_reference.assert_matches(_series, kernel_reference.xs("series"))
 
 
-@pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 1.0, 2.0, 10.0, 100.0])
-def test_mean_speed_series_route_matches_mpmath(x):
-    # v_hat = 2 [Li3 + x Li2](e^-x) / (pi^2 n_hat).  Below x = 2 both the K2
-    # sum and Li3 + x Li2 are their expansions about x = 0, up to 40 v_hat
-    # is a Chebyshev series in ln x, and from 40 on it is 2 (1 + x) over
-    # x^2 e^x K2(x).
-    mp = pytest.importorskip("mpmath")
-    reduced = reduced_functions(x)
-    assert reduced.method == "series"
-    with mp.workdps(30):
-        xm = mp.mpf(x)
-        n_hat = mpmath_kernels(mp, xm)[0]
-        w = mp.exp(-xm)
-        v_hat = 2 * (mp.polylog(3, w) + xm * mp.polylog(2, w)) / (mp.pi**2 * n_hat)
-    assert reduced.v_hat == pytest.approx(float(v_hat), rel=5e-13, abs=0.0)
+def test_series_route_reaches_small_x():
+    kernel_reference.assert_matches(_series, kernel_reference.xs("small_x"))
 
 
-@pytest.mark.parametrize("x", [1e-6, 1.43e-4, 1.94e-4, 0.0165, 0.05, 0.1, 0.5, 1.0, 2.0,
-                               math.nextafter(4.0, 0.0)])
-def test_quadrature_route_matches_mpmath(x):
-    # The oracle's trapezoid pass, at its fixed step.
-    mp = pytest.importorskip("mpmath")
-    values = oracle._moments(x)
-    with mp.workdps(30):
-        reference = mpmath_kernels(mp, mp.mpf(x))
-    for kernel, value, expected in zip("nuvr", values, reference):
-        assert value == pytest.approx(float(expected), rel=1e-12, abs=0.0), kernel
+test_default_route_matches_mpmath = kernel_reference.row_test("reference", _series)
+test_energy_density_series_route_matches_mpmath = kernel_reference.row_test("energy", _series)
+test_mean_speed_series_route_matches_mpmath = kernel_reference.row_test("mean_speed", _series)
+test_bessel_pass_matches_mpmath = kernel_reference.row_test("bessel", _series)
+test_series_route_from_one_to_four_matches_mpmath = kernel_reference.row_test("one_to_four", _series)
+# the oracle's trapezoid pass, at its fixed step
+test_quadrature_route_matches_mpmath = kernel_reference.row_test("quadrature", oracle._moments)
 
 
 def test_mpmath_quadrature_reference_matches_polylog_radiance():
@@ -485,34 +468,20 @@ def test_kernels_are_continuous_where_the_expansions_end():
                 value, rel=2e-15, abs=0.0), (route, kernel)
 
 
-@pytest.mark.parametrize("edge", [2.0, 4.0, 8.0, 16.0, 40.0])
+@pytest.mark.parametrize("edge", kernel_reference.EDGES)
 def test_kernels_jump_by_at_most_2e15_at_the_band_and_piece_edges(edge):
     # The expansions end at 2, the tables' pieces at 4, 8, 16 and 40, where
     # the one-term form begins.  Each edge against the double just below
-    # it, net of the kernels' own change over that step, which mpmath gives:
-    # at 40 the step is 7.1e-15 and n_hat falls by 6.8e-15 of itself.
-    mp = pytest.importorskip("mpmath")
+    # it, net of the kernels' own change over that step, which the table
+    # gives: at 40 the step is 7.1e-15 and n_hat falls by 6.8e-15 of itself.
     left = math.nextafter(edge, 0.0)
     below, above = reduced_functions(left), reduced_functions(edge)
     assert below.method == above.method == "series"
-    with mp.workdps(30):
-        changes = [a / b for a, b in zip(mpmath_kernels(mp, mp.mpf(left)),
-                                         mpmath_kernels(mp, mp.mpf(edge)))]
-        for kernel, change in zip("nuvr", changes):
-            ratio = mp.mpf(getattr(below, kernel + "_hat")) / getattr(above, kernel + "_hat")
-            assert abs(ratio / change - 1) <= 2e-15, kernel
-
-
-@pytest.mark.parametrize("x", REFERENCE_X)
-def test_default_route_matches_mpmath(x):
-    # On whatever route the default numerics pick at each x.
-    mp = pytest.importorskip("mpmath")
-    reduced = reduced_functions(x)
-    with mp.workdps(30):
-        reference = mpmath_kernels(mp, mp.mpf(x))
-    for kernel, expected in zip("nuvr", reference):
-        assert getattr(reduced, kernel + "_hat") == pytest.approx(
-            float(expected), rel=1e-13, abs=0.0), kernel
+    rows = kernel_reference.load()
+    for kernel in "nuvr":
+        change = getattr(rows[left], kernel) / getattr(rows[edge], kernel)
+        ratio = Decimal(getattr(below, kernel + "_hat")) / Decimal(getattr(above, kernel + "_hat"))
+        assert abs(ratio / change - 1) <= Decimal("2e-15"), kernel
 
 
 @given(st.floats(min_value=5e-324, max_value=2.0, exclude_max=True))
@@ -644,46 +613,6 @@ def test_convergence_failure_names_the_quantity(monkeypatch):
     # returns, with its distance from r_hat at step 2h.
     assert excinfo.value.value == converged
     assert 0.0 < excinfo.value.error <= 1e-13 * converged
-
-
-# From x = 2 up the kernels of the Bessel sums, n_hat, u_hat and v_hat, come
-# from the Chebyshev tables and at 40 from the one-term form, to a few ulps.
-# The tables are generated from perfbench/reference.py; this reference is
-# mpmath's tanh-sinh quadrature, which shares no algorithm with it.  At 20
-# digits the reference itself is off by up to 5.5e-15 near x = 30.
-@pytest.mark.parametrize("x", [2.0 * 20 ** (k / 29) for k in range(30)])
-def test_bessel_pass_matches_mpmath(x):
-    mp = pytest.importorskip("mpmath")
-    kernels = _series(x)
-    with mp.workdps(30):
-        reference = mpmath_kernels(mp, mp.mpf(x))
-    for key, value, expected in zip("nuv", kernels, reference):
-        assert value == pytest.approx(float(expected), rel=1e-15, abs=0.0), key
-
-
-# Below x = 2 the series route takes the expansions about x = 0, from 2 on
-# the tables: both hold it to a few ulps.
-@pytest.mark.parametrize("x", [4.0 ** (k / 12) for k in range(12)])
-def test_series_route_from_one_to_four_matches_mpmath(x):
-    mp = pytest.importorskip("mpmath")
-    values = _series(x)
-    with mp.workdps(20):
-        reference = mpmath_kernels(mp, mp.mpf(x))
-    for key, value, expected in zip("nuvR", values, reference):
-        assert value == pytest.approx(float(expected), rel=5e-15, abs=0.0), key
-
-
-def test_series_route_reaches_small_x():
-    # The expansions about x = 0 serve x < 2.
-    x = 2e-4
-    reduced = reduced_functions(x)
-    assert reduced.method == "series"
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(20):
-        reference = mpmath_kernels(mp, mp.mpf(x))
-    for kernel, expected in zip("nuvr", reference):
-        assert getattr(reduced, kernel + "_hat") == pytest.approx(
-            float(expected), rel=1e-13, abs=0.0), kernel
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0])

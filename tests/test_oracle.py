@@ -11,11 +11,11 @@ from photongas import (ConvergenceError, DomainError, GasParameters, SI,
                        quad_energy_density, quad_mean_speed,
                        quad_number_density, quad_radiance, specfun, zeta_value)
 
-from mpmath_reference import REFERENCE_X, mpmath_kernels
+import kernel_reference
 
 
-def test_integrate_names_quad_tol_when_out_of_range():
-    with pytest.raises(DomainError, match="quad_tol"):
+def test_integrate_names_rel_tol_when_out_of_range():
+    with pytest.raises(DomainError, match=r"^rel_tol must be in \[1e-14, 1e-6\], got 1e-15$"):
         integrate_adaptive(lambda t: t, 0.0, 1.0, 1e-15)
 
 
@@ -182,13 +182,14 @@ def test_integrate_rejects_infinite_bound():
 # the shared trapezoid pass
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("x", REFERENCE_X)
-def test_moments_match_mpmath(x):
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        reference = mpmath_kernels(mp, mp.mpf(x))
-    for name, value, expected in zip(oracle._QUANTITIES, oracle._moments(x), reference):
-        assert value == pytest.approx(float(expected), rel=1e-13, abs=0.0), name
+# The trapezoid pass against the committed table (tests/kernel_reference.py),
+# all four kernels to 1e-15, on 80 x over [1e-8, 1e17].
+
+def test_trapezoid_matches_the_table():
+    kernel_reference.assert_matches(oracle._moments, kernel_reference.xs("trapezoid"))
+
+
+test_moments_match_mpmath = kernel_reference.row_test("reference", oracle._moments)
 
 
 def _node_sums_calls(x, monkeypatch):

@@ -10,6 +10,7 @@ with the implementations under test beyond the quadrature driver itself.
 import math
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from photongas import (DomainError, bessel_k2, core, energy_bessel_sum,
                        integrate_adaptive, k2_weighted_sum, specfun, zeta_value)
 
+import kernel_reference
 import specfun_cost
 import specfun_tables
 from mpmath_reference import mpmath_kernels
@@ -226,7 +228,24 @@ def test_tables_match_their_generator():
         assert block + "\n)\n" in source, block.split(" = ")[0]
 
 
-_PIECE_EDGES = (2.0, 4.0, 8.0, 16.0, 40.0)
+def test_kernel_table_matches_its_generator():
+    # tests/kernel_reference.py's rows at every edge, the double below it and
+    # every 50th x from perfbench/reference.py, and its "mpmath" rows from
+    # mpmath_kernels, which shares no algorithm with it, to 1e-20.
+    mp = pytest.importorskip("mpmath")
+    reference = kernel_reference.generator()
+    rows = kernel_reference.load()
+    recompute = set(list(rows)[::50]) | {
+        x for edge in kernel_reference.EDGES for x in (edge, math.nextafter(edge, 0.0))}
+    with mp.workdps(30):
+        checks = [(x, reference.reduced(x).values()) for x in sorted(recompute)]
+        checks += [(x, mpmath_kernels(mp, mp.mpf(x))) for x in kernel_reference.xs("mpmath")]
+        for x, kernels in checks:
+            for key, table, value in zip("nuvr", rows[x][:4], kernels):
+                assert abs(mp.mpf(str(table)) / value - 1) <= 1e-20, (x, key)
+
+
+_PIECE_EDGES = kernel_reference.EDGES
 
 
 @pytest.mark.parametrize("x", [math.nextafter(edge, 0.0) for edge in _PIECE_EDGES[1:]]
@@ -302,18 +321,19 @@ def polylog_combinations(x: float) -> tuple[float, float]:
 
 @pytest.mark.parametrize("low, high", zip(_PIECE_EDGES, _PIECE_EDGES[1:]))
 def test_radiance_from_two_matches_the_polylog_closed_form(low, high):
-    # On each piece of the tables, 16 log-spaced points from its bottom
-    # and the double below its top: r_hat against (3/2 pi^2) Q by
-    # mp.polylog, which shares nothing with the tables' generator.
+    # Of 3000 x log-spaced over [2, 40), those on the piece, and both ends
+    # and the double below each: r_hat against (3/2 pi^2) Q by mp.polylog,
+    # which shares nothing with the tables' generator.
     mp = pytest.importorskip("mpmath")
-    grid = [low * (high / low) ** (i / 16) for i in range(16)] + [math.nextafter(high, 0.0)]
+    grid = [x for x in (2.0 * 20 ** (k / 3000) for k in range(3000)) if low <= x < high]
+    grid += [math.nextafter(low, 0.0), low, math.nextafter(high, 0.0), high]
     with mp.workdps(30):
         for x in grid:
             xm = mp.mpf(x)
             w = mp.exp(-xm)
             ref = 3 / (2 * mp.pi**2) * (mp.polylog(4, w) + xm * mp.polylog(3, w)
                                         + xm * xm / 3 * mp.polylog(2, w))
-            assert core._series(x)[3] == pytest.approx(float(ref), rel=1e-15, abs=0.0), x
+            assert abs(core._series(x)[3] / ref - 1) <= 1e-15, x
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
@@ -445,22 +465,18 @@ def test_expansions_are_the_massless_sums_where_x_squared_underflows(x):
                                       zeta_value(3), zeta_value(4), 1)
 
 
-@pytest.mark.parametrize("x", [1e-4 * 2e4 ** (i / 11) for i in range(11)]
-                         + [math.nextafter(2.0, 0.0)])
+@pytest.mark.parametrize("x", kernel_reference.xs("expansions"))
 def test_expansions_match_mpmath(x):
-    # pi^2 n_hat and pi^2 u_hat from mpmath's quadrature of the defining
-    # integrals, and P = Li3 + x Li2 and Q = Li4 + x Li3 + (x^2/3) Li2 of
-    # e^-x from mp.polylog, at 30 digits.
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        xm = mp.mpf(x)
-        reference = [mp.pi**2 * kernel for kernel in mpmath_kernels(mp, xm)[:2]]
-        li2, li3, li4 = (mp.polylog(s, mp.exp(-xm)) for s in (2, 3, 4))
-        reference += [li3 + xm * li2, li4 + xm * li3 + xm * xm / 3 * li2]
+    # pi^2 n_hat, pi^2 u_hat, P = Li3 + x Li2 = pi^2 n_hat v_hat/2 and
+    # Q = Li4 + x Li3 + (x^2/3) Li2 = (2 pi^2/3) r_hat of e^-x, from the
+    # committed table (tests/kernel_reference.py).
+    row = kernel_reference.load()[x]
+    pi2 = kernel_reference.PI ** 2
+    reference = (pi2 * row.n, pi2 * row.u, pi2 * row.n * row.v / 2, 2 * pi2 / 3 * row.r)
     values = specfun._expansions(x)
     assert len(values) == len(reference) + 1
     for value, expected in zip(values, reference):
-        assert value == pytest.approx(float(expected), rel=1e-15, abs=0.0)
+        assert kernel_reference.rel_err(value, expected) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +522,17 @@ def test_energy_bessel_sum_matches_brute_force():
     assert energy_bessel_sum(x).value == pytest.approx(brute, rel=2e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("x", [1e-8 * 4e9 ** (k / 39) for k in range(40)])
+@pytest.mark.parametrize("x", kernel_reference.xs("sums"))
 def test_weighted_sums_match_mpmath(x):
     # Below x = 2 the views divide the expansions by x^2 and x^4, up to 40
     # they take the tables' a/sqrt(x) and b/x^1.5 times e^-x, from there on
-    # the first term times e^-x.  The reference is pi^2 n_hat/x^2
-    # and pi^2 u_hat/x^4 by mpmath's quadrature of the defining integrals.
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        n_hat, u_hat = mpmath_kernels(mp, mp.mpf(x))[:2]
-        expected = (mp.pi**2 * n_hat / x**2, mp.pi**2 * u_hat / x**4)
+    # the first term times e^-x.  The reference is pi^2 n_hat/x^2 and
+    # pi^2 u_hat/x^4 from the committed table (tests/kernel_reference.py).
+    row = kernel_reference.load()[x]
+    pi2, xd = kernel_reference.PI ** 2, Decimal(x)
+    expected = (pi2 * row.n / xd**2, pi2 * row.u / xd**4)
     for view, reference in zip((k2_weighted_sum, energy_bessel_sum), expected):
-        assert view(x).value == pytest.approx(float(reference), rel=1e-14, abs=0.0)
+        assert kernel_reference.rel_err(view(x).value, reference) <= 1e-14
 
 
 @settings(max_examples=30)
