@@ -30,9 +30,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from . import oracle, specfun
+from . import specfun
 from .errors import DomainError, RegimeError
-from .units import SI, GasParameters, reduce
+from .units import SI, GasParameters, _check_x, reduce
 
 SERIES = "series"
 
@@ -141,7 +141,7 @@ def _series(x: float) -> tuple[float, float, float, float]:
     dividing by x before doubling, and by x once more, keeps 2 P~ and x^2
     from overflowing.
     """
-    x = oracle._check_x(x)
+    x = _check_x(x)
     if x == 0.0:
         return _MASSLESS
     if x < specfun._EXPAND_BELOW:
@@ -263,6 +263,14 @@ def photon_speed(energy: float, mass: float) -> float:
     return SI.c * math.sqrt(max(0.0, 1.0 - ratio * ratio))
 
 
+def _occupation(y: float) -> float:
+    # 1/(e^y - 1); expm1 keeps small y accurate, the exp(-y) branch avoids
+    # overflow and underflows cleanly to 0 for very large y.
+    if y < 40.0:
+        return 1.0 / math.expm1(y)
+    return math.exp(-y)
+
+
 def spectral_energy_density(omega: float, params: GasParameters) -> float:
     """Energy density per unit angular frequency, J s / m^3.
 
@@ -284,7 +292,7 @@ def spectral_energy_density(omega: float, params: GasParameters) -> float:
     # overflow or divide by 0, so kT and hbar omega enter the product
     # instead, hbar and omega apart, as hbar omega may underflow.
     if y >= sys.float_info.min:
-        occupation = ((oracle._occupation(y), 1),)
+        occupation = ((_occupation(y), 1),)
     else:
         occupation = ((kt, 1), (SI.hbar, -1), (omega, -1))
     speed_factor = 1.0
@@ -341,7 +349,10 @@ def low_temp_radiance(params: GasParameters) -> float:
     Meaningful for x > 1; the caller checks the regime.
     """
     x = reduce(params).x
-    return _si_prefactors(params, "R")["R"] * x * x * math.exp(-x) / (2.0 * _PI2)
+    # e^-x as two factors h = e^(-x/2), as in _series: a huge x gives 0, not
+    # inf * 0, and where e^-x is subnormal a product that is not keeps its digits.
+    h = math.exp(-0.5 * x)
+    return _si_prefactors(params, "R")["R"] * h * x * x * h / (2.0 * _PI2)
 
 
 def low_temp_mean_speed(params: GasParameters) -> float:

@@ -40,6 +40,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
+from .units import _check_x
 
 _EPS = 2.220446049250313e-16
 
@@ -202,20 +203,6 @@ def _node_table(start: float, size: int) -> tuple[tuple[float, float], ...]:
 # above the top node, 0.5 ln(_TAIL (_TAIL + 2)) + e^-10 + 2 _H at most, for
 # every x while _TAIL <= 240.
 _NODES = _node_table(_START, math.ceil((6.0 - _START) / _H) + 1)
-
-
-def _occupation(y: float) -> float:
-    # 1/(e^y - 1); expm1 keeps small y accurate, the exp(-y) branch avoids
-    # overflow and underflows cleanly to 0 for very large y.
-    if y < 40.0:
-        return 1.0 / math.expm1(y)
-    return math.exp(-y)
-
-
-def _check_x(x: float) -> float:
-    if isinstance(x, (int, float)) and 0.0 <= x < math.inf:
-        return float(x)
-    raise DomainError(f"reduced x must be finite and >= 0, got {x!r}")
 
 
 def _node_sums(nodes: tuple[tuple[float, float], ...], a: float, r: float, w: float):

@@ -7,8 +7,9 @@ formulas.  Everything here is evaluated from scratch: K0 and K1 as one pair,
 by their ascending series up to z = 2, above it as e^z K0 and e^z K1, by a
 24-term Chebyshev series up to z = 25 and by the Hankel expansion, whose
 terms fall with z, from there on with no upper limit, and K2 = K0 + 2 K1/z
-at every z.  The tables are literals, generated by tests/specfun_tables.py.
-No third-party special-function library is involved, so the quadrature
+at every z.  The Hankel ratios are built from their definition at import;
+the other tables are literals, generated by tests/specfun_tables.py.  No
+third-party special-function library is involved, so the quadrature
 oracles elsewhere in the package remain an independent check.
 
 Below x = _EXPAND_BELOW = 2 the gas kernels take all they need from one
@@ -126,29 +127,9 @@ def _k01_chebyshev(z: float) -> tuple[float, float]:
 
 
 # Ratios a_k/a_(k-1) = (4 nu^2 - (2k-1)^2)/(8k) of the Hankel expansion for
-# nu = 0 and 1, as generated by tests/specfun_tables.py.
-_HANKEL = (
-    (-0.125, 0.375),
-    (-0.5625, -0.3125),
-    (-1.0416666666666667, -0.875),
-    (-1.53125, -1.40625),
-    (-2.025, -1.925),
-    (-2.5208333333333335, -2.4375),
-    (-3.017857142857143, -2.9464285714285716),
-    (-3.515625, -3.453125),
-    (-4.013888888888889, -3.9583333333333335),
-    (-4.5125, -4.4625),
-    (-5.011363636363637, -4.965909090909091),
-    (-5.510416666666667, -5.46875),
-    (-6.009615384615385, -5.971153846153846),
-    (-6.508928571428571, -6.473214285714286),
-    (-7.008333333333334, -6.975),
-    (-7.5078125, -7.4765625),
-    (-8.007352941176471, -7.977941176470588),
-    (-8.506944444444445, -8.479166666666666),
-    (-9.006578947368421, -8.980263157894736),
-    (-9.50625, -9.48125),
-)
+# nu = 0 and 1, k = 1..20, each correctly rounded.
+_HANKEL = tuple(tuple((4 * nu * nu - (2 * k - 1) ** 2) / (8 * k) for nu in (0, 1))
+                for k in range(1, 21))
 
 
 def _k01_hankel(z: float) -> tuple[float, float]:

@@ -68,6 +68,12 @@ class ReducedState:
             raise DomainError(f"reduced state x must be finite and >= 0, got {self.x!r}")
 
 
+def _check_x(x: float) -> float:
+    if isinstance(x, (int, float)) and 0.0 <= x < math.inf:
+        return float(x)
+    raise DomainError(f"reduced x must be finite and >= 0, got {x!r}")
+
+
 def reduce(params: GasParameters) -> ReducedState:
     """Map (m, T) to the reduced state x = m c^2 / (k_B T).
 

@@ -1,12 +1,15 @@
-"""The committed reference table of the four reduced kernels.
+"""The committed reference tables of the four reduced kernels and of the K pair.
 
-``python tests/kernel_reference.py`` rewrites tests/kernel_reference.csv in
-about 110 s.  Each row holds repr(x), n_hat, u_hat, v_hat and r_hat from
-perfbench/reference.py at 25 digits, and the names of the GRIDS that hold x.
-A test takes its x from the rows that name its grid, as a grid expression's
-** may round differently on another libm.  Tests compare in decimal, with no
-mpmath: a reference rounded to a double adds up to 1.1e-16 to every error,
-and a Fraction would expand a reference as small as 1e-43429448190325159.
+``python tests/kernel_reference.py`` rewrites both in about 170 s.  Each row
+of tests/kernel_reference.csv holds repr(x), n_hat, u_hat, v_hat and r_hat
+from perfbench/reference.py at 25 digits, and the names of the GRIDS that
+hold x.  Each row of tests/k01_reference.csv holds repr(z), e^z K0(z) and
+e^z K1(z) from mp.besselk at 25 digits, and the names of the K_GRIDS that
+hold z.  A test takes its x or z from the rows that name its grid, as a grid
+expression's ** may round differently on another libm.  Tests compare in
+decimal, with no mpmath: a reference rounded to a double adds up to 1.1e-16
+to every error, and a Fraction would expand a reference as small as
+1e-43429448190325159.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from decimal import Context, Decimal, MAX_EMAX, MIN_EMIN
 from pathlib import Path
 
 PATH = Path(__file__).resolve().with_suffix(".csv")
+K_PATH = PATH.with_name("k01_reference.csv")
 
 # The series route's band edges, 2 and 40, and the tables' piece edges.
 EDGES = (2.0, 4.0, 8.0, 16.0, 40.0)
@@ -54,7 +58,21 @@ GRIDS = {
 GRIDS["mpmath"] = sorted({x for name, grid in GRIDS.items() if name not in ("series", "trapezoid")
                           for x in grid if 2.0 <= x <= 40.0} | {1e-300, 0.5, 100.0})
 
+# specfun's K pair edges, _K_SERIES_MAX and _K_HANKEL_MIN
+K_EDGES = (2.0, 25.0)
+K_GRIDS = {
+    # 5999 z log-spaced over [2, 1e6]: at even j the 3000 z of
+    # 2 * 5e5 ** (i / 2999), at odd j the 2999 midpoints (i + 0.5) / 2999
+    # between them; and two far past underflow
+    "pair": [2.0 * 5e5 ** (j / 5998) for j in range(5999)] + [1e17, 1e308],
+    # log-spaced over [1e-4, 1e3], and both sides of each edge
+    "k012": ([1e-4 * 1e7 ** (i / 59) for i in range(60)]
+             + [edge * (1 + side) for edge in K_EDGES for side in (-1e-15, 1e-15)]),
+    "far_past": [1e3, 1e6, 1e17, 1e308],
+}
+
 Row = namedtuple("Row", "n u v r grids")
+KRow = namedtuple("KRow", "k0 k1 grids")
 
 # decimal's exponent range holds every reference; 40 digits hold the
 # difference of a double and a 25-digit reference to 24 digits
@@ -63,17 +81,32 @@ DBL_MIN = Decimal(sys.float_info.min)
 PI = Decimal("3.141592653589793238462643383279502884197")
 
 
+def _read(path: Path, row) -> dict:
+    lines = (line.split(",") for line in path.read_text().splitlines()[1:])
+    return {float(x): row(*map(Decimal, values), frozenset(grids.split()))
+            for x, *values, grids in lines}
+
+
 @functools.cache
 def load() -> dict[float, Row]:
-    """The table's rows by x, in increasing x."""
-    rows = (line.split(",") for line in PATH.read_text().splitlines()[1:])
-    return {float(x): Row(*map(Decimal, kernels), frozenset(grids.split()))
-            for x, *kernels, grids in rows}
+    """The kernel table's rows by x, in increasing x."""
+    return _read(PATH, Row)
+
+
+@functools.cache
+def load_k01() -> dict[float, KRow]:
+    """The K table's rows by z, in increasing z."""
+    return _read(K_PATH, KRow)
 
 
 def xs(grid: str) -> list[float]:
-    """The x of the rows that name ``grid``."""
+    """The x of the kernel table's rows that name ``grid``."""
     return [x for x, row in load().items() if grid in row.grids]
+
+
+def zs(grid: str) -> list[float]:
+    """The z of the K table's rows that name ``grid``."""
+    return [z for z, row in load_k01().items() if grid in row.grids]
 
 
 def rel_err(value: float, reference: Decimal) -> float:
@@ -115,16 +148,35 @@ def generator():
     return reference
 
 
+def scaled_k01(z: float) -> tuple:
+    """(e^z K0(z), e^z K1(z)) from mp.besselk at 30 digits; needs mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        return tuple(mp.exp(z) * mp.besselk(nu, z) for nu in (0, 1))
+
+
+def write(path: Path, header: str, grids: dict, values) -> None:
+    """One row per x of ``grids``: repr(x), values(x) and the grids' names."""
+    grids = {name: set(grid) for name, grid in grids.items()}
+    lines = [header]
+    for x in sorted(set().union(*grids.values())):
+        lines.append(",".join([repr(x), *values(x),
+                               " ".join(name for name, grid in grids.items() if x in grid)]))
+    path.write_text("\n".join(lines) + "\n")
+    print(f"{path}: {len(lines) - 1} rows")
+
+
 def main() -> None:
     reference = generator()
-    grids = {name: set(grid) for name, grid in GRIDS.items()}
-    lines = ["x,n_hat,u_hat,v_hat,r_hat,grids"]
-    for x in sorted(set().union(*grids.values())):
-        kernels = reference.reduced(x)
-        lines.append(",".join([repr(x), *(reference.mp.nstr(kernels[key], 25) for key in "nuvr"),
-                               " ".join(name for name, grid in grids.items() if x in grid)]))
-    PATH.write_text("\n".join(lines) + "\n")
-    print(f"{PATH}: {len(lines) - 1} rows")
+    nstr = reference.mp.nstr
+
+    def kernels(x):
+        values = reference.reduced(x)
+        return [nstr(values[key], 25) for key in "nuvr"]
+
+    write(PATH, "x,n_hat,u_hat,v_hat,r_hat,grids", GRIDS, kernels)
+    write(K_PATH, "z,k0e,k1e,grids", K_GRIDS, lambda z: [nstr(k, 25) for k in scaled_k01(z)])
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
     python tests/specfun_tables.py
 
-prints the six tables as Python source, ready to paste into specfun.py:
+prints the five literal tables as Python source, ready to paste into
+specfun.py (its sixth, _HANKEL, is built from its definition at import):
 
 * _K01_CHEBYSHEV, the Chebyshev coefficients of sqrt(z) e^z K0(z) and
   sqrt(z) e^z K1(z) in y = 4/z - 1 on z > 2 (the form of Cephes'
@@ -10,9 +11,6 @@ prints the six tables as Python source, ready to paste into specfun.py:
   They are the discrete cosine transform of mpmath's besselk at
   CHEBYSHEV_NODES Chebyshev points, at 40 digits.  Each is halved, so the
   Clenshaw sum ends in b0 - b2, and they run from the highest order down.
-* _HANKEL, the ratios a_k(nu)/a_(k-1)(nu) = (4 nu^2 - (2k - 1)^2)/(8k) of
-  the Hankel expansion e^z K_nu(z) ~ sqrt(pi/2z) sum_k a_k(nu)/z^k
-  (DLMF 10.40.2), for nu = 0 and 1.
 * _PI_RATIOS, pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60 correctly
   rounded: the massless limits of the gas kernels and their sums.
 * _K2_SUM_EXPANSION and _ENERGY_SUM_EXPANSION, the coefficients of the
@@ -44,7 +42,6 @@ from pathlib import Path
 CHEBYSHEV_TERMS = 24
 CHEBYSHEV_NODES = 64
 CHEBYSHEV_DPS = 40
-HANKEL_TERMS = 20
 EXPANSION_TERMS = 20
 EXPANSION_DPS = 40
 SUM_EDGES = (2, 4, 8, 16, 40)
@@ -68,13 +65,6 @@ def chebyshev_k01() -> tuple[tuple[float, float], ...]:
                 float(mp.fsum(v * mp.cos(k * t) for v, t in zip(values, nodes)) / CHEBYSHEV_NODES)
                 for k in range(CHEBYSHEV_TERMS)])
     return tuple(zip(reversed(coefficients[0]), reversed(coefficients[1])))
-
-
-def hankel_ratios() -> tuple[tuple[float, float], ...]:
-    """(4 nu^2 - (2k - 1)^2)/(8k) for nu = 0 and 1, k = 1..HANKEL_TERMS."""
-    return tuple((float(Fraction(-(2 * k - 1) ** 2, 8 * k)),
-                  float(Fraction(4 - (2 * k - 1) ** 2, 8 * k)))
-                 for k in range(1, HANKEL_TERMS + 1))
 
 
 def pi_ratios() -> tuple[float, ...]:
@@ -219,10 +209,6 @@ def main() -> None:
     print("_K01_CHEBYSHEV = (")
     for c0, c1 in chebyshev_k01():
         print(f"    ({c0!r}, {c1!r}),")
-    print(")")
-    print("_HANKEL = (")
-    for a0, a1 in hankel_ratios():
-        print(f"    ({a0!r}, {a1!r}),")
     print(")")
     print("_PI_RATIOS = (")
     for value in pi_ratios():

@@ -19,7 +19,7 @@ from photongas import (SI, GasParameters, energy_density,
 from photongas.cli import main
 from photongas.core import n_hat_series, r_hat_closed, v_hat_series
 from photongas import oracle
-from photongas.oracle import _occupation
+from photongas.core import _occupation
 from photongas.specfun import bessel_k2, zeta_value
 
 T_REF = 5800.0

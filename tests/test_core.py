@@ -276,8 +276,10 @@ def test_low_temp_radiance_expansion_ratio():
     assert ratio - (1.0 + 3.0 / 100.0) == pytest.approx(3.0 / 100.0**2, abs=1e-4)
 
 
-def test_low_temp_radiance_vanishes_at_huge_x():
-    assert low_temp_radiance(params_for_x(800.0)) == 0.0
+@pytest.mark.parametrize("x", [800.0, 1e155, 1e200, 1e300])
+def test_low_temp_radiance_vanishes_at_huge_x(x):
+    # from x of about 1e154 on, x * x overflows: e^-x must enter first
+    assert low_temp_radiance(params_for_x(x)) == 0.0
 
 
 def test_low_temp_radiance_within_bound_at_x_30():

@@ -1,10 +1,11 @@
 """Special-function tests against independent oracles.
 
 The K2 oracle is adaptive quadrature of the integral representation
-int_0^inf exp(-z cosh t) cosh(2 t) dt, and mpmath's besselk, where installed,
-checks K0, K1 and K2 at 30 digits; the polylog and zeta oracles are
-long brute-force sums with explicit tail bounds.  None of them share code
-with the implementations under test beyond the quadrature driver itself.
+int_0^inf exp(-z cosh t) cosh(2 t) dt, and a committed table of mpmath's
+besselk (tests/kernel_reference.py) checks K0, K1 and K2; the polylog and
+zeta oracles are long brute-force sums with explicit tail bounds.  None of
+them share code with the implementations under test beyond the quadrature
+driver itself.
 """
 
 import math
@@ -139,47 +140,58 @@ def test_k01_pair_satisfies_its_derivative_identities():
     assert worst <= 1e-7
 
 
-# Log-spaced over [1e-4, 1e3], plus both sides of the series/Chebyshev edge
-# at z = 2 and of the Chebyshev/Hankel edge.
-MPMATH_GRID = [1e-4 * 1e7 ** (i / 59) for i in range(60)] + [
-    edge * (1 + side) for edge in (specfun._K_SERIES_MAX, specfun._K_HANKEL_MIN)
-    for side in (-1e-15, 1e-15)]
+def k012_reference(z: float, scaled: bool = False) -> tuple[Decimal, Decimal, Decimal]:
+    """(K0, K1, K2) from the committed K table, or e^z times each when
+    scaled: K_nu = e^-z (e^z K_nu) and K2 = K0 + 2 K1/z, in decimal."""
+    context = kernel_reference.CONTEXT
+    k0, k1 = kernel_reference.load_k01()[z][:2]
+    if not scaled:
+        damp = context.exp(Decimal(-z))
+        k0, k1 = context.multiply(damp, k0), context.multiply(damp, k1)
+    return k0, k1, context.add(k0, context.divide(context.multiply(2, k1), Decimal(z)))
 
 
-@pytest.mark.parametrize("z", MPMATH_GRID)
+@pytest.mark.parametrize("z", kernel_reference.zs("k012"))
 def test_k0_k1_k2_match_mpmath(z):
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        for nu in (0, 1, 2):
-            ref = mp.besselk(nu, z)
-            if z < 700.0:  # K_nu itself is a normal double
-                assert k012(z)[nu] == pytest.approx(float(ref), rel=1e-14, abs=0.0)
-            scaled_ref = float(mp.exp(z) * ref)
-            assert k012(z, scaled=True)[nu] == pytest.approx(scaled_ref, rel=1e-14, abs=0.0)
+    for scaled in (False, True):
+        if scaled or z < 700.0:  # K_nu itself is a normal double
+            for value, reference in zip(k012(z, scaled), k012_reference(z, scaled)):
+                assert kernel_reference.rel_err(value, reference) <= 1e-14, (scaled, value)
 
 
-@pytest.mark.parametrize("z", [1e3, 1e6, 1e17, 1e308])
+@pytest.mark.parametrize("z", kernel_reference.zs("far_past"))
 def test_scaled_k2_matches_mpmath_far_past_underflow(z):
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        ref = float(mp.exp(z) * mp.besselk(2, z))
-    assert k012(z, scaled=True)[2] == pytest.approx(ref, rel=1e-14, abs=0.0)
-
-
-# 3000 log-spaced points over [2, 1e6], and two far past underflow.
-SCALED_PAIR_GRID = [2.0 * 5e5 ** (i / 2999) for i in range(3000)] + [1e17, 1e308]
+    value = k012(z, scaled=True)[2]
+    assert kernel_reference.rel_err(value, k012_reference(z, scaled=True)[2]) <= 1e-14
 
 
 def test_scaled_k01_matches_mpmath_to_a_few_ulps():
+    # 5999 z log-spaced over [2, 1e6] and two far past underflow; prints the
+    # worst z of each order
+    rows = kernel_reference.load_k01()
+    worst = [(0.0, None), (0.0, None)]
+    for z in kernel_reference.zs("pair"):
+        for nu, (value, reference) in enumerate(zip(specfun._k01_scaled(z), rows[z][:2])):
+            worst[nu] = max(worst[nu], (kernel_reference.rel_err(value, reference), z),
+                            key=lambda e: e[0])
+    for nu, (err, z) in enumerate(worst):
+        print(f"e^z K{nu}: worst relative error {err:.3e} at z = {z!r}")
+    assert all(err <= 8e-16 for err, _ in worst), worst
+
+
+def test_k01_table_matches_its_generator():
+    # tests/kernel_reference.py's K rows from mp.besselk to 1e-20: every
+    # 50th row, both sides of each of specfun's edges, and 1e17 and 1e308
+    assert kernel_reference.K_EDGES == (specfun._K_SERIES_MAX, specfun._K_HANKEL_MIN)
     mp = pytest.importorskip("mpmath")
-    worst = 0.0
-    with mp.workdps(25):
-        for z in SCALED_PAIR_GRID:
-            pair = specfun._k01_scaled(z)
-            for nu in (0, 1):
-                ref = mp.exp(z) * mp.besselk(nu, z)
-                worst = max(worst, float(abs(pair[nu] / ref - 1)))
-    assert worst <= 8e-16
+    rows = kernel_reference.load_k01()
+    recompute = set(list(rows)[::50]) | {1e17, 1e308} | {
+        z for z in kernel_reference.zs("k012")
+        if any(abs(z / edge - 1) < 1e-14 for edge in kernel_reference.K_EDGES)}
+    with mp.workdps(30):
+        for z in sorted(recompute):
+            for nu, (table, value) in enumerate(zip(rows[z][:2], kernel_reference.scaled_k01(z))):
+                assert abs(mp.mpf(str(table)) / value - 1) <= 1e-20, (z, nu)
 
 
 @pytest.mark.parametrize("edge", ["series", "hankel"])
@@ -222,8 +234,8 @@ def test_tables_match_their_generator():
     source = Path(specfun.__file__).read_text()
     blocks = printed.split("\n)\n")
     assert [block.split(" = ")[0] for block in blocks[:-1]] == [
-        "_K01_CHEBYSHEV", "_HANKEL", "_PI_RATIOS", "_K2_SUM_EXPANSION",
-        "_ENERGY_SUM_EXPANSION", "_SUM_CHEBYSHEV"]
+        "_K01_CHEBYSHEV", "_PI_RATIOS", "_K2_SUM_EXPANSION", "_ENERGY_SUM_EXPANSION",
+        "_SUM_CHEBYSHEV"]
     for block in blocks[:-1]:
         assert block + "\n)\n" in source, block.split(" = ")[0]
 
