@@ -34,4 +34,4 @@ __all__ = [
     "format_mass", "parse_mass", "reduce",
 ]
 
-__version__ = "0.13.2"
+__version__ = "0.13.3"

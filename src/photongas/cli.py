@@ -18,7 +18,7 @@ import sys
 
 from . import core, oracle
 from .errors import ConvergenceError, DomainError, MassParseError, RegimeError
-from .units import SI, GasParameters, parse_mass, reduce
+from .units import SI, GasParameters, _reduced_x, parse_mass
 
 # One row per report quantity, in the order of RadiometryReport.methods:
 # (column, RadiometryReport attribute, text label, unit).
@@ -33,6 +33,9 @@ _QUANTITIES = (
 SWEEP_COLUMNS = ("index", "T_K", "x", *(row[0] for row in _QUANTITIES), "method_flags")
 POINT_COLUMNS = ("mass_kg",) + SWEEP_COLUMNS[1:]
 FIGURE_COLUMNS = ("x", "kT_over_mc2", "vbar_over_c", "nonrel_approx")
+# Per method tag, built once: the method_flags cell and the JSON "methods" object.
+_FLAGS = {tag: ";".join(f"{key}:{tag}" for key in core._METHOD_KEYS) for tag in (core.SERIES,)}
+_JSON_METHODS = {tag: ",".join(f'"{k}":"{tag}"' for k in core._METHOD_KEYS) for tag in (core.SERIES,)}
 
 VALIDATE_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 VALIDATE_LIMIT = 1e-7
@@ -63,9 +66,8 @@ def _fmt(value: float) -> str:
 
 
 def _report_cells(report: core.RadiometryReport) -> list[str]:
-    flags = ";".join(f"{key}:{method}" for key, method in report.methods.items())
     return ([_fmt(report.params.temperature), _fmt(report.x)]
-            + [_fmt(getattr(report, attr)) for _, attr, _, _ in _QUANTITIES] + [flags])
+            + [_fmt(getattr(report, attr)) for _, attr, _, _ in _QUANTITIES] + [_FLAGS[report.method]])
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -89,8 +91,8 @@ def _render_point_text(report: core.RadiometryReport) -> str:
         f"degeneracy  = {_fmt(report.params.degeneracy)}",
         f"x = mc^2/kT = {_fmt(report.x)}",
     ]
-    for (_, attr, label, unit), method in zip(_QUANTITIES, report.methods.values()):
-        lines.append(f"{label:7s} = {_fmt(getattr(report, attr))} {unit}  [{method}]")
+    for _, attr, label, unit in _QUANTITIES:
+        lines.append(f"{label:7s} = {_fmt(getattr(report, attr))} {unit}  [{report.method}]")
     return "\n".join(lines) + "\n"
 
 
@@ -101,8 +103,7 @@ def _render_point_json(report: core.RadiometryReport) -> str:
         f'"degeneracy":{_fmt(report.params.degeneracy)}',
         f'"x":{_fmt(report.x)}',
         *(f'"{column}":{_fmt(getattr(report, attr))}' for column, attr, _, _ in _QUANTITIES),
-        '"methods":{%s}' % ",".join(f'"{key}":"{method}"'
-                                    for key, method in report.methods.items()),
+        '"methods":{%s}' % _JSON_METHODS[report.method],
     ]
     return "{" + ",".join(fields) + "}\n"
 
@@ -144,7 +145,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         params = GasParameters(mass=mass, temperature=temperature, degeneracy=args.g)
         # An x sweep prints and evaluates at its grid x, not at mc^2/kT
         # recomputed from the rounded T.
-        x = value if by_x else reduce(params).x
+        x = value if by_x else _reduced_x(params)
         report = core._report(params, x)
         rows.append(",".join([str(index)] + _report_cells(report)))
     _write_output("\n".join(rows) + "\n", args.out)

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 from . import specfun
 from .errors import DomainError, RegimeError
-from .units import SI, GasParameters, _check_x, reduce
+from .units import SI, GasParameters, _check_x, _reduced_x, reduce
 
 SERIES = "series"
+_METHOD_KEYS = ("n", "u", "v", "R", "R_naive")  # RadiometryReport.methods, in order
 
 _PI2 = math.pi**2
 _R_SCALE = 1.5 / _PI2  # r_hat = (3/2 pi^2) Q
@@ -82,7 +83,7 @@ class RadiometryReport:
 
     @property
     def methods(self) -> dict[str, str]:
-        return dict.fromkeys(("n", "u", "v", "R", "R_naive"), self.method)
+        return dict.fromkeys(_METHOD_KEYS, self.method)
 
     def __post_init__(self):
         r, r_naive = self.radiance, self.radiance_naive
@@ -195,15 +196,14 @@ def reduced_functions(x: float) -> ReducedFunctions:
 # SI wrappers.
 # ---------------------------------------------------------------------------
 
-def _si_prefactors(params: GasParameters, keys: str) -> dict[str, float]:
-    """SI value of one unit of each kernel, from one kT, keyed like _series.
+def _si_prefactors(params: GasParameters, keys: str = "") -> tuple[float, float, float, float]:
+    """SI value of one unit of each kernel, from one kT, in the order of _series.
 
-    n is (g/2) (kT/hbar c)^3, u that times kT, R u times c, and v is c.
-    Those named in keys, a string over "nuvR", are checked each on its own,
-    in the order of keys: the first out of the double range raises
-    DomainError naming its quantity.  For g = 2 that is R above about
-    4.8e78 K, u above 6.3e80 K and n above 1.3e100 K; a huge g can push
-    n out alone.
+    n is (g/2) (kT/hbar c)^3, u that times kT, v is c and R u times c.  Those
+    named in keys, over "nuvR", are checked in that order: the first out of
+    the double range (for g = 2, R above 4.8e78 K, u above 6.3e80 K and n
+    above 1.3e100 K) raises DomainError naming its quantity.  Those not
+    named may be inf, or nan where g/2 is 0.
     """
     kt = SI.k_B * params.temperature
     half_g = 0.5 * params.degeneracy
@@ -212,16 +212,17 @@ def _si_prefactors(params: GasParameters, keys: str) -> dict[str, float]:
     except OverflowError:
         cube = math.inf
     u = half_g * kt * cube
-    values = {"n": half_g * cube, "u": u, "v": SI.c, "R": u * SI.c}
+    prefactors = half_g * cube, u, SI.c, u * SI.c
     for key in keys:
-        if not values[key] < math.inf:
+        if not prefactors["nuvR".index(key)] < math.inf:
             raise DomainError(f"{_KERNELS[key][0]}: SI prefactor overflows at "
                               f"T={params.temperature!r} K, g={params.degeneracy!r}")
-    return values
+    return prefactors
 
 
 def _si_value(key: str, params: GasParameters) -> float:
-    return _series(reduce(params).x)["nuvR".index(key)] * _si_prefactors(params, key)[key]
+    i = "nuvR".index(key)
+    return _series(_reduced_x(params))[i] * _si_prefactors(params, key)[i]
 
 
 def number_density(params: GasParameters) -> float:
@@ -339,7 +340,7 @@ def small_mass_radiance(params: GasParameters) -> float:
     evaluated as stated either way.
     """
     x = reduce(params).x
-    stefan = _si_prefactors(params, "R")["R"] * _R_HAT_MAX
+    stefan = _si_prefactors(params, "R")[3] * _R_HAT_MAX
     return stefan * (1.0 - 2.5 / _PI2 * x * x)
 
 
@@ -352,7 +353,7 @@ def low_temp_radiance(params: GasParameters) -> float:
     # e^-x as two factors h = e^(-x/2), as in _series: a huge x gives 0, not
     # inf * 0, and where e^-x is subnormal a product that is not keeps its digits.
     h = math.exp(-0.5 * x)
-    return _si_prefactors(params, "R")["R"] * h * x * x * h / (2.0 * _PI2)
+    return _si_prefactors(params, "R")[3] * h * x * x * h / (2.0 * _PI2)
 
 
 def low_temp_mean_speed(params: GasParameters) -> float:
@@ -371,19 +372,24 @@ def low_temp_mean_speed(params: GasParameters) -> float:
 
 def evaluate(params: GasParameters) -> RadiometryReport:
     """Full radiometry report for one (m, T) point."""
-    return _report(params, reduce(params).x)
+    return _report(params, _reduced_x(params))
 
 
 def _report(params: GasParameters, x: float) -> RadiometryReport:
     """The report of params, with its kernels evaluated at x.
 
     x is mc^2/kT of params up to rounding; an x sweep passes its grid value,
-    so the printed x and the band are those of the grid.  The kernels come
-    from _series, checked once, and scale by the prefactors of one kT.
+    so the printed x and the band are the grid's.  The kernels, checked once,
+    scale by the prefactors of one kT, checked in the order u, n, R.
     """
     n, u, v, r = _series(x)
     _check_kernels(n, u, v, r)
-    si = _si_prefactors(params, "unvR")
-    u_si = u * si["u"]
-    return RadiometryReport(params, x, n * si["n"], u_si, v * si["v"], r * si["R"],
-                            0.25 * SI.c * u_si, SERIES)
+    pn, pu, pv, pr = _si_prefactors(params)
+    if not (pn < math.inf and pr < math.inf):  # pr = pu c is finite only where pu is
+        _si_prefactors(params, "unR")  # raises, naming the first out of range
+    report = object.__new__(RadiometryReport)  # one update, not the frozen __init__
+    report.__dict__.update(params=params, x=x, number_density=n * pn, energy_density=u * pu,
+                           mean_speed=v * pv, radiance=r * pr,
+                           radiance_naive=0.25 * SI.c * (u * pu), method=SERIES)
+    report.__post_init__()  # the checks of the public constructor
+    return report

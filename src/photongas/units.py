@@ -20,6 +20,7 @@ class PhysicalConstants:
 
 
 SI = PhysicalConstants()
+_DBL_MAX = 1.7976931348623157e308  # the largest double; an int above it is refused
 
 # Mass unit -> kilograms per unit.  The eV family follows the particle-physics
 # convention that a mass quoted in eV means eV/c^2.
@@ -49,12 +50,16 @@ class GasParameters:
     degeneracy: float = 2.0
 
     def __post_init__(self):
-        if not (isinstance(self.mass, (int, float)) and math.isfinite(self.mass) and self.mass >= 0):
-            raise DomainError(f"mass must be finite and >= 0 kg, got {self.mass!r}")
-        if not (isinstance(self.temperature, (int, float)) and math.isfinite(self.temperature) and self.temperature > 0):
-            raise DomainError(f"temperature must be finite and > 0 K, got {self.temperature!r}")
-        if not (isinstance(self.degeneracy, (int, float)) and math.isfinite(self.degeneracy) and self.degeneracy > 0):
-            raise DomainError(f"degeneracy must be finite and > 0, got {self.degeneracy!r}")
+        m, t, g = self.mass, self.temperature, self.degeneracy
+        if (type(m) is type(t) is type(g) is float
+                and 0.0 <= m <= _DBL_MAX and 0.0 < t <= _DBL_MAX and 0.0 < g <= _DBL_MAX):
+            return
+        if not (isinstance(m, (int, float)) and 0.0 <= m <= _DBL_MAX):
+            raise DomainError(f"mass must be finite and >= 0 kg, got {m!r}")
+        if not (isinstance(t, (int, float)) and 0.0 < t <= _DBL_MAX):
+            raise DomainError(f"temperature must be finite and > 0 K, got {t!r}")
+        if not (isinstance(g, (int, float)) and 0.0 < g <= _DBL_MAX):
+            raise DomainError(f"degeneracy must be finite and > 0, got {g!r}")
 
 
 @dataclass(frozen=True)
@@ -64,24 +69,27 @@ class ReducedState:
     x: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and self.x >= 0):
+        if not 0.0 <= self.x <= _DBL_MAX:
             raise DomainError(f"reduced state x must be finite and >= 0, got {self.x!r}")
 
 
 def _check_x(x: float) -> float:
-    if isinstance(x, (int, float)) and 0.0 <= x < math.inf:
+    if isinstance(x, (int, float)) and 0.0 <= x <= _DBL_MAX:
         return float(x)
     raise DomainError(f"reduced x must be finite and >= 0, got {x!r}")
 
 
-def reduce(params: GasParameters) -> ReducedState:
-    """Map (m, T) to the reduced state x = m c^2 / (k_B T).
-
-    Where k_B T underflows to 0, x is 0 for m = 0 and overflows otherwise.
-    """
+def _reduced_x(params: GasParameters) -> float:
+    """x = m c^2 / (k_B T) of params, 0 at m = 0; ReducedState refuses it unless finite."""
     mc2 = params.mass * SI.c * SI.c
     kt = SI.k_B * params.temperature
-    return ReducedState(mc2 / kt if kt else math.inf if mc2 else 0.0)
+    x = mc2 / kt if kt else math.inf if mc2 else 0.0
+    return x if x <= _DBL_MAX else ReducedState(x).x  # ReducedState raises
+
+
+def reduce(params: GasParameters) -> ReducedState:
+    """Map (m, T) to the reduced state x = m c^2 / (k_B T)."""
+    return ReducedState(_reduced_x(params))
 
 
 def parse_mass(text: str) -> float:

@@ -16,8 +16,11 @@ expansions about x = 0, from 2 up to 40 the one loop over the Chebyshev
 tables, and from 40 on one K pair; of ``core.reduced_functions`` on
 the default route, which wraps them; of ``core.r_hat_closed`` alone; and,
 as ``evaluate_us``, of ``core.evaluate`` on a mass of 1 eV at T = mc^2/(k_B x),
-the whole SI report, whose excess over ``default_route_us`` is the cost of
-the report on top of the kernels.
+the whole SI report.  ``evaluate`` and its kernels, ``core._series``, are
+timed interleaved: each round times both at every x, so a slow spell of the
+host lands on a few cells of one round, not on a whole column, and
+``report_overhead_us`` is the first cost less the second at each x, the cost
+of the report on top of the kernels.
 The routes are timed as this checkout's package calls them, so --routes
 needs a src of the same version.
 """
@@ -37,30 +40,46 @@ X_GRID = (0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0,
 RUNS, MIN_RUN_NS = 7, 2_000_000
 
 
-def cost_us(fn, arg) -> float:
-    """Fastest over RUNS of the thread CPU time per call, in us.
-
-    Each run makes as many calls as the first batch, doubled from one call,
-    that lasts at least MIN_RUN_NS, so a 2 us call and a 100 us one are
-    timed over runs of the same length.  The fastest run is the one the
-    rest of the host disturbed least: on a shared host the medians of two
-    processes differed by up to 1.7x.
-    """
+def _calls(fn, arg) -> int:
+    """Calls of the first batch, doubled from one call, that lasts MIN_RUN_NS."""
     calls = 1
     while True:
         start = time.thread_time_ns()
         for _ in range(calls):
             fn(arg)
         if time.thread_time_ns() - start >= MIN_RUN_NS:
-            break
+            return calls
         calls *= 2
-    runs = []
+
+
+def _run_us(fn, arg, calls: int) -> float:
+    start = time.thread_time_ns()
+    for _ in range(calls):
+        fn(arg)
+    return (time.thread_time_ns() - start) / calls / 1e3
+
+
+def cost_us(fn, arg) -> float:
+    """Fastest over RUNS of the thread CPU time per call, in us.
+
+    Each run makes as many calls as last at least MIN_RUN_NS, so a 2 us
+    call and a 100 us one are timed over runs of the same length.  The
+    fastest run is the one the rest of the host disturbed least: on a
+    shared host the medians of two processes differed by up to 1.7x.
+    """
+    calls = _calls(fn, arg)
+    return round(min(_run_us(fn, arg, calls) for _ in range(RUNS)), 2)
+
+
+def interleaved_cost_us(cases) -> list[float]:
+    """cost_us of each (fn, arg) in cases, with the cases interleaved: each of
+    the RUNS rounds runs every case once, in order."""
+    calls = [_calls(fn, arg) for fn, arg in cases]
+    runs = [[] for _ in cases]
     for _ in range(RUNS):
-        start = time.thread_time_ns()
-        for _ in range(calls):
-            fn(arg)
-        runs.append((time.thread_time_ns() - start) / calls / 1e3)
-    return round(min(runs), 2)
+        for (fn, arg), count, times in zip(cases, calls, runs):
+            times.append(_run_us(fn, arg, count))
+    return [round(min(times), 2) for times in runs]
 
 
 class _Counted:
@@ -128,9 +147,15 @@ def main() -> None:
                                       for x in X_GRID}
         result["r_hat_closed_us"] = {repr(x): cost_us(core.r_hat_closed, x) for x in X_GRID}
         mass, si = units.parse_mass("1eV"), units.SI
-        result["evaluate_us"] = {
-            repr(x): cost_us(core.evaluate, units.GasParameters(mass, mass * si.c**2 / (si.k_B * x)))
-            for x in X_GRID}
+        cases = []
+        for x in X_GRID:
+            params = units.GasParameters(mass, mass * si.c**2 / (si.k_B * x))
+            # the kernels at the x that evaluate takes, which may differ from x by an ulp
+            cases += [(core.evaluate, params), (core._series, units.reduce(params).x)]
+        costs = interleaved_cost_us(cases)
+        result["evaluate_us"] = {repr(x): costs[2 * i] for i, x in enumerate(X_GRID)}
+        result["report_overhead_us"] = {repr(x): round(costs[2 * i] - costs[2 * i + 1], 2)
+                                        for i, x in enumerate(X_GRID)}
     print(json.dumps(result, indent=1))
 
 

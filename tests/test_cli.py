@@ -441,7 +441,7 @@ def test_point_below_four_matches_the_trapezoid_oracle(capsys):
     n, u, v, r = oracle._moments(row["x"])
     params = photongas.GasParameters(mass=row["mass_kg"], temperature=row["T_K"],
                                      degeneracy=row["degeneracy"])
-    si = core._si_prefactors(params, "nuvR")
+    si = dict(zip("nuvR", core._si_prefactors(params, "nuvR")))
     expected = {"n_per_m3": n * si["n"], "u_J_per_m3": u * si["u"],
                 "vbar_m_per_s": v * si["v"], "R_W_per_m2": r * si["R"],
                 "R_naive_W_per_m2": 0.25 * SI.c * u * si["u"]}

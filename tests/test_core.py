@@ -595,10 +595,48 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
             ("u", "u_hat", "energy_density", energy_density),
             ("v", "v_hat", "mean_speed", mean_speed),
             ("R", "r_hat", "radiance", radiance)):
-        expected = getattr(reduced, kernel) * _si_prefactors(params, key)[key]
+        expected = getattr(reduced, kernel) * _si_prefactors(params, key)["nuvR".index(key)]
         assert getattr(report, quantity) == expected
         assert wrapper(params) == expected
     assert report.radiance_naive == 0.25 * SI.c * report.energy_density
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, math.nextafter(2.0, 0.0), 2.0, 10.0, 40.0,
+                               1e3, 1e17])
+def test_report_is_the_one_the_public_constructor_builds(x):
+    # _report sets the fields of a new report in one step and runs the same
+    # __post_init__: at an x in every band, for evaluate and for the report
+    # an x sweep builds at its grid x, the result is the report that
+    # RadiometryReport(**fields) builds, and it stays frozen.
+    params = params_for_x(x)
+    for report in (evaluate(params), core._report(params, x)):
+        fields = {field.name: getattr(report, field.name)
+                  for field in dataclasses.fields(RadiometryReport)}
+        public = RadiometryReport(**fields)
+        assert type(report) is RadiometryReport
+        assert report == public and hash(report) == hash(public)
+        assert repr(report) == repr(public)
+        assert dataclasses.astuple(report) == dataclasses.astuple(public)
+        assert vars(report) == vars(public)
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, 0.0)
+        assert report == public
+
+
+@pytest.mark.parametrize("mass, temperature, g, message", [
+    (1e-36, 1e81, 2.0, "energy_density: SI prefactor overflows at T=1e+81 K, g=2.0"),
+    (1e-36, 300.0, 1e300, "number_density: SI prefactor overflows at T=300.0 K, g=1e+300"),
+    (1e-36, 1e79, 2.0, "radiance: SI prefactor overflows at T=1e+79 K, g=2.0"),
+    (1e-36, 1e300, 5e-324, "energy_density: SI prefactor overflows at T=1e+300 K, g=5e-324"),
+    (1.0, 1e-300, 2.0, "reduced state x must be finite and >= 0, got inf"),
+    (1e-36, 5e-324, 2.0, "reduced state x must be finite and >= 0, got inf")])
+def test_evaluate_refuses_with_the_messages_it_always_gave(mass, temperature, g, message):
+    # The whole message, for each prefactor that overflows first (at
+    # g = 5e-324, g/2 is 0 and the prefactors are nan) and for an x = inf.
+    with pytest.raises(DomainError) as excinfo:
+        evaluate(GasParameters(mass=mass, temperature=temperature, degeneracy=g))
+    assert str(excinfo.value) == message
 
 
 def test_convergence_failure_names_the_quantity(monkeypatch):
@@ -708,10 +746,10 @@ def test_si_prefactors_are_the_one_prefactor_expression_bit_for_bit(g):
             except OverflowError:
                 expected[key] = math.inf
         if all(map(math.isfinite, expected.values())):
-            assert _si_prefactors(params, "nuvR") == expected, temperature
+            assert _si_prefactors(params, "nuvR") == tuple(expected[k] for k in "nuvR"), temperature
         for key, value in expected.items():
             if math.isfinite(value):
-                assert _si_prefactors(params, key)[key] == value, (key, temperature)
+                assert _si_prefactors(params, key)["nuvR".index(key)] == value, (key, temperature)
             else:
                 with pytest.raises(DomainError, match=rf"^{core._KERNELS[key][0]}: SI "):
                     _si_prefactors(params, key)

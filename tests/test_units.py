@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from photongas import (SI, DomainError, GasParameters, MassParseError,
-                       ReducedState, format_mass, parse_mass, reduce)
+                       ReducedState, format_mass, parse_mass, reduce,
+                       reduced_functions)
 from photongas.units import MASS_UNITS
 
 
@@ -28,6 +29,27 @@ def test_gas_parameters_validation():
         GasParameters(mass=1e-40, temperature=300.0, degeneracy=0.0)
     with pytest.raises(DomainError):
         GasParameters(mass=math.inf, temperature=300.0)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("mass", "mass must be finite and >= 0 kg"),
+    ("temperature", "temperature must be finite and > 0 K"),
+    ("degeneracy", "degeneracy must be finite and > 0")])
+def test_gas_parameters_refuse_an_int_beyond_the_double_range(field, message):
+    # An int is compared exactly, not converted: one beyond the double range
+    # is a DomainError naming its field, one within it is accepted.
+    fields = {"mass": 1, "temperature": 300, "degeneracy": 2}
+    assert GasParameters(**fields) == GasParameters(1.0, 300.0, 2.0)
+    for huge in (10**400, 2**1024):
+        with pytest.raises(DomainError, match=f"^{message}, got {huge}$"):
+            GasParameters(**dict(fields, **{field: huge}))
+
+
+def test_an_x_beyond_the_double_range_is_refused_not_overflowed():
+    with pytest.raises(DomainError, match="^reduced state x must be finite"):
+        ReducedState(10**400)
+    with pytest.raises(DomainError, match="^reduced x must be finite"):
+        reduced_functions(10**400)
 
 
 def test_reduced_state_validation():
