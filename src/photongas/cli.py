@@ -20,8 +20,8 @@ from . import core, oracle
 from .errors import ConvergenceError, DomainError, MassParseError, RegimeError
 from .units import SI, GasParameters, _reduced_x, parse_mass
 
-# One row per report quantity, in the order of RadiometryReport.methods:
-# (column, RadiometryReport attribute, text label, unit).
+# One row per report quantity, in the order n, u, v, R, R_naive of
+# core._METHOD_KEYS: (column, RadiometryReport attribute, text label, unit).
 _QUANTITIES = (
     ("n_per_m3", "number_density", "N/V", "m^-3"),
     ("u_J_per_m3", "energy_density", "U/V", "J/m^3"),
@@ -33,9 +33,9 @@ _QUANTITIES = (
 SWEEP_COLUMNS = ("index", "T_K", "x", *(row[0] for row in _QUANTITIES), "method_flags")
 POINT_COLUMNS = ("mass_kg",) + SWEEP_COLUMNS[1:]
 FIGURE_COLUMNS = ("x", "kT_over_mc2", "vbar_over_c", "nonrel_approx")
-# Per method tag, built once: the method_flags cell and the JSON "methods" object.
-_FLAGS = {tag: ";".join(f"{key}:{tag}" for key in core._METHOD_KEYS) for tag in (core.SERIES,)}
-_JSON_METHODS = {tag: ",".join(f'"{k}":"{tag}"' for k in core._METHOD_KEYS) for tag in (core.SERIES,)}
+# The method_flags cell and JSON "methods" of every CLI report: core._report tags it core.SERIES.
+_FLAGS = ";".join(f"{key}:{core.SERIES}" for key in core._METHOD_KEYS)
+_JSON_METHODS = ",".join(f'"{key}":"{core.SERIES}"' for key in core._METHOD_KEYS)
 
 VALIDATE_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 VALIDATE_LIMIT = 1e-7
@@ -67,7 +67,7 @@ def _fmt(value: float) -> str:
 
 def _report_cells(report: core.RadiometryReport) -> list[str]:
     return ([_fmt(report.params.temperature), _fmt(report.x)]
-            + [_fmt(getattr(report, attr)) for _, attr, _, _ in _QUANTITIES] + [_FLAGS[report.method]])
+            + [_fmt(getattr(report, attr)) for _, attr, _, _ in _QUANTITIES] + [_FLAGS])
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -103,7 +103,7 @@ def _render_point_json(report: core.RadiometryReport) -> str:
         f'"degeneracy":{_fmt(report.params.degeneracy)}',
         f'"x":{_fmt(report.x)}',
         *(f'"{column}":{_fmt(getattr(report, attr))}' for column, attr, _, _ in _QUANTITIES),
-        '"methods":{%s}' % _JSON_METHODS[report.method],
+        '"methods":{%s}' % _JSON_METHODS,
     ]
     return "{" + ",".join(fields) + "}\n"
 

@@ -37,6 +37,14 @@ _MASS_RE = re.compile(
 )
 
 
+def _shown(value) -> str:
+    """repr of a refused value, or the bit length of an int too long for repr."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{'negative ' * (value < 0)}int of {value.bit_length()} bits>"
+
+
 @dataclass(frozen=True)
 class GasParameters:
     """Physical input of one evaluation: photon mass, temperature, degeneracy.
@@ -51,15 +59,12 @@ class GasParameters:
 
     def __post_init__(self):
         m, t, g = self.mass, self.temperature, self.degeneracy
-        if (type(m) is type(t) is type(g) is float
-                and 0.0 <= m <= _DBL_MAX and 0.0 < t <= _DBL_MAX and 0.0 < g <= _DBL_MAX):
-            return
         if not (isinstance(m, (int, float)) and 0.0 <= m <= _DBL_MAX):
-            raise DomainError(f"mass must be finite and >= 0 kg, got {m!r}")
+            raise DomainError(f"mass must be finite and >= 0 kg, got {_shown(m)}")
         if not (isinstance(t, (int, float)) and 0.0 < t <= _DBL_MAX):
-            raise DomainError(f"temperature must be finite and > 0 K, got {t!r}")
+            raise DomainError(f"temperature must be finite and > 0 K, got {_shown(t)}")
         if not (isinstance(g, (int, float)) and 0.0 < g <= _DBL_MAX):
-            raise DomainError(f"degeneracy must be finite and > 0, got {g!r}")
+            raise DomainError(f"degeneracy must be finite and > 0, got {_shown(g)}")
 
 
 @dataclass(frozen=True)
@@ -70,13 +75,13 @@ class ReducedState:
 
     def __post_init__(self):
         if not 0.0 <= self.x <= _DBL_MAX:
-            raise DomainError(f"reduced state x must be finite and >= 0, got {self.x!r}")
+            raise DomainError(f"reduced state x must be finite and >= 0, got {_shown(self.x)}")
 
 
 def _check_x(x: float) -> float:
     if isinstance(x, (int, float)) and 0.0 <= x <= _DBL_MAX:
         return float(x)
-    raise DomainError(f"reduced x must be finite and >= 0, got {x!r}")
+    raise DomainError(f"reduced x must be finite and >= 0, got {_shown(x)}")
 
 
 def _reduced_x(params: GasParameters) -> float:

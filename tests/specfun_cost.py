@@ -16,11 +16,11 @@ expansions about x = 0, from 2 up to 40 the one loop over the Chebyshev
 tables, and from 40 on one K pair; of ``core.reduced_functions`` on
 the default route, which wraps them; of ``core.r_hat_closed`` alone; and,
 as ``evaluate_us``, of ``core.evaluate`` on a mass of 1 eV at T = mc^2/(k_B x),
-the whole SI report.  ``evaluate`` and its kernels, ``core._series``, are
-timed interleaved: each round times both at every x, so a slow spell of the
-host lands on a few cells of one round, not on a whole column, and
-``report_overhead_us`` is the first cost less the second at each x, the cost
-of the report on top of the kernels.
+the whole SI report.  ``report_overhead_us`` is the cost of ``evaluate``
+less that of its kernels, ``core._series``, timed beside it at the x it
+takes: the cost of the report on top of the kernels.  Every case of a table
+is timed in the same rounds, so a slow spell of the host lands on a few
+cells of one round, not on a whole column.
 The routes are timed as this checkout's package calls them, so --routes
 needs a src of the same version.
 """
@@ -59,21 +59,17 @@ def _run_us(fn, arg, calls: int) -> float:
     return (time.thread_time_ns() - start) / calls / 1e3
 
 
-def cost_us(fn, arg) -> float:
-    """Fastest over RUNS of the thread CPU time per call, in us.
+def cost_us(cases) -> list[float]:
+    """Fastest over RUNS of the thread CPU time per call, in us, of each
+    (fn, arg) in cases.
 
     Each run makes as many calls as last at least MIN_RUN_NS, so a 2 us
     call and a 100 us one are timed over runs of the same length.  The
-    fastest run is the one the rest of the host disturbed least: on a
-    shared host the medians of two processes differed by up to 1.7x.
+    cases are interleaved: each of the RUNS rounds runs every case once, in
+    order.  The fastest run is the one the rest of the host disturbed
+    least: on a shared host the medians of two processes differed by up to
+    1.7x.
     """
-    calls = _calls(fn, arg)
-    return round(min(_run_us(fn, arg, calls) for _ in range(RUNS)), 2)
-
-
-def interleaved_cost_us(cases) -> list[float]:
-    """cost_us of each (fn, arg) in cases, with the cases interleaved: each of
-    the RUNS rounds runs every case once, in order."""
     calls = [_calls(fn, arg) for fn, arg in cases]
     runs = [[] for _ in cases]
     for _ in range(RUNS):
@@ -127,35 +123,37 @@ def main() -> None:
     from photongas import core, oracle, specfun, units
 
     result = {
-        "k01_scaled_us": {repr(z): cost_us(specfun._k01_scaled, z) for z in Z_GRID},
+        "k01_scaled_us": dict(zip(map(repr, Z_GRID),
+                                  cost_us([(specfun._k01_scaled, z) for z in Z_GRID]))),
         "k01_terms": None,
     }
     counts = term_counts(specfun, [z for z in Z_GRID if z > 2.0])
     if counts is not None:
         result["k01_terms"] = {repr(z): n for z, n in counts.items()}
     if args.routes:
-        bands = {"expansions": (0.0, specfun._EXPAND_BELOW),
-                 "tables": (specfun._EXPAND_BELOW, specfun._ONE_TERM_FROM),
-                 "one_term": (specfun._ONE_TERM_FROM, float("inf"))}
-        routes = {"trapezoid": (oracle._moments, X_GRID)}
-        for name, (low, high) in bands.items():
-            routes[name] = (core._series, [x for x in X_GRID if low <= x < high])
-        result["reduced_functions_us"] = {
-            name: {repr(x): cost_us(route, x) for x in grid}
-            for name, (route, grid) in routes.items()}
-        result["default_route_us"] = {repr(x): cost_us(core.reduced_functions, x)
-                                      for x in X_GRID}
-        result["r_hat_closed_us"] = {repr(x): cost_us(core.r_hat_closed, x) for x in X_GRID}
         mass, si = units.parse_mass("1eV"), units.SI
         cases = []
         for x in X_GRID:
             params = units.GasParameters(mass, mass * si.c**2 / (si.k_B * x))
             # the kernels at the x that evaluate takes, which may differ from x by an ulp
-            cases += [(core.evaluate, params), (core._series, units.reduce(params).x)]
-        costs = interleaved_cost_us(cases)
-        result["evaluate_us"] = {repr(x): costs[2 * i] for i, x in enumerate(X_GRID)}
-        result["report_overhead_us"] = {repr(x): round(costs[2 * i] - costs[2 * i + 1], 2)
-                                        for i, x in enumerate(X_GRID)}
+            cases += [(oracle._moments, x), (core._series, x), (core.reduced_functions, x),
+                      (core.r_hat_closed, x), (core.evaluate, params),
+                      (core._series, units.reduce(params).x)]
+        costs = cost_us(cases)
+        # one column per case of an x: costs[i::6] holds case i at every x
+        trapezoid, series, default, closed, report, kernels = (
+            dict(zip(map(repr, X_GRID), costs[i::6])) for i in range(6))
+        bands = {"expansions": (0.0, specfun._EXPAND_BELOW),
+                 "tables": (specfun._EXPAND_BELOW, specfun._ONE_TERM_FROM),
+                 "one_term": (specfun._ONE_TERM_FROM, float("inf"))}
+        result["reduced_functions_us"] = {"trapezoid": trapezoid, **{
+            name: {repr(x): series[repr(x)] for x in X_GRID if low <= x < high}
+            for name, (low, high) in bands.items()}}
+        result["default_route_us"] = default
+        result["r_hat_closed_us"] = closed
+        result["evaluate_us"] = report
+        result["report_overhead_us"] = {key: round(report[key] - kernels[key], 2)
+                                        for key in report}
     print(json.dumps(result, indent=1))
 
 

@@ -37,19 +37,23 @@ def test_gas_parameters_validation():
     ("degeneracy", "degeneracy must be finite and > 0")])
 def test_gas_parameters_refuse_an_int_beyond_the_double_range(field, message):
     # An int is compared exactly, not converted: one beyond the double range
-    # is a DomainError naming its field, one within it is accepted.
+    # is a DomainError naming its field, one within it is accepted.  One too
+    # long for repr (Python's int-to-str limit is 4300 digits) shows its bit length.
     fields = {"mass": 1, "temperature": 300, "degeneracy": 2}
     assert GasParameters(**fields) == GasParameters(1.0, 300.0, 2.0)
-    for huge in (10**400, 2**1024):
-        with pytest.raises(DomainError, match=f"^{message}, got {huge}$"):
+    for huge, shown in ((10**400, str(10**400)), (2**1024, str(2**1024)),
+                        (10**5000, "<int of 16610 bits>"),
+                        (-10**5000, "<negative int of 16610 bits>")):
+        with pytest.raises(DomainError, match=f"^{message}, got {shown}$"):
             GasParameters(**dict(fields, **{field: huge}))
 
 
 def test_an_x_beyond_the_double_range_is_refused_not_overflowed():
-    with pytest.raises(DomainError, match="^reduced state x must be finite"):
-        ReducedState(10**400)
-    with pytest.raises(DomainError, match="^reduced x must be finite"):
-        reduced_functions(10**400)
+    for huge, shown in ((10**400, str(10**400)), (10**5000, "<int of 16610 bits>")):
+        with pytest.raises(DomainError, match=f"^reduced state x must be finite and >= 0, got {shown}$"):
+            ReducedState(huge)
+        with pytest.raises(DomainError, match=f"^reduced x must be finite and >= 0, got {shown}$"):
+            reduced_functions(huge)
 
 
 def test_reduced_state_validation():
