@@ -18,7 +18,7 @@ import sys
 
 from . import core, oracle
 from .errors import ConvergenceError, DomainError, MassParseError, RegimeError
-from .units import SI, GasParameters, _reduced_x, parse_mass
+from .units import _DBL_MAX, SI, GasParameters, _checked, _reduced_x, parse_mass
 
 # One row per report quantity, in the order n, u, v, R, R_naive of
 # core._METHOD_KEYS: (column, RadiometryReport attribute, text label, unit).
@@ -45,9 +45,8 @@ _NONREL_MIN_X = 8.0 / math.pi
 
 def _grid(minimum: float, maximum: float, points: int, spacing: str) -> list[float]:
     """points values from minimum to maximum, linear or log, ends exact."""
-    if not (math.isfinite(minimum) and minimum > 0):
-        raise DomainError(f"sweep minimum must be finite and > 0, got {minimum!r}")
-    if not (math.isfinite(maximum) and maximum > minimum):
+    _checked(minimum, "sweep minimum must be finite and > 0", positive=True)
+    if not minimum < maximum <= _DBL_MAX:
         raise DomainError("sweep needs minimum < maximum")
     if points < 2:
         raise DomainError(f"sweep needs at least 2 points, got {points}")

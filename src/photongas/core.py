@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import specfun
 from .errors import DomainError, RegimeError
-from .units import SI, GasParameters, _check_x, _reduced_x, reduce
+from .units import _DBL_MAX, SI, GasParameters, _check_x, _checked, _reduced_x, reduce
 
 SERIES = "series"
 _METHOD_KEYS = ("n", "u", "v", "R", "R_naive")  # RadiometryReport.methods, in order
@@ -87,15 +87,12 @@ class RadiometryReport:
 
     def __post_init__(self):
         r, r_naive = self.radiance, self.radiance_naive
-        if (0.0 <= self.number_density < math.inf and 0.0 <= self.energy_density < math.inf
-                and 0.0 <= self.mean_speed <= SI.c * (1.0 + _SLACK)
-                and 0.0 <= r < math.inf and r <= r_naive * (1.0 + _SLACK) and r_naive < math.inf):
+        if (0.0 <= self.number_density <= _DBL_MAX and 0.0 <= self.energy_density <= _DBL_MAX
+                and 0.0 <= self.mean_speed <= SI.c * (1.0 + _SLACK) and 0.0 <= r <= _DBL_MAX
+                and 0.0 <= r_naive <= _DBL_MAX and r <= r_naive * (1.0 + _SLACK)):
             return
-        for name in ("number_density", "energy_density", "mean_speed",
-                     "radiance", "radiance_naive"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("number_density", "energy_density", "mean_speed", "radiance", "radiance_naive"):
+            _checked(getattr(self, name), f"{name} must be finite and >= 0")
         if self.mean_speed > SI.c * (1.0 + _SLACK):
             raise DomainError(f"mean_speed must not exceed c, got {self.mean_speed!r}")
         if self.radiance > self.radiance_naive * (1.0 + _SLACK):
@@ -105,12 +102,11 @@ class RadiometryReport:
 def _check_kernels(n: float, u: float, v: float, r: float) -> None:
     """Refuse kernels that are not finite and >= 0, a v_hat above 1 or an
     r_hat above pi^2/60, naming the first such kernel in that order."""
-    if (0.0 <= n < math.inf and 0.0 <= u < math.inf and 0.0 <= v <= 1.0 + _SLACK
+    if (0.0 <= n <= _DBL_MAX and 0.0 <= u <= _DBL_MAX and 0.0 <= v <= 1.0 + _SLACK
             and 0.0 <= r <= _R_HAT_MAX * (1.0 + _SLACK)):
         return
     for name, value in (("n_hat", n), ("u_hat", u), ("v_hat", v), ("r_hat", r)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+        _checked(value, f"{name} must be finite and >= 0")
     if v > 1.0 + _SLACK:
         raise DomainError(f"v_hat must not exceed 1, got {v!r}")
     raise DomainError(f"r_hat must not exceed pi^2/60, got {r!r}")
@@ -176,8 +172,8 @@ def r_hat_closed(x: float) -> float:
     return _series(x)[3]
 
 
-# Per kernel: the SI quantity it scales to, whose quadrature oracle is
-# oracle.quad_<quantity>, and its exact massless limit.
+# Per kernel: the SI quantity it scales to, which the prefactor refusals of
+# _si_prefactors name, and its exact massless limit.
 _KERNELS = {
     "n": ("number_density", 2.0 * specfun.zeta_value(3) / _PI2),
     "u": ("energy_density", specfun._PI_RATIOS[2]),  # pi^2/15
@@ -245,10 +241,8 @@ def mean_speed(params: GasParameters) -> float:
 
 def photon_speed(energy: float, mass: float) -> float:
     """Speed of a single photon of the given energy: c sqrt(1 - (mc^2/E)^2)."""
-    if not (math.isfinite(energy) and energy >= 0):
-        raise DomainError(f"energy must be finite and >= 0 J, got {energy!r}")
-    if not (math.isfinite(mass) and mass >= 0):
-        raise DomainError(f"mass must be finite and >= 0 kg, got {mass!r}")
+    _checked(energy, "energy must be finite and >= 0 J")
+    _checked(mass, "mass must be finite and >= 0 kg")
     if mass == 0.0:
         return SI.c
     rest = mass * SI.c * SI.c
@@ -278,8 +272,7 @@ def spectral_energy_density(omega: float, params: GasParameters) -> float:
     Vanishes at and below the threshold omega = mc^2/hbar; for m = 0 this is
     exactly the Planck law (times g/2).
     """
-    if not (math.isfinite(omega) and omega >= 0):
-        raise DomainError(f"omega must be finite and >= 0 rad/s, got {omega!r}")
+    _checked(omega, "omega must be finite and >= 0 rad/s")
     kt = SI.k_B * params.temperature
     # Where k_B T underflows to 0 every mode is empty.
     if omega == 0.0 or kt == 0.0:

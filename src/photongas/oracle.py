@@ -40,7 +40,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
-from .units import _check_x
+from .units import _DBL_MAX, _NUMBERS, _check_x, _shown
 
 _EPS = 2.220446049250313e-16
 
@@ -132,10 +132,11 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
     :class:`ConvergenceError` (carrying the best estimate and its error
     bound) if the subdivision depth is exhausted first.
     """
-    if not (1e-14 <= rel_tol <= 1e-6):
-        raise DomainError(f"rel_tol must be in [1e-14, 1e-6], got {rel_tol}")
-    if not (math.isfinite(a) and math.isfinite(b) and b > a):
-        raise DomainError(f"integration bounds must be finite with a < b, got [{a}, {b}]")
+    if not (isinstance(rel_tol, _NUMBERS) and 1e-14 <= rel_tol <= 1e-6):
+        raise DomainError(f"rel_tol must be in [1e-14, 1e-6], got {_shown(rel_tol)}")
+    if not (isinstance(a, _NUMBERS) and isinstance(b, _NUMBERS) and -_DBL_MAX <= a < b <= _DBL_MAX):
+        raise DomainError("integration bounds must be finite with a < b, "
+                          f"got [{_shown(a)}, {_shown(b)}]")
 
     # Four starter panels so a peak between the nodes of a single panel
     # cannot masquerade as convergence.

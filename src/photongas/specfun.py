@@ -35,6 +35,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
+from .units import _checked, _shown
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -49,11 +50,6 @@ _K_HANKEL_MIN = 25.0
 class WeightedSum(NamedTuple):
     value: float
     terms: int
-
-
-def _check_positive(z: float, name: str) -> None:
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0):
-        raise DomainError(f"{name} must be a positive finite number, got {z!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +163,7 @@ def _k01_scaled(z: float) -> tuple[float, float]:
 
 def _k01(z: float) -> tuple[float, float]:
     """(K0(z), K1(z)) for z > 0; past z of about 700 both underflow to 0."""
-    _check_positive(z, "z")
+    z = _checked(z, "z must be a positive finite number", positive=True)
     if z <= _K_SERIES_MAX:
         return _k01_series(z)
     k0, k1 = _k01_scaled(z)
@@ -220,7 +216,7 @@ _ZETA = (math.pi * math.pi / 6.0, _compute_zeta3(), _PI_RATIOS[0])
 def zeta_value(s: int) -> float:
     """zeta(s) for s in {2, 3, 4}; zeta(3) is computed, not hard-coded."""
     if s not in (2, 3, 4):
-        raise DomainError(f"zeta_value supports s in {{2, 3, 4}}, got {s!r}")
+        raise DomainError(f"zeta_value supports s in {{2, 3, 4}}, got {_shown(s)}")
     return _ZETA[int(s) - 2]
 
 
@@ -479,7 +475,7 @@ def _view(x: float, index: int, name: str) -> WeightedSum:
     # _EXPAND_BELOW the expansion over x^2 or x^4, up to _ONE_TERM_FROM
     # e^-x a/sqrt(x) or e^-x b/x^1.5 from the tables, from there on e^-x
     # times the first term.
-    _check_positive(x, "x")
+    x = _checked(x, "x must be a positive finite number", positive=True)
     if x < _EXPAND_BELOW:
         sums = _expansions(x)
         scale = (x * x) ** (index + 1)

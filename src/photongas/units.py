@@ -21,6 +21,7 @@ class PhysicalConstants:
 
 SI = PhysicalConstants()
 _DBL_MAX = 1.7976931348623157e308  # the largest double; an int above it is refused
+_NUMBERS = (int, float)  # the types of an accepted input number, one tuple built once
 
 # Mass unit -> kilograms per unit.  The eV family follows the particle-physics
 # convention that a mass quoted in eV means eV/c^2.
@@ -45,6 +46,13 @@ def _shown(value) -> str:
         return f"<{'negative ' * (value < 0)}int of {value.bit_length()} bits>"
 
 
+def _checked(value, refusal: str, positive: bool = False) -> float:
+    """value as a float if an int or float in [0, _DBL_MAX], or (0, _DBL_MAX] if positive."""
+    if isinstance(value, _NUMBERS) and 0.0 <= value <= _DBL_MAX and (value or not positive):
+        return float(value)
+    raise DomainError(f"{refusal}, got {_shown(value)}")
+
+
 @dataclass(frozen=True)
 class GasParameters:
     """Physical input of one evaluation: photon mass, temperature, degeneracy.
@@ -58,13 +66,9 @@ class GasParameters:
     degeneracy: float = 2.0
 
     def __post_init__(self):
-        m, t, g = self.mass, self.temperature, self.degeneracy
-        if not (isinstance(m, (int, float)) and 0.0 <= m <= _DBL_MAX):
-            raise DomainError(f"mass must be finite and >= 0 kg, got {_shown(m)}")
-        if not (isinstance(t, (int, float)) and 0.0 < t <= _DBL_MAX):
-            raise DomainError(f"temperature must be finite and > 0 K, got {_shown(t)}")
-        if not (isinstance(g, (int, float)) and 0.0 < g <= _DBL_MAX):
-            raise DomainError(f"degeneracy must be finite and > 0, got {_shown(g)}")
+        _checked(self.mass, "mass must be finite and >= 0 kg")
+        _checked(self.temperature, "temperature must be finite and > 0 K", positive=True)
+        _checked(self.degeneracy, "degeneracy must be finite and > 0", positive=True)
 
 
 @dataclass(frozen=True)
@@ -74,14 +78,11 @@ class ReducedState:
     x: float
 
     def __post_init__(self):
-        if not 0.0 <= self.x <= _DBL_MAX:
-            raise DomainError(f"reduced state x must be finite and >= 0, got {_shown(self.x)}")
+        _checked(self.x, "reduced state x must be finite and >= 0")
 
 
 def _check_x(x: float) -> float:
-    if isinstance(x, (int, float)) and 0.0 <= x <= _DBL_MAX:
-        return float(x)
-    raise DomainError(f"reduced x must be finite and >= 0, got {_shown(x)}")
+    return _checked(x, "reduced x must be finite and >= 0")
 
 
 def _reduced_x(params: GasParameters) -> float:
@@ -120,4 +121,5 @@ def format_mass(mass: float, unit: str) -> str:
         raise MassParseError(
             f"unknown mass unit {unit!r}; supported: {', '.join(MASS_UNITS)}"
         )
-    return f"{mass / MASS_UNITS[unit]:.17g}{unit}"
+    value = _checked(mass, "mass must be finite and >= 0 kg") / MASS_UNITS[unit]
+    return f"{_checked(value, f'mass in {unit} must be finite'):.17g}{unit}"

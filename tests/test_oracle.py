@@ -15,8 +15,10 @@ import kernel_reference
 
 
 def test_integrate_names_rel_tol_when_out_of_range():
-    with pytest.raises(DomainError, match=r"^rel_tol must be in \[1e-14, 1e-6\], got 1e-15$"):
-        integrate_adaptive(lambda t: t, 0.0, 1.0, 1e-15)
+    for rel_tol, shown in ((1e-15, "1e-15"), (10**5000, "<int of 16610 bits>"), ("1", "'1'")):
+        with pytest.raises(DomainError) as info:
+            integrate_adaptive(lambda t: t, 0.0, 1.0, rel_tol)
+        assert str(info.value) == f"rel_tol must be in [1e-14, 1e-6], got {shown}"
 
 
 def test_integrate_gamma_three():
@@ -176,6 +178,20 @@ def test_kernels_are_continuous_across_x_30():
 def test_integrate_rejects_infinite_bound():
     with pytest.raises(DomainError, match=r"\[0\.0, inf\]"):
         integrate_adaptive(lambda t: 1.0, 0.0, math.inf)
+
+
+def test_integrate_refuses_bounds_beyond_the_double_range_naming_both():
+    # Compared exactly, not converted by math.isfinite: an int bound past the
+    # double range is a DomainError, and one too long for repr shows its bit length.
+    for a, b, shown in ((10**400, 10**401, f"{10**400}, {10**401}"),
+                        (-10**400, 0.0, f"{-10**400}, 0.0"),
+                        (0, 10**5000, "0, <int of 16610 bits>"),
+                        (1, 0, "1, 0"), (0.0, math.nan, "0.0, nan"), ("1", 2.0, "'1', 2.0"),
+                        (0.0, None, "0.0, None")):
+        with pytest.raises(DomainError) as info:
+            integrate_adaptive(lambda t: 1.0, a, b)
+        assert str(info.value) == f"integration bounds must be finite with a < b, got [{shown}]"
+    assert integrate_adaptive(math.exp, 0, 2) == integrate_adaptive(math.exp, 0.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

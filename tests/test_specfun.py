@@ -423,6 +423,9 @@ def test_zeta_rejects_unsupported_order():
         zeta_value(5)
     with pytest.raises(DomainError):
         zeta_value(1)
+    # an int too long for repr shows its bit length
+    with pytest.raises(DomainError, match=r"^zeta_value supports s in \{2, 3, 4\}, got <int of 16610 bits>$"):
+        zeta_value(10**5000)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from photongas import (SI, DomainError, GasParameters, MassParseError,
-                       ReducedState, format_mass, parse_mass, reduce,
-                       reduced_functions)
+                       RadiometryReport, ReducedFunctions, ReducedState,
+                       bessel_k2, energy_bessel_sum, evaluate, format_mass,
+                       k2_weighted_sum, parse_mass, photon_speed, reduce,
+                       reduced_functions, spectral_energy_density)
+from photongas.cli import _grid
 from photongas.units import MASS_UNITS
 
 
@@ -54,6 +57,78 @@ def test_an_x_beyond_the_double_range_is_refused_not_overflowed():
             ReducedState(huge)
         with pytest.raises(DomainError, match=f"^reduced x must be finite and >= 0, got {shown}$"):
             reduced_functions(huge)
+
+
+_REPORT = evaluate(GasParameters(1e-36, 300.0))
+_KERNELS = dict(x=1.0, n_hat=0.1, u_hat=0.5, v_hat=0.9, r_hat=0.1, method="series")
+
+
+def _field(cls, base, name):
+    return lambda value: cls(**dict(base, **{name: value}))
+
+
+# Every entry point that refuses one number: (id, call, refusal, positive,
+# whether a str or None is refused by type, an in-range int).  The fast
+# chains of ReducedFunctions and RadiometryReport compare before any type
+# check, so those take numbers only.
+_REFUSERS = [
+    ("GasParameters.mass", lambda v: GasParameters(v, 300.0),
+     "mass must be finite and >= 0 kg", False, True, 1),
+    ("GasParameters.temperature", lambda v: GasParameters(0.0, v),
+     "temperature must be finite and > 0 K", True, True, 300),
+    ("GasParameters.degeneracy", lambda v: GasParameters(0.0, 300.0, v),
+     "degeneracy must be finite and > 0", True, True, 2),
+    ("ReducedState", ReducedState, "reduced state x must be finite and >= 0", False, True, 3),
+    ("reduced_functions", reduced_functions, "reduced x must be finite and >= 0", False, True, 3),
+    ("bessel_k2", bessel_k2, "z must be a positive finite number", True, True, 3),
+    ("k2_weighted_sum", k2_weighted_sum, "x must be a positive finite number", True, True, 3),
+    ("energy_bessel_sum", energy_bessel_sum, "x must be a positive finite number", True, True, 3),
+    ("photon_speed.energy", lambda v: photon_speed(v, 1e-35),
+     "energy must be finite and >= 0 J", False, True, 3),
+    ("photon_speed.mass", lambda v: photon_speed(1e17, v),
+     "mass must be finite and >= 0 kg", False, True, 1),
+    ("spectral_energy_density", lambda v: spectral_energy_density(v, _REPORT.params),
+     "omega must be finite and >= 0 rad/s", False, True, 10**14),
+    ("format_mass", lambda v: format_mass(v, "eV"),
+     "mass must be finite and >= 0 kg", False, True, 3),
+    ("cli._grid.minimum", lambda v: _grid(v, 10.0, 5, "log"),
+     "sweep minimum must be finite and > 0", True, True, 3),
+    *((f"ReducedFunctions.{name}", _field(ReducedFunctions, _KERNELS, name),
+       f"{name} must be finite and >= 0", False, False, 0)
+      for name in ("n_hat", "u_hat", "v_hat", "r_hat")),
+    *((f"RadiometryReport.{name}", _field(RadiometryReport, vars(_REPORT), name),
+       f"{name} must be finite and >= 0", False, False, 10**6 if name == "radiance_naive" else 0)
+      for name in ("number_density", "energy_density", "mean_speed", "radiance",
+                   "radiance_naive")),
+]
+
+
+@pytest.mark.parametrize("call, refusal, positive, typed, good",
+                         [case[1:] for case in _REFUSERS], ids=[case[0] for case in _REFUSERS])
+def test_every_refused_number_is_a_domain_error_naming_it(call, refusal, positive, typed, good):
+    # One rule, units._checked: an int or float in [0, the largest double],
+    # or (0, ...] where the argument must be positive; anything else is a
+    # DomainError "<refusal>, got <value>", never an OverflowError,
+    # TypeError or ValueError.  An in-range int gives the result of its float.
+    refused = [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (-1.0, "-1.0"),
+               (10**400, str(10**400)), (-10**400, str(-10**400)),
+               (10**5000, "<int of 16610 bits>")]
+    if positive:
+        refused += [(0, "0"), (0.0, "0.0")]
+    if typed:
+        refused += [("1", "'1'"), (None, "None")]
+    for value, shown in refused:
+        with pytest.raises(DomainError) as info:
+            call(value)
+        assert str(info.value) == f"{refusal}, got {shown}"
+    assert call(good) == call(float(good))
+
+
+def test_format_mass_refuses_a_mass_whose_value_in_the_unit_overflows():
+    # parse_mass refuses "infeV"; the refusals of a mass itself are in the test above
+    with pytest.raises(DomainError, match="^mass in eV must be finite, got inf$"):
+        format_mass(1e300, "eV")
+    assert parse_mass(format_mass(1e300, "kg")) == 1e300
 
 
 def test_reduced_state_validation():
