@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 from . import specfun
 from .errors import DomainError, RegimeError
-from .units import _DBL_MAX, SI, GasParameters, _check_x, _checked, _reduced_x, reduce
+from .units import _DBL_MAX, SI, GasParameters, _check_x, _checked, _reduced_x
+from .units import reduce  # noqa: F401 -- core.reduce, which perfbench/tracing.py wraps
 
 SERIES = "series"
 _METHOD_KEYS = ("n", "u", "v", "R", "R_naive")  # RadiometryReport.methods, in order
@@ -87,10 +88,13 @@ class RadiometryReport:
 
     def __post_init__(self):
         r, r_naive = self.radiance, self.radiance_naive
-        if (0.0 <= self.number_density <= _DBL_MAX and 0.0 <= self.energy_density <= _DBL_MAX
-                and 0.0 <= self.mean_speed <= SI.c * (1.0 + _SLACK) and 0.0 <= r <= _DBL_MAX
-                and 0.0 <= r_naive <= _DBL_MAX and r <= r_naive * (1.0 + _SLACK)):
-            return
+        try:  # a field that is no number goes to the loop, which names it
+            if (0.0 <= self.number_density <= _DBL_MAX and 0.0 <= self.energy_density <= _DBL_MAX
+                    and 0.0 <= self.mean_speed <= SI.c * (1.0 + _SLACK) and 0.0 <= r <= _DBL_MAX
+                    and 0.0 <= r_naive <= _DBL_MAX and r <= r_naive * (1.0 + _SLACK)):
+                return
+        except TypeError:
+            pass
         for name in ("number_density", "energy_density", "mean_speed", "radiance", "radiance_naive"):
             _checked(getattr(self, name), f"{name} must be finite and >= 0")
         if self.mean_speed > SI.c * (1.0 + _SLACK):
@@ -102,9 +106,12 @@ class RadiometryReport:
 def _check_kernels(n: float, u: float, v: float, r: float) -> None:
     """Refuse kernels that are not finite and >= 0, a v_hat above 1 or an
     r_hat above pi^2/60, naming the first such kernel in that order."""
-    if (0.0 <= n <= _DBL_MAX and 0.0 <= u <= _DBL_MAX and 0.0 <= v <= 1.0 + _SLACK
-            and 0.0 <= r <= _R_HAT_MAX * (1.0 + _SLACK)):
-        return
+    try:  # a kernel that is no number goes to the loop, which names it
+        if (0.0 <= n <= _DBL_MAX and 0.0 <= u <= _DBL_MAX and 0.0 <= v <= 1.0 + _SLACK
+                and 0.0 <= r <= _R_HAT_MAX * (1.0 + _SLACK)):
+            return
+    except TypeError:
+        pass
     for name, value in (("n_hat", n), ("u_hat", u), ("v_hat", v), ("r_hat", r)):
         _checked(value, f"{name} must be finite and >= 0")
     if v > 1.0 + _SLACK:
@@ -117,9 +124,14 @@ def _check_kernels(n: float, u: float, v: float, r: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _series(x: float) -> tuple[float, float, float, float]:
-    """(n_hat, u_hat, v_hat, r_hat) at x by the series route, one loop per band.
+    """(n_hat, u_hat, v_hat, r_hat) at x by the series route: _bands at a checked x."""
+    return _bands(_check_x(x))
 
-    Checks x, and takes the exact massless limits at x = 0.  Below
+
+def _bands(x: float) -> tuple[float, float, float, float]:
+    """(n_hat, u_hat, v_hat, r_hat) at an x that is finite and >= 0, one loop per band.
+
+    Takes the exact massless limits at x = 0.  Below
     specfun._EXPAND_BELOW = 2 one call of specfun._expansions yields
     n_hat = x^2 S/pi^2, u_hat = x^4 E/pi^2, v_hat = 2 P/(x^2 S) and
     r_hat = (3/2 pi^2) Q.  Up to specfun._ONE_TERM_FROM = 40 one loop over
@@ -138,7 +150,6 @@ def _series(x: float) -> tuple[float, float, float, float]:
     dividing by x before doubling, and by x once more, keeps 2 P~ and x^2
     from overflowing.
     """
-    x = _check_x(x)
     if x == 0.0:
         return _MASSLESS
     if x < specfun._EXPAND_BELOW:
@@ -332,7 +343,7 @@ def small_mass_radiance(params: GasParameters) -> float:
     Applicability (x < 1) is the caller's responsibility; the expression is
     evaluated as stated either way.
     """
-    x = reduce(params).x
+    x = _reduced_x(params)
     stefan = _si_prefactors(params, "R")[3] * _R_HAT_MAX
     return stefan * (1.0 - 2.5 / _PI2 * x * x)
 
@@ -342,8 +353,8 @@ def low_temp_radiance(params: GasParameters) -> float:
 
     Meaningful for x > 1; the caller checks the regime.
     """
-    x = reduce(params).x
-    # e^-x as two factors h = e^(-x/2), as in _series: a huge x gives 0, not
+    x = _reduced_x(params)
+    # e^-x as two factors h = e^(-x/2), as in _bands: a huge x gives 0, not
     # inf * 0, and where e^-x is subnormal a product that is not keeps its digits.
     h = math.exp(-0.5 * x)
     return _si_prefactors(params, "R")[3] * h * x * x * h / (2.0 * _PI2)
@@ -355,7 +366,7 @@ def low_temp_mean_speed(params: GasParameters) -> float:
     Requires x >= 8/pi; below that boundary the formula would exceed c and
     a RegimeError is raised.
     """
-    x = reduce(params).x
+    x = _reduced_x(params)
     if x < 8.0 / math.pi:
         raise RegimeError(
             f"nonrelativistic mean speed needs x >= 8/pi, got x={x!r}"
@@ -365,17 +376,19 @@ def low_temp_mean_speed(params: GasParameters) -> float:
 
 def evaluate(params: GasParameters) -> RadiometryReport:
     """Full radiometry report for one (m, T) point."""
-    return _report(params, _reduced_x(params))
+    x = _reduced_x(params)  # refuses an x that is not finite
+    return _report(params, x, _bands(x))
 
 
-def _report(params: GasParameters, x: float) -> RadiometryReport:
-    """The report of params, with its kernels evaluated at x.
+def _report(params: GasParameters, x: float, kernels: tuple | None = None) -> RadiometryReport:
+    """The report of params, with its kernels evaluated at x, or given.
 
     x is mc^2/kT of params up to rounding; an x sweep passes its grid value,
-    so the printed x and the band are the grid's.  The kernels, checked once,
-    scale by the prefactors of one kT, checked in the order u, n, R.
+    so the printed x and the band are the grid's, and the kernels come from
+    _series, which checks it.  The kernels, checked once, scale by the
+    prefactors of one kT, checked in the order u, n, R.
     """
-    n, u, v, r = _series(x)
+    n, u, v, r = kernels or _series(x)
     _check_kernels(n, u, v, r)
     pn, pu, pv, pr = _si_prefactors(params)
     if not (pn < math.inf and pr < math.inf):  # pr = pu c is finite only where pu is

@@ -13,7 +13,7 @@ third-party special-function library is involved, so the quadrature
 oracles elsewhere in the package remain an independent check.
 
 Below x = _EXPAND_BELOW = 2 the gas kernels take all they need from one
-loop, _expansions, of at most 18 terms over two literal tables: the Bessel
+loop, _expansions, of at most 18 rows of one literal table: the Bessel
 sums x^2 sum_n K2(n x)/n and x^4 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2]
 and the polylog combinations Li3 + x Li2 and Li4 + x Li3 + (x^2/3) Li2 of
 e^-x, by their expansions about x = 0.  tests/specfun_tables.py generates
@@ -21,12 +21,13 @@ the tables from the residues of the sums' Mellin transforms and, in exact
 rational arithmetic, from the Bernoulli numbers.
 
 From x = 2 up to x = _ONE_TERM_FROM = 40 they take the Bessel sums, v_hat
-and the radiance's polylog combination from one Clenshaw loop,
-_sum_chebyshev, over literal Chebyshev tables in ln x on four pieces, 16 to
-19 rows, which tests/specfun_tables.py generates from a quadrature of the
-defining integrals.  From 40 on all later terms of the sums are below e^-40
-of the first, so one K pair, _one_term, gives them, and each Li_s(e^-x) is
-e^-x.  Neither form loops to convergence or has a tolerance.
+and the radiance's polylog combination from one Horner loop,
+_sum_chebyshev, over literal tables of Chebyshev fits in ln x on four
+pieces, 16 to 19 rows, stored as polynomials; tests/specfun_tables.py
+generates them from a quadrature of the defining integrals.  From 40 on
+all later terms of the sums are below e^-40 of the first, so one K pair,
+_one_term, gives them, and each Li_s(e^-x) is e^-x.  Neither form loops to
+convergence or has a tolerance.
 """
 
 from __future__ import annotations
@@ -230,57 +231,37 @@ def zeta_value(s: int) -> float:
 # more as x grows, to 6.9e-15 near x = 4.
 _EXPAND_BELOW = 2.0
 
-# Coefficients of the expansions about x = 0 (see _expansions): (a_j, b_j)
-# of x^2 sum_n K2(n x)/n, and c_j of the energy sum with p_j and q_j of the
-# two polylog combinations, for j = 1, 2, ...; as generated by
-# tests/specfun_tables.py.
-_K2_SUM_EXPANSION = (
-    (-0.5965735902799727, 0.5),
-    (-0.029697762917331495, 0.010416666666666666),
-    (0.0001890648737203121, -8.680555555555556e-05),
-    (-2.6506575641419882e-06, 1.2917493386243386e-06),
-    (4.519745112109212e-08, -2.2605613425925925e-08),
-    (-8.431803899664349e-10, 4.2813661791526375e-10),
-    (1.6598406212420198e-11, -8.514564188314808e-12),
-    (-3.389968797349112e-13, 1.7520471715282372e-13),
-    (7.114205137537646e-15, -3.698152789109263e-15),
-    (-1.5246923684371607e-16, 7.962309592747284e-17),
-    (3.322927854819893e-18, -1.7418429689875224e-18),
-    (-7.341953199010248e-20, 3.8606195481775336e-20),
-    (1.6408130409432902e-21, -8.650708521083696e-22),
-    (-3.7025327331181446e-23, 1.9564731864189592e-23),
-    (8.4242430004105e-25, -4.460223977932017e-25),
-    (-1.9305239647505574e-26, 1.0238703104100993e-26),
-    (4.451866657807344e-28, -2.364656104346069e-28),
-    (-1.0323118997683937e-29, 5.490598560277992e-30),
-    (2.405549521463798e-31, -1.2809860575842e-31),
-    (-5.630244557262817e-33, 3.0014174203417623e-33),
+# Coefficients of the expansions about x = 0 (see _expansions), one row
+# (a_j, b_j, c_j, p_j, q_j) per j = 1, 2, ...: (a_j, b_j) of
+# x^2 sum_n K2(n x)/n, c_j of the energy sum, and p_j and q_j of the two
+# polylog combinations; as generated by tests/specfun_tables.py.
+_EXPANSION = (
+    (-0.5965735902799727, 0.5, -0.8224670334241132, 0.010416666666666666, 0.001851851851851852),
+    (-0.029697762917331495, 0.010416666666666666, 0.10648803637923487, -5.787037037037037e-05, -1.3227513227513228e-05),
+    (0.0001890648737203121, -8.680555555555556e-05, 0.0009515142830747897, 6.889329805996473e-07, 1.749671061840374e-07),
+    (-2.6506575641419882e-06, 1.2917493386243386e-06, -1.2994484782338255e-05, -1.0333994708994709e-08, -2.7835675983824134e-09),
+    (4.519745112109212e-08, -2.2605613425925925e-08, 2.2405769316738044e-07, 1.7397297489890083e-10, 4.8663769202489744e-11),
+    (-8.431803899664349e-10, 4.2813661791526375e-10, -4.2298187182628614e-09, -3.1453512730282697e-12, -9.032803655876057e-13),
+    (1.6598406212420198e-11, -8.514564188314808e-12, 8.40562244070322e-11, 5.974346665484231e-14, 1.7493511804816575e-14),
+    (-3.389968797349112e-13, 1.7520471715282372e-13, -1.7293075267158889e-12, -1.1769723251120078e-15, -3.4981220808282587e-16),
+    (7.114205137537646e-15, -3.698152789109263e-15, 3.649986369227605e-14, 2.3850172378549568e-17, 7.17298417399987e-18),
+    (-1.5246923684371607e-16, 7.962309592747284e-17, -7.858514598486483e-16, -4.942883405813777e-19, -1.500944581475543e-19),
+    (3.322927854819893e-18, -1.7418429689875224e-18, 1.7191317437520905e-17, 1.043371747795498e-20, 3.1936248280349156e-21),
+    (-7.341953199010248e-20, 3.8606195481775336e-20, -3.810279677046989e-19, -2.236292417598161e-22, -6.891093672006184e-23),
+    (1.6408130409432902e-21, -8.650708521083696e-22, 8.537907598182327e-21, 4.85536681267784e-24, 1.5047709832394498e-24),
+    (-3.7025327331181446e-23, 1.9564731864189592e-23, -1.9309616659044787e-22, -1.065894931790184e-25, -3.3198062391685377e-26),
+    (8.4242430004105e-25, -4.460223977932017e-25, 4.402064636643566e-24, 2.3624504711850864e-27, 7.389874396668892e-28),
+    (-1.9305239647505574e-26, 1.0238703104100993e-26, -1.0105194931179539e-25, -5.280138482419303e-29, -1.6579482449847626e-29),
+    (4.451866657807344e-28, -2.364656104346069e-28, 2.3338220299950658e-27, 1.1888664016461314e-30, 3.74561769785036e-31),
+    (-1.0323118997683937e-29, 5.490598560277992e-30, -5.419003571828885e-29, -2.6944407461003727e-32, -8.514656827593694e-33),
+    (2.405549521463798e-31, -1.2809860575842e-31, 1.2642825631851106e-30, 6.142588327036213e-34, 1.946369451135094e-34),
+    (-5.630244557262817e-33, 3.0014174203417623e-33, -2.9622802581419094e-32, -1.4077514379170418e-35, -4.4715870971840234e-36),
 )
-_ENERGY_SUM_EXPANSION = (
-    (-0.8224670334241132, 0.010416666666666666, 0.001851851851851852),
-    (0.10648803637923487, -5.787037037037037e-05, -1.3227513227513228e-05),
-    (0.0009515142830747897, 6.889329805996473e-07, 1.749671061840374e-07),
-    (-1.2994484782338255e-05, -1.0333994708994709e-08, -2.7835675983824134e-09),
-    (2.2405769316738044e-07, 1.7397297489890083e-10, 4.8663769202489744e-11),
-    (-4.2298187182628614e-09, -3.1453512730282697e-12, -9.032803655876057e-13),
-    (8.40562244070322e-11, 5.974346665484231e-14, 1.7493511804816575e-14),
-    (-1.7293075267158889e-12, -1.1769723251120078e-15, -3.4981220808282587e-16),
-    (3.649986369227605e-14, 2.3850172378549568e-17, 7.17298417399987e-18),
-    (-7.858514598486483e-16, -4.942883405813777e-19, -1.500944581475543e-19),
-    (1.7191317437520905e-17, 1.043371747795498e-20, 3.1936248280349156e-21),
-    (-3.810279677046989e-19, -2.236292417598161e-22, -6.891093672006184e-23),
-    (8.537907598182327e-21, 4.85536681267784e-24, 1.5047709832394498e-24),
-    (-1.9309616659044787e-22, -1.065894931790184e-25, -3.3198062391685377e-26),
-    (4.402064636643566e-24, 2.3624504711850864e-27, 7.389874396668892e-28),
-    (-1.0105194931179539e-25, -5.280138482419303e-29, -1.6579482449847626e-29),
-    (2.3338220299950658e-27, 1.1888664016461314e-30, 3.74561769785036e-31),
-    (-5.419003571828885e-29, -2.6944407461003727e-32, -8.514656827593694e-33),
-    (1.2642825631851106e-30, 6.142588327036213e-34, 1.946369451135094e-34),
-    (-2.9622802581419094e-32, -1.4077514379170418e-35, -4.4715870971840234e-36),
-)
-
 
 _LN_2PI = math.log(2.0 * math.pi)
+# The constant terms 2 zeta(3), pi^4/15, zeta(3) and zeta(4) of the four
+# expansions, and -zeta(2)/6 of Q's x^2 term.
+_EXPANSION_CONSTANTS = (2.0 * _ZETA[1], _PI_RATIOS[1], _ZETA[1], _ZETA[2], -_ZETA[0] / 6.0)
 
 
 def _expansions(x: float) -> tuple[float, float, float, float, int]:
@@ -303,25 +284,25 @@ def _expansions(x: float) -> tuple[float, float, float, float, int]:
     x < 2 pi (tests/specfun_tables.py derives them).  Term j falls about
     as (x/2 pi)^2j, so the loop takes the first n terms, with
     (x/2 pi)^2n <= 1e-17: 1 at x = 1e-8, 5 at 0.1, 11 at 1 and 18 below 2.
-    The first term left out is then under 1e-18 of its sum.  The loop sums
-    them by Horner's rule from the smallest up, which rounds about half as
-    much as summing from the largest.  Where x^2 underflows every term is
-    0, and the sums are the massless limits 2 zeta(3), pi^4/15, zeta(3)
-    and zeta(4).  terms is n.
+    The first term left out is then under 1e-18 of its sum.  The loop reads
+    those n rows of _EXPANSION in one slice and sums them by Horner's rule
+    from the smallest up, which rounds about half as much as summing from
+    the largest.  Where x^2 underflows every term is 0, and the sums are
+    the massless limits 2 zeta(3), pi^4/15, zeta(3) and zeta(4).  terms is
+    n.
     """
     x2 = x * x
     lg = math.log(x)
     n = math.ceil(19.6 / (_LN_2PI - lg))  # 19.6 > ln(1e17)/2
     s = e = p = q = 0.0
-    for (a, b), (c, pj, qj) in zip(_K2_SUM_EXPANSION[n - 1::-1], _ENERGY_SUM_EXPANSION[n - 1::-1]):
+    for a, b, c, pj, qj in _EXPANSION[n - 1::-1]:
         s = x2 * (s + (a + b * lg))
         e = x2 * (e + c)
         p = x2 * (p + pj)
         q = x2 * (q + qj)
-    zeta2, zeta3, zeta4 = _ZETA
-    return (2.0 * zeta3 + s, _PI_RATIOS[1] + (e - x2 * x2 * lg / 16.0),
-            zeta3 + x2 * ((0.5 * lg - 0.25) - x / 6.0 + p),
-            zeta4 + x2 * (-zeta2 / 6.0 + x / 9.0 - x2 / 48.0 + x * q), n)
+    s0, e0, p0, q0, q2 = _EXPANSION_CONSTANTS
+    return (s0 + s, e0 + (e - x2 * x2 * lg / 16.0), p0 + x2 * ((0.5 * lg - 0.25) - x / 6.0 + p),
+            q0 + x2 * (q2 + x / 9.0 - x2 / 48.0 + x * q), n)
 
 
 # ---------------------------------------------------------------------------
@@ -334,89 +315,89 @@ def _expansions(x: float) -> tuple[float, float, float, float, int]:
 _ONE_TERM_FROM = 40.0
 
 # Per piece [2, 4), [4, 8), [8, 16) and [16, 40): its top, mid and scale
-# of the map y = (ln x - mid) scale/2 onto [-1, 1), and the halved
-# Chebyshev coefficients (a_k, b_k, c_k, d_k) in y, highest order first, of
-# a = e^x sqrt(x) S, b = e^x x^1.5 E, c = sqrt(x) v_hat and
+# of the map y = (ln x - mid) scale onto [-1, 1), and the coefficients
+# (a_k, b_k, c_k, d_k) of y^k, highest power first, of the Chebyshev fits
+# in y of a = e^x sqrt(x) S, b = e^x x^1.5 E, c = sqrt(x) v_hat and
 # d = e^x Q/(1 + x + x^2/3) (see _sum_chebyshev); as generated by
-# tests/specfun_tables.py.  The first omitted row is below 2e-18 of the
-# leading one.
+# tests/specfun_tables.py.  The first omitted Chebyshev coefficient is
+# below 2e-18 of the leading one.
 _SUM_CHEBYSHEV = (
-    (4.0, 1.0397207708399179, 5.7707801635558535, (
-        (-2.2072124420317785e-17, -1.9306034380143705e-17, 1.3299415816014825e-17, -1.6224046544163822e-17),
-        (-4.570517848898548e-16, -3.944906209237006e-16, 1.6594601955405554e-16, -2.2191347434491556e-16),
-        (-1.851507083965976e-15, -3.680090223328478e-15, -2.0438443527810697e-17, -3.0770833624433413e-16),
-        (3.448120163860517e-14, 7.395759356243098e-14, -2.0419318368674825e-14, 2.220566491470993e-14),
-        (5.273842561456613e-13, -7.306380595347214e-13, -1.8835260576643033e-13, 2.680221506890408e-13),
-        (1.2404387250097468e-12, 3.363190003295138e-11, 8.194416257762687e-13, -6.547865471451052e-15),
-        (-5.8113030745355006e-11, -7.92737728176035e-10, 3.135931442387963e-11, -3.720425064733465e-11),
-        (-3.0400985727043484e-10, 1.5302007737243153e-08, 1.5731173051679484e-10, -3.2709469571757384e-10),
-        (-7.31149444184049e-09, -3.027278281386719e-07, -3.1763875312738366e-09, 2.8999375487905766e-09),
-        (2.9164145283760257e-07, 5.208230943659119e-06, -4.42687962262572e-08, 5.782362607905078e-08),
-        (-4.600591061359841e-06, -7.649760914161891e-05, 3.1130398522351505e-07, -1.5456014782224186e-07),
-        (9.535282264163751e-05, 0.000997613242627499, 8.572378696506264e-06, -6.55026556580068e-06),
-        (-0.0017934762384473751, -0.0111794598123386, -7.469724426366708e-05, 1.565429336132408e-05),
-        (0.023350470958565805, 0.10113221233660451, -0.0018690371979027823, 0.000556933526092077),
-        (-0.20787129487163614, -0.6837813951628595, 0.047613647084171075, -0.004478103897507601),
-        (2.282830655557143, 3.986470677709136, 1.2227154653339083, 1.011209338698048),
+    (4.0, 1.0397207708399179, 2.8853900817779268, (
+        (-7.232593730049732e-13, -6.326201345685489e-13, 4.357952574591738e-13, -5.316295571591601e-13),
+        (-7.48833644363538e-12, -6.463334333213911e-12, 2.718859584373646e-12, -3.6358303636670966e-12),
+        (-1.2455323383080625e-11, -2.7774973604874834e-11, -1.801663944851727e-12, -5.271358511667348e-13),
+        (1.674441794644506e-10, 3.25551973397966e-10, -9.315353658339984e-11, 1.0367980976348671e-10),
+        (1.1253091472166715e-09, -1.40192651207816e-09, -3.82750635165957e-10, 5.541113750963044e-10),
+        (8.104666295398052e-10, 3.3499169927568475e-08, 1.1031053206589736e-09, -2.970656583398694e-10),
+        (-3.278261027287013e-08, -4.01886518387822e-07, 1.7114218111555404e-08, -2.0566033271792813e-08),
+        (-8.050080736184852e-08, 3.832259914239079e-06, 3.7882834535172445e-08, -8.340057838793025e-08),
+        (-8.659191494672353e-07, -3.783997072042851e-05, -4.437631619338456e-07, 4.1556601355858117e-07),
+        (1.8823228850133318e-05, 0.00032556695033802275, -2.9117615271489504e-06, 3.8680065403179496e-06),
+        (-0.0001456326588581066, -0.002380795605333028, 1.0700796602737434e-05, -5.628317216226707e-06),
+        (0.001497549366650217, 0.015466691573890481, 0.0001414575129574241, -0.0001104599442192993),
+        (-0.014164590972002466, -0.08640948971156408, -0.0006103934780026136, 0.00013175059296468924),
+        (0.09188675733991904, 0.3887535578023174, -0.007614910510453058, 0.0023346409341245935),
+        (-0.4050276369199639, -1.30124678360681, 0.09567863571181232, -0.009051720431367564),
+        (2.236319835391958, 3.786191093596195, 1.2264707733376428, 1.0100822548133488),
     )),
-    (8.0, 1.7328679513998633, 5.7707801635558535, (
-        (1.4907907793864948e-17, 1.6313815163178803e-17, -1.4051468898317124e-18, 3.576895199670672e-18),
-        (-1.814876984580729e-16, -1.6276326793728543e-16, 8.689296737190553e-17, -1.185708218731523e-16),
-        (-1.830404961544053e-15, -1.920353136694183e-15, 3.305146174876065e-16, -6.398150564616397e-16),
-        (1.2685146423002487e-14, 1.0306046370607662e-14, -7.568547886257992e-15, 9.62143932118911e-15),
-        (1.9373457526318524e-13, 2.0654252260827702e-13, -4.545289513228729e-14, 8.111158756745597e-14),
-        (-7.16948168329716e-13, -7.242891348068294e-13, 6.09696268436174e-13, -6.991333788402924e-13),
-        (-1.7948200282224973e-11, -1.2300871936126155e-11, 4.800872530405824e-12, -8.401086764198875e-12),
-        (2.8693416693351062e-11, -1.2497230600397851e-10, -4.96439236371504e-11, 5.043600106237179e-11),
-        (1.6231816193241132e-09, 4.435616192291248e-09, -4.0681346981773925e-10, 7.442389984071312e-10),
-        (-4.287568918456688e-09, -5.689805558127036e-08, 4.736239206722444e-09, -4.436025012617287e-09),
-        (-4.814504386845273e-08, 8.927094027079153e-07, 2.0679539997774142e-08, -5.302917380273797e-08),
-        (-1.6069572826096758e-06, -1.6035098169277217e-05, -5.52180887623483e-07, 4.809907011352128e-07),
-        (4.7943560660119424e-05, 0.00023552044324067362, 3.31080588551686e-06, 1.7251766243494563e-06),
-        (-0.0007247702600421982, -0.0028071503771735203, 4.557714947096414e-05, -4.23550429240922e-05),
-        (0.00891155588994481, 0.028213606380728024, -0.001956907077513073, 0.0002585336860093519),
-        (-0.08621494639105234, -0.22332152952794093, 0.03143787263258416, -0.0007866902666809558),
-        (1.718582566098652, 2.2914758718217993, 1.3809459200364977, 1.0012074670604865),
+    (8.0, 1.7328679513998633, 2.8853900817779268, (
+        (9.770046451787332e-13, 1.069142190534086e-12, -9.20877065720111e-14, 2.3441540380561717e-13),
+        (-5.946988903074132e-12, -5.333426763768969e-12, 2.8473087548426005e-12, -3.885328691139455e-12),
+        (-3.38973734706527e-11, -3.5739634553733837e-11, 5.783502319204989e-12, -1.1420391500289973e-11),
+        (1.2621792788376437e-10, 1.044274822321516e-10, -7.267895211488522e-11, 9.338881351095415e-11),
+        (9.048500925864507e-10, 9.630683271125655e-10, -2.0572665877977613e-10, 3.704463173987724e-10),
+        (-1.8394909996850685e-09, -1.7877328522016455e-09, 1.4661790884270067e-09, -1.7098413342399172e-09),
+        (-2.09092648457887e-08, -1.529138366657369e-08, 5.501185545466919e-09, -9.651149456861366e-09),
+        (1.9176596571929124e-08, -5.9540721975465546e-08, -2.9115614089514167e-08, 3.00976480058918e-08),
+        (4.6426099544874065e-07, 1.1699692157824181e-06, -1.1708082865294353e-07, 2.1318825310475554e-07),
+        (-5.861652403724351e-07, -7.143277380591417e-06, 6.670183616734161e-07, -6.300499446081989e-07),
+        (-3.9539795368016464e-06, 5.48332949979253e-05, 1.5428650966202448e-06, -3.7943295253663812e-06),
+        (-5.0435583859897544e-05, -0.0005004841063994271, -1.877514575816543e-05, 1.6430728878211703e-05),
+        (0.000772253002746073, 0.003684056580171269, 5.085355991520571e-05, 3.2938642316712305e-05),
+        (-0.005734371208067319, -0.02182214200586105, 0.0003872470784790593, -0.00035858922563570807),
+        (0.03487728766093405, 0.10911795082991262, -0.007879830218020963, 0.0010045743845799552),
+        (-0.16809728023612314, -0.4299597134350497, 0.06259669334491406, -0.0013143773409731616),
+        (1.7008554410128212, 2.2355179234242706, 1.3848663136208947, 1.0006939576055076),
     )),
-    (16.0, 2.4260151319598084, 5.7707801635558535, (
-        (2.130071352019756e-17, 2.2246363492611234e-17, -4.991834728576405e-18, 9.213878800288598e-18),
-        (-1.5342724316933972e-16, -1.3731409718327502e-16, 7.879964111493783e-17, -1.09946964272454e-16),
-        (-1.5256979104394215e-15, -1.6567209851431298e-15, 2.39218724294555e-16, -5.384635324100969e-16),
-        (1.632503408221063e-14, 1.525123715479373e-14, -6.790616815381631e-15, 1.0044929657273671e-14),
-        (6.84398481752658e-14, 8.508445452806667e-14, 4.523544651297178e-15, 9.131713892547415e-15),
-        (-1.445723763485987e-12, -1.464325030846206e-12, 4.564559844305221e-13, -7.492602210005479e-13),
-        (1.1545857924781654e-12, 8.330645463666183e-13, -2.327702116816207e-12, 2.57609348435535e-12),
-        (9.183388734228789e-11, 7.327540737291507e-11, -1.6149716483253943e-11, 3.574466890407818e-11),
-        (-5.542016205471507e-10, 4.90291487783092e-11, 2.2489309345815749e-10, -3.630583694256242e-10),
-        (-3.240973622237113e-09, -1.4801217458055831e-08, -7.002008401315815e-10, 3.0571214011718434e-10),
-        (8.284212497951066e-08, 2.740890760226684e-07, -1.8230964475298085e-09, 1.7811735777933292e-08),
-        (-1.0288548329156077e-06, -3.982069907829497e-06, -3.947337368148713e-09, -1.741253051684744e-07),
-        (1.4484065415320236e-05, 5.642667672391391e-05, -6.82765150658255e-07, 9.267702182243631e-07),
-        (-0.0002414125327676934, -0.0007724101207613434, 5.0961788674932194e-05, -3.2867641505413326e-06),
-        (0.003637407775276589, 0.009369595156366746, -0.0013226953284092098, 8.154354152835239e-06),
-        (-0.03938366226227666, -0.08689134553174559, 0.018300275190601567, -1.4218716426715617e-05),
-        (1.476062654324144, 1.701898278833694, 1.4793537966451862, 1.0000171871072816),
+    (16.0, 2.4260151319598084, 2.8853900817779268, (
+        (1.3959635612596674e-12, 1.4579376778517698e-12, -3.2714488077198326e-13, 6.038407610557136e-13),
+        (-5.027503904172924e-12, -4.499508336501556e-12, 2.5821066400542827e-12, -3.6027421252797725e-12),
+        (-3.058088880967815e-11, -3.297546733199212e-11, 5.2279391019299226e-12, -1.1237549559229882e-11),
+        (1.5258781884211795e-10, 1.4181129103395106e-10, -6.531163285180988e-11, 9.579834672218506e-11),
+        (3.768930022503147e-10, 4.529855288250452e-10, 2.6842386407483854e-12, 7.220611785326095e-11),
+        (-3.4237596844850498e-09, -3.4302963355750795e-09, 1.1301395880567352e-09, -1.822186564259075e-09),
+        (2.133309686907196e-10, -3.3110747522621625e-10, -2.4184910694775126e-09, 2.479931330878978e-09),
+        (5.572616624529869e-08, 4.6290982146053284e-08, -1.1076501660823603e-08, 2.2870879835126742e-08),
+        (-1.4379962153941822e-07, 1.1687848413681612e-08, 6.358037900658353e-08, -9.938100050359446e-08),
+        (-5.291143937903793e-07, -1.9875286284939753e-06, -6.831034014792344e-08, -6.473448307712088e-09),
+        (5.587713300119284e-06, 1.7517821990856432e-05, -2.3706519817386885e-07, 1.3315314402130993e-06),
+        (-3.211437288704694e-05, -0.0001240437558069367, 1.541162810875552e-08, -5.6076998820709575e-06),
+        (0.0002236140543379279, 0.0008765294474173754, -1.0675390377440162e-05, 1.3000174383339318e-05),
+        (-0.0018905317461784948, -0.0060216741477903445, 0.0004077778622045025, -1.930377706878217e-05),
+        (0.014320903945162961, 0.036585417937479534, -0.005279937329229836, 1.8453807529884017e-05),
+        (-0.07732909081740065, -0.16918784246938387, 0.03629474967767578, -1.0461720819597907e-05),
+        (1.468816640109599, 1.683271393792822, 1.4819978258723463, 1.0000026955846912),
     )),
-    (40.0, 3.2307340881768587, 4.365426671749166, (
-        (4.76954635816482e-18, 4.978056534593887e-18, -1.3398255152628117e-18, 2.2697454111929402e-18),
-        (-2.3515416351913603e-17, -2.2908425764200028e-17, 9.029976760791257e-18, -1.364970171071803e-17),
-        (-2.8292793764242886e-17, -4.013092218640763e-17, -7.176694494128009e-18, 2.0026545400624867e-18),
-        (9.537807441248047e-16, 1.0129692876986092e-15, -2.4326864120441938e-16, 4.2820249686103695e-16),
-        (-5.297194968986931e-15, -5.2913834316186485e-15, 1.772382846688261e-15, -2.8150763463363776e-15),
-        (6.6179019365988705e-15, 4.17523530840129e-15, -4.750645536225571e-15, 6.207459173255251e-15),
-        (1.161119229527206e-13, 1.4148218513023132e-13, -1.7127296498925347e-14, 3.8220135846775635e-14),
-        (-1.1466297454722506e-12, -1.3745566998227901e-12, 2.6610554526867656e-13, -4.764299879864438e-13),
-        (6.609100770456125e-12, 9.341127541262866e-12, -1.7120189303535537e-12, 2.8887112973712794e-12),
-        (-3.070213994144529e-11, -7.37284917463786e-11, 7.207406175975674e-12, -1.2709573379224044e-11),
-        (1.7062496550666657e-10, 8.880069405665347e-10, -6.615974599568834e-13, 4.468345595226559e-11),
-        (-2.00077845672105e-09, -1.3407930688985161e-08, -5.421185683063766e-10, -1.3068650833528543e-10),
-        (3.7707328245274285e-08, 2.057444054523473e-07, 7.583350059330795e-09, 3.2465113989025084e-10),
-        (-7.45869153032302e-07, -3.023230066721892e-06, 8.978140309792964e-09, -6.932435378806205e-10),
-        (1.363309344786536e-05, 4.195807950583708e-05, -3.017990031255992e-06, 1.2816152773098689e-09),
-        (-0.0002143688209900171, -0.000533123315892518, 8.066304249588529e-05, -2.060340600065229e-09),
-        (0.002654716660339266, 0.005730468463483317, -0.0012578465911385834, 2.887882071909622e-09),
-        (-0.02263849776549562, -0.04496103210292635, 0.011983671962350378, -3.5346044988869383e-09),
-        (1.3530703847294874, 1.4428757152407208, 1.540059902786181, 1.000000003780597),
+    (40.0, 3.2307340881768587, 2.182713335874583, (
+        (1.2503079605147586e-12, 1.3049676522045798e-12, -3.512272198730545e-13, 5.950001410717621e-13),
+        (-3.08221265207802e-12, -3.002653181765226e-12, 1.1835771139904317e-12, -1.7890937026272336e-12),
+        (-7.480582354449836e-12, -8.50237455132902e-12, 1.1101906390615721e-12, -2.5462546668853944e-12),
+        (4.4352891194813186e-11, 4.595425364181024e-11, -1.3001629569445749e-11, 2.16349876533082e-11),
+        (-6.882298282650491e-11, -6.516328111253015e-11, 2.7956568293930264e-11, -4.162688103983236e-11),
+        (-8.591068177326833e-11, -1.126023714653606e-10, -2.2158281625699048e-13, -1.507240168026725e-11),
+        (7.566378174689214e-10, 8.547119857566423e-10, -1.718496782279345e-10, 3.1375441827078174e-10),
+        (-2.3274053420016797e-09, -2.7188060134427764e-09, 6.184519880764242e-10, -1.049713795819789e-09),
+        (4.939746459626962e-09, 7.430592142167135e-09, -1.4020772373992076e-09, 2.2686976168838903e-09),
+        (-9.186982775959022e-09, -3.00221254069701e-08, 2.07195910285728e-09, -3.684288933298113e-09),
+        (2.8643645442443482e-08, 2.0564775330974483e-07, 3.880747106696761e-09, 4.722860393646851e-09),
+        (-2.2726242727922277e-07, -1.6390431430828667e-06, -7.611585045979548e-08, -4.867023991781566e-09),
+        (2.3397830886940157e-06, 1.2732794981623155e-05, 4.819945267170187e-07, 4.04364160657588e-09),
+        (-2.3443313407495945e-05, -9.380028862964616e-05, 4.142820452212942e-07, -2.686502417888576e-09),
+        (0.00021455911584936823, 0.0006518547525140114, -4.9014718560891075e-05, 1.4001009376369365e-09),
+        (-0.0016853330287007204, -0.004145541924543023, 0.0006448828875552701, -5.532209697177003e-10),
+        (0.010402084333170754, 0.022257895460706056, -0.004982825649496637, 1.561996037138791e-10),
+        (-0.04399821381295308, -0.08675337019693038, 0.023483463164551577, -2.813243681130075e-11),
+        (1.3477881425093226, 1.4314982847415798, 1.5425695448237586, 1.0000000000024327),
     )),
 )
 
@@ -431,27 +412,23 @@ def _sum_chebyshev(x: float) -> tuple[float, float, float, float, int]:
 
     with S, E and Q the Bessel sums and the polylog combination of
     _expansions, so all four kernels from x = 2 up to the one-term form.
-    All four are smooth in ln x and tend to constants as x grows, d to 1,
-    and their Chebyshev series in ln x over the piece of _SUM_CHEBYSHEV
-    that holds x are summed in one Clenshaw loop, as _k01_chebyshev sums
-    its pair: 16 rows on [2, 4), 17 on [4, 16), 19 on [16, 40).  rows is
-    that count.  The recurrence beta_k = y2 beta_(k+1) - beta_(k+2) + c_k
-    runs one row short, to beta_1 and beta_2 of each series (a1 and a2 for
-    a), and the last row gives beta_0 and the sum beta_0 - beta_2.
+    All four are smooth in ln x and tend to constants as x grows, d to 1.
+    Their Chebyshev fits in ln x over the piece of _SUM_CHEBYSHEV that holds
+    x, stored as polynomials in y, are summed by Horner's rule in one loop,
+    one multiply-add per column and row: 16 rows on [2, 4), 17 on [4, 16),
+    19 on [16, 40).  rows is that count.
     """
     for top, mid, scale, rows in _SUM_CHEBYSHEV:
         if x < top:
             break
-    y2 = (math.log(x) - mid) * scale
-    a1 = a2 = b1 = b2 = c1 = c2 = d1 = d2 = 0.0
-    for ca, cb, cc, cd in rows[:-1]:
-        a1, a2 = y2 * a1 - a2 + ca, a1
-        b1, b2 = y2 * b1 - b2 + cb, b1
-        c1, c2 = y2 * c1 - c2 + cc, c1
-        d1, d2 = y2 * d1 - d2 + cd, d1
-    ca, cb, cc, cd = rows[-1]
-    return (y2 * a1 - a2 + ca - a2, y2 * b1 - b2 + cb - b2, y2 * c1 - c2 + cc - c2,
-            y2 * d1 - d2 + cd - d2, len(rows))
+    y = (math.log(x) - mid) * scale
+    a = b = c = d = 0.0
+    for ca, cb, cc, cd in rows:
+        a = a * y + ca
+        b = b * y + cb
+        c = c * y + cc
+        d = d * y + cd
+    return a, b, c, d, len(rows)
 
 
 def _one_term(x: float) -> tuple[float, float, float]:

@@ -11,14 +11,15 @@ same host, so two trees can be compared.  Where the module has the Chebyshev and
 counts the terms each pair takes, a number that does not depend on the host.
 --routes adds the same timing, on a fixed x grid, of all four kernels by
 each route: the trapezoid pass ``oracle._moments``, and the series route
-``core._series`` in each of its bands, below x = 2 the one loop over the
-expansions about x = 0, from 2 up to 40 the one loop over the Chebyshev
-tables, and from 40 on one K pair; of ``core.reduced_functions`` on
+``core._series`` in each of its bands, below x = 2 the one Horner loop
+over the expansions about x = 0, from 2 up to 40 the one Horner loop over
+the tables of Chebyshev fits in ln x, and from 40 on one K pair; of
+``core.reduced_functions`` on
 the default route, which wraps them; of ``core.r_hat_closed`` alone; and,
 as ``evaluate_us``, of ``core.evaluate`` on a mass of 1 eV at T = mc^2/(k_B x),
 the whole SI report.  ``report_overhead_us`` is the cost of ``evaluate``
-less that of its kernels, ``core._series``, timed beside it at the x it
-takes: the cost of the report on top of the kernels.  Every case of a table
+less that of the band loop it calls, ``core._bands``, timed beside it at
+the x it takes: the cost of the report on top of the kernels.  Every case of a table
 is timed in the same rounds, so a slow spell of the host lands on a few
 cells of one round, not on a whole column.
 The routes are timed as this checkout's package calls them, so --routes
@@ -135,10 +136,10 @@ def main() -> None:
         cases = []
         for x in X_GRID:
             params = units.GasParameters(mass, mass * si.c**2 / (si.k_B * x))
-            # the kernels at the x that evaluate takes, which may differ from x by an ulp
+            # the band loop at the x that evaluate takes, which may differ from x by an ulp
             cases += [(oracle._moments, x), (core._series, x), (core.reduced_functions, x),
                       (core.r_hat_closed, x), (core.evaluate, params),
-                      (core._series, units.reduce(params).x)]
+                      (core._bands, units._reduced_x(params))]
         costs = cost_us(cases)
         # one column per case of an x: costs[i::6] holds case i at every x
         trapezoid, series, default, closed, report, kernels = (

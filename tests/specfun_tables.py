@@ -2,8 +2,8 @@
 
     python tests/specfun_tables.py
 
-prints the five literal tables as Python source, ready to paste into
-specfun.py (its sixth, _HANKEL, is built from its definition at import):
+prints the four literal tables as Python source, ready to paste into
+specfun.py (its fifth, _HANKEL, is built from its definition at import):
 
 * _K01_CHEBYSHEV, the Chebyshev coefficients of sqrt(z) e^z K0(z) and
   sqrt(z) e^z K1(z) in y = 4/z - 1 on z > 2 (the form of Cephes'
@@ -13,21 +13,21 @@ specfun.py (its sixth, _HANKEL, is built from its definition at import):
   Clenshaw sum ends in b0 - b2, and they run from the highest order down.
 * _PI_RATIOS, pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60 correctly
   rounded: the massless limits of the gas kernels and their sums.
-* _K2_SUM_EXPANSION and _ENERGY_SUM_EXPANSION, the coefficients of the
-  expansions about x = 0 of x^2 sum_n K2(n x)/n and of
+* _EXPANSION, one row (a_j, b_j, c_j, p_j, q_j) per order j of the
+  expansions about x = 0: (a_j, b_j) of x^2 sum_n K2(n x)/n and c_j of
   x^4 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], from the residues of their
-  Mellin transforms at EXPANSION_DPS digits (see small_x_expansions), and,
-  beside the second, those of Li3 + x Li2 and Li4 + x Li3 + (x^2/3) Li2 of
-  e^-x: the correctly rounded doubles of rationals from the Bernoulli
-  numbers, with no mpmath (see polylog_expansions).
+  Mellin transforms at EXPANSION_DPS digits (see small_x_expansions), and
+  p_j and q_j of Li3 + x Li2 and Li4 + x Li3 + (x^2/3) Li2 of e^-x: the
+  correctly rounded doubles of rationals from the Bernoulli numbers, with
+  no mpmath (see polylog_expansions).
 * _SUM_CHEBYSHEV, per piece [2, 4), [4, 8), [8, 16) and [16, 40) of the
-  band between the expansions and the one-term form, the Chebyshev
-  coefficients in ln x of a = e^x sqrt(x) sum_n K2(n x)/n,
+  band between the expansions and the one-term form, the Chebyshev fit in
+  ln x of a = e^x sqrt(x) sum_n K2(n x)/n,
   b = e^x x^1.5 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], c = sqrt(x) v_hat
-  and d = e^x Q/(1 + x + x^2/3), Q = Li4 + x Li3 + (x^2/3) Li2 of e^-x
-  (see sum_chebyshev).  The values at the nodes come from
-  perfbench/reference.py, whose quadrature of the defining integrals takes
-  about 50 ms per x.
+  and d = e^x Q/(1 + x + x^2/3), Q = Li4 + x Li3 + (x^2/3) Li2 of e^-x,
+  as monomial coefficients for Horner's rule (see sum_chebyshev).  The
+  values at the nodes come from perfbench/reference.py, whose quadrature
+  of the defining integrals takes about 50 ms per x.
 
 tests/test_specfun.py runs the same functions and compares with the module.
 """
@@ -155,12 +155,27 @@ def small_x_expansions() -> tuple[tuple[tuple[float, float], ...], tuple[float, 
         return (tuple((float(a), float(b)) for a, b in ab), tuple(float(value) for value in c))
 
 
+def chebyshev_to_monomial(halved: list) -> list:
+    """m_0..m_n, lowest order first, with sum_k m_k y^k = c_0 + 2 sum_(k>0)
+    c_k T_k(y) for the halved Chebyshev coefficients c_0..c_n.  T_k comes
+    from T_(k+1) = 2 y T_k - T_(k-1) with integer coefficients, and the sums
+    are taken in the precision of the c_k."""
+    monomial = [halved[0]] + [0] * (len(halved) - 1)
+    t_prev, t = [1], [0, 1]
+    for c in halved[1:]:
+        for j, tj in enumerate(t):
+            monomial[j] += 2 * c * tj
+        t_prev, t = t, [2 * a - b for a, b in zip([0] + t, t_prev + [0, 0])]
+    return monomial
+
+
 def sum_chebyshev() -> tuple[tuple[float, float, float, tuple], ...]:
     """Per piece [x0, x1) of SUM_EDGES: (x1, mid, scale, rows).
 
-    mid = ln(x0 x1)/2 and scale = 4/ln(x1/x0), so that y = (ln x - mid)
-    scale/2 maps the piece onto [-1, 1), and rows are the halved Chebyshev
-    coefficients (a_k, b_k, c_k, d_k) in y, highest order first, of
+    mid = ln(x0 x1)/2 and scale = 2/ln(x1/x0), so that y = (ln x - mid)
+    scale maps the piece onto [-1, 1), and rows are the coefficients
+    (a_k, b_k, c_k, d_k) of y^k, highest power first, of the Chebyshev fits
+    in y of
 
         a = e^x sqrt(x) S = pi^2 e^x n_hat/x^1.5
         b = e^x x^1.5 E   = pi^2 e^x u_hat/x^2.5
@@ -169,13 +184,15 @@ def sum_chebyshev() -> tuple[tuple[float, float, float, tuple], ...]:
 
     with S, E and Q the Bessel sums and the polylog combination of
     specfun._expansions.  Each is smooth in ln x and tends to a constant as
-    x grows, d to 1.  The coefficients are the discrete cosine transform of
-    the four at SUM_NODES Chebyshev points, from perfbench/reference.py at
-    its 24 digits, d from its r_hat; they fall off like those
-    of a function analytic in an ellipse about the piece (Trefethen,
-    Approximation Theory and Approximation Practice, SIAM 2013, ch. 8).
-    A piece keeps its rows up to the last with a coefficient above
-    SUM_CUTOFF of its leading one: 16, 17, 17 and 19 rows.
+    x grows, d to 1.  The Chebyshev coefficients are the discrete cosine
+    transform of the four at SUM_NODES Chebyshev points, from
+    perfbench/reference.py at its 24 digits, d from its r_hat; they fall
+    off like those of a function analytic in an ellipse about the piece
+    (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013,
+    ch. 8).  A piece keeps its rows up to the last with a Chebyshev
+    coefficient above SUM_CUTOFF of its leading one: 16, 17, 17 and 19 rows.
+    The kept series are turned into powers of y at the same 24 digits (see
+    chebyshev_to_monomial), and each coefficient is rounded once.
     """
     import mpmath as mp
 
@@ -200,8 +217,9 @@ def sum_chebyshev() -> tuple[tuple[float, float, float, tuple], ...]:
                      for i in range(4)] for k in range(SUM_NODES)]
             kept = 1 + max(k for k, row in enumerate(rows)
                            if any(abs(c / c0) > SUM_CUTOFF for c, c0 in zip(row, rows[0])))
-            pieces.append((float(x1), float(mid), float(2 / half),
-                           tuple(tuple(float(c) for c in row) for row in reversed(rows[:kept]))))
+            columns = [chebyshev_to_monomial([row[i] for row in rows[:kept]]) for i in range(4)]
+            pieces.append((float(x1), float(mid), float(1 / half),
+                           tuple(tuple(float(m[k]) for m in columns) for k in reversed(range(kept)))))
     return tuple(pieces)
 
 
@@ -215,13 +233,9 @@ def main() -> None:
         print(f"    {value!r},")
     print(")")
     k2_sum, energy_sum = small_x_expansions()
-    print("_K2_SUM_EXPANSION = (")
-    for a, b in k2_sum:
-        print(f"    ({a!r}, {b!r}),")
-    print(")")
-    print("_ENERGY_SUM_EXPANSION = (")
-    for c, (p, q) in zip(energy_sum, polylog_expansions()):
-        print(f"    ({c!r}, {float(p)!r}, {float(q)!r}),")
+    print("_EXPANSION = (")
+    for (a, b), c, (p, q) in zip(k2_sum, energy_sum, polylog_expansions()):
+        print(f"    ({a!r}, {b!r}, {c!r}, {float(p)!r}, {float(q)!r}),")
     print(")")
     print("_SUM_CHEBYSHEV = (")
     for top, mid, scale, rows in sum_chebyshev():

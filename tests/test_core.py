@@ -20,7 +20,7 @@ from photongas import (SI, ConvergenceError, DomainError, GasParameters,
                        quad_number_density, quad_radiance, radiance,
                        radiance_naive, reduce, reduced_functions,
                        small_mass_radiance, spectral_energy_density, specfun,
-                       zeta_value)
+                       units, zeta_value)
 from photongas.core import (_series, _si_prefactors, n_hat_series,
                             r_hat_closed, v_hat_series)
 from photongas.oracle import integrate_adaptive
@@ -800,14 +800,16 @@ def test_number_density_alone_is_finite_where_the_other_prefactors_overflow():
     ("v", 1.01, "v_hat must not exceed 1, got 1.01"),
     ("R", 0.1645 * 1.01, f"r_hat must not exceed pi^2/60, got {0.1645 * 1.01!r}")])
 def test_every_path_refuses_a_broken_kernel_by_name(monkeypatch, capsys, key, value, message):
-    series = core._series
+    # The band loop is what every path calls: evaluate at once, and
+    # reduced_functions and the x sweep through _series.
+    bands = core._bands
 
     def broken(x):
-        values = list(series(x))
+        values = list(bands(x))
         values["nuvR".index(key)] = value
         return tuple(values)
 
-    monkeypatch.setattr(core, "_series", broken)
+    monkeypatch.setattr(core, "_bands", broken)
     for call in (lambda: evaluate(params_for_x(0.5)), lambda: reduced_functions(0.5)):
         with pytest.raises(DomainError) as excinfo:
             call()
@@ -872,3 +874,58 @@ def test_report_names_the_first_broken_field(field, value, message):
     with pytest.raises(DomainError) as excinfo:
         RadiometryReport(**{**fields, field: value})
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_a_field_that_is_no_number_is_refused_by_name(value):
+    # A str or None makes the one-line range check raise TypeError; the
+    # field-by-field check then names it, as it names any other bad field.
+    kernels = dict(n_hat=1.0, u_hat=0.5, v_hat=0.9, r_hat=0.1)
+    for field in kernels:
+        with pytest.raises(DomainError) as excinfo:
+            core.ReducedFunctions(1.0, **{**kernels, field: value}, method="series")
+        assert str(excinfo.value) == f"{field} must be finite and >= 0, got {value!r}"
+    quantities = dict(number_density=1.0, energy_density=1.0, mean_speed=1.0, radiance=1.0,
+                      radiance_naive=1.0)
+    for field in quantities:
+        with pytest.raises(DomainError) as excinfo:
+            RadiometryReport(params_for_x(1.0), 1.0, **{**quantities, field: value},
+                             method="series")
+        assert str(excinfo.value) == f"{field} must be finite and >= 0, got {value!r}"
+
+
+def test_evaluate_checks_its_x_only_where_it_reduces_it(monkeypatch, capsys):
+    # _reduced_x refuses an x that is not finite, so evaluate passes its x
+    # straight to the band loop; reduced_functions checks its x once, and
+    # an x sweep the grid x of each row once.
+    calls = []
+    check = units._check_x
+
+    def counted(x):
+        calls.append(x)
+        return check(x)
+
+    for module in (units, core):
+        monkeypatch.setattr(module, "_check_x", counted)
+    for x in (0.0, 0.5, 3.0, 100.0):
+        evaluate(params_for_x(x))
+    assert calls == []
+    reduced_functions(3.0)
+    assert calls == [3.0]
+    calls.clear()
+    assert cli.main(["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.5",
+                     "--x-max", "50", "--points", "5"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("function", [small_mass_radiance, low_temp_radiance,
+                                      low_temp_mean_speed])
+def test_asymptotes_refuse_an_x_that_overflows_as_reduce_does(function):
+    params = GasParameters(mass=1.0, temperature=1e-300)
+    with pytest.raises(DomainError) as excinfo:
+        function(params)
+    with pytest.raises(DomainError) as reduced:
+        reduce(params)
+    assert str(excinfo.value) == str(reduced.value) == (
+        "reduced state x must be finite and >= 0, got inf")

@@ -234,8 +234,7 @@ def test_tables_match_their_generator():
     source = Path(specfun.__file__).read_text()
     blocks = printed.split("\n)\n")
     assert [block.split(" = ")[0] for block in blocks[:-1]] == [
-        "_K01_CHEBYSHEV", "_PI_RATIOS", "_K2_SUM_EXPANSION", "_ENERGY_SUM_EXPANSION",
-        "_SUM_CHEBYSHEV"]
+        "_K01_CHEBYSHEV", "_PI_RATIOS", "_EXPANSION", "_SUM_CHEBYSHEV"]
     for block in blocks[:-1]:
         assert block + "\n)\n" in source, block.split(" = ")[0]
 
@@ -294,6 +293,13 @@ def test_sum_tables_take_their_rows_by_piece():
     assert [k2_weighted_sum(x).terms for x in (2.0, 39.9, 40.0, 1e300)] == [16, 19, 1, 1]
 
 
+def test_chebyshev_rows_become_powers_of_y_exactly():
+    # c_0 + 2 sum_k c_k T_k(y) with the halved c_k = 1/2: 1 + y + (2y^2 - 1)
+    # + (4y^3 - 3y), in exact rationals.  Needs no mpmath.
+    half = Fraction(1, 2)
+    assert specfun_tables.chebyshev_to_monomial([Fraction(1), half, half, half]) == [0, -2, 2, 4]
+
+
 def test_polylog_expansion_columns_are_exact_rationals():
     # p_j and q_j, regenerated from the Bernoulli numbers in exact rational
     # arithmetic; each literal is the correctly rounded double of its
@@ -301,7 +307,7 @@ def test_polylog_expansion_columns_are_exact_rationals():
     exact = specfun_tables.polylog_expansions()
     assert exact[:2] == ((Fraction(1, 96), Fraction(1, 540)),
                          (Fraction(-1, 17280), Fraction(-1, 75600)))
-    assert [(p, q) for _, p, q in specfun._ENERGY_SUM_EXPANSION] == [
+    assert [(p, q) for *_, p, q in specfun._EXPANSION] == [
         (float(p), float(q)) for p, q in exact]
 
 
@@ -435,26 +441,24 @@ def test_zeta_rejects_unsupported_order():
 def test_expansion_tables_start_with_their_closed_forms():
     # test_tables_match_their_generator checks every row against the
     # residues at 40 digits; the first rows also have closed forms.
-    k2_sum, energy_sum = specfun._K2_SUM_EXPANSION, specfun._ENERGY_SUM_EXPANSION
-    assert k2_sum[0] == pytest.approx((-0.5 * math.log(2.0) - 0.25, 0.5), rel=2e-16)
-    assert [b for _, b in k2_sum[1:3]] == [1 / 96, -1 / 11520]
+    rows = specfun._EXPANSION
+    assert rows[0][:2] == pytest.approx((-0.5 * math.log(2.0) - 0.25, 0.5), rel=2e-16)
+    assert [b for _, b, *_ in rows[1:3]] == [1 / 96, -1 / 11520]
     euler_gamma = 0.5772156649015329
-    assert [c for c, _, _ in energy_sum[:2]] == pytest.approx(
+    assert [c for _, _, c, _, _ in rows[:2]] == pytest.approx(
         (-math.pi**2 / 12, (math.log(4.0 * math.pi) - 0.25 - euler_gamma) / 16), rel=2e-16)
     # p_1 = -3 zeta(-1)/4! and q_1 = -8 zeta(-1)/(3 5!), zeta(-1) = -1/12
-    assert energy_sum[0][1:] == (1 / 96, 1 / 540)
+    assert rows[0][3:] == (1 / 96, 1 / 540)
 
 
 def expansion_terms(x: float, monkeypatch) -> int:
-    """Rows of the expansion tables that _expansions(x) reads: the fewest
+    """Rows of the expansion table that _expansions(x) reads: the fewest
     leading rows that leave its sums finite when every later row is nan."""
-    tables = {name: getattr(specfun, name)
-              for name in ("_K2_SUM_EXPANSION", "_ENERGY_SUM_EXPANSION")}
-    for rows in range(len(specfun._K2_SUM_EXPANSION) + 1):
+    table = specfun._EXPANSION
+    nan = (math.nan,) * len(table[0])
+    for rows in range(len(table) + 1):
         with monkeypatch.context() as patch:
-            for name, table in tables.items():
-                nan = (math.nan,) * len(table[0]) if isinstance(table[0], tuple) else math.nan
-                patch.setattr(specfun, name, table[:rows] + (nan,) * (len(table) - rows))
+            patch.setattr(specfun, "_EXPANSION", table[:rows] + (nan,) * (len(table) - rows))
             if all(map(math.isfinite, specfun._expansions(x))):
                 return rows
     raise AssertionError(f"no row count leaves _expansions({x!r}) finite")
@@ -469,7 +473,7 @@ def test_expansions_take_their_terms_within_the_tables(monkeypatch):
     counts = [expansion_terms(x, monkeypatch) for x in grid]
     assert counts == [1, 1, 5, 11, 18]
     assert [specfun._expansions(x)[-1] for x in grid] == counts
-    assert counts[-1] < len(specfun._K2_SUM_EXPANSION) == len(specfun._ENERGY_SUM_EXPANSION)
+    assert counts[-1] < len(specfun._EXPANSION)
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-300, 2.2e-163, 1e-160])
