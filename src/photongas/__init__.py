@@ -1,7 +1,8 @@
 """Thermodynamics and radiometry of a blackbody gas of photons with rest mass.
 
-Closed-form kernels (Bessel-K2 sums and polylogarithms) paired with
-independent quadrature oracles over the defining Bose-Einstein integrals.
+Closed-form kernels (Bessel-K2 sums and polylogarithms); the independent
+quadrature oracle over the defining Bose-Einstein integrals, which
+``photongas validate`` holds them to, is :mod:`photongas.oracle`.
 """
 
 from .core import (RadiometryReport, ReducedFunctions, energy_density,
@@ -11,11 +12,7 @@ from .core import (RadiometryReport, ReducedFunctions, energy_density,
                    spectral_energy_density)
 from .errors import (ConvergenceError, DomainError, MassParseError,
                      RegimeError)
-from .oracle import (QuadratureResult, integrate_adaptive,
-                     quad_energy_density, quad_mean_speed,
-                     quad_number_density, quad_radiance)
-from .specfun import (WeightedSum, bessel_k2, energy_bessel_sum,
-                      k2_weighted_sum, zeta_value)
+from .specfun import zeta_value
 from .units import (SI, GasParameters, PhysicalConstants, ReducedState,
                     format_mass, parse_mass, reduce)
 
@@ -25,13 +22,9 @@ __all__ = [
     "number_density", "photon_speed", "radiance", "radiance_naive",
     "reduced_functions", "small_mass_radiance", "spectral_energy_density",
     "ConvergenceError", "DomainError", "MassParseError", "RegimeError",
-    "QuadratureResult", "integrate_adaptive",
-    "quad_energy_density", "quad_mean_speed", "quad_number_density",
-    "quad_radiance",
-    "WeightedSum", "bessel_k2", "energy_bessel_sum",
-    "k2_weighted_sum", "zeta_value",
+    "zeta_value",
     "SI", "GasParameters", "PhysicalConstants", "ReducedState",
     "format_mass", "parse_mass", "reduce",
 ]
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

@@ -169,17 +169,17 @@ def _bands(x: float) -> tuple[float, float, float, float]:
 
 
 def n_hat_series(x: float) -> float:
-    """(x^2/pi^2) sum_n K2(n x)/n, by the series route."""
+    """(x^2/pi^2) sum_n K2(n x)/n, by the series route; for the tracer only."""
     return _series(x)[0]
 
 
 def v_hat_series(x: float) -> float:
-    """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n), by the series route."""
+    """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n), for the tracer only."""
     return _series(x)[2]
 
 
 def r_hat_closed(x: float) -> float:
-    """(3/2pi^2) [Li4(w) + x Li3(w) + (x^2/3) Li2(w)], w = e^-x."""
+    """(3/2pi^2) [Li4(w) + x Li3(w) + (x^2/3) Li2(w)], w = e^-x, for the tracer only."""
     return _series(x)[3]
 
 

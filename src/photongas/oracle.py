@@ -28,21 +28,23 @@ pass raises a ConvergenceError.  The range is finite.  It starts at tau = -7.5
 1e-17 of the bulk, and ends where E - x = _TAIL, past which the occupation
 is below e^-60 of its value at threshold.
 
-``integrate_adaptive`` and the ``quad_*`` views are on no route; they stay
-because perfbench/tracing.py binds them by name, until the tracer reads
-library-owned work counts (ROADMAP item 1) and ROADMAP item 4 retires them.
+``integrate_adaptive`` and the ``quad_*`` views are on no route and not in
+the package root; they stay only for perfbench/tracing.py, which binds them
+by name, until ROADMAP items 1 and 4 retire them.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import ConvergenceError, DomainError
 from .units import _DBL_MAX, _NUMBERS, _check_x, _shown
 
 _EPS = 2.220446049250313e-16
+# The relative error integrate_adaptive stops at.
+_REL_TOL = 1e-10
 
 # 7-point Gauss / 15-point Kronrod pairs: (abscissa, Gauss weight, Kronrod
 # weight); Gauss weight 0 marks Kronrod-only nodes.  Nodes are symmetric.
@@ -84,11 +86,6 @@ _START = -7.5
 _QUANTITIES = ("number_density", "energy_density", "mean_speed", "radiance")
 
 
-class QuadratureResult(NamedTuple):
-    value: float
-    error: float
-
-
 def _gk15(f: Callable[[float], float], a: float, b: float):
     """One Gauss-Kronrod panel: returns (k15, err_estimate)."""
     center = 0.5 * (a + b)
@@ -122,18 +119,16 @@ def _gk15(f: Callable[[float], float], a: float, b: float):
     return k15, err
 
 
-def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
-                       rel_tol: float = 1e-10) -> QuadratureResult:
-    """int_a^b f over a finite interval a < b, by globally adaptive bisection.
+def integrate_adaptive(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """(value, error) of int_a^b f over a finite interval a < b, by globally
+    adaptive bisection, to a relative error of _REL_TOL.
 
+    On no route; kept only for perfbench/tracing.py, which binds it by name.
     Each panel carries an embedded-rule error estimate.  Raises
-    :class:`DomainError`, naming rel_tol if it is out of range and
-    both bounds unless they are finite with a < b, and
-    :class:`ConvergenceError` (carrying the best estimate and its error
-    bound) if the subdivision depth is exhausted first.
+    :class:`DomainError`, naming both bounds unless they are finite with
+    a < b, and :class:`ConvergenceError` (carrying the best estimate and its
+    error bound) if the subdivision depth is exhausted first.
     """
-    if not (isinstance(rel_tol, _NUMBERS) and 1e-14 <= rel_tol <= 1e-6):
-        raise DomainError(f"rel_tol must be in [1e-14, 1e-6], got {_shown(rel_tol)}")
     if not (isinstance(a, _NUMBERS) and isinstance(b, _NUMBERS) and -_DBL_MAX <= a < b <= _DBL_MAX):
         raise DomainError("integration bounds must be finite with a < b, "
                           f"got [{_shown(a)}, {_shown(b)}]")
@@ -155,8 +150,8 @@ def integrate_adaptive(f: Callable[[float], float], a: float, b: float,
         total_err += err
 
     for _ in range(20000):
-        if total_err <= rel_tol * abs(total_val) or total_err == 0.0:
-            return QuadratureResult(total_val, total_err)
+        if total_err <= _REL_TOL * abs(total_val) or total_err == 0.0:
+            return total_val, total_err
         neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             raise ConvergenceError(

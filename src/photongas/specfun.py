@@ -1,9 +1,10 @@
 """Self-contained special functions for the photon-gas kernels.
 
-Provides the modified Bessel function K2 (with K0/K1 as internal helpers),
-the Riemann zeta values zeta(2), zeta(3), zeta(4), and the Boltzmann-weighted
-Bessel sums and polylog combinations that appear in the closed-form gas
-formulas.  Everything here is evaluated from scratch: K0 and K1 as one pair,
+Provides the Riemann zeta values zeta(2), zeta(3), zeta(4), its one name in
+the package root, and the Boltzmann-weighted Bessel sums and polylog
+combinations of the closed-form gas formulas.  bessel_k2, k2_weighted_sum and
+energy_bessel_sum are on no route and stay only for perfbench/tracing.py,
+which binds them by name.  Everything here is evaluated from scratch: K0 and K1 as one pair,
 by their ascending series up to z = 2, above it as e^z K0 and e^z K1, by a
 24-term Chebyshev series up to z = 25 and by the Hankel expansion, whose
 terms fall with z, from there on with no upper limit, and K2 = K0 + 2 K1/z
@@ -36,7 +37,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .units import _checked, _shown
+from .units import _DBL_MAX, _checked, _shown
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -163,13 +164,15 @@ def _k01_scaled(z: float) -> tuple[float, float]:
 
 
 def _k01(z: float) -> tuple[float, float]:
-    """(K0(z), K1(z)) for z > 0; past z of about 700 both underflow to 0."""
-    z = _checked(z, "z must be a positive finite number", positive=True)
+    """(K0(z), K1(z)) for z > 0, unchecked; past z of about 700 both underflow to 0."""
     if z <= _K_SERIES_MAX:
         return _k01_series(z)
     k0, k1 = _k01_scaled(z)
     factor = math.exp(-z)
     return factor * k0, factor * k1
+
+
+_K2_FINITE_FROM = math.sqrt(2.0 / _DBL_MAX)
 
 
 def bessel_k2(z: float) -> float:
@@ -178,8 +181,12 @@ def bessel_k2(z: float) -> float:
     Relative error is at most 6.1e-16 against mpmath across z in
     [1e-4, 700] (4000 log-spaced points and 199 more in (2, 2.5]).  For z
     beyond ~700 the value drops under 1e-300 and degrades gracefully to
-    zero instead of raising.
+    zero.  Below _K2_FINITE_FROM = sqrt(2/DBL_MAX), about 1.05e-154, where
+    K2 ~ 2/z^2 exceeds the largest double, it raises DomainError.
     """
+    z = _checked(z, "z must be a positive finite number", positive=True)
+    if z < _K2_FINITE_FROM:
+        raise DomainError(f"bessel_k2: K2 overflows a double at z={z!r}")
     k0, k1 = _k01(z)
     return k0 + 2.0 * k1 / z
 
@@ -470,6 +477,7 @@ def _view(x: float, index: int, name: str) -> WeightedSum:
 def k2_weighted_sum(x: float) -> WeightedSum:
     """sum_{n>=1} K2(n x)/n with the number of terms actually used.
 
+    On no route; kept only for perfbench/tracing.py, which binds it by name.
     From the forms the gas kernels take: below x = 2 the expansions about
     x = 0 (1 to 18 terms), up to x = 40 the Chebyshev tables in ln x (16 to
     19 rows), from 40 on the first term alone (1).  Raises DomainError
@@ -481,7 +489,7 @@ def k2_weighted_sum(x: float) -> WeightedSum:
 def energy_bessel_sum(x: float) -> WeightedSum:
     """sum_{n>=1} [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], the energy-density sum.
 
-    From the same three forms as k2_weighted_sum; raises DomainError where
-    the sum overflows a double, below x of about 1.4e-77.
+    From the same three forms as k2_weighted_sum, for the tracer only;
+    raises DomainError where the sum overflows a double, below x of about 1.4e-77.
     """
     return _view(x, 1, "energy_bessel_sum")

@@ -15,7 +15,7 @@ each route: the trapezoid pass ``oracle._moments``, and the series route
 over the expansions about x = 0, from 2 up to 40 the one Horner loop over
 the tables of Chebyshev fits in ln x, and from 40 on one K pair; of
 ``core.reduced_functions`` on
-the default route, which wraps them; of ``core.r_hat_closed`` alone; and,
+the default route, which wraps them; and,
 as ``evaluate_us``, of ``core.evaluate`` on a mass of 1 eV at T = mc^2/(k_B x),
 the whole SI report.  ``report_overhead_us`` is the cost of ``evaluate``
 less that of the band loop it calls, ``core._bands``, timed beside it at
@@ -138,12 +138,11 @@ def main() -> None:
             params = units.GasParameters(mass, mass * si.c**2 / (si.k_B * x))
             # the band loop at the x that evaluate takes, which may differ from x by an ulp
             cases += [(oracle._moments, x), (core._series, x), (core.reduced_functions, x),
-                      (core.r_hat_closed, x), (core.evaluate, params),
-                      (core._bands, units._reduced_x(params))]
+                      (core.evaluate, params), (core._bands, units._reduced_x(params))]
         costs = cost_us(cases)
-        # one column per case of an x: costs[i::6] holds case i at every x
-        trapezoid, series, default, closed, report, kernels = (
-            dict(zip(map(repr, X_GRID), costs[i::6])) for i in range(6))
+        # one column per case of an x: costs[i::5] holds case i at every x
+        trapezoid, series, default, report, kernels = (
+            dict(zip(map(repr, X_GRID), costs[i::5])) for i in range(5))
         bands = {"expansions": (0.0, specfun._EXPAND_BELOW),
                  "tables": (specfun._EXPAND_BELOW, specfun._ONE_TERM_FROM),
                  "one_term": (specfun._ONE_TERM_FROM, float("inf"))}
@@ -151,7 +150,6 @@ def main() -> None:
             name: {repr(x): series[repr(x)] for x in X_GRID if low <= x < high}
             for name, (low, high) in bands.items()}}
         result["default_route_us"] = default
-        result["r_hat_closed_us"] = closed
         result["evaluate_us"] = report
         result["report_overhead_us"] = {key: round(report[key] - kernels[key], 2)
                                         for key in report}

@@ -2,7 +2,8 @@
 
 Each test prints one [PASS]/[FAIL] line (visible with ``pytest -s``).
 Reference values are computed inside the tests from independent expressions:
-brute-force sums, quadrature of the defining integrals, and closed-form
+brute-force sums, quadrature of the defining integrals, trapezoid sums over
+the spectrum and over the integral representation of K2, and closed-form
 constants, never from the code paths under test.
 """
 
@@ -10,17 +11,17 @@ import math
 
 import pytest
 
-from photongas import (SI, GasParameters, energy_density,
-                       evaluate, integrate_adaptive, low_temp_radiance,
-                       mean_speed, number_density, quad_energy_density,
-                       quad_mean_speed, quad_number_density, quad_radiance,
-                       radiance, radiance_naive, reduced_functions,
+from photongas import (SI, GasParameters, energy_density, evaluate,
+                       low_temp_radiance, mean_speed, number_density, radiance,
+                       radiance_naive, reduced_functions,
                        spectral_energy_density)
 from photongas.cli import main
 from photongas.core import n_hat_series, r_hat_closed, v_hat_series
 from photongas import oracle
 from photongas.core import _occupation
 from photongas.specfun import bessel_k2, zeta_value
+
+import spectral_reference
 
 T_REF = 5800.0
 
@@ -70,17 +71,18 @@ def test_criterion_1_massless_limits():
 def test_criterion_2_oracle_equivalence(monkeypatch):
     ok = True
     for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
-        ok &= abs(n_hat_series(x) / quad_number_density(x) - 1) <= 1e-7
-        ok &= abs(v_hat_series(x) / quad_mean_speed(x) - 1) <= 1e-7
-        ok &= abs(r_hat_closed(x) / quad_radiance(x) - 1) <= 1e-7
-    # self-consistency: the oracle's fixed step against half that step
+        n_hat, _, v_hat, r_hat = oracle._moments(x)
+        ok &= abs(n_hat_series(x) / n_hat - 1) <= 1e-7
+        ok &= abs(v_hat_series(x) / v_hat - 1) <= 1e-7
+        ok &= abs(r_hat_closed(x) / r_hat - 1) <= 1e-7
+    # self-consistency: the oracle's fixed step against half that step, in
+    # n_hat, v_hat and r_hat
     small_x = (0.01, 0.05)
-    quads = (quad_number_density, quad_mean_speed, quad_radiance)
-    at_step = [quad(x) for x in small_x for quad in quads]
+    at_step = [oracle._moments(x)[i] for x in small_x for i in (0, 2, 3)]
     monkeypatch.setattr(oracle, "_H", oracle._H / 2)
     monkeypatch.setattr(oracle, "_NODES",
                         oracle._node_table(oracle._START, 2 * len(oracle._NODES) - 1))
-    at_half_step = [quad(x) for x in small_x for quad in quads]
+    at_half_step = [oracle._moments(x)[i] for x in small_x for i in (0, 2, 3)]
     for coarse, fine in zip(at_step, at_half_step):
         ok &= abs(fine / coarse - 1) <= 1e-8
     report(2, "series vs quadrature <= 1e-7; small-x self-consistency <= 1e-8", ok)
@@ -143,31 +145,31 @@ def test_criterion_7_monotonicity():
 
 
 def test_criterion_8_spectral_consistency():
+    # the trapezoid in t = ln(hbar (w - w0)/kT) of tests/spectral_reference.py
     ok = True
     for x in (0.0, 0.5, 2.0, 10.0):
         params = params_for_x(x)
         threshold = params.mass * SI.c**2 / SI.hbar
-        scale = SI.k_B * T_REF / SI.hbar
-        upper = scale * (0.5 * (3 + math.sqrt(9 + 4 * x * x)) + 60.0)
-        integral, _ = integrate_adaptive(
-            lambda w: spectral_energy_density(w, params), threshold, upper)
-        ok &= abs(integral / energy_density(params) - 1) <= 1e-8
+        integral = spectral_reference.spectral_integral(params)
+        ok &= abs(integral / energy_density(params) - 1) <= (16 + 2 * x) * 2.0**-53
         if x > 0:
             ok &= spectral_energy_density(threshold, params) == 0.0
             ok &= spectral_energy_density(0.5 * threshold, params) == 0.0
-    report(8, "spectral density integrates to U/V within 1e-8; zero at "
-              "threshold", ok)
+    report(8, "spectral density integrates to U/V within (16 + 2x) 2^-53; "
+              "zero at threshold", ok)
     assert ok
 
 
 def test_criterion_9_special_function_spot_checks():
-    def k2_integrand(t: float) -> float:
-        expo = math.cosh(t)
-        return math.exp(-expo) * math.cosh(2 * t) if expo < 800 else 0.0
-
-    # the cut above has zeroed the integrand beyond t = acosh(801)
-    k2_ref = integrate_adaptive(k2_integrand, 0.0, math.acosh(801.0),
-                                1e-13).value
+    # K2(1) = int_0^inf e^-cosh(t) cosh(2t) dt by the trapezoid at h = 1/8,
+    # to where cosh t reaches 800 (60 nodes); it converges geometrically in
+    # 1/h and equals K2(1) = 1.62483889863517748... to the double
+    h = 0.125
+    terms = [0.5 * math.exp(-1.0)]
+    while math.cosh(len(terms) * h) < 800.0:
+        t = len(terms) * h
+        terms.append(math.exp(-math.cosh(t)) * math.cosh(2.0 * t))
+    k2_ref = h * math.fsum(terms)
     # r_hat at x = 3, inside the Chebyshev tables, against its closed form
     # (3/2 pi^2) (Li4 + x Li3 + (x^2/3) Li2) of w = e^-3, each Li_s by
     # brute-force summation of its power series

@@ -5,27 +5,30 @@ import contextlib
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import photongas
 from photongas import (SI, ConvergenceError, DomainError, GasParameters,
                        RadiometryReport, RegimeError, cli, core,
                        energy_density, evaluate, low_temp_mean_speed,
                        low_temp_radiance, mean_speed, number_density, oracle,
-                       photon_speed, quad_energy_density, quad_mean_speed,
-                       quad_number_density, quad_radiance, radiance,
-                       radiance_naive, reduce, reduced_functions,
-                       small_mass_radiance, spectral_energy_density, specfun,
-                       units, zeta_value)
+                       photon_speed, radiance, radiance_naive, reduce,
+                       reduced_functions, small_mass_radiance,
+                       spectral_energy_density, specfun, units, zeta_value)
 from photongas.core import (_series, _si_prefactors, n_hat_series,
                             r_hat_closed, v_hat_series)
-from photongas.oracle import integrate_adaptive
 
 import kernel_reference
+import spectral_reference
 from mpmath_reference import mpmath_kernels
 
 T_REF = 5800.0
@@ -98,7 +101,7 @@ def test_number_density_strong_suppression_at_x_50():
 
 
 def test_number_density_series_matches_quadrature_at_x_1():
-    assert n_hat_series(1.0) == pytest.approx(quad_number_density(1.0), rel=1e-9)
+    assert n_hat_series(1.0) == pytest.approx(oracle._moments(1.0)[0], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +119,7 @@ def test_mean_speed_nonrelativistic_limit():
 
 
 def test_mean_speed_series_matches_quadrature_at_x_1():
-    assert v_hat_series(1.0) == pytest.approx(quad_mean_speed(1.0), rel=1e-9)
+    assert v_hat_series(1.0) == pytest.approx(oracle._moments(1.0)[2], rel=1e-9)
 
 
 def test_mean_speed_is_independent_of_degeneracy():
@@ -220,7 +223,7 @@ def test_energy_per_photon_is_at_least_rest_energy(x):
 
 def test_energy_series_matches_quadrature_at_x_2():
     u_hat = _series(2.0)[1]
-    assert u_hat == pytest.approx(quad_energy_density(2.0), rel=1e-9)
+    assert u_hat == pytest.approx(oracle._moments(2.0)[1], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,7 @@ def test_radiance_massless_is_stefan_boltzmann():
 
 
 def test_radiance_closed_form_matches_quadrature_at_x_1():
-    assert r_hat_closed(1.0) == pytest.approx(quad_radiance(1.0), rel=1e-9)
+    assert r_hat_closed(1.0) == pytest.approx(oracle._moments(1.0)[3], rel=1e-9)
 
 
 def test_radiance_low_temperature_behavior_at_x_50():
@@ -256,7 +259,8 @@ def test_naive_radiance_strictly_exceeds_radiance_for_massive(x):
 
 def test_radiance_ratio_golden_value_at_x_5():
     # both sides independently via the quadrature oracles, plus a frozen value
-    ratio_oracle = quad_radiance(5.0) / (0.25 * quad_energy_density(5.0))
+    _, u_hat, _, r_hat = oracle._moments(5.0)
+    ratio_oracle = r_hat / (0.25 * u_hat)
     assert ratio_oracle == pytest.approx(0.6408997120589307, rel=1e-9)
     params = params_for_x(5.0)
     assert radiance(params) / radiance_naive(params) == pytest.approx(
@@ -374,8 +378,9 @@ def test_method_tags_follow_the_regime_switch():
 
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.4, 0.7, 1.0])
 def test_series_and_quadrature_paths_agree_in_the_overlap(x):
-    assert n_hat_series(x) == pytest.approx(quad_number_density(x), rel=1e-8)
-    assert v_hat_series(x) == pytest.approx(quad_mean_speed(x), rel=1e-8)
+    n_hat, _, v_hat, _ = oracle._moments(x)
+    assert n_hat_series(x) == pytest.approx(n_hat, rel=1e-8)
+    assert v_hat_series(x) == pytest.approx(v_hat, rel=1e-8)
 
 
 def test_mean_speed_strictly_decreasing_on_log_grid():
@@ -392,15 +397,27 @@ def test_radiance_kernel_strictly_decreasing_on_log_grid():
     assert values[0] < math.pi**2 / 60
 
 
+def assert_spectral_identity(states, quantity, speed):
+    # The trapezoid over the spectrum of tests/spectral_reference.py against
+    # the SI quantity, within (16 + 2x) 2^-53 at every state; prints the worst.
+    worst = (0.0, None)
+    for params in states:
+        err = abs(spectral_reference.spectral_integral(params, speed) / quantity(params) - 1)
+        worst = max(worst, (err / spectral_reference.bound(params), params), key=lambda e: e[0])
+    print(f"worst {worst[0]:.3f} of the bound, at {worst[1]}")
+    assert worst[0] <= 1.0, worst
+
+
 def test_spectral_density_integrates_to_energy_density():
-    for x in (0.0, 0.5, 2.0, 10.0):
-        params = params_for_x(x)
-        threshold = params.mass * SI.c**2 / SI.hbar
-        scale = SI.k_B * T_REF / SI.hbar
-        upper = scale * (0.5 * (3 + math.sqrt(9 + 4 * x * x)) + 60.0)
-        value, _ = integrate_adaptive(
-            lambda w: spectral_energy_density(w, params), threshold, upper)
-        assert value == pytest.approx(energy_density(params), rel=1e-8)
+    # U/V = int u_w dw at 396 states: 22 x over [0, 300] with every band and
+    # piece edge and the double below each, 6 temperatures, 3 degeneracies.
+    assert_spectral_identity(spectral_reference.STATES, energy_density, speed=False)
+
+
+def test_speed_weighted_spectrum_integrates_to_radiance():
+    # The paper's step, mode by mode: R = int (1/4) u_w v(w) dw, with v(w)
+    # the speed of one photon of energy hbar w, at the 132 states with g = 2.
+    assert_spectral_identity(spectral_reference.STATES[1::3], radiance, speed=True)
 
 
 @settings(max_examples=20, deadline=None)
@@ -929,3 +946,39 @@ def test_asymptotes_refuse_an_x_that_overflows_as_reduce_does(function):
         reduce(params)
     assert str(excinfo.value) == str(reduced.value) == (
         "reduced state x must be finite and >= 0, got inf")
+
+
+# ---------------------------------------------------------------------------
+# the package root
+# ---------------------------------------------------------------------------
+
+ROOT_NAMES = (
+    "RadiometryReport", "ReducedFunctions", "energy_density", "evaluate",
+    "low_temp_mean_speed", "low_temp_radiance", "mean_speed", "number_density",
+    "photon_speed", "radiance", "radiance_naive", "reduced_functions",
+    "small_mass_radiance", "spectral_energy_density",
+    "ConvergenceError", "DomainError", "MassParseError", "RegimeError", "zeta_value",
+    "SI", "GasParameters", "PhysicalConstants", "ReducedState", "format_mass",
+    "parse_mass", "reduce",
+)
+
+
+def test_public_surface_is_what_a_route_or_a_user_needs():
+    # The root exports exactly these 26 names, and each imports from it.  Of
+    # the names oracle and specfun define, only zeta_value does: the oracle's
+    # views and its quadrature driver and the Bessel views stay in their
+    # modules.  Importing the root, in a fresh interpreter, leaves the
+    # quadrature oracle unloaded.
+    assert sorted(photongas.__all__) == sorted(ROOT_NAMES) and len(set(ROOT_NAMES)) == 26
+    exec(f"from photongas import {', '.join(ROOT_NAMES)}", {})
+    left = [name for module in (oracle, specfun) for name, value in vars(module).items()
+            if getattr(value, "__module__", None) == module.__name__ and name != "zeta_value"]
+    assert sum(name[0] != "_" for name in left) == 9  # the views and the driver
+    for name in left:
+        with pytest.raises(ImportError):
+            exec(f"from photongas import {name}", {})
+    src = str(Path(photongas.__file__).resolve().parent.parent)
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, photongas; print(sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True).stdout
+    assert "'photongas'" in loaded and "'photongas.oracle'" not in loaded

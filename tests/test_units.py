@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from photongas import (SI, DomainError, GasParameters, MassParseError,
                        RadiometryReport, ReducedFunctions, ReducedState,
-                       bessel_k2, energy_bessel_sum, evaluate, format_mass,
-                       k2_weighted_sum, parse_mass, photon_speed, reduce,
+                       evaluate, format_mass, parse_mass, photon_speed, reduce,
                        reduced_functions, spectral_energy_density)
 from photongas.cli import _grid
+from photongas.specfun import bessel_k2, energy_bessel_sum, k2_weighted_sum
 from photongas.units import MASS_UNITS
 
 
