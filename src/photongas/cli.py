@@ -16,7 +16,7 @@ import functools
 import math
 import sys
 
-from . import core, oracle
+from . import core
 from .errors import ConvergenceError, DomainError, MassParseError, RegimeError
 from .units import _DBL_MAX, SI, GasParameters, _checked, _reduced_x, parse_mass
 
@@ -52,12 +52,14 @@ def _grid(minimum: float, maximum: float, points: int, spacing: str) -> list[flo
         raise DomainError(f"sweep needs at least 2 points, got {points}")
     if spacing == "log":
         lo, hi = math.log(minimum), math.log(maximum)
-        values = [math.exp(lo + i * (hi - lo) / (points - 1)) for i in range(points)]
+        inner = [math.exp(lo + i * (hi - lo) / (points - 1)) for i in range(1, points - 1)]
     else:
-        values = [minimum + i * (maximum - minimum) / (points - 1) for i in range(points)]
-    values[0] = minimum
-    values[-1] = maximum
-    return values
+        # span / scale, scale a power of two above points, keeps i * span finite,
+        # and for span > 1 every point rounds as it would unscaled.
+        span = maximum - minimum
+        scale = 2.0 ** points.bit_length() if span > 1.0 else 1.0
+        inner = [minimum + i * (span / scale) / (points - 1) * scale for i in range(1, points - 1)]
+    return [minimum, *inner, maximum]
 
 
 def _fmt(value: float) -> str:
@@ -252,6 +254,7 @@ _KERNEL_NAMES = ("n_hat", "u_hat", "v_hat", "r_hat")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from . import oracle  # only validate needs it: every other command loads less
     worst = dict.fromkeys(_KERNEL_NAMES, (0.0, VALIDATE_GRID[0]))
     lines = ["closed-form vs quadrature validation",
              "x grid: " + " ".join(f"{x:g}" for x in VALIDATE_GRID)]

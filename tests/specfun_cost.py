@@ -1,29 +1,23 @@
-"""Per-call cost of the K pair and of the two kernel routes, as JSON.
+"""Per-call cost of the two kernel routes and of the report, as JSON.
 
-    python tests/specfun_cost.py [--src DIR] [--routes]
+    python tests/specfun_cost.py [--src DIR]
 
-times ``specfun._k01_scaled(z)`` on a fixed z grid in thread CPU time, the
+times, on a fixed x grid, all four kernels by each route: the trapezoid
+pass ``oracle._moments``, and the series route ``core._series`` in each of
+its bands, below x = 2 the one Horner loop over the expansions about x = 0,
+from 2 up to 40 the one Horner loop over the tables of Chebyshev fits in
+ln x, and from 40 on one K pair; and, as ``evaluate_us``, ``core.evaluate``
+on a mass of 1 eV at T = mc^2/(k_B x), the whole SI report.
+``report_overhead_us`` is the cost of ``evaluate`` less that of the band
+loop it calls, ``core._bands``, timed beside it at the x it takes: the cost
+of the report on top of the kernels.  Each time is thread CPU time, the
 fastest of 7 runs, each of as many calls as last at least 2 ms, in
-microseconds, for the photongas
-package under DIR (default: this checkout's src).  Pointing --src at another
-checkout's src, one whose specfun has ``_k01_scaled``, gives its table on the
-same host, so two trees can be compared.  Where the module has the Chebyshev and Hankel tables, it also
-counts the terms each pair takes, a number that does not depend on the host.
---routes adds the same timing, on a fixed x grid, of all four kernels by
-each route: the trapezoid pass ``oracle._moments``, and the series route
-``core._series`` in each of its bands, below x = 2 the one Horner loop
-over the expansions about x = 0, from 2 up to 40 the one Horner loop over
-the tables of Chebyshev fits in ln x, and from 40 on one K pair; of
-``core.reduced_functions`` on
-the default route, which wraps them; and,
-as ``evaluate_us``, of ``core.evaluate`` on a mass of 1 eV at T = mc^2/(k_B x),
-the whole SI report.  ``report_overhead_us`` is the cost of ``evaluate``
-less that of the band loop it calls, ``core._bands``, timed beside it at
-the x it takes: the cost of the report on top of the kernels.  Every case of a table
-is timed in the same rounds, so a slow spell of the host lands on a few
-cells of one round, not on a whole column.
-The routes are timed as this checkout's package calls them, so --routes
-needs a src of the same version.
+microseconds, for the photongas package under DIR (default: this
+checkout's src).  Every case of a table is timed in the same rounds, so a
+slow spell of the host lands on a few cells of one round, not on a whole
+column.  The routes are timed as this checkout's package calls them, so
+pointing --src at another checkout's src, to compare two trees on the same
+host, needs a src of the same version.
 """
 
 from __future__ import annotations
@@ -34,8 +28,6 @@ import sys
 import time
 from pathlib import Path
 
-Z_GRID = (1.0, 1.9, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 20.0, 24.0, 25.0, 30.0,
-          40.0, 60.0, 100.0, 300.0, 1e3, 1e4, 1e6, 1e12, 1e17, 1e100, 1e300)
 X_GRID = (0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0,
           6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 40.0, 100.0, 1e3)
 RUNS, MIN_RUN_NS = 7, 2_000_000
@@ -79,80 +71,34 @@ def cost_us(cases) -> list[float]:
     return [round(min(times), 2) for times in runs]
 
 
-class _Counted:
-    """A table that counts the entries read from it."""
-
-    def __init__(self, table):
-        self.table = table
-        self.reads = 0
-
-    def __iter__(self):
-        for entry in self.table:
-            self.reads += 1
-            yield entry
-
-
-def term_counts(specfun, zs) -> dict[float, int] | None:
-    """Chebyshev or Hankel terms of the pair at each z in zs, or None.
-
-    None where the module has no such tables.  The tables are swapped for
-    counting ones while the pairs are taken, and restored after.
-    """
-    if not hasattr(specfun, "_K01_CHEBYSHEV"):
-        return None
-    tables = {name: _Counted(getattr(specfun, name)) for name in ("_K01_CHEBYSHEV", "_HANKEL")}
-    counts = {}
-    try:
-        for name, table in tables.items():
-            setattr(specfun, name, table)
-        for z in zs:
-            before = sum(t.reads for t in tables.values())
-            specfun._k01_scaled(z)
-            counts[z] = sum(t.reads for t in tables.values()) - before
-    finally:
-        for name, table in tables.items():
-            setattr(specfun, name, table.table)
-    return counts
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--routes", action="store_true")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     from photongas import core, oracle, specfun, units
 
+    mass, si = units.parse_mass("1eV"), units.SI
+    cases = []
+    for x in X_GRID:
+        params = units.GasParameters(mass, mass * si.c**2 / (si.k_B * x))
+        # the band loop at the x that evaluate takes, which may differ from x by an ulp
+        cases += [(oracle._moments, x), (core._series, x), (core.evaluate, params),
+                  (core._bands, units._reduced_x(params))]
+    costs = cost_us(cases)
+    # one column per case of an x: costs[i::4] holds case i at every x
+    trapezoid, series, report, kernels = (
+        dict(zip(map(repr, X_GRID), costs[i::4])) for i in range(4))
+    bands = {"expansions": (0.0, specfun._EXPAND_BELOW),
+             "tables": (specfun._EXPAND_BELOW, specfun._ONE_TERM_FROM),
+             "one_term": (specfun._ONE_TERM_FROM, float("inf"))}
     result = {
-        "k01_scaled_us": dict(zip(map(repr, Z_GRID),
-                                  cost_us([(specfun._k01_scaled, z) for z in Z_GRID]))),
-        "k01_terms": None,
-    }
-    counts = term_counts(specfun, [z for z in Z_GRID if z > 2.0])
-    if counts is not None:
-        result["k01_terms"] = {repr(z): n for z, n in counts.items()}
-    if args.routes:
-        mass, si = units.parse_mass("1eV"), units.SI
-        cases = []
-        for x in X_GRID:
-            params = units.GasParameters(mass, mass * si.c**2 / (si.k_B * x))
-            # the band loop at the x that evaluate takes, which may differ from x by an ulp
-            cases += [(oracle._moments, x), (core._series, x), (core.reduced_functions, x),
-                      (core.evaluate, params), (core._bands, units._reduced_x(params))]
-        costs = cost_us(cases)
-        # one column per case of an x: costs[i::5] holds case i at every x
-        trapezoid, series, default, report, kernels = (
-            dict(zip(map(repr, X_GRID), costs[i::5])) for i in range(5))
-        bands = {"expansions": (0.0, specfun._EXPAND_BELOW),
-                 "tables": (specfun._EXPAND_BELOW, specfun._ONE_TERM_FROM),
-                 "one_term": (specfun._ONE_TERM_FROM, float("inf"))}
-        result["reduced_functions_us"] = {"trapezoid": trapezoid, **{
+        "reduced_functions_us": {"trapezoid": trapezoid, **{
             name: {repr(x): series[repr(x)] for x in X_GRID if low <= x < high}
-            for name, (low, high) in bands.items()}}
-        result["default_route_us"] = default
-        result["evaluate_us"] = report
-        result["report_overhead_us"] = {key: round(report[key] - kernels[key], 2)
-                                        for key in report}
+            for name, (low, high) in bands.items()}},
+        "evaluate_us": report,
+        "report_overhead_us": {key: round(report[key] - kernels[key], 2) for key in report},
+    }
     print(json.dumps(result, indent=1))
 
 

@@ -1,5 +1,7 @@
 """CLI behavior: formats, exit codes, determinism, and file hygiene."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,11 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import photongas
 from photongas import SI, core, oracle, specfun
 from photongas.cli import VALIDATE_GRID, _grid, build_parser, main
 from photongas.errors import DomainError
+from photongas.units import _DBL_MAX
 
 
 def run(capsys, *argv):
@@ -41,6 +46,46 @@ def test_sweep_grid_hits_both_endpoints():
     grid = _grid(0.3, 7.0, 9, "log")
     assert grid[0] == 0.3 and grid[-1] == 7.0
     assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+_POSITIVE_DOUBLES = st.floats(min_value=0.0, max_value=_DBL_MAX, exclude_min=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POSITIVE_DOUBLES, _POSITIVE_DOUBLES, st.integers(2, 200),
+       st.sampled_from(["log", "linear"]))
+@example(1e-300, _DBL_MAX, 7, "log")  # the log grid's last exp overflowed
+@example(1.0, 1.7e308, 4, "linear")  # i * (maximum - minimum) overflowed
+def test_every_grid_in_the_double_range_is_finite_and_runs(a, b, points, spacing):
+    # Any grid between two positive doubles is points finite values with
+    # exact ends, and a figure or an x sweep over it ends in a report or a
+    # named error, never a traceback.  The figure refuses only an x whose
+    # kT/mc^2 = 1/x overflows.
+    assume(a != b)
+    minimum, maximum = min(a, b), max(a, b)
+    grid = _grid(minimum, maximum, points, spacing)
+    assert len(grid) == points and grid[0] == minimum and grid[-1] == maximum
+    assert all(0.0 < value < math.inf for value in grid)
+    flags = ["--x-min", repr(minimum), "--x-max", repr(maximum), "--points", str(points),
+             "--spacing", spacing]
+    for argv in (["figure", "mean-speed", *flags], ["sweep", "--mass", "1eV", *flags]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert len(out.getvalue().splitlines()) == points + 1
+        else:
+            assert code == 2 and err.getvalue().startswith("error: "), err.getvalue()
+            assert argv[0] == "sweep" or 1.0 / minimum == math.inf
+
+
+def test_sweep_over_a_linear_grid_up_to_the_double_range_reports(capsys):
+    # i * (maximum - minimum) overflowed at the inner points, whose T came out 0.
+    code, out, err = run(capsys, "sweep", "--mass", "1eV", "--variable", "x", "--x-min", "1",
+                         "--x-max", "1.7e308", "--points", "4", "--spacing", "linear")
+    assert code == 0, err
+    xs = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+    assert xs == _grid(1.0, 1.7e308, 4, "linear") and all(map(math.isfinite, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +697,22 @@ def test_main_calls_build_parser_once_per_call(monkeypatch):
     for number, argv in enumerate(argvs, 1):
         main(argv)
         assert len(calls) == number
+
+
+def test_only_validate_loads_the_oracle():
+    # Each command in a fresh interpreter: point, sweep and figure leave the
+    # quadrature oracle unloaded, validate loads it.
+    script = ("import sys\nfrom photongas.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "sys.stderr.write(f'{code} {\"photongas.oracle\" in sys.modules}')")
+    env = dict(os.environ, PYTHONPATH=str(Path(photongas.__file__).parent.parent))
+    for argv, loaded in ((["point", "--mass", "1eV", "--temp", "300"], False),
+                         (["sweep", "--mass", "1eV", "--points", "3"], False),
+                         (["figure", "mean-speed", "--points", "3", "--svg", os.devnull], False),
+                         (["validate"], True)):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stderr == f"0 {loaded}", (argv, proc.stderr)
 
 
 # ---------------------------------------------------------------------------
