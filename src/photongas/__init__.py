@@ -1,6 +1,6 @@
 """Thermodynamics and radiometry of a blackbody gas of photons with rest mass.
 
-Closed-form kernels (Bessel-K2 sums and polylogarithms); the independent
+Closed-form kernels (expansions, Chebyshev tables, one Bessel K pair); the independent
 quadrature oracle over the defining Bose-Einstein integrals, which
 ``photongas validate`` holds them to, is :mod:`photongas.oracle`.
 """
@@ -13,8 +13,8 @@ from .core import (RadiometryReport, ReducedFunctions, energy_density,
 from .errors import (ConvergenceError, DomainError, MassParseError,
                      RegimeError)
 from .specfun import zeta_value
-from .units import (SI, GasParameters, PhysicalConstants, ReducedState,
-                    format_mass, parse_mass, reduce)
+from .units import (SI, GasParameters, PhysicalConstants, format_mass,
+                    parse_mass, reduce)
 
 __all__ = [
     "RadiometryReport", "ReducedFunctions", "energy_density", "evaluate",
@@ -23,8 +23,8 @@ __all__ = [
     "reduced_functions", "small_mass_radiance", "spectral_energy_density",
     "ConvergenceError", "DomainError", "MassParseError", "RegimeError",
     "zeta_value",
-    "SI", "GasParameters", "PhysicalConstants", "ReducedState",
-    "format_mass", "parse_mass", "reduce",
+    "SI", "GasParameters", "PhysicalConstants", "format_mass", "parse_mass",
+    "reduce",
 ]
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

@@ -18,7 +18,7 @@ import sys
 
 from . import core
 from .errors import ConvergenceError, DomainError, MassParseError, RegimeError
-from .units import _DBL_MAX, SI, GasParameters, _checked, _reduced_x, parse_mass
+from .units import _DBL_MAX, SI, GasParameters, _checked, parse_mass, reduce
 
 # One row per report quantity, in the order n, u, v, R, R_naive of
 # core._METHOD_KEYS: (column, RadiometryReport attribute, text label, unit).
@@ -33,7 +33,7 @@ _QUANTITIES = (
 SWEEP_COLUMNS = ("index", "T_K", "x", *(row[0] for row in _QUANTITIES), "method_flags")
 POINT_COLUMNS = ("mass_kg",) + SWEEP_COLUMNS[1:]
 FIGURE_COLUMNS = ("x", "kT_over_mc2", "vbar_over_c", "nonrel_approx")
-# The method_flags cell and JSON "methods" of every CLI report: core._report tags it core.SERIES.
+# The method_flags cell and JSON "methods" of every CLI report, whose tag is core.SERIES.
 _FLAGS = ";".join(f"{key}:{core.SERIES}" for key in core._METHOD_KEYS)
 _JSON_METHODS = ",".join(f'"{key}":"{core.SERIES}"' for key in core._METHOD_KEYS)
 
@@ -146,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         params = GasParameters(mass=mass, temperature=temperature, degeneracy=args.g)
         # An x sweep prints and evaluates at its grid x, not at mc^2/kT
         # recomputed from the rounded T.
-        x = value if by_x else _reduced_x(params)
+        x = value if by_x else reduce(params)
         report = core._report(params, x)
         rows.append(",".join([str(index)] + _report_cells(report)))
     _write_output("\n".join(rows) + "\n", args.out)
@@ -357,12 +357,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code in (0, None) else int(code)
     try:
         return args.func(args)
-    except (MassParseError, DomainError, RegimeError) as exc:
+    except (MassParseError, DomainError, RegimeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, ConvergenceError) else 2
 
 
 def main_entry() -> None:

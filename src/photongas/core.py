@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 from . import specfun
 from .errors import DomainError, RegimeError
-from .units import _DBL_MAX, SI, GasParameters, _check_x, _checked, _reduced_x
+from .units import _DBL_MAX, SI, GasParameters, _check_x, _checked
 from .units import reduce  # noqa: F401 -- core.reduce, which perfbench/tracing.py wraps
+from .units import reduce as _reduced_x  # core's own calls, which a tracer of core.reduce skips
 
 SERIES = "series"
 _METHOD_KEYS = ("n", "u", "v", "R", "R_naive")  # RadiometryReport.methods, in order
@@ -46,10 +47,10 @@ _SLACK = 1e-9  # relative slack for invariants that are exact only in real arith
 
 @dataclass(frozen=True)
 class ReducedFunctions:
-    """One evaluation of all four reduced kernels, with their method tag.
+    """One evaluation of all four reduced kernels at x.
 
-    The tag is "series", the closed-form route with the exact massless
-    limits that every public kernel takes, and the only tag it accepts.
+    Its method tag, a class constant, is "series": the closed-form route
+    with the exact massless limits that every public kernel takes.
     evaluate builds none: it checks its kernels with _check_kernels alone.
     """
 
@@ -58,18 +59,17 @@ class ReducedFunctions:
     u_hat: float
     v_hat: float
     r_hat: float
-    method: str
+    method = SERIES
 
     def __post_init__(self):
         _check_kernels(self.n_hat, self.u_hat, self.v_hat, self.r_hat)
-        if self.method != SERIES:
-            raise DomainError(f"method must be 'series', got {self.method!r}")
 
 
 @dataclass(frozen=True)
 class RadiometryReport:
-    """One (m, T) evaluation in SI units, with the method tag of its kernels.
+    """One (m, T) evaluation in SI units; its method tag is "series".
 
+    ``radiance_naive`` = (c/4) U/V is derived from ``energy_density``, and
     ``methods`` repeats the tag per quantity: n, u, v, R and R_naive.
     """
 
@@ -79,19 +79,23 @@ class RadiometryReport:
     energy_density: float       # J/m^3
     mean_speed: float           # m/s
     radiance: float             # W/m^2
-    radiance_naive: float       # W/m^2
-    method: str
+    method = SERIES
+
+    @property
+    def radiance_naive(self) -> float:  # W/m^2
+        return 0.25 * SI.c * self.energy_density
 
     @property
     def methods(self) -> dict[str, str]:
         return dict.fromkeys(_METHOD_KEYS, self.method)
 
     def __post_init__(self):
-        r, r_naive = self.radiance, self.radiance_naive
+        r = self.radiance
         try:  # a field that is no number goes to the loop, which names it
             if (0.0 <= self.number_density <= _DBL_MAX and 0.0 <= self.energy_density <= _DBL_MAX
                     and 0.0 <= self.mean_speed <= SI.c * (1.0 + _SLACK) and 0.0 <= r <= _DBL_MAX
-                    and 0.0 <= r_naive <= _DBL_MAX and r <= r_naive * (1.0 + _SLACK)):
+                    and (r_naive := self.radiance_naive) <= _DBL_MAX
+                    and r <= r_naive * (1.0 + _SLACK)):
                 return
         except TypeError:
             pass
@@ -196,7 +200,7 @@ _MASSLESS = tuple(limit for _, limit in _KERNELS.values())
 
 def reduced_functions(x: float) -> ReducedFunctions:
     """Evaluate all four reduced kernels at x by the series route."""
-    return ReducedFunctions(x, *_series(x), SERIES)
+    return ReducedFunctions(x, *_series(x))
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +332,32 @@ def radiance(params: GasParameters) -> float:
     return _si_value("R", params)
 
 
+def _finite(name: str, value: float, params: GasParameters) -> float:
+    """value where it is a finite double, else a DomainError: name overflows at params."""
+    if -math.inf < value < math.inf:
+        return value
+    raise DomainError(f"{name} overflows a double at m={params.mass!r} kg, "
+                      f"T={params.temperature!r} K, g={params.degeneracy!r}")
+
+
 def radiance_naive(params: GasParameters) -> float:
     """The massless-photon relation R = (c/4) U/V, kept as a comparator.
 
     Correct only at m = 0; for m > 0 it overestimates the radiance because
-    massive photons leave the cavity at v < c.
+    massive photons leave the cavity at v < c.  Refused where it overflows.
     """
-    return 0.25 * SI.c * energy_density(params)
+    return _finite("radiance_naive: (c/4) U/V", 0.25 * SI.c * energy_density(params), params)
 
 
 def small_mass_radiance(params: GasParameters) -> float:
     """Leading small-x radiance: R_SB [1 - (5/2pi^2) x^2].
 
     Applicability (x < 1) is the caller's responsibility; the expression is
-    evaluated as stated either way.
+    evaluated as stated either way, and refused where it overflows.
     """
     x = _reduced_x(params)
-    stefan = _si_prefactors(params, "R")[3] * _R_HAT_MAX
-    return stefan * (1.0 - 2.5 / _PI2 * x * x)
+    value = _si_prefactors(params, "R")[3] * _R_HAT_MAX * (1.0 - 2.5 / _PI2 * x * x)
+    return _finite("small_mass_radiance: R_SB [1 - (5/2pi^2) x^2]", value, params)
 
 
 def low_temp_radiance(params: GasParameters) -> float:
@@ -356,8 +368,11 @@ def low_temp_radiance(params: GasParameters) -> float:
     x = _reduced_x(params)
     # e^-x as two factors h = e^(-x/2), as in _bands: a huge x gives 0, not
     # inf * 0, and where e^-x is subnormal a product that is not keeps its digits.
+    # Where the product overflows before the second h, (h x)^2 <= (2/e)^2 does not.
     h = math.exp(-0.5 * x)
-    return _si_prefactors(params, "R")[3] * h * x * x * h / (2.0 * _PI2)
+    pr = _si_prefactors(params, "R")[3]
+    value = pr * h * x * x * h
+    return (value if value < math.inf else pr * (h * x) * (x * h)) / (2.0 * _PI2)
 
 
 def low_temp_mean_speed(params: GasParameters) -> float:
@@ -395,7 +410,6 @@ def _report(params: GasParameters, x: float, kernels: tuple | None = None) -> Ra
         _si_prefactors(params, "unR")  # raises, naming the first out of range
     report = object.__new__(RadiometryReport)  # one update, not the frozen __init__
     report.__dict__.update(params=params, x=x, number_density=n * pn, energy_density=u * pu,
-                           mean_speed=v * pv, radiance=r * pr,
-                           radiance_naive=0.25 * SI.c * (u * pu), method=SERIES)
+                           mean_speed=v * pv, radiance=r * pr)
     report.__post_init__()  # the checks of the public constructor
     return report

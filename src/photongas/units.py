@@ -71,31 +71,19 @@ class GasParameters:
         _checked(self.degeneracy, "degeneracy must be finite and > 0", positive=True)
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """The single dimensionless control parameter x = mc^2/kT."""
-
-    x: float
-
-    def __post_init__(self):
-        _checked(self.x, "reduced state x must be finite and >= 0")
-
-
 def _check_x(x: float) -> float:
     return _checked(x, "reduced x must be finite and >= 0")
 
 
-def _reduced_x(params: GasParameters) -> float:
-    """x = m c^2 / (k_B T) of params, 0 at m = 0; ReducedState refuses it unless finite."""
+def reduce(params: GasParameters) -> float:
+    """The reduced state x = m c^2 / (k_B T) of params, 0 at m = 0; refused where it overflows."""
     mc2 = params.mass * SI.c * SI.c
     kt = SI.k_B * params.temperature
     x = mc2 / kt if kt else math.inf if mc2 else 0.0
-    return x if x <= _DBL_MAX else ReducedState(x).x  # ReducedState raises
-
-
-def reduce(params: GasParameters) -> ReducedState:
-    """Map (m, T) to the reduced state x = m c^2 / (k_B T)."""
-    return ReducedState(_reduced_x(params))
+    if x <= _DBL_MAX:
+        return x
+    raise DomainError(f"x = mc^2/kT overflows a double at m={params.mass!r} kg, "
+                      f"T={params.temperature!r} K")
 
 
 def parse_mass(text: str) -> float:

@@ -84,7 +84,7 @@ def main() -> None:
         params = units.GasParameters(mass, mass * si.c**2 / (si.k_B * x))
         # the band loop at the x that evaluate takes, which may differ from x by an ulp
         cases += [(oracle._moments, x), (core._series, x), (core.evaluate, params),
-                  (core._bands, units._reduced_x(params))]
+                  (core._bands, units.reduce(params))]
     costs = cost_us(cases)
     # one column per case of an x: costs[i::4] holds case i at every x
     trapezoid, series, report, kernels = (

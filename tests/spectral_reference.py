@@ -49,7 +49,7 @@ def spectral_integral(params: GasParameters, speed: bool = False) -> float:
 
 def bound(params: GasParameters) -> float:
     """(16 + 2x) 2^-53, the relative distance the identities are held to."""
-    return (16.0 + 2.0 * reduce(params).x) * 2.0**-53
+    return (16.0 + 2.0 * reduce(params)) * 2.0**-53
 
 
 def params_at(x: float, temperature: float, degeneracy: float) -> GasParameters:
@@ -68,7 +68,7 @@ def params_at(x: float, temperature: float, degeneracy: float) -> GasParameters:
             masses.append(near)
 
     def distance(m):
-        got = reduce(GasParameters(m, temperature, degeneracy)).x
+        got = reduce(GasParameters(m, temperature, degeneracy))
         return (any((got < edge) != (x < edge) for edge in kernel_reference.EDGES),
                 abs(got - x))
 

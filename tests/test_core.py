@@ -366,14 +366,10 @@ def test_method_tags_follow_the_regime_switch():
         assert reduced_functions(x).method == "series", x
     massless = evaluate(GasParameters(mass=0.0, temperature=300.0))
     assert set(massless.methods.values()) == {"series"}
-    # one tag per evaluation; methods spells it out and cannot be set, and
-    # the tag check refuses any other name
+    # one tag per evaluation; methods spells it out and cannot be set
     assert massless.method == "series"
     with pytest.raises(AttributeError):
         massless.methods = {}
-    for retired in ("bessel", "quadrature"):
-        with pytest.raises(DomainError, match=f"^method must be 'series', got '{retired}'$"):
-            dataclasses.replace(reduced_functions(10.0), method=retired)
 
 
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.4, 0.7, 1.0])
@@ -436,23 +432,45 @@ def test_report_invariants_hold_everywhere(x, temperature, g):
 
 
 QUANTITIES = ("number_density", "energy_density", "mean_speed", "radiance")
+# Each SI function, with the names its refusals may start with: its own, or
+# that of the quantity whose prefactor or regime refuses it.
+SI_FUNCTIONS = (
+    (number_density, ("number_density",)), (energy_density, ("energy_density",)),
+    (mean_speed, ("mean_speed",)), (radiance, ("radiance",)),
+    (radiance_naive, ("radiance_naive", "energy_density")),
+    (small_mass_radiance, ("small_mass_radiance", "radiance")),
+    (low_temp_radiance, ("low_temp_radiance", "radiance")),
+    (low_temp_mean_speed, ("low_temp_mean_speed", "nonrelativistic mean speed")))
 
 
 @settings(max_examples=200, deadline=None)
 @given(log_mass=st.floats(min_value=-300.0, max_value=300.0),
        log_temperature=st.floats(min_value=-300.0, max_value=300.0))
 @example(log_mass=math.log10(2e-32), log_temperature=-300.0)  # x ~ 1.2e308
+@example(log_mass=0.0, log_temperature=-140.0)  # x^2 overflows and R_SB underflows
+@example(log_mass=45.0, log_temperature=-70.0)  # x^2 overflows
+@example(log_mass=-36.0, log_temperature=80.0)  # (c/4) U/V overflows, U does not
+@example(log_mass=39.3168, log_temperature=78.6532)  # x ~ 3: R_SB x^2 e^(-x/2) overflows
 def test_evaluate_over_the_whole_double_range_reports_or_names_the_error(
         log_mass, log_temperature):
     # Every (m, T) a double can hold ends in a report or in one of the two
     # documented errors, never in another exception.  When x = mc^2/kT is a
-    # finite double, a DomainError names the quantity it is about; an x
-    # beyond the double range is refused by reduce.
+    # finite double, a DomainError names the quantity it is about, and each
+    # SI function returns a finite float or refuses by its own name or its
+    # quantity's; an x beyond the double range is refused by reduce.
     params = GasParameters(mass=10.0**log_mass, temperature=10.0**log_temperature)
     try:
         reduce(params)
-    except DomainError:
+    except DomainError as exc:
+        assert str(exc).startswith("x = mc^2/kT overflows a double at m="), exc
         return
+    for function, names in SI_FUNCTIONS:
+        try:
+            value = function(params)
+        except (DomainError, RegimeError) as exc:
+            assert str(exc).startswith(names), (function.__name__, exc)
+        else:
+            assert type(value) is float and math.isfinite(value), (function.__name__, value)
     try:
         report = evaluate(params)
     except DomainError as exc:
@@ -620,14 +638,14 @@ def test_series_below_two_is_one_expansions_call_for_every_keys_string(monkeypat
         wrapper(params)
     # at x = 5e-324 the params' own x is 0, the massless limit, which takes
     # no pass
-    assert calls == ["_expansions"] * (4 if reduce(params).x > 0.0 else 0)
+    assert calls == ["_expansions"] * (4 if reduce(params) > 0.0 else 0)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.01, 0.5, 40.0])
 def test_si_values_are_reduced_kernels_times_one_prefactor(x):
     params = params_for_x(x)
     report = evaluate(params)
-    reduced = reduced_functions(reduce(params).x)
+    reduced = reduced_functions(reduce(params))
     for key, kernel, quantity, wrapper in (
             ("n", "n_hat", "number_density", number_density),
             ("u", "u_hat", "energy_density", energy_density),
@@ -637,6 +655,31 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
         assert getattr(report, quantity) == expected
         assert wrapper(params) == expected
     assert report.radiance_naive == 0.25 * SI.c * report.energy_density
+
+
+def test_result_types_hold_only_what_can_vary():
+    # The method tag and R_naive are no fields: neither constructor takes
+    # them and neither can be set, both types read the tag "series", and
+    # R_naive is (c/4) U/V of the report's own U, bit for bit.  reduce
+    # returns the float x that evaluate reports.
+    assert [field.name for field in dataclasses.fields(RadiometryReport)] == [
+        "params", "x", "number_density", "energy_density", "mean_speed", "radiance"]
+    assert [field.name for field in dataclasses.fields(core.ReducedFunctions)] == [
+        "x", "n_hat", "u_hat", "v_hat", "r_hat"]
+    for x in (0.0, 1e-3, 2.0, 10.0, 40.0, 1e3, 1e17):
+        params = params_for_x(x)
+        report, reduced = evaluate(params), reduced_functions(x)
+        assert type(reduce(params)) is float and reduce(params) == report.x
+        assert report.method == reduced.method == "series"
+        assert report.radiance_naive.hex() == (0.25 * SI.c * report.energy_density).hex()
+        for result in (report, reduced):
+            fields = {field.name: getattr(result, field.name)
+                      for field in dataclasses.fields(result)}
+            for name, value in (("method", "series"), ("radiance_naive", 1.0)):
+                with pytest.raises(TypeError):
+                    type(result)(**fields, **{name: value})
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(result, name, value)
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-3, math.nextafter(2.0, 0.0), 2.0, 10.0, 40.0,
@@ -667,11 +710,12 @@ def test_report_is_the_one_the_public_constructor_builds(x):
     (1e-36, 300.0, 1e300, "number_density: SI prefactor overflows at T=300.0 K, g=1e+300"),
     (1e-36, 1e79, 2.0, "radiance: SI prefactor overflows at T=1e+79 K, g=2.0"),
     (1e-36, 1e300, 5e-324, "energy_density: SI prefactor overflows at T=1e+300 K, g=5e-324"),
-    (1.0, 1e-300, 2.0, "reduced state x must be finite and >= 0, got inf"),
-    (1e-36, 5e-324, 2.0, "reduced state x must be finite and >= 0, got inf")])
+    (1.0, 1e-300, 2.0, "x = mc^2/kT overflows a double at m=1.0 kg, T=1e-300 K"),
+    (1e-36, 5e-324, 2.0, "x = mc^2/kT overflows a double at m=1e-36 kg, T=5e-324 K")])
 def test_evaluate_refuses_with_the_messages_it_always_gave(mass, temperature, g, message):
     # The whole message, for each prefactor that overflows first (at
-    # g = 5e-324, g/2 is 0 and the prefactors are nan) and for an x = inf.
+    # g = 5e-324, g/2 is 0 and the prefactors are nan) and for an x that
+    # overflows, whose message names x, m and T since 0.16.0.
     with pytest.raises(DomainError) as excinfo:
         evaluate(GasParameters(mass=mass, temperature=temperature, degeneracy=g))
     assert str(excinfo.value) == message
@@ -882,11 +926,12 @@ def test_no_public_route_takes_the_trapezoid(monkeypatch, capsys):
     ("mean_speed", 3e8, "mean_speed must not exceed c, got 300000000.0"),
     ("radiance", math.inf, "radiance must be finite and >= 0, got inf"),
     ("radiance", 2.0, "radiance must not exceed the naive c/4 value"),
-    ("radiance_naive", math.nan, "radiance_naive must be finite and >= 0, got nan"),
+    ("energy_density", 1e301, "radiance_naive must be finite and >= 0, got inf"),
 ])
 def test_report_names_the_first_broken_field(field, value, message):
-    fields = dict(params=params_for_x(1.0), x=1.0, number_density=1.0, energy_density=1.0,
-                  mean_speed=1.0, radiance=1.0, radiance_naive=1.0, method="series")
+    # radiance_naive = (c/4) U/V is about 0.75 here: a radiance of 2 exceeds it
+    fields = dict(params=params_for_x(1.0), x=1.0, number_density=1.0, energy_density=1e-8,
+                  mean_speed=1.0, radiance=0.5)
     RadiometryReport(**fields)
     with pytest.raises(DomainError) as excinfo:
         RadiometryReport(**{**fields, field: value})
@@ -900,19 +945,17 @@ def test_a_field_that_is_no_number_is_refused_by_name(value):
     kernels = dict(n_hat=1.0, u_hat=0.5, v_hat=0.9, r_hat=0.1)
     for field in kernels:
         with pytest.raises(DomainError) as excinfo:
-            core.ReducedFunctions(1.0, **{**kernels, field: value}, method="series")
+            core.ReducedFunctions(1.0, **{**kernels, field: value})
         assert str(excinfo.value) == f"{field} must be finite and >= 0, got {value!r}"
-    quantities = dict(number_density=1.0, energy_density=1.0, mean_speed=1.0, radiance=1.0,
-                      radiance_naive=1.0)
+    quantities = dict(number_density=1.0, energy_density=1.0, mean_speed=1.0, radiance=1.0)
     for field in quantities:
         with pytest.raises(DomainError) as excinfo:
-            RadiometryReport(params_for_x(1.0), 1.0, **{**quantities, field: value},
-                             method="series")
+            RadiometryReport(params_for_x(1.0), 1.0, **{**quantities, field: value})
         assert str(excinfo.value) == f"{field} must be finite and >= 0, got {value!r}"
 
 
 def test_evaluate_checks_its_x_only_where_it_reduces_it(monkeypatch, capsys):
-    # _reduced_x refuses an x that is not finite, so evaluate passes its x
+    # reduce refuses an x that is not finite, so evaluate passes its x
     # straight to the band loop; reduced_functions checks its x once, and
     # an x sweep the grid x of each row once.
     calls = []
@@ -945,7 +988,7 @@ def test_asymptotes_refuse_an_x_that_overflows_as_reduce_does(function):
     with pytest.raises(DomainError) as reduced:
         reduce(params)
     assert str(excinfo.value) == str(reduced.value) == (
-        "reduced state x must be finite and >= 0, got inf")
+        "x = mc^2/kT overflows a double at m=1.0 kg, T=1e-300 K")
 
 
 # ---------------------------------------------------------------------------
@@ -958,18 +1001,17 @@ ROOT_NAMES = (
     "photon_speed", "radiance", "radiance_naive", "reduced_functions",
     "small_mass_radiance", "spectral_energy_density",
     "ConvergenceError", "DomainError", "MassParseError", "RegimeError", "zeta_value",
-    "SI", "GasParameters", "PhysicalConstants", "ReducedState", "format_mass",
-    "parse_mass", "reduce",
+    "SI", "GasParameters", "PhysicalConstants", "format_mass", "parse_mass", "reduce",
 )
 
 
 def test_public_surface_is_what_a_route_or_a_user_needs():
-    # The root exports exactly these 26 names, and each imports from it.  Of
+    # The root exports exactly these 25 names, and each imports from it.  Of
     # the names oracle and specfun define, only zeta_value does: the oracle's
     # views and its quadrature driver and the Bessel views stay in their
     # modules.  Importing the root, in a fresh interpreter, leaves the
     # quadrature oracle unloaded.
-    assert sorted(photongas.__all__) == sorted(ROOT_NAMES) and len(set(ROOT_NAMES)) == 26
+    assert sorted(photongas.__all__) == sorted(ROOT_NAMES) and len(set(ROOT_NAMES)) == 25
     exec(f"from photongas import {', '.join(ROOT_NAMES)}", {})
     left = [name for module in (oracle, specfun) for name, value in vars(module).items()
             if getattr(value, "__module__", None) == module.__name__ and name != "zeta_value"]
