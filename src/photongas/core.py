@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import specfun
 from .errors import DomainError, RegimeError
-from .units import _DBL_MAX, SI, GasParameters, _check_x, _checked
+from .units import _DBL_MAX, SI, GasParameters, _check_x, _checked, _Frozen
 from .units import reduce  # noqa: F401 -- core.reduce, which perfbench/tracing.py wraps
 from .units import reduce as _reduced_x  # core's own calls, which a tracer of core.reduce skips
 
@@ -45,8 +44,7 @@ _R_HAT_MAX = specfun._PI_RATIOS[3]  # pi^2/60
 _SLACK = 1e-9  # relative slack for invariants that are exact only in real arithmetic
 
 
-@dataclass(frozen=True)
-class ReducedFunctions:
+class ReducedFunctions(_Frozen):
     """One evaluation of all four reduced kernels at x.
 
     Its method tag, a class constant, is "series": the closed-form route
@@ -54,31 +52,24 @@ class ReducedFunctions:
     evaluate builds none: it checks its kernels with _check_kernels alone.
     """
 
-    x: float
-    n_hat: float
-    u_hat: float
-    v_hat: float
-    r_hat: float
+    _fields = __match_args__ = ("x", "n_hat", "u_hat", "v_hat", "r_hat")
     method = SERIES
 
-    def __post_init__(self):
-        _check_kernels(self.n_hat, self.u_hat, self.v_hat, self.r_hat)
+    def __init__(self, x: float, n_hat: float, u_hat: float, v_hat: float, r_hat: float):
+        self.__dict__.update(x=x, n_hat=n_hat, u_hat=u_hat, v_hat=v_hat, r_hat=r_hat)
+        _check_kernels(n_hat, u_hat, v_hat, r_hat)
 
 
-@dataclass(frozen=True)
-class RadiometryReport:
+class RadiometryReport(_Frozen):
     """One (m, T) evaluation in SI units; its method tag is "series".
 
+    N/V is in m^-3, U/V in J/m^3, vbar in m/s and R in W/m^2.
     ``radiance_naive`` = (c/4) U/V is derived from ``energy_density``, and
     ``methods`` repeats the tag per quantity: n, u, v, R and R_naive.
     """
 
-    params: GasParameters
-    x: float
-    number_density: float       # m^-3
-    energy_density: float       # J/m^3
-    mean_speed: float           # m/s
-    radiance: float             # W/m^2
+    _fields = __match_args__ = ("params", "x", "number_density", "energy_density",
+                                "mean_speed", "radiance")
     method = SERIES
 
     @property
@@ -89,21 +80,24 @@ class RadiometryReport:
     def methods(self) -> dict[str, str]:
         return dict.fromkeys(_METHOD_KEYS, self.method)
 
-    def __post_init__(self):
-        r = self.radiance
+    def __init__(self, params: GasParameters, x: float, number_density: float,
+                 energy_density: float, mean_speed: float, radiance: float):
+        self.__dict__.update(params=params, x=x, number_density=number_density,
+                             energy_density=energy_density, mean_speed=mean_speed,
+                             radiance=radiance)
         try:  # a field that is no number goes to the loop, which names it
-            if (0.0 <= self.number_density <= _DBL_MAX and 0.0 <= self.energy_density <= _DBL_MAX
-                    and 0.0 <= self.mean_speed <= SI.c * (1.0 + _SLACK) and 0.0 <= r <= _DBL_MAX
-                    and (r_naive := self.radiance_naive) <= _DBL_MAX
-                    and r <= r_naive * (1.0 + _SLACK)):
+            if (0.0 <= number_density <= _DBL_MAX and 0.0 <= energy_density <= _DBL_MAX
+                    and 0.0 <= mean_speed <= SI.c * (1.0 + _SLACK)
+                    and 0.0 <= radiance <= _DBL_MAX and (naive := self.radiance_naive) <= _DBL_MAX
+                    and radiance <= naive * (1.0 + _SLACK)):
                 return
         except TypeError:
             pass
         for name in ("number_density", "energy_density", "mean_speed", "radiance", "radiance_naive"):
             _checked(getattr(self, name), f"{name} must be finite and >= 0")
-        if self.mean_speed > SI.c * (1.0 + _SLACK):
-            raise DomainError(f"mean_speed must not exceed c, got {self.mean_speed!r}")
-        if self.radiance > self.radiance_naive * (1.0 + _SLACK):
+        if mean_speed > SI.c * (1.0 + _SLACK):
+            raise DomainError(f"mean_speed must not exceed c, got {mean_speed!r}")
+        if radiance > self.radiance_naive * (1.0 + _SLACK):
             raise DomainError("radiance must not exceed the naive c/4 value")
 
 
@@ -408,8 +402,4 @@ def _report(params: GasParameters, x: float, kernels: tuple | None = None) -> Ra
     pn, pu, pv, pr = _si_prefactors(params)
     if not (pn < math.inf and pr < math.inf):  # pr = pu c is finite only where pu is
         _si_prefactors(params, "unR")  # raises, naming the first out of range
-    report = object.__new__(RadiometryReport)  # one update, not the frozen __init__
-    report.__dict__.update(params=params, x=x, number_density=n * pn, energy_density=u * pu,
-                           mean_speed=v * pv, radiance=r * pr)
-    report.__post_init__()  # the checks of the public constructor
-    return report
+    return RadiometryReport(params, x, n * pn, u * pu, v * pv, r * pr)

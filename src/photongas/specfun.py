@@ -34,7 +34,7 @@ convergence or has a tolerance.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError
 from .units import _DBL_MAX, _checked, _shown
@@ -49,9 +49,7 @@ _K_SERIES_MAX = 2.0
 _K_HANKEL_MIN = 25.0
 
 
-class WeightedSum(NamedTuple):
-    value: float
-    terms: int
+WeightedSum = namedtuple("WeightedSum", "value terms")
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,47 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import DomainError, MassParseError
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class _Frozen:
+    """A value of the fields named in _fields, set once by __init__ into the
+    instance __dict__: shown, compared and hashed as the tuple of them, and
+    refusing assignment and deletion."""
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PhysicalConstants(_Frozen):
     """2019 SI defined values."""
 
-    c: float = 299_792_458.0            # speed of light, m/s
-    hbar: float = 1.054_571_817e-34     # reduced Planck constant, J s
-    k_B: float = 1.380_649e-23          # Boltzmann constant, J/K
-    eV: float = 1.602_176_634e-19       # electron volt, J
+    _fields = __match_args__ = ("c", "hbar", "k_B", "eV")
+
+    def __init__(self, c: float = 299_792_458.0,       # speed of light, m/s
+                 hbar: float = 1.054_571_817e-34,      # reduced Planck constant, J s
+                 k_B: float = 1.380_649e-23,           # Boltzmann constant, J/K
+                 eV: float = 1.602_176_634e-19):       # electron volt, J
+        self.__dict__.update(c=c, hbar=hbar, k_B=k_B, eV=eV)
 
 
 SI = PhysicalConstants()
@@ -53,22 +81,21 @@ def _checked(value, refusal: str, positive: bool = False) -> float:
     raise DomainError(f"{refusal}, got {_shown(value)}")
 
 
-@dataclass(frozen=True)
-class GasParameters:
+class GasParameters(_Frozen):
     """Physical input of one evaluation: photon mass, temperature, degeneracy.
 
     ``degeneracy`` counts thermalized polarization states; the default 2
-    treats the longitudinal state of a massive photon as decoupled.
+    treats the longitudinal state of a massive photon as decoupled.  Each is
+    kept as given, an int too, once checked.
     """
 
-    mass: float
-    temperature: float
-    degeneracy: float = 2.0
+    _fields = __match_args__ = ("mass", "temperature", "degeneracy")
 
-    def __post_init__(self):
-        _checked(self.mass, "mass must be finite and >= 0 kg")
-        _checked(self.temperature, "temperature must be finite and > 0 K", positive=True)
-        _checked(self.degeneracy, "degeneracy must be finite and > 0", positive=True)
+    def __init__(self, mass: float, temperature: float, degeneracy: float = 2.0):
+        self.__dict__.update(mass=mass, temperature=temperature, degeneracy=degeneracy)
+        _checked(mass, "mass must be finite and >= 0 kg")
+        _checked(temperature, "temperature must be finite and > 0 K", positive=True)
+        _checked(degeneracy, "degeneracy must be finite and > 0", positive=True)
 
 
 def _check_x(x: float) -> float:

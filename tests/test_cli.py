@@ -700,19 +700,22 @@ def test_main_calls_build_parser_once_per_call(monkeypatch):
 
 
 def test_only_validate_loads_the_oracle():
-    # Each command in a fresh interpreter: point, sweep and figure leave the
-    # quadrature oracle unloaded, validate loads it.
+    # Each command in a fresh interpreter, started with -S so that no site
+    # hook preloads a module: point, sweep and figure leave the quadrature
+    # oracle and typing unloaded, validate loads both, and no command loads
+    # dataclasses or inspect.
     script = ("import sys\nfrom photongas.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "sys.stderr.write(f'{code} {\"photongas.oracle\" in sys.modules}')")
+              "names = ('photongas.oracle', 'typing', 'dataclasses', 'inspect')\n"
+              "sys.stderr.write(f'{code} {[name in sys.modules for name in names]}')")
     env = dict(os.environ, PYTHONPATH=str(Path(photongas.__file__).parent.parent))
     for argv, loaded in ((["point", "--mass", "1eV", "--temp", "300"], False),
                          (["sweep", "--mass", "1eV", "--points", "3"], False),
                          (["figure", "mean-speed", "--points", "3", "--svg", os.devnull], False),
                          (["validate"], True)):
-        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert proc.stderr == f"0 {loaded}", (argv, proc.stderr)
+        assert proc.stderr == f"0 {[loaded, loaded, False, False]}", (argv, proc.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 massless limits, asymptotic regimes, and report invariants."""
 
 import contextlib
-import dataclasses
+import copy
 import gc
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -422,7 +423,7 @@ def test_speed_weighted_spectrum_integrates_to_radiance():
        g=st.floats(min_value=0.5, max_value=3.0))
 def test_report_invariants_hold_everywhere(x, temperature, g):
     params = params_for_x(x, temperature=temperature, g=g)
-    report = evaluate(params)  # the dataclass validates its own invariants
+    report = evaluate(params)  # the report's constructor checks its own invariants
     assert report.mean_speed <= SI.c
     assert report.radiance <= report.radiance_naive * (1 + 1e-9)
     assert set(report.methods.values()) == {"series"}
@@ -662,10 +663,9 @@ def test_result_types_hold_only_what_can_vary():
     # them and neither can be set, both types read the tag "series", and
     # R_naive is (c/4) U/V of the report's own U, bit for bit.  reduce
     # returns the float x that evaluate reports.
-    assert [field.name for field in dataclasses.fields(RadiometryReport)] == [
-        "params", "x", "number_density", "energy_density", "mean_speed", "radiance"]
-    assert [field.name for field in dataclasses.fields(core.ReducedFunctions)] == [
-        "x", "n_hat", "u_hat", "v_hat", "r_hat"]
+    assert RadiometryReport._fields == (
+        "params", "x", "number_density", "energy_density", "mean_speed", "radiance")
+    assert core.ReducedFunctions._fields == ("x", "n_hat", "u_hat", "v_hat", "r_hat")
     for x in (0.0, 1e-3, 2.0, 10.0, 40.0, 1e3, 1e17):
         params = params_for_x(x)
         report, reduced = evaluate(params), reduced_functions(x)
@@ -673,35 +673,39 @@ def test_result_types_hold_only_what_can_vary():
         assert report.method == reduced.method == "series"
         assert report.radiance_naive.hex() == (0.25 * SI.c * report.energy_density).hex()
         for result in (report, reduced):
-            fields = {field.name: getattr(result, field.name)
-                      for field in dataclasses.fields(result)}
+            fields = {name: getattr(result, name) for name in type(result)._fields}
             for name, value in (("method", "series"), ("radiance_naive", 1.0)):
                 with pytest.raises(TypeError):
                     type(result)(**fields, **{name: value})
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                     setattr(result, name, value)
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-3, math.nextafter(2.0, 0.0), 2.0, 10.0, 40.0,
                                1e3, 1e17])
 def test_report_is_the_one_the_public_constructor_builds(x):
-    # _report sets the fields of a new report in one step and runs the same
-    # __post_init__: at an x in every band, for evaluate and for the report
-    # an x sweep builds at its grid x, the result is the report that
-    # RadiometryReport(**fields) builds, and it stays frozen.
+    # _report builds its report with the public constructor: at an x in
+    # every band, for evaluate and for the report an x sweep builds at its
+    # grid x, the result is the report that RadiometryReport(**fields)
+    # builds, its __dict__ holds the fields in order, and it stays frozen.
+    # It is no tuple of its fields, and a pickle or copy of it keeps ==,
+    # hash and repr.
     params = params_for_x(x)
     for report in (evaluate(params), core._report(params, x)):
-        fields = {field.name: getattr(report, field.name)
-                  for field in dataclasses.fields(RadiometryReport)}
+        fields = {name: getattr(report, name) for name in RadiometryReport._fields}
         public = RadiometryReport(**fields)
         assert type(report) is RadiometryReport
         assert report == public and hash(report) == hash(public)
         assert repr(report) == repr(public)
-        assert dataclasses.astuple(report) == dataclasses.astuple(public)
-        assert vars(report) == vars(public)
+        assert list(vars(report).items()) == list(vars(public).items()) == list(fields.items())
+        assert report != tuple(fields.values())
         for name in fields:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
                 setattr(report, name, 0.0)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(report, name)
+        for twin in (pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)):
+            assert twin == report and hash(twin) == hash(report) and repr(twin) == repr(report)
         assert report == public
 
 

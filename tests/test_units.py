@@ -1,6 +1,8 @@
 """Constants, parameter validation, mass parsing, and the reduced state."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,43 @@ def test_constants_are_the_si_defined_values():
     assert SI.k_B == 1.380_649e-23
     assert SI.eV == 1.602_176_634e-19
     assert SI.hbar == 1.054_571_817e-34
+
+
+# The four value types, with the repr each has always had; ints are kept as given.
+_VALUES = [
+    (SI, "PhysicalConstants(c=299792458.0, hbar=1.054571817e-34, k_B=1.380649e-23, "
+         "eV=1.602176634e-19)"),
+    (GasParameters(1e-36, 300.0), "GasParameters(mass=1e-36, temperature=300.0, degeneracy=2.0)"),
+    (GasParameters(1, 300), "GasParameters(mass=1, temperature=300, degeneracy=2.0)"),
+    (reduced_functions(0.0), "ReducedFunctions(x=0.0, n_hat=0.24358765646714617, "
+     "u_hat=0.6579736267392906, v_hat=1.0, r_hat=0.16449340668482265)"),
+    (evaluate(GasParameters(1e-36, 300.0)),
+     "RadiometryReport(params=GasParameters(mass=1e-36, temperature=300.0, degeneracy=2.0), "
+     "x=21.698857535763196, number_density=11839207.403677646, "
+     "energy_density=1.1416583035267203e-12, mean_speed=98732754.46097997, "
+     "radiance=2.873838920544836e-05)"),
+]
+
+
+@pytest.mark.parametrize("value, text", _VALUES,
+                         ids=["SI", "params", "int_params", "reduced", "report"])
+def test_value_types_keep_their_repr_equality_and_copies(value, text):
+    # Each is shown as its type and fields in order, matched by position in
+    # that order, equals only a value of its own type with equal fields,
+    # with an equal hash, and refuses assignment and deletion naming the
+    # field.  A pickle, copy or deep copy is equal, with the same hash and repr.
+    assert repr(value) == text
+    fields = vars(value)
+    assert type(value).__match_args__ == tuple(fields)
+    assert type(value)(**fields) == value and hash(type(value)(**fields)) == hash(value)
+    assert value != tuple(fields.values())
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 1.0)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == text
 
 
 def test_gas_parameters_validation():
