@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import sys
 
 from . import core
@@ -36,6 +37,9 @@ FIGURE_COLUMNS = ("x", "kT_over_mc2", "vbar_over_c", "nonrel_approx")
 # The method_flags cell and JSON "methods" of every CLI report, whose tag is core.SERIES.
 _FLAGS = ";".join(f"{key}:{core.SERIES}" for key in core._METHOD_KEYS)
 _JSON_METHODS = ",".join(f'"{key}":"{core.SERIES}"' for key in core._METHOD_KEYS)
+# A sweep or point row: its index or mass, the seven _CELLS and the flags, in one %.
+_CELLS = operator.attrgetter("params.temperature", "x", *(row[1] for row in _QUANTITIES))
+_SWEEP_ROW, _POINT_ROW = "%d," + "%.16e," * 7 + _FLAGS, "%.16e," * 8 + _FLAGS
 
 VALIDATE_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 VALIDATE_LIMIT = 1e-7
@@ -64,11 +68,6 @@ def _grid(minimum: float, maximum: float, points: int, spacing: str) -> list[flo
 
 def _fmt(value: float) -> str:
     return f"{value:.16e}"
-
-
-def _report_cells(report: core.RadiometryReport) -> list[str]:
-    return ([_fmt(report.params.temperature), _fmt(report.x)]
-            + [_fmt(getattr(report, attr)) for _, attr, _, _ in _QUANTITIES] + [_FLAGS])
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -118,8 +117,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     elif args.format == "json":
         text = _render_point_json(report)
     else:
-        cells = [_fmt(params.mass)] + _report_cells(report)
-        text = ",".join(POINT_COLUMNS) + "\n" + ",".join(cells) + "\n"
+        text = ",".join(POINT_COLUMNS) + "\n" + _POINT_ROW % (params.mass, *_CELLS(report)) + "\n"
     _write_output(text, args.out)
     return 0
 
@@ -148,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # recomputed from the rounded T.
         x = value if by_x else reduce(params)
         report = core._report(params, x)
-        rows.append(",".join([str(index)] + _report_cells(report)))
+        rows.append(_SWEEP_ROW % (index, *_CELLS(report)))
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -171,10 +169,11 @@ def _figure_rows(grid: list[float]) -> list[tuple[float, float, float, float | N
 
 
 def _figure_csv(rows) -> str:
+    # one format string per row shape: with the asymptote cell, or with it empty
     lines = [",".join(FIGURE_COLUMNS)]
-    for x, kt_ratio, v_hat, approx in rows:
-        cell = "" if approx is None else _fmt(approx)
-        lines.append(f"{_fmt(x)},{_fmt(kt_ratio)},{_fmt(v_hat)},{cell}")
+    for row in rows:
+        lines.append("%.16e,%.16e,%.16e,%.16e" % row if row[3] is not None
+                     else "%.16e,%.16e,%.16e," % row[:3])
     return "\n".join(lines) + "\n"
 
 
@@ -188,15 +187,17 @@ def _figure_svg(rows) -> str:
     hi = math.log10(max(ratios))
     if hi == lo:  # adjacent ratios whose logs round together: one decade
         lo, hi = lo - 0.5, hi + 0.5
+    span, plot_width = hi - lo, width - left - right
+    base, plot_height = height - bottom, height - top - bottom
 
     def px(ratio: float) -> float:
-        return left + (math.log10(ratio) - lo) / (hi - lo) * (width - left - right)
+        return left + (math.log10(ratio) - lo) / span * plot_width
 
     def py(v: float) -> float:
-        return height - bottom - v / 1.05 * (height - top - bottom)
+        return base - v / 1.05 * plot_height
 
     def polyline(points, style) -> str:
-        coords = " ".join(f"{px(r):.2f},{py(v):.2f}" for r, v in points)
+        coords = " ".join(["%.2f,%.2f" % (px(r), py(v)) for r, v in points])
         return f'<polyline fill="none" {style} points="{coords}"/>'
 
     curve = sorted(((r[1], r[2]) for r in rows))
@@ -204,15 +205,15 @@ def _figure_svg(rows) -> str:
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
-        f'<rect x="{left}" y="{top}" width="{width - left - right}" '
-        f'height="{height - top - bottom}" fill="none" stroke="#444"/>',
+        f'<rect x="{left}" y="{top}" width="{plot_width}" '
+        f'height="{plot_height}" fill="none" stroke="#444"/>',
     ]
     decade = math.ceil(lo)
     while decade <= hi:
         x_px = px(10.0**decade)
         parts.append(f'<line x1="{x_px:.2f}" y1="{top}" x2="{x_px:.2f}" '
-                     f'y2="{height - bottom}" stroke="#ddd"/>')
-        parts.append(f'<text x="{x_px:.2f}" y="{height - bottom + 20}" '
+                     f'y2="{base}" stroke="#ddd"/>')
+        parts.append(f'<text x="{x_px:.2f}" y="{base + 20}" '
                      f'text-anchor="middle" font-size="14">1e{decade}</text>')
         decade += 1
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):

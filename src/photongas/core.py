@@ -42,6 +42,7 @@ _PI2 = math.pi**2
 _R_SCALE = 1.5 / _PI2  # r_hat = (3/2 pi^2) Q
 _R_HAT_MAX = specfun._PI_RATIOS[3]  # pi^2/60
 _SLACK = 1e-9  # relative slack for invariants that are exact only in real arithmetic
+_C = SI.c  # read once, for the report's checks
 
 
 class ReducedFunctions(_Frozen):
@@ -64,17 +65,14 @@ class RadiometryReport(_Frozen):
     """One (m, T) evaluation in SI units; its method tag is "series".
 
     N/V is in m^-3, U/V in J/m^3, vbar in m/s and R in W/m^2.
-    ``radiance_naive`` = (c/4) U/V is derived from ``energy_density``, and
-    ``methods`` repeats the tag per quantity: n, u, v, R and R_naive.
+    ``radiance_naive`` = (c/4) U/V is formed from ``energy_density`` once, in
+    __init__; ``methods`` repeats the tag per quantity: n, u, v, R and R_naive.
     """
 
     _fields = __match_args__ = ("params", "x", "number_density", "energy_density",
                                 "mean_speed", "radiance")
+    __slots__ = ("radiance_naive",)  # W/m^2; a slot, so vars() holds the fields alone
     method = SERIES
-
-    @property
-    def radiance_naive(self) -> float:  # W/m^2
-        return 0.25 * SI.c * self.energy_density
 
     @property
     def methods(self) -> dict[str, str]:
@@ -87,18 +85,26 @@ class RadiometryReport(_Frozen):
                              radiance=radiance)
         try:  # a field that is no number goes to the loop, which names it
             if (0.0 <= number_density <= _DBL_MAX and 0.0 <= energy_density <= _DBL_MAX
-                    and 0.0 <= mean_speed <= SI.c * (1.0 + _SLACK)
-                    and 0.0 <= radiance <= _DBL_MAX and (naive := self.radiance_naive) <= _DBL_MAX
+                    and 0.0 <= mean_speed <= _C * (1.0 + _SLACK) and 0.0 <= radiance <= _DBL_MAX
+                    and (naive := 0.25 * _C * energy_density) <= _DBL_MAX
                     and radiance <= naive * (1.0 + _SLACK)):
+                _set_naive(self, naive)
                 return
         except TypeError:
             pass
-        for name in ("number_density", "energy_density", "mean_speed", "radiance", "radiance_naive"):
+        for name in ("number_density", "energy_density", "mean_speed", "radiance"):
             _checked(getattr(self, name), f"{name} must be finite and >= 0")
-        if mean_speed > SI.c * (1.0 + _SLACK):
+        naive = _checked(0.25 * _C * energy_density, "radiance_naive must be finite and >= 0")
+        if mean_speed > _C * (1.0 + _SLACK):
             raise DomainError(f"mean_speed must not exceed c, got {mean_speed!r}")
-        if radiance > self.radiance_naive * (1.0 + _SLACK):
+        if radiance > naive * (1.0 + _SLACK):
             raise DomainError("radiance must not exceed the naive c/4 value")
+
+    def __reduce__(self):  # rebuilt by the constructor, which forms the slot again
+        return type(self), self._astuple()
+
+
+_set_naive = RadiometryReport.radiance_naive.__set__  # the slot's setter; __setattr__ refuses
 
 
 def _check_kernels(n: float, u: float, v: float, r: float) -> None:

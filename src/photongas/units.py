@@ -93,9 +93,12 @@ class GasParameters(_Frozen):
 
     def __init__(self, mass: float, temperature: float, degeneracy: float = 2.0):
         self.__dict__.update(mass=mass, temperature=temperature, degeneracy=degeneracy)
-        _checked(mass, "mass must be finite and >= 0 kg")
-        _checked(temperature, "temperature must be finite and > 0 K", positive=True)
-        _checked(degeneracy, "degeneracy must be finite and > 0", positive=True)
+        if not (isinstance(mass, _NUMBERS) and 0.0 <= mass <= _DBL_MAX  # _checked's tests, chained
+                and isinstance(temperature, _NUMBERS) and 0.0 < temperature <= _DBL_MAX
+                and isinstance(degeneracy, _NUMBERS) and 0.0 < degeneracy <= _DBL_MAX):
+            _checked(mass, "mass must be finite and >= 0 kg")  # only a refusal gets here, named
+            _checked(temperature, "temperature must be finite and > 0 K", positive=True)
+            _checked(degeneracy, "degeneracy must be finite and > 0", positive=True)
 
 
 def _check_x(x: float) -> float:

@@ -10,7 +10,9 @@ ln x, and from 40 on one K pair; and, as ``evaluate_us``, ``core.evaluate``
 on a mass of 1 eV at T = mc^2/(k_B x), the whole SI report.
 ``report_overhead_us`` is the cost of ``evaluate`` less that of the band
 loop it calls, ``core._bands``, timed beside it at the x it takes: the cost
-of the report on top of the kernels.  Each time is thread CPU time, the
+of the report on top of the kernels.  ``params_us`` is the checked
+constructor ``GasParameters(mass, T)`` that an evaluation takes its input
+from, which neither of those includes.  Each time is thread CPU time, the
 fastest of 7 runs, each of as many calls as last at least 2 ms, in
 microseconds, for the photongas package under DIR (default: this
 checkout's src).  Every case of a table is timed in the same rounds, so a
@@ -23,6 +25,7 @@ host, needs a src of the same version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -79,16 +82,18 @@ def main() -> None:
     from photongas import core, oracle, specfun, units
 
     mass, si = units.parse_mass("1eV"), units.SI
+    constructor = functools.partial(units.GasParameters, mass)
     cases = []
     for x in X_GRID:
-        params = units.GasParameters(mass, mass * si.c**2 / (si.k_B * x))
+        temperature = mass * si.c**2 / (si.k_B * x)
+        params = units.GasParameters(mass, temperature)
         # the band loop at the x that evaluate takes, which may differ from x by an ulp
         cases += [(oracle._moments, x), (core._series, x), (core.evaluate, params),
-                  (core._bands, units.reduce(params))]
+                  (core._bands, units.reduce(params)), (constructor, temperature)]
     costs = cost_us(cases)
-    # one column per case of an x: costs[i::4] holds case i at every x
-    trapezoid, series, report, kernels = (
-        dict(zip(map(repr, X_GRID), costs[i::4])) for i in range(4))
+    # one column per case of an x: costs[i::5] holds case i at every x
+    trapezoid, series, report, kernels, constructed = (
+        dict(zip(map(repr, X_GRID), costs[i::5])) for i in range(5))
     bands = {"expansions": (0.0, specfun._EXPAND_BELOW),
              "tables": (specfun._EXPAND_BELOW, specfun._ONE_TERM_FROM),
              "one_term": (specfun._ONE_TERM_FROM, float("inf"))}
@@ -98,6 +103,7 @@ def main() -> None:
             for name, (low, high) in bands.items()}},
         "evaluate_us": report,
         "report_overhead_us": {key: round(report[key] - kernels[key], 2) for key in report},
+        "params_us": constructed,
     }
     print(json.dumps(result, indent=1))
 

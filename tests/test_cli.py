@@ -15,10 +15,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import photongas
-from photongas import SI, core, oracle, specfun
+from photongas import SI, GasParameters, core, oracle, parse_mass, specfun
 from photongas.cli import VALIDATE_GRID, _grid, build_parser, main
 from photongas.errors import DomainError
 from photongas.units import _DBL_MAX
+from specfun_cost import X_GRID
 
 
 def run(capsys, *argv):
@@ -165,6 +166,39 @@ def test_point_formats_print_the_same_cells(capsys, mass, method):
     for column, cell in tokens.items():
         assert text[column] == cell
         assert csv.get(column, cell) == cell  # csv has no degeneracy column
+
+
+# Every x of the cost script's grid, and each band edge with the double below it.
+_ROW_XS = sorted({*X_GRID, *(y for edge in (2.0, 4.0, 8.0, 16.0, 40.0)
+                             for y in (edge, math.nextafter(edge, 0.0)))})
+
+
+@pytest.mark.parametrize("g", ["1", "2", "3"])
+def test_point_and_sweep_rows_are_their_cells_formatted_one_by_one(capsys, g):
+    # Each row comes from one % over a format string built once; it is the
+    # index or mass, then T, x and the five quantities, each f"{v:.16e}",
+    # then the flags, joined by commas.  The sweep rows are those of a
+    # two-point x sweep from each x to 2x.
+    mass, flags = parse_mass("1eV"), ";".join(f"{key}:series" for key in METHOD_KEYS)
+
+    def row(first: str, report) -> str:
+        values = (report.params.temperature, report.x, report.number_density,
+                  report.energy_density, report.mean_speed, report.radiance,
+                  report.radiance_naive)
+        return ",".join([first, *(f"{v:.16e}" for v in values), flags])
+
+    for x in _ROW_XS:
+        temperature = mass * SI.c * SI.c / (SI.k_B * x)
+        code, out, _ = run(capsys, "point", "--mass", "1eV", "--temp", repr(temperature),
+                           "--g", g, "--format", "csv")
+        report = core.evaluate(GasParameters(mass, temperature, float(g)))
+        assert code == 0 and out.splitlines()[1:] == [row(f"{mass:.16e}", report)]
+        code, out, _ = run(capsys, "sweep", "--mass", "1eV", "--variable", "x", "--x-min",
+                           repr(x), "--x-max", repr(2 * x), "--points", "2", "--g", g)
+        reports = [core._report(GasParameters(mass, mass * SI.c * SI.c / (SI.k_B * value),
+                                              float(g)), value) for value in (x, 2 * x)]
+        assert code == 0 and out.splitlines()[1:] == [
+            row(str(index), report) for index, report in enumerate(reports)]
 
 
 def test_point_unknown_unit_is_usage_error(capsys):

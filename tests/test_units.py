@@ -1,8 +1,11 @@
 """Constants, parameter validation, mass parsing, and the reduced state."""
 
 import copy
+import itertools
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -14,7 +17,7 @@ from photongas import (SI, DomainError, GasParameters, MassParseError,
                        spectral_energy_density)
 from photongas.cli import _grid
 from photongas.specfun import bessel_k2, energy_bessel_sum, k2_weighted_sum
-from photongas.units import MASS_UNITS
+from photongas.units import _DBL_MAX, MASS_UNITS, _checked
 
 
 def test_constants_are_the_si_defined_values():
@@ -71,6 +74,32 @@ def test_gas_parameters_validation():
         GasParameters(mass=1e-40, temperature=300.0, degeneracy=0.0)
     with pytest.raises(DomainError):
         GasParameters(mass=math.inf, temperature=300.0)
+
+
+# Odd inputs for each field: bools, ints in and past the double range, signed
+# zeros, the smallest subnormal and the largest double, nan, infinities, a
+# negative, and values of no accepted type.
+_ODD = [True, False, 0, 1, 300, 2**1024, 10**400, -0.0, 0.0, 5e-324, 2.0, _DBL_MAX, math.nan,
+        math.inf, -math.inf, -1, "1", None, Decimal("1"), Fraction(1, 3), 1j]
+
+
+def test_gas_parameters_accept_and_refuse_what_the_three_checks_do():
+    # GasParameters tests its fields in one chain and hands a refused one to
+    # units._checked.  At every triple of odd inputs it accepts what the three
+    # _checked calls, in field order, accept, storing each field as given,
+    # and otherwise raises the first of their refusals, word for word.
+    for mass, temperature, degeneracy in itertools.product(_ODD, repeat=3):
+        try:
+            _checked(mass, "mass must be finite and >= 0 kg")
+            _checked(temperature, "temperature must be finite and > 0 K", positive=True)
+            _checked(degeneracy, "degeneracy must be finite and > 0", positive=True)
+        except DomainError as refusal:
+            with pytest.raises(DomainError) as info:
+                GasParameters(mass, temperature, degeneracy)
+            assert str(info.value) == str(refusal)
+        else:
+            fields = vars(GasParameters(mass, temperature, degeneracy)).values()
+            assert all(got is given for got, given in zip(fields, (mass, temperature, degeneracy)))
 
 
 @pytest.mark.parametrize("field, message", [
