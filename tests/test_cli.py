@@ -19,6 +19,7 @@ from photongas import SI, GasParameters, core, oracle, parse_mass, specfun
 from photongas.cli import VALIDATE_GRID, _grid, build_parser, main
 from photongas.errors import DomainError
 from photongas.units import _DBL_MAX
+import golden_cells
 from specfun_cost import X_GRID
 
 
@@ -199,6 +200,12 @@ def test_point_and_sweep_rows_are_their_cells_formatted_one_by_one(capsys, g):
                                               float(g)), value) for value in (x, 2 * x)]
         assert code == 0 and out.splitlines()[1:] == [
             row(str(index), report) for index, report in enumerate(reports)]
+
+
+def test_every_state_of_the_ledger_prints_its_committed_cells():
+    # tests/golden_cells.csv: the point csv cells, or the exit code and
+    # message, at every state of the grid that tests/golden_cells.py builds
+    assert golden_cells.diff(golden_cells.read()) == []
 
 
 def test_point_unknown_unit_is_usage_error(capsys):
