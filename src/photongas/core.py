@@ -31,7 +31,7 @@ import sys
 
 from . import specfun
 from .errors import DomainError, RegimeError
-from .units import _DBL_MAX, SI, GasParameters, _check_x, _checked, _Frozen
+from .units import _C, _DBL_MAX, _HBAR_C, _K_B, SI, GasParameters, _check_x, _checked, _Frozen
 from .units import reduce  # noqa: F401 -- core.reduce, which perfbench/tracing.py wraps
 from .units import reduce as _reduced_x  # core's own calls, which a tracer of core.reduce skips
 
@@ -42,7 +42,6 @@ _PI2 = math.pi**2
 _R_SCALE = 1.5 / _PI2  # r_hat = (3/2 pi^2) Q
 _R_HAT_MAX = specfun._PI_RATIOS[3]  # pi^2/60
 _SLACK = 1e-9  # relative slack for invariants that are exact only in real arithmetic
-_C = SI.c  # read once, for the report's checks
 
 
 class ReducedFunctions(_Frozen):
@@ -57,7 +56,12 @@ class ReducedFunctions(_Frozen):
     method = SERIES
 
     def __init__(self, x: float, n_hat: float, u_hat: float, v_hat: float, r_hat: float):
-        self.__dict__.update(x=x, n_hat=n_hat, u_hat=u_hat, v_hat=v_hat, r_hat=r_hat)
+        fields = self.__dict__
+        fields["x"] = x
+        fields["n_hat"] = n_hat
+        fields["u_hat"] = u_hat
+        fields["v_hat"] = v_hat
+        fields["r_hat"] = r_hat
         _check_kernels(n_hat, u_hat, v_hat, r_hat)
 
 
@@ -80,9 +84,13 @@ class RadiometryReport(_Frozen):
 
     def __init__(self, params: GasParameters, x: float, number_density: float,
                  energy_density: float, mean_speed: float, radiance: float):
-        self.__dict__.update(params=params, x=x, number_density=number_density,
-                             energy_density=energy_density, mean_speed=mean_speed,
-                             radiance=radiance)
+        fields = self.__dict__
+        fields["params"] = params
+        fields["x"] = x
+        fields["number_density"] = number_density
+        fields["energy_density"] = energy_density
+        fields["mean_speed"] = mean_speed
+        fields["radiance"] = radiance
         try:  # a field that is no number goes to the loop, which names it
             if (0.0 <= number_density <= _DBL_MAX and 0.0 <= energy_density <= _DBL_MAX
                     and 0.0 <= mean_speed <= _C * (1.0 + _SLACK) and 0.0 <= radiance <= _DBL_MAX
@@ -216,14 +224,14 @@ def _si_prefactors(params: GasParameters, keys: str = "") -> tuple[float, float,
     above 1.3e100 K) raises DomainError naming its quantity.  Those not
     named may be inf, or nan where g/2 is 0.
     """
-    kt = SI.k_B * params.temperature
+    kt = _K_B * params.temperature
     half_g = 0.5 * params.degeneracy
     try:
-        cube = (kt / (SI.hbar * SI.c)) ** 3
+        cube = (kt / _HBAR_C) ** 3
     except OverflowError:
         cube = math.inf
     u = half_g * kt * cube
-    prefactors = half_g * cube, u, SI.c, u * SI.c
+    prefactors = half_g * cube, u, _C, u * _C
     for key in keys:
         if not prefactors["nuvR".index(key)] < math.inf:
             raise DomainError(f"{_KERNELS[key][0]}: SI prefactor overflows at "

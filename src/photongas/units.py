@@ -9,9 +9,11 @@ from .errors import DomainError, MassParseError
 
 
 class _Frozen:
-    """A value of the fields named in _fields, set once by __init__ into the
-    instance __dict__: shown, compared and hashed as the tuple of them, and
-    refusing assignment and deletion."""
+    """A value of the fields named in _fields: shown, compared and hashed as
+    the tuple of them, and refusing assignment and deletion.  Each __init__
+    stores its fields directly, in _fields order: fields = self.__dict__ once,
+    then fields["name"] = value per field, which passes by the refusing
+    __setattr__ and builds no keyword dict."""
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
@@ -44,10 +46,15 @@ class PhysicalConstants(_Frozen):
                  hbar: float = 1.054_571_817e-34,      # reduced Planck constant, J s
                  k_B: float = 1.380_649e-23,           # Boltzmann constant, J/K
                  eV: float = 1.602_176_634e-19):       # electron volt, J
-        self.__dict__.update(c=c, hbar=hbar, k_B=k_B, eV=eV)
+        fields = self.__dict__
+        fields["c"] = c
+        fields["hbar"] = hbar
+        fields["k_B"] = k_B
+        fields["eV"] = eV
 
 
 SI = PhysicalConstants()
+_C, _K_B, _HBAR_C = SI.c, SI.k_B, SI.hbar * SI.c  # bound once for the evaluate path
 _DBL_MAX = 1.7976931348623157e308  # the largest double; an int above it is refused
 _NUMBERS = (int, float)  # the types of an accepted input number, one tuple built once
 
@@ -92,7 +99,10 @@ class GasParameters(_Frozen):
     _fields = __match_args__ = ("mass", "temperature", "degeneracy")
 
     def __init__(self, mass: float, temperature: float, degeneracy: float = 2.0):
-        self.__dict__.update(mass=mass, temperature=temperature, degeneracy=degeneracy)
+        fields = self.__dict__
+        fields["mass"] = mass
+        fields["temperature"] = temperature
+        fields["degeneracy"] = degeneracy
         if not (isinstance(mass, _NUMBERS) and 0.0 <= mass <= _DBL_MAX  # _checked's tests, chained
                 and isinstance(temperature, _NUMBERS) and 0.0 < temperature <= _DBL_MAX
                 and isinstance(degeneracy, _NUMBERS) and 0.0 < degeneracy <= _DBL_MAX):
@@ -107,8 +117,8 @@ def _check_x(x: float) -> float:
 
 def reduce(params: GasParameters) -> float:
     """The reduced state x = m c^2 / (k_B T) of params, 0 at m = 0; refused where it overflows."""
-    mc2 = params.mass * SI.c * SI.c
-    kt = SI.k_B * params.temperature
+    mc2 = params.mass * _C * _C
+    kt = _K_B * params.temperature
     x = mc2 / kt if kt else math.inf if mc2 else 0.0
     if x <= _DBL_MAX:
         return x

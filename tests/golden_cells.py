@@ -1,8 +1,8 @@
 """The output ledger: what ``photongas point --format csv`` prints, or how it
 refuses, at a fixed grid of (m, T, g) states.
 
-    python tests/golden_cells.py --diff     # what moved against the ledger
-    python tests/golden_cells.py --write    # rewrite tests/golden_cells.csv
+    PYTHONPATH=src python tests/golden_cells.py --diff     # what moved against the ledger
+    PYTHONPATH=src python tests/golden_cells.py --write    # rewrite tests/golden_cells.csv
 
 Each row of tests/golden_cells.csv holds repr(m) in kg, repr(T) in K and
 repr(g), then the exit code, then either the cells of the row ``point``

@@ -12,7 +12,10 @@ on a mass of 1 eV at T = mc^2/(k_B x), the whole SI report.
 loop it calls, ``core._bands``, timed beside it at the x it takes: the cost
 of the report on top of the kernels.  ``params_us`` is the checked
 constructor ``GasParameters(mass, T)`` that an evaluation takes its input
-from, which neither of those includes.  Each time is thread CPU time, the
+from, which neither of those includes, and ``report_us`` the checked
+constructor ``RadiometryReport(params, x, N, U, vbar, R)`` alone, with the
+fields that ``evaluate`` returns at that x, a part of
+``report_overhead_us``.  Each time is thread CPU time, the
 fastest of 7 runs, each of as many calls as last at least 2 ms, in
 microseconds, for the photongas package under DIR (default: this
 checkout's src).  Every case of a table is timed in the same rounds, so a
@@ -87,13 +90,15 @@ def main() -> None:
     for x in X_GRID:
         temperature = mass * si.c**2 / (si.k_B * x)
         params = units.GasParameters(mass, temperature)
+        *fields, radiance = core.evaluate(params)._astuple()
         # the band loop at the x that evaluate takes, which may differ from x by an ulp
         cases += [(oracle._moments, x), (core._series, x), (core.evaluate, params),
-                  (core._bands, units.reduce(params)), (constructor, temperature)]
+                  (core._bands, units.reduce(params)), (constructor, temperature),
+                  (functools.partial(core.RadiometryReport, *fields), radiance)]
     costs = cost_us(cases)
-    # one column per case of an x: costs[i::5] holds case i at every x
-    trapezoid, series, report, kernels, constructed = (
-        dict(zip(map(repr, X_GRID), costs[i::5])) for i in range(5))
+    # one column per case of an x: costs[i::6] holds case i at every x
+    trapezoid, series, report, kernels, constructed, reported = (
+        dict(zip(map(repr, X_GRID), costs[i::6])) for i in range(6))
     bands = {"expansions": (0.0, specfun._EXPAND_BELOW),
              "tables": (specfun._EXPAND_BELOW, specfun._ONE_TERM_FROM),
              "one_term": (specfun._ONE_TERM_FROM, float("inf"))}
@@ -104,6 +109,7 @@ def main() -> None:
         "evaluate_us": report,
         "report_overhead_us": {key: round(report[key] - kernels[key], 2) for key in report},
         "params_us": constructed,
+        "report_us": reported,
     }
     print(json.dumps(result, indent=1))
 
