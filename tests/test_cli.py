@@ -208,6 +208,38 @@ def test_every_state_of_the_ledger_prints_its_committed_cells():
     assert golden_cells.diff(golden_cells.read()) == []
 
 
+def test_every_state_of_the_ledger_prints_the_same_cells_as_text_and_json(capsys):
+    # At every state of tests/golden_cells.csv, point --format text and
+    # --format json print the committed csv cells byte for byte, with the
+    # degeneracy cell, which the csv row has not, as "%.16e" of g; and a
+    # refused state gives the same exit code and message in every format.
+    labels = [(label, unit) for label, _, unit in QUANTITY_LINES]
+    for row in golden_cells.read():
+        (mass, temperature, g, code), cells = row[:4], row[4:]
+        for fmt in ("text", "json"):
+            got = run(capsys, "point", "--mass", f"{mass}kg", "--temp", temperature,
+                      "--g", g, "--format", fmt)
+            if code != "0":
+                assert got == (int(code), "", cells[0] + "\n"), (row, fmt)
+                continue
+            m, t, x, *quantities, flags = cells
+            methods = [flag.split(":") for flag in flags.split(";")]
+            assert [key for key, _ in methods] == list(METHOD_KEYS)
+            if fmt == "text":
+                expected = (f"mass        = {m} kg\ntemperature = {t} K\n"
+                            f"degeneracy  = {float(g):.16e}\nx = mc^2/kT = {x}\n")
+                expected += "".join(f"{label:7s} = {cell} {unit}  [{method}]\n" for
+                                    (label, unit), cell, (_, method) in
+                                    zip(labels, quantities, methods))
+            else:
+                expected = (f'{{"mass_kg":{m},"T_K":{t},"degeneracy":{float(g):.16e},"x":{x},'
+                            + "".join(f'"{column}":{cell},' for column, cell in
+                                      zip(QUANTITY_COLUMNS, quantities))
+                            + '"methods":{%s}}\n' % ",".join(f'"{key}":"{method}"'
+                                                             for key, method in methods))
+            assert got == (0, expected, ""), (row, fmt)
+
+
 def test_point_unknown_unit_is_usage_error(capsys):
     code, _, err = run(capsys, "point", "--mass", "5lbs", "--temp", "300")
     assert code == 2
