@@ -27,4 +27,4 @@ __all__ = [
     "reduce",
 ]
 
-__version__ = "0.17.2"
+__version__ = "0.17.3"

@@ -37,9 +37,23 @@ FIGURE_COLUMNS = ("x", "kT_over_mc2", "vbar_over_c", "nonrel_approx")
 # The method_flags cell and JSON "methods" of every CLI report, whose tag is core.SERIES.
 _FLAGS = ";".join(f"{key}:{core.SERIES}" for key in core._METHOD_KEYS)
 _JSON_METHODS = ",".join(f'"{key}":"{core.SERIES}"' for key in core._METHOD_KEYS)
-# A sweep or point row: its index or mass, the seven _CELLS and the flags, in one %.
+# A sweep row: its index, the seven _CELLS and the flags, in one %.
 _CELLS = operator.attrgetter("params.temperature", "x", *(row[1] for row in _QUANTITIES))
-_SWEEP_ROW, _POINT_ROW = "%d," + "%.16e," * 7 + _FLAGS, "%.16e," * 8 + _FLAGS
+_SWEEP_ROW = "%d," + "%.16e," * 7 + _FLAGS
+# A point report: one % template per format over the nine _POINT_CELLS, mass,
+# T, g, x and the five _QUANTITIES; the csv row takes g with "%.0s", which
+# prints nothing.
+_POINT_CELLS = operator.attrgetter("params.mass", "params.temperature", "params.degeneracy",
+                                   "x", *(row[1] for row in _QUANTITIES))
+_POINT_FORMATS = {
+    "text": "mass        = %.16e kg\ntemperature = %.16e K\ndegeneracy  = %.16e\n"
+            "x = mc^2/kT = %.16e\n" + "".join(f"{label:7s} = %.16e {unit}  [{core.SERIES}]\n"
+                                            for _, _, label, unit in _QUANTITIES),
+    "csv": ",".join(POINT_COLUMNS) + "\n%.16e,%.16e,%.0s" + "%.16e," * 6 + _FLAGS + "\n",
+    "json": '{"mass_kg":%.16e,"T_K":%.16e,"degeneracy":%.16e,"x":%.16e,'
+            + "".join(f'"{column}":%.16e,' for column, *_ in _QUANTITIES)
+            + '"methods":{%s}}\n' % _JSON_METHODS,
+}
 
 VALIDATE_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 VALIDATE_LIMIT = 1e-7
@@ -66,10 +80,6 @@ def _grid(minimum: float, maximum: float, points: int, spacing: str) -> list[flo
     return [minimum, *inner, maximum]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.16e}"
-
-
 def _write_output(text: str, path: str | None) -> None:
     # The full text is assembled before this call, so a failure during
     # evaluation can never leave a partial file behind.
@@ -84,41 +94,10 @@ def _write_output(text: str, path: str | None) -> None:
 # point
 # ---------------------------------------------------------------------------
 
-def _render_point_text(report: core.RadiometryReport) -> str:
-    lines = [
-        f"mass        = {_fmt(report.params.mass)} kg",
-        f"temperature = {_fmt(report.params.temperature)} K",
-        f"degeneracy  = {_fmt(report.params.degeneracy)}",
-        f"x = mc^2/kT = {_fmt(report.x)}",
-    ]
-    for _, attr, label, unit in _QUANTITIES:
-        lines.append(f"{label:7s} = {_fmt(getattr(report, attr))} {unit}  [{report.method}]")
-    return "\n".join(lines) + "\n"
-
-
-def _render_point_json(report: core.RadiometryReport) -> str:
-    fields = [
-        f'"mass_kg":{_fmt(report.params.mass)}',
-        f'"T_K":{_fmt(report.params.temperature)}',
-        f'"degeneracy":{_fmt(report.params.degeneracy)}',
-        f'"x":{_fmt(report.x)}',
-        *(f'"{column}":{_fmt(getattr(report, attr))}' for column, attr, _, _ in _QUANTITIES),
-        '"methods":{%s}' % _JSON_METHODS,
-    ]
-    return "{" + ",".join(fields) + "}\n"
-
-
 def _cmd_point(args: argparse.Namespace) -> int:
     params = GasParameters(mass=parse_mass(args.mass), temperature=args.temp,
                            degeneracy=args.g)
-    report = core.evaluate(params)
-    if args.format == "text":
-        text = _render_point_text(report)
-    elif args.format == "json":
-        text = _render_point_json(report)
-    else:
-        text = ",".join(POINT_COLUMNS) + "\n" + _POINT_ROW % (params.mass, *_CELLS(report)) + "\n"
-    _write_output(text, args.out)
+    _write_output(_POINT_FORMATS[args.format] % _POINT_CELLS(core.evaluate(params)), args.out)
     return 0
 
 
@@ -145,8 +124,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # An x sweep prints and evaluates at its grid x, not at mc^2/kT
         # recomputed from the rounded T.
         x = value if by_x else reduce(params)
-        report = core._report(params, x)
-        rows.append(_SWEEP_ROW % (index, *_CELLS(report)))
+        rows.append(_SWEEP_ROW % (index, *_CELLS(core._report(params, x))))
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
 
@@ -265,9 +243,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         # trapezoid oracle and the series route, the one every public
         # kernel takes.
         quad_values = oracle._moments(x)
-        for key, quad, closed in zip(_KERNEL_NAMES, quad_values, core._series(x)):
+        for key, quad, closed in zip(_KERNEL_NAMES, quad_values, core._bands(x)):
             residual = abs(closed / quad - 1.0)
-            if residual > worst[key][0]:
+            if residual > worst[key][0] or math.isnan(residual):  # nan stays, and fails
                 worst[key] = (residual, x)
         if x == 50.0:
             eq18 = x * x * math.exp(-x) / (2.0 * math.pi**2)
@@ -314,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--g", type=float, default=2.0,
                        help="polarization degeneracy (default 2: the extra "
                             "longitudinal state is assumed unthermalized)")
-    point.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    point.add_argument("--format", choices=_POINT_FORMATS, default="text")
     point.add_argument("--out", default=None, help="write output to this path")
     point.set_defaults(func=_cmd_point)
 

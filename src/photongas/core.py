@@ -136,8 +136,11 @@ def _check_kernels(n: float, u: float, v: float, r: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _series(x: float) -> tuple[float, float, float, float]:
-    """(n_hat, u_hat, v_hat, r_hat) at x by the series route: _bands at a checked x."""
-    return _bands(_check_x(x))
+    """(n_hat, u_hat, v_hat, r_hat) at x by the series route: _bands at a
+    checked x, its kernels checked."""
+    kernels = _bands(_check_x(x))
+    _check_kernels(*kernels)
+    return kernels
 
 
 def _bands(x: float) -> tuple[float, float, float, float]:
@@ -208,7 +211,7 @@ _MASSLESS = tuple(limit for _, limit in _KERNELS.values())
 
 def reduced_functions(x: float) -> ReducedFunctions:
     """Evaluate all four reduced kernels at x by the series route."""
-    return ReducedFunctions(x, *_series(x))
+    return ReducedFunctions(x, *_bands(_check_x(x)))  # the constructor checks the kernels
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +402,18 @@ def low_temp_mean_speed(params: GasParameters) -> float:
 
 def evaluate(params: GasParameters) -> RadiometryReport:
     """Full radiometry report for one (m, T) point."""
-    x = _reduced_x(params)  # refuses an x that is not finite
-    return _report(params, x, _bands(x))
+    return _report(params, _reduced_x(params))  # reduce refuses an x that is not finite
 
 
-def _report(params: GasParameters, x: float, kernels: tuple | None = None) -> RadiometryReport:
-    """The report of params, with its kernels evaluated at x, or given.
+def _report(params: GasParameters, x: float) -> RadiometryReport:
+    """The report of params, with its kernels evaluated at x, finite and >= 0.
 
-    x is mc^2/kT of params up to rounding; an x sweep passes its grid value,
-    so the printed x and the band are the grid's, and the kernels come from
-    _series, which checks it.  The kernels, checked once, scale by the
-    prefactors of one kT, checked in the order u, n, R.
+    x is mc^2/kT of params up to rounding; an x sweep passes its grid x,
+    which _grid has checked, so the printed x and the band are the grid's.
+    The kernels, checked once, scale by the prefactors of one kT, checked
+    in the order u, n, R.
     """
-    n, u, v, r = kernels or _series(x)
+    n, u, v, r = _bands(x)
     _check_kernels(n, u, v, r)
     pn, pu, pv, pr = _si_prefactors(params)
     if not (pn < math.inf and pr < math.inf):  # pr = pu c is finite only where pu is

@@ -120,6 +120,13 @@ def rel_err(value: float, reference: Decimal) -> float:
                                 max(abs(reference), DBL_MIN)))
 
 
+def ulp_err(value: float, reference: Decimal) -> float:
+    """|value - reference| in ulps of the reference rounded to a double, for a
+    reference in the normal double range."""
+    return float(CONTEXT.divide(abs(CONTEXT.subtract(Decimal(value), reference)),
+                                Decimal(math.ulp(float(reference)))))
+
+
 def assert_matches(route, grid: list[float]) -> None:
     """Each kernel of ``route`` within 1e-15 at each x; prints the worst."""
     worst = dict.fromkeys("nuvr", (0.0, None))

@@ -314,13 +314,13 @@ def test_x_sweep_prints_and_routes_by_its_grid_x(capsys, tmp_path, monkeypatch):
     # T is solved from each grid x; mc^2/kT recomputed from it would read
     # 0.1 as 9.9999999999999992e-02 and could cross a band edge
     evaluated_at = []
-    series = core._series
+    bands = core._bands
 
     def recorded(x):
         evaluated_at.append(x)
-        return series(x)
+        return bands(x)
 
-    monkeypatch.setattr(core, "_series", recorded)
+    monkeypatch.setattr(core, "_bands", recorded)
     out_file = tmp_path / "sweep.csv"
     assert main(["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.1",
                  "--x-max", "3.99", "--points", "400", "--spacing", "log",
@@ -447,13 +447,13 @@ def test_validate_passes_on_defaults(capsys):
 
 def test_validate_compares_both_routes_at_every_grid_x(capsys, monkeypatch):
     closed_at = []
-    series = core._series
+    bands = core._bands
 
     def recorded(x):
         closed_at.append(x)
-        return series(x)
+        return bands(x)
 
-    monkeypatch.setattr(core, "_series", recorded)
+    monkeypatch.setattr(core, "_bands", recorded)
     code, out, err = run(capsys, "validate")
     assert code == 0, err
     assert tuple(closed_at) == VALIDATE_GRID

@@ -495,6 +495,31 @@ def test_series_route_reaches_small_x():
     kernel_reference.assert_matches(_series, kernel_reference.xs("small_x"))
 
 
+# Per band and kernel, the worst error of the series route over every row of
+# the table, in ulps of the reference rounded to a double, subnormal
+# references skipped, may not exceed its ceiling: the error at 0.17.2 (the
+# same on Python 3.10 to 3.13 here) rounded up to the next 0.5 ulp.  A change
+# that lowers an error lowers its ceiling; one that raises it says why.
+ULP_CEILINGS = {  # band: worst errors at 0.17.2, and ceilings
+    "expansions": dict(n=3.0, u=1.5, v=4.0, r=2.0),  # x < 2: 2.74 1.38 3.54 1.99
+    "tables": dict(n=3.5, u=3.5, v=2.0, r=3.0),  # [2, 40): 3.25 3.36 1.59 2.73
+    "one term": dict(n=4.5, u=3.5, v=3.0, r=2.5),  # x >= 40: 4.49 3.02 2.66 2.43
+}
+
+
+def test_series_route_stays_under_its_ulp_ceilings():
+    worst = {band: dict.fromkeys("nuvr", 0.0) for band in ULP_CEILINGS}
+    for x, row in kernel_reference.load().items():
+        band = worst["expansions" if x < 2.0 else "tables" if x < 40.0 else "one term"]
+        for key, value, reference in zip("nuvr", _series(x), row[:4]):
+            if reference >= kernel_reference.DBL_MIN:
+                band[key] = max(band[key], kernel_reference.ulp_err(value, reference))
+    over = {(band, key): (err, ULP_CEILINGS[band][key])
+            for band, errors in worst.items() for key, err in errors.items()
+            if not err <= ULP_CEILINGS[band][key]}
+    assert not over, over
+
+
 test_default_route_matches_mpmath = kernel_reference.row_test("reference", _series)
 test_energy_density_series_route_matches_mpmath = kernel_reference.row_test("energy", _series)
 test_mean_speed_series_route_matches_mpmath = kernel_reference.row_test("mean_speed", _series)
@@ -742,19 +767,23 @@ def test_convergence_failure_names_the_quantity(monkeypatch):
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0])
-@pytest.mark.parametrize("params_x", [4.0, 1e-5])
-def test_an_x_that_is_not_a_finite_number_at_least_0_is_refused_at_once(x, params_x):
+@pytest.mark.parametrize("bound", [4.0, 1e-5])
+def test_an_x_that_is_not_a_finite_number_at_least_0_is_refused_at_once(capsys, x, bound):
     # The series route checks x before any work: a nan x would fall
-    # through every band edge.  So does the trapezoid oracle, and so does
-    # the report an x sweep builds at its grid x, whatever band the x of
-    # its params lies in.
+    # through every band edge.  So does the trapezoid oracle.  The report
+    # an x sweep builds takes its grid x unchecked: _grid refuses such an
+    # x as either end of the sweep, whatever band the other end lies in.
     with pytest.raises(DomainError, match=r"^reduced x must be finite and >= 0"):
         with cpu_time_under(1e-3):
             reduced_functions(x)
-    for function in (n_hat_series, v_hat_series, oracle._moments,
-                     lambda x: core._report(params_for_x(params_x), x)):
+    for function in (n_hat_series, v_hat_series, oracle._moments):
         with pytest.raises(DomainError, match=r"^reduced x must be finite and >= 0"):
             function(x)
+    for ends in ((x, bound), (bound, x)):
+        code = cli.main(["sweep", "--mass", "1eV", *(f"--x-{end}={value!r}" for end, value
+                                                     in zip(("min", "max"), ends))])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and err.startswith("error: sweep "), (ends, err)
 
 
 def test_series_views_take_the_massless_limits_at_zero():
@@ -865,8 +894,11 @@ def test_number_density_alone_is_finite_where_the_other_prefactors_overflow():
     ("v", 1.01, "v_hat must not exceed 1, got 1.01"),
     ("R", 0.1645 * 1.01, f"r_hat must not exceed pi^2/60, got {0.1645 * 1.01!r}")])
 def test_every_path_refuses_a_broken_kernel_by_name(monkeypatch, capsys, key, value, message):
-    # The band loop is what every path calls: evaluate at once, and
-    # reduced_functions and the x sweep through _series.
+    # The band loop is what every path calls: evaluate and the x sweep
+    # through _report, reduced_functions through its constructor, and the
+    # SI wrappers and the figure through _series.  Each refuses the broken
+    # kernel by name, and validate, which compares the band loop with its
+    # oracle, fails.
     bands = core._bands
 
     def broken(x):
@@ -875,13 +907,20 @@ def test_every_path_refuses_a_broken_kernel_by_name(monkeypatch, capsys, key, va
         return tuple(values)
 
     monkeypatch.setattr(core, "_bands", broken)
-    for call in (lambda: evaluate(params_for_x(0.5)), lambda: reduced_functions(0.5)):
+    params = params_for_x(0.5)
+    for call in (lambda: evaluate(params), lambda: reduced_functions(0.5),
+                 *(lambda wrapper=wrapper: wrapper(params)
+                   for wrapper in (number_density, mean_speed, radiance))):
         with pytest.raises(DomainError) as excinfo:
             call()
         assert str(excinfo.value) == message
-    code = cli.main(["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.5",
-                     "--x-max", "1", "--points", "2"])
-    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    grid = ["--x-min", "0.5", "--x-max", "1", "--points", "2"]
+    for argv in (["sweep", "--mass", "1eV", "--variable", "x", *grid],
+                 ["figure", "mean-speed", *grid]):
+        code = cli.main(argv)
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n")), argv
+    assert cli.main(["validate"]) == 1
+    assert capsys.readouterr().out.endswith("RESULT: FAIL (limit 1e-07)\n")
 
 
 def test_evaluate_builds_no_reduced_functions(monkeypatch):
@@ -961,7 +1000,8 @@ def test_a_field_that_is_no_number_is_refused_by_name(value):
 def test_evaluate_checks_its_x_only_where_it_reduces_it(monkeypatch, capsys):
     # reduce refuses an x that is not finite, so evaluate passes its x
     # straight to the band loop; reduced_functions checks its x once, and
-    # an x sweep the grid x of each row once.
+    # an x sweep none: _grid has checked its bounds, and every grid x lies
+    # between them.
     calls = []
     check = units._check_x
 
@@ -980,7 +1020,7 @@ def test_evaluate_checks_its_x_only_where_it_reduces_it(monkeypatch, capsys):
     assert cli.main(["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.5",
                      "--x-max", "50", "--points", "5"]) == 0
     capsys.readouterr()
-    assert len(calls) == 5
+    assert calls == []
 
 
 @pytest.mark.parametrize("function", [small_mass_radiance, low_temp_radiance,
