@@ -4,9 +4,10 @@
 
 times, on a fixed x grid, all four kernels by each route: the trapezoid
 pass ``oracle._moments``, and the series route ``core._series``, with its
-checks of x and of the four kernels, in each of its bands, below x = 2 the one Horner loop over the expansions about x = 0,
-from 2 up to 40 the one Horner loop over the tables of Chebyshev fits in
-ln x, and from 40 on one K pair; and, as ``evaluate_us``, ``core.evaluate``
+checks of x and of the four kernels, in each of its bands, below x = 2 the
+one Horner loop over the expansions about x = 0, from 2 up to 40 the one
+Horner loop over the tables of Chebyshev fits in ln x, and from 40 on one
+K pair; and, as ``evaluate_us``, ``core.evaluate``
 on a mass of 1 eV at T = mc^2/(k_B x), the whole SI report.
 ``report_overhead_us`` is the cost of ``evaluate`` less that of the band
 loop it calls, ``core._bands``, timed beside it at the x it takes: the cost
