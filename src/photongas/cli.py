@@ -276,7 +276,13 @@ def _add_sweep_flags(parser: argparse.ArgumentParser, default_points: int) -> No
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later
-    one (``main`` calls this once per invocation); callers must not mutate it."""
+    one (``main`` calls this once per invocation); callers must not mutate it.
+
+    Its ``commands`` maps the words that name each command, such as
+    ``("figure", "mean-speed")``, to that command's own parser, with which
+    ``main`` parses the command's flags once.  An argv that names no command,
+    or has arguments the command does not take, goes to this parser whole.
+    """
     parser = argparse.ArgumentParser(
         prog="photongas",
         description="Thermodynamics and radiometry of a blackbody photon gas "
@@ -324,13 +330,29 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="compare closed forms against the quadrature oracle"
     )
     validate.set_defaults(func=_cmd_validate)
+    parser.commands = {("point",): point, ("sweep",): sweep,
+                       ("figure", "mean-speed"): mean_speed, ("validate",): validate}
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line, argv or sys.argv[1:], and return its exit code.
+
+    Each call parses a command's flags once, with that command's own parser.
+    An argv that names no command, or has arguments the command does not
+    take, goes to the top-level parser, so every message and exit code is
+    the one a parse of the whole argv gives.
+    """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extra = None, None
+        for words, command in parser.commands.items():
+            if tuple(argv[:len(words)]) == words:
+                args, extra = command.parse_known_args(argv[len(words):])
+                break
+        if args is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         code = exc.code
         return 0 if code in (0, None) else int(code)

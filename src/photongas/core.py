@@ -244,7 +244,9 @@ def _si_prefactors(params: GasParameters, keys: str = "") -> tuple[float, float,
 
 def _si_value(key: str, params: GasParameters) -> float:
     i = "nuvR".index(key)
-    return _series(_reduced_x(params))[i] * _si_prefactors(params, key)[i]
+    kernels = _bands(_reduced_x(params))  # reduce refuses an x that is not finite
+    _check_kernels(*kernels)
+    return kernels[i] * _si_prefactors(params, key)[i]
 
 
 def number_density(params: GasParameters) -> float:

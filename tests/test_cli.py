@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import photongas
 from photongas import SI, GasParameters, core, oracle, parse_mass, specfun
 from photongas.cli import VALIDATE_GRID, _grid, build_parser, main
-from photongas.errors import DomainError
+from photongas.errors import ConvergenceError, DomainError, MassParseError, RegimeError
 from photongas.units import _DBL_MAX
 import golden_cells
 from specfun_cost import X_GRID
@@ -770,6 +770,127 @@ def test_main_calls_build_parser_once_per_call(monkeypatch):
     for number, argv in enumerate(argvs, 1):
         main(argv)
         assert len(calls) == number
+
+
+# Usage errors, help texts and well-formed commands for the argv contract: a
+# literal, so that a script can read it without importing pytest.  An
+# argument ending in .csv or .svg is a file name under the test's directory.
+ARGV_BATTERY = [
+    # no argv, and help at the top level, per command and after other flags
+    [], ["-h"], ["--help"], ["--he"],
+    ["point", "-h"], ["point", "--help"], ["sweep", "--help"], ["figure", "-h"],
+    ["figure", "mean-speed", "--help"], ["validate", "-h"],
+    ["point", "--mass", "1eV", "--help"], ["point", "--mass", "1eV", "--temp", "300", "-h"],
+    ["sweep", "--mass", "1eV", "--points", "3", "--help"],
+    ["figure", "mean-speed", "--points", "3", "-h"],
+    # unknown commands and figures, and a flag before the command
+    ["bogus"], ["pointt", "--mass", "1eV", "--temp", "300"], ["figure"],
+    ["figure", "radiance"], ["figure", "radiance", "--help"],
+    ["--mass", "1eV", "point", "--temp", "300"], ["--help", "point"], ["-h", "validate"],
+    # abbreviated flags, one of them ambiguous, and the --flag=value form
+    ["point", "--mas", "1eV", "--te", "300"], ["point", "--he"],
+    ["point", "--mass", "1eV", "--he"],
+    ["sweep", "--mass", "1eV", "--po", "3"], ["sweep", "--mass", "1eV", "--x", "3"],
+    ["point", "--mass=1eV", "--temp=300", "--format=json"],
+    ["sweep", "--mass=1eV", "--variable=temperature", "--points=3", "--spacing=linear"],
+    ["figure", "mean-speed", "--x-min=0.5", "--points=3"],
+    # a bare --, before and after the flags
+    ["--", "point", "--mass", "1eV", "--temp", "300"],
+    ["point", "--", "--mass", "1eV", "--temp", "300"],
+    ["point", "--mass", "1eV", "--temp", "300", "--"], ["validate", "--"],
+    ["figure", "--", "mean-speed"],
+    # missing, malformed and negative values
+    ["point"], ["point", "--mass"], ["point", "--mass", "1eV"], ["point", "--temp", "300"],
+    ["sweep"], ["sweep", "--mass", "1eV", "--points"],
+    ["point", "--mass", "1eV", "--temp", "x"], ["point", "--mass", "1xx", "--temp", "300"],
+    ["point", "--mass", "1eV", "--temp", "300", "--format", "xml"],
+    ["sweep", "--mass", "1eV", "--points", "2.5"], ["sweep", "--mass", "1eV", "--spacing", "lin"],
+    ["point", "--mass", "1eV", "--temp", "-300"], ["point", "--mass", "-1eV", "--temp", "300"],
+    ["point", "--mass", "1eV", "--temp", "300", "--g", "-2"],
+    ["sweep", "--mass", "1eV", "--x-min", "-1"], ["sweep", "--mass", "1eV", "--points", "-3"],
+    ["figure", "mean-speed", "--x-max", "-1"],
+    # retired flags, unknown flags, extra positionals and repeated command words
+    ["point", "--mass", "1eV", "--temp", "300", "--x-switch", "4"],
+    ["sweep", "--mass", "1eV", "--quad-tol", "1e-9"],
+    ["figure", "mean-speed", "--x-switch", "4"], ["validate", "--quad-tol", "1e-9"],
+    ["point", "--mass", "1eV", "--temp", "300", "--bogus"],
+    ["point", "--bogus", "--mass", "1eV", "--temp", "300"],
+    ["point", "extra", "--mass", "1eV", "--temp", "300"],
+    ["point", "--mass", "1eV", "--temp", "300", "extra"],
+    ["validate", "extra"], ["figure", "mean-speed", "extra"],
+    ["point", "point", "--mass", "1eV", "--temp", "300"], ["validate", "validate"],
+    ["figure", "figure", "mean-speed"], ["figure", "mean-speed", "mean-speed"],
+    # well-formed commands, and errors raised after parsing
+    ["point", "--mass", "1eV", "--temp", "300"],
+    ["point", "--mass", "0kg", "--temp", "5800", "--format", "json"],
+    ["point", "--mass", "1eV", "--temp", "300", "--format", "csv", "--out", "point.csv"],
+    ["point", "--mass", "1e-40kg", "--temp", "1e300"],
+    ["sweep", "--mass", "1eV", "--points", "4", "--out", "sweep.csv"],
+    ["sweep", "--mass", "0kg", "--variable", "temperature", "--points", "3"],
+    ["figure", "mean-speed", "--points", "5", "--out", "fig.csv", "--svg", "fig.svg"],
+    ["figure", "mean-speed", "--x-min", "1e-320", "--x-max", "1", "--points", "3"],
+    ["validate"],
+]
+
+
+def reference_main(argv):
+    # What main did when the top-level parser parsed every argv.
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else int(exc.code)
+    try:
+        return args.func(args)
+    except (MassParseError, DomainError, RegimeError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, ConvergenceError) else 2
+
+
+@pytest.mark.parametrize("argv", ARGV_BATTERY, ids=" ".join)
+def test_main_prints_what_the_top_level_parser_would(capsys, tmp_path, argv):
+    # main parses a command's flags with that command's parser alone; every
+    # exit code, stdout, stderr and file must be what a parse of the whole
+    # argv by the top-level parser gives.
+    argv = [str(tmp_path / arg) if arg.endswith((".csv", ".svg")) else arg for arg in argv]
+
+    def outcome(entry):
+        code = entry(argv)
+        captured = capsys.readouterr()
+        files = {}
+        for path in sorted(tmp_path.iterdir()):
+            files[path.name] = path.read_bytes()
+            path.unlink()
+        return code, captured.out, captured.err, files
+
+    assert outcome(main) == outcome(reference_main)
+
+
+def test_only_a_misfit_argv_reaches_the_top_level_parser(monkeypatch, capsys):
+    # Each command's flags go to its own parser once; the top-level parser
+    # sees only an argv that names no command or that its command's parser
+    # leaves an argument of.
+    parser = build_parser()
+    calls = []
+
+    def recorder(name):
+        def record(args=None, namespace=None):
+            calls.append((name, list(args)))
+            raise SystemExit(0)
+        return record
+
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(parser, name, recorder(name))
+    for argv in (("point", "--mass", "1eV", "--temp", "300", "--format", "csv"),
+                 ["sweep", "--mass", "1eV", "--points", "3"],
+                 ["figure", "mean-speed", "--points", "3"], ["validate"]):
+        assert main(argv) == 0
+        assert calls == [], argv
+    capsys.readouterr()
+    for argv in (["point", "--mass", "1eV", "--temp", "300", "--bogus"], ["--help"]):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [("parse_args", argv)]
+    assert capsys.readouterr().err == ""
 
 
 def test_only_validate_loads_the_oracle():

@@ -999,10 +999,10 @@ def test_a_field_that_is_no_number_is_refused_by_name(value):
 
 
 def test_evaluate_checks_its_x_only_where_it_reduces_it(monkeypatch, capsys):
-    # reduce refuses an x that is not finite, so evaluate passes its x
-    # straight to the band loop; reduced_functions checks its x once, and
-    # an x sweep none: _grid has checked its bounds, and every grid x lies
-    # between them.
+    # reduce refuses an x that is not finite, so evaluate and the SI
+    # wrappers pass their x straight to the band loop; reduced_functions
+    # checks its x once, and an x sweep none: _grid has checked its bounds,
+    # and every grid x lies between them.
     calls = []
     check = units._check_x
 
@@ -1014,6 +1014,8 @@ def test_evaluate_checks_its_x_only_where_it_reduces_it(monkeypatch, capsys):
         monkeypatch.setattr(module, "_check_x", counted)
     for x in (0.0, 0.5, 3.0, 100.0):
         evaluate(params_for_x(x))
+        for wrapper in (number_density, energy_density, mean_speed, radiance, radiance_naive):
+            wrapper(params_for_x(x))
     assert calls == []
     reduced_functions(3.0)
     assert calls == [3.0]
