@@ -139,7 +139,9 @@ def _figure_rows(grid: list[float]) -> list[tuple[float, float, float, float | N
         kt_ratio = 1.0 / x
         if kt_ratio == math.inf:
             raise DomainError(f"kT/mc^2 = 1/x overflows at x={x!r}")
-        v_hat = core._series(x)[2]
+        kernels = core._bands(x)  # _grid has checked x
+        core._check_kernels(*kernels)
+        v_hat = kernels[2]
         # 8/pi/x, not 8/(pi x): pi x overflows for x near the largest double.
         approx = math.sqrt(8.0 / math.pi / x) if x > _NONREL_MIN_X else None
         rows.append((x, kt_ratio, v_hat, approx))

@@ -69,18 +69,21 @@ class RadiometryReport(_Frozen):
     """One (m, T) evaluation in SI units; its method tag is "series".
 
     N/V is in m^-3, U/V in J/m^3, vbar in m/s and R in W/m^2.
-    ``radiance_naive`` = (c/4) U/V is formed from ``energy_density`` once, in
-    __init__; ``methods`` repeats the tag per quantity: n, u, v, R and R_naive.
+    ``radiance_naive`` = (c/4) U/V is no field but formed from U/V on each
+    read; ``methods`` repeats the tag per quantity: n, u, v, R and R_naive.
     """
 
     _fields = __match_args__ = ("params", "x", "number_density", "energy_density",
                                 "mean_speed", "radiance")
-    __slots__ = ("radiance_naive",)  # W/m^2; a slot, so vars() holds the fields alone
     method = SERIES
 
     @property
     def methods(self) -> dict[str, str]:
         return dict.fromkeys(_METHOD_KEYS, self.method)
+
+    @property
+    def radiance_naive(self) -> float:  # W/m^2
+        return 0.25 * _C * self.energy_density
 
     def __init__(self, params: GasParameters, x: float, number_density: float,
                  energy_density: float, mean_speed: float, radiance: float):
@@ -96,7 +99,6 @@ class RadiometryReport(_Frozen):
                     and 0.0 <= mean_speed <= _C * (1.0 + _SLACK) and 0.0 <= radiance <= _DBL_MAX
                     and (naive := 0.25 * _C * energy_density) <= _DBL_MAX
                     and radiance <= naive * (1.0 + _SLACK)):
-                _set_naive(self, naive)
                 return
         except TypeError:
             pass
@@ -107,12 +109,6 @@ class RadiometryReport(_Frozen):
             raise DomainError(f"mean_speed must not exceed c, got {mean_speed!r}")
         if radiance > naive * (1.0 + _SLACK):
             raise DomainError("radiance must not exceed the naive c/4 value")
-
-    def __reduce__(self):  # rebuilt by the constructor, which forms the slot again
-        return type(self), self._astuple()
-
-
-_set_naive = RadiometryReport.radiance_naive.__set__  # the slot's setter; __setattr__ refuses
 
 
 def _check_kernels(n: float, u: float, v: float, r: float) -> None:

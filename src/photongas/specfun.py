@@ -193,18 +193,6 @@ def bessel_k2(z: float) -> float:
 # Riemann zeta.
 # ---------------------------------------------------------------------------
 
-def _compute_zeta3() -> float:
-    # Direct sum to N plus the Euler-Maclaurin tail of t^-3; the first
-    # neglected correction is 1/(12 N^8), far below 1e-13 at N = 200.
-    big_n = 200
-    partial = 0.0
-    for n in range(big_n - 1, 0, -1):
-        partial += 1.0 / (n * n * n)
-    fn = float(big_n)
-    tail = 1.0 / (2.0 * fn * fn) + 1.0 / (2.0 * fn**3) + 1.0 / (4.0 * fn**4) - 1.0 / (12.0 * fn**6)
-    return partial + tail
-
-
 # pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60, correctly rounded, as
 # generated by tests/specfun_tables.py; the math.pi expression of each is an
 # ulp low.
@@ -215,12 +203,17 @@ _PI_RATIOS = (
     0.16449340668482265,
 )
 
-# zeta(2), zeta(3), zeta(4): also Li2, Li3, Li4 at e^-0 = 1.
-_ZETA = (math.pi * math.pi / 6.0, _compute_zeta3(), _PI_RATIOS[0])
+# zeta(2), zeta(3), zeta(4), correctly rounded, as generated by
+# tests/specfun_tables.py: also Li2, Li3, Li4 at e^-0 = 1.
+_ZETA = (
+    1.6449340668482264,
+    1.2020569031595942,
+    1.0823232337111381,
+)
 
 
 def zeta_value(s: int) -> float:
-    """zeta(s) for s in {2, 3, 4}; zeta(3) is computed, not hard-coded."""
+    """zeta(s) for s in {2, 3, 4}, correctly rounded."""
     if s not in (2, 3, 4):
         raise DomainError(f"zeta_value supports s in {{2, 3, 4}}, got {_shown(s)}")
     return _ZETA[int(s) - 2]

@@ -2,8 +2,8 @@
 
     python tests/specfun_tables.py
 
-prints the four literal tables as Python source, ready to paste into
-specfun.py (its fifth, _HANKEL, is built from its definition at import):
+prints the five literal tables as Python source, ready to paste into
+specfun.py (its sixth, _HANKEL, is built from its definition at import):
 
 * _K01_CHEBYSHEV, the Chebyshev coefficients of sqrt(z) e^z K0(z) and
   sqrt(z) e^z K1(z) in y = 4/z - 1 on z > 2 (the form of Cephes'
@@ -13,6 +13,8 @@ specfun.py (its fifth, _HANKEL, is built from its definition at import):
   Clenshaw sum ends in b0 - b2, and they run from the highest order down.
 * _PI_RATIOS, pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60 correctly
   rounded: the massless limits of the gas kernels and their sums.
+* _ZETA, zeta(2), zeta(3) and zeta(4) correctly rounded, mpmath's zeta at
+  40 digits.
 * _EXPANSION, one row (a_j, b_j, c_j, p_j, q_j) per order j of the
   expansions about x = 0: (a_j, b_j) of x^2 sum_n K2(n x)/n and c_j of
   x^4 sum_n [K1(n x)/(n x) + 3 K2(n x)/(n x)^2], from the residues of their
@@ -73,6 +75,14 @@ def pi_ratios() -> tuple[float, ...]:
 
     with mp.workdps(40):
         return tuple(float(mp.pi**k / d) for k, d in ((4, 90), (4, 15), (2, 15), (2, 60)))
+
+
+def zeta_values() -> tuple[float, ...]:
+    """zeta(2), zeta(3) and zeta(4), each correctly rounded."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return tuple(float(mp.zeta(s)) for s in (2, 3, 4))
 
 
 def bernoulli(n: int) -> list[Fraction]:
@@ -230,6 +240,10 @@ def main() -> None:
     print(")")
     print("_PI_RATIOS = (")
     for value in pi_ratios():
+        print(f"    {value!r},")
+    print(")")
+    print("_ZETA = (")
+    for value in zeta_values():
         print(f"    {value!r},")
     print(")")
     k2_sum, energy_sum = small_x_expansions()

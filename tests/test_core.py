@@ -25,8 +25,7 @@ from photongas import (SI, ConvergenceError, DomainError, GasParameters,
                        photon_speed, radiance, radiance_naive, reduce,
                        reduced_functions, small_mass_radiance,
                        spectral_energy_density, specfun, units, zeta_value)
-from photongas.core import (_series, _si_prefactors, n_hat_series,
-                            r_hat_closed, v_hat_series)
+from photongas.core import _series, _si_prefactors, n_hat_series, v_hat_series
 
 import kernel_reference
 import spectral_reference
@@ -102,7 +101,7 @@ def test_number_density_strong_suppression_at_x_50():
 
 
 def test_number_density_series_matches_quadrature_at_x_1():
-    assert n_hat_series(1.0) == pytest.approx(oracle._moments(1.0)[0], rel=1e-9)
+    assert _series(1.0)[0] == pytest.approx(oracle._moments(1.0)[0], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +119,7 @@ def test_mean_speed_nonrelativistic_limit():
 
 
 def test_mean_speed_series_matches_quadrature_at_x_1():
-    assert v_hat_series(1.0) == pytest.approx(oracle._moments(1.0)[2], rel=1e-9)
+    assert _series(1.0)[2] == pytest.approx(oracle._moments(1.0)[2], rel=1e-9)
 
 
 def test_mean_speed_is_independent_of_degeneracy():
@@ -239,7 +238,7 @@ def test_radiance_massless_is_stefan_boltzmann():
 
 
 def test_radiance_closed_form_matches_quadrature_at_x_1():
-    assert r_hat_closed(1.0) == pytest.approx(oracle._moments(1.0)[3], rel=1e-9)
+    assert _series(1.0)[3] == pytest.approx(oracle._moments(1.0)[3], rel=1e-9)
 
 
 def test_radiance_low_temperature_behavior_at_x_50():
@@ -376,8 +375,8 @@ def test_method_tags_follow_the_regime_switch():
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.4, 0.7, 1.0])
 def test_series_and_quadrature_paths_agree_in_the_overlap(x):
     n_hat, _, v_hat, _ = oracle._moments(x)
-    assert n_hat_series(x) == pytest.approx(n_hat, rel=1e-8)
-    assert v_hat_series(x) == pytest.approx(v_hat, rel=1e-8)
+    assert _series(x)[0] == pytest.approx(n_hat, rel=1e-8)
+    assert _series(x)[2] == pytest.approx(v_hat, rel=1e-8)
 
 
 def test_mean_speed_strictly_decreasing_on_log_grid():
@@ -735,6 +734,31 @@ def test_report_is_the_one_the_public_constructor_builds(x):
         assert report == public
 
 
+@pytest.mark.parametrize("x", [0.0, 1e-3, 2.0, 40.0, 1e17])
+def test_report_keeps_only_its_fields_and_derives_r_naive(x):
+    # R_naive is a read-only property over the report's own U/V, not kept
+    # beside the fields: the report holds its fields alone, with no slot
+    # and no pickling of its own, so every pickle protocol, copy and deep
+    # copy goes by the default one and keeps ==, hash, repr, vars() and
+    # the bits of R_naive.
+    report = evaluate(params_for_x(x))
+    assert "__slots__" not in vars(RadiometryReport) and "__reduce__" not in vars(RadiometryReport)
+    assert not hasattr(core, "_set_naive")
+    assert isinstance(vars(RadiometryReport)["radiance_naive"], property)
+    assert list(vars(report)) == list(RadiometryReport._fields)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'radiance_naive'$"):
+        report.radiance_naive = 1.0
+    with pytest.raises(AttributeError, match="^cannot delete field 'radiance_naive'$"):
+        del report.radiance_naive
+    naive = report.radiance_naive.hex()
+    twins = [pickle.loads(pickle.dumps(report, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (*twins, copy.copy(report), copy.deepcopy(report)):
+        assert type(twin) is RadiometryReport and twin == report and hash(twin) == hash(report)
+        assert repr(twin) == repr(report) and vars(twin) == vars(report)
+        assert twin.radiance_naive.hex() == naive
+
+
 @pytest.mark.parametrize("mass, temperature, g, message", [
     (1e-36, 1e81, 2.0, "energy_density: SI prefactor overflows at T=1e+81 K, g=2.0"),
     (1e-36, 300.0, 1e300, "number_density: SI prefactor overflows at T=300.0 K, g=1e+300"),
@@ -895,11 +919,11 @@ def test_number_density_alone_is_finite_where_the_other_prefactors_overflow():
     ("v", 1.01, "v_hat must not exceed 1, got 1.01"),
     ("R", 0.1645 * 1.01, f"r_hat must not exceed pi^2/60, got {0.1645 * 1.01!r}")])
 def test_every_path_refuses_a_broken_kernel_by_name(monkeypatch, capsys, key, value, message):
-    # The band loop is what every path calls: evaluate and the x sweep
-    # through _report, reduced_functions through its constructor, and the
-    # SI wrappers and the figure through _series.  Each refuses the broken
-    # kernel by name, and validate, which compares the band loop with its
-    # oracle, fails.
+    # The band loop is what every path calls, as core._bands: evaluate and
+    # the x sweep through _report, reduced_functions through its
+    # constructor, the SI wrappers through _si_value, and the figure
+    # directly.  Each refuses the broken kernel by name, and validate, which
+    # compares the band loop with its oracle, fails.
     bands = core._bands
 
     def broken(x):
@@ -1001,8 +1025,8 @@ def test_a_field_that_is_no_number_is_refused_by_name(value):
 def test_evaluate_checks_its_x_only_where_it_reduces_it(monkeypatch, capsys):
     # reduce refuses an x that is not finite, so evaluate and the SI
     # wrappers pass their x straight to the band loop; reduced_functions
-    # checks its x once, and an x sweep none: _grid has checked its bounds,
-    # and every grid x lies between them.
+    # checks its x once, and an x sweep and the mean-speed figure none:
+    # _grid has checked its bounds, and every grid x lies between them.
     calls = []
     check = units._check_x
 
@@ -1020,10 +1044,11 @@ def test_evaluate_checks_its_x_only_where_it_reduces_it(monkeypatch, capsys):
     reduced_functions(3.0)
     assert calls == [3.0]
     calls.clear()
-    assert cli.main(["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.5",
-                     "--x-max", "50", "--points", "5"]) == 0
-    capsys.readouterr()
-    assert calls == []
+    for argv in (["sweep", "--mass", "1eV", "--variable", "x", "--x-min", "0.5",
+                  "--x-max", "50", "--points", "5"], ["figure", "mean-speed"]):
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert calls == [], argv
 
 
 @pytest.mark.parametrize("function", [small_mass_radiance, low_temp_radiance,
