@@ -27,4 +27,4 @@ __all__ = [
     "reduce",
 ]
 
-__version__ = "0.17.4"
+__version__ = "0.18.0"

@@ -1,12 +1,13 @@
-"""Command-line front end: point reports, sweeps, the mean-speed figure, and
-the series-vs-quadrature validation gate.
+"""Command-line front end: point reports, sweeps, the mean-speed and radiance
+figures, and the series-vs-quadrature validation gate.
 
-point, sweep and figure take the series route at every x, and validate
+point, sweep and both figures take the series route at every x, and validate
 checks it against a trapezoid oracle at a fixed step; no command has a
-numerics flag.  Exit codes: 0 ok, 1 validation failure, 2 usage error,
-3 numerical non-convergence (of validate's oracle).  All numeric output uses
-17 significant digits so repeated runs are byte-identical and every cell
-round-trips through float parsing.
+numerics flag.  Exit codes: 0 ok, 1 validation failure, 2 usage error or an
+output path that cannot be written, 3 numerical non-convergence (of
+validate's oracle).  All numeric output uses 17 significant digits so
+repeated runs are byte-identical and every cell round-trips through float
+parsing.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ _QUANTITIES = (
 SWEEP_COLUMNS = ("index", "T_K", "x", *(row[0] for row in _QUANTITIES), "method_flags")
 POINT_COLUMNS = ("mass_kg",) + SWEEP_COLUMNS[1:]
 FIGURE_COLUMNS = ("x", "kT_over_mc2", "vbar_over_c", "nonrel_approx")
+RADIANCE_COLUMNS = ("x", "R_over_RSB", "R_over_Rnaive", "asymptote_over_R")
 # The method_flags cell and JSON "methods" of every CLI report, whose tag is core.SERIES.
 _FLAGS = ";".join(f"{key}:{core.SERIES}" for key in core._METHOD_KEYS)
 _JSON_METHODS = ",".join(f'"{key}":"{core.SERIES}"' for key in core._METHOD_KEYS)
@@ -130,7 +132,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# figure mean-speed
+# figure mean-speed and figure radiance
 # ---------------------------------------------------------------------------
 
 def _figure_rows(grid: list[float]) -> list[tuple[float, float, float, float | None]]:
@@ -148,9 +150,9 @@ def _figure_rows(grid: list[float]) -> list[tuple[float, float, float, float | N
     return rows
 
 
-def _figure_csv(rows) -> str:
+def _figure_csv(rows, columns) -> str:
     # one format string per row shape: with the asymptote cell, or with it empty
-    lines = [",".join(FIGURE_COLUMNS)]
+    lines = [",".join(columns)]
     for row in rows:
         lines.append("%.16e,%.16e,%.16e,%.16e" % row if row[3] is not None
                      else "%.16e,%.16e,%.16e," % row[:3])
@@ -219,11 +221,29 @@ def _figure_svg(rows) -> str:
 
 def _cmd_figure_mean_speed(args: argparse.Namespace) -> int:
     rows = _figure_rows(_grid(args.x_min, args.x_max, args.points, args.spacing))
-    csv = _figure_csv(rows)
+    csv = _figure_csv(rows, FIGURE_COLUMNS)
     svg = None if args.svg is None else _figure_svg(rows)
     _write_output(csv, args.out)
     if svg is not None:
         _write_output(svg, args.svg)
+    return 0
+
+
+def _low_temp_r_hat(x: float) -> float:  # r_hat's low-temperature asymptote
+    return x * x * math.exp(-x) / (2.0 * math.pi**2)
+
+
+def _cmd_figure_radiance(args: argparse.Namespace) -> int:
+    # R/R_SB, R/R_naive and an asymptote over R, each a function of x alone: the
+    # small-mass R_SB [1 - (5/2 pi^2) x^2] below x = 1, the low-temperature one from 1 on.
+    rows = []
+    for x in _grid(0.01, 100.0, 25, "log"):
+        _, u_hat, _, r_hat = kernels = core._bands(x)
+        core._check_kernels(*kernels)
+        asymptote = (core._R_HAT_MAX * (1.0 - 2.5 / core._PI2 * x * x) if x < 1.0
+                     else _low_temp_r_hat(x))
+        rows.append((x, r_hat / core._R_HAT_MAX, 4.0 * r_hat / u_hat, asymptote / r_hat))
+    _write_output(_figure_csv(rows, RADIANCE_COLUMNS), args.out)
     return 0
 
 
@@ -250,9 +270,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             if residual > worst[key][0] or math.isnan(residual):  # nan stays, and fails
                 worst[key] = (residual, x)
         if x == 50.0:
-            eq18 = x * x * math.exp(-x) / (2.0 * math.pi**2)
             eq18_line = (f"x = 50: r_hat / low-temperature asymptote = "
-                         f"{quad_values[3] / eq18:.6f} (expect ~ 1 + 3/x)")
+                         f"{quad_values[3] / _low_temp_r_hat(x):.6f} (expect ~ 1 + 3/x)")
     for key in ("n_hat", "v_hat", "u_hat", "r_hat"):
         residual, x = worst[key]
         lines.append(f"{key:6s} max relative residual = {residual:.3e} at x = {x:g}")
@@ -327,13 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     mean_speed.add_argument("--out", default=None, help="CSV output path")
     mean_speed.add_argument("--svg", default=None, help="also emit an SVG plot")
     mean_speed.set_defaults(func=_cmd_figure_mean_speed)
+    radiance = figure_sub.add_parser(
+        "radiance", help="R over R_SB and over (c/4) U/V, and an asymptote over R, "
+                         "at 25 log-spaced x = mc^2/kT in [0.01, 100]")
+    radiance.add_argument("--out", default=None, help="CSV output path")
+    radiance.set_defaults(func=_cmd_figure_radiance)
 
     validate = sub.add_parser(
         "validate", help="compare closed forms against the quadrature oracle"
     )
     validate.set_defaults(func=_cmd_validate)
     parser.commands = {("point",): point, ("sweep",): sweep,
-                       ("figure", "mean-speed"): mean_speed, ("validate",): validate}
+                       ("figure", "mean-speed"): mean_speed, ("validate",): validate,
+                       ("figure", "radiance"): radiance}
     return parser
 
 
@@ -360,8 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code in (0, None) else int(code)
     try:
         return args.func(args)
-    except (MassParseError, DomainError, RegimeError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MassParseError, DomainError, RegimeError, ConvergenceError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # an OSError's text names its path
         return 3 if isinstance(exc, ConvergenceError) else 2
 
 

@@ -40,7 +40,7 @@ _METHOD_KEYS = ("n", "u", "v", "R", "R_naive")  # RadiometryReport.methods, in o
 
 _PI2 = math.pi**2
 _R_SCALE = 1.5 / _PI2  # r_hat = (3/2 pi^2) Q
-_R_HAT_MAX = specfun._PI_RATIOS[3]  # pi^2/60
+_R_HAT_MAX = specfun._PI_RATIOS[2]  # pi^2/60
 _SLACK = 1e-9  # relative slack for invariants that are exact only in real arithmetic
 
 
@@ -198,7 +198,7 @@ def r_hat_closed(x: float) -> float:
 # _si_prefactors name, and its exact massless limit.
 _KERNELS = {
     "n": ("number_density", 2.0 * specfun.zeta_value(3) / _PI2),
-    "u": ("energy_density", specfun._PI_RATIOS[2]),  # pi^2/15
+    "u": ("energy_density", specfun._PI_RATIOS[1]),  # pi^2/15
     "v": ("mean_speed", 1.0),
     "R": ("radiance", _R_HAT_MAX),
 }

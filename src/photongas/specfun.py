@@ -193,11 +193,9 @@ def bessel_k2(z: float) -> float:
 # Riemann zeta.
 # ---------------------------------------------------------------------------
 
-# pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60, correctly rounded, as
-# generated by tests/specfun_tables.py; the math.pi expression of each is an
-# ulp low.
+# pi^4/15, pi^2/15 and pi^2/60, correctly rounded, as generated by
+# tests/specfun_tables.py; the math.pi expression of each is an ulp low.
 _PI_RATIOS = (
-    1.0823232337111381,
     6.493939402266829,
     0.6579736267392906,
     0.16449340668482265,
@@ -259,7 +257,7 @@ _EXPANSION = (
 _LN_2PI = math.log(2.0 * math.pi)
 # The constant terms 2 zeta(3), pi^4/15, zeta(3) and zeta(4) of the four
 # expansions, and -zeta(2)/6 of Q's x^2 term.
-_EXPANSION_CONSTANTS = (2.0 * _ZETA[1], _PI_RATIOS[1], _ZETA[1], _ZETA[2], -_ZETA[0] / 6.0)
+_EXPANSION_CONSTANTS = (2.0 * _ZETA[1], _PI_RATIOS[0], _ZETA[1], _ZETA[2], -_ZETA[0] / 6.0)
 
 
 def _expansions(x: float) -> tuple[float, float, float, float, int]:

@@ -11,8 +11,8 @@ specfun.py (its sixth, _HANKEL, is built from its definition at import):
   They are the discrete cosine transform of mpmath's besselk at
   CHEBYSHEV_NODES Chebyshev points, at 40 digits.  Each is halved, so the
   Clenshaw sum ends in b0 - b2, and they run from the highest order down.
-* _PI_RATIOS, pi^4/90 = zeta(4), pi^4/15, pi^2/15 and pi^2/60 correctly
-  rounded: the massless limits of the gas kernels and their sums.
+* _PI_RATIOS, pi^4/15, pi^2/15 and pi^2/60 correctly rounded: the
+  massless limits of the gas kernels and their sums.
 * _ZETA, zeta(2), zeta(3) and zeta(4) correctly rounded, mpmath's zeta at
   40 digits.
 * _EXPANSION, one row (a_j, b_j, c_j, p_j, q_j) per order j of the
@@ -70,11 +70,11 @@ def chebyshev_k01() -> tuple[tuple[float, float], ...]:
 
 
 def pi_ratios() -> tuple[float, ...]:
-    """pi^4/90, pi^4/15, pi^2/15 and pi^2/60, each correctly rounded."""
+    """pi^4/15, pi^2/15 and pi^2/60, each correctly rounded."""
     import mpmath as mp
 
     with mp.workdps(40):
-        return tuple(float(mp.pi**k / d) for k, d in ((4, 90), (4, 15), (2, 15), (2, 60)))
+        return tuple(float(mp.pi**k / d) for k, d in ((4, 15), (2, 15), (2, 60)))
 
 
 def zeta_values() -> tuple[float, ...]:

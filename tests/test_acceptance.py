@@ -204,3 +204,27 @@ def test_criterion_10_cli_determinism(tmp_path):
     ok &= main(["validate"]) == 0
     report(10, "sweep is byte-identical across runs; validate exits 0", ok)
     assert ok
+
+
+def test_criterion_11_radiance_figure(tmp_path):
+    # The paper's claim on the rows of `photongas figure radiance`: R < R_SB
+    # and R < (c/4) U/V, the less the larger x; the small-mass asymptote
+    # meets R at x = 0.01, and from x = 40 on, where Li_s(e^-x) = e^-x to the
+    # double, R is the low-temperature asymptote times (1 + 3/x + 3/x^2).
+    out_file = tmp_path / "radiance.csv"
+    ok = main(["figure", "radiance", "--out", str(out_file)]) == 0
+    lines = out_file.read_text().splitlines()
+    ok &= lines[0] == "x,R_over_RSB,R_over_Rnaive,asymptote_over_R"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    xs, over_sb, over_naive, asymptote = zip(*rows)
+    ok &= len(rows) == 25 and xs[0] == 0.01
+    ok &= all(a < b for a, b in zip(xs, xs[1:]))
+    for column in (over_sb, over_naive):
+        ok &= all(0.0 < value < 1.0 for value in column)
+        ok &= all(a > b for a, b in zip(column, column[1:]))
+    ok &= abs(asymptote[0] - 1.0) <= 1e-6
+    tail = [a * (1 + 3 / x + 3 / (x * x)) for x, a in zip(xs, asymptote) if x >= 40]
+    ok &= len(tail) == 3 and all(abs(value - 1.0) <= 1e-15 for value in tail)
+    report(11, "figure radiance: R/R_SB and R/R_naive in (0, 1), falling; "
+               "asymptotes meet R at both ends", ok)
+    assert ok

@@ -433,6 +433,48 @@ def test_figure_limits_and_svg_emission(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# figure radiance
+# ---------------------------------------------------------------------------
+
+def test_figure_radiance_takes_only_out_and_prints_the_kernels_ratios(capsys, tmp_path):
+    # Its fixed grid of 25 x, 17-digit cells, and each row from the kernels
+    # at its x alone: no mass, no T, no SI value; the asymptote switches at x = 1.
+    code, out, _ = run(capsys, "figure", "radiance", "-h")
+    assert code == 0
+    assert re.findall(r"^  (-\S.*?)(?:  |$)", out, re.M) == ["-h, --help", "--out OUT"]
+    out_file = tmp_path / "radiance.csv"
+    assert run(capsys, "figure", "radiance", "--out", str(out_file)) == (0, "", "")
+    assert run(capsys, "figure", "radiance") == (0, out_file.read_text(), "")
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "x,R_over_RSB,R_over_Rnaive,asymptote_over_R"
+    cells = [line.split(",") for line in lines[1:]]
+    assert [float(row[0]) for row in cells] == _grid(0.01, 100.0, 25, "log")
+    assert all(cell == "%.16e" % float(cell) for row in cells for cell in row)
+    for x, over_sb, over_naive, asymptote in (map(float, row) for row in cells):
+        _, u_hat, _, r_hat = core._series(x)
+        expected = (math.pi**2 / 60 * (1 - 5 / (2 * math.pi**2) * x * x) if x < 1
+                    else x * x * math.exp(-x) / (2 * math.pi**2))
+        assert over_sb == pytest.approx(r_hat / (math.pi**2 / 60), rel=1e-15, abs=0)
+        assert over_naive == pytest.approx(4 * r_hat / u_hat, rel=1e-15, abs=0)
+        assert asymptote == pytest.approx(expected / r_hat, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["point", "--mass", "1eV", "--temp", "300", "--out", "{dir}"], "{dir}"),
+    (["figure", "mean-speed", "--points", "3", "--svg", "{dir}"], "{dir}"),
+    (["figure", "radiance", "--out", "{dir}"], "{dir}"),
+    (["figure", "mean-speed", "--out", "{dir}/missing/f.csv"], "{dir}/missing/f.csv")],
+    ids=["point --out", "mean-speed --svg", "radiance --out", "mean-speed --out"])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, argv, path):
+    # Exit 1 is validate's FAIL alone: a path that cannot be opened exits 2
+    # with one error line naming it, and no traceback.
+    code, _, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(path.format(dir=tmp_path)) in err
+
+
+# ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
 
@@ -727,6 +769,7 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypa
         (["sweep", "--mass", "1eV", "--points", "5", "--out", "sweep.csv"], None),
         (["figure", "mean-speed", "--points", "7", "--out", "fig.csv",
           "--svg", "fig.svg"], None),
+        (["figure", "radiance", "--out", "radiance.csv"], None),
         (["validate"], None),
         (["point", "--mass", "0kg"], None),
         (["validate", "--quad-tol", "1e-10"], None),
@@ -749,7 +792,7 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypa
 
     forward = [outcome(*step) for step in steps]
     backward = [outcome(*step) for step in reversed(steps)][::-1]
-    assert [result[0] for result in forward] == [0, 0, 0, 0, 0, 0, 2, 2, 0, 3]
+    assert [result[0] for result in forward] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 3]
     assert forward == backward
     assert build_parser() is build_parser()
 
@@ -782,10 +825,9 @@ ARGV_BATTERY = [
     ["figure", "mean-speed", "--help"], ["validate", "-h"],
     ["point", "--mass", "1eV", "--help"], ["point", "--mass", "1eV", "--temp", "300", "-h"],
     ["sweep", "--mass", "1eV", "--points", "3", "--help"],
-    ["figure", "mean-speed", "--points", "3", "-h"],
+    ["figure", "mean-speed", "--points", "3", "-h"], ["figure", "radiance", "--help"],
     # unknown commands and figures, and a flag before the command
-    ["bogus"], ["pointt", "--mass", "1eV", "--temp", "300"], ["figure"],
-    ["figure", "radiance"], ["figure", "radiance", "--help"],
+    ["bogus"], ["pointt", "--mass", "1eV", "--temp", "300"], ["figure"], ["figure", "bogus"],
     ["--mass", "1eV", "point", "--temp", "300"], ["--help", "point"], ["-h", "validate"],
     # abbreviated flags, one of them ambiguous, and the --flag=value form
     ["point", "--mas", "1eV", "--te", "300"], ["point", "--he"],
@@ -817,7 +859,8 @@ ARGV_BATTERY = [
     ["point", "--bogus", "--mass", "1eV", "--temp", "300"],
     ["point", "extra", "--mass", "1eV", "--temp", "300"],
     ["point", "--mass", "1eV", "--temp", "300", "extra"],
-    ["validate", "extra"], ["figure", "mean-speed", "extra"],
+    ["validate", "extra"], ["figure", "mean-speed", "extra"], ["figure", "radiance", "extra"],
+    ["figure", "radiance", "--points", "3"],
     ["point", "point", "--mass", "1eV", "--temp", "300"], ["validate", "validate"],
     ["figure", "figure", "mean-speed"], ["figure", "mean-speed", "mean-speed"],
     # well-formed commands, and errors raised after parsing
@@ -829,6 +872,7 @@ ARGV_BATTERY = [
     ["sweep", "--mass", "0kg", "--variable", "temperature", "--points", "3"],
     ["figure", "mean-speed", "--points", "5", "--out", "fig.csv", "--svg", "fig.svg"],
     ["figure", "mean-speed", "--x-min", "1e-320", "--x-max", "1", "--points", "3"],
+    ["figure", "radiance"], ["figure", "radiance", "--out", "radiance.csv"],
     ["validate"],
 ]
 
@@ -841,7 +885,7 @@ def reference_main(argv):
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (MassParseError, DomainError, RegimeError, ConvergenceError) as exc:
+    except (MassParseError, DomainError, RegimeError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConvergenceError) else 2
 
@@ -882,7 +926,8 @@ def test_only_a_misfit_argv_reaches_the_top_level_parser(monkeypatch, capsys):
         monkeypatch.setattr(parser, name, recorder(name))
     for argv in (("point", "--mass", "1eV", "--temp", "300", "--format", "csv"),
                  ["sweep", "--mass", "1eV", "--points", "3"],
-                 ["figure", "mean-speed", "--points", "3"], ["validate"]):
+                 ["figure", "mean-speed", "--points", "3"], ["validate"],
+                 ["figure", "radiance"]):
         assert main(argv) == 0
         assert calls == [], argv
     capsys.readouterr()
@@ -906,6 +951,7 @@ def test_only_validate_loads_the_oracle():
     for argv, loaded in ((["point", "--mass", "1eV", "--temp", "300"], False),
                          (["sweep", "--mass", "1eV", "--points", "3"], False),
                          (["figure", "mean-speed", "--points", "3", "--svg", os.devnull], False),
+                         (["figure", "radiance", "--out", os.devnull], False),
                          (["validate"], True)):
         proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
                               capture_output=True, text=True, timeout=120)

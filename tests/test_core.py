@@ -921,7 +921,7 @@ def test_number_density_alone_is_finite_where_the_other_prefactors_overflow():
 def test_every_path_refuses_a_broken_kernel_by_name(monkeypatch, capsys, key, value, message):
     # The band loop is what every path calls, as core._bands: evaluate and
     # the x sweep through _report, reduced_functions through its
-    # constructor, the SI wrappers through _si_value, and the figure
+    # constructor, the SI wrappers through _si_value, and both figures
     # directly.  Each refuses the broken kernel by name, and validate, which
     # compares the band loop with its oracle, fails.
     bands = core._bands
@@ -941,7 +941,7 @@ def test_every_path_refuses_a_broken_kernel_by_name(monkeypatch, capsys, key, va
         assert str(excinfo.value) == message
     grid = ["--x-min", "0.5", "--x-max", "1", "--points", "2"]
     for argv in (["sweep", "--mass", "1eV", "--variable", "x", *grid],
-                 ["figure", "mean-speed", *grid]):
+                 ["figure", "mean-speed", *grid], ["figure", "radiance"]):
         code = cli.main(argv)
         assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n")), argv
     assert cli.main(["validate"]) == 1
