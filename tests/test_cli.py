@@ -20,6 +20,7 @@ from photongas.cli import VALIDATE_GRID, _grid, build_parser, main
 from photongas.errors import ConvergenceError, DomainError, MassParseError, RegimeError
 from photongas.units import _DBL_MAX
 import golden_cells
+import golden_outputs
 from specfun_cost import X_GRID
 
 
@@ -206,6 +207,14 @@ def test_every_state_of_the_ledger_prints_its_committed_cells():
     # tests/golden_cells.csv: the point csv cells, or the exit code and
     # message, at every state of the grid that tests/golden_cells.py builds
     assert golden_cells.diff(golden_cells.read()) == []
+
+
+def test_every_command_of_the_record_prints_its_committed_bytes():
+    # tests/golden_outputs/: both figures with their default flags (the
+    # mean-speed CSV and SVG, the radiance CSV) and validate, byte for byte
+    committed, now = golden_outputs.read(), golden_outputs.outputs()
+    assert sorted(now) == sorted(committed)
+    assert [name for name in committed if now[name] != committed[name]] == []
 
 
 def test_every_state_of_the_ledger_prints_the_same_cells_as_text_and_json(capsys):
