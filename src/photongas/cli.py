@@ -19,7 +19,7 @@ import operator
 import sys
 
 from . import core
-from .errors import ConvergenceError, DomainError, MassParseError, RegimeError
+from .errors import ConvergenceError, DomainError, MassParseError
 from .units import _DBL_MAX, SI, GasParameters, _checked, parse_mass, reduce
 
 # One row per report quantity, in the order n, u, v, R, R_naive of
@@ -59,8 +59,6 @@ _POINT_FORMATS = {
 
 VALIDATE_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 VALIDATE_LIMIT = 1e-7
-
-_NONREL_MIN_X = 8.0 / math.pi
 
 
 def _grid(minimum: float, maximum: float, points: int, spacing: str) -> list[float]:
@@ -143,10 +141,8 @@ def _figure_rows(grid: list[float]) -> list[tuple[float, float, float, float | N
             raise DomainError(f"kT/mc^2 = 1/x overflows at x={x!r}")
         kernels = core._bands(x)  # _grid has checked x
         core._check_kernels(*kernels)
-        v_hat = kernels[2]
-        # 8/pi/x, not 8/(pi x): pi x overflows for x near the largest double.
-        approx = math.sqrt(8.0 / math.pi / x) if x > _NONREL_MIN_X else None
-        rows.append((x, kt_ratio, v_hat, approx))
+        approx = core._nonrel_v_hat(x) if x > core._NONREL_MIN_X else None
+        rows.append((x, kt_ratio, kernels[2], approx))
     return rows
 
 
@@ -229,10 +225,6 @@ def _cmd_figure_mean_speed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _low_temp_r_hat(x: float) -> float:  # r_hat's low-temperature asymptote
-    return x * x * math.exp(-x) / (2.0 * math.pi**2)
-
-
 def _cmd_figure_radiance(args: argparse.Namespace) -> int:
     # R/R_SB, R/R_naive and an asymptote over R, each a function of x alone: the
     # small-mass R_SB [1 - (5/2 pi^2) x^2] below x = 1, the low-temperature one from 1 on.
@@ -240,8 +232,7 @@ def _cmd_figure_radiance(args: argparse.Namespace) -> int:
     for x in _grid(0.01, 100.0, 25, "log"):
         _, u_hat, _, r_hat = kernels = core._bands(x)
         core._check_kernels(*kernels)
-        asymptote = (core._R_HAT_MAX * (1.0 - 2.5 / core._PI2 * x * x) if x < 1.0
-                     else _low_temp_r_hat(x))
+        asymptote = core._small_x_r_hat(x) if x < 1.0 else core._low_temp_r_hat(x)
         rows.append((x, r_hat / core._R_HAT_MAX, 4.0 * r_hat / u_hat, asymptote / r_hat))
     _write_output(_figure_csv(rows, RADIANCE_COLUMNS), args.out)
     return 0
@@ -271,7 +262,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 worst[key] = (residual, x)
         if x == 50.0:
             eq18_line = (f"x = 50: r_hat / low-temperature asymptote = "
-                         f"{quad_values[3] / _low_temp_r_hat(x):.6f} (expect ~ 1 + 3/x)")
+                         f"{quad_values[3] / core._low_temp_r_hat(x):.6f} (expect ~ 1 + 3/x)")
     for key in ("n_hat", "v_hat", "u_hat", "r_hat"):
         residual, x = worst[key]
         lines.append(f"{key:6s} max relative residual = {residual:.3e} at x = {x:g}")
@@ -385,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code in (0, None) else int(code)
     try:
         return args.func(args)
-    except (MassParseError, DomainError, RegimeError, ConvergenceError, OSError) as exc:
+    except (MassParseError, DomainError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # an OSError's text names its path
         return 3 if isinstance(exc, ConvergenceError) else 2
 

@@ -30,7 +30,7 @@ import math
 import sys
 
 from . import specfun
-from .errors import DomainError, RegimeError
+from .errors import DomainError
 from .units import _C, _DBL_MAX, _HBAR_C, _K_B, SI, GasParameters, _check_x, _checked, _Frozen
 from .units import reduce  # noqa: F401 -- core.reduce, which perfbench/tracing.py wraps
 from .units import reduce as _reduced_x  # core's own calls, which a tracer of core.reduce skips
@@ -210,6 +210,28 @@ def reduced_functions(x: float) -> ReducedFunctions:
     return ReducedFunctions(x, *_bands(_check_x(x)))  # the constructor checks the kernels
 
 
+# The paper's limiting laws, each a function of x alone: figure radiance and
+# validate set r_hat against the first two, and figure mean-speed sets v_hat
+# against the third from x = _NONREL_MIN_X, where it is 1, on.
+
+_NONREL_MIN_X = 8.0 / math.pi
+
+
+def _small_x_r_hat(x: float) -> float:
+    """r_hat's small-mass asymptote: R_SB [1 - (5/2pi^2) x^2], reduced."""
+    return _R_HAT_MAX * (1.0 - 2.5 / _PI2 * x * x)
+
+
+def _low_temp_r_hat(x: float) -> float:
+    """r_hat's low-temperature asymptote x^2 e^-x / 2pi^2."""
+    return x * x * math.exp(-x) / (2.0 * math.pi**2)
+
+
+def _nonrel_v_hat(x: float) -> float:
+    """v_hat's nonrelativistic asymptote sqrt(8/pi x), i.e. vbar = sqrt(8kT/pi m)."""
+    return math.sqrt(8.0 / math.pi / x)  # not 8/(pi x): pi x overflows near the largest double
+
+
 # ---------------------------------------------------------------------------
 # SI wrappers.
 # ---------------------------------------------------------------------------
@@ -356,46 +378,6 @@ def radiance_naive(params: GasParameters) -> float:
     massive photons leave the cavity at v < c.  Refused where it overflows.
     """
     return _finite("radiance_naive: (c/4) U/V", 0.25 * SI.c * energy_density(params), params)
-
-
-def small_mass_radiance(params: GasParameters) -> float:
-    """Leading small-x radiance: R_SB [1 - (5/2pi^2) x^2].
-
-    Applicability (x < 1) is the caller's responsibility; the expression is
-    evaluated as stated either way, and refused where it overflows.
-    """
-    x = _reduced_x(params)
-    value = _si_prefactors(params, "R")[3] * _R_HAT_MAX * (1.0 - 2.5 / _PI2 * x * x)
-    return _finite("small_mass_radiance: R_SB [1 - (5/2pi^2) x^2]", value, params)
-
-
-def low_temp_radiance(params: GasParameters) -> float:
-    """Low-temperature radiance asymptote (g/2)(mc/pi)^2 (kT)^2 e^-x / (2 hbar^3).
-
-    Meaningful for x > 1; the caller checks the regime.
-    """
-    x = _reduced_x(params)
-    # e^-x as two factors h = e^(-x/2), as in _bands: a huge x gives 0, not
-    # inf * 0, and where e^-x is subnormal a product that is not keeps its digits.
-    # Where the product overflows before the second h, (h x)^2 <= (2/e)^2 does not.
-    h = math.exp(-0.5 * x)
-    pr = _si_prefactors(params, "R")[3]
-    value = pr * h * x * x * h
-    return (value if value < math.inf else pr * (h * x) * (x * h)) / (2.0 * _PI2)
-
-
-def low_temp_mean_speed(params: GasParameters) -> float:
-    """Nonrelativistic mean speed sqrt(8 kT / pi m).
-
-    Requires x >= 8/pi; below that boundary the formula would exceed c and
-    a RegimeError is raised.
-    """
-    x = _reduced_x(params)
-    if x < 8.0 / math.pi:
-        raise RegimeError(
-            f"nonrelativistic mean speed needs x >= 8/pi, got x={x!r}"
-        )
-    return math.sqrt(8.0 * SI.k_B * params.temperature / (math.pi * params.mass))
 
 
 def evaluate(params: GasParameters) -> RadiometryReport:

@@ -9,10 +9,6 @@ class MassParseError(ValueError):
     """A mass string could not be parsed."""
 
 
-class RegimeError(ValueError):
-    """An asymptotic formula was requested outside its regime of validity."""
-
-
 class ConvergenceError(RuntimeError):
     """A quadrature did not reach the requested tolerance.
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import photongas
 from photongas import SI, GasParameters, core, oracle, parse_mass, specfun
 from photongas.cli import VALIDATE_GRID, _grid, build_parser, main
-from photongas.errors import ConvergenceError, DomainError, MassParseError, RegimeError
+from photongas.errors import ConvergenceError, DomainError, MassParseError
 from photongas.units import _DBL_MAX
 import golden_cells
 import golden_outputs
@@ -894,7 +894,7 @@ def reference_main(argv):
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (MassParseError, DomainError, RegimeError, ConvergenceError, OSError) as exc:
+    except (MassParseError, DomainError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ConvergenceError) else 2
 

@@ -19,11 +19,9 @@ from hypothesis import strategies as st
 
 import photongas
 from photongas import (SI, ConvergenceError, DomainError, GasParameters,
-                       RadiometryReport, RegimeError, cli, core,
-                       energy_density, evaluate, low_temp_mean_speed,
-                       low_temp_radiance, mean_speed, number_density, oracle,
-                       photon_speed, radiance, radiance_naive, reduce,
-                       reduced_functions, small_mass_radiance,
+                       RadiometryReport, cli, core, energy_density, evaluate,
+                       mean_speed, number_density, oracle, photon_speed,
+                       radiance, radiance_naive, reduce, reduced_functions,
                        spectral_energy_density, specfun, units, zeta_value)
 from photongas.core import _series, _si_prefactors, n_hat_series, v_hat_series
 
@@ -242,8 +240,7 @@ def test_radiance_closed_form_matches_quadrature_at_x_1():
 
 
 def test_radiance_low_temperature_behavior_at_x_50():
-    params = params_for_x(50.0)
-    assert abs(radiance(params) / low_temp_radiance(params) - 1.0) <= 4.0 / 50.0
+    assert abs(reduced_functions(50.0).r_hat / core._low_temp_r_hat(50.0) - 1.0) <= 4.0 / 50.0
 
 
 def test_naive_radiance_equals_radiance_for_massless():
@@ -268,12 +265,13 @@ def test_radiance_ratio_golden_value_at_x_5():
 
 
 # ---------------------------------------------------------------------------
-# asymptotic formulas
+# asymptotic formulas, in reduced form: r_hat's small-mass and low-temperature
+# laws and v_hat's nonrelativistic one, each a function of x alone
 # ---------------------------------------------------------------------------
 
 def test_small_mass_radiance_at_zero_is_stefan_boltzmann():
-    params = GasParameters(mass=0.0, temperature=T_REF)
-    assert small_mass_radiance(params) == pytest.approx(radiance(params), rel=1e-14)
+    assert core._small_x_r_hat(0.0) == reduced_functions(0.0).r_hat == core._R_HAT_MAX
+    assert core._small_x_r_hat(0.0) == pytest.approx(math.pi**2 / 60, rel=1e-14)
 
 
 def test_small_mass_coefficient_value():
@@ -281,14 +279,13 @@ def test_small_mass_coefficient_value():
 
 
 def test_small_mass_radiance_agrees_with_full_form_at_x_005():
-    params = params_for_x(0.05)
-    assert small_mass_radiance(params) == pytest.approx(radiance(params), rel=1e-4)
+    assert core._small_x_r_hat(0.05) == pytest.approx(reduced_functions(0.05).r_hat, rel=1e-4)
 
 
 def test_small_mass_radiance_next_orders():
     # r_hat = (3/2 pi^2) [zeta(4) - zeta(2) x^2/6 + x^3/9 - x^4/48 + O(x^5)],
     # so (1 - r_hat/(pi^2/60))/x^2 = 5/(2 pi^2) - (10/pi^4) x
-    # + x^2/(48 zeta(4)) + O(x^3): the orders after small_mass_radiance's.
+    # + x^2/(48 zeta(4)) + O(x^3): the orders after the small-mass law's.
     x = 1e-3
     deficit = (1.0 - reduced_functions(x).r_hat / (math.pi**2 / 60)) / (x * x)
     expected = 2.5 / math.pi**2 - 10.0 / math.pi**4 * x + x * x / (48 * zeta_value(4))
@@ -296,45 +293,28 @@ def test_small_mass_radiance_next_orders():
 
 
 def test_low_temp_radiance_expansion_ratio():
-    params = params_for_x(100.0)
-    ratio = radiance(params) / low_temp_radiance(params)
+    ratio = reduced_functions(100.0).r_hat / core._low_temp_r_hat(100.0)
     # the bracket expands to 1 + 3/x + 3/x^2 + exponentially small terms
     assert ratio - (1.0 + 3.0 / 100.0) == pytest.approx(3.0 / 100.0**2, abs=1e-4)
 
 
-@pytest.mark.parametrize("x", [800.0, 1e155, 1e200, 1e300])
-def test_low_temp_radiance_vanishes_at_huge_x(x):
-    # from x of about 1e154 on, x * x overflows: e^-x must enter first
-    assert low_temp_radiance(params_for_x(x)) == 0.0
-
-
 def test_low_temp_radiance_within_bound_at_x_30():
-    params = params_for_x(30.0)
-    assert abs(radiance(params) / low_temp_radiance(params) - 1.0) <= 4.0 / 30.0
+    assert abs(reduced_functions(30.0).r_hat / core._low_temp_r_hat(30.0) - 1.0) <= 4.0 / 30.0
 
 
 def test_low_temp_mean_speed_boundary_is_c():
-    mass = 8.0 * SI.k_B * T_REF / (math.pi * SI.c**2)
-    mass = math.nextafter(mass, math.inf)  # land safely on the allowed side
-    value = low_temp_mean_speed(GasParameters(mass=mass, temperature=T_REF))
-    assert value == pytest.approx(SI.c, rel=1e-12)
+    # sqrt(8/pi x) is 1 where the nonrelativistic regime starts, x = 8/pi
+    assert core._nonrel_v_hat(core._NONREL_MIN_X) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_low_temp_mean_speed_matches_full_form_at_x_200():
-    params = params_for_x(200.0)
-    assert low_temp_mean_speed(params) == pytest.approx(mean_speed(params), rel=0.01)
+    assert core._nonrel_v_hat(200.0) == pytest.approx(reduced_functions(200.0).v_hat, rel=0.01)
 
 
 def test_low_temp_mean_speed_scales_with_sqrt_temperature():
-    params = params_for_x(100.0)
-    halved = GasParameters(mass=params.mass, temperature=params.temperature / 2)
-    assert low_temp_mean_speed(halved) == pytest.approx(
-        low_temp_mean_speed(params) / math.sqrt(2), rel=1e-14)
-
-
-def test_low_temp_mean_speed_rejects_relativistic_regime():
-    with pytest.raises(RegimeError):
-        low_temp_mean_speed(params_for_x(1.0))
+    # halving T doubles x and scales sqrt(8kT/pi m) by 1/sqrt(2)
+    assert core._nonrel_v_hat(200.0) == pytest.approx(
+        core._nonrel_v_hat(100.0) / math.sqrt(2), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +413,11 @@ def test_report_invariants_hold_everywhere(x, temperature, g):
 
 QUANTITIES = ("number_density", "energy_density", "mean_speed", "radiance")
 # Each SI function, with the names its refusals may start with: its own, or
-# that of the quantity whose prefactor or regime refuses it.
+# that of the quantity whose prefactor refuses it.
 SI_FUNCTIONS = (
     (number_density, ("number_density",)), (energy_density, ("energy_density",)),
     (mean_speed, ("mean_speed",)), (radiance, ("radiance",)),
-    (radiance_naive, ("radiance_naive", "energy_density")),
-    (small_mass_radiance, ("small_mass_radiance", "radiance")),
-    (low_temp_radiance, ("low_temp_radiance", "radiance")),
-    (low_temp_mean_speed, ("low_temp_mean_speed", "nonrelativistic mean speed")))
+    (radiance_naive, ("radiance_naive", "energy_density")))
 
 
 @settings(max_examples=200, deadline=None)
@@ -467,7 +444,7 @@ def test_evaluate_over_the_whole_double_range_reports_or_names_the_error(
     for function, names in SI_FUNCTIONS:
         try:
             value = function(params)
-        except (DomainError, RegimeError) as exc:
+        except DomainError as exc:
             assert str(exc).startswith(names), (function.__name__, exc)
         else:
             assert type(value) is float and math.isfinite(value), (function.__name__, value)
@@ -1051,39 +1028,26 @@ def test_evaluate_checks_its_x_only_where_it_reduces_it(monkeypatch, capsys):
         assert calls == [], argv
 
 
-@pytest.mark.parametrize("function", [small_mass_radiance, low_temp_radiance,
-                                      low_temp_mean_speed])
-def test_asymptotes_refuse_an_x_that_overflows_as_reduce_does(function):
-    params = GasParameters(mass=1.0, temperature=1e-300)
-    with pytest.raises(DomainError) as excinfo:
-        function(params)
-    with pytest.raises(DomainError) as reduced:
-        reduce(params)
-    assert str(excinfo.value) == str(reduced.value) == (
-        "x = mc^2/kT overflows a double at m=1.0 kg, T=1e-300 K")
-
-
 # ---------------------------------------------------------------------------
 # the package root
 # ---------------------------------------------------------------------------
 
 ROOT_NAMES = (
     "RadiometryReport", "ReducedFunctions", "energy_density", "evaluate",
-    "low_temp_mean_speed", "low_temp_radiance", "mean_speed", "number_density",
-    "photon_speed", "radiance", "radiance_naive", "reduced_functions",
-    "small_mass_radiance", "spectral_energy_density",
-    "ConvergenceError", "DomainError", "MassParseError", "RegimeError", "zeta_value",
+    "mean_speed", "number_density", "photon_speed", "radiance", "radiance_naive",
+    "reduced_functions", "spectral_energy_density",
+    "ConvergenceError", "DomainError", "MassParseError", "zeta_value",
     "SI", "GasParameters", "PhysicalConstants", "format_mass", "parse_mass", "reduce",
 )
 
 
 def test_public_surface_is_what_a_route_or_a_user_needs():
-    # The root exports exactly these 25 names, and each imports from it.  Of
+    # The root exports exactly these 21 names, and each imports from it.  Of
     # the names oracle and specfun define, only zeta_value does: the oracle's
     # views and its quadrature driver and the Bessel views stay in their
     # modules.  Importing the root, in a fresh interpreter, leaves the
     # quadrature oracle unloaded.
-    assert sorted(photongas.__all__) == sorted(ROOT_NAMES) and len(set(ROOT_NAMES)) == 25
+    assert sorted(photongas.__all__) == sorted(ROOT_NAMES) and len(set(ROOT_NAMES)) == 21
     exec(f"from photongas import {', '.join(ROOT_NAMES)}", {})
     left = [name for module in (oracle, specfun) for name, value in vars(module).items()
             if getattr(value, "__module__", None) == module.__name__ and name != "zeta_value"]
