@@ -16,6 +16,7 @@ import argparse
 import functools
 import math
 import operator
+import os
 import sys
 
 from . import core
@@ -80,14 +81,27 @@ def _grid(minimum: float, maximum: float, points: int, spacing: str) -> list[flo
     return [minimum, *inner, maximum]
 
 
-def _write_output(text: str, path: str | None) -> None:
-    # The full text is assembled before this call, so a failure during
-    # evaluation can never leave a partial file behind.
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as handle:
+def _write_outputs(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) of one command, stdout (path None) last, once every path is
+    open, untruncated: a failed open closes them, removes the files this call created and
+    re-raises, so it leaves no new file.  A write that fails after truncation is not undone."""
+    files = []
+    try:
+        for text, path in outputs:
+            if path is not None:  # the tuple's exists() runs before its open()
+                files.append((os.path.exists(path), open(path, "a", newline=""), text))
+    except BaseException:
+        for existed, handle, _ in files:
+            handle.close()
+            if not existed:
+                os.remove(handle.name)
+        raise
+    for _, handle, text in files:
+        with handle:
+            if os.path.isfile(handle.name):  # as with "w", a device or pipe is not truncated
+                handle.truncate(0)
             handle.write(text)
+    sys.stdout.write("".join(text for text, path in outputs if path is None))
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +109,8 @@ def _write_output(text: str, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    params = GasParameters(mass=parse_mass(args.mass), temperature=args.temp,
-                           degeneracy=args.g)
-    _write_output(_POINT_FORMATS[args.format] % _POINT_CELLS(core.evaluate(params)), args.out)
+    params = GasParameters(mass=parse_mass(args.mass), temperature=args.temp, degeneracy=args.g)
+    _write_outputs((_POINT_FORMATS[args.format] % _POINT_CELLS(core.evaluate(params)), args.out))
     return 0
 
 
@@ -125,7 +138,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # recomputed from the rounded T.
         x = value if by_x else reduce(params)
         rows.append(_SWEEP_ROW % (index, *_CELLS(core._report(params, x))))
-    _write_output("\n".join(rows) + "\n", args.out)
+    _write_outputs(("\n".join(rows) + "\n", args.out))
     return 0
 
 
@@ -217,11 +230,8 @@ def _figure_svg(rows) -> str:
 
 def _cmd_figure_mean_speed(args: argparse.Namespace) -> int:
     rows = _figure_rows(_grid(args.x_min, args.x_max, args.points, args.spacing))
-    csv = _figure_csv(rows, FIGURE_COLUMNS)
-    svg = None if args.svg is None else _figure_svg(rows)
-    _write_output(csv, args.out)
-    if svg is not None:
-        _write_output(svg, args.svg)
+    svg = () if args.svg is None else ((_figure_svg(rows), args.svg),)
+    _write_outputs((_figure_csv(rows, FIGURE_COLUMNS), args.out), *svg)
     return 0
 
 
@@ -234,7 +244,7 @@ def _cmd_figure_radiance(args: argparse.Namespace) -> int:
         core._check_kernels(*kernels)
         asymptote = core._small_x_r_hat(x) if x < 1.0 else core._low_temp_r_hat(x)
         rows.append((x, r_hat / core._R_HAT_MAX, 4.0 * r_hat / u_hat, asymptote / r_hat))
-    _write_output(_figure_csv(rows, RADIANCE_COLUMNS), args.out)
+    _write_outputs((_figure_csv(rows, RADIANCE_COLUMNS), args.out))
     return 0
 
 
@@ -270,7 +280,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         lines.append(eq18_line)
     ok = all(residual <= VALIDATE_LIMIT for residual, _ in worst.values())
     lines.append(f"RESULT: {'PASS' if ok else 'FAIL'} (limit {VALIDATE_LIMIT:g})")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_outputs(("\n".join(lines) + "\n", None))
     return 0 if ok else 1
 
 

@@ -1,8 +1,9 @@
 """The output ledger: what ``photongas point --format csv`` prints, or how it
-refuses, at a fixed grid of (m, T, g) states.
+refuses, at a fixed grid of (m, T, g) states.  tests/golden_outputs.py runs
+it with the rest of the record:
 
-    PYTHONPATH=src python tests/golden_cells.py --diff     # what moved against the ledger
-    PYTHONPATH=src python tests/golden_cells.py --write    # rewrite tests/golden_cells.csv
+    PYTHONPATH=src python tests/golden_outputs.py --diff     # what moved, the ledger too
+    PYTHONPATH=src python tests/golden_outputs.py --write    # rewrite tests/golden_cells.csv too
 
 Each row of tests/golden_cells.csv holds repr(m) in kg, repr(T) in K and
 repr(g), then the exit code, then either the cells of the row ``point``
@@ -17,20 +18,17 @@ prints (exit 0) or its error message.  The grid is built here:
   prefactors overflow, at m = 0 and x = 1, for g = 1, 2 and 3
 - m = 0 from 5e-324 K up, and states whose x overflows
 
-``--diff`` runs every state of the ledger and prints, per column, how many
+``diff`` runs every state of the ledger and says, per column, how many
 cells moved, the largest relative move and the x of its row, and every
-refusal that changed; it prints nothing, and exits 0, when nothing moved.
-A change that moves cells on purpose rewrites the ledger with ``--write``.
+refusal that changed; it says nothing when nothing moved.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import io
 import math
-import sys
 from pathlib import Path
 
 from photongas import SI
@@ -129,52 +127,46 @@ def write(path: Path = PATH) -> None:
             writer.writerow([*map(repr, state), *outcome(*state)])
 
 
+def cells_moved(columns, pairs, rows: int) -> list[str]:
+    """One line per column whose cells moved between the old and new rows of
+    pairs, out of rows cells a column: how many moved and, where they are
+    numbers, the largest relative move and the x of its row."""
+    x_at = columns.index("x")
+    moved = dict.fromkeys(columns, 0)
+    largest = dict.fromkeys(columns, (0.0, ""))
+    for old, new in pairs:
+        for column, was, now in zip(columns, old, new):
+            if was == now:
+                continue
+            moved[column] += 1
+            try:
+                was, now = float(was), float(now)
+            except ValueError:  # the method flags, or an empty cell
+                continue
+            rel = abs(now - was) / abs(was) if was else math.inf
+            if rel > largest[column][0]:
+                largest[column] = (rel, new[x_at])
+    lines = []
+    for column, count in moved.items():
+        if count:
+            rel, x = largest[column]
+            tail = f", largest relative move {rel:.3e} at x = {x}" if x else ""
+            lines.append(f"{column}: {count} of {rows} cells moved{tail}")
+    return lines
+
+
 def diff(rows: list[list[str]]) -> list[str]:
     """Lines that say what moved between the ledger's rows and what point prints now."""
     lines = []
     if [tuple(map(float, row[:3])) for row in rows] != states():
         lines.append("the ledger's states are not the grid of golden_cells.states(); "
-                     "rewrite it with --write")
-    columns = HEADER[4:]
-    moved = dict.fromkeys(columns, 0)
-    largest = dict.fromkeys(columns, (0.0, ""))
+                     "rewrite it with tests/golden_outputs.py --write")
+    pairs = []
     for row in rows:
         old, new = row[3:], outcome(*map(float, row[:3]))
-        if old[0] != "0" or new[0] != "0":
-            if old != new:
-                lines.append(f"refusal changed at m={row[0]} kg, T={row[1]} K, g={row[2]}: "
-                             f"{' '.join(old[:2])!r} -> {' '.join(new[:2])!r}")
-            continue
-        for column, was, now in zip(columns, old[1:], new[1:]):
-            if was == now:
-                continue
-            moved[column] += 1
-            if column != "method_flags":
-                was, now = float(was), float(now)
-                rel = abs(now - was) / abs(was) if was else math.inf
-                if rel > largest[column][0]:
-                    largest[column] = (rel, new[3])
-    for column, count in moved.items():
-        if count:
-            rel, x = largest[column]
-            tail = f", largest relative move {rel:.3e} at x = {x}" if x else ""
-            lines.append(f"{column}: {count} of {len(rows)} cells moved{tail}")
-    return lines
-
-
-def main_script() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument("--diff", action="store_true", help="print what moved; exit 1 if any")
-    action.add_argument("--write", action="store_true", help=f"rewrite {PATH.name}")
-    args = parser.parse_args()
-    if args.write:
-        write()
-        return 0
-    lines = diff(read())
-    print("\n".join(lines), end="\n" if lines else "")
-    return 1 if lines else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main_script())
+        if old[0] == new[0] == "0":
+            pairs.append((old[1:], new[1:]))
+        elif old != new:
+            lines.append(f"refusal changed at m={row[0]} kg, T={row[1]} K, g={row[2]}: "
+                         f"{' '.join(old[:2])!r} -> {' '.join(new[:2])!r}")
+    return lines + cells_moved(POINT_COLUMNS, pairs, len(rows))

@@ -1,13 +1,19 @@
-"""The committed bytes of the commands whose output is more than one point:
-both figures with their default flags, and validate.
+"""The record: the committed bytes of every command, and the point ledger.
 
-    PYTHONPATH=src python tests/golden_outputs.py --write   # rewrite tests/golden_outputs/
+    PYTHONPATH=src python tests/golden_outputs.py --diff    # what moved, in every command
+    PYTHONPATH=src python tests/golden_outputs.py --write   # rewrite the record and the ledger
 
-Each command runs through ``photongas.cli.main`` in this process.  Every file
-it writes, and its stdout where it prints one, is kept under
-tests/golden_outputs/ by the name that COMMANDS gives it; a Tier-1 test
-compares every file byte for byte.  A change that moves bytes on purpose
-rewrites them with ``--write``.
+Each command of COMMANDS runs through ``photongas.cli.main`` in this process.
+Every file it writes, and its stdout where it prints one, is kept under
+tests/golden_outputs/ by the name that COMMANDS gives it.  The point ledger,
+tests/golden_cells.csv, keeps what ``point --format csv`` prints at a fixed
+grid of states (tests/golden_cells.py).  A Tier-1 test compares each.
+
+``--diff`` prints what moved: for a CSV, per column, how many cells moved, the
+largest relative move and the x of its row; for any other file, the first
+line that differs; every file missing or extra; and the ledger's own diff.  It
+prints nothing, and exits 0, when nothing moved; else it exits 1.  A change
+that moves bytes on purpose rewrites the record with ``--write``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import os
 import sys
 import tempfile
@@ -22,12 +29,21 @@ from pathlib import Path
 
 from photongas.cli import main
 
+import golden_cells
+
 DIR = Path(__file__).resolve().with_suffix("")
 
 # Each argv, with the file its stdout is kept in, or None where it prints
-# nothing.  An argument that ends in .csv or .svg names a file the command
-# writes, and is kept under that name.
+# nothing.  The argument after --out or --svg names a file the command writes,
+# and is kept under that name.  The x sweep crosses every band of the series
+# route; each point format is kept once, csv through --out.
 COMMANDS = (
+    (("sweep", "--mass", "1eV", "--variable", "x", "--x-min", "1e-6", "--x-max", "100",
+      "--points", "60", "--spacing", "log", "--out", "sweep_x.csv"), None),
+    (("sweep", "--mass", "1eV", "--variable", "temperature"), "sweep_temperature.csv"),
+    (("point", "--mass", "1eV", "--temp", "5800"), "point.txt"),
+    (("point", "--mass", "1eV", "--temp", "5800", "--format", "csv", "--out", "point.csv"), None),
+    (("point", "--mass", "1eV", "--temp", "5800", "--format", "json"), "point.json"),
     (("figure", "mean-speed", "--out", "mean_speed.csv", "--svg", "mean_speed.svg"), None),
     (("figure", "radiance"), "radiance.csv"),
     (("validate",), "validate.txt"),
@@ -39,8 +55,8 @@ def outputs() -> dict[str, bytes]:
     files = {}
     with tempfile.TemporaryDirectory() as scratch:
         for argv, stdout_name in COMMANDS:
-            argv = [os.path.join(scratch, arg) if arg.endswith((".csv", ".svg")) else arg
-                    for arg in argv]
+            argv = [os.path.join(scratch, arg) if flag in ("--out", "--svg") else arg
+                    for flag, arg in zip(("", *argv), argv)]
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(argv)
@@ -61,20 +77,56 @@ def read() -> dict[str, bytes]:
 
 
 def write() -> None:
+    """Rewrite tests/golden_outputs/ and the ledger."""
     DIR.mkdir(exist_ok=True)
     for path in DIR.iterdir():
         path.unlink()
     for name, data in outputs().items():
         (DIR / name).write_bytes(data)
+    golden_cells.write()
+
+
+def _moved(name: str, old: bytes, new: bytes) -> list[str]:
+    """Lines that say what moved in the file name, whose bytes old and new differ."""
+    if name.endswith(".csv"):
+        (old_header, *old_rows), (new_header, *new_rows) = (
+            [line.split(",") for line in data.decode().splitlines()] for data in (old, new))
+        if old_header == new_header and len(old_rows) == len(new_rows):
+            moved = golden_cells.cells_moved(new_header, zip(old_rows, new_rows), len(new_rows))
+            if moved:
+                return moved
+    lines = (data.decode().splitlines(keepends=True) for data in (old, new))
+    for number, (was, now) in enumerate(itertools.zip_longest(*lines), 1):
+        if was != now:
+            return [f"line {number} was {was!r}, is now {now!r}"]
+    return []
+
+
+def diff(committed: dict[str, bytes], now: dict[str, bytes]) -> list[str]:
+    """Lines that say what moved from the committed bytes to now's, file by file."""
+    lines = [f"{name}: committed, but no command writes it" for name in committed
+             if name not in now]
+    lines += [f"{name}: written, but not committed" for name in now if name not in committed]
+    for name in sorted(committed.keys() & now.keys()):
+        if committed[name] != now[name]:
+            lines += [f"{name}: {line}" for line in _moved(name, committed[name], now[name])]
+    return lines
 
 
 def main_script() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--write", action="store_true", required=True,
-                        help=f"rewrite {DIR.name}/")
-    parser.parse_args()
-    write()
-    return 0
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--diff", action="store_true", help="print what moved; exit 1 if any")
+    action.add_argument("--write", action="store_true",
+                        help=f"rewrite {DIR.name}/ and {golden_cells.PATH.name}")
+    if parser.parse_args().write:
+        write()
+        return 0
+    lines = diff(read(), outputs())
+    lines += [f"{golden_cells.PATH.name}: {line}"
+              for line in golden_cells.diff(golden_cells.read())]
+    print("\n".join(lines), end="\n" if lines else "")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

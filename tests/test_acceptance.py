@@ -207,8 +207,9 @@ def test_criterion_10_cli_determinism(tmp_path):
 def test_criterion_11_radiance_figure(tmp_path):
     # The paper's claim on the rows of `photongas figure radiance`: R < R_SB
     # and R < (c/4) U/V, the less the larger x; the small-mass asymptote
-    # meets R at x = 0.01, and from x = 40 on, where Li_s(e^-x) = e^-x to the
-    # double, R is the low-temperature asymptote times (1 + 3/x + 3/x^2).
+    # meets R at x = 0.01; and R is the low-temperature asymptote times
+    # (1 + 3/x + 3/x^2), up to terms in e^-x from x = 30 on, and to the
+    # double from x = 40 on, where Li_s(e^-x) = e^-x.
     out_file = tmp_path / "radiance.csv"
     ok = main(["figure", "radiance", "--out", str(out_file)]) == 0
     lines = out_file.read_text().splitlines()
@@ -221,8 +222,9 @@ def test_criterion_11_radiance_figure(tmp_path):
         ok &= all(0.0 < value < 1.0 for value in column)
         ok &= all(a > b for a, b in zip(column, column[1:]))
     ok &= abs(asymptote[0] - 1.0) <= 1e-6
-    tail = [a * (1 + 3 / x + 3 / (x * x)) for x, a in zip(xs, asymptote) if x >= 40]
-    ok &= len(tail) == 3 and all(abs(value - 1.0) <= 1e-15 for value in tail)
+    gaps = {x: abs(a * (1 + 3 / x + 3 / (x * x)) - 1.0) for x, a in zip(xs, asymptote) if x >= 30}
+    ok &= [x >= 40 for x in gaps] == [False, True, True, True]
+    ok &= all(gap <= (1e-15 if x >= 40 else 1e-13) for x, gap in gaps.items())
     report(11, "figure radiance: R/R_SB and R/R_naive in (0, 1), falling; "
                "asymptotes meet R at both ends", ok)
     assert ok

@@ -210,11 +210,10 @@ def test_every_state_of_the_ledger_prints_its_committed_cells():
 
 
 def test_every_command_of_the_record_prints_its_committed_bytes():
-    # tests/golden_outputs/: both figures with their default flags (the
-    # mean-speed CSV and SVG, the radiance CSV) and validate, byte for byte
-    committed, now = golden_outputs.read(), golden_outputs.outputs()
-    assert sorted(now) == sorted(committed)
-    assert [name for name in committed if now[name] != committed[name]] == []
+    # tests/golden_outputs/: an x and a temperature sweep, point in each
+    # format, both figures with their default flags (the mean-speed CSV and
+    # SVG, the radiance CSV) and validate, byte for byte
+    assert golden_outputs.diff(golden_outputs.read(), golden_outputs.outputs()) == []
 
 
 def test_every_state_of_the_ledger_prints_the_same_cells_as_text_and_json(capsys):
@@ -468,19 +467,33 @@ def test_figure_radiance_takes_only_out_and_prints_the_kernels_ratios(capsys, tm
         assert asymptote == pytest.approx(expected / r_hat, rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("argv, path", [
-    (["point", "--mass", "1eV", "--temp", "300", "--out", "{dir}"], "{dir}"),
-    (["figure", "mean-speed", "--points", "3", "--svg", "{dir}"], "{dir}"),
-    (["figure", "radiance", "--out", "{dir}"], "{dir}"),
-    (["figure", "mean-speed", "--out", "{dir}/missing/f.csv"], "{dir}/missing/f.csv")],
-    ids=["point --out", "mean-speed --svg", "radiance --out", "mean-speed --out"])
-def test_an_output_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, argv, path):
+@pytest.mark.parametrize("argv, path, existing", [
+    (["point", "--mass", "1eV", "--temp", "300", "--out", "{dir}"], "{dir}", False),
+    (["figure", "mean-speed", "--points", "3", "--svg", "{dir}"], "{dir}", False),
+    (["figure", "radiance", "--out", "{dir}"], "{dir}", False),
+    (["figure", "mean-speed", "--out", "{dir}/missing/f.csv"], "{dir}/missing/f.csv", False),
+    (["figure", "mean-speed", "--out", "{dir}/f.csv", "--svg", "{dir}"], "{dir}", False),
+    (["figure", "mean-speed", "--out", "{dir}/f.csv", "--svg", "{dir}"], "{dir}", True),
+    (["figure", "mean-speed", "--svg", "{dir}"], "{dir}", False),
+    (["figure", "mean-speed", "--svg", "{dir}"], "{dir}", True)],
+    ids=["point --out", "mean-speed --svg", "radiance --out", "mean-speed --out",
+         "mean-speed --out f.csv --svg, empty dir", "mean-speed --out f.csv --svg, f.csv exists",
+         "mean-speed --svg, empty dir", "mean-speed --svg, f.csv exists"])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, argv, path,
+                                                                 existing):
     # Exit 1 is validate's FAIL alone: a path that cannot be opened exits 2
-    # with one error line naming it, and no traceback.
-    code, _, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
-    assert code == 2
+    # with one error line naming it, and no traceback.  The command is all
+    # or nothing: it prints nothing else, leaves no new file, and a file it
+    # would have rewritten keeps its bytes.
+    kept = b"x,kept\n"
+    if existing:
+        (tmp_path / "f.csv").write_bytes(kept)
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(path.format(dir=tmp_path)) in err
+    assert [entry.name for entry in tmp_path.iterdir()] == (["f.csv"] if existing else [])
+    assert not existing or (tmp_path / "f.csv").read_bytes() == kept
 
 
 # ---------------------------------------------------------------------------
