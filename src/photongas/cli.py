@@ -17,6 +17,7 @@ import functools
 import math
 import operator
 import os
+import stat
 import sys
 
 from . import core
@@ -83,13 +84,19 @@ def _grid(minimum: float, maximum: float, points: int, spacing: str) -> list[flo
 
 def _write_outputs(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path) of one command, stdout (path None) last, once every path is
-    open, untruncated: a failed open closes them, removes the files this call created and
-    re-raises, so it leaves no new file.  A write that fails after truncation is not undone."""
-    files = []
+    open, untruncated: a failed open, or two paths that name one regular file, closes them,
+    removes the files this call created and raises, so it leaves no new file.  A write
+    that fails after truncation is not undone."""
+    files, regular = [], {}  # regular: (st_dev, st_ino) of each regular file -> its handle
     try:
         for text, path in outputs:
             if path is not None:  # the tuple's exists() runs before its open()
-                files.append((os.path.exists(path), open(path, "a", newline=""), text))
+                files.append((os.path.exists(path), handle := open(path, "a", newline=""), text))
+                status = os.fstat(handle.fileno())
+                if stat.S_ISREG(status.st_mode):  # as with "w", a device or pipe is not truncated
+                    first = regular.setdefault((status.st_dev, status.st_ino), handle)
+                    if first is not handle:
+                        raise OSError(f"outputs {first.name!r} and {path!r} name one file")
     except BaseException:
         for existed, handle, _ in files:
             handle.close()
@@ -98,7 +105,7 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
         raise
     for _, handle, text in files:
         with handle:
-            if os.path.isfile(handle.name):  # as with "w", a device or pipe is not truncated
+            if handle in regular.values():
                 handle.truncate(0)
             handle.write(text)
     sys.stdout.write("".join(text for text, path in outputs if path is None))
@@ -137,7 +144,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # An x sweep prints and evaluates at its grid x, not at mc^2/kT
         # recomputed from the rounded T.
         x = value if by_x else reduce(params)
-        rows.append(_SWEEP_ROW % (index, *_CELLS(core._report(params, x))))
+        report = core.RadiometryReport(params, x, *core._si(params, x, "unR"))
+        rows.append(_SWEEP_ROW % (index, *_CELLS(report)))
     _write_outputs(("\n".join(rows) + "\n", args.out))
     return 0
 

@@ -41,6 +41,10 @@ _METHOD_KEYS = ("n", "u", "v", "R", "R_naive")  # RadiometryReport.methods, in o
 _PI2 = math.pi**2
 _R_SCALE = 1.5 / _PI2  # r_hat = (3/2 pi^2) Q
 _R_HAT_MAX = specfun._PI_RATIOS[2]  # pi^2/60
+# The exact massless limits of n_hat, u_hat (pi^2/15), v_hat and r_hat.
+_MASSLESS = (2.0 * specfun.zeta_value(3) / _PI2, specfun._PI_RATIOS[1], 1.0, _R_HAT_MAX)
+# The SI quantity of each kernel, in kernel order, as _si's refusals name it.
+_SI_NAMES = ("number_density", "energy_density", "mean_speed", "radiance")
 _SLACK = 1e-9  # relative slack for invariants that are exact only in real arithmetic
 
 
@@ -194,17 +198,6 @@ def r_hat_closed(x: float) -> float:
     return _series(x)[3]
 
 
-# Per kernel: the SI quantity it scales to, which the prefactor refusals of
-# _si_prefactors name, and its exact massless limit.
-_KERNELS = {
-    "n": ("number_density", 2.0 * specfun.zeta_value(3) / _PI2),
-    "u": ("energy_density", specfun._PI_RATIOS[1]),  # pi^2/15
-    "v": ("mean_speed", 1.0),
-    "R": ("radiance", _R_HAT_MAX),
-}
-_MASSLESS = tuple(limit for _, limit in _KERNELS.values())
-
-
 def reduced_functions(x: float) -> ReducedFunctions:
     """Evaluate all four reduced kernels at x by the series route."""
     return ReducedFunctions(x, *_bands(_check_x(x)))  # the constructor checks the kernels
@@ -236,14 +229,11 @@ def _nonrel_v_hat(x: float) -> float:
 # SI wrappers.
 # ---------------------------------------------------------------------------
 
-def _si_prefactors(params: GasParameters, keys: str = "") -> tuple[float, float, float, float]:
-    """SI value of one unit of each kernel, from one kT, in the order of _series.
+def _si_prefactors(params: GasParameters) -> tuple[float, float, float, float]:
+    """SI value of one unit of each kernel, from one kT, in the order of _bands.
 
-    n is (g/2) (kT/hbar c)^3, u that times kT, v is c and R u times c.  Those
-    named in keys, over "nuvR", are checked in that order: the first out of
-    the double range (for g = 2, R above 4.8e78 K, u above 6.3e80 K and n
-    above 1.3e100 K) raises DomainError naming its quantity.  Those not
-    named may be inf, or nan where g/2 is 0.
+    n is (g/2) (kT/hbar c)^3, u that times kT, v is c and R u times c.  Any
+    may be inf, or nan where g/2 is 0: _si refuses those it is asked for.
     """
     kt = _K_B * params.temperature
     half_g = 0.5 * params.degeneracy
@@ -252,29 +242,38 @@ def _si_prefactors(params: GasParameters, keys: str = "") -> tuple[float, float,
     except OverflowError:
         cube = math.inf
     u = half_g * kt * cube
-    prefactors = half_g * cube, u, _C, u * _C
-    for key in keys:
-        if not prefactors["nuvR".index(key)] < math.inf:
-            raise DomainError(f"{_KERNELS[key][0]}: SI prefactor overflows at "
-                              f"T={params.temperature!r} K, g={params.degeneracy!r}")
-    return prefactors
+    return half_g * cube, u, _C, u * _C
 
 
-def _si_value(key: str, params: GasParameters) -> float:
-    i = "nuvR".index(key)
-    kernels = _bands(_reduced_x(params))  # reduce refuses an x that is not finite
-    _check_kernels(*kernels)
-    return kernels[i] * _si_prefactors(params, key)[i]
+def _si(params: GasParameters, x: float, order: str) -> tuple[float, float, float, float]:
+    """(N/V, U/V, vbar, R) of params in SI units, from its four kernels at x.
+
+    x is mc^2/kT of params up to rounding; an x sweep passes its grid x,
+    which _grid has checked, so the printed x and the band are the grid's.
+    The kernels, checked once, scale by the prefactors of one kT.  Of those
+    named in order, over "nuvR", the first out of the double range (for
+    g = 2, R above 4.8e78 K, u above 6.3e80 K and n above 1.3e100 K) raises
+    DomainError naming its quantity; a quantity not named may be inf or nan.
+    """
+    n, u, v, r = _bands(x)
+    _check_kernels(n, u, v, r)
+    pn, pu, pv, pr = _si_prefactors(params)
+    if not (pn < math.inf and pr < math.inf):  # pr = pu c is finite only where pu is
+        for i in map("nuvR".index, order):
+            if not (pn, pu, pv, pr)[i] < math.inf:
+                raise DomainError(f"{_SI_NAMES[i]}: SI prefactor overflows at "
+                                  f"T={params.temperature!r} K, g={params.degeneracy!r}")
+    return n * pn, u * pu, v * pv, r * pr
 
 
 def number_density(params: GasParameters) -> float:
     """Photon number per unit volume, m^-3."""
-    return _si_value("n", params)
+    return _si(params, _reduced_x(params), "n")[0]
 
 
 def energy_density(params: GasParameters) -> float:
     """Internal energy per unit volume, J/m^3."""
-    return _si_value("u", params)
+    return _si(params, _reduced_x(params), "u")[1]
 
 
 def mean_speed(params: GasParameters) -> float:
@@ -282,7 +281,7 @@ def mean_speed(params: GasParameters) -> float:
 
     Independent of the degeneracy (it cancels in the ratio).
     """
-    return _si_value("v", params)
+    return _si(params, _reduced_x(params), "v")[2]
 
 
 def photon_speed(energy: float, mass: float) -> float:
@@ -360,15 +359,7 @@ def radiance(params: GasParameters) -> float:
     Stefan-Boltzmann law exactly at m = 0 and falls below the naive
     (c/4) U/V relation for any m > 0.
     """
-    return _si_value("R", params)
-
-
-def _finite(name: str, value: float, params: GasParameters) -> float:
-    """value where it is a finite double, else a DomainError: name overflows at params."""
-    if -math.inf < value < math.inf:
-        return value
-    raise DomainError(f"{name} overflows a double at m={params.mass!r} kg, "
-                      f"T={params.temperature!r} K, g={params.degeneracy!r}")
+    return _si(params, _reduced_x(params), "R")[3]
 
 
 def radiance_naive(params: GasParameters) -> float:
@@ -377,25 +368,15 @@ def radiance_naive(params: GasParameters) -> float:
     Correct only at m = 0; for m > 0 it overestimates the radiance because
     massive photons leave the cavity at v < c.  Refused where it overflows.
     """
-    return _finite("radiance_naive: (c/4) U/V", 0.25 * SI.c * energy_density(params), params)
+    naive = 0.25 * SI.c * energy_density(params)
+    if naive < math.inf:
+        return naive
+    raise DomainError(f"radiance_naive: (c/4) U/V overflows a double at m={params.mass!r} kg, "
+                      f"T={params.temperature!r} K, g={params.degeneracy!r}")
 
 
 def evaluate(params: GasParameters) -> RadiometryReport:
     """Full radiometry report for one (m, T) point."""
-    return _report(params, _reduced_x(params))  # reduce refuses an x that is not finite
-
-
-def _report(params: GasParameters, x: float) -> RadiometryReport:
-    """The report of params, with its kernels evaluated at x, finite and >= 0.
-
-    x is mc^2/kT of params up to rounding; an x sweep passes its grid x,
-    which _grid has checked, so the printed x and the band are the grid's.
-    The kernels, checked once, scale by the prefactors of one kT, checked
-    in the order u, n, R.
-    """
-    n, u, v, r = _bands(x)
-    _check_kernels(n, u, v, r)
-    pn, pu, pv, pr = _si_prefactors(params)
-    if not (pn < math.inf and pr < math.inf):  # pr = pu c is finite only where pu is
-        _si_prefactors(params, "unR")  # raises, naming the first out of range
-    return RadiometryReport(params, x, n * pn, u * pu, v * pv, r * pr)
+    x = _reduced_x(params)  # reduce refuses an x that is not finite
+    n, u, v, r = _si(params, x, "unR")
+    return RadiometryReport(params, x, n, u, v, r)

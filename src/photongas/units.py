@@ -126,28 +126,29 @@ def reduce(params: GasParameters) -> float:
                       f"T={params.temperature!r} K")
 
 
+def _kg_per(unit: str) -> float:
+    """Kilograms per one of MASS_UNITS, else a MassParseError naming them."""
+    if unit in MASS_UNITS:
+        return MASS_UNITS[unit]
+    raise MassParseError(f"unknown mass unit {unit!r}; supported: {', '.join(MASS_UNITS)}")
+
+
 def parse_mass(text: str) -> float:
     """Parse '<number><unit>' into kilograms; units: kg, g, eV, meV, keV."""
     match = _MASS_RE.match(text)
     if match is None:
         raise MassParseError(f"malformed mass {text!r}; expected '<number><unit>'")
     number, unit = match.groups()
-    if unit not in MASS_UNITS:
-        raise MassParseError(
-            f"unknown mass unit {unit!r}; supported: {', '.join(MASS_UNITS)}"
-        )
+    kg = _kg_per(unit)
     value = float(number)
     if value < 0:
         raise MassParseError(f"negative mass {number!r}")
     # "-0" parses to -0.0, which passes the check above; the mass is +0.0.
-    return abs(value) * MASS_UNITS[unit]
+    return abs(value) * kg
 
 
 def format_mass(mass: float, unit: str) -> str:
     """Render a mass in kg as '<number><unit>'; parse_mass round-trips it."""
-    if unit not in MASS_UNITS:
-        raise MassParseError(
-            f"unknown mass unit {unit!r}; supported: {', '.join(MASS_UNITS)}"
-        )
-    value = _checked(mass, "mass must be finite and >= 0 kg") / MASS_UNITS[unit]
+    kg = _kg_per(unit)
+    value = _checked(mass, "mass must be finite and >= 0 kg") / kg
     return f"{_checked(value, f'mass in {unit} must be finite'):.17g}{unit}"

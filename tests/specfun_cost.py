@@ -23,7 +23,9 @@ checkout's src).  Every case of a table is timed in the same rounds, so a
 slow spell of the host lands on a few cells of one round, not on a whole
 column.  The routes are timed as this checkout's package calls them, so
 pointing --src at another checkout's src, to compare two trees on the same
-host, needs a src of the same version.
+host, needs a src of the same version.  After the table it checks it: where
+a column lacks an x of the grid, or times one at <= 0, it exits 1 naming
+the column and the x.
 """
 
 from __future__ import annotations
@@ -113,6 +115,24 @@ def main() -> None:
         "report_us": reported,
     }
     print(json.dumps(result, indent=1))
+    holes = missing(result)
+    if holes:
+        sys.exit("specfun_cost: missing or not > 0: " + "; ".join(holes))
+
+
+def missing(result: dict) -> list[str]:
+    """"<column> at x = <x>" for each x of X_GRID that a column of result lacks,
+    or times at <= 0; report_overhead_us, a difference of two times, may be <= 0.
+    The series route's three bands split X_GRID between them: one column here."""
+    routes = result["reduced_functions_us"]
+    series = {x: t for name, band in routes.items() if name != "trapezoid" for x, t in band.items()}
+    columns = {"reduced_functions_us.trapezoid": routes["trapezoid"],
+               "reduced_functions_us series bands": series,
+               **{name: result[name] for name in
+                  ("evaluate_us", "report_overhead_us", "params_us", "report_us")}}
+    return [f"{name} at x = {x!r}" for name, column in columns.items() for x in X_GRID
+            if not (isinstance(cell := column.get(repr(x)), float)
+                    and (cell > 0.0 or name == "report_overhead_us"))]
 
 
 if __name__ == "__main__":

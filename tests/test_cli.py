@@ -197,8 +197,10 @@ def test_point_and_sweep_rows_are_their_cells_formatted_one_by_one(capsys, g):
         assert code == 0 and out.splitlines()[1:] == [row(f"{mass:.16e}", report)]
         code, out, _ = run(capsys, "sweep", "--mass", "1eV", "--variable", "x", "--x-min",
                            repr(x), "--x-max", repr(2 * x), "--points", "2", "--g", g)
-        reports = [core._report(GasParameters(mass, mass * SI.c * SI.c / (SI.k_B * value),
-                                              float(g)), value) for value in (x, 2 * x)]
+        states = [(GasParameters(mass, mass * SI.c * SI.c / (SI.k_B * value), float(g)), value)
+                  for value in (x, 2 * x)]
+        reports = [core.RadiometryReport(params, value, *core._si(params, value, "unR"))
+                   for params, value in states]
         assert code == 0 and out.splitlines()[1:] == [
             row(str(index), report) for index, report in enumerate(reports)]
 
@@ -475,16 +477,29 @@ def test_figure_radiance_takes_only_out_and_prints_the_kernels_ratios(capsys, tm
     (["figure", "mean-speed", "--out", "{dir}/f.csv", "--svg", "{dir}"], "{dir}", False),
     (["figure", "mean-speed", "--out", "{dir}/f.csv", "--svg", "{dir}"], "{dir}", True),
     (["figure", "mean-speed", "--svg", "{dir}"], "{dir}", False),
-    (["figure", "mean-speed", "--svg", "{dir}"], "{dir}", True)],
+    (["figure", "mean-speed", "--svg", "{dir}"], "{dir}", True),
+    (["figure", "mean-speed", "--out", "{dir}/f.csv", "--svg", "{dir}/f.csv"], "{dir}/f.csv",
+     False),
+    (["figure", "mean-speed", "--out", "{dir}/f.csv", "--svg", "{dir}/f.csv"], "{dir}/f.csv",
+     True),
+    (["figure", "mean-speed", "--out", "{dir}/f.csv", "--svg", "{dir}/./f.csv"], "{dir}/./f.csv",
+     False),
+    (["figure", "mean-speed", "--out", "{dir}/f.csv", "--svg", "{dir}/./f.csv"], "{dir}/./f.csv",
+     True)],
     ids=["point --out", "mean-speed --svg", "radiance --out", "mean-speed --out",
          "mean-speed --out f.csv --svg, empty dir", "mean-speed --out f.csv --svg, f.csv exists",
-         "mean-speed --svg, empty dir", "mean-speed --svg, f.csv exists"])
+         "mean-speed --svg, empty dir", "mean-speed --svg, f.csv exists",
+         "mean-speed --out f.csv --svg f.csv, empty dir",
+         "mean-speed --out f.csv --svg f.csv, f.csv exists",
+         "mean-speed --out f.csv --svg ./f.csv, empty dir",
+         "mean-speed --out f.csv --svg ./f.csv, f.csv exists"])
 def test_an_output_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, argv, path,
                                                                  existing):
-    # Exit 1 is validate's FAIL alone: a path that cannot be opened exits 2
-    # with one error line naming it, and no traceback.  The command is all
-    # or nothing: it prints nothing else, leaves no new file, and a file it
-    # would have rewritten keeps its bytes.
+    # Exit 1 is validate's FAIL alone: a path that cannot be opened, or one
+    # that names the same regular file as an earlier output of the command,
+    # exits 2 with one error line naming it, and no traceback.  The command
+    # is all or nothing: it prints nothing else, leaves no new file, and a
+    # file it would have rewritten keeps its bytes.
     kept = b"x,kept\n"
     if existing:
         (tmp_path / "f.csv").write_bytes(kept)
@@ -494,6 +509,12 @@ def test_an_output_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path
     assert repr(path.format(dir=tmp_path)) in err
     assert [entry.name for entry in tmp_path.iterdir()] == (["f.csv"] if existing else [])
     assert not existing or (tmp_path / "f.csv").read_bytes() == kept
+
+
+def test_two_outputs_to_one_device_are_no_usage_error(capsys):
+    # Only regular files are matched: both outputs may go to the null device.
+    assert run(capsys, "figure", "mean-speed", "--points", "3", "--out", os.devnull,
+               "--svg", os.devnull) == (0, "", "")
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +644,7 @@ def test_point_below_four_matches_the_trapezoid_oracle(capsys):
     n, u, v, r = oracle._moments(row["x"])
     params = photongas.GasParameters(mass=row["mass_kg"], temperature=row["T_K"],
                                      degeneracy=row["degeneracy"])
-    si = dict(zip("nuvR", core._si_prefactors(params, "nuvR")))
+    si = dict(zip("nuvR", core._si_prefactors(params)))
     expected = {"n_per_m3": n * si["n"], "u_J_per_m3": u * si["u"],
                 "vbar_m_per_s": v * si["v"], "R_W_per_m2": r * si["R"],
                 "R_naive_W_per_m2": 0.25 * SI.c * u * si["u"]}

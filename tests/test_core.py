@@ -23,7 +23,7 @@ from photongas import (SI, ConvergenceError, DomainError, GasParameters,
                        mean_speed, number_density, oracle, photon_speed,
                        radiance, radiance_naive, reduce, reduced_functions,
                        spectral_energy_density, specfun, units, zeta_value)
-from photongas.core import _series, _si_prefactors, n_hat_series, v_hat_series
+from photongas.core import _series, _si, _si_prefactors, n_hat_series, v_hat_series
 
 import kernel_reference
 import spectral_reference
@@ -564,7 +564,8 @@ def test_states_at_tiny_x_report_the_massless_limits(x, temperature):
     limits = (2.0 * zeta_value(3) / math.pi**2, math.pi**2 / 15, 1.0, math.pi**2 / 60)
     for kernel, limit in zip("nuvr", limits):
         assert getattr(reduced, kernel + "_hat") == pytest.approx(limit, rel=1e-15, abs=0.0)
-    report = core._report(params_for_x(x, temperature), x)
+    params = params_for_x(x, temperature)
+    report = RadiometryReport(params, x, *_si(params, x, "unR"))
     massless = evaluate(GasParameters(mass=0.0, temperature=temperature))
     for field in ("number_density", "energy_density", "mean_speed", "radiance",
                   "radiance_naive"):
@@ -654,7 +655,7 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
             ("u", "u_hat", "energy_density", energy_density),
             ("v", "v_hat", "mean_speed", mean_speed),
             ("R", "r_hat", "radiance", radiance)):
-        expected = getattr(reduced, kernel) * _si_prefactors(params, key)["nuvR".index(key)]
+        expected = getattr(reduced, kernel) * _si_prefactors(params)["nuvR".index(key)]
         assert getattr(report, quantity) == expected
         assert wrapper(params) == expected
     assert report.radiance_naive == 0.25 * SI.c * report.energy_density
@@ -686,14 +687,13 @@ def test_result_types_hold_only_what_can_vary():
 @pytest.mark.parametrize("x", [0.0, 1e-3, math.nextafter(2.0, 0.0), 2.0, 10.0, 40.0,
                                1e3, 1e17])
 def test_report_is_the_one_the_public_constructor_builds(x):
-    # _report builds its report with the public constructor: at an x in
-    # every band, for evaluate and for the report an x sweep builds at its
-    # grid x, the result is the report that RadiometryReport(**fields)
-    # builds, its __dict__ holds the fields in order, and it stays frozen.
-    # It is no tuple of its fields, and a pickle or copy of it keeps ==,
-    # hash and repr.
+    # At an x in every band, for evaluate and for the report an x sweep
+    # builds from _si at its grid x, the result is the report that
+    # RadiometryReport(**fields) builds, its __dict__ holds the fields in
+    # order, and it stays frozen.  It is no tuple of its fields, and a
+    # pickle or copy of it keeps ==, hash and repr.
     params = params_for_x(x)
-    for report in (evaluate(params), core._report(params, x)):
+    for report in (evaluate(params), RadiometryReport(params, x, *_si(params, x, "unR"))):
         fields = {name: getattr(report, name) for name in RadiometryReport._fields}
         public = RadiometryReport(**fields)
         assert type(report) is RadiometryReport
@@ -850,7 +850,10 @@ def test_si_prefactor_just_inside_double_range_stays_finite():
 def test_si_prefactors_are_the_one_prefactor_expression_bit_for_bit(g):
     # (g/2) (kT)^k (kT/hbar c)^3 c^j, with (k, j) = (0, 0) for n, (1, 0) for
     # u and (1, 1) for R, each as one expression; c for v.
+    # Asked for one quantity, _si refuses it, by name, where its prefactor is
+    # out of the double range, and scales the massless kernel by it elsewhere.
     powers = {"n": (0, 0), "u": (1, 0), "R": (1, 1)}
+    names = {"n": "number_density", "u": "energy_density", "v": "mean_speed", "R": "radiance"}
     for i in range(400):
         temperature = 10.0 ** (-300 + 401 * i / 399)
         params = GasParameters(mass=0.0, temperature=temperature, degeneracy=g)
@@ -862,13 +865,15 @@ def test_si_prefactors_are_the_one_prefactor_expression_bit_for_bit(g):
             except OverflowError:
                 expected[key] = math.inf
         if all(map(math.isfinite, expected.values())):
-            assert _si_prefactors(params, "nuvR") == tuple(expected[k] for k in "nuvR"), temperature
+            assert _si_prefactors(params) == tuple(expected[k] for k in "nuvR"), temperature
         for key, value in expected.items():
+            slot = "nuvR".index(key)
             if math.isfinite(value):
-                assert _si_prefactors(params, key)["nuvR".index(key)] == value, (key, temperature)
+                assert _si_prefactors(params)[slot] == value, (key, temperature)
+                assert _si(params, 0.0, key)[slot] == core._MASSLESS[slot] * value, key
             else:
-                with pytest.raises(DomainError, match=rf"^{core._KERNELS[key][0]}: SI "):
-                    _si_prefactors(params, key)
+                with pytest.raises(DomainError, match=rf"^{names[key]}: SI "):
+                    _si(params, 0.0, key)
 
 
 @pytest.mark.parametrize("temperature, g, quantity", [
@@ -896,11 +901,11 @@ def test_number_density_alone_is_finite_where_the_other_prefactors_overflow():
     ("v", 1.01, "v_hat must not exceed 1, got 1.01"),
     ("R", 0.1645 * 1.01, f"r_hat must not exceed pi^2/60, got {0.1645 * 1.01!r}")])
 def test_every_path_refuses_a_broken_kernel_by_name(monkeypatch, capsys, key, value, message):
-    # The band loop is what every path calls, as core._bands: evaluate and
-    # the x sweep through _report, reduced_functions through its
-    # constructor, the SI wrappers through _si_value, and both figures
-    # directly.  Each refuses the broken kernel by name, and validate, which
-    # compares the band loop with its oracle, fails.
+    # The band loop is what every path calls, as core._bands: evaluate, the
+    # x sweep and the SI wrappers through _si, reduced_functions through its
+    # constructor, and both figures directly.  Each refuses the broken
+    # kernel by name, and validate, which compares the band loop with its
+    # oracle, fails.
     bands = core._bands
 
     def broken(x):

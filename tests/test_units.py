@@ -195,6 +195,13 @@ def test_format_mass_refuses_a_mass_whose_value_in_the_unit_overflows():
     assert parse_mass(format_mass(1e300, "kg")) == 1e300
 
 
+def test_format_mass_refuses_an_unknown_unit_as_parse_mass_does():
+    for call in (lambda: format_mass(1.0, "lb"), lambda: parse_mass("1lb")):
+        with pytest.raises(MassParseError) as info:
+            call()
+        assert str(info.value) == "unknown mass unit 'lb'; supported: kg, g, eV, meV, keV"
+
+
 def test_reduce_massless_is_zero():
     assert reduce(GasParameters(mass=0.0, temperature=123.0)) == 0.0
 
