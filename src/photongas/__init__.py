@@ -23,4 +23,4 @@ __all__ = [
     "reduce",
 ]
 
-__version__ = "0.19.2"
+__version__ = "0.19.3"

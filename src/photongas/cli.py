@@ -86,9 +86,17 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path) of one command, stdout (path None) last, once every path is
     open, untruncated: a failed open, or two paths that name one regular file, closes them,
     removes the files this call created and raises, so it leaves no new file.  A write
-    that fails after truncation is not undone."""
+    that fails after truncation is not undone.  A path that names the regular file stdout
+    goes to, where some text goes to stdout, is refused as a second name of one file."""
     files, regular = [], {}  # regular: (st_dev, st_ino) of each regular file -> its handle
     try:
+        if any(path is None for _, path in outputs):
+            try:
+                status = os.fstat(sys.stdout.fileno())
+                if stat.S_ISREG(status.st_mode):  # a pipe or device is not compared
+                    regular[status.st_dev, status.st_ino] = None  # None: stdout, never truncated
+            except OSError:  # io.UnsupportedOperation: a stream with no file behind it
+                pass
         for text, path in outputs:
             if path is not None:  # the tuple's exists() runs before its open()
                 files.append((os.path.exists(path), handle := open(path, "a", newline=""), text))
@@ -96,7 +104,8 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
                 if stat.S_ISREG(status.st_mode):  # as with "w", a device or pipe is not truncated
                     first = regular.setdefault((status.st_dev, status.st_ino), handle)
                     if first is not handle:
-                        raise OSError(f"outputs {first.name!r} and {path!r} name one file")
+                        name = "<stdout>" if first is None else first.name
+                        raise OSError(f"outputs {name!r} and {path!r} name one file")
     except BaseException:
         for existed, handle, _ in files:
             handle.close()

@@ -135,14 +135,6 @@ def _check_kernels(n: float, u: float, v: float, r: float) -> None:
 # Reduced kernels.
 # ---------------------------------------------------------------------------
 
-def _series(x: float) -> tuple[float, float, float, float]:
-    """(n_hat, u_hat, v_hat, r_hat) at x by the series route: _bands at a
-    checked x, its kernels checked."""
-    kernels = _bands(_check_x(x))
-    _check_kernels(*kernels)
-    return kernels
-
-
 def _bands(x: float) -> tuple[float, float, float, float]:
     """(n_hat, u_hat, v_hat, r_hat) at an x that is finite and >= 0, one loop per band.
 
@@ -185,17 +177,17 @@ def _bands(x: float) -> tuple[float, float, float, float]:
 
 def n_hat_series(x: float) -> float:
     """(x^2/pi^2) sum_n K2(n x)/n, by the series route; for the tracer only."""
-    return _series(x)[0]
+    return reduced_functions(x).n_hat
 
 
 def v_hat_series(x: float) -> float:
     """2 [Li3(e^-x) + x Li2(e^-x)] / (x^2 sum_n K2(n x)/n), for the tracer only."""
-    return _series(x)[2]
+    return reduced_functions(x).v_hat
 
 
 def r_hat_closed(x: float) -> float:
     """(3/2pi^2) [Li4(w) + x Li3(w) + (x^2/3) Li2(w)], w = e^-x, for the tracer only."""
-    return _series(x)[3]
+    return reduced_functions(x).r_hat
 
 
 def reduced_functions(x: float) -> ReducedFunctions:
@@ -229,41 +221,35 @@ def _nonrel_v_hat(x: float) -> float:
 # SI wrappers.
 # ---------------------------------------------------------------------------
 
-def _si_prefactors(params: GasParameters) -> tuple[float, float, float, float]:
-    """SI value of one unit of each kernel, from one kT, in the order of _bands.
+def _si(params: GasParameters, x: float, order: str) -> tuple[float, float, float, float]:
+    """(N/V, U/V, vbar, R) of params in SI units, from its four kernels at x.
 
-    n is (g/2) (kT/hbar c)^3, u that times kT, v is c and R u times c.  Any
-    may be inf, or nan where g/2 is 0: _si refuses those it is asked for.
+    x is mc^2/kT of params up to rounding; an x sweep passes its grid x,
+    which _grid has checked, so the printed x and the band are the grid's.
+    The kernels, checked once, scale by the SI value of one unit of each,
+    from one kT: n by pn = (g/2) (kT/hbar c)^3, u by pu = pn kT, v by c and
+    R by pr = pu c.  Any prefactor may be inf, or nan where g/2 is 0.  Of
+    the quantities named in order, over "nuvR", the first whose prefactor
+    is out of the double range (for g = 2, R above 4.8e78 K, u above
+    6.3e80 K and n above 1.3e100 K) raises DomainError naming its quantity;
+    a quantity not named may be inf or nan.
     """
+    n, u, v, r = _bands(x)
+    _check_kernels(n, u, v, r)
     kt = _K_B * params.temperature
     half_g = 0.5 * params.degeneracy
     try:
         cube = (kt / _HBAR_C) ** 3
     except OverflowError:
         cube = math.inf
-    u = half_g * kt * cube
-    return half_g * cube, u, _C, u * _C
-
-
-def _si(params: GasParameters, x: float, order: str) -> tuple[float, float, float, float]:
-    """(N/V, U/V, vbar, R) of params in SI units, from its four kernels at x.
-
-    x is mc^2/kT of params up to rounding; an x sweep passes its grid x,
-    which _grid has checked, so the printed x and the band are the grid's.
-    The kernels, checked once, scale by the prefactors of one kT.  Of those
-    named in order, over "nuvR", the first out of the double range (for
-    g = 2, R above 4.8e78 K, u above 6.3e80 K and n above 1.3e100 K) raises
-    DomainError naming its quantity; a quantity not named may be inf or nan.
-    """
-    n, u, v, r = _bands(x)
-    _check_kernels(n, u, v, r)
-    pn, pu, pv, pr = _si_prefactors(params)
+    pu = half_g * kt * cube
+    pn, pr = half_g * cube, pu * _C
     if not (pn < math.inf and pr < math.inf):  # pr = pu c is finite only where pu is
         for i in map("nuvR".index, order):
-            if not (pn, pu, pv, pr)[i] < math.inf:
+            if not (pn, pu, _C, pr)[i] < math.inf:
                 raise DomainError(f"{_SI_NAMES[i]}: SI prefactor overflows at "
                                   f"T={params.temperature!r} K, g={params.degeneracy!r}")
-    return n * pn, u * pu, v * pv, r * pr
+    return n * pn, u * pu, v * _C, r * pr
 
 
 def number_density(params: GasParameters) -> float:

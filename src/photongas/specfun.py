@@ -150,22 +150,11 @@ def _k01_hankel(z: float) -> tuple[float, float]:
     return r + r * e0, r + r * e1
 
 
-def _k01_scaled(z: float) -> tuple[float, float]:
-    """(e^z K0(z), e^z K1(z)) for z > 0, unchecked."""
-    if z <= _K_SERIES_MAX:
-        k0, k1 = _k01_series(z)
-        factor = math.exp(z)
-        return factor * k0, factor * k1
-    if z < _K_HANKEL_MIN:
-        return _k01_chebyshev(z)
-    return _k01_hankel(z)
-
-
 def _k01(z: float) -> tuple[float, float]:
     """(K0(z), K1(z)) for z > 0, unchecked; past z of about 700 both underflow to 0."""
     if z <= _K_SERIES_MAX:
         return _k01_series(z)
-    k0, k1 = _k01_scaled(z)
+    k0, k1 = _k01_chebyshev(z) if z < _K_HANKEL_MIN else _k01_hankel(z)
     factor = math.exp(-z)
     return factor * k0, factor * k1
 

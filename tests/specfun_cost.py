@@ -3,8 +3,9 @@
     python tests/specfun_cost.py [--src DIR]
 
 times, on a fixed x grid, all four kernels by each route: the trapezoid
-pass ``oracle._moments``, and the series route ``core._series``, with its
-checks of x and of the four kernels, in each of its bands, below x = 2 the
+pass ``oracle._moments``, and the series route ``core.reduced_functions``,
+with its checks of x and of the four kernels and the ReducedFunctions it
+returns, in each of its bands, below x = 2 the
 one Horner loop over the expansions about x = 0, from 2 up to 40 the one
 Horner loop over the tables of Chebyshev fits in ln x, and from 40 on one
 K pair; and, as ``evaluate_us``, ``core.evaluate``
@@ -95,7 +96,7 @@ def main() -> None:
         params = units.GasParameters(mass, temperature)
         *fields, radiance = core.evaluate(params)._astuple()
         # the band loop at the x that evaluate takes, which may differ from x by an ulp
-        cases += [(oracle._moments, x), (core._series, x), (core.evaluate, params),
+        cases += [(oracle._moments, x), (core.reduced_functions, x), (core.evaluate, params),
                   (core._bands, units.reduce(params)), (constructor, temperature),
                   (functools.partial(core.RadiometryReport, *fields), radiance)]
     costs = cost_us(cases)

@@ -9,14 +9,10 @@ constants, never from the code paths under test.
 
 import math
 
-import pytest
-
-from photongas import (SI, GasParameters, energy_density, evaluate,
-                       mean_speed, number_density, radiance, radiance_naive,
-                       reduced_functions, spectral_energy_density)
+from photongas import (SI, GasParameters, energy_density, mean_speed, number_density,
+                       radiance, radiance_naive, reduced_functions, spectral_energy_density)
 from photongas.cli import main
 from photongas import core, oracle
-from photongas.core import _occupation
 from photongas.specfun import bessel_k2, zeta_value
 
 import spectral_reference
@@ -70,10 +66,10 @@ def test_criterion_2_oracle_equivalence(monkeypatch):
     ok = True
     for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
         n_hat, _, v_hat, r_hat = oracle._moments(x)
-        series = core._series(x)
-        ok &= abs(series[0] / n_hat - 1) <= 1e-7
-        ok &= abs(series[2] / v_hat - 1) <= 1e-7
-        ok &= abs(series[3] / r_hat - 1) <= 1e-7
+        series = reduced_functions(x)
+        ok &= abs(series.n_hat / n_hat - 1) <= 1e-7
+        ok &= abs(series.v_hat / v_hat - 1) <= 1e-7
+        ok &= abs(series.r_hat / r_hat - 1) <= 1e-7
     # self-consistency: the oracle's fixed step against half that step, in
     # n_hat, v_hat and r_hat
     small_x = (0.01, 0.05)
@@ -183,7 +179,7 @@ def test_criterion_9_special_function_spot_checks():
     zeta3_ref = brute_zeta3()
     checks = [
         abs(bessel_k2(1.0) / k2_ref - 1) <= 1e-10,
-        abs(core._series(x)[3] / r_hat_ref - 1) <= 1e-10,
+        abs(reduced_functions(x).r_hat / r_hat_ref - 1) <= 1e-10,
         abs(zeta_value(3) / zeta3_ref - 1) <= 1e-10,
     ]
     report(9, "K2(1), r_hat(3) from Li2, Li3 and Li4 of e^-3, zeta(3) vs "

@@ -461,7 +461,8 @@ def test_figure_radiance_takes_only_out_and_prints_the_kernels_ratios(capsys, tm
     assert [float(row[0]) for row in cells] == _grid(0.01, 100.0, 25, "log")
     assert all(cell == "%.16e" % float(cell) for row in cells for cell in row)
     for x, over_sb, over_naive, asymptote in (map(float, row) for row in cells):
-        _, u_hat, _, r_hat = core._series(x)
+        kernels = core.reduced_functions(x)
+        u_hat, r_hat = kernels.u_hat, kernels.r_hat
         expected = (math.pi**2 / 60 * (1 - 5 / (2 * math.pi**2) * x * x) if x < 1
                     else x * x * math.exp(-x) / (2 * math.pi**2))
         assert over_sb == pytest.approx(r_hat / (math.pi**2 / 60), rel=1e-15, abs=0)
@@ -515,6 +516,39 @@ def test_two_outputs_to_one_device_are_no_usage_error(capsys):
     # Only regular files are matched: both outputs may go to the null device.
     assert run(capsys, "figure", "mean-speed", "--points", "3", "--out", os.devnull,
                "--svg", os.devnull) == (0, "", "")
+
+
+def test_a_file_output_to_the_file_stdout_goes_to_is_a_usage_error(capsys, tmp_path):
+    # Where stdout goes to a regular file, an output path that names that
+    # file is a second name of it: exit 2, one error line, nothing written.
+    svg = str(tmp_path / "f.svg")
+    with open(svg, "w") as stdout, contextlib.redirect_stdout(stdout):
+        code = main(["figure", "mean-speed", "--points", "3", "--svg", svg])
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: outputs '<stdout>' and {svg!r} name one file\n")
+    assert [entry.name for entry in tmp_path.iterdir()] == ["f.svg"]
+    assert (tmp_path / "f.svg").read_bytes() == b""
+
+
+def test_an_svg_to_dev_stdout_redirected_to_a_file_is_a_usage_error(tmp_path):
+    # The shell's spelling of the same clash, in a fresh process: the SVG
+    # would go to the file at offset 0, and the CSV on stdout over it.
+    with open(tmp_path / "f.svg", "w") as stdout:
+        proc = run_subprocess("figure", "mean-speed", "--points", "3", "--svg", "/dev/stdout",
+                              stdout=stdout)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: outputs '<stdout>' and '/dev/stdout' name one file\n"
+    assert (tmp_path / "f.svg").read_bytes() == b""
+
+
+def test_a_file_output_beside_stdouts_file_writes_both(capsys, tmp_path):
+    # stdout's file is compared, not refused: another path is no clash.
+    _, csv, _ = run(capsys, "figure", "mean-speed", "--points", "3")
+    with open(tmp_path / "f.csv", "w") as stdout, contextlib.redirect_stdout(stdout):
+        code = main(["figure", "mean-speed", "--points", "3", "--svg", str(tmp_path / "g.svg")])
+    assert (code, capsys.readouterr()) == (0, ("", ""))
+    assert (tmp_path / "f.csv").read_text() == csv
+    assert (tmp_path / "g.svg").read_text().startswith("<svg")
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +634,11 @@ def test_point_negative_temperature_is_usage_error(capsys):
     assert code == 2
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, stdout=subprocess.PIPE):
     # A fresh interpreter, so an uncaught exception shows as a traceback.
     env = dict(os.environ, PYTHONPATH=str(Path(photongas.__file__).parent.parent))
-    return subprocess.run([sys.executable, "-m", "photongas", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "photongas", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 
 def test_point_deep_nonrelativistic_state_reports():
@@ -644,7 +678,9 @@ def test_point_below_four_matches_the_trapezoid_oracle(capsys):
     n, u, v, r = oracle._moments(row["x"])
     params = photongas.GasParameters(mass=row["mass_kg"], temperature=row["T_K"],
                                      degeneracy=row["degeneracy"])
-    si = dict(zip("nuvR", core._si_prefactors(params)))
+    kt = SI.k_B * params.temperature  # each prefactor (g/2) (kT)^k (kT/hbar c)^3 c^j
+    si = {key: 0.5 * params.degeneracy * kt**k * (kt / (SI.hbar * SI.c)) ** 3 * SI.c**j
+          for key, (k, j) in {"n": (0, 0), "u": (1, 0), "R": (1, 1)}.items()} | {"v": SI.c}
     expected = {"n_per_m3": n * si["n"], "u_J_per_m3": u * si["u"],
                 "vbar_m_per_s": v * si["v"], "R_W_per_m2": r * si["R"],
                 "R_naive_W_per_m2": 0.25 * SI.c * u * si["u"]}

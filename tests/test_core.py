@@ -5,6 +5,7 @@ import contextlib
 import copy
 import gc
 import math
+import operator
 import os
 import pickle
 import subprocess
@@ -23,13 +24,14 @@ from photongas import (SI, ConvergenceError, DomainError, GasParameters,
                        mean_speed, number_density, oracle, photon_speed,
                        radiance, radiance_naive, reduce, reduced_functions,
                        spectral_energy_density, specfun, units, zeta_value)
-from photongas.core import _series, _si, _si_prefactors, n_hat_series, v_hat_series
+from photongas.core import _si, n_hat_series, v_hat_series
 
 import kernel_reference
 import spectral_reference
 from mpmath_reference import mpmath_kernels
 
 T_REF = 5800.0
+KERNELS = operator.attrgetter("n_hat", "u_hat", "v_hat", "r_hat")
 
 
 @contextlib.contextmanager
@@ -55,6 +57,24 @@ def cpu_time_under(seconds):
 def params_for_x(x: float, temperature: float = T_REF, g: float = 2.0) -> GasParameters:
     mass = x * SI.k_B * temperature / (SI.c * SI.c)
     return GasParameters(mass=mass, temperature=temperature, degeneracy=g)
+
+
+def series_kernels(x: float) -> tuple[float, float, float, float]:
+    """(n_hat, u_hat, v_hat, r_hat) of reduced_functions(x), for the helpers
+    of kernel_reference, which take a route that returns the four kernels."""
+    return KERNELS(reduced_functions(x))
+
+
+def si_prefactor(params: GasParameters, key: str) -> float:
+    """The SI value of one unit of kernel key, of "nuvR": c for v, else
+    (g/2) (kT)^k (kT/hbar c)^3 c^j as one expression, with (k, j) = (0, 0)
+    for n, (1, 0) for u and (1, 1) for R.  Raises OverflowError where the
+    cube leaves the double range."""
+    if key == "v":
+        return SI.c
+    k, j = {"n": (0, 0), "u": (1, 0), "R": (1, 1)}[key]
+    kt = SI.k_B * params.temperature
+    return 0.5 * params.degeneracy * kt**k * (kt / (SI.hbar * SI.c)) ** 3 * SI.c**j
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +119,7 @@ def test_number_density_strong_suppression_at_x_50():
 
 
 def test_number_density_series_matches_quadrature_at_x_1():
-    assert _series(1.0)[0] == pytest.approx(oracle._moments(1.0)[0], rel=1e-9)
+    assert reduced_functions(1.0).n_hat == pytest.approx(oracle._moments(1.0)[0], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +137,7 @@ def test_mean_speed_nonrelativistic_limit():
 
 
 def test_mean_speed_series_matches_quadrature_at_x_1():
-    assert _series(1.0)[2] == pytest.approx(oracle._moments(1.0)[2], rel=1e-9)
+    assert reduced_functions(1.0).v_hat == pytest.approx(oracle._moments(1.0)[2], rel=1e-9)
 
 
 def test_mean_speed_is_independent_of_degeneracy():
@@ -220,7 +240,7 @@ def test_energy_per_photon_is_at_least_rest_energy(x):
 
 
 def test_energy_series_matches_quadrature_at_x_2():
-    u_hat = _series(2.0)[1]
+    u_hat = reduced_functions(2.0).u_hat
     assert u_hat == pytest.approx(oracle._moments(2.0)[1], rel=1e-9)
 
 
@@ -236,7 +256,7 @@ def test_radiance_massless_is_stefan_boltzmann():
 
 
 def test_radiance_closed_form_matches_quadrature_at_x_1():
-    assert _series(1.0)[3] == pytest.approx(oracle._moments(1.0)[3], rel=1e-9)
+    assert reduced_functions(1.0).r_hat == pytest.approx(oracle._moments(1.0)[3], rel=1e-9)
 
 
 def test_radiance_low_temperature_behavior_at_x_50():
@@ -355,8 +375,8 @@ def test_method_tags_follow_the_regime_switch():
 @pytest.mark.parametrize("x", [0.1, 0.2, 0.4, 0.7, 1.0])
 def test_series_and_quadrature_paths_agree_in_the_overlap(x):
     n_hat, _, v_hat, _ = oracle._moments(x)
-    assert _series(x)[0] == pytest.approx(n_hat, rel=1e-8)
-    assert _series(x)[2] == pytest.approx(v_hat, rel=1e-8)
+    assert reduced_functions(x).n_hat == pytest.approx(n_hat, rel=1e-8)
+    assert reduced_functions(x).v_hat == pytest.approx(v_hat, rel=1e-8)
 
 
 def test_mean_speed_strictly_decreasing_on_log_grid():
@@ -464,11 +484,11 @@ def test_evaluate_over_the_whole_double_range_reports_or_names_the_error(
 # over [1e-8, 1e3], with every band and piece edge and the double below it.
 
 def test_series_route_matches_the_table():
-    kernel_reference.assert_matches(_series, kernel_reference.xs("series"))
+    kernel_reference.assert_matches(series_kernels, kernel_reference.xs("series"))
 
 
 def test_series_route_reaches_small_x():
-    kernel_reference.assert_matches(_series, kernel_reference.xs("small_x"))
+    kernel_reference.assert_matches(series_kernels, kernel_reference.xs("small_x"))
 
 
 # Per band and kernel, the worst error of the series route over every row of
@@ -488,7 +508,7 @@ def test_series_route_stays_under_its_ulp_ceilings():
     worst = {band: dict.fromkeys("nuvr", 0.0) for band in ULP_CEILINGS}
     for x, row in kernel_reference.load().items():
         band = worst["expansions" if x < 2.0 else "tables" if x < 40.0 else "one term"]
-        for key, value, reference in zip("nuvr", _series(x), row[:4]):
+        for key, value, reference in zip("nuvr", series_kernels(x), row[:4]):
             if reference >= kernel_reference.DBL_MIN:
                 band[key] = max(band[key], kernel_reference.ulp_err(value, reference))
     over = {(band, key): (err, ULP_CEILINGS[band][key])
@@ -497,11 +517,11 @@ def test_series_route_stays_under_its_ulp_ceilings():
     assert not over, over
 
 
-test_default_route_matches_mpmath = kernel_reference.row_test("reference", _series)
-test_energy_density_series_route_matches_mpmath = kernel_reference.row_test("energy", _series)
-test_mean_speed_series_route_matches_mpmath = kernel_reference.row_test("mean_speed", _series)
-test_bessel_pass_matches_mpmath = kernel_reference.row_test("bessel", _series)
-test_series_route_from_one_to_four_matches_mpmath = kernel_reference.row_test("one_to_four", _series)
+test_default_route_matches_mpmath = kernel_reference.row_test("reference", series_kernels)
+test_energy_density_series_route_matches_mpmath = kernel_reference.row_test("energy", series_kernels)
+test_mean_speed_series_route_matches_mpmath = kernel_reference.row_test("mean_speed", series_kernels)
+test_bessel_pass_matches_mpmath = kernel_reference.row_test("bessel", series_kernels)
+test_series_route_from_one_to_four_matches_mpmath = kernel_reference.row_test("one_to_four", series_kernels)
 # the oracle's trapezoid pass, at its fixed step
 test_quadrature_route_matches_mpmath = kernel_reference.row_test("quadrature", oracle._moments)
 
@@ -613,14 +633,13 @@ def test_radiance_alone_from_two_takes_one_table_pass(monkeypatch):
 
 @pytest.mark.parametrize("x", [2.0, 3.0, 39.5, 40.0, 1e3, 1e300])
 def test_series_from_two_takes_only_the_passes_its_keys_need(monkeypatch, x):
-    # _series takes no keys: from 2 on it yields all four kernels from one
-    # pass per x, one table loop up to 40 and one K pair from there on,
-    # and each SI wrapper takes the same one pass.
+    # One band pass per reduced_functions call and per SI wrapper: from 2 on
+    # all four kernels come from one pass per x, one table loop up to 40
+    # and one K pair from there on.
     calls = counted_passes(monkeypatch)
     sums = "_sum_chebyshev" if x < 40.0 else "_one_term"
-    values = _series(x)
+    reduced_functions(x)
     assert calls == [sums]
-    assert len(values) == 4
     del calls[:]
     params = params_for_x(x)
     for wrapper in (number_density, energy_density, mean_speed, radiance):
@@ -630,12 +649,12 @@ def test_series_from_two_takes_only_the_passes_its_keys_need(monkeypatch, x):
 
 @pytest.mark.parametrize("x", [5e-324, 1e-8, 0.5, 1.0, math.nextafter(2.0, 0.0)])
 def test_series_below_two_is_one_expansions_call_for_every_keys_string(monkeypatch, x):
-    # _series takes no keys: below 2 it yields all four kernels from one
-    # call of the expansions, as does each SI wrapper.
+    # One band pass per reduced_functions call and per SI wrapper: below 2
+    # all four kernels come from one call of the expansions.
     calls = counted_passes(monkeypatch)
-    values = _series(x)
+    values = KERNELS(reduced_functions(x))
     assert calls == ["_expansions"]
-    assert len(values) == 4 and all(v > 0.0 for v in values)
+    assert all(v > 0.0 for v in values)
     del calls[:]
     params = params_for_x(x)
     for wrapper in (number_density, energy_density, mean_speed, radiance):
@@ -655,7 +674,7 @@ def test_si_values_are_reduced_kernels_times_one_prefactor(x):
             ("u", "u_hat", "energy_density", energy_density),
             ("v", "v_hat", "mean_speed", mean_speed),
             ("R", "r_hat", "radiance", radiance)):
-        expected = getattr(reduced, kernel) * _si_prefactors(params)["nuvR".index(key)]
+        expected = getattr(reduced, kernel) * si_prefactor(params, key)
         assert getattr(report, quantity) == expected
         assert wrapper(params) == expected
     assert report.radiance_naive == 0.25 * SI.c * report.energy_density
@@ -847,29 +866,33 @@ def test_si_prefactor_just_inside_double_range_stays_finite():
 
 
 @pytest.mark.parametrize("g", [5e-324, 1.0, 2.0, 3.0, 1e200, 1e300])
-def test_si_prefactors_are_the_one_prefactor_expression_bit_for_bit(g):
-    # (g/2) (kT)^k (kT/hbar c)^3 c^j, with (k, j) = (0, 0) for n, (1, 0) for
-    # u and (1, 1) for R, each as one expression; c for v.
+def test_si_prefactors_are_the_one_prefactor_expression_bit_for_bit(g, monkeypatch):
+    # Each SI prefactor is si_prefactor's one expression, bit for bit: with
+    # the kernels 1, 1, 1 and 1/8, which _check_kernels accepts, _si returns
+    # the prefactors themselves, R's times 1/8.
     # Asked for one quantity, _si refuses it, by name, where its prefactor is
     # out of the double range, and scales the massless kernel by it elsewhere.
-    powers = {"n": (0, 0), "u": (1, 0), "R": (1, 1)}
     names = {"n": "number_density", "u": "energy_density", "v": "mean_speed", "R": "radiance"}
+    unit = (1.0, 1.0, 1.0, 0.125)
     for i in range(400):
         temperature = 10.0 ** (-300 + 401 * i / 399)
         params = GasParameters(mass=0.0, temperature=temperature, degeneracy=g)
-        kt = SI.k_B * temperature
-        expected = {"v": SI.c}
-        for key, (k, j) in powers.items():
+        expected = {}
+        for key in "nuvR":
             try:
-                expected[key] = 0.5 * g * kt**k * (kt / (SI.hbar * SI.c)) ** 3 * SI.c**j
+                expected[key] = si_prefactor(params, key)
             except OverflowError:
                 expected[key] = math.inf
-        if all(map(math.isfinite, expected.values())):
-            assert _si_prefactors(params) == tuple(expected[k] for k in "nuvR"), temperature
-        for key, value in expected.items():
-            slot = "nuvR".index(key)
+        with monkeypatch.context() as patched:
+            patched.setattr(core, "_bands", lambda x: unit)
+            if all(map(math.isfinite, expected.values())):
+                assert _si(params, 0.0, "nuvR") == tuple(
+                    expected[k] * scale for k, scale in zip("nuvR", unit)), temperature
+            for slot, (key, value) in enumerate(expected.items()):
+                if math.isfinite(value):
+                    assert _si(params, 0.0, key)[slot] == value * unit[slot], (key, temperature)
+        for slot, (key, value) in enumerate(expected.items()):
             if math.isfinite(value):
-                assert _si_prefactors(params)[slot] == value, (key, temperature)
                 assert _si(params, 0.0, key)[slot] == core._MASSLESS[slot] * value, key
             else:
                 with pytest.raises(DomainError, match=rf"^{names[key]}: SI "):

@@ -132,9 +132,15 @@ def test_k2_positive_and_strictly_decreasing():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def k01_scaled(z: float) -> tuple[float, float]:
+    """(e^z K0, e^z K1) for z >= 2 from the library's branch of the pair
+    there: the Chebyshev series below _K_HANKEL_MIN = 25, Hankel's from it on."""
+    return (specfun._k01_chebyshev if z < specfun._K_HANKEL_MIN else specfun._k01_hankel)(z)
+
+
 def k012(z: float, scaled: bool = False) -> tuple[float, float, float]:
     """(K0, K1, K2) from the library's pair, or e^z times each when scaled."""
-    k0, k1 = specfun._k01_scaled(z) if scaled else specfun._k01(z)
+    k0, k1 = k01_scaled(z) if scaled else specfun._k01(z)
     return k0, k1, k0 + 2.0 * k1 / z
 
 
@@ -170,7 +176,8 @@ def k012_reference(z: float, scaled: bool = False) -> tuple[Decimal, Decimal, De
 @pytest.mark.parametrize("z", kernel_reference.zs("k012"))
 def test_k0_k1_k2_match_mpmath(z):
     for scaled in (False, True):
-        if scaled or z < 700.0:  # K_nu itself is a normal double
+        # K_nu is a normal double below 700; the scaled pair has its branches from 2 on
+        if (z >= 2.0) if scaled else (z < 700.0):
             for value, reference in zip(k012(z, scaled), k012_reference(z, scaled)):
                 assert kernel_reference.rel_err(value, reference) <= 1e-14, (scaled, value)
 
@@ -187,7 +194,7 @@ def test_scaled_k01_matches_mpmath_to_a_few_ulps():
     rows = kernel_reference.load_k01()
     worst = [(0.0, None), (0.0, None)]
     for z in kernel_reference.zs("pair"):
-        for nu, (value, reference) in enumerate(zip(specfun._k01_scaled(z), rows[z][:2])):
+        for nu, (value, reference) in enumerate(zip(k01_scaled(z), rows[z][:2])):
             worst[nu] = max(worst[nu], (kernel_reference.rel_err(value, reference), z),
                             key=lambda e: e[0])
     for nu, (err, z) in enumerate(worst):
@@ -213,19 +220,18 @@ def test_k01_table_matches_its_generator():
 @pytest.mark.parametrize("edge", ["series", "hankel"])
 def test_scaled_k01_is_continuous_across_its_edges(edge):
     # The two branches agree at the edge itself, and so do the pairs one
-    # double apart on either side of it, to within 4 ulps.
-    if edge == "series":
-        z = specfun._K_SERIES_MAX
-        below = tuple(math.exp(z) * k for k in specfun._k01_series(z))
-        above = specfun._k01_chebyshev(z)
-    else:
-        z = specfun._K_HANKEL_MIN
-        below = specfun._k01_chebyshev(z)
-        above = specfun._k01_hankel(z)
-    left = specfun._k01_scaled(math.nextafter(z, 0.0))
-    right = specfun._k01_scaled(math.nextafter(z, math.inf))
-    for a, b in (*zip(below, above), *zip(left, right)):
-        assert abs(a - b) <= 4 * math.ulp(b)
+    # double apart on either side of it, to within 4 ulps.  Below 2 the
+    # scaled pair is e^z times the series.
+    def scaled_series(z):
+        return tuple(math.exp(z) * k for k in specfun._k01_series(z))
+
+    z, lower, upper = ((specfun._K_SERIES_MAX, scaled_series, specfun._k01_chebyshev)
+                       if edge == "series" else
+                       (specfun._K_HANKEL_MIN, specfun._k01_chebyshev, specfun._k01_hankel))
+    for below, above in ((lower(z), upper(z)),
+                         (lower(math.nextafter(z, 0.0)), upper(math.nextafter(z, math.inf)))):
+        for a, b in zip(below, above):
+            assert abs(a - b) <= 4 * math.ulp(b)
 
 
 def test_k01_work_per_pair_above_two(monkeypatch):
@@ -245,7 +251,7 @@ def test_k01_work_per_pair_above_two(monkeypatch):
 
     def terms(z):
         before = len(reads)
-        specfun._k01_scaled(z)
+        specfun._k01(z)
         return len(reads) - before
 
     grid = [math.nextafter(2.0, 3.0)] + [2.0 * 1e300 ** (i / 999) for i in range(1, 1000)]
@@ -366,8 +372,8 @@ def li(s: int, z: float) -> float:
 
 def polylog_combinations(x: float) -> tuple[float, float]:
     """The library's (P, Q) at x: P = pi^2 n_hat v_hat/2, Q = (2 pi^2/3) r_hat."""
-    n_hat, _, v_hat, r_hat = core._series(x)
-    return math.pi**2 * n_hat * v_hat / 2, 2 * math.pi**2 / 3 * r_hat
+    kernels = core.reduced_functions(x)
+    return math.pi**2 * kernels.n_hat * kernels.v_hat / 2, 2 * math.pi**2 / 3 * kernels.r_hat
 
 
 @pytest.mark.parametrize("low, high", zip(_PIECE_EDGES, _PIECE_EDGES[1:]))
@@ -384,7 +390,7 @@ def test_radiance_from_two_matches_the_polylog_closed_form(low, high):
             w = mp.exp(-xm)
             ref = 3 / (2 * mp.pi**2) * (mp.polylog(4, w) + xm * mp.polylog(3, w)
                                         + xm * xm / 3 * mp.polylog(2, w))
-            assert abs(core._series(x)[3] / ref - 1) <= 1e-15, x
+            assert abs(core.reduced_functions(x).r_hat / ref - 1) <= 1e-15, x
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
@@ -399,7 +405,7 @@ def test_polylog_vanishes_at_zero(s):
         assert li(s, w) == w
     assert math.exp(-745.0) == 5e-324
     for x in (760.0, 800.0, 1e300):
-        assert core._series(x)[3] == 0.0
+        assert core.reduced_functions(x).r_hat == 0.0
 
 
 def test_polylog_half_matches_direct_series():
