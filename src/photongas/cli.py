@@ -82,13 +82,18 @@ def _grid(minimum: float, maximum: float, points: int, spacing: str) -> list[flo
     return [minimum, *inner, maximum]
 
 
+def _in_place(path: str, flags: int) -> int:  # _write_outputs' opener: "wb" less O_TRUNC
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_outputs(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path) of one command, stdout (path None) last, once every path is
     open, untruncated: a failed open, or two paths that name one regular file, closes them,
-    removes the files this call created and raises, so it leaves no new file.  A write
-    that fails after truncation is not undone.  A path that names the regular file stdout
-    goes to, where some text goes to stdout, is refused as a second name of one file."""
-    files, regular = [], {}  # regular: (st_dev, st_ino) of each regular file -> its handle
+    removes the files this call created and raises, so it leaves no new file.  Each file is
+    rewritten in place, keeping its inode, mode and links, and cut only past the new end; a
+    write that fails part-way is not undone, and leaves the new bytes over the old ones' start.
+    A path that names stdout's regular file, where some text goes to stdout, is refused too."""
+    files, regular, sizes = [], {}, {}  # regular: (st_dev, st_ino) -> handle; sizes: its st_size
     try:
         if any(path is None for _, path in outputs):
             try:
@@ -99,9 +104,11 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
                 pass
         for text, path in outputs:
             if path is not None:  # the tuple's exists() runs before its open()
-                files.append((os.path.exists(path), handle := open(path, "a", newline=""), text))
+                files.append((os.path.exists(path),
+                              handle := open(path, "wb", opener=_in_place), text))
                 status = os.fstat(handle.fileno())
-                if stat.S_ISREG(status.st_mode):  # as with "w", a device or pipe is not truncated
+                if stat.S_ISREG(status.st_mode):  # a device or pipe is never truncated: size 0
+                    sizes[handle] = status.st_size
                     first = regular.setdefault((status.st_dev, status.st_ino), handle)
                     if first is not handle:
                         name = "<stdout>" if first is None else first.name
@@ -114,9 +121,9 @@ def _write_outputs(*outputs: tuple[str, str | None]) -> None:
         raise
     for _, handle, text in files:
         with handle:
-            if handle in regular.values():
-                handle.truncate(0)
-            handle.write(text)
+            handle.write(data := text.encode())
+            if sizes.get(handle, 0) > len(data):  # cut only the old tail past the new end
+                handle.truncate(len(data))
     sys.stdout.write("".join(text for text, path in outputs if path is None))
 
 

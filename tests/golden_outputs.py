@@ -5,9 +5,12 @@
 
 Each command of COMMANDS runs through ``photongas.cli.main`` in this process.
 Every file it writes, and its stdout where it prints one, is kept under
-tests/golden_outputs/ by the name that COMMANDS gives it.  The point ledger,
-tests/golden_cells.csv, keeps what ``point --format csv`` prints at a fixed
-grid of states (tests/golden_cells.py).  A Tier-1 test compares each.
+tests/golden_outputs/ by the name that COMMANDS gives it.  Each file a command
+writes holds FILLER, longer than any output, before the command runs, so the
+record goes through the writer's rewrite in place, and a tail of the old bytes
+left past the new end shows in it.  The point ledger, tests/golden_cells.csv,
+keeps what ``point --format csv`` prints at a fixed grid of states
+(tests/golden_cells.py).  A Tier-1 test compares each.
 
 ``--diff`` prints what moved: for a CSV, per column, how many cells moved, the
 largest relative move and the x of its row; for any other file, the first
@@ -48,6 +51,7 @@ COMMANDS = (
     (("figure", "radiance"), "radiance.csv"),
     (("validate",), "validate.txt"),
 )
+FILLER = b"0" * 65536
 
 
 def outputs() -> dict[str, bytes]:
@@ -57,6 +61,9 @@ def outputs() -> dict[str, bytes]:
         for argv, stdout_name in COMMANDS:
             argv = [os.path.join(scratch, arg) if flag in ("--out", "--svg") else arg
                     for flag, arg in zip(("", *argv), argv)]
+            for flag, path in zip(argv, argv[1:]):
+                if flag in ("--out", "--svg"):
+                    Path(path).write_bytes(FILLER)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(argv)
@@ -78,10 +85,14 @@ def read() -> dict[str, bytes]:
 
 def write() -> None:
     """Rewrite tests/golden_outputs/ and the ledger."""
+    files = outputs()
+    for name, data in files.items():
+        if len(data) >= len(FILLER):  # a tail of it left, or an output it no longer covers
+            raise RuntimeError(f"{name} is no shorter than the filler written before it")
     DIR.mkdir(exist_ok=True)
     for path in DIR.iterdir():
         path.unlink()
-    for name, data in outputs().items():
+    for name, data in files.items():
         (DIR / name).write_bytes(data)
     golden_cells.write()
 

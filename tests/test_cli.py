@@ -551,6 +551,39 @@ def test_a_file_output_beside_stdouts_file_writes_both(capsys, tmp_path):
     assert (tmp_path / "g.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("size", [65536, 2, None], ids=["longer", "shorter", "missing"])
+def test_a_file_output_is_rewritten_in_place_to_exactly_its_new_bytes(capsys, tmp_path, size):
+    # Over a file longer or shorter than the new bytes, or over none, each
+    # output ends with exactly what a run into an empty directory writes.  A
+    # file that existed keeps its inode and mode, and a hard link to it reads
+    # the new bytes.
+    for number, (argv, names) in enumerate([
+            (["point", "--mass", "1eV", "--temp", "5800", "--format", "csv", "--out", "f.csv"],
+             ["f.csv"]),
+            (["figure", "mean-speed", "--out", "f.csv", "--svg", "g.svg"], ["f.csv", "g.svg"])]):
+        fresh, rerun = tmp_path / f"fresh{number}", tmp_path / f"rerun{number}"
+        fresh.mkdir()
+        rerun.mkdir()
+        existing = names if size is not None else []
+        for name in existing:
+            (rerun / name).write_bytes(b"0" * size)
+            (rerun / name).chmod(0o600)
+            os.link(rerun / name, rerun / f"link_{name}")
+        before = {name: os.stat(rerun / name) for name in existing}
+        for directory in (fresh, rerun):
+            assert run(capsys, *(str(directory / arg) if arg in names else arg
+                                 for arg in argv)) == (0, "", "")
+        for name in names:
+            new = (fresh / name).read_bytes()
+            assert 2 < len(new) < 65536  # so each situation is what its id says
+            assert (rerun / name).read_bytes() == new
+            if name in before:
+                status = os.stat(rerun / name)
+                assert (status.st_ino, status.st_mode) == (before[name].st_ino,
+                                                           before[name].st_mode)
+                assert (rerun / f"link_{name}").read_bytes() == new
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

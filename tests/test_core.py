@@ -632,7 +632,7 @@ def test_radiance_alone_from_two_takes_one_table_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("x", [2.0, 3.0, 39.5, 40.0, 1e3, 1e300])
-def test_series_from_two_takes_only_the_passes_its_keys_need(monkeypatch, x):
+def test_from_two_each_reduced_functions_or_si_call_is_one_pass(monkeypatch, x):
     # One band pass per reduced_functions call and per SI wrapper: from 2 on
     # all four kernels come from one pass per x, one table loop up to 40
     # and one K pair from there on.
@@ -648,7 +648,7 @@ def test_series_from_two_takes_only_the_passes_its_keys_need(monkeypatch, x):
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-8, 0.5, 1.0, math.nextafter(2.0, 0.0)])
-def test_series_below_two_is_one_expansions_call_for_every_keys_string(monkeypatch, x):
+def test_below_two_each_reduced_functions_or_si_call_is_one_pass(monkeypatch, x):
     # One band pass per reduced_functions call and per SI wrapper: below 2
     # all four kernels come from one call of the expansions.
     calls = counted_passes(monkeypatch)
